@@ -132,6 +132,17 @@ def synthetic_spec_from_json(doc: dict[str, Any]) -> SyntheticSpec:
 # -- argument plumbing ------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for bounds: a bad value is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_spec_args(parser: argparse.ArgumentParser, suffix: str = "") -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument(
@@ -264,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="compute quotient invariants into a bundle file")
     _add_spec_args(p)
-    p.add_argument("--primes", type=int, default=50, metavar="X",
+    p.add_argument("--primes", type=_positive_int, default=50, metavar="X",
                    help="include every prime ideal of norm <= X (default 50)")
     p.add_argument("--set", action="append", metavar="LABELS",
                    help="comma-separated labels; adds the subset's entry (repeatable)")
@@ -275,16 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="blind reconstruction from a bundle file")
     p.add_argument("bundle", help="bundle JSON file, or - for stdin")
-    p.add_argument("--zeta", type=int, metavar="X",
+    p.add_argument("--zeta", type=_positive_int, metavar="X",
                    help="zeta truncation bound (default: largest recovered norm)")
     p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("roundtrip", help="reconstruct blind and compare to ground truth")
     _add_spec_args(p)
-    p.add_argument("--primes", type=int, default=50, metavar="X",
+    p.add_argument("--primes", type=_positive_int, default=50, metavar="X",
                    help="prime ideal norm bound (default 50)")
-    p.add_argument("--zeta", type=int, metavar="X",
+    p.add_argument("--zeta", type=_positive_int, metavar="X",
                    help="zeta truncation bound (default: the --primes bound)")
     p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(func=cmd_roundtrip)
@@ -292,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare two field specs")
     _add_spec_args(p)
     _add_spec_args(p, suffix="2")
-    p.add_argument("--bound", type=int, default=50, metavar="X",
+    p.add_argument("--bound", type=_positive_int, default=50, metavar="X",
                    help="norm and zeta bound for the comparison (default 50)")
     p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(func=cmd_compare)

@@ -7,10 +7,14 @@ a finite set F of prime data, the columns of (I - op_p) over p in F span a
 finite-index sublattice; the quotient is the invariant this package studies
 and later reconstructs from.
 
-Two independent routes compute the quotient: `lattice_quotient` (brute-force
-cokernel) and `predicted_quotient` (an induction over F that reduces every
-step to the cokernel of a cycle endomorphism, `cycle_cokernel`).  Tests hold
-the two routes to exact agreement.
+`quotient_group` is the one seam that produces quotients.  It serves the
+sets reconstruction asks for from closed forms: the empty set is free, one
+prime is `singleton_quotient`, and odd-norm sets follow an induction over F
+that reduces every step to the cokernel of a cycle endomorphism
+(`predicted_quotient`, `cycle_cokernel`).  Any other set, such as a
+mixed-parity one, goes to the brute-force cokernel `lattice_quotient`, a
+Smith normal form (SNF).  SNF is also the independent route that tests hold
+the closed forms to, in exact agreement.
 """
 
 from __future__ import annotations
@@ -264,13 +268,15 @@ def predicted_quotient(
     exponent = 0
     rep_of = {a: a for a in range(n_cl)}  # class index -> its coset representative
     mult = {a: 1 for a in range(n_cl)}  # image of e_a = mult[a] * image of e_rep
-    subgroup = frozenset({0})
+    cosets = {a: [a] for a in range(n_cl)}  # representative -> classes of its coset
 
     for p in primes:
         c = cl.index_of(p.cls)
-        reps = sorted(set(rep_of.values()))
+        reps = sorted(cosets)
+        shifted = {r: cl.add(r, c) for r in reps}
         # Orbits of the translation by c on the coset representatives.
-        send = {r: rep_of[cl.add(r, c)] for r in reps}
+        send = {r: rep_of[shifted[r]] for r in reps}
+        merged: dict[int, list[int]] = {}  # new representative -> classes of its coset
         seen: set[int] = set()
         new_exponent: int | None = None
         updates: dict[int, tuple[int, int]] = {}  # class -> (new rep, new multiplier)
@@ -292,7 +298,7 @@ def predicted_quotient(
                 slots.append(r)
             if slots[-1] != rep_star:
                 raise InternalContradiction("coset translation orbit did not close")
-            cycle_factors = [p.norm * mult[cl.add(a_k, c)] for a_k in slots]
+            cycle_factors = [p.norm * mult[shifted[a_k]] for a_k in slots]
             order, coeffs = cycle_cokernel(cycle_factors, exponent)
             if new_exponent is None:
                 new_exponent = order
@@ -301,17 +307,19 @@ def predicted_quotient(
                     f"orbits disagree on the quotient order: {new_exponent} vs {order}"
                 )
             seen.update(orbit)
+            merged[rep_star] = []
             for k, old_rep in enumerate(slots):
-                for a, r_a in rep_of.items():
-                    if r_a == old_rep:
-                        updates[a] = (rep_star, mult[a] * coeffs[k])
+                for a in cosets[old_rep]:
+                    updates[a] = (rep_star, mult[a] * coeffs[k])
+                merged[rep_star] += cosets[old_rep]
         assert new_exponent is not None
         exponent = new_exponent
         for a, (r_a, m_a) in updates.items():
             rep_of[a] = r_a
             mult[a] = m_a % exponent if exponent else m_a
-        subgroup = cl.subgroup_closure(tuple(subgroup) + (c,))
+        cosets = merged
 
+    subgroup = cl.subgroup_closure(tuple({cl.index_of(p.cls) for p in primes}))
     reps = tuple(sorted(set(rep_of.values())))
     if len(reps) * len(subgroup) != n_cl:
         raise InternalContradiction("coset count does not match subgroup order")
@@ -328,6 +336,25 @@ def predicted_quotient(
 def predicted_group(pred: PredictedQuotient) -> FinGenAbGroup:
     """Quotient group described by a prediction, in canonical form."""
     return FinGenAbGroup.from_orders([pred.exponent] * pred.coset_count)
+
+
+def quotient_group(
+    cl: ClassGroupModel, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
+) -> FinGenAbGroup:
+    """The quotient attached to F, by a closed form wherever one applies.
+
+    The route depends only on F: the empty set gives the free group of rank
+    #Cl, one prime (of any norm) `singleton_quotient`, and a set of odd
+    norms `predicted_quotient`.  Any other set, one that mixes an even norm
+    with other primes, falls back to the brute-force `lattice_quotient`.
+    """
+    if not primes:
+        return FinGenAbGroup.free(cl.size)
+    if len(primes) == 1:
+        return singleton_quotient(cl, primes[0])
+    if all(p.has_odd_norm for p in primes):
+        return predicted_group(predicted_quotient(cl, primes))
+    return lattice_quotient(cl, primes)[0]
 
 
 def relation_in_sublattice(

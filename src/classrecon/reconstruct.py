@@ -17,7 +17,6 @@ The round-trip driver compares the reconstruction against ground truth.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -25,7 +24,7 @@ from sympy import factorint
 
 from .abgroup import FinGenAbGroup, integer_nth_root, iso_equal, p_part
 from .fields import FieldSpec, class_group_model, enumerate_prime_ideals
-from .lattice import ClassGroupModel, PrimeIdealDatum, lattice_quotient
+from .lattice import ClassGroupModel, PrimeIdealDatum, quotient_group
 
 
 class MalformedBundle(Exception):
@@ -45,15 +44,13 @@ class InvariantBundle:
     """Opaque quotient data: label sets to isomorphism types, plus a rank.
 
     Entries may be precomputed or supplied lazily through `compute`; lazy
-    results are memoized.  The memo supports concurrent reads with a lock
-    held only around inserts.
+    results are memoized in `entries`.
     """
 
     rank: int
     labels: tuple[str, ...]
     entries: dict[frozenset[str], FinGenAbGroup] = field(default_factory=dict)
     compute: Callable[[frozenset[str]], FinGenAbGroup] | None = None
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self) -> None:
         if self.rank < 1:
@@ -77,10 +74,7 @@ class InvariantBundle:
             raise BundleEntryMissing(
                 f"no entry for {sorted(key)} and the bundle is not computable"
             )
-        value = self.compute(key)
-        with self._lock:
-            self.entries.setdefault(key, value)
-        return self.entries[key]
+        return self.entries.setdefault(key, self.compute(key))
 
 
 def build_bundle(
@@ -89,11 +83,14 @@ def build_bundle(
     subsets: Sequence[Iterable[str]] = (),
     lazy: bool = True,
 ) -> InvariantBundle:
-    """Evaluate brute-force quotients and erase all arithmetic annotations.
+    """Evaluate quotients through `quotient_group` and erase all annotations.
 
-    The empty set and every singleton are always included.  With `lazy`,
-    later requests for other subsets are served on demand (and memoized);
-    the ground truth stays enclosed in the supplier and is never exposed.
+    Closed forms produce the empty set, the singletons and the odd-norm
+    sets the reconstruction asks for; only `subsets` of two or more primes
+    with an even norm among them fall back to Smith normal form.  The empty
+    set and every singleton are always included.  With `lazy`, later
+    requests for other subsets are served on demand (and memoized); the
+    ground truth stays enclosed in the supplier and is never exposed.
     """
     labels = tuple(p.label for p in primes)
     if len(set(labels)) != len(labels):
@@ -101,7 +98,7 @@ def build_bundle(
     by_label = {p.label: p for p in primes}
 
     def quotient_for(key: frozenset[str]) -> FinGenAbGroup:
-        return lattice_quotient(cl, [by_label[l] for l in sorted(key)])[0]
+        return quotient_group(cl, [by_label[l] for l in sorted(key)])
 
     entries: dict[frozenset[str], FinGenAbGroup] = {}
     wanted: list[frozenset[str]] = [frozenset()]

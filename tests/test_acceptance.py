@@ -15,6 +15,7 @@ from classrecon import (
     ClassGroupModel,
     FinGenAbGroup,
     InsufficientGenerators,
+    InvariantBundle,
     MalformedBundle,
     QuadraticSpec,
     SyntheticSpec,
@@ -32,6 +33,7 @@ from classrecon import (
     predicted_group,
     predicted_quotient,
     primary_decomposition,
+    reconstruct_all,
     reconstruct_class_group,
     recover_norm,
     relation_in_sublattice,
@@ -49,6 +51,7 @@ from helpers import (
     datum,
     random_finite_group,
     random_generating_family,
+    random_synthetic_spec,
     z2_model,
 )
 
@@ -228,40 +231,78 @@ def test_criterion_5_greedy_chain_suite():
     _report(5, "greedy chain recovery on 200 random groups, tie-break invariant", elapsed)
 
 
+def _synthetic_248_spec(rng):
+    """Z/2 x Z/4 x Z/8 (h = 64): generating odd-norm primes plus even norms."""
+    group = FinGenAbGroup((2, 4, 8))
+    family = random_generating_family(rng, group, 6)
+    norms = rng.sample(ODD_PRIME_POWERS, len(family)) + [2, 4]
+    family += [group.element([rng.randrange(d) for d in group.factors]) for _ in range(2)]
+    return SyntheticSpec(
+        factors=group.factors,
+        primes=tuple(
+            datum(f"s{i}", n, cls) for i, (n, cls) in enumerate(zip(norms, family))
+        ),
+    )
+
+
 def test_criterion_6_blind_round_trip_per_field():
+    # Each field round-trips through the closed-form bundle that `roundtrip`
+    # builds, and blind through an SNF-only bundle.  Every entry the full
+    # reconstruction requested from the closed forms must equal the SNF
+    # entry for the same set, or the round trip would only invert the
+    # formulas that produced it.
     fields = []
-    for d in TEST_DISCRIMINANTS:
+    for d, bound in [(d, 60) for d in TEST_DISCRIMINANTS] + [(-1031, 100), (-10007, 100)]:
         spec = QuadraticSpec(d)
         fields.append(
-            (f"disc {d}", class_group_model(spec), enumerate_prime_ideals(spec, 60))
+            (f"disc {d}", class_group_model(spec), enumerate_prime_ideals(spec, bound),
+             bound)
         )
     fields.append(
         (
             "synthetic Z/2 x Z/2 x Z/4",
             class_group_model(PINNED_SYNTHETIC_224),
             list(PINNED_SYNTHETIC_224.primes),
+            60,
         )
     )
     rng = random.Random(106)
-    from helpers import random_synthetic_spec
-
     for i in range(3):
         spec = random_synthetic_spec(rng, max_order=16, min_order=4)
         fields.append(
             (f"synthetic #{i} {FinGenAbGroup(spec.factors)}",
-             class_group_model(spec), list(spec.primes))
+             class_group_model(spec), list(spec.primes), 60)
         )
-    for name, model, primes in fields:
+    spec = _synthetic_248_spec(rng)
+    fields.append(
+        ("synthetic Z/2 x Z/4 x Z/8", class_group_model(spec), list(spec.primes), 60)
+    )
+    for name, model, primes, bound in fields:
         start = time.monotonic()
-        report = roundtrip(model, primes, 60)
-        elapsed = time.monotonic() - start
+        report = roundtrip(model, primes, bound)
         failed = [v for v in report.verdicts if not v.passed]
         assert not failed, (name, failed)
         assert report.class_number == model.size
         assert iso_equal(report.class_group, model.group)
         assert report.norms == {p.label: p.norm for p in primes}
+        by_label = {p.label: p for p in primes}
+        closed = build_bundle(model, primes)
+        snf = InvariantBundle(
+            rank=model.size,
+            labels=tuple(by_label),
+            compute=lambda key: lattice_quotient(
+                model, [by_label[l] for l in sorted(key)]
+            )[0],
+        )
+        for bundle in (closed, snf):
+            blind = reconstruct_all(bundle, bound)
+            assert blind.class_number == model.size
+            assert iso_equal(blind.class_group, model.group)
+            assert blind.norms == {p.label: p.norm for p in primes}
+        assert closed.entries == snf.entries, name
+        elapsed = time.monotonic() - start
         assert elapsed < 60, name
-        _report(6, f"blind round trip on {name}", elapsed)
+        _report(6, f"blind round trip on {name}, closed forms vs SNF", elapsed)
 
 
 def test_criterion_7_zeta_truncation_to_200():

@@ -183,6 +183,24 @@ class TestCompareCommand:
         assert json.loads(out.read_text())["equivalent"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roundtrip", "-D", "-20", "--zeta", "0"],
+        ["compare", "-D", "-4", "-D2", "-20", "--bound", "0"],
+        ["invariants", "-D", "-20", "--primes", "-5"],
+    ],
+    ids=["zeta-0", "bound-0", "primes-negative"],
+)
+def test_non_positive_bound_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a positive integer" in captured.err.splitlines()[-1]
+
+
 class TestSyntheticParsing:
     def test_parses_and_validates(self):
         spec = synthetic_spec_from_json(SYNTHETIC_DOC)

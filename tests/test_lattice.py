@@ -19,6 +19,7 @@ from classrecon import (
     predicted_group,
     predicted_quotient,
     prime_operator_matrix,
+    quotient_group,
     relation_in_sublattice,
     singleton_quotient,
     smith_normal_form,
@@ -228,6 +229,29 @@ def test_prediction_order_independent():
         assert pred.coset_count == base.coset_count
 
 
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_prediction_cost_linear_in_class_number(count, monkeypatch):
+    # Each prime may translate every coset once and the subgroup closure may
+    # add every generator to every element, so a linear induction stays
+    # within a small multiple of h * |F| group additions.
+    model = ClassGroupModel.from_group(FinGenAbGroup((193,)))
+    primes = [
+        datum(f"q{i}", n, (c,))
+        for i, (n, c) in enumerate([(3, 1), (5, 5), (7, 17), (11, 100)][:count])
+    ]
+    calls = 0
+    add = ClassGroupModel.add
+
+    def counted(self, i, j):
+        nonlocal calls
+        calls += 1
+        return add(self, i, j)
+
+    monkeypatch.setattr(ClassGroupModel, "add", counted)
+    predicted_quotient(model, primes)
+    assert calls <= 4 * model.size * count
+
+
 def test_mixed_parity_brute_force_still_computes():
     # No homogeneity claim is made when even norms mix in; the quotient is
     # recorded as-is and only its validity as a group is checked.
@@ -236,6 +260,7 @@ def test_mixed_parity_brute_force_still_computes():
     g, proj = lattice_quotient(model, [p2, P3])
     assert g.is_finite
     assert len(proj) == 2
+    assert quotient_group(model, [p2, P3]) == g
 
 
 def test_class_lattice_basis():
