@@ -6,16 +6,25 @@ objects together with the unimodular transformations that witness them.
 
 Groups are kept in canonical invariant-factor form (nonzero factors form a
 divisibility chain, no factor equals 1, free factors encoded as trailing
-zeros), which makes isomorphism testing a plain comparison.
+zeros), which makes isomorphism testing a plain comparison.  Building that
+form from arbitrary cyclic orders takes gcd/lcm exchanges only, never
+factoring.
+
+The integer helpers the package needs live here as well, with no
+dependency outside the standard library: trial-division `factorize` for
+integers of supported size (class numbers, small quotient sizes,
+discriminants), the byte-array sieve `primes_up_to`, exact integer roots,
+and exact `is_prime` / `is_prime_power`.  The primality test is trial
+division below 10**6 and deterministic Miller-Rabin above; above the
+proven limit `MILLER_RABIN_LIMIT` it refuses with `PrimalityLimitExceeded`
+rather than guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
-
-from sympy import factorint
 
 # Group elements are reduced coordinate tuples; use FinGenAbGroup methods to
 # construct and combine them so the reduction invariant holds.
@@ -410,24 +419,15 @@ class FinGenAbGroup:
         chain = _canonical_chain(orders)
         if chain is not None:
             return cls(chain)
-        # CRT: split into prime powers, then zip the per-prime exponents.
-        by_prime: dict[int, list[int]] = {}
-        for d in orders:
-            if d in (0, 1):
-                continue
-            for p, e in factorint(d).items():
-                by_prime.setdefault(int(p), []).append(int(e))
-        width = max((len(v) for v in by_prime.values()), default=0)
-        tors = []
-        for i in range(width):
-            f = 1
-            for p, exps in by_prime.items():
-                exps_desc = sorted(exps, reverse=True)
-                if i < len(exps_desc):
-                    f *= p ** exps_desc[i]
-            tors.append(f)
-        tors.reverse()  # largest exponents first -> ascending chain after reverse
-        return cls(tuple(tors) + (0,) * sum(1 for x in orders if x == 0))
+        # Z/a x Z/b = Z/gcd(a, b) x Z/lcm(a, b): the diagonal case of Smith
+        # normal form.  After pass i, tors[i] divides every later entry, so
+        # the list ends as an ascending chain with any 1s at its front.
+        tors = [x for x in orders if x > 1]
+        for i in range(len(tors)):
+            for j in range(i + 1, len(tors)):
+                g = gcd(tors[i], tors[j])
+                tors[i], tors[j] = g, tors[i] // g * tors[j]
+        return cls(tuple(x for x in tors if x != 1) + (0,) * orders.count(0))
 
     @classmethod
     def trivial(cls) -> FinGenAbGroup:
@@ -533,6 +533,8 @@ def subgroup_index(g: FinGenAbGroup, gens: Sequence[GroupElement]) -> int:
 def primary_decomposition(g: FinGenAbGroup) -> dict[int, list[int]]:
     """Invariant factors of each p-primary component, ascending per prime.
 
+    Factors by trial division, so it suits groups of modest order.
+
     >>> primary_decomposition(FinGenAbGroup.from_orders([12]))
     {2: [4], 3: [3]}
     """
@@ -540,8 +542,8 @@ def primary_decomposition(g: FinGenAbGroup) -> dict[int, list[int]]:
         raise ValueError("primary decomposition requires a finite group")
     out: dict[int, list[int]] = {}
     for d in g.factors:
-        for p, e in factorint(d).items():
-            out.setdefault(int(p), []).append(int(p) ** int(e))
+        for p, e in factorize(d).items():
+            out.setdefault(p, []).append(p**e)
     return {p: sorted(v) for p, v in sorted(out.items())}
 
 
@@ -599,3 +601,146 @@ def integer_nth_root(x: int, n: int) -> int | None:
         else:
             hi = mid - 1
     return None
+
+
+class PrimalityLimitExceeded(Exception):
+    """An integer is too large for the exact primality test."""
+
+
+# Deterministic Miller-Rabin with the first 13 primes as bases is exact
+# below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017).
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_TRIAL_LIMIT = 1000  # no composite below _TRIAL_LIMIT**2 escapes trial division
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes p <= n, by the sieve of Eratosthenes on a byte array.
+
+    >>> primes_up_to(20)
+    [2, 3, 5, 7, 11, 13, 17, 19]
+    """
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+_SMALL_PRIMES = primes_up_to(_TRIAL_LIMIT)
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, by trial division.
+
+    Costs O(sqrt(n)) divisions, which suits the integers the package
+    factors: class numbers, oracle quotient sizes and discriminants, whose
+    reduced-form enumeration costs more anyway.
+
+    >>> factorize(360)
+    {2: 3, 3: 2, 5: 1}
+    """
+    if n < 1:
+        raise ValueError(f"expected a positive integer, got {n}")
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _small_factor(n: int) -> int | None:
+    """Least prime factor of n >= 2 if it is below _TRIAL_LIMIT.
+
+    Returns n itself when n is a prime below _TRIAL_LIMIT**2, and None when
+    n has no prime factor below _TRIAL_LIMIT and is at least that large.
+    """
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return n
+        if n % p == 0:
+            return p
+    return n if n < _TRIAL_LIMIT**2 else None
+
+
+def _miller_rabin(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n with no factor below _TRIAL_LIMIT."""
+    if n >= MILLER_RABIN_LIMIT:
+        raise PrimalityLimitExceeded(
+            f"cannot certify primality of a {n.bit_length()}-bit integer "
+            f"(exact test limited to {MILLER_RABIN_LIMIT})"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _power_base(n: int) -> int:
+    """Least r with n = r**k, for n with no prime factor below _TRIAL_LIMIT."""
+    reduced = True
+    while reduced:
+        reduced = False
+        # n = r**k with r > _TRIAL_LIMIT > 2**9 forces 9 * k < n.bit_length()
+        for k in _SMALL_PRIMES:
+            if 9 * k >= n.bit_length():
+                break
+            r = integer_nth_root(n, k)
+            if r is not None:
+                n, reduced = r, True
+                break
+    return n
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality test; raises PrimalityLimitExceeded when it cannot be.
+
+    >>> [q for q in range(20) if is_prime(q)]
+    [2, 3, 5, 7, 11, 13, 17, 19]
+    """
+    if n < 2:
+        return False
+    p = _small_factor(n)
+    if p is not None:
+        return p == n
+    return _power_base(n) == n and _miller_rabin(n)
+
+
+def is_prime_power(n: int) -> bool:
+    """Whether n = p**k for a prime p and k >= 1, decided exactly.
+
+    A small least prime factor is stripped by trial division.  Otherwise
+    every prime factor exceeds _TRIAL_LIMIT, and n is a prime power exactly
+    when the base of its highest perfect power is prime.  Raises
+    PrimalityLimitExceeded when that base is too large to certify.
+
+    >>> [q for q in range(20) if is_prime_power(q)]
+    [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
+    """
+    if n < 2:
+        return False
+    p = _small_factor(n)
+    if p is not None:
+        while n % p == 0:
+            n //= p
+        return n == 1
+    return _miller_rabin(_power_base(n))

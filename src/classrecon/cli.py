@@ -8,7 +8,8 @@ factors, norms) are serialized as decimal strings; labels in bundle files
 are opaque consecutive integers so the files carry no arithmetic hints.
 
 Exit codes: 0 success/pass, 1 verdict failure or internal contradiction,
-2 usage or spec error, 3 insufficient data.
+2 usage or spec error, 3 insufficient data or an integer too large for the
+exact primality test.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ import json
 import sys
 from typing import Any, Sequence
 
-from sympy import factorint
-
-from .abgroup import FinGenAbGroup
+from .abgroup import FinGenAbGroup, PrimalityLimitExceeded, is_prime_power
 from .fields import (
     FieldSpec,
     InvalidDiscriminant,
+    InvalidSyntheticSpec,
     NonPrimePowerNorm,
-    OddNormClassesDoNotGenerate,
     QuadraticSpec,
     SyntheticSpec,
     class_group_model,
@@ -115,17 +114,20 @@ def synthetic_spec_from_json(doc: dict[str, Any]) -> SyntheticSpec:
     factors = tuple(int(x) for x in doc["invariant_factors"])
     primes = []
     for i, item in enumerate(doc["primes"]):
+        label = str(item.get("label", f"s{i}"))
         norm = int(item["norm"])
-        if norm < 2 or len(factorint(norm)) != 1:
+        if not is_prime_power(norm):
             raise NonPrimePowerNorm(f"norm {norm} is not a prime power")
-        primes.append(
-            PrimeIdealDatum(
-                label=str(item.get("label", f"s{i}")),
+        try:
+            datum = PrimeIdealDatum(
+                label=label,
                 norm=norm,
                 cls=tuple(int(c) for c in item["class"]),
                 residue_char=int(item["residue_char"]),
             )
-        )
+        except ValueError as exc:
+            raise InvalidSyntheticSpec(f"prime {label}: {exc}") from None
+        primes.append(datum)
     return validate_synthetic(SyntheticSpec(factors=factors, primes=tuple(primes)))
 
 
@@ -313,13 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits on --help and on usage errors
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (InvalidDiscriminant, NonPrimePowerNorm, OddNormClassesDoNotGenerate) as exc:
+    except (InvalidDiscriminant, InvalidSyntheticSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InsufficientGenerators, BundleEntryMissing) as exc:
+    except (InsufficientGenerators, BundleEntryMissing, PrimalityLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
     except (MalformedBundle, InternalContradiction) as exc:

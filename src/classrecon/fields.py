@@ -18,9 +18,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from sympy import factorint, primerange
-
-from .abgroup import FinGenAbGroup, GroupElement, subgroup_index, xgcd
+from .abgroup import (
+    FinGenAbGroup,
+    GroupElement,
+    factorize,
+    is_prime,
+    is_prime_power,
+    primes_up_to,
+    subgroup_index,
+    xgcd,
+)
 from .lattice import ClassGroupModel, InternalContradiction, PrimeIdealDatum
 
 
@@ -28,11 +35,15 @@ class InvalidDiscriminant(ValueError):
     """Discriminant is not negative and fundamental."""
 
 
-class NonPrimePowerNorm(ValueError):
+class InvalidSyntheticSpec(ValueError):
+    """A synthetic field spec is malformed or inconsistent."""
+
+
+class NonPrimePowerNorm(InvalidSyntheticSpec):
     """A synthetic prime datum has a norm that is not a prime power."""
 
 
-class OddNormClassesDoNotGenerate(ValueError):
+class OddNormClassesDoNotGenerate(InvalidSyntheticSpec):
     """The odd-norm classes of a synthetic spec fail to generate the group."""
 
 
@@ -82,7 +93,7 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 
 def _squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorint(abs(n)).values())
+    return all(e == 1 for e in factorize(abs(n)).values())
 
 
 def _check_discriminant(d: int) -> None:
@@ -253,8 +264,7 @@ def _structure_from_table(
     """
     h = len(compose_idx)
     divisors: list[int] = []
-    for p in sorted(factorint(h)):
-        p = int(p)
+    for p in sorted(factorize(h)):
         sylow = 1
         m = h
         while m % p == 0:
@@ -427,17 +437,31 @@ FieldSpec = QuadraticSpec | SyntheticSpec
 
 
 def validate_synthetic(spec: SyntheticSpec) -> SyntheticSpec:
-    """Check a synthetic spec: prime-power norms and generating odd classes."""
-    group = FinGenAbGroup(spec.factors)  # must already be canonical
+    """Check a synthetic spec; every failure is an InvalidSyntheticSpec.
+
+    The factors must be canonical and finite, each norm a prime power over
+    a prime residue characteristic, and the odd-norm classes must generate.
+    """
+    try:
+        group = FinGenAbGroup(spec.factors)  # must already be canonical
+    except ValueError as exc:
+        raise InvalidSyntheticSpec(f"invariant factors: {exc}") from None
     if not group.is_finite:
-        raise ValueError("synthetic class group must be finite")
+        raise InvalidSyntheticSpec("synthetic class group must be finite")
     labels = [p.label for p in spec.primes]
     if len(set(labels)) != len(labels):
-        raise ValueError("duplicate prime labels in synthetic spec")
+        raise InvalidSyntheticSpec("duplicate prime labels in synthetic spec")
     for p in spec.primes:
-        if p.norm < 2 or len(factorint(p.norm)) != 1:
+        if not is_prime_power(p.norm):
             raise NonPrimePowerNorm(f"norm {p.norm} of {p.label} is not a prime power")
-        group.element(p.cls)  # validates coordinate length
+        if not is_prime(p.residue_char):
+            raise InvalidSyntheticSpec(
+                f"residue characteristic {p.residue_char} of {p.label} is not a prime"
+            )
+        try:
+            group.element(p.cls)
+        except ValueError as exc:
+            raise InvalidSyntheticSpec(f"class of {p.label}: {exc}") from None
     odd_classes = [group.element(p.cls) for p in spec.primes if p.has_odd_norm]
     if subgroup_index(group, odd_classes) != 1:
         raise OddNormClassesDoNotGenerate(
@@ -466,8 +490,7 @@ def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]
     data = _discriminant_data(d)
     model = data.model
     out: list[PrimeIdealDatum] = []
-    for q in primerange(2, bound + 1):
-        q = int(q)
+    for q in primes_up_to(bound):
         split = kronecker_splitting(d, q)
         if split.norm > bound:
             continue

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from sympy import factorint
-
-from .abgroup import FinGenAbGroup, GroupElement
+from .abgroup import FinGenAbGroup, GroupElement, factorize
 from .fields import QuadraticForm, reduced_forms
 
 QUOTIENT_GUARD = 10_000
@@ -140,8 +138,7 @@ def naive_cokernel(ambient_rank: int, columns: Sequence[Sequence[int]]) -> FinGe
 
     orders = [order_of(r) for r in reps]
     divisors: list[int] = []
-    for p in sorted(factorint(size)):
-        p = int(p)
+    for p in sorted(factorize(size)):
         sylow = 1
         m = size
         while m % p == 0:

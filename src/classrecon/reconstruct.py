@@ -20,9 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from sympy import factorint
-
-from .abgroup import FinGenAbGroup, integer_nth_root, iso_equal, p_part
+from .abgroup import (
+    FinGenAbGroup,
+    factorize,
+    integer_nth_root,
+    is_prime_power,
+    iso_equal,
+    p_part,
+)
 from .fields import FieldSpec, class_group_model, enumerate_prime_ideals
 from .lattice import ClassGroupModel, PrimeIdealDatum, quotient_group
 
@@ -133,8 +138,9 @@ def recover_norm(bundle: InvariantBundle, label: str) -> int:
     """Invert the one-prime closed form: read N off the singleton entry.
 
     A singleton entry is s copies of Z/t with s * ord = class number and
-    t + 1 = N**ord; the exact ord-th root gives N.  A trivial entry forces
-    N**ord = 2, hence N = 2.  Anything else is not arithmetic data.
+    t + 1 = N**ord; the exact ord-th root gives N, which must be a prime
+    power.  A trivial entry forces N**ord = 2, hence N = 2.  Anything else
+    is not arithmetic data.
     """
     h = recover_class_number(bundle)
     entry = bundle.entry((label,))
@@ -159,6 +165,8 @@ def recover_norm(bundle: InvariantBundle, label: str) -> int:
         raise MalformedBundle(
             f"torsion {t} + 1 for {label} is not a perfect {ord_p}-th power"
         )
+    if not is_prime_power(n):
+        raise MalformedBundle(f"recovered norm {n} for {label} is not a prime power")
     return n
 
 
@@ -259,8 +267,8 @@ def reconstruct_class_group(
 
     cyclic_orders: list[int] = []
     total = 1
-    for p in sorted(factorint(h)):
-        parts = greedy_primary_factors(int(p), odd_labels, subgroup_order, tie_break)
+    for p in sorted(factorize(h)):
+        parts = greedy_primary_factors(p, odd_labels, subgroup_order, tie_break)
         cyclic_orders.extend(parts)
         for d in parts:
             total *= d
@@ -287,7 +295,7 @@ class ZetaData:
     def __post_init__(self) -> None:
         if self.coefficients[0] != 1:
             raise ValueError("the unit ideal must be counted exactly once")
-        if any(n < 2 or len(factorint(n)) != 1 for n in self.norms):
+        if not all(is_prime_power(n) for n in self.norms):
             raise ValueError("every norm must be a prime power > 1")
 
 

@@ -2,22 +2,32 @@
 
 import doctest
 import random
+import time
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import classrecon.abgroup
 from classrecon.abgroup import (
+    MILLER_RABIN_LIMIT,
     FinGenAbGroup,
     IntMatrix,
+    PrimalityLimitExceeded,
     cokernel_of_columns,
     determinant,
     element_order,
+    factorize,
     hermite_normal_form,
     integer_nth_root,
+    is_prime,
+    is_prime_power,
     iso_equal,
     lattice_membership,
     p_part,
     primary_decomposition,
+    primes_up_to,
     smith_normal_form,
     subgroup_index,
     xgcd,
@@ -346,3 +356,112 @@ def test_matrix_basics():
     assert determinant(a) == -2
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
+
+
+def factor_and_zip(orders):
+    """Canonical form by factoring each order and zipping per-prime exponents."""
+    by_prime = {}
+    for d in orders:
+        if d > 1:
+            for p, e in sympy.factorint(d).items():
+                by_prime.setdefault(p, []).append(e)
+    width = max((len(v) for v in by_prime.values()), default=0)
+    tors = []
+    for i in range(width):
+        f = 1
+        for p, exps in by_prime.items():
+            exps = sorted(exps, reverse=True)
+            if i < len(exps):
+                f *= p ** exps[i]
+        tors.append(f)
+    return tuple(reversed(tors)) + (0,) * orders.count(0)
+
+
+ORDERS = st.one_of(
+    st.sampled_from([0, 1]), st.integers(2, 100), st.integers(2, 10**12)
+)
+
+
+class TestFromOrders:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ORDERS, max_size=7))
+    def test_matches_factor_and_zip(self, orders):
+        assert FinGenAbGroup.from_orders(orders).factors == factor_and_zip(orders)
+
+    def test_large_coprime_orders_need_no_factoring(self):
+        orders = [97**193 - 1, 89**193 - 1]
+        start = time.perf_counter()
+        g = FinGenAbGroup.from_orders(orders)
+        assert time.perf_counter() - start < 1.0
+        assert g.order() == orders[0] * orders[1]
+        assert g.factors[0] == sympy.gcd(*orders)
+
+
+class TestIntegerHelpers:
+    def test_sieve_small_bounds(self):
+        assert [primes_up_to(n) for n in range(-1, 4)] == [[], [], [], [2], [2, 3]]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 20_000))
+    def test_sieve_matches_primerange(self, n):
+        assert primes_up_to(n) == list(sympy.primerange(2, n + 1))
+
+    @settings(deadline=None)
+    @given(st.integers(1, 10**9))
+    def test_factorize_matches_factorint(self, n):
+        assert factorize(n) == sympy.factorint(n)
+
+    def test_agree_with_sympy_below_1e5(self):
+        bound = 10**5
+        primes = list(sympy.primerange(2, bound))
+        powers = set()
+        for p in primes:
+            q = p
+            while q < bound:
+                powers.add(q)
+                q *= p
+        assert [n for n in range(2, bound) if is_prime(n)] == primes
+        assert {n for n in range(2, bound) if is_prime_power(n)} == powers
+        assert not any(is_prime(n) or is_prime_power(n) for n in (-7, 0, 1))
+
+    @pytest.mark.parametrize(
+        "n",
+        [3215031751, 3825123056546413051, 3825123056546413051**2],
+        ids=["spsp-2357", "spsp-2-to-23", "spsp-squared"],
+    )
+    def test_strong_pseudoprimes(self, n):
+        assert is_prime(n) is sympy.isprime(n) is False
+        assert is_prime_power(n) is (len(sympy.factorint(n)) == 1) is False
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_powers_of_mersenne_61(self, k):
+        n = (2**61 - 1) ** k
+        assert is_prime(n) is sympy.isprime(n) is (k == 1)
+        assert is_prime_power(n)
+        assert not is_prime_power(3 * n)
+
+    @settings(deadline=None)
+    @given(st.integers(2, MILLER_RABIN_LIMIT - 1))
+    def test_is_prime_matches_isprime_below_limit(self, n):
+        assert is_prime(n) == sympy.isprime(n)
+
+    @settings(deadline=None)
+    @given(st.sampled_from(list(sympy.primerange(1000, 3000))), st.integers(1, 12))
+    def test_large_prime_powers_need_root_reduction(self, p, k):
+        assert is_prime_power(p**k)
+        q = 1013 if p == 1009 else 1009
+        if p**k * q < MILLER_RABIN_LIMIT:
+            assert not is_prime_power(p**k * q)
+
+    def test_refuses_above_the_proven_limit(self):
+        mersenne_89 = 2**89 - 1  # prime, above the limit
+        assert mersenne_89 > MILLER_RABIN_LIMIT
+        with pytest.raises(PrimalityLimitExceeded):
+            is_prime(mersenne_89)
+        with pytest.raises(PrimalityLimitExceeded):
+            is_prime_power(mersenne_89**2)
+        # a small factor or a perfect-power shape still settles the answer
+        assert not is_prime(3 * mersenne_89)
+        assert not is_prime(mersenne_89**2)
+        assert not is_prime_power(2 * mersenne_89)
+

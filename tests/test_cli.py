@@ -1,9 +1,13 @@
 """Command-line behavior: output shapes, file formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import classrecon
 from classrecon import build_bundle, class_group_model
 from classrecon.cli import (
     EXIT_FAIL,
@@ -143,6 +147,28 @@ class TestReconstructCommand:
     def test_missing_file_usage_error(self):
         assert main(["reconstruct", "/nonexistent/bundle.json"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "torsion, code",
+        [("5", EXIT_FAIL), (str(2**89 - 2), EXIT_INSUFFICIENT)],
+        ids=["norm-6", "norm-beyond-primality-limit"],
+    )
+    def test_singleton_norm_must_be_a_prime_power(self, tmp_path, capsys, torsion, code):
+        # rank 1: the singleton Z/t gives the norm t + 1 directly
+        doc = {
+            "version": 1,
+            "rank": 1,
+            "labels": [0],
+            "entries": [
+                {"labels": [], "factors": ["0"]},
+                {"labels": [0], "factors": [torsion]},
+            ],
+        }
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["reconstruct", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestRoundTripCommand:
     def test_disc_minus_20(self, tmp_path):
@@ -193,12 +219,25 @@ class TestCompareCommand:
     ids=["zeta-0", "bound-0", "primes-negative"],
 )
 def test_non_positive_bound_is_usage_error(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == EXIT_USAGE
+    assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be a positive integer" in captured.err.splitlines()[-1]
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert "usage: classrecon" in capsys.readouterr().out
+
+
+def test_cli_import_does_not_load_sympy():
+    src = os.path.dirname(os.path.dirname(classrecon.__file__))
+    code = "import classrecon.cli, sys; assert 'sympy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSyntheticParsing:
@@ -216,6 +255,31 @@ class TestSyntheticParsing:
         }
         spec = synthetic_spec_from_json(doc)
         assert spec.primes[0].label == "alpha"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {
+                "invariant_factors": ["2"],
+                "primes": [{"norm": "3", "class": [1], "residue_char": "5"}],
+            },
+            {
+                "invariant_factors": ["2", "3"],
+                "primes": [{"norm": "3", "class": [1, 1], "residue_char": "3"}],
+            },
+            {
+                "invariant_factors": ["2"],
+                "primes": [{"norm": "9", "class": [1], "residue_char": "9"}],
+            },
+        ],
+        ids=["norm-not-power-of-char", "non-canonical-factors", "composite-char"],
+    )
+    def test_inconsistent_spec_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classgroup", "--synthetic", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_synthetic_spec_exits_2(self, tmp_path):
         doc = {
