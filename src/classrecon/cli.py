@@ -7,9 +7,13 @@ Bundle and report files are JSON.  All potentially large integers (group
 factors, norms) are serialized as decimal strings; labels in bundle files
 are opaque consecutive integers so the files carry no arithmetic hints.
 
-Exit codes: 0 success/pass, 1 verdict failure or internal contradiction,
-2 usage or spec error, 3 insufficient data or an integer too large for the
-exact primality test.
+Each file type has one validating loader (`bundle_from_json`,
+`synthetic_spec_from_json`) that turns any defect into its one-line error.
+
+Exit codes: 0 success/pass, 1 verdict failure, malformed bundle or internal
+contradiction, 2 usage or spec error (including unreadable or non-JSON
+input files), 3 insufficient data, an integer too large for the exact
+primality test, or a discriminant above `fields.MAX_DISCRIMINANT`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Any, Sequence
 
 from .abgroup import FinGenAbGroup, PrimalityLimitExceeded, is_prime_power
 from .fields import (
+    DiscriminantTooLarge,
     FieldSpec,
     InvalidDiscriminant,
     InvalidSyntheticSpec,
@@ -42,7 +47,6 @@ from .reconstruct import (
     build_bundle,
     compare_fields,
     reconstruct_all,
-    recover_norm,
     roundtrip,
 )
 
@@ -52,6 +56,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
+
+
+class UnreadableInput(Exception):
+    """An input file does not hold a JSON document."""
 
 
 # -- file formats -----------------------------------------------------------
@@ -76,16 +84,58 @@ def bundle_to_json(bundle: InvariantBundle) -> dict[str, Any]:
     }
 
 
-def bundle_from_json(doc: dict[str, Any]) -> InvariantBundle:
-    if doc.get("version") != BUNDLE_VERSION:
-        raise MalformedBundle(f"unsupported bundle version {doc.get('version')!r}")
-    labels = tuple(str(i) for i in doc["labels"])
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_int(value: Any, what: str, error: type[Exception]) -> int:
+    """An integer given as a JSON number or a decimal string, else `error`."""
+    if _is_int(value):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r:.40}")
+
+
+def _json_list(value: Any, what: str, error: type[Exception]) -> list[Any]:
+    if not isinstance(value, list):
+        raise error(f"{what} must be a JSON array, got {value!r:.40}")
+    return value
+
+
+def _json_label_ids(value: Any, what: str) -> list[str]:
+    ids = _json_list(value, what, MalformedBundle)
+    if not all(_is_int(i) for i in ids):
+        raise MalformedBundle(f"{what} must be integers")
+    return [str(i) for i in ids]
+
+
+def bundle_from_json(doc: Any) -> InvariantBundle:
+    """Load a bundle document; every defect raises a one-line MalformedBundle."""
+    if not isinstance(doc, dict):
+        raise MalformedBundle("a bundle file must hold a JSON object")
+    version = doc.get("version")
+    if not (_is_int(version) and version == BUNDLE_VERSION):
+        raise MalformedBundle(f"unsupported bundle version {version!r:.40}")
+    rank = _json_int(doc.get("rank"), "rank", MalformedBundle)
+    labels = tuple(_json_label_ids(doc.get("labels"), "labels"))
     entries: dict[frozenset[str], FinGenAbGroup] = {}
-    for item in doc["entries"]:
-        key = frozenset(str(i) for i in item["labels"])
-        factors = tuple(int(x) for x in item["factors"])
-        entries[key] = FinGenAbGroup(factors)
-    bundle = InvariantBundle(rank=int(doc["rank"]), labels=labels, entries=entries)
+    for item in _json_list(doc.get("entries"), "entries", MalformedBundle):
+        if not isinstance(item, dict):
+            raise MalformedBundle("every entry must be a JSON object")
+        key = frozenset(_json_label_ids(item.get("labels"), "entry labels"))
+        factors = tuple(
+            _json_int(x, "a factor", MalformedBundle)
+            for x in _json_list(item.get("factors"), "entry factors", MalformedBundle)
+        )
+        try:
+            entries[key] = FinGenAbGroup(factors)
+        except ValueError as exc:
+            raise MalformedBundle(f"entry {sorted(key)}: {exc}") from None
+    bundle = InvariantBundle(rank=rank, labels=labels, entries=entries)
     if frozenset() not in entries:
         raise MalformedBundle("bundle file lacks the empty-set entry")
     for label in labels:
@@ -110,20 +160,31 @@ def report_to_json(report: ReconstructionReport) -> dict[str, Any]:
     }
 
 
-def synthetic_spec_from_json(doc: dict[str, Any]) -> SyntheticSpec:
-    factors = tuple(int(x) for x in doc["invariant_factors"])
+def synthetic_spec_from_json(doc: Any) -> SyntheticSpec:
+    """Load and validate a synthetic spec; every defect is an InvalidSyntheticSpec."""
+    bad = InvalidSyntheticSpec
+    if not isinstance(doc, dict):
+        raise bad("a synthetic spec must hold a JSON object")
+    factors = tuple(
+        _json_int(x, "an invariant factor", bad)
+        for x in _json_list(doc.get("invariant_factors"), "invariant_factors", bad)
+    )
     primes = []
-    for i, item in enumerate(doc["primes"]):
+    for i, item in enumerate(_json_list(doc.get("primes"), "primes", bad)):
+        if not isinstance(item, dict):
+            raise bad(f"prime {i} must be a JSON object")
         label = str(item.get("label", f"s{i}"))
-        norm = int(item["norm"])
+        norm = _json_int(item.get("norm"), f"norm of {label}", bad)
         if not is_prime_power(norm):
             raise NonPrimePowerNorm(f"norm {norm} is not a prime power")
+        cls = tuple(
+            _json_int(c, f"class of {label}", bad)
+            for c in _json_list(item.get("class"), f"class of {label}", bad)
+        )
+        residue_char = _json_int(item.get("residue_char"), f"residue_char of {label}", bad)
         try:
             datum = PrimeIdealDatum(
-                label=label,
-                norm=norm,
-                cls=tuple(int(c) for c in item["class"]),
-                residue_char=int(item["residue_char"]),
+                label=label, norm=norm, cls=cls, residue_char=residue_char
             )
         except ValueError as exc:
             raise InvalidSyntheticSpec(f"prime {label}: {exc}") from None
@@ -165,9 +226,18 @@ def _spec_from_args(args: argparse.Namespace, suffix: str = "") -> FieldSpec:
     disc = getattr(args, f"discriminant{suffix}")
     if disc is not None:
         return QuadraticSpec(disc)
-    path = getattr(args, f"synthetic{suffix}")
-    with open(path) as fh:
-        return synthetic_spec_from_json(json.load(fh))
+    return synthetic_spec_from_json(_read_json(getattr(args, f"synthetic{suffix}")))
+
+
+def _read_json(path: str) -> Any:
+    """The JSON document in a file, or on stdin for "-"."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad JSON, encoding or nesting
+        raise UnreadableInput(f"invalid JSON input {path}: {exc}") from None
 
 
 def _write_output(doc: dict[str, Any], path: str | None) -> None:
@@ -223,15 +293,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    if args.bundle == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(args.bundle) as fh:
-            doc = json.load(fh)
-    bundle = bundle_from_json(doc)
-    norms = [recover_norm(bundle, label) for label in bundle.labels]
-    zeta_bound = args.zeta if args.zeta is not None else max(norms, default=1)
-    report = reconstruct_all(bundle, zeta_bound)
+    report = reconstruct_all(bundle_from_json(_read_json(args.bundle)), args.zeta)
     _write_output(report_to_json(report), args.output)
     return EXIT_OK
 
@@ -321,21 +383,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (InvalidDiscriminant, InvalidSyntheticSpec) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InsufficientGenerators, BundleEntryMissing, PrimalityLimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
+    except (InvalidDiscriminant, InvalidSyntheticSpec, UnreadableInput, OSError) as exc:
+        return _error(exc, EXIT_USAGE)
+    except (
+        InsufficientGenerators,
+        BundleEntryMissing,
+        PrimalityLimitExceeded,
+        DiscriminantTooLarge,
+    ) as exc:
+        return _error(exc, EXIT_INSUFFICIENT)
     except (MalformedBundle, InternalContradiction) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_FAIL)
+
+
+def _error(exc: Exception, code: int) -> int:
+    """Print the error on one line of stderr and return its exit code."""
+    print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ The round-trip driver compares the reconstruction against ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .abgroup import (
     FinGenAbGroup,
@@ -127,7 +127,7 @@ def build_bundle(
 def recover_class_number(bundle: InvariantBundle) -> int:
     """The class number is the free rank of the empty-set entry."""
     empty = bundle.entry(())
-    if empty.factors != (0,) * bundle.rank:
+    if len(empty.factors) != bundle.rank or any(empty.factors):
         raise MalformedBundle(
             f"empty-set entry {empty.factors} is not free of rank {bundle.rank}"
         )
@@ -170,24 +170,37 @@ def recover_norm(bundle: InvariantBundle, label: str) -> int:
     return n
 
 
+def recover_norms(bundle: InvariantBundle) -> dict[str, int]:
+    """The norm behind every label, each recovered once."""
+    return {label: recover_norm(bundle, label) for label in bundle.labels}
+
+
 def label_has_odd_norm(bundle: InvariantBundle, label: str) -> bool:
     return recover_norm(bundle, label) % 2 == 1
 
 
 def subgroup_order_from_bundle(
-    bundle: InvariantBundle, labels: Iterable[str]
+    bundle: InvariantBundle,
+    labels: Iterable[str],
+    odd_labels: AbstractSet[str] | None = None,
 ) -> int:
     """Order of the subgroup generated by the classes behind odd-norm labels.
 
     The entry for F is homogeneous with one summand per coset, so the
     summand count is the subgroup index; dividing the class number gives
-    the subgroup order.
+    the subgroup order.  `odd_labels`, the odd-norm labels when the caller
+    has already recovered the norms, spares recovering them per call.
     """
     key = tuple(labels)
     if not key:
         raise ValueError("subgroup order requires a non-empty label set")
     for label in key:
-        if not label_has_odd_norm(bundle, label):
+        odd = (
+            label in odd_labels
+            if odd_labels is not None
+            else label_has_odd_norm(bundle, label)
+        )
+        if not odd:
             raise ValueError(f"label {label} has even norm; not allowed in chains")
     h = recover_class_number(bundle)
     entry = bundle.entry(key)
@@ -232,7 +245,13 @@ def greedy_primary_factors(
         best_val = 1
         best: list[str] = []
         for c in remaining:
-            val = p_part(subgroup_order(tuple(chain) + (c,)) // chain_order, p)
+            order = subgroup_order(tuple(chain) + (c,))
+            if order % chain_order:
+                raise MalformedBundle(
+                    f"subgroup order {order} of {chain + [c]} is not a multiple "
+                    f"of {chain_order}, the order of {chain}"
+                )
+            val = p_part(order // chain_order, p)
             if val > best_val:
                 best_val, best = val, [c]
             elif val == best_val and val > 1:
@@ -248,22 +267,28 @@ def greedy_primary_factors(
 
 
 def reconstruct_class_group(
-    bundle: InvariantBundle, tie_break: TieBreak = _first
+    bundle: InvariantBundle,
+    tie_break: TieBreak = _first,
+    norms: Mapping[str, int] | None = None,
 ) -> FinGenAbGroup:
     """Isomorphism type of the class group, from the bundle alone.
 
     Runs the greedy chain for every prime dividing the class number over
     the odd-norm labels, then audits completeness: the recovered orders
     must multiply to the class number, else the label set cannot exhibit
-    the whole group and InsufficientGenerators is raised.
+    the whole group and InsufficientGenerators is raised.  `norms` are
+    the label norms when the caller has already recovered them.
     """
     h = recover_class_number(bundle)
     if h == 1:
         return FinGenAbGroup.trivial()
-    odd_labels = [l for l in bundle.labels if label_has_odd_norm(bundle, l)]
+    if norms is None:
+        norms = recover_norms(bundle)
+    odd_labels = [l for l in bundle.labels if norms[l] % 2 == 1]
+    odd = frozenset(odd_labels)
 
     def subgroup_order(key: tuple[str, ...]) -> int:
-        return subgroup_order_from_bundle(bundle, key)
+        return subgroup_order_from_bundle(bundle, key, odd)
 
     cyclic_orders: list[int] = []
     total = 1
@@ -352,12 +377,20 @@ class ReconstructionReport:
 
 
 def reconstruct_all(
-    bundle: InvariantBundle, zeta_bound: int, tie_break: TieBreak = _first
+    bundle: InvariantBundle,
+    zeta_bound: int | None = None,
+    tie_break: TieBreak = _first,
 ) -> ReconstructionReport:
-    """Full blind reconstruction: class number, group, norms, zeta data."""
+    """Full blind reconstruction: class number, group, norms, zeta data.
+
+    The zeta coefficients run up to `zeta_bound`, by default the largest
+    recovered norm.  Every norm is recovered once.
+    """
     h = recover_class_number(bundle)
-    group = reconstruct_class_group(bundle, tie_break)
-    norms = {label: recover_norm(bundle, label) for label in bundle.labels}
+    norms = recover_norms(bundle)
+    group = reconstruct_class_group(bundle, tie_break, norms)
+    if zeta_bound is None:
+        zeta_bound = max(norms.values(), default=1)
     zeta = zeta_data(norms.values(), zeta_bound)
     if group.order() != h:
         raise MalformedBundle("recovered group order disagrees with the rank")
@@ -463,9 +496,9 @@ def compare_fields(
         cl = class_group_model(spec)
         primes = enumerate_prime_ideals(spec, bound)
         bundle = build_bundle(cl, primes, lazy=True)
-        norms = [recover_norm(bundle, label) for label in bundle.labels]
-        group = reconstruct_class_group(bundle)
-        sides.append((tuple(zeta_coefficients(norms, bound)), group))
+        norms = recover_norms(bundle)
+        group = reconstruct_class_group(bundle, norms=norms)
+        sides.append((tuple(zeta_coefficients(norms.values(), bound)), group))
     (za, ga), (zb, gb) = sides
     first_diff = None
     for n, (x, y) in enumerate(zip(za, zb), start=1):

@@ -1,14 +1,19 @@
 """Command-line behavior: output shapes, file formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import classrecon
-from classrecon import build_bundle, class_group_model
+from classrecon import build_bundle, class_group_model, fields
 from classrecon.cli import (
     EXIT_FAIL,
     EXIT_INSUFFICIENT,
@@ -50,6 +55,17 @@ class TestClassGroupCommand:
 
     def test_positive_discriminant_usage_error(self):
         assert main(["classgroup", "-D", "5"]) == EXIT_USAGE
+
+    def test_discriminant_above_limit_exits_3(self, capsys, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("work started on a refused discriminant")
+
+        monkeypatch.setattr(fields, "is_fundamental_discriminant", no_enumeration)
+        assert main(["classgroup", "-D", "-1000000000007"]) == EXIT_INSUFFICIENT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: |D| = 1000000000007 exceeds")
+        assert captured.err.count("\n") == 1
 
     def test_synthetic(self, synthetic_file, capsys):
         assert main(["classgroup", "--synthetic", synthetic_file]) == EXIT_OK
@@ -295,3 +311,161 @@ class TestSyntheticParsing:
 
         with pytest.raises(MalformedBundle):
             bundle_from_json({"version": 99, "rank": 1, "labels": [], "entries": []})
+
+
+MALFORMED_BUNDLES = {
+    "no-rank": {"version": 1, "labels": [0], "entries": []},
+    "top-level-array": [1, 2],
+    "rank-not-integer": {"version": 1, "rank": "x", "labels": [], "entries": []},
+    "non-canonical-factors": {
+        "version": 1,
+        "rank": 2,
+        "labels": [],
+        "entries": [{"labels": [], "factors": ["4", "2"]}],
+    },
+    "entry-not-object": {"version": 1, "rank": 1, "labels": [], "entries": [3]},
+    "labels-not-integers": {"version": 1, "rank": 1, "labels": ["a"], "entries": []},
+    "rank-is-bool": {"version": 1, "rank": True, "labels": [], "entries": []},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_BUNDLES.values(), ids=MALFORMED_BUNDLES.keys())
+def test_malformed_bundle_exits_1(doc, tmp_path, capsys):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    assert main(["reconstruct", str(path)]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+MALFORMED_SPECS = {
+    "missing-keys": {"invariant_factors": ["2"]},
+    "top-level-array": [],
+    "factor-not-integer": {"invariant_factors": ["x"], "primes": []},
+    "prime-not-object": {"invariant_factors": ["2"], "primes": [7]},
+    "prime-missing-class": {
+        "invariant_factors": ["2"],
+        "primes": [{"norm": "3", "residue_char": "3"}],
+    },
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS.keys())
+def test_malformed_synthetic_spec_exits_2(doc, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classgroup", "--synthetic", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000, b"{"],
+    ids=["not-utf8", "deep-nesting", "truncated"],
+)
+def test_unreadable_input_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert main(["reconstruct", str(path)]) == EXIT_USAGE
+    assert main(["classgroup", "--synthetic", str(path)]) == EXIT_USAGE
+    assert main(["reconstruct", str(tmp_path)]) == EXIT_USAGE  # a directory
+
+
+# Integers stay small: a singleton factor t with t + 1 a prime power sets the
+# default zeta bound to t + 1, and the sieve allocates that many slots.
+SMALL_INTS = st.integers(-3, 40)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-10_000, 10_000)
+    | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+INTEGERS = SMALL_INTS | SMALL_INTS.map(str) | JSON_VALUES
+LABEL_IDS = st.lists(st.integers(-1, 3), max_size=3) | JSON_VALUES
+BUNDLE_DOCS = st.fixed_dictionaries(
+    {
+        "version": st.just(1) | JSON_VALUES,
+        "rank": INTEGERS,
+        "labels": LABEL_IDS,
+        "entries": st.lists(
+            st.fixed_dictionaries(
+                {"labels": LABEL_IDS, "factors": st.lists(INTEGERS, max_size=3)}
+            )
+            | JSON_VALUES,
+            max_size=6,
+        )
+        | JSON_VALUES,
+    }
+)
+
+
+@st.composite
+def shaped_bundle_docs(draw):
+    """Well-formed bundle files whose homogeneous entries may not be arithmetic."""
+    rank = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 4))
+    label_sets = [[i] for i in range(n)]
+    if n > 1:
+        label_sets += draw(
+            st.lists(st.lists(st.integers(0, n - 1), min_size=2, unique=True), max_size=4)
+        )
+    entries = [{"labels": [], "factors": ["0"] * rank}]
+    for labels in label_sets:
+        # a singleton Z/t with s summands reads as norm N where t + 1 = N**(rank/s)
+        s = draw(st.sampled_from([s for s in range(1, rank + 1) if rank % s == 0]))
+        norm = draw(st.sampled_from([2, 3, 4, 5, 7, 9, 11, 12]))
+        t = norm ** (rank // s) - 1 if len(labels) == 1 else draw(st.integers(1, 40))
+        entries.append({"labels": labels, "factors": [str(t)] * s if t > 1 else []})
+    return {"version": 1, "rank": rank, "labels": list(range(n)), "entries": entries}
+
+
+SPEC_DOCS = st.fixed_dictionaries(
+    {
+        "invariant_factors": st.lists(INTEGERS, max_size=3) | JSON_VALUES,
+        "primes": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "norm": INTEGERS,
+                    "class": st.lists(INTEGERS, max_size=3) | JSON_VALUES,
+                    "residue_char": INTEGERS,
+                },
+                optional={"label": JSON_VALUES},
+            )
+            | JSON_VALUES,
+            max_size=4,
+        )
+        | JSON_VALUES,
+    }
+)
+
+
+def _exit_code_for_file(argv_head, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv_head, path])
+    if code != EXIT_OK:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES | BUNDLE_DOCS | shaped_bundle_docs())
+def test_arbitrary_json_bundle_never_raises(doc):
+    assert _exit_code_for_file(["reconstruct"], doc) in range(4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES | SPEC_DOCS)
+def test_arbitrary_json_synthetic_spec_never_raises(doc):
+    assert _exit_code_for_file(["classgroup", "--synthetic"], doc) in range(4)

@@ -21,13 +21,39 @@ from classrecon import (
     reduced_forms,
     validate_synthetic,
 )
-from classrecon.fields import is_fundamental_discriminant, prime_form, principal_form
+from classrecon import fields
+from classrecon.fields import (
+    MAX_DISCRIMINANT,
+    DiscriminantTooLarge,
+    _discriminant_data,
+    is_fundamental_discriminant,
+    prime_form,
+    principal_form,
+)
 from classrecon.oracle import naive_represented_primes
 
 from helpers import datum
 
 TEST_DISCRIMINANTS = [-4, -20, -23, -47, -84]
 CLASS_NUMBERS = {-4: 1, -20: 2, -23: 3, -47: 5, -84: 4}
+
+
+def _oracle_discriminants() -> list[int]:
+    """Fixed non-cyclic cases plus a seeded sample of fields with h <= 200."""
+    rng = random.Random(2024)
+    sample: list[int] = []
+    while len(sample) < 12:
+        d = -rng.randrange(1000, 100_000)
+        if (
+            is_fundamental_discriminant(d)
+            and d not in sample
+            and len(reduced_forms(d)) <= 200
+        ):
+            sample.append(d)
+    return [-56, -120, -231, -260, -420, -2184, -3299] + sorted(sample, reverse=True)
+
+
+ORACLE_DISCRIMINANTS = _oracle_discriminants()
 
 
 class TestKroneckerSymbol:
@@ -140,9 +166,9 @@ class TestComposition:
     def test_structure_matches_order_multiset(self):
         # independent check: element orders computed by raw composition
         # must match the order multiset of the claimed abstract group
-        for d in (-56, -120, -231, -260, -420):
+        for d in ORACLE_DISCRIMINANTS:
             forms = reduced_forms(d)
-            e = principal_form(d).reduced()
+            e = principal_form(d)
             orders = []
             for f in forms:
                 acc, n = f, 1
@@ -156,6 +182,63 @@ class TestComposition:
             )
             assert sorted(orders) == abstract_orders, d
             assert model.size == len(forms)
+
+    def test_form_class_is_bijective_homomorphism(self):
+        # all pairs for h <= 40, 200 seeded pairs above
+        for d in ORACLE_DISCRIMINANTS:
+            forms, classes = _forms_and_classes(d)
+            group = class_group_of_discriminant(d).group
+            assert len(set(classes)) == len(forms) == group.order(), d
+            cls = dict(zip(forms, classes))
+            pairs = list(itertools.product(forms, repeat=2))
+            if len(forms) > 40:
+                pairs = random.Random(d).sample(pairs, 200)
+            for f, g in pairs:
+                assert cls[f.compose(g)] == group.add(cls[f], cls[g]), (d, f, g)
+
+    @pytest.mark.parametrize(
+        "d, factors",
+        [
+            (-1031, (35,)),
+            (-10007, (77,)),
+            (-100019, (193,)),
+            (-3299, (3, 9)),
+            (-2184, (2, 2, 6)),
+            (-202127, (303,)),
+        ],
+    )
+    def test_pinned_structures(self, d, factors):
+        assert class_group_of_discriminant(d).group.factors == factors
+
+    def test_model_build_is_linear_in_class_number(self, monkeypatch):
+        # subgroup extension composes each new form into place once and
+        # takes at most one power step per form; no h^2 table
+        calls = 0
+        compose = QuadraticForm.compose
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return compose(self, other)
+
+        monkeypatch.setattr(QuadraticForm, "compose", counted)
+        data = _discriminant_data.__wrapped__(-202127)
+        assert len(data.forms) == 303
+        assert calls <= 2 * len(data.forms)
+
+    def test_discriminant_above_limit_is_refused(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("work started on a refused discriminant")
+
+        # the refusal comes before the squarefree test, which comes before
+        # any form enumeration
+        monkeypatch.setattr(fields, "is_fundamental_discriminant", no_enumeration)
+        monkeypatch.setattr(fields, "factorize", no_enumeration)
+        for d in (-MAX_DISCRIMINANT - 1, -(10**400)):
+            with pytest.raises(DiscriminantTooLarge):
+                class_group_of_discriminant(d)
+            with pytest.raises(DiscriminantTooLarge):
+                QuadraticSpec(d)
 
 
 class TestSplitting:
@@ -229,8 +312,6 @@ class TestIdealClasses:
 
 
 def _forms_and_classes(d):
-    from classrecon.fields import _discriminant_data
-
     dd = _discriminant_data(d)
     return dd.forms, dd.form_class
 

@@ -25,13 +25,15 @@ from classrecon import (
     reconstruct_class_group,
     recover_class_number,
     recover_norm,
+    recover_norms,
     roundtrip,
     subgroup_index,
     subgroup_order_from_bundle,
     zeta_coefficients,
     zeta_data,
 )
-from classrecon.reconstruct import BundleEntryMissing
+from classrecon import reconstruct
+from classrecon.reconstruct import BundleEntryMissing, reconstruct_all
 
 from helpers import (
     datum,
@@ -172,11 +174,42 @@ class TestSubgroupOrders:
         _, _, bundle = bundle_for_disc(-20, 30)
         with pytest.raises(ValueError):
             subgroup_order_from_bundle(bundle, ["p_2"])
+        odd = frozenset(l for l, n in recover_norms(bundle).items() if n % 2)
+        with pytest.raises(ValueError):
+            subgroup_order_from_bundle(bundle, ["p_3", "p_2"], odd)
+        assert subgroup_order_from_bundle(bundle, ["p_3"], odd) == 2
 
     def test_empty_set_rejected(self):
         _, _, bundle = bundle_for_disc(-20, 30)
         with pytest.raises(ValueError):
             subgroup_order_from_bundle(bundle, [])
+
+
+class TestNormRecoveryCount:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting(bundle, label):
+            calls.append(label)
+            return recover_norm(bundle, label)
+
+        monkeypatch.setattr(reconstruct, "recover_norm", counting)
+        return calls
+
+    def test_reconstruct_all_recovers_each_norm_once(self, counted):
+        _, _, bundle = bundle_for_disc(-1031, 100)
+        reconstruct_all(bundle)
+        assert sorted(counted) == sorted(bundle.labels)
+
+    def test_compare_recovers_each_norm_once(self, counted):
+        compare_fields(QuadraticSpec(-3299), QuadraticSpec(-2408), 100)
+        labels = [
+            p.label
+            for d in (-3299, -2408)
+            for p in enumerate_prime_ideals(QuadraticSpec(d), 100)
+        ]
+        assert sorted(counted) == sorted(labels)
 
 
 class TestGreedyChain:
@@ -254,6 +287,21 @@ class TestReconstructClassGroup:
         primes = [datum("x", 3, (2,)), datum("y", 5, (0,))]
         bundle = build_bundle(model, primes)
         with pytest.raises(InsufficientGenerators):
+            reconstruct_class_group(bundle)
+
+    def test_shrinking_subgroup_orders_are_malformed(self):
+        # <a, b> claims order 1 while <a> claims order 2: no subgroup does that
+        bundle = InvariantBundle(
+            rank=2,
+            labels=("a", "b"),
+            entries={
+                frozenset(): FinGenAbGroup((0, 0)),
+                frozenset({"a"}): FinGenAbGroup((8,)),
+                frozenset({"b"}): FinGenAbGroup((4, 4)),
+                frozenset({"a", "b"}): FinGenAbGroup((2, 2)),
+            },
+        )
+        with pytest.raises(MalformedBundle):
             reconstruct_class_group(bundle)
 
     def test_even_norm_labels_are_ignored_by_chains(self):
