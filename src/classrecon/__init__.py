@@ -8,150 +8,22 @@ number, every prime-ideal norm (hence a truncated zeta function), and the
 isomorphism type of the class group — this package computes the invariants,
 performs the reconstruction, and cross-checks everything against naive
 oracles and quadratic-field ground truth.
+
+The top level exports the end-to-end path; everything else is imported
+from its submodule.
 """
 
-from .abgroup import (
-    FinGenAbGroup,
-    GroupElement,
-    IntMatrix,
-    cokernel_of_columns,
-    element_order,
-    hermite_normal_form,
-    integer_nth_root,
-    iso_equal,
-    lattice_membership,
-    p_part,
-    primary_decomposition,
-    smith_normal_form,
-    subgroup_index,
-)
-from .fields import (
-    MAX_DISCRIMINANT,
-    DiscriminantTooLarge,
-    FieldSpec,
-    InvalidDiscriminant,
-    NonPrimePowerNorm,
-    OddNormClassesDoNotGenerate,
-    QuadraticForm,
-    QuadraticSpec,
-    Splitting,
-    SyntheticSpec,
-    class_group_model,
-    class_group_of_discriminant,
-    enumerate_prime_ideals,
-    ideal_class_of_prime,
-    kronecker_splitting,
-    kronecker_symbol,
-    reduced_forms,
-    validate_synthetic,
-)
-from .lattice import (
-    ClassGroupModel,
-    ClassLattice,
-    InternalContradiction,
-    PredictedQuotient,
-    PrimeIdealDatum,
-    cycle_cokernel,
-    lattice_quotient,
-    predicted_group,
-    predicted_quotient,
-    prime_operator_matrix,
-    quotient_group,
-    relation_in_sublattice,
-    singleton_quotient,
-    sublattice_columns,
-)
-from .reconstruct import (
-    BundleEntryMissing,
-    ComparisonResult,
-    InsufficientGenerators,
-    InvariantBundle,
-    MalformedBundle,
-    ReconstructionReport,
-    Verdict,
-    ZetaData,
-    build_bundle,
-    compare_fields,
-    greedy_primary_factors,
-    label_has_odd_norm,
-    reconstruct_all,
-    reconstruct_class_group,
-    recover_class_number,
-    recover_norm,
-    recover_norms,
-    roundtrip,
-    subgroup_order_from_bundle,
-    zeta_coefficients,
-    zeta_data,
-)
+from .fields import QuadraticSpec, class_group_model, enumerate_prime_ideals
+from .lattice import lattice_quotient
+from .reconstruct import build_bundle, reconstruct_all
 
 __all__ = [
-    "FinGenAbGroup",
-    "GroupElement",
-    "IntMatrix",
-    "cokernel_of_columns",
-    "element_order",
-    "hermite_normal_form",
-    "integer_nth_root",
-    "iso_equal",
-    "lattice_membership",
-    "p_part",
-    "primary_decomposition",
-    "smith_normal_form",
-    "subgroup_index",
-    "MAX_DISCRIMINANT",
-    "DiscriminantTooLarge",
-    "FieldSpec",
-    "InvalidDiscriminant",
-    "NonPrimePowerNorm",
-    "OddNormClassesDoNotGenerate",
-    "QuadraticForm",
     "QuadraticSpec",
-    "Splitting",
-    "SyntheticSpec",
     "class_group_model",
-    "class_group_of_discriminant",
     "enumerate_prime_ideals",
-    "ideal_class_of_prime",
-    "kronecker_splitting",
-    "kronecker_symbol",
-    "reduced_forms",
-    "validate_synthetic",
-    "ClassGroupModel",
-    "ClassLattice",
-    "InternalContradiction",
-    "PredictedQuotient",
-    "PrimeIdealDatum",
-    "cycle_cokernel",
     "lattice_quotient",
-    "predicted_group",
-    "predicted_quotient",
-    "prime_operator_matrix",
-    "quotient_group",
-    "relation_in_sublattice",
-    "singleton_quotient",
-    "sublattice_columns",
-    "BundleEntryMissing",
-    "ComparisonResult",
-    "InsufficientGenerators",
-    "InvariantBundle",
-    "MalformedBundle",
-    "ReconstructionReport",
-    "Verdict",
-    "ZetaData",
     "build_bundle",
-    "compare_fields",
-    "greedy_primary_factors",
-    "label_has_odd_norm",
     "reconstruct_all",
-    "reconstruct_class_group",
-    "recover_class_number",
-    "recover_norm",
-    "recover_norms",
-    "roundtrip",
-    "subgroup_order_from_bundle",
-    "zeta_coefficients",
-    "zeta_data",
     "__version__",
 ]
 

@@ -1,8 +1,8 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
 Everything here works with plain Python integers, so all results are exact
-at any size.  Matrices are immutable; the normal-form routines return fresh
-objects together with the unimodular transformations that witness them.
+at any size.  Matrices are immutable; the Smith normal form returns a fresh
+matrix together with the unimodular transformations that witness it.
 
 Groups are kept in canonical invariant-factor form (nonzero factors form a
 divisibility chain, no factor equals 1, free factors encoded as trailing
@@ -23,7 +23,7 @@ rather than guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 # Group elements are reduced coordinate tuples; use FinGenAbGroup methods to
@@ -112,12 +112,6 @@ class IntMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
-
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
@@ -129,11 +123,6 @@ class IntMatrix:
             )
         )
 
-    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
     def is_diagonal(self) -> bool:
         return all(
             x == 0 for i, row in enumerate(self.entries) for j, x in enumerate(row) if i != j
@@ -141,33 +130,6 @@ class IntMatrix:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.nrows, self.ncols)))
-
-
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = a.nrows
-    if n != a.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def _min_abs_pivot(m: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -296,86 +258,6 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return s, IntMatrix.from_rows(u), IntMatrix.from_rows(v)
 
 
-def _echelon_insert(basis: list[list[int]], vec: list[int]) -> None:
-    """Insert vec into a column-echelon basis (pivot = topmost nonzero entry)."""
-    n = len(vec)
-    while True:
-        r = next((i for i in range(n) if vec[i]), None)
-        if r is None:
-            return
-        hit = next((b for b in basis if next(i for i in range(n) if b[i]) == r), None)
-        if hit is None:
-            basis.append(vec)
-            basis.sort(key=lambda b: next(i for i in range(n) if b[i]))
-            return
-        a, c = hit[r], vec[r]
-        if c % a == 0:
-            q = c // a
-            vec = [x - q * y for x, y in zip(vec, hit)]
-        else:
-            g, x, y = xgcd(a, c)
-            new_hit = [x * p + y * q for p, q in zip(hit, vec)]
-            new_vec = [(a // g) * q - (c // g) * p for p, q in zip(hit, vec)]
-            hit[:] = new_hit
-            vec = new_vec
-
-
-def hermite_normal_form(a: IntMatrix) -> IntMatrix:
-    """Canonical column basis of the lattice spanned by the columns of `a`.
-
-    The result is in column echelon form with positive pivots; in each pivot
-    row the entries of the earlier columns are reduced into [0, pivot).
-    Matrices with the same column span have the same normal form.
-    """
-    n = a.nrows
-    basis: list[list[int]] = []
-    for col in a.columns():
-        if any(col):
-            _echelon_insert(basis, list(col))
-    for b in basis:
-        r = next(i for i in range(n) if b[i])
-        if b[r] < 0:
-            b[:] = [-x for x in b]
-    for j, b in enumerate(basis):
-        r = next(i for i in range(n) if b[i])
-        for k in range(j):
-            q = basis[k][r] // b[r]
-            if q:
-                basis[k] = [x - q * y for x, y in zip(basis[k], b)]
-    return IntMatrix.from_columns([tuple(b) for b in basis], nrows=n)
-
-
-def lattice_membership(
-    columns: Sequence[Sequence[int]], v: Sequence[int]
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide whether v lies in the integer column span; return a witness.
-
-    On success the witness x satisfies sum(x[j] * columns[j]) == v.
-    """
-    if not columns:
-        return (not any(v), () if not any(v) else None)
-    n = len(columns[0])
-    if len(v) != n or any(len(c) != n for c in columns):
-        raise ValueError("dimension mismatch between columns and vector")
-    a = IntMatrix.from_columns(columns)
-    s, u, vt = smith_normal_form(a)
-    uv = u.apply(v)
-    diag = s.diagonal()
-    z = [0] * a.ncols
-    for i in range(n):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if uv[i]:
-                return (False, None)
-        else:
-            q, r = divmod(uv[i], d)
-            if r:
-                return (False, None)
-            z[i] = q
-    witness = vt.apply(z)
-    return (True, witness)
-
-
 def _canonical_chain(orders: Sequence[int]) -> tuple[int, ...] | None:
     """Return the sorted orders if they already form a canonical chain."""
     tors = sorted(x for x in orders if x != 0 and x != 1)
@@ -442,10 +324,6 @@ class FinGenAbGroup:
         return sum(1 for x in self.factors if x == 0)
 
     @property
-    def torsion_factors(self) -> tuple[int, ...]:
-        return tuple(x for x in self.factors if x != 0)
-
-    @property
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
@@ -460,9 +338,6 @@ class FinGenAbGroup:
         for x in self.factors:
             n *= x
         return n
-
-    def direct_sum(self, other: FinGenAbGroup) -> FinGenAbGroup:
-        return FinGenAbGroup.from_orders(self.factors + other.factors)
 
     # -- element arithmetic (elements are reduced coordinate tuples) --
 
@@ -501,14 +376,6 @@ class FinGenAbGroup:
         return " x ".join("Z" if x == 0 else f"Z/{x}" for x in self.factors)
 
 
-def element_order(g: FinGenAbGroup, a: GroupElement) -> int:
-    """Least n >= 1 with n*a == 0 in a finite group."""
-    if not g.is_finite:
-        raise ValueError("element order requires a finite group")
-    a = g.element(a)
-    return lcm(*(d // gcd(d, c) for d, c in zip(g.factors, a)), 1)
-
-
 def subgroup_index(g: FinGenAbGroup, gens: Sequence[GroupElement]) -> int:
     """Index [G : <gens>] in a finite group, computed exactly.
 
@@ -528,23 +395,6 @@ def subgroup_index(g: FinGenAbGroup, gens: Sequence[GroupElement]) -> int:
     for d in s.diagonal():
         idx *= d
     return idx
-
-
-def primary_decomposition(g: FinGenAbGroup) -> dict[int, list[int]]:
-    """Invariant factors of each p-primary component, ascending per prime.
-
-    Factors by trial division, so it suits groups of modest order.
-
-    >>> primary_decomposition(FinGenAbGroup.from_orders([12]))
-    {2: [4], 3: [3]}
-    """
-    if not g.is_finite:
-        raise ValueError("primary decomposition requires a finite group")
-    out: dict[int, list[int]] = {}
-    for d in g.factors:
-        for p, e in factorize(d).items():
-            out.setdefault(p, []).append(p**e)
-    return {p: sorted(v) for p, v in sorted(out.items())}
 
 
 def iso_equal(g: FinGenAbGroup, h: FinGenAbGroup) -> bool:

@@ -13,7 +13,9 @@ Each file type has one validating loader (`bundle_from_json`,
 Exit codes: 0 success/pass, 1 verdict failure, malformed bundle or internal
 contradiction, 2 usage or spec error (including unreadable or non-JSON
 input files), 3 insufficient data, an integer too large for the exact
-primality test, or a discriminant above `fields.MAX_DISCRIMINANT`.
+primality test, a discriminant above `fields.MAX_DISCRIMINANT`, a prime,
+comparison or zeta bound above `fields.MAX_BOUND`, or a synthetic class
+group of order above `fields.MAX_SYNTHETIC_ORDER`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .fields import (
     FieldSpec,
     InvalidDiscriminant,
     InvalidSyntheticSpec,
+    LimitExceeded,
     NonPrimePowerNorm,
     QuadraticSpec,
     SyntheticSpec,
@@ -278,7 +281,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             print(f"unknown labels in --set: {sorted(missing)}", file=sys.stderr)
             return EXIT_USAGE
         subsets.append(subset)
-    bundle = build_bundle(model, primes, subsets=subsets, lazy=True)
+    bundle = build_bundle(model, primes, subsets=subsets)
     # Run a default reconstruction so the file also contains every entry a
     # blind consumer with default settings will request.
     try:
@@ -390,6 +393,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         BundleEntryMissing,
         PrimalityLimitExceeded,
         DiscriminantTooLarge,
+        LimitExceeded,
     ) as exc:
         return _error(exc, EXIT_INSUFFICIENT)
     except (MalformedBundle, InternalContradiction) as exc:

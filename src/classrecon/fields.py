@@ -16,7 +16,9 @@ Smith normal form of the small relation matrix gives the structure and each
 form's class.  The tests certify the model against raw composition: the
 orders of the forms match the group's, and the map from forms to classes is
 a bijective homomorphism.  Quadratic specs with |D| above MAX_DISCRIMINANT
-are refused before any work, since form enumeration is linear in |D|.
+are refused before any work, since form enumeration is linear in |D|;
+prime bounds above MAX_BOUND and synthetic groups of order above
+MAX_SYNTHETIC_ORDER are refused the same way.
 """
 
 from __future__ import annotations
@@ -44,6 +46,15 @@ from .lattice import ClassGroupModel, InternalContradiction, PrimeIdealDatum
 # larger |D| is refused before any work, including the squarefree test.
 MAX_DISCRIMINANT = 10**8
 
+# The prime sieve and the zeta coefficients allocate one slot per integer up
+# to their bound (about 0.6 s for the sieve alone at this limit).  A larger
+# prime, comparison or zeta bound is refused before any work.
+MAX_BOUND = 10**7
+
+# A synthetic class group enumerates every element (about 0.06 s at this
+# order); a larger order is refused before any enumeration.
+MAX_SYNTHETIC_ORDER = 10**5
+
 
 class InvalidDiscriminant(ValueError):
     """Discriminant is not negative and fundamental."""
@@ -51,6 +62,19 @@ class InvalidDiscriminant(ValueError):
 
 class DiscriminantTooLarge(Exception):
     """|D| exceeds MAX_DISCRIMINANT, beyond which form enumeration is refused."""
+
+
+class LimitExceeded(Exception):
+    """A bound exceeds MAX_BOUND, or a synthetic group MAX_SYNTHETIC_ORDER."""
+
+
+def check_bound(bound: int, what: str) -> None:
+    """Refuse a bound above MAX_BOUND before anything is allocated."""
+    if bound > MAX_BOUND:
+        raise LimitExceeded(
+            f"{what} {bound} exceeds the limit {MAX_BOUND}: it allocates one "
+            "slot per integer up to the bound"
+        )
 
 
 class InvalidSyntheticSpec(ValueError):
@@ -391,6 +415,7 @@ def validate_synthetic(spec: SyntheticSpec) -> SyntheticSpec:
 
     The factors must be canonical and finite, each norm a prime power over
     a prime residue characteristic, and the odd-norm classes must generate.
+    A group of order above MAX_SYNTHETIC_ORDER raises LimitExceeded.
     """
     try:
         group = FinGenAbGroup(spec.factors)  # must already be canonical
@@ -398,6 +423,11 @@ def validate_synthetic(spec: SyntheticSpec) -> SyntheticSpec:
         raise InvalidSyntheticSpec(f"invariant factors: {exc}") from None
     if not group.is_finite:
         raise InvalidSyntheticSpec("synthetic class group must be finite")
+    if group.order() > MAX_SYNTHETIC_ORDER:
+        raise LimitExceeded(
+            f"synthetic class group order {group.order()} exceeds the limit "
+            f"{MAX_SYNTHETIC_ORDER}: the model enumerates every element"
+        )
     labels = [p.label for p in spec.primes]
     if len(set(labels)) != len(labels):
         raise InvalidSyntheticSpec("duplicate prime labels in synthetic spec")
@@ -434,6 +464,7 @@ def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]
     primes contribute one datum.  Completeness below the bound is exactly
     the contract the zeta truncation relies on.
     """
+    check_bound(bound, "prime norm bound")
     if isinstance(spec, SyntheticSpec):
         return [p for p in spec.primes if p.norm <= bound]
     d = spec.discriminant

@@ -14,7 +14,9 @@ that reduces every step to the cokernel of a cycle endomorphism
 (`predicted_quotient`, `cycle_cokernel`).  Any other set, such as a
 mixed-parity one, goes to the brute-force cokernel `lattice_quotient`, a
 Smith normal form (SNF).  SNF is also the independent route that tests hold
-the closed forms to, in exact agreement.
+the closed forms to, in exact agreement; the multiplier relations a
+prediction asserts are checked against the raw sublattice by the reference
+code in `oracle`.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .abgroup import (
-    FinGenAbGroup,
-    GroupElement,
-    IntMatrix,
-    cokernel_of_columns,
-    lattice_membership,
-)
+from .abgroup import FinGenAbGroup, GroupElement, cokernel_of_columns
 
 
 class InternalContradiction(Exception):
@@ -82,10 +78,6 @@ class ClassGroupModel:
     def add(self, i: int, j: int) -> int:
         return self._index[self.group.add(self.elements[i], self.elements[j])]
 
-    def translation_perm(self, c: int) -> tuple[int, ...]:
-        """Permutation of element indices given by adding element c."""
-        return tuple(self.add(i, c) for i in range(self.size))
-
     def subgroup_closure(self, gens: tuple[int, ...] | list[int]) -> frozenset[int]:
         seen = {0}
         frontier = [0]
@@ -131,44 +123,23 @@ class PrimeIdealDatum:
         return self.norm % 2 == 1
 
 
-@dataclass(frozen=True)
-class ClassLattice:
-    """The free lattice whose basis is indexed by the class enumeration."""
-
-    cl: ClassGroupModel
-
-    @property
-    def rank(self) -> int:
-        return self.cl.size
-
-    def basis_vector(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.rank:
-            raise ValueError("basis index out of range")
-        return tuple(1 if j == i else 0 for j in range(self.rank))
-
-
-def prime_operator_matrix(cl: ClassGroupModel, p: PrimeIdealDatum) -> IntMatrix:
-    """Matrix of the prime's action: basis e_a -> N(p) * e_{[p]+a}."""
-    c = cl.index_of(p.cls)
-    perm = cl.translation_perm(c)
-    n = cl.size
-    rows = [[0] * n for _ in range(n)]
-    for a in range(n):
-        rows[perm[a]][a] = p.norm
-    return IntMatrix.from_rows(rows)
-
-
 def sublattice_columns(
     cl: ClassGroupModel, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
 ) -> list[tuple[int, ...]]:
-    """Generating columns of the sublattice: all columns of I - op_p, p in F."""
+    """Generating columns of the sublattice: all columns of I - op_p, p in F.
+
+    The prime's operator sends e_a to N(p) * e_{a+[p]}, so column a of
+    I - op_p is e_a - N(p) * e_{a+[p]}.
+    """
     n = cl.size
     cols: list[tuple[int, ...]] = []
     for p in primes:
-        m = prime_operator_matrix(cl, p)
-        for j in range(n):
-            col = m.column(j)
-            cols.append(tuple((1 if i == j else 0) - col[i] for i in range(n)))
+        c = cl.index_of(p.cls)
+        for a in range(n):
+            col = [0] * n
+            col[a] += 1
+            col[cl.add(a, c)] -= p.norm
+            cols.append(tuple(col))
     return cols
 
 
@@ -355,35 +326,4 @@ def quotient_group(
     if all(p.has_odd_norm for p in primes):
         return predicted_group(predicted_quotient(cl, primes))
     return lattice_quotient(cl, primes)[0]
-
-
-def relation_in_sublattice(
-    cl: ClassGroupModel,
-    primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...],
-    class_a: int,
-    multiplier: int,
-    class_rep: int,
-) -> bool:
-    """Check e_a - multiplier * e_rep against the raw sublattice.
-
-    This validates predicted multiplier relations directly by lattice
-    membership, independently of the induction that produced them.
-    """
-    n = cl.size
-    v = [0] * n
-    v[class_a] += 1
-    v[class_rep] -= multiplier
-    member, _ = lattice_membership(sublattice_columns(cl, primes), tuple(v))
-    return member
-
-
-def all_predicted_relations(
-    cl: ClassGroupModel,
-    primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...],
-    pred: PredictedQuotient,
-) -> list[tuple[int, int, int]]:
-    """(class, multiplier, rep) triples asserted by a prediction."""
-    return [
-        (a, m, pred.reps[pos]) for a, (pos, m) in sorted(pred.multipliers.items())
-    ]
 

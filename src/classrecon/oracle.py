@@ -5,19 +5,27 @@ box, exhaustive subgroup closure, exhaustive search for represented primes.
 The guards are hard limits, not heuristics: an oracle that refuses to answer
 is more trustworthy than one that silently takes shortcuts.
 
-None of this code shares machinery with the Smith/Hermite normal form
-routines it validates; lattice questions are settled by a plain insertion
-echelon basis and literal enumeration.
+None of this code shares machinery with the Smith normal form it validates;
+lattice questions, including the multiplier relations a quotient prediction
+asserts, are settled by a plain insertion echelon basis and literal
+enumeration.  The reference values the tests compare against live here too:
+exact determinants, element orders and primary decompositions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-from .abgroup import FinGenAbGroup, GroupElement, factorize
+from .abgroup import FinGenAbGroup, GroupElement, IntMatrix, factorize
 from .fields import QuadraticForm, reduced_forms
+from .lattice import (
+    ClassGroupModel,
+    PredictedQuotient,
+    PrimeIdealDatum,
+    sublattice_columns,
+)
 
 QUOTIENT_GUARD = 10_000
 GROUP_GUARD = 10_000
@@ -100,6 +108,32 @@ def naive_member(columns: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
     for c in columns:
         basis.insert(c)
     return not any(basis.reduce(v))
+
+
+def predicted_relation_failures(
+    cl: ClassGroupModel,
+    primes: Sequence[PrimeIdealDatum],
+    pred: PredictedQuotient,
+) -> list[tuple[int, int, int]]:
+    """The (class, multiplier, rep) relations of a prediction that fail.
+
+    A prediction asserts that e_a - m * e_rep lies in the sublattice of F
+    for every class a.  One echelon basis of the raw sublattice columns
+    checks them all, independently of the induction and of SNF.
+    """
+    n = cl.size
+    basis = _EchelonBasis(n)
+    for c in sublattice_columns(cl, primes):
+        basis.insert(c)
+    failed = []
+    for a, (pos, m) in sorted(pred.multipliers.items()):
+        rep = pred.reps[pos]
+        v = [0] * n
+        v[a] += 1
+        v[rep] -= m
+        if any(basis.reduce(v)):
+            failed.append((a, m, rep))
+    return failed
 
 
 def naive_cokernel(ambient_rank: int, columns: Sequence[Sequence[int]]) -> FinGenAbGroup:
@@ -203,6 +237,58 @@ def naive_order_index(
                     nxt.append(w)
         frontier = nxt
     return order, g.order() // len(closure)
+
+
+def determinant(a: IntMatrix) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    n = a.nrows
+    if n != a.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    m = [list(row) for row in a.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def element_order(g: FinGenAbGroup, a: GroupElement) -> int:
+    """Least n >= 1 with n*a == 0 in a finite group."""
+    if not g.is_finite:
+        raise ValueError("element order requires a finite group")
+    a = g.element(a)
+    return lcm(*(d // gcd(d, c) for d, c in zip(g.factors, a)), 1)
+
+
+def primary_decomposition(g: FinGenAbGroup) -> dict[int, list[int]]:
+    """Invariant factors of each p-primary component, ascending per prime.
+
+    Factors by trial division, so it suits groups of modest order.
+
+    >>> primary_decomposition(FinGenAbGroup.from_orders([12]))
+    {2: [4], 3: [3]}
+    """
+    if not g.is_finite:
+        raise ValueError("primary decomposition requires a finite group")
+    out: dict[int, list[int]] = {}
+    for d in g.factors:
+        for p, e in factorize(d).items():
+            out.setdefault(p, []).append(p**e)
+    return {p: sorted(v) for p, v in sorted(out.items())}
 
 
 @dataclass(frozen=True)

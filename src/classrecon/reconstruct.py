@@ -28,7 +28,7 @@ from .abgroup import (
     iso_equal,
     p_part,
 )
-from .fields import FieldSpec, class_group_model, enumerate_prime_ideals
+from .fields import FieldSpec, check_bound, class_group_model, enumerate_prime_ideals
 from .lattice import ClassGroupModel, PrimeIdealDatum, quotient_group
 
 
@@ -60,17 +60,18 @@ class InvariantBundle:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise MalformedBundle("rank must be at least 1")
-        if len(set(self.labels)) != len(self.labels):
+        self._label_set = frozenset(self.labels)
+        if len(self._label_set) != len(self.labels):
             raise MalformedBundle("duplicate labels")
-        unknown = set().union(*self.entries) - set(self.labels) if self.entries else set()
+        unknown = set().union(*self.entries) - self._label_set if self.entries else set()
         if unknown:
             raise MalformedBundle(f"entries mention unknown labels {sorted(unknown)}")
 
     def entry(self, labels: Iterable[str]) -> FinGenAbGroup:
         key = frozenset(labels)
-        if not key <= set(self.labels):
+        if not key <= self._label_set:
             raise BundleEntryMissing(
-                f"labels {sorted(key - set(self.labels))} are not in the bundle"
+                f"labels {sorted(key - self._label_set)} are not in the bundle"
             )
         got = self.entries.get(key)
         if got is not None:
@@ -86,16 +87,15 @@ def build_bundle(
     cl: ClassGroupModel,
     primes: Sequence[PrimeIdealDatum],
     subsets: Sequence[Iterable[str]] = (),
-    lazy: bool = True,
 ) -> InvariantBundle:
     """Evaluate quotients through `quotient_group` and erase all annotations.
 
     Closed forms produce the empty set, the singletons and the odd-norm
     sets the reconstruction asks for; only `subsets` of two or more primes
     with an even norm among them fall back to Smith normal form.  The empty
-    set and every singleton are always included.  With `lazy`, later
-    requests for other subsets are served on demand (and memoized); the
-    ground truth stays enclosed in the supplier and is never exposed.
+    set and every singleton are always included.  Later requests for other
+    subsets are served on demand (and memoized); the ground truth stays
+    enclosed in the supplier and is never exposed.
     """
     labels = tuple(p.label for p in primes)
     if len(set(labels)) != len(labels):
@@ -120,7 +120,7 @@ def build_bundle(
         rank=cl.size,
         labels=labels,
         entries=entries,
-        compute=quotient_for if lazy else None,
+        compute=quotient_for,
     )
 
 
@@ -175,32 +175,22 @@ def recover_norms(bundle: InvariantBundle) -> dict[str, int]:
     return {label: recover_norm(bundle, label) for label in bundle.labels}
 
 
-def label_has_odd_norm(bundle: InvariantBundle, label: str) -> bool:
-    return recover_norm(bundle, label) % 2 == 1
-
-
 def subgroup_order_from_bundle(
     bundle: InvariantBundle,
     labels: Iterable[str],
-    odd_labels: AbstractSet[str] | None = None,
+    odd_labels: AbstractSet[str],
 ) -> int:
     """Order of the subgroup generated by the classes behind odd-norm labels.
 
     The entry for F is homogeneous with one summand per coset, so the
     summand count is the subgroup index; dividing the class number gives
-    the subgroup order.  `odd_labels`, the odd-norm labels when the caller
-    has already recovered the norms, spares recovering them per call.
+    the subgroup order.  `odd_labels` are the labels of odd recovered norm.
     """
     key = tuple(labels)
     if not key:
         raise ValueError("subgroup order requires a non-empty label set")
     for label in key:
-        odd = (
-            label in odd_labels
-            if odd_labels is not None
-            else label_has_odd_norm(bundle, label)
-        )
-        if not odd:
+        if label not in odd_labels:
             raise ValueError(f"label {label} has even norm; not allowed in chains")
     h = recover_class_number(bundle)
     entry = bundle.entry(key)
@@ -267,23 +257,19 @@ def greedy_primary_factors(
 
 
 def reconstruct_class_group(
-    bundle: InvariantBundle,
-    tie_break: TieBreak = _first,
-    norms: Mapping[str, int] | None = None,
+    bundle: InvariantBundle, norms: Mapping[str, int]
 ) -> FinGenAbGroup:
     """Isomorphism type of the class group, from the bundle alone.
 
     Runs the greedy chain for every prime dividing the class number over
     the odd-norm labels, then audits completeness: the recovered orders
     must multiply to the class number, else the label set cannot exhibit
-    the whole group and InsufficientGenerators is raised.  `norms` are
-    the label norms when the caller has already recovered them.
+    the whole group and InsufficientGenerators is raised.  `norms` are the
+    recovered label norms (`recover_norms`).
     """
     h = recover_class_number(bundle)
     if h == 1:
         return FinGenAbGroup.trivial()
-    if norms is None:
-        norms = recover_norms(bundle)
     odd_labels = [l for l in bundle.labels if norms[l] % 2 == 1]
     odd = frozenset(odd_labels)
 
@@ -293,7 +279,7 @@ def reconstruct_class_group(
     cyclic_orders: list[int] = []
     total = 1
     for p in sorted(factorize(h)):
-        parts = greedy_primary_factors(p, odd_labels, subgroup_order, tie_break)
+        parts = greedy_primary_factors(p, odd_labels, subgroup_order)
         cyclic_orders.extend(parts)
         for d in parts:
             total *= d
@@ -377,20 +363,20 @@ class ReconstructionReport:
 
 
 def reconstruct_all(
-    bundle: InvariantBundle,
-    zeta_bound: int | None = None,
-    tie_break: TieBreak = _first,
+    bundle: InvariantBundle, zeta_bound: int | None = None
 ) -> ReconstructionReport:
     """Full blind reconstruction: class number, group, norms, zeta data.
 
     The zeta coefficients run up to `zeta_bound`, by default the largest
-    recovered norm.  Every norm is recovered once.
+    recovered norm; a bound above `fields.MAX_BOUND` raises LimitExceeded
+    before the group is reconstructed.  Every norm is recovered once.
     """
     h = recover_class_number(bundle)
     norms = recover_norms(bundle)
-    group = reconstruct_class_group(bundle, tie_break, norms)
     if zeta_bound is None:
         zeta_bound = max(norms.values(), default=1)
+    check_bound(zeta_bound, "zeta bound")
+    group = reconstruct_class_group(bundle, norms)
     zeta = zeta_data(norms.values(), zeta_bound)
     if group.order() != h:
         raise MalformedBundle("recovered group order disagrees with the rank")
@@ -403,7 +389,6 @@ def roundtrip(
     cl: ClassGroupModel,
     primes: Sequence[PrimeIdealDatum],
     zeta_bound: int,
-    tie_break: TieBreak = _first,
 ) -> ReconstructionReport:
     """Build a bundle, reconstruct blind, and compare with the ground truth.
 
@@ -417,8 +402,8 @@ def roundtrip(
             "the odd-norm primes supplied do not generate the class group; "
             "raise the prime norm bound"
         )
-    bundle = build_bundle(cl, primes, lazy=True)
-    report = reconstruct_all(bundle, zeta_bound, tie_break)
+    bundle = build_bundle(cl, primes)
+    report = reconstruct_all(bundle, zeta_bound)
     true_norms = {p.label: p.norm for p in primes}
     true_group = cl.group
     verdicts = [
@@ -488,17 +473,14 @@ def compare_fields(
 ) -> ComparisonResult:
     """Compare two field specs through the blind pipeline, up to a bound.
 
-    Both sides get a bundle built from their prime data; zeta coefficients
-    come from the recovered norms and the groups from blind reconstruction.
+    Both sides get a bundle built from their prime data and a blind
+    reconstruction with zeta coefficients up to the bound.
     """
     sides = []
     for spec in (spec_left, spec_right):
-        cl = class_group_model(spec)
         primes = enumerate_prime_ideals(spec, bound)
-        bundle = build_bundle(cl, primes, lazy=True)
-        norms = recover_norms(bundle)
-        group = reconstruct_class_group(bundle, norms=norms)
-        sides.append((tuple(zeta_coefficients(norms.values(), bound)), group))
+        report = reconstruct_all(build_bundle(class_group_model(spec), primes), bound)
+        sides.append((report.zeta.coefficients, report.class_group))
     (za, ga), (zb, gb) = sides
     first_diff = None
     for n, (x, y) in enumerate(zip(za, zb), start=1):

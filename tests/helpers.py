@@ -6,13 +6,9 @@ import random
 
 from sympy import primefactors
 
-from classrecon import (
-    ClassGroupModel,
-    FinGenAbGroup,
-    PrimeIdealDatum,
-    SyntheticSpec,
-    subgroup_index,
-)
+from classrecon.abgroup import FinGenAbGroup, subgroup_index
+from classrecon.fields import SyntheticSpec
+from classrecon.lattice import ClassGroupModel, PrimeIdealDatum
 
 ODD_PRIME_POWERS = [
     3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classrecon
-from classrecon import build_bundle, class_group_model, fields
+from classrecon import fields, reconstruct
 from classrecon.cli import (
     EXIT_FAIL,
     EXIT_INSUFFICIENT,
@@ -24,7 +24,8 @@ from classrecon.cli import (
     main,
     synthetic_spec_from_json,
 )
-from classrecon.fields import QuadraticSpec, enumerate_prime_ideals
+from classrecon.fields import QuadraticSpec, class_group_model, enumerate_prime_ideals
+from classrecon.reconstruct import build_bundle
 
 SYNTHETIC_DOC = {
     "invariant_factors": ["2", "2"],
@@ -110,9 +111,7 @@ class TestInvariantsCommand:
 
     def test_serialization_round_trip(self):
         spec = QuadraticSpec(-20)
-        bundle = build_bundle(
-            class_group_model(spec), enumerate_prime_ideals(spec, 30), lazy=False
-        )
+        bundle = build_bundle(class_group_model(spec), enumerate_prime_ideals(spec, 30))
         doc = bundle_to_json(bundle)
         parsed = bundle_from_json(json.loads(json.dumps(doc)))
         assert parsed.rank == bundle.rank
@@ -184,6 +183,56 @@ class TestReconstructCommand:
         assert main(["reconstruct", str(path)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestSizeLimits:
+    @pytest.fixture(autouse=True)
+    def no_allocation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work started on a refused bound")
+
+        monkeypatch.setattr(fields, "primes_up_to", refuse)
+        monkeypatch.setattr(reconstruct, "zeta_coefficients", refuse)
+
+    @pytest.mark.parametrize(
+        "torsion, extra",
+        [(str(2**40 - 1), []), ("4", ["--zeta", str(fields.MAX_BOUND + 1)])],
+        ids=["default-zeta-bound-2^40", "explicit-zeta-bound"],
+    )
+    def test_zeta_bound_above_limit_exits_3(self, tmp_path, capsys, torsion, extra):
+        # rank 1: the singleton Z/t gives the norm t + 1, the default zeta bound
+        doc = {
+            "version": 1,
+            "rank": 1,
+            "labels": [0],
+            "entries": [
+                {"labels": [], "factors": ["0"]},
+                {"labels": [0], "factors": [torsion]},
+            ],
+        }
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["reconstruct", str(path), *extra]) == EXIT_INSUFFICIENT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: zeta bound ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", "-D", "-20", "--primes"],
+            ["roundtrip", "-D", "-20", "--primes"],
+            ["compare", "-D", "-4", "-D2", "-20", "--bound"],
+        ],
+        ids=["invariants", "roundtrip", "compare"],
+    )
+    def test_prime_bound_above_limit_exits_3(self, capsys, argv):
+        assert main([*argv, str(fields.MAX_BOUND + 1)]) == EXIT_INSUFFICIENT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: prime norm bound ")
+        assert captured.err.count("\n") == 1
 
 
 class TestRoundTripCommand:
@@ -296,6 +345,20 @@ class TestSyntheticParsing:
         assert main(["classgroup", "--synthetic", str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_group_order_above_limit_exits_3(self, tmp_path, capsys):
+        doc = {
+            "invariant_factors": ["100000000"],
+            "primes": [{"norm": "3", "class": [1], "residue_char": "3"}],
+        }
+        with pytest.raises(fields.LimitExceeded):
+            synthetic_spec_from_json(doc)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classgroup", "--synthetic", str(path)]) == EXIT_INSUFFICIENT
+        err = capsys.readouterr().err
+        assert err.startswith("error: synthetic class group order ")
+        assert err.count("\n") == 1
 
     def test_bad_synthetic_spec_exits_2(self, tmp_path):
         doc = {

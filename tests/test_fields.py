@@ -6,31 +6,29 @@ import random
 import pytest
 import sympy
 
-from classrecon import (
+from classrecon import fields
+from classrecon.fields import (
+    MAX_DISCRIMINANT,
+    DiscriminantTooLarge,
     InvalidDiscriminant,
     NonPrimePowerNorm,
     OddNormClassesDoNotGenerate,
     QuadraticForm,
     QuadraticSpec,
     SyntheticSpec,
+    _discriminant_data,
     class_group_of_discriminant,
     enumerate_prime_ideals,
     ideal_class_of_prime,
+    is_fundamental_discriminant,
     kronecker_splitting,
     kronecker_symbol,
+    prime_form,
+    principal_form,
     reduced_forms,
     validate_synthetic,
 )
-from classrecon import fields
-from classrecon.fields import (
-    MAX_DISCRIMINANT,
-    DiscriminantTooLarge,
-    _discriminant_data,
-    is_fundamental_discriminant,
-    prime_form,
-    principal_form,
-)
-from classrecon.oracle import naive_represented_primes
+from classrecon.oracle import element_order, naive_represented_primes
 
 from helpers import datum
 
@@ -178,7 +176,7 @@ class TestComposition:
                 orders.append(n)
             model = class_group_of_discriminant(d)
             abstract_orders = sorted(
-                _element_order_in(model.group, x) for x in model.elements
+                element_order(model.group, x) for x in model.elements
             )
             assert sorted(orders) == abstract_orders, d
             assert model.size == len(forms)
@@ -314,12 +312,6 @@ class TestIdealClasses:
 def _forms_and_classes(d):
     dd = _discriminant_data(d)
     return dd.forms, dd.form_class
-
-
-def _element_order_in(group, x):
-    from classrecon import element_order
-
-    return element_order(group, x)
 
 
 class TestEnumeration:

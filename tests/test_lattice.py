@@ -5,27 +5,26 @@ import random
 
 import pytest
 
-from classrecon import (
-    ClassGroupModel,
-    ClassLattice,
+from classrecon.abgroup import (
     FinGenAbGroup,
     IntMatrix,
-    PrimeIdealDatum,
     cokernel_of_columns,
-    cycle_cokernel,
     iso_equal,
-    lattice_membership,
+    smith_normal_form,
+)
+from classrecon.lattice import (
+    ClassGroupModel,
+    PredictedQuotient,
+    PrimeIdealDatum,
+    cycle_cokernel,
     lattice_quotient,
     predicted_group,
     predicted_quotient,
-    prime_operator_matrix,
     quotient_group,
-    relation_in_sublattice,
     singleton_quotient,
-    smith_normal_form,
     sublattice_columns,
 )
-from classrecon.lattice import all_predicted_relations
+from classrecon.oracle import naive_member, predicted_relation_failures
 
 from helpers import ODD_PRIME_POWERS, datum, z2_model
 
@@ -38,30 +37,23 @@ def trivial_model():
     return ClassGroupModel.from_group(FinGenAbGroup(()))
 
 
-class TestPrimeOperator:
-    def test_trivial_group(self):
-        m = prime_operator_matrix(trivial_model(), datum("p", 5, ()))
-        assert m.entries == ((5,),)
-
-    def test_swap_scaled(self):
-        m = prime_operator_matrix(z2_model(), P3)
-        assert m.entries == ((0, 3), (3, 0))
-
-    def test_trivial_class_inert(self):
-        m = prime_operator_matrix(z2_model(), datum("p11", 121, (0,), 11))
-        assert m.entries == ((121, 0), (0, 121))
-
-    def test_class_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            prime_operator_matrix(z2_model(), datum("bad", 3, (0, 1), 3))
-
-
 class TestSublatticeColumns:
     def test_empty(self):
         assert sublattice_columns(z2_model(), []) == []
 
+    def test_trivial_group(self):
+        assert sublattice_columns(trivial_model(), [datum("p", 5, ())]) == [(-4,)]
+
     def test_single_prime(self):
         assert sublattice_columns(z2_model(), [P3]) == [(1, -3), (-3, 1)]
+
+    def test_trivial_class_inert(self):
+        p11 = datum("p11", 121, (0,), 11)
+        assert sublattice_columns(z2_model(), [p11]) == [(-120, 0), (0, -120)]
+
+    def test_class_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            sublattice_columns(z2_model(), [datum("bad", 3, (0, 1), 3)])
 
     def test_two_primes_concatenate(self):
         assert sublattice_columns(z2_model(), [P3, Q7]) == [
@@ -123,7 +115,7 @@ class TestCycleCokernel:
                 vec = [0] * n
                 vec[i] += 1
                 vec[n - 1] -= coeffs[i]
-                assert lattice_membership(cols, tuple(vec))[0]
+                assert naive_member(cols, vec)
 
 
 class TestSingletonQuotient:
@@ -171,13 +163,16 @@ class TestPrediction:
     def test_relations_verify_against_raw_lattice(self):
         for primes in ([P3], [P3, Q7], [Q7]):
             pred = predicted_quotient(z2_model(), primes)
-            for a, mult, rep in all_predicted_relations(z2_model(), primes, pred):
-                assert relation_in_sublattice(z2_model(), primes, a, mult, rep)
+            assert predicted_relation_failures(z2_model(), primes, pred) == []
 
     def test_relation_examples(self):
-        assert relation_in_sublattice(z2_model(), [P3], 0, 3, 1)
-        assert relation_in_sublattice(z2_model(), [P3], 1, 3, 0)
-        assert not relation_in_sublattice(z2_model(), [P3], 0, 1, 1)
+        # e_0 - 3 e_1 and e_1 - 3 e_0 lie in the sublattice of [P3]; e_0 - e_1 does not
+        held = PredictedQuotient(exponent=8, reps=(1,), multipliers={0: (0, 3), 1: (0, 1)})
+        assert predicted_relation_failures(z2_model(), [P3], held) == []
+        held = PredictedQuotient(exponent=8, reps=(0,), multipliers={0: (0, 1), 1: (0, 3)})
+        assert predicted_relation_failures(z2_model(), [P3], held) == []
+        wrong = PredictedQuotient(exponent=8, reps=(1,), multipliers={0: (0, 1), 1: (0, 1)})
+        assert predicted_relation_failures(z2_model(), [P3], wrong) == [(0, 1, 1)]
 
 
 def random_odd_prime_set(rng, model, max_size=3):
@@ -214,8 +209,7 @@ def test_prediction_matches_brute_force(factors):
         assert set(brute.factors) == {pred.exponent}
         assert pred.exponent > 0 and pred.exponent % 2 == 0
         assert all(m % 2 == 1 for _, m in pred.multipliers.values())
-        for a, mult, rep in all_predicted_relations(model, primes, pred):
-            assert relation_in_sublattice(model, primes, a, mult, rep)
+        assert predicted_relation_failures(model, primes, pred) == []
 
 
 def test_prediction_order_independent():
@@ -261,14 +255,6 @@ def test_mixed_parity_brute_force_still_computes():
     assert g.is_finite
     assert len(proj) == 2
     assert quotient_group(model, [p2, P3]) == g
-
-
-def test_class_lattice_basis():
-    lat = ClassLattice(z2_model())
-    assert lat.rank == 2
-    assert lat.basis_vector(0) == (1, 0)
-    with pytest.raises(ValueError):
-        lat.basis_vector(2)
 
 
 def test_model_requires_identity_first():

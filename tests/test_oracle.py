@@ -2,7 +2,7 @@
 
 import pytest
 
-from classrecon import FinGenAbGroup
+from classrecon.abgroup import FinGenAbGroup
 from classrecon.oracle import (
     OracleGuard,
     Representation,

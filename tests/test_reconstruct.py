@@ -2,38 +2,39 @@
 
 import random
 import threading
+from dataclasses import replace
 
 import pytest
 import sympy
 
-from classrecon import (
-    ClassGroupModel,
-    FinGenAbGroup,
+from classrecon import reconstruct
+from classrecon.abgroup import FinGenAbGroup, iso_equal, subgroup_index
+from classrecon.fields import (
+    QuadraticSpec,
+    SyntheticSpec,
+    class_group_model,
+    enumerate_prime_ideals,
+)
+from classrecon.lattice import ClassGroupModel
+from classrecon.oracle import primary_decomposition
+from classrecon.reconstruct import (
+    BundleEntryMissing,
     InsufficientGenerators,
     InvariantBundle,
     MalformedBundle,
-    QuadraticSpec,
-    SyntheticSpec,
     build_bundle,
-    class_group_model,
     compare_fields,
-    enumerate_prime_ideals,
     greedy_primary_factors,
-    iso_equal,
-    label_has_odd_norm,
-    primary_decomposition,
+    reconstruct_all,
     reconstruct_class_group,
     recover_class_number,
     recover_norm,
     recover_norms,
     roundtrip,
-    subgroup_index,
     subgroup_order_from_bundle,
     zeta_coefficients,
     zeta_data,
 )
-from classrecon import reconstruct
-from classrecon.reconstruct import BundleEntryMissing, reconstruct_all
 
 from helpers import (
     datum,
@@ -44,11 +45,15 @@ from helpers import (
 )
 
 
-def bundle_for_disc(d, bound=50, lazy=True):
+def bundle_for_disc(d, bound=50):
     spec = QuadraticSpec(d)
     model = class_group_model(spec)
     primes = enumerate_prime_ideals(spec, bound)
-    return model, primes, build_bundle(model, primes, lazy=lazy)
+    return model, primes, build_bundle(model, primes)
+
+
+def odd_labels(bundle):
+    return frozenset(l for l, n in recover_norms(bundle).items() if n % 2)
 
 
 class TestBuildBundle:
@@ -73,7 +78,7 @@ class TestBuildBundle:
 
     def test_empty_prime_list(self):
         model = z2_model()
-        bundle = build_bundle(model, [], lazy=False)
+        bundle = build_bundle(model, [])
         assert bundle.entry(()).factors == (0, 0)
         assert bundle.labels == ()
 
@@ -84,8 +89,9 @@ class TestBuildBundle:
 
     def test_static_bundle_refuses_unknown_subsets(self):
         model = z2_model()
-        bundle = build_bundle(
-            model, [datum("a", 3, (1,)), datum("b", 7, (1,))], lazy=False
+        bundle = replace(
+            build_bundle(model, [datum("a", 3, (1,)), datum("b", 7, (1,))]),
+            compute=None,
         )
         with pytest.raises(BundleEntryMissing):
             bundle.entry(["a", "b"])
@@ -141,11 +147,10 @@ class TestRecoverBasics:
         _, primes, bundle = bundle_for_disc(-4, 10)
         assert bundle.entry(["p_2"]).is_trivial
         assert recover_norm(bundle, "p_2") == 2
-        assert not label_has_odd_norm(bundle, "p_2")
 
     def test_odd_norm_flags(self):
         _, primes, bundle = bundle_for_disc(-20, 130)
-        flags = {p.label: label_has_odd_norm(bundle, p.label) for p in primes}
+        flags = {l: n % 2 == 1 for l, n in recover_norms(bundle).items()}
         assert flags["p_2"] is False
         assert flags["p_3"] is True
         assert flags["p_11"] is True  # norm 121
@@ -166,15 +171,16 @@ class TestRecoverBasics:
 class TestSubgroupOrders:
     def test_disc_minus_20(self):
         _, _, bundle = bundle_for_disc(-20, 30)
-        assert subgroup_order_from_bundle(bundle, ["p_3"]) == 2
-        assert subgroup_order_from_bundle(bundle, ["p_29"]) == 1
-        assert subgroup_order_from_bundle(bundle, ["p_3", "p_7"]) == 2
+        odd = odd_labels(bundle)
+        assert subgroup_order_from_bundle(bundle, ["p_3"], odd) == 2
+        assert subgroup_order_from_bundle(bundle, ["p_29"], odd) == 1
+        assert subgroup_order_from_bundle(bundle, ["p_3", "p_7"], odd) == 2
 
     def test_even_norm_label_rejected(self):
         _, _, bundle = bundle_for_disc(-20, 30)
+        odd = odd_labels(bundle)
         with pytest.raises(ValueError):
-            subgroup_order_from_bundle(bundle, ["p_2"])
-        odd = frozenset(l for l, n in recover_norms(bundle).items() if n % 2)
+            subgroup_order_from_bundle(bundle, ["p_2"], odd)
         with pytest.raises(ValueError):
             subgroup_order_from_bundle(bundle, ["p_3", "p_2"], odd)
         assert subgroup_order_from_bundle(bundle, ["p_3"], odd) == 2
@@ -182,7 +188,7 @@ class TestSubgroupOrders:
     def test_empty_set_rejected(self):
         _, _, bundle = bundle_for_disc(-20, 30)
         with pytest.raises(ValueError):
-            subgroup_order_from_bundle(bundle, [])
+            subgroup_order_from_bundle(bundle, [], odd_labels(bundle))
 
 
 class TestNormRecoveryCount:
@@ -257,7 +263,7 @@ class TestGreedyChain:
 class TestReconstructClassGroup:
     def test_trivial(self):
         _, _, bundle = bundle_for_disc(-4, 10)
-        assert reconstruct_class_group(bundle).is_trivial
+        assert reconstruct_class_group(bundle, recover_norms(bundle)).is_trivial
 
     def test_disc_minus_20_with_pinned_labels(self):
         model = class_group_model(QuadraticSpec(-20))
@@ -268,7 +274,7 @@ class TestReconstructClassGroup:
             datum("p_29", 29, (0,), 29),
         ]
         bundle = build_bundle(model, primes)
-        assert reconstruct_class_group(bundle).factors == (2,)
+        assert reconstruct_class_group(bundle, recover_norms(bundle)).factors == (2,)
 
     def test_klein_four_synthetic(self):
         group = FinGenAbGroup((2, 2))
@@ -280,14 +286,14 @@ class TestReconstructClassGroup:
             datum("d", 11, (0, 0)),
         ]
         bundle = build_bundle(model, primes)
-        assert reconstruct_class_group(bundle).factors == (2, 2)
+        assert reconstruct_class_group(bundle, recover_norms(bundle)).factors == (2, 2)
 
     def test_generator_starved_raises(self):
         model = ClassGroupModel.from_group(FinGenAbGroup((4,)))
         primes = [datum("x", 3, (2,)), datum("y", 5, (0,))]
         bundle = build_bundle(model, primes)
         with pytest.raises(InsufficientGenerators):
-            reconstruct_class_group(bundle)
+            reconstruct_class_group(bundle, recover_norms(bundle))
 
     def test_shrinking_subgroup_orders_are_malformed(self):
         # <a, b> claims order 1 while <a> claims order 2: no subgroup does that
@@ -302,13 +308,13 @@ class TestReconstructClassGroup:
             },
         )
         with pytest.raises(MalformedBundle):
-            reconstruct_class_group(bundle)
+            reconstruct_class_group(bundle, recover_norms(bundle))
 
     def test_even_norm_labels_are_ignored_by_chains(self):
         model = z2_model()
         primes = [datum("e", 2, (1,)), datum("o", 3, (1,))]
         bundle = build_bundle(model, primes)
-        assert reconstruct_class_group(bundle).factors == (2,)
+        assert reconstruct_class_group(bundle, recover_norms(bundle)).factors == (2,)
 
 
 class TestZeta:
