@@ -47,6 +47,12 @@ class TestSublatticeColumns:
     def test_single_prime(self):
         assert sublattice_columns(z2_model(), [P3]) == [(1, -3), (-3, 1)]
 
+    def test_swap_scaled(self):
+        # column a is e_a - op(e_a); P3 on Z/2 acts as 3 times the swap of the two classes
+        cols = sublattice_columns(z2_model(), [P3])
+        op = tuple(tuple(int(i == a) - cols[a][i] for a in range(2)) for i in range(2))
+        assert op == ((0, 3), (3, 0))
+
     def test_trivial_class_inert(self):
         p11 = datum("p11", 121, (0,), 11)
         assert sublattice_columns(z2_model(), [p11]) == [(-120, 0), (0, -120)]
