@@ -23,7 +23,8 @@ rather than guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd, isqrt, log2
 from typing import Iterable, Sequence
 
 # Group elements are reduced coordinate tuples; use FinGenAbGroup methods to
@@ -44,6 +45,20 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def brief(value: int | Sequence[int]) -> str:
+    """An integer, or a tuple of them, as error-message text.
+
+    Integers above 256 bits are shown by their bit size: CPython refuses
+    str() of an int with more than 4300 digits, and a message must not
+    fail while it is being built.
+    """
+    if isinstance(value, int):
+        bits = value.bit_length()
+        return str(value) if bits <= 256 else f"<{bits}-bit integer>"
+    items = [brief(x) for x in value]
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
 def p_part(n: int, p: int) -> int:
@@ -290,7 +305,9 @@ class FinGenAbGroup:
         if any(x == 1 for x in self.factors):
             raise ValueError("factor 1 is not allowed in canonical form")
         if _canonical_chain(self.factors) != self.factors:
-            raise ValueError(f"factors {self.factors} are not in canonical form")
+            raise ValueError(
+                f"factors {brief(self.factors)} are not in canonical form"
+            )
 
     @classmethod
     def from_orders(cls, orders: Iterable[int]) -> FinGenAbGroup:
@@ -433,24 +450,34 @@ def cokernel_of_columns(
 
 
 def integer_nth_root(x: int, n: int) -> int | None:
-    """Exact n-th root of a non-negative integer, or None if not a power."""
+    """Exact n-th root of a non-negative integer, or None if not a power.
+
+    Newton's iteration from above, started at a floating-point estimate of
+    the root, so the cost is a few powers of x's size even when x has
+    hundreds of thousands of bits.
+    """
     if x < 0 or n < 1:
         raise ValueError("need x >= 0 and n >= 1")
     if x in (0, 1) or n == 1:
         return x
-    lo, hi = 1, 1
-    while hi**n < x:
-        lo, hi = hi, hi * 2
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        m = mid**n
-        if m == x:
-            return mid
-        if m < x:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    bits = x.bit_length()
+    if n >= bits:  # 1 < root < 2 would be needed
+        return None
+    if n == 2:
+        y = isqrt(x)
+        return y if y * y == x else None
+    shift = max(bits - 64, 0)
+    root_bits = (log2(x >> shift) + shift) / n
+    shift = max(int(root_bits) - 52, 0)
+    y = (int(2.0 ** (root_bits - shift) * (1 + 2.0**-30)) + 1) << shift
+    while y**n < x:  # only if the estimate fell short
+        y *= 2
+    while True:  # decreases to the floor of the root, then stops
+        z = ((n - 1) * y + x // y ** (n - 1)) // n
+        if z >= y:
+            break
+        y = z
+    return y if y**n == x else None
 
 
 class PrimalityLimitExceeded(Exception):
@@ -545,6 +572,18 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _residue_moduli(k: int) -> tuple[int, ...]:
+    """The three least primes q = 1 (mod 2k), for k-th power residue tests."""
+    out: list[int] = []
+    q = 1
+    while len(out) < 3:
+        q += 2 * k
+        if is_prime(q):
+            out.append(q)
+    return tuple(out)
+
+
 def _power_base(n: int) -> int:
     """Least r with n = r**k, for n with no prime factor below _TRIAL_LIMIT."""
     reduced = True
@@ -554,6 +593,10 @@ def _power_base(n: int) -> int:
         for k in _SMALL_PRIMES:
             if 9 * k >= n.bit_length():
                 break
+            # a k-th power is 0 or a k-th power residue modulo every prime q;
+            # ruling k out this way saves a root of n's size
+            if any(pow(n % q, (q - 1) // k, q) > 1 for q in _residue_moduli(k)):
+                continue
             r = integer_nth_root(n, k)
             if r is not None:
                 n, reduced = r, True

@@ -6,6 +6,9 @@ The shell stays thin: every verdict printed is the library's verdict.
 Bundle and report files are JSON.  All potentially large integers (group
 factors, norms) are serialized as decimal strings; labels in bundle files
 are opaque consecutive integers so the files carry no arithmetic hints.
+Bundle factors may run past CPython's limit on int/str conversion (4300
+digits by default); the codec converts them in chunks below that limit, so
+the interpreter-wide setting is never changed.
 
 Each file type has one validating loader (`bundle_from_json`,
 `synthetic_spec_from_json`) that turns any defect into its one-line error.
@@ -14,8 +17,9 @@ Exit codes: 0 success/pass, 1 verdict failure, malformed bundle or internal
 contradiction, 2 usage or spec error (including unreadable or non-JSON
 input files), 3 insufficient data, an integer too large for the exact
 primality test, a discriminant above `fields.MAX_DISCRIMINANT`, a prime,
-comparison or zeta bound above `fields.MAX_BOUND`, or a synthetic class
-group of order above `fields.MAX_SYNTHETIC_ORDER`.
+comparison or zeta bound above `fields.MAX_BOUND`, a synthetic class group
+of order above `fields.MAX_SYNTHETIC_ORDER`, or a quotient order above
+`lattice.MAX_QUOTIENT_BITS` bits.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import log10
 from typing import Any, Sequence
 
 from .abgroup import FinGenAbGroup, PrimalityLimitExceeded, is_prime_power
@@ -40,7 +45,7 @@ from .fields import (
     reduced_forms_of_spec,
     validate_synthetic,
 )
-from .lattice import InternalContradiction, PrimeIdealDatum
+from .lattice import MAX_QUOTIENT_BITS, InternalContradiction, PrimeIdealDatum
 from .reconstruct import (
     BundleEntryMissing,
     InsufficientGenerators,
@@ -67,6 +72,32 @@ class UnreadableInput(Exception):
 
 # -- file formats -----------------------------------------------------------
 
+# Every int/str conversion of at most 640 digits is exempt from CPython's
+# conversion limit, whatever it is set to.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+# No quotient this package writes has a longer factor.
+_MAX_FACTOR_DIGITS = int(MAX_QUOTIENT_BITS * log10(2)) + 1
+
+
+def _decimal(n: int) -> str:
+    """str(n) for a non-negative n of any size, split at powers of ten."""
+    if n < _CHUNK:
+        return str(n)
+    power, digits = _CHUNK, _CHUNK_DIGITS
+    while power * power <= n:
+        power, digits = power * power, 2 * digits
+    high, low = divmod(n, power)
+    return _decimal(high) + _decimal(low).zfill(digits)
+
+
+def _from_decimal(text: str) -> int:
+    """int(text) for a string of ASCII digits of any length."""
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text)
+    half = len(text) // 2
+    return _from_decimal(text[:-half]) * 10**half + _from_decimal(text[-half:])
+
 
 def bundle_to_json(bundle: InvariantBundle) -> dict[str, Any]:
     """Serialize known entries with labels replaced by opaque integers."""
@@ -74,7 +105,7 @@ def bundle_to_json(bundle: InvariantBundle) -> dict[str, Any]:
     entries = [
         {
             "labels": sorted(ids[l] for l in key),
-            "factors": [str(x) for x in group.factors],
+            "factors": [_decimal(x) for x in group.factors],
         }
         for key, group in bundle.entries.items()
     ]
@@ -101,6 +132,22 @@ def _json_int(value: Any, what: str, error: type[Exception]) -> int:
         except ValueError:
             pass
     raise error(f"{what} must be an integer, got {value!r:.40}")
+
+
+def _json_factor(value: Any) -> int:
+    """A bundle factor, as `_json_int` reads it, or a digit string of any length.
+
+    A digit string longer than any quotient order below `MAX_QUOTIENT_BITS`
+    raises LimitExceeded before it is converted.
+    """
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        if len(value) > _MAX_FACTOR_DIGITS:
+            raise LimitExceeded(
+                f"a factor of {len(value)} digits exceeds the limit of "
+                f"{MAX_QUOTIENT_BITS} bits on quotient orders"
+            )
+        return _from_decimal(value)
+    return _json_int(value, "a factor", MalformedBundle)
 
 
 def _json_list(value: Any, what: str, error: type[Exception]) -> list[Any]:
@@ -131,7 +178,7 @@ def bundle_from_json(doc: Any) -> InvariantBundle:
             raise MalformedBundle("every entry must be a JSON object")
         key = frozenset(_json_label_ids(item.get("labels"), "entry labels"))
         factors = tuple(
-            _json_int(x, "a factor", MalformedBundle)
+            _json_factor(x)
             for x in _json_list(item.get("factors"), "entry factors", MalformedBundle)
         )
         try:

@@ -30,6 +30,7 @@ from math import gcd, isqrt
 from .abgroup import (
     FinGenAbGroup,
     GroupElement,
+    brief,
     cokernel_of_columns,
     factorize,
     is_prime,
@@ -38,7 +39,12 @@ from .abgroup import (
     subgroup_index,
     xgcd,
 )
-from .lattice import ClassGroupModel, InternalContradiction, PrimeIdealDatum
+from .lattice import (
+    ClassGroupModel,
+    InternalContradiction,
+    LimitExceeded,
+    PrimeIdealDatum,
+)
 
 
 # Every quadratic spec enumerates its reduced forms, about |D|/3 loop steps:
@@ -55,6 +61,9 @@ MAX_BOUND = 10**7
 # order); a larger order is refused before any enumeration.
 MAX_SYNTHETIC_ORDER = 10**5
 
+# The fourth limit, on the bit size of a quotient order, is
+# `lattice.MAX_QUOTIENT_BITS`, checked where quotients are computed.
+
 
 class InvalidDiscriminant(ValueError):
     """Discriminant is not negative and fundamental."""
@@ -64,16 +73,12 @@ class DiscriminantTooLarge(Exception):
     """|D| exceeds MAX_DISCRIMINANT, beyond which form enumeration is refused."""
 
 
-class LimitExceeded(Exception):
-    """A bound exceeds MAX_BOUND, or a synthetic group MAX_SYNTHETIC_ORDER."""
-
-
 def check_bound(bound: int, what: str) -> None:
     """Refuse a bound above MAX_BOUND before anything is allocated."""
     if bound > MAX_BOUND:
         raise LimitExceeded(
-            f"{what} {bound} exceeds the limit {MAX_BOUND}: it allocates one "
-            "slot per integer up to the bound"
+            f"{what} {brief(bound)} exceeds the limit {MAX_BOUND}: it allocates "
+            "one slot per integer up to the bound"
         )
 
 

@@ -7,30 +7,53 @@ a finite set F of prime data, the columns of (I - op_p) over p in F span a
 finite-index sublattice; the quotient is the invariant this package studies
 and later reconstructs from.
 
-`quotient_group` is the one seam that produces quotients.  It serves the
-sets reconstruction asks for from closed forms: the empty set is free, one
-prime is `singleton_quotient`, and odd-norm sets follow an induction over F
-that reduces every step to the cokernel of a cycle endomorphism
-(`predicted_quotient`, `cycle_cokernel`).  Any other set, such as a
-mixed-parity one, goes to the brute-force cokernel `lattice_quotient`, a
-Smith normal form (SNF).  SNF is also the independent route that tests hold
-the closed forms to, in exact agreement; the multiplier relations a
-prediction asserts are checked against the raw sublattice by the reference
-code in `oracle`.
+`quotient_group` is the one seam that produces quotients, and one formula
+serves every set F, whatever the parities of its norms.  Let H be the
+subgroup generated by the classes [p], p in F.  The quotient is Z[Cl]
+modulo the ideal generated by the 1 - N(p)[p]; Z[Cl] is free over Z[H] on
+coset representatives, and Z[H] modulo that ideal is cyclic.  So the
+quotient is [Cl : H] copies of Z/m, where m is the largest modulus on which
+[p] -> N(p)^-1 is a character of H.  The index and the relations among the
+[p] come from one Smith normal form (SNF) with at most log2 #Cl rows, and
+no group element is enumerated.  Two independent routes certify the
+formula in the tests: the brute-force SNF of the whole sublattice,
+`lattice_quotient`, and the paper's induction over F in `oracle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm, log2
 
-from .abgroup import FinGenAbGroup, GroupElement, cokernel_of_columns
+from .abgroup import (
+    FinGenAbGroup,
+    GroupElement,
+    IntMatrix,
+    brief,
+    cokernel_of_columns,
+    smith_normal_form,
+)
+
+# A quotient of F needs N(p)**ord[p] - 1 for every p in F, an integer of
+# about ord[p] * log2 N(p) bits.  Its decimal form is quadratic in that size
+# (about 0.1 s at this limit in CPython 3.11), and it goes into the bundle
+# file once per coset.  A set above the limit is refused before any power.
+MAX_QUOTIENT_BITS = 2**18
 
 
 class InternalContradiction(Exception):
     """Raised when a structural invariant that should always hold fails.
 
     Seeing this means a bug in this package, not bad input data.
+    """
+
+
+class LimitExceeded(Exception):
+    """An input is above one of the documented size limits.
+
+    The limits are `MAX_QUOTIENT_BITS` here and `MAX_DISCRIMINANT`,
+    `MAX_BOUND` and `MAX_SYNTHETIC_ORDER` in `fields`; each is checked
+    before the work it bounds starts.
     """
 
 
@@ -153,177 +176,67 @@ def lattice_quotient(
     return cokernel_of_columns(cl.size, sublattice_columns(cl, primes))
 
 
-def cycle_cokernel(norms: list[int] | tuple[int, ...], modulus: int) -> tuple[int, tuple[int, ...]]:
-    """Cokernel data of the cycle endomorphism e_i -> e_i - N_i * e_{i+1}.
-
-    On a direct sum of n copies of Z/modulus (modulus 0 meaning Z), the
-    endomorphism with matrix I minus the weighted cyclic shift has cyclic
-    cokernel of order gcd(N_1 * ... * N_n - 1, modulus), generated by the
-    image of e_n.  Chasing the relations e_i = N_i * e_{i+1} down to e_n
-    shows the image of e_i is (N_i * N_{i+1} * ... * N_{n-1}) times that
-    generator (the empty product for i = n).
-
-    Returns (order, coeffs) where coeffs[i-1] is the coefficient of e_i's
-    image, reduced modulo the order when it is nonzero.
-    """
-    if not norms:
-        raise ValueError("at least one cycle factor is required")
-    if any(n < 1 for n in norms):
-        raise ValueError("cycle factors must be positive")
-    if modulus < 0:
-        raise ValueError("modulus must be non-negative")
-    prod = 1
-    for n in norms:
-        prod *= n
-    order = gcd(prod - 1, modulus)
-    coeffs = [1 % order if order else 1]  # slot n carries the empty product
-    acc = 1
-    for n in reversed(norms[:-1]):  # build suffix products N_i ... N_{n-1}
-        acc *= n
-        coeffs.append(acc % order if order else acc)
-    coeffs.reverse()
-    return order, tuple(coeffs)
-
-
-def singleton_quotient(cl: ClassGroupModel, p: PrimeIdealDatum) -> FinGenAbGroup:
-    """Closed form for a one-prime quotient (any norm, even or odd).
-
-    The quotient is [Cl : <[p]>] copies of Z/(N(p)**ord([p]) - 1).
-    """
-    c = cl.index_of(p.cls)
-    orbit = cl.subgroup_closure((c,))
-    ord_c = len(orbit)
-    copies = cl.size // ord_c
-    d = p.norm**ord_c - 1
-    return FinGenAbGroup.from_orders([d] * copies)
-
-
-@dataclass(frozen=True)
-class PredictedQuotient:
-    """Shape of a quotient as produced by the inductive prediction.
-
-    The quotient is `coset_count` copies of Z/exponent (exponent 0 meaning
-    Z), with one basis image per coset representative.  `multipliers` maps
-    every class index to (position of its representative in `reps`, odd
-    multiplier m) such that the image of the class's basis vector is m times
-    the representative's image.
-    """
-
-    exponent: int
-    reps: tuple[int, ...]
-    multipliers: dict[int, tuple[int, int]]
-
-    @property
-    def coset_count(self) -> int:
-        return len(self.reps)
-
-
-def predicted_quotient(
-    cl: ClassGroupModel, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
-) -> PredictedQuotient:
-    """Predict the quotient shape by induction over the primes in F.
-
-    Every prime must have odd norm.  At each step the cosets of the current
-    subgroup are permuted by the new ideal class; each orbit contributes a
-    cycle endomorphism whose cokernel `cycle_cokernel` resolves.  All orbits
-    must agree on the resulting order; disagreement is a bug, not a data
-    error, and raises InternalContradiction.
-    """
-    for p in primes:
-        if not p.has_odd_norm:
-            raise ValueError(
-                f"prime {p.label} has even norm {p.norm}; "
-                "the inductive prediction requires odd norms"
-            )
-    n_cl = cl.size
-    exponent = 0
-    rep_of = {a: a for a in range(n_cl)}  # class index -> its coset representative
-    mult = {a: 1 for a in range(n_cl)}  # image of e_a = mult[a] * image of e_rep
-    cosets = {a: [a] for a in range(n_cl)}  # representative -> classes of its coset
-
-    for p in primes:
-        c = cl.index_of(p.cls)
-        reps = sorted(cosets)
-        shifted = {r: cl.add(r, c) for r in reps}
-        # Orbits of the translation by c on the coset representatives.
-        send = {r: rep_of[shifted[r]] for r in reps}
-        merged: dict[int, list[int]] = {}  # new representative -> classes of its coset
-        seen: set[int] = set()
-        new_exponent: int | None = None
-        updates: dict[int, tuple[int, int]] = {}  # class -> (new rep, new multiplier)
-        for start in reps:
-            if start in seen:
-                continue
-            orbit = [start]
-            r = send[start]
-            while r != start:
-                orbit.append(r)
-                r = send[r]
-            rep_star = min(orbit)
-            # Cycle slots 1..n: slot k holds the rep reached from rep_star
-            # by k translations; slot n is rep_star itself.
-            slots = []
-            r = rep_star
-            for _ in range(len(orbit)):
-                r = send[r]
-                slots.append(r)
-            if slots[-1] != rep_star:
-                raise InternalContradiction("coset translation orbit did not close")
-            cycle_factors = [p.norm * mult[shifted[a_k]] for a_k in slots]
-            order, coeffs = cycle_cokernel(cycle_factors, exponent)
-            if new_exponent is None:
-                new_exponent = order
-            elif new_exponent != order:
-                raise InternalContradiction(
-                    f"orbits disagree on the quotient order: {new_exponent} vs {order}"
-                )
-            seen.update(orbit)
-            merged[rep_star] = []
-            for k, old_rep in enumerate(slots):
-                for a in cosets[old_rep]:
-                    updates[a] = (rep_star, mult[a] * coeffs[k])
-                merged[rep_star] += cosets[old_rep]
-        assert new_exponent is not None
-        exponent = new_exponent
-        for a, (r_a, m_a) in updates.items():
-            rep_of[a] = r_a
-            mult[a] = m_a % exponent if exponent else m_a
-        cosets = merged
-
-    subgroup = cl.subgroup_closure(tuple({cl.index_of(p.cls) for p in primes}))
-    reps = tuple(sorted(set(rep_of.values())))
-    if len(reps) * len(subgroup) != n_cl:
-        raise InternalContradiction("coset count does not match subgroup order")
-    if primes:
-        if exponent <= 0 or exponent % 2:
-            raise InternalContradiction(f"quotient order {exponent} not even positive")
-        if any(m % 2 == 0 for m in mult.values()):
-            raise InternalContradiction("even multiplier in an odd-norm prediction")
-    rep_pos = {r: i for i, r in enumerate(reps)}
-    multipliers = {a: (rep_pos[rep_of[a]], mult[a]) for a in range(n_cl)}
-    return PredictedQuotient(exponent=exponent, reps=reps, multipliers=multipliers)
-
-
-def predicted_group(pred: PredictedQuotient) -> FinGenAbGroup:
-    """Quotient group described by a prediction, in canonical form."""
-    return FinGenAbGroup.from_orders([pred.exponent] * pred.coset_count)
-
-
 def quotient_group(
     cl: ClassGroupModel, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
 ) -> FinGenAbGroup:
-    """The quotient attached to F, by a closed form wherever one applies.
+    """The quotient attached to F: [Cl : H] copies of Z/m, for every F.
 
-    The route depends only on F: the empty set gives the free group of rank
-    #Cl, one prime (of any norm) `singleton_quotient`, and a set of odd
-    norms `predicted_quotient`.  Any other set, one that mixes an even norm
-    with other primes, falls back to the brute-force `lattice_quotient`.
+    The empty set gives the free group of rank #Cl.  Otherwise, with d_i
+    the invariant factors and x the coordinates of a class, ord[p] is the
+    lcm of d_i / gcd(d_i, x_i).  One SNF of the matrix [class coordinates |
+    diag(d_i)] gives the index [Cl : H] as the product of its diagonal and
+    a basis of the relations {k : sum k_p [p] = 0} as the kernel columns of
+    V; one prime needs no SNF, since its relations are the multiples of
+    ord[p].  Then m = gcd(N(p)**ord[p] - 1 over p, prod N(p)**k_p - 1 over
+    the relations k), with every exponent reduced modulo ord[p] and every
+    power taken modulo the running gcd.  A set whose N(p)**ord[p] would
+    exceed MAX_QUOTIENT_BITS raises LimitExceeded before any power is taken.
+
+    >>> z4 = ClassGroupModel.from_group(FinGenAbGroup((4,)))
+    >>> p = PrimeIdealDatum(label="p", norm=2, cls=(2,), residue_char=2)
+    >>> q = PrimeIdealDatum(label="q", norm=3, cls=(1,), residue_char=3)
+    >>> str(quotient_group(z4, [p])), str(quotient_group(z4, [p, q]))
+    ('Z/3 x Z/3', 'trivial')
     """
     if not primes:
         return FinGenAbGroup.free(cl.size)
-    if len(primes) == 1:
-        return singleton_quotient(cl, primes[0])
-    if all(p.has_odd_norm for p in primes):
-        return predicted_group(predicted_quotient(cl, primes))
-    return lattice_quotient(cl, primes)[0]
-
+    factors = cl.group.factors
+    coords = [cl.group.element(p.cls) for p in primes]
+    orders = [lcm(*(d // gcd(d, x) for d, x in zip(factors, c))) for c in coords]
+    for p, o in zip(primes, orders):
+        bits = o * log2(p.norm)
+        if bits > MAX_QUOTIENT_BITS:
+            raise LimitExceeded(
+                f"the quotient for {p.label} needs {p.norm}**{o} - 1, about "
+                f"{bits:.0f} bits, above the limit {MAX_QUOTIENT_BITS} bits"
+            )
+    index, relations = 1, []
+    if len(primes) == 1:  # the relations are the multiples of ord[p]
+        index = cl.size // orders[0]
+    elif factors:
+        r = len(factors)
+        diag = [[d if i == j else 0 for i in range(r)] for j, d in enumerate(factors)]
+        s, _, v = smith_normal_form(IntMatrix.from_columns(coords + diag))
+        pivots = [d for d in s.diagonal() if d]
+        if len(pivots) != r:
+            raise InternalContradiction(
+                f"relation matrix of {factors} has rank {len(pivots)}, not {r}"
+            )
+        for d in pivots:
+            index *= d
+        relations = [v.column(j)[: len(primes)] for j in range(r, v.ncols)]
+    if cl.size % index:
+        raise InternalContradiction(f"subgroup index {index} does not divide {cl.size}")
+    m = 0
+    for p, o in zip(primes, orders):
+        m = gcd(m, p.norm**o - 1)
+    for k in relations:
+        x = 1
+        for p, o, e in zip(primes, orders, k):
+            x = x * pow(p.norm, e % o, m) % m
+        m = gcd(m, x - 1)
+    if all(p.has_odd_norm for p in primes) and (m <= 0 or m % 2):
+        raise InternalContradiction(
+            f"quotient order {brief(m)} of an odd-norm set is not even positive"
+        )
+    return FinGenAbGroup.from_orders([m] * index)

@@ -1,9 +1,15 @@
 """Naive reference implementations used to certify the fast paths.
 
-Everything here is deliberately simple and bounded: coset enumeration in a
-box, exhaustive subgroup closure, exhaustive search for represented primes.
-The guards are hard limits, not heuristics: an oracle that refuses to answer
-is more trustworthy than one that silently takes shortcuts.
+The paper's induction over F (`predicted_quotient` over `cycle_cokernel`,
+with the one-prime case `singleton_quotient`) lives here as a second
+route to the quotients, independent of the formula in
+`lattice.quotient_group` and of Smith normal form.
+
+Everything else here is deliberately simple and bounded: coset enumeration
+in a box, exhaustive subgroup closure, exhaustive search for represented
+primes.  The guards are hard limits, not heuristics: an oracle that
+refuses to answer is more trustworthy than one that silently takes
+shortcuts.
 
 None of this code shares machinery with the Smith normal form it validates;
 lattice questions, including the multiplier relations a quotient prediction
@@ -22,7 +28,7 @@ from .abgroup import FinGenAbGroup, GroupElement, IntMatrix, factorize
 from .fields import QuadraticForm, reduced_forms
 from .lattice import (
     ClassGroupModel,
-    PredictedQuotient,
+    InternalContradiction,
     PrimeIdealDatum,
     sublattice_columns,
 )
@@ -108,6 +114,162 @@ def naive_member(columns: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
     for c in columns:
         basis.insert(c)
     return not any(basis.reduce(v))
+
+
+def cycle_cokernel(norms: list[int] | tuple[int, ...], modulus: int) -> tuple[int, tuple[int, ...]]:
+    """Cokernel data of the cycle endomorphism e_i -> e_i - N_i * e_{i+1}.
+
+    On a direct sum of n copies of Z/modulus (modulus 0 meaning Z), the
+    endomorphism with matrix I minus the weighted cyclic shift has cyclic
+    cokernel of order gcd(N_1 * ... * N_n - 1, modulus), generated by the
+    image of e_n.  Chasing the relations e_i = N_i * e_{i+1} down to e_n
+    shows the image of e_i is (N_i * N_{i+1} * ... * N_{n-1}) times that
+    generator (the empty product for i = n).
+
+    Returns (order, coeffs) where coeffs[i-1] is the coefficient of e_i's
+    image, reduced modulo the order when it is nonzero.
+    """
+    if not norms:
+        raise ValueError("at least one cycle factor is required")
+    if any(n < 1 for n in norms):
+        raise ValueError("cycle factors must be positive")
+    if modulus < 0:
+        raise ValueError("modulus must be non-negative")
+    prod = 1
+    for n in norms:
+        prod *= n
+    order = gcd(prod - 1, modulus)
+    coeffs = [1 % order if order else 1]  # slot n carries the empty product
+    acc = 1
+    for n in reversed(norms[:-1]):  # build suffix products N_i ... N_{n-1}
+        acc *= n
+        coeffs.append(acc % order if order else acc)
+    coeffs.reverse()
+    return order, tuple(coeffs)
+
+
+def singleton_quotient(cl: ClassGroupModel, p: PrimeIdealDatum) -> FinGenAbGroup:
+    """Closed form for a one-prime quotient (any norm, even or odd).
+
+    The quotient is [Cl : <[p]>] copies of Z/(N(p)**ord([p]) - 1).
+    """
+    c = cl.index_of(p.cls)
+    orbit = cl.subgroup_closure((c,))
+    ord_c = len(orbit)
+    copies = cl.size // ord_c
+    d = p.norm**ord_c - 1
+    return FinGenAbGroup.from_orders([d] * copies)
+
+
+@dataclass(frozen=True)
+class PredictedQuotient:
+    """Shape of a quotient as produced by the inductive prediction.
+
+    The quotient is `coset_count` copies of Z/exponent (exponent 0 meaning
+    Z), with one basis image per coset representative.  `multipliers` maps
+    every class index to (position of its representative in `reps`, odd
+    multiplier m) such that the image of the class's basis vector is m times
+    the representative's image.
+    """
+
+    exponent: int
+    reps: tuple[int, ...]
+    multipliers: dict[int, tuple[int, int]]
+
+    @property
+    def coset_count(self) -> int:
+        return len(self.reps)
+
+
+def predicted_quotient(
+    cl: ClassGroupModel, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
+) -> PredictedQuotient:
+    """Predict the quotient shape by induction over the primes in F.
+
+    Every prime must have odd norm.  At each step the cosets of the current
+    subgroup are permuted by the new ideal class; each orbit contributes a
+    cycle endomorphism whose cokernel `cycle_cokernel` resolves.  All orbits
+    must agree on the resulting order; disagreement is a bug, not a data
+    error, and raises InternalContradiction.
+    """
+    for p in primes:
+        if not p.has_odd_norm:
+            raise ValueError(
+                f"prime {p.label} has even norm {p.norm}; "
+                "the inductive prediction requires odd norms"
+            )
+    n_cl = cl.size
+    exponent = 0
+    rep_of = {a: a for a in range(n_cl)}  # class index -> its coset representative
+    mult = {a: 1 for a in range(n_cl)}  # image of e_a = mult[a] * image of e_rep
+    cosets = {a: [a] for a in range(n_cl)}  # representative -> classes of its coset
+
+    for p in primes:
+        c = cl.index_of(p.cls)
+        reps = sorted(cosets)
+        shifted = {r: cl.add(r, c) for r in reps}
+        # Orbits of the translation by c on the coset representatives.
+        send = {r: rep_of[shifted[r]] for r in reps}
+        merged: dict[int, list[int]] = {}  # new representative -> classes of its coset
+        seen: set[int] = set()
+        new_exponent: int | None = None
+        updates: dict[int, tuple[int, int]] = {}  # class -> (new rep, new multiplier)
+        for start in reps:
+            if start in seen:
+                continue
+            orbit = [start]
+            r = send[start]
+            while r != start:
+                orbit.append(r)
+                r = send[r]
+            rep_star = min(orbit)
+            # Cycle slots 1..n: slot k holds the rep reached from rep_star
+            # by k translations; slot n is rep_star itself.
+            slots = []
+            r = rep_star
+            for _ in range(len(orbit)):
+                r = send[r]
+                slots.append(r)
+            if slots[-1] != rep_star:
+                raise InternalContradiction("coset translation orbit did not close")
+            cycle_factors = [p.norm * mult[shifted[a_k]] for a_k in slots]
+            order, coeffs = cycle_cokernel(cycle_factors, exponent)
+            if new_exponent is None:
+                new_exponent = order
+            elif new_exponent != order:
+                raise InternalContradiction(
+                    f"orbits disagree on the quotient order: {new_exponent} vs {order}"
+                )
+            seen.update(orbit)
+            merged[rep_star] = []
+            for k, old_rep in enumerate(slots):
+                for a in cosets[old_rep]:
+                    updates[a] = (rep_star, mult[a] * coeffs[k])
+                merged[rep_star] += cosets[old_rep]
+        assert new_exponent is not None
+        exponent = new_exponent
+        for a, (r_a, m_a) in updates.items():
+            rep_of[a] = r_a
+            mult[a] = m_a % exponent if exponent else m_a
+        cosets = merged
+
+    subgroup = cl.subgroup_closure(tuple({cl.index_of(p.cls) for p in primes}))
+    reps = tuple(sorted(set(rep_of.values())))
+    if len(reps) * len(subgroup) != n_cl:
+        raise InternalContradiction("coset count does not match subgroup order")
+    if primes:
+        if exponent <= 0 or exponent % 2:
+            raise InternalContradiction(f"quotient order {exponent} not even positive")
+        if any(m % 2 == 0 for m in mult.values()):
+            raise InternalContradiction("even multiplier in an odd-norm prediction")
+    rep_pos = {r: i for i, r in enumerate(reps)}
+    multipliers = {a: (rep_pos[rep_of[a]], mult[a]) for a in range(n_cl)}
+    return PredictedQuotient(exponent=exponent, reps=reps, multipliers=multipliers)
+
+
+def predicted_group(pred: PredictedQuotient) -> FinGenAbGroup:
+    """Quotient group described by a prediction, in canonical form."""
+    return FinGenAbGroup.from_orders([pred.exponent] * pred.coset_count)
 
 
 def predicted_relation_failures(

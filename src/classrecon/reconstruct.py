@@ -22,11 +22,13 @@ from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .abgroup import (
     FinGenAbGroup,
+    brief,
     factorize,
     integer_nth_root,
     is_prime_power,
     iso_equal,
     p_part,
+    subgroup_index,
 )
 from .fields import FieldSpec, check_bound, class_group_model, enumerate_prime_ideals
 from .lattice import ClassGroupModel, PrimeIdealDatum, quotient_group
@@ -90,12 +92,13 @@ def build_bundle(
 ) -> InvariantBundle:
     """Evaluate quotients through `quotient_group` and erase all annotations.
 
-    Closed forms produce the empty set, the singletons and the odd-norm
-    sets the reconstruction asks for; only `subsets` of two or more primes
-    with an even norm among them fall back to Smith normal form.  The empty
-    set and every singleton are always included.  Later requests for other
-    subsets are served on demand (and memoized); the ground truth stays
-    enclosed in the supplier and is never exposed.
+    One closed formula produces every entry: the empty set, the singletons,
+    the odd-norm sets the reconstruction asks for and the `subsets` given,
+    whatever their parities.  The empty set and every singleton are always
+    included.  Later requests for other subsets are served on demand (and
+    memoized); the ground truth stays enclosed in the supplier and is never
+    exposed.  Smith normal form of the whole sublattice and the induction
+    in `oracle` only certify these entries in the tests.
     """
     labels = tuple(p.label for p in primes)
     if len(set(labels)) != len(labels):
@@ -129,20 +132,21 @@ def recover_class_number(bundle: InvariantBundle) -> int:
     empty = bundle.entry(())
     if len(empty.factors) != bundle.rank or any(empty.factors):
         raise MalformedBundle(
-            f"empty-set entry {empty.factors} is not free of rank {bundle.rank}"
+            f"empty-set entry {brief(empty.factors)} is not free of rank "
+            f"{bundle.rank}"
         )
     return bundle.rank
 
 
-def recover_norm(bundle: InvariantBundle, label: str) -> int:
+def recover_norm(bundle: InvariantBundle, label: str, h: int) -> int:
     """Invert the one-prime closed form: read N off the singleton entry.
 
     A singleton entry is s copies of Z/t with s * ord = class number and
     t + 1 = N**ord; the exact ord-th root gives N, which must be a prime
     power.  A trivial entry forces N**ord = 2, hence N = 2.  Anything else
-    is not arithmetic data.
+    is not arithmetic data.  `h` is the class number, validated once by
+    `recover_class_number`.
     """
-    h = recover_class_number(bundle)
     entry = bundle.entry((label,))
     if not entry.is_finite:
         raise MalformedBundle(f"singleton entry for {label} has free summands")
@@ -151,7 +155,8 @@ def recover_norm(bundle: InvariantBundle, label: str) -> int:
     values = set(entry.factors)
     if len(values) != 1:
         raise MalformedBundle(
-            f"singleton entry for {label} is not homogeneous: {entry.factors}"
+            f"singleton entry for {label} is not homogeneous: "
+            f"{brief(entry.factors)}"
         )
     t = entry.factors[0]
     s = len(entry.factors)
@@ -163,28 +168,32 @@ def recover_norm(bundle: InvariantBundle, label: str) -> int:
     n = integer_nth_root(t + 1, ord_p)
     if n is None:
         raise MalformedBundle(
-            f"torsion {t} + 1 for {label} is not a perfect {ord_p}-th power"
+            f"torsion {brief(t)} + 1 for {label} is not a perfect {ord_p}-th power"
         )
     if not is_prime_power(n):
-        raise MalformedBundle(f"recovered norm {n} for {label} is not a prime power")
+        raise MalformedBundle(
+            f"recovered norm {brief(n)} for {label} is not a prime power"
+        )
     return n
 
 
-def recover_norms(bundle: InvariantBundle) -> dict[str, int]:
-    """The norm behind every label, each recovered once."""
-    return {label: recover_norm(bundle, label) for label in bundle.labels}
+def recover_norms(bundle: InvariantBundle, h: int) -> dict[str, int]:
+    """The norm behind every label, each recovered once; `h` as in `recover_norm`."""
+    return {label: recover_norm(bundle, label, h) for label in bundle.labels}
 
 
 def subgroup_order_from_bundle(
     bundle: InvariantBundle,
     labels: Iterable[str],
     odd_labels: AbstractSet[str],
+    h: int,
 ) -> int:
     """Order of the subgroup generated by the classes behind odd-norm labels.
 
     The entry for F is homogeneous with one summand per coset, so the
     summand count is the subgroup index; dividing the class number gives
-    the subgroup order.  `odd_labels` are the labels of odd recovered norm.
+    the subgroup order.  `odd_labels` are the labels of odd recovered norm,
+    and `h` the class number from `recover_class_number`.
     """
     key = tuple(labels)
     if not key:
@@ -192,11 +201,11 @@ def subgroup_order_from_bundle(
     for label in key:
         if label not in odd_labels:
             raise ValueError(f"label {label} has even norm; not allowed in chains")
-    h = recover_class_number(bundle)
     entry = bundle.entry(key)
     if not entry.is_finite or entry.is_trivial or len(set(entry.factors)) != 1:
         raise MalformedBundle(
-            f"entry for {sorted(key)} is not homogeneous torsion: {entry.factors}"
+            f"entry for {sorted(key)} is not homogeneous torsion: "
+            f"{brief(entry.factors)}"
         )
     s = len(entry.factors)
     if h % s:
@@ -257,7 +266,7 @@ def greedy_primary_factors(
 
 
 def reconstruct_class_group(
-    bundle: InvariantBundle, norms: Mapping[str, int]
+    bundle: InvariantBundle, norms: Mapping[str, int], h: int
 ) -> FinGenAbGroup:
     """Isomorphism type of the class group, from the bundle alone.
 
@@ -265,16 +274,16 @@ def reconstruct_class_group(
     the odd-norm labels, then audits completeness: the recovered orders
     must multiply to the class number, else the label set cannot exhibit
     the whole group and InsufficientGenerators is raised.  `norms` are the
-    recovered label norms (`recover_norms`).
+    recovered label norms (`recover_norms`), and `h` the class number from
+    `recover_class_number`.
     """
-    h = recover_class_number(bundle)
     if h == 1:
         return FinGenAbGroup.trivial()
     odd_labels = [l for l in bundle.labels if norms[l] % 2 == 1]
     odd = frozenset(odd_labels)
 
     def subgroup_order(key: tuple[str, ...]) -> int:
-        return subgroup_order_from_bundle(bundle, key, odd)
+        return subgroup_order_from_bundle(bundle, key, odd, h)
 
     cyclic_orders: list[int] = []
     total = 1
@@ -369,14 +378,15 @@ def reconstruct_all(
 
     The zeta coefficients run up to `zeta_bound`, by default the largest
     recovered norm; a bound above `fields.MAX_BOUND` raises LimitExceeded
-    before the group is reconstructed.  Every norm is recovered once.
+    before the group is reconstructed.  The class number is validated once
+    and every norm is recovered once.
     """
     h = recover_class_number(bundle)
-    norms = recover_norms(bundle)
+    norms = recover_norms(bundle, h)
     if zeta_bound is None:
         zeta_bound = max(norms.values(), default=1)
     check_bound(zeta_bound, "zeta bound")
-    group = reconstruct_class_group(bundle, norms)
+    group = reconstruct_class_group(bundle, norms, h)
     zeta = zeta_data(norms.values(), zeta_bound)
     if group.order() != h:
         raise MalformedBundle("recovered group order disagrees with the rank")
@@ -396,8 +406,8 @@ def roundtrip(
     genuine fields that always holds once enough primes are supplied, so
     failure carries guidance to raise the norm bound.
     """
-    odd = [cl.index_of(p.cls) for p in primes if p.has_odd_norm]
-    if len(cl.subgroup_closure(tuple(odd))) != cl.size:
+    odd = [cl.group.element(p.cls) for p in primes if p.has_odd_norm]
+    if subgroup_index(cl.group, odd) != 1:
         raise InsufficientGenerators(
             "the odd-norm primes supplied do not generate the class group; "
             "raise the prime norm bound"

@@ -277,6 +277,23 @@ def test_integer_nth_root():
     assert integer_nth_root(1, 7) == 1
 
 
+@settings(deadline=None)
+@given(st.integers(2, 2**200), st.integers(2, 300))
+def test_integer_nth_root_of_powers_and_neighbours(root, n):
+    x = root**n
+    assert integer_nth_root(x, n) == root
+    assert integer_nth_root(x - 1, n) is None
+    assert integer_nth_root(x + 1, n) is None
+
+
+def test_integer_nth_root_of_a_large_square_is_fast():
+    root = 3**40000 + 2  # about 63 000 bits
+    start = time.monotonic()
+    assert integer_nth_root(root * root, 2) == root
+    assert integer_nth_root(root**3 + 1, 3) is None
+    assert time.monotonic() - start < 2
+
+
 def test_matrix_basics():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert a.column(1) == (2, 4)
@@ -392,4 +409,16 @@ class TestIntegerHelpers:
         assert not is_prime(3 * mersenne_89)
         assert not is_prime(mersenne_89**2)
         assert not is_prime_power(2 * mersenne_89)
+
+    def test_large_integer_without_small_factors_is_refused_fast(self):
+        # Power residues rule out almost every exponent before a root is
+        # taken, so a 65 000-bit input costs milliseconds, not minutes.
+        n = 2**65536 + 1
+        while any(n % p == 0 for p in sympy.primerange(2, 1000)):
+            n += 2
+        start = time.monotonic()
+        with pytest.raises(PrimalityLimitExceeded):
+            is_prime_power(n)
+        assert is_prime_power(1009**3000)  # the residue tests pass true powers
+        assert time.monotonic() - start < 2
 

@@ -26,17 +26,17 @@ from classrecon.fields import (
 )
 from classrecon.lattice import (
     ClassGroupModel,
-    cycle_cokernel,
     lattice_quotient,
-    predicted_group,
-    predicted_quotient,
-    singleton_quotient,
     sublattice_columns,
 )
 from classrecon.oracle import (
+    cycle_cokernel,
     naive_member,
+    predicted_group,
+    predicted_quotient,
     predicted_relation_failures,
     primary_decomposition,
+    singleton_quotient,
 )
 from classrecon.reconstruct import (
     InsufficientGenerators,
@@ -46,6 +46,7 @@ from classrecon.reconstruct import (
     compare_fields,
     greedy_primary_factors,
     reconstruct_all,
+    recover_class_number,
     recover_norm,
     roundtrip,
     zeta_coefficients,
@@ -310,7 +311,8 @@ def test_criterion_7_zeta_truncation_to_200():
         model = class_group_model(spec)
         primes = enumerate_prime_ideals(spec, bound)
         bundle = build_bundle(model, primes)
-        recovered = [recover_norm(bundle, p.label) for p in primes]
+        h = recover_class_number(bundle)
+        recovered = [recover_norm(bundle, p.label, h) for p in primes]
         direct = zeta_coefficients([p.norm for p in primes], bound)
         assert zeta_coefficients(recovered, bound) == direct
         for n in range(1, bound + 1):
@@ -348,7 +350,7 @@ def test_criterion_9_negative_paths():
     bundle = replace(build_bundle(model, primes), compute=None)
     bundle.entries[frozenset({"p_3"})] = FinGenAbGroup((7,))
     with pytest.raises(MalformedBundle):
-        recover_norm(bundle, "p_3")
+        recover_norm(bundle, "p_3", recover_class_number(bundle))
     with pytest.raises(MalformedBundle):
         reconstruct_all(bundle)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classrecon
-from classrecon import fields, reconstruct
+from classrecon import cli, fields, lattice, reconstruct
 from classrecon.cli import (
     EXIT_FAIL,
     EXIT_INSUFFICIENT,
@@ -233,6 +233,118 @@ class TestSizeLimits:
         assert captured.out == ""
         assert captured.err.startswith("error: prime norm bound ")
         assert captured.err.count("\n") == 1
+
+
+# Z/2000 with generating norms 149 and 151: each singleton order
+# N**2000 - 1 has about 14 400 bits, more than 4300 decimal digits.
+LONG_FACTOR_DOC = {
+    "invariant_factors": ["2000"],
+    "primes": [
+        {"label": "s0", "norm": "149", "class": [1], "residue_char": "149"},
+        {"label": "s1", "norm": "151", "class": [3], "residue_char": "151"},
+    ],
+}
+
+# Z/12000 with the prime norm 9999991 of order 12000: about 279 000 bits.
+OVERSIZED_QUOTIENT_DOC = {
+    "invariant_factors": ["12000"],
+    "primes": [{"norm": "9999991", "class": [1], "residue_char": "9999991"}],
+}
+
+
+class TestLongIntegers:
+    def test_factors_past_the_str_limit_write_and_reconstruct(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(LONG_FACTOR_DOC))
+        bundle = tmp_path / "bundle.json"
+        argv = ["invariants", "--synthetic", str(spec), "--primes", "200"]
+        assert main([*argv, "-o", str(bundle)]) == EXIT_OK
+        doc = json.loads(bundle.read_text())
+        longest = max(len(f) for e in doc["entries"] for f in e["factors"])
+        assert longest > 4300
+        assert bundle_to_json(bundle_from_json(doc)) == doc
+        report = tmp_path / "report.json"
+        assert main(["reconstruct", str(bundle), "-o", str(report)]) == EXIT_OK
+        got = json.loads(report.read_text())
+        assert got["class_number"] == 2000
+        assert got["class_group_factors"] == ["2000"]
+        assert got["norms"] == {"0": "149", "1": "151"}
+        rt = ["roundtrip", "--synthetic", str(spec), "--primes", "200"]
+        assert main([*rt, "-o", str(report)]) == EXIT_OK
+        assert all(v["pass"] for v in json.loads(report.read_text())["verdicts"])
+        assert capsys.readouterr().err == ""
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_decimal_codec_matches_str(self):
+        for n in (0, 7, 10**600 - 1, 10**600, 10**1201 + 1, 3**40000, 149**2000 - 1):
+            text = cli._decimal(n)
+            assert text.isdigit() and (text == "0" or text[0] != "0")
+            assert cli._from_decimal(text) == n
+            if n < 10**4000:
+                assert text == str(n)
+
+    @pytest.mark.parametrize(
+        "empty, single, code",
+        [
+            (["0"], [10**5000 + 1, 3**12000 - 1], EXIT_FAIL),  # not homogeneous
+            (["0", "0"], [10**5000 + 1, 7], EXIT_FAIL),  # not canonical
+            ([10**5000 + 1, "0"], [8], EXIT_FAIL),  # torsion in the empty entry
+            (["0"], [10**5000 + 1], EXIT_FAIL),  # norm not a prime power
+            (["0"], [3**10000 - 1], EXIT_INSUFFICIENT),  # zeta bound 3**10000
+            (["0"], ["7" * 80000], EXIT_INSUFFICIENT),  # above the factor limit
+        ],
+        ids=["mixed", "non-canonical", "empty-torsion", "not-prime-power",
+             "huge-norm", "too-long"],
+    )
+    def test_long_factors_in_bad_bundles_exit_with_one_line(
+        self, tmp_path, capsys, empty, single, code
+    ):
+        def text(x):
+            return x if isinstance(x, str) else cli._decimal(x)
+
+        doc = {
+            "version": 1,
+            "rank": len(empty),
+            "labels": [0],
+            "entries": [
+                {"labels": [], "factors": [text(x) for x in empty]},
+                {"labels": [0], "factors": [text(x) for x in single]},
+            ],
+        }
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["reconstruct", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("command", ["invariants", "roundtrip"])
+    def test_quotient_above_bit_limit_exits_3(self, tmp_path, capsys, command):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(OVERSIZED_QUOTIENT_DOC))
+        out = tmp_path / "out.json"
+        argv = [command, "--synthetic", str(spec), "--primes", "9999991", "-o", str(out)]
+        assert main(argv) == EXIT_INSUFFICIENT
+        err = capsys.readouterr().err
+        assert err.startswith("error: the quotient for s0 needs ")
+        assert f"above the limit {lattice.MAX_QUOTIENT_BITS} bits" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_runtime_needs_no_brute_force_quotient(tmp_path, monkeypatch):
+    # Every quotient the CLI computes comes from the closed formula; the
+    # brute-force Smith normal form of the sublattice is a test-only route.
+    def refuse(*args):
+        raise AssertionError("brute-force quotient called at runtime")
+
+    monkeypatch.setattr(lattice, "lattice_quotient", refuse)
+    monkeypatch.setattr(lattice, "sublattice_columns", refuse)
+    out = str(tmp_path / "out.json")
+    assert main(["roundtrip", "-D", "-10007", "--primes", "100", "-o", out]) == EXIT_OK
+    argv = ["invariants", "-D", "-23603", "--primes", "100", "--set", "p_2,p_3c,p_37"]
+    assert main([*argv, "-o", out]) == EXIT_OK
 
 
 class TestRoundTripCommand:

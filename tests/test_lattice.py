@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from classrecon.abgroup import (
     FinGenAbGroup,
@@ -14,17 +16,20 @@ from classrecon.abgroup import (
 )
 from classrecon.lattice import (
     ClassGroupModel,
-    PredictedQuotient,
     PrimeIdealDatum,
-    cycle_cokernel,
     lattice_quotient,
-    predicted_group,
-    predicted_quotient,
     quotient_group,
-    singleton_quotient,
     sublattice_columns,
 )
-from classrecon.oracle import naive_member, predicted_relation_failures
+from classrecon.oracle import (
+    PredictedQuotient,
+    cycle_cokernel,
+    naive_member,
+    predicted_group,
+    predicted_quotient,
+    predicted_relation_failures,
+    singleton_quotient,
+)
 
 from helpers import ODD_PRIME_POWERS, datum, z2_model
 
@@ -261,6 +266,52 @@ def test_mixed_parity_brute_force_still_computes():
     assert g.is_finite
     assert len(proj) == 2
     assert quotient_group(model, [p2, P3]) == g
+
+
+# Prime powers with all four even ones up to 16, so that sets mix parities.
+MIXED_NORMS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
+
+
+@st.composite
+def small_group_and_primes(draw):
+    """A group of order at most 16 and 1-4 primes, some with trivial or
+    repeated classes."""
+    group = draw(
+        st.lists(st.integers(2, 16), max_size=3)
+        .map(FinGenAbGroup.from_orders)
+        .filter(lambda g: g.order() <= 16)
+    )
+    classes: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["any", "trivial", "repeated"]))
+        if kind == "trivial" or (kind == "repeated" and not classes):
+            cls = group.zero()
+        elif kind == "repeated":
+            cls = draw(st.sampled_from(classes))
+        else:
+            cls = group.element([draw(st.integers(0, d - 1)) for d in group.factors])
+        classes.append(cls)
+    norms = draw(st.lists(st.sampled_from(MIXED_NORMS), min_size=len(classes),
+                          max_size=len(classes)))
+    primes = [datum(f"r{i}", n, c) for i, (n, c) in enumerate(zip(norms, classes))]
+    return group, primes
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_group_and_primes())
+@example((FinGenAbGroup((2, 4)),
+          [datum("a", 2, (1, 2)), datum("b", 3, (1, 2)), datum("c", 4, (0, 0))]))
+@example((FinGenAbGroup(()), [datum("a", 2, ()), datum("b", 9, ())]))
+@example((FinGenAbGroup((16,)), [datum("a", 3, (4,)), datum("b", 5, (4,))]))
+def test_formula_matches_both_certifying_routes(case):
+    group, primes = case
+    model = ClassGroupModel.from_group(group)
+    brute, _ = lattice_quotient(model, primes)
+    assert quotient_group(model, primes) == brute
+    if all(p.has_odd_norm for p in primes):
+        assert predicted_group(predicted_quotient(model, primes)) == brute
+    if len(primes) == 1:
+        assert singleton_quotient(model, primes[0]) == brute
 
 
 def test_model_requires_identity_first():

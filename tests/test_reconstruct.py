@@ -52,8 +52,15 @@ def bundle_for_disc(d, bound=50):
     return model, primes, build_bundle(model, primes)
 
 
+def reconstruct_group(bundle):
+    """`reconstruct_class_group` given the class number and norms it needs."""
+    h = recover_class_number(bundle)
+    return reconstruct_class_group(bundle, recover_norms(bundle, h), h)
+
+
 def odd_labels(bundle):
-    return frozenset(l for l, n in recover_norms(bundle).items() if n % 2)
+    norms = recover_norms(bundle, recover_class_number(bundle))
+    return frozenset(l for l, n in norms.items() if n % 2)
 
 
 class TestBuildBundle:
@@ -133,24 +140,25 @@ class TestRecoverBasics:
     def test_norm_recovery_examples(self):
         model, primes, bundle = bundle_for_disc(-20, 130)
         for p in primes:
-            assert recover_norm(bundle, p.label) == p.norm
-        assert recover_norm(bundle, "p_11") == 121
+            assert recover_norm(bundle, p.label, recover_class_number(bundle)) == p.norm
+        assert recover_norm(bundle, "p_11", recover_class_number(bundle)) == 121
 
     def test_rank_one_norm_recovery(self):
         model = ClassGroupModel.from_group(FinGenAbGroup(()))
         bundle = build_bundle(model, [datum("p", 5, ())])
         assert bundle.entry(["p"]).factors == (4,)
-        assert recover_norm(bundle, "p") == 5
+        assert recover_norm(bundle, "p", recover_class_number(bundle)) == 5
 
     def test_trivial_singleton_entry_means_norm_two(self):
         # ramified prime above 2 when the class group is trivial
         _, primes, bundle = bundle_for_disc(-4, 10)
         assert bundle.entry(["p_2"]).is_trivial
-        assert recover_norm(bundle, "p_2") == 2
+        assert recover_norm(bundle, "p_2", recover_class_number(bundle)) == 2
 
     def test_odd_norm_flags(self):
         _, primes, bundle = bundle_for_disc(-20, 130)
-        flags = {l: n % 2 == 1 for l, n in recover_norms(bundle).items()}
+        norms = recover_norms(bundle, recover_class_number(bundle))
+        flags = {l: n % 2 == 1 for l, n in norms.items()}
         assert flags["p_2"] is False
         assert flags["p_3"] is True
         assert flags["p_11"] is True  # norm 121
@@ -165,30 +173,32 @@ class TestRecoverBasics:
         bundle = InvariantBundle(rank=2, labels=("a", "b", "c"), entries=base)
         for label in "abc":
             with pytest.raises(MalformedBundle):
-                recover_norm(bundle, label)
+                recover_norm(bundle, label, recover_class_number(bundle))
 
 
 class TestSubgroupOrders:
     def test_disc_minus_20(self):
         _, _, bundle = bundle_for_disc(-20, 30)
         odd = odd_labels(bundle)
-        assert subgroup_order_from_bundle(bundle, ["p_3"], odd) == 2
-        assert subgroup_order_from_bundle(bundle, ["p_29"], odd) == 1
-        assert subgroup_order_from_bundle(bundle, ["p_3", "p_7"], odd) == 2
+        h = recover_class_number(bundle)
+        assert subgroup_order_from_bundle(bundle, ["p_3"], odd, h) == 2
+        assert subgroup_order_from_bundle(bundle, ["p_29"], odd, h) == 1
+        assert subgroup_order_from_bundle(bundle, ["p_3", "p_7"], odd, h) == 2
 
     def test_even_norm_label_rejected(self):
         _, _, bundle = bundle_for_disc(-20, 30)
         odd = odd_labels(bundle)
+        h = recover_class_number(bundle)
         with pytest.raises(ValueError):
-            subgroup_order_from_bundle(bundle, ["p_2"], odd)
+            subgroup_order_from_bundle(bundle, ["p_2"], odd, h)
         with pytest.raises(ValueError):
-            subgroup_order_from_bundle(bundle, ["p_3", "p_2"], odd)
-        assert subgroup_order_from_bundle(bundle, ["p_3"], odd) == 2
+            subgroup_order_from_bundle(bundle, ["p_3", "p_2"], odd, h)
+        assert subgroup_order_from_bundle(bundle, ["p_3"], odd, h) == 2
 
     def test_empty_set_rejected(self):
         _, _, bundle = bundle_for_disc(-20, 30)
         with pytest.raises(ValueError):
-            subgroup_order_from_bundle(bundle, [], odd_labels(bundle))
+            subgroup_order_from_bundle(bundle, [], odd_labels(bundle), 2)
 
 
 class TestNormRecoveryCount:
@@ -196,9 +206,9 @@ class TestNormRecoveryCount:
     def counted(self, monkeypatch):
         calls = []
 
-        def counting(bundle, label):
+        def counting(bundle, label, h):
             calls.append(label)
-            return recover_norm(bundle, label)
+            return recover_norm(bundle, label, h)
 
         monkeypatch.setattr(reconstruct, "recover_norm", counting)
         return calls
@@ -263,7 +273,7 @@ class TestGreedyChain:
 class TestReconstructClassGroup:
     def test_trivial(self):
         _, _, bundle = bundle_for_disc(-4, 10)
-        assert reconstruct_class_group(bundle, recover_norms(bundle)).is_trivial
+        assert reconstruct_group(bundle).is_trivial
 
     def test_disc_minus_20_with_pinned_labels(self):
         model = class_group_model(QuadraticSpec(-20))
@@ -274,7 +284,7 @@ class TestReconstructClassGroup:
             datum("p_29", 29, (0,), 29),
         ]
         bundle = build_bundle(model, primes)
-        assert reconstruct_class_group(bundle, recover_norms(bundle)).factors == (2,)
+        assert reconstruct_group(bundle).factors == (2,)
 
     def test_klein_four_synthetic(self):
         group = FinGenAbGroup((2, 2))
@@ -286,14 +296,14 @@ class TestReconstructClassGroup:
             datum("d", 11, (0, 0)),
         ]
         bundle = build_bundle(model, primes)
-        assert reconstruct_class_group(bundle, recover_norms(bundle)).factors == (2, 2)
+        assert reconstruct_group(bundle).factors == (2, 2)
 
     def test_generator_starved_raises(self):
         model = ClassGroupModel.from_group(FinGenAbGroup((4,)))
         primes = [datum("x", 3, (2,)), datum("y", 5, (0,))]
         bundle = build_bundle(model, primes)
         with pytest.raises(InsufficientGenerators):
-            reconstruct_class_group(bundle, recover_norms(bundle))
+            reconstruct_group(bundle)
 
     def test_shrinking_subgroup_orders_are_malformed(self):
         # <a, b> claims order 1 while <a> claims order 2: no subgroup does that
@@ -308,13 +318,13 @@ class TestReconstructClassGroup:
             },
         )
         with pytest.raises(MalformedBundle):
-            reconstruct_class_group(bundle, recover_norms(bundle))
+            reconstruct_group(bundle)
 
     def test_even_norm_labels_are_ignored_by_chains(self):
         model = z2_model()
         primes = [datum("e", 2, (1,)), datum("o", 3, (1,))]
         bundle = build_bundle(model, primes)
-        assert reconstruct_class_group(bundle, recover_norms(bundle)).factors == (2,)
+        assert reconstruct_group(bundle).factors == (2,)
 
 
 class TestZeta:
@@ -449,4 +459,4 @@ def test_norm_recovery_inverts_singleton_form_for_all_pairs():
         norm = rng.choice([2, 3, 4, 5, 7, 8, 9, 11, 13])
         p = datum("p", norm, cls)
         bundle = build_bundle(model, [p])
-        assert recover_norm(bundle, "p") == norm
+        assert recover_norm(bundle, "p", recover_class_number(bundle)) == norm
