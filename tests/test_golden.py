@@ -31,6 +31,7 @@ BUNDLE_1031 = str(GOLDEN / "invariants_1031.out")
 CASES: dict[str, list[str]] = {
     "classgroup_100019": ["classgroup", "-D", "-100019"],
     "classgroup_2184": ["classgroup", "-D", "-2184"],
+    "classgroup_synthetic": ["classgroup", "--synthetic", SYNTHETIC],
     "invariants_23603_sets": [
         "invariants", "-D", "-23603", "--primes", "100",
         "--set", "p_2,p_3c,p_37", "-o", "{out}",
