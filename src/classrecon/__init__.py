@@ -13,12 +13,13 @@ The top level exports the end-to-end path; everything else is imported
 from its submodule.
 """
 
-from .fields import QuadraticSpec, class_group_model, enumerate_prime_ideals
+from .fields import QuadraticSpec, class_group, class_group_model, enumerate_prime_ideals
 from .lattice import lattice_quotient
 from .reconstruct import build_bundle, reconstruct_all
 
 __all__ = [
     "QuadraticSpec",
+    "class_group",
     "class_group_model",
     "enumerate_prime_ideals",
     "lattice_quotient",

@@ -127,22 +127,6 @@ class IntMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch in matrix product")
-        ot = list(zip(*other.entries)) if other.entries else []
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in self.entries
-            )
-        )
-
-    def is_diagonal(self) -> bool:
-        return all(
-            x == 0 for i, row in enumerate(self.entries) for j, x in enumerate(row) if i != j
-        )
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.nrows, self.ncols)))
 
@@ -162,7 +146,7 @@ def _min_abs_pivot(m: list[list[int]], t: int) -> tuple[int, int] | None:
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Diagonalize an integer matrix: returns (S, U, V) with U @ A @ V == S.
+    """Diagonalize an integer matrix: returns (S, U, V) with U A V = S.
 
     U and V are unimodular and the diagonal of S is a non-negative
     divisibility chain.  Pivots are chosen by minimal absolute value, which

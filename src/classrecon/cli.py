@@ -40,7 +40,7 @@ from .fields import (
     NonPrimePowerNorm,
     QuadraticSpec,
     SyntheticSpec,
-    class_group_model,
+    class_group,
     enumerate_prime_ideals,
     reduced_forms_of_spec,
     validate_synthetic,
@@ -304,9 +304,8 @@ def _write_output(doc: dict[str, Any], path: str | None) -> None:
 
 def cmd_classgroup(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    model = class_group_model(spec)
     forms = reduced_forms_of_spec(spec)
-    line = str(model.group)
+    line = str(class_group(spec))
     if forms is not None:
         line += "; forms: " + ",".join(f"({f.a},{f.b},{f.c})" for f in forms)
     else:
@@ -317,7 +316,7 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    model = class_group_model(spec)
+    group = class_group(spec)
     primes = enumerate_prime_ideals(spec, args.primes)
     known = {p.label for p in primes}
     subsets = []
@@ -328,7 +327,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             print(f"unknown labels in --set: {sorted(missing)}", file=sys.stderr)
             return EXIT_USAGE
         subsets.append(subset)
-    bundle = build_bundle(model, primes, subsets=subsets)
+    bundle = build_bundle(group, primes, subsets=subsets)
     # Run a default reconstruction so the file also contains every entry a
     # blind consumer with default settings will request.
     try:
@@ -350,10 +349,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    model = class_group_model(spec)
+    group = class_group(spec)
     primes = enumerate_prime_ideals(spec, args.primes)
     zeta_bound = args.zeta if args.zeta is not None else args.primes
-    report = roundtrip(model, primes, zeta_bound)
+    report = roundtrip(group, primes, zeta_bound)
     _write_output(report_to_json(report), args.output)
     return EXIT_OK if report.all_passed else EXIT_FAIL
 

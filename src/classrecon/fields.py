@@ -7,18 +7,21 @@ q is the class of a form with leading coefficient q.  Synthetic field
 specifications carry an arbitrary finite abelian group and a free-form
 prime stream, so class groups outside quadratic reach enter the test matrix.
 
-The group model is built by subgroup extension: walking the sorted forms,
+The class group is built by subgroup extension: walking the sorted forms,
 each one outside the subgroup covered so far becomes a generator, its least
 multiple inside that subgroup gives one relation, and its cosets are
 covered by translation.  That takes fewer than 2h compositions, never an
 h^2 table, and no GRH bound, since every reduced form is enumerated.  The
 Smith normal form of the small relation matrix gives the structure and each
-form's class.  The tests certify the model against raw composition: the
+form's class.  The tests certify the build against raw composition: the
 orders of the forms match the group's, and the map from forms to classes is
-a bijective homomorphism.  Quadratic specs with |D| above MAX_DISCRIMINANT
-are refused before any work, since form enumeration is linear in |D|;
-prime bounds above MAX_BOUND and synthetic groups of order above
-MAX_SYNTHETIC_ORDER are refused the same way.
+a bijective homomorphism.  `class_group` returns the group as a plain
+`FinGenAbGroup`, which is all the runtime needs; `class_group_model` wraps
+it in the enumerating `ClassGroupModel` for the certifiers and the tests.
+Quadratic specs with |D| above MAX_DISCRIMINANT are refused before any
+work, since form enumeration is linear in |D|; prime bounds above
+MAX_BOUND and synthetic groups of order above MAX_SYNTHETIC_ORDER are
+refused the same way.
 """
 
 from __future__ import annotations
@@ -57,8 +60,10 @@ MAX_DISCRIMINANT = 10**8
 # prime, comparison or zeta bound is refused before any work.
 MAX_BOUND = 10**7
 
-# A synthetic class group enumerates every element (about 0.06 s at this
-# order); a larger order is refused before any enumeration.
+# A bundle lists h factors in its empty-set entry and one factor per coset
+# in every other entry, so its size grows with the class group order h:
+# `invariants --synthetic` on Z/100000 writes 1.4 MB.  A synthetic group of
+# larger order is refused before any quotient is computed.
 MAX_SYNTHETIC_ORDER = 10**5
 
 # The fourth limit, on the bit size of a quotient order, is
@@ -277,7 +282,7 @@ def reduced_forms(d: int) -> list[QuadraticForm]:
 class _DiscriminantData:
     forms: tuple[QuadraticForm, ...]
     index: dict[QuadraticForm, int]  # position of each form in `forms`
-    model: ClassGroupModel
+    group: FinGenAbGroup
     form_class: tuple[GroupElement, ...]  # class coordinates per form
 
 
@@ -341,14 +346,9 @@ def _discriminant_data(d: int) -> _DiscriminantData:
     return _DiscriminantData(
         forms=tuple(forms),
         index=index,
-        model=ClassGroupModel.from_group(group),
+        group=group,
         form_class=form_class,
     )
-
-
-def class_group_of_discriminant(d: int) -> ClassGroupModel:
-    """Class group of a negative fundamental discriminant, as a model."""
-    return _discriminant_data(d).model
 
 
 @dataclass(frozen=True)
@@ -431,7 +431,7 @@ def validate_synthetic(spec: SyntheticSpec) -> SyntheticSpec:
     if group.order() > MAX_SYNTHETIC_ORDER:
         raise LimitExceeded(
             f"synthetic class group order {group.order()} exceeds the limit "
-            f"{MAX_SYNTHETIC_ORDER}: the model enumerates every element"
+            f"{MAX_SYNTHETIC_ORDER}: every bundle entry lists up to that many factors"
         )
     labels = [p.label for p in spec.primes]
     if len(set(labels)) != len(labels):
@@ -455,10 +455,16 @@ def validate_synthetic(spec: SyntheticSpec) -> SyntheticSpec:
     return spec
 
 
-def class_group_model(spec: FieldSpec) -> ClassGroupModel:
+def class_group(spec: FieldSpec) -> FinGenAbGroup:
+    """The class group of a field spec, with no element enumerated."""
     if isinstance(spec, QuadraticSpec):
-        return class_group_of_discriminant(spec.discriminant)
-    return ClassGroupModel.from_group(FinGenAbGroup(spec.factors))
+        return _discriminant_data(spec.discriminant).group
+    return FinGenAbGroup(spec.factors)
+
+
+def class_group_model(spec: FieldSpec) -> ClassGroupModel:
+    """The class group with every element enumerated, for the certifiers."""
+    return ClassGroupModel(class_group(spec))
 
 
 def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]:
@@ -473,8 +479,7 @@ def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]
     if isinstance(spec, SyntheticSpec):
         return [p for p in spec.primes if p.norm <= bound]
     d = spec.discriminant
-    data = _discriminant_data(d)
-    model = data.model
+    group = _discriminant_data(d).group
     out: list[PrimeIdealDatum] = []
     for q in primes_up_to(bound):
         split = kronecker_splitting(d, q)
@@ -483,7 +488,7 @@ def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]
         if split.kind == "inert":
             out.append(
                 PrimeIdealDatum(
-                    label=f"p_{q}", norm=split.norm, cls=model.group.zero(), residue_char=q
+                    label=f"p_{q}", norm=split.norm, cls=group.zero(), residue_char=q
                 )
             )
             continue
@@ -492,7 +497,7 @@ def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]
             PrimeIdealDatum(label=f"p_{q}", norm=split.norm, cls=cls, residue_char=q)
         )
         if split.kind == "split":
-            inverse = model.group.neg(cls)
+            inverse = group.neg(cls)
             out.append(
                 PrimeIdealDatum(
                     label=f"p_{q}c", norm=split.norm, cls=inverse, residue_char=q

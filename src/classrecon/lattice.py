@@ -13,11 +13,13 @@ subgroup generated by the classes [p], p in F.  The quotient is Z[Cl]
 modulo the ideal generated by the 1 - N(p)[p]; Z[Cl] is free over Z[H] on
 coset representatives, and Z[H] modulo that ideal is cyclic.  So the
 quotient is [Cl : H] copies of Z/m, where m is the largest modulus on which
-[p] -> N(p)^-1 is a character of H.  The index and the relations among the
-[p] come from one Smith normal form (SNF) with at most log2 #Cl rows, and
-no group element is enumerated.  Two independent routes certify the
-formula in the tests: the brute-force SNF of the whole sublattice,
-`lattice_quotient`, and the paper's induction over F in `oracle`.
+[p] -> N(p)^-1 is a character of H.  It takes the class group as a plain
+`FinGenAbGroup`: the index and the relations among the [p] come from one
+Smith normal form (SNF) with at most log2 #Cl rows, and no group element is
+enumerated.  Two independent routes certify the formula in the tests: the
+brute-force SNF of the whole sublattice, `lattice_quotient`, and the
+paper's induction over F in `oracle`.  Only they need `ClassGroupModel`,
+which enumerates every element to index the lattice basis.
 """
 
 from __future__ import annotations
@@ -59,34 +61,21 @@ class LimitExceeded(Exception):
 
 @dataclass(frozen=True)
 class ClassGroupModel:
-    """A finite abelian group with a fixed element enumeration.
+    """A finite abelian group with every element enumerated, for the certifiers.
 
     Elements are reduced coordinate tuples, enumerated in lexicographic
     order so index 0 is always the identity.  The enumeration indexes the
-    basis of the associated lattice.
+    basis of the lattice in `sublattice_columns`; the runtime passes the
+    plain group and never builds a model.
     """
 
     group: FinGenAbGroup
-    elements: tuple[GroupElement, ...] = field(default=())
+    elements: tuple[GroupElement, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.group.is_finite:
-            raise ValueError("class group model requires a finite group")
-        if not self.elements:
-            object.__setattr__(self, "elements", tuple(self.group.all_elements()))
-        if len(self.elements) != self.group.order():
-            raise ValueError("enumeration must list every element exactly once")
-        if self.elements[0] != self.group.zero():
-            raise ValueError("element 0 must be the identity")
-        object.__setattr__(
-            self, "_index", {e: i for i, e in enumerate(self.elements)}
-        )
-        if len(self._index) != len(self.elements):
-            raise ValueError("duplicate elements in enumeration")
-
-    @classmethod
-    def from_group(cls, group: FinGenAbGroup) -> ClassGroupModel:
-        return cls(group=group)
+        elements = tuple(self.group.all_elements())
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_index", {e: i for i, e in enumerate(elements)})
 
     @property
     def size(self) -> int:
@@ -177,31 +166,33 @@ def lattice_quotient(
 
 
 def quotient_group(
-    cl: ClassGroupModel, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
+    group: FinGenAbGroup, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
 ) -> FinGenAbGroup:
     """The quotient attached to F: [Cl : H] copies of Z/m, for every F.
 
-    The empty set gives the free group of rank #Cl.  Otherwise, with d_i
-    the invariant factors and x the coordinates of a class, ord[p] is the
-    lcm of d_i / gcd(d_i, x_i).  One SNF of the matrix [class coordinates |
-    diag(d_i)] gives the index [Cl : H] as the product of its diagonal and
-    a basis of the relations {k : sum k_p [p] = 0} as the kernel columns of
-    V; one prime needs no SNF, since its relations are the multiples of
-    ord[p].  Then m = gcd(N(p)**ord[p] - 1 over p, prod N(p)**k_p - 1 over
-    the relations k), with every exponent reduced modulo ord[p] and every
-    power taken modulo the running gcd.  A set whose N(p)**ord[p] would
-    exceed MAX_QUOTIENT_BITS raises LimitExceeded before any power is taken.
+    `group` is the class group Cl.  The empty set gives the free group of
+    rank #Cl.  Otherwise, with d_i the invariant factors and x the
+    coordinates of a class, ord[p] is the lcm of d_i / gcd(d_i, x_i).  One
+    SNF of the matrix [class coordinates | diag(d_i)] gives the index
+    [Cl : H] as the product of its diagonal and a basis of the relations
+    {k : sum k_p [p] = 0} as the kernel columns of V; one prime needs no
+    SNF, since its relations are the multiples of ord[p].  Then
+    m = gcd(N(p)**ord[p] - 1 over p, prod N(p)**k_p - 1 over the relations
+    k), with every exponent reduced modulo ord[p] and every power taken
+    modulo the running gcd.  A set whose N(p)**ord[p] would exceed
+    MAX_QUOTIENT_BITS raises LimitExceeded before any power is taken.
 
-    >>> z4 = ClassGroupModel.from_group(FinGenAbGroup((4,)))
+    >>> z4 = FinGenAbGroup((4,))
     >>> p = PrimeIdealDatum(label="p", norm=2, cls=(2,), residue_char=2)
     >>> q = PrimeIdealDatum(label="q", norm=3, cls=(1,), residue_char=3)
     >>> str(quotient_group(z4, [p])), str(quotient_group(z4, [p, q]))
     ('Z/3 x Z/3', 'trivial')
     """
+    h = group.order()
     if not primes:
-        return FinGenAbGroup.free(cl.size)
-    factors = cl.group.factors
-    coords = [cl.group.element(p.cls) for p in primes]
+        return FinGenAbGroup.free(h)
+    factors = group.factors
+    coords = [group.element(p.cls) for p in primes]
     orders = [lcm(*(d // gcd(d, x) for d, x in zip(factors, c))) for c in coords]
     for p, o in zip(primes, orders):
         bits = o * log2(p.norm)
@@ -212,7 +203,7 @@ def quotient_group(
             )
     index, relations = 1, []
     if len(primes) == 1:  # the relations are the multiples of ord[p]
-        index = cl.size // orders[0]
+        index = h // orders[0]
     elif factors:
         r = len(factors)
         diag = [[d if i == j else 0 for i in range(r)] for j, d in enumerate(factors)]
@@ -225,8 +216,8 @@ def quotient_group(
         for d in pivots:
             index *= d
         relations = [v.column(j)[: len(primes)] for j in range(r, v.ncols)]
-    if cl.size % index:
-        raise InternalContradiction(f"subgroup index {index} does not divide {cl.size}")
+    if h % index:
+        raise InternalContradiction(f"subgroup index {index} does not divide {h}")
     m = 0
     for p, o in zip(primes, orders):
         m = gcd(m, p.norm**o - 1)

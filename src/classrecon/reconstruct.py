@@ -30,8 +30,8 @@ from .abgroup import (
     p_part,
     subgroup_index,
 )
-from .fields import FieldSpec, check_bound, class_group_model, enumerate_prime_ideals
-from .lattice import ClassGroupModel, PrimeIdealDatum, quotient_group
+from .fields import FieldSpec, check_bound, class_group, enumerate_prime_ideals
+from .lattice import PrimeIdealDatum, quotient_group
 
 
 class MalformedBundle(Exception):
@@ -86,13 +86,14 @@ class InvariantBundle:
 
 
 def build_bundle(
-    cl: ClassGroupModel,
+    group: FinGenAbGroup,
     primes: Sequence[PrimeIdealDatum],
     subsets: Sequence[Iterable[str]] = (),
 ) -> InvariantBundle:
     """Evaluate quotients through `quotient_group` and erase all annotations.
 
-    One closed formula produces every entry: the empty set, the singletons,
+    `group` is the class group, and no element of it is enumerated.  One
+    closed formula produces every entry: the empty set, the singletons,
     the odd-norm sets the reconstruction asks for and the `subsets` given,
     whatever their parities.  The empty set and every singleton are always
     included.  Later requests for other subsets are served on demand (and
@@ -106,7 +107,7 @@ def build_bundle(
     by_label = {p.label: p for p in primes}
 
     def quotient_for(key: frozenset[str]) -> FinGenAbGroup:
-        return quotient_group(cl, [by_label[l] for l in sorted(key)])
+        return quotient_group(group, [by_label[l] for l in sorted(key)])
 
     entries: dict[frozenset[str], FinGenAbGroup] = {}
     wanted: list[frozenset[str]] = [frozenset()]
@@ -120,7 +121,7 @@ def build_bundle(
         if key not in entries:
             entries[key] = quotient_for(key)
     return InvariantBundle(
-        rank=cl.size,
+        rank=group.order(),
         labels=labels,
         entries=entries,
         compute=quotient_for,
@@ -396,7 +397,7 @@ def reconstruct_all(
 
 
 def roundtrip(
-    cl: ClassGroupModel,
+    group: FinGenAbGroup,
     primes: Sequence[PrimeIdealDatum],
     zeta_bound: int,
 ) -> ReconstructionReport:
@@ -406,26 +407,24 @@ def roundtrip(
     genuine fields that always holds once enough primes are supplied, so
     failure carries guidance to raise the norm bound.
     """
-    odd = [cl.group.element(p.cls) for p in primes if p.has_odd_norm]
-    if subgroup_index(cl.group, odd) != 1:
+    odd = [group.element(p.cls) for p in primes if p.has_odd_norm]
+    if subgroup_index(group, odd) != 1:
         raise InsufficientGenerators(
             "the odd-norm primes supplied do not generate the class group; "
             "raise the prime norm bound"
         )
-    bundle = build_bundle(cl, primes)
-    report = reconstruct_all(bundle, zeta_bound)
+    report = reconstruct_all(build_bundle(group, primes), zeta_bound)
     true_norms = {p.label: p.norm for p in primes}
-    true_group = cl.group
     verdicts = [
         Verdict(
             "class_number",
-            report.class_number == cl.size,
-            f"recovered {report.class_number}, true {cl.size}",
+            report.class_number == group.order(),
+            f"recovered {report.class_number}, true {group.order()}",
         ),
         Verdict(
             "class_group",
-            iso_equal(report.class_group, true_group),
-            f"recovered {report.class_group}, true {true_group}",
+            iso_equal(report.class_group, group),
+            f"recovered {report.class_group}, true {group}",
         ),
         Verdict(
             "norms",
@@ -489,7 +488,7 @@ def compare_fields(
     sides = []
     for spec in (spec_left, spec_right):
         primes = enumerate_prime_ideals(spec, bound)
-        report = reconstruct_all(build_bundle(class_group_model(spec), primes), bound)
+        report = reconstruct_all(build_bundle(class_group(spec), primes), bound)
         sides.append((report.zeta.coefficients, report.class_group))
     (za, ga), (zb, gb) = sides
     first_diff = None

@@ -6,7 +6,7 @@ import random
 
 from sympy import primefactors
 
-from classrecon.abgroup import FinGenAbGroup, subgroup_index
+from classrecon.abgroup import FinGenAbGroup, IntMatrix, subgroup_index
 from classrecon.fields import SyntheticSpec
 from classrecon.lattice import ClassGroupModel, PrimeIdealDatum
 
@@ -17,7 +17,19 @@ ODD_PRIME_POWERS = [
 
 
 def z2_model() -> ClassGroupModel:
-    return ClassGroupModel.from_group(FinGenAbGroup.from_orders([2]))
+    return ClassGroupModel(FinGenAbGroup.from_orders([2]))
+
+
+def matrix_product(*factors: IntMatrix) -> IntMatrix:
+    """The product of non-empty integer matrices, left to right."""
+    rows = factors[0].entries
+    for m in factors[1:]:
+        assert len(rows[0]) == m.nrows, "dimension mismatch in matrix product"
+        rows = tuple(
+            tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*m.entries))
+            for row in rows
+        )
+    return IntMatrix(rows)
 
 
 def datum(label: str, norm: int, cls: tuple[int, ...], char: int | None = None) -> PrimeIdealDatum:

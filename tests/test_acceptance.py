@@ -21,6 +21,7 @@ from classrecon.abgroup import (
 from classrecon.fields import (
     QuadraticSpec,
     SyntheticSpec,
+    class_group,
     class_group_model,
     enumerate_prime_ideals,
 )
@@ -149,7 +150,7 @@ def test_criterion_3_homogeneous_quotient_suite():
         model = (
             class_group_model(QuadraticSpec(disc))
             if disc is not None
-            else ClassGroupModel.from_group(FinGenAbGroup(factors))
+            else ClassGroupModel(FinGenAbGroup(factors))
         )
         pool = _odd_prime_pool(model, disc)
         for _ in range(8):
@@ -277,14 +278,14 @@ def test_criterion_6_blind_round_trip_per_field():
     )
     for name, model, primes, bound in fields:
         start = time.monotonic()
-        report = roundtrip(model, primes, bound)
+        report = roundtrip(model.group, primes, bound)
         failed = [v for v in report.verdicts if not v.passed]
         assert not failed, (name, failed)
         assert report.class_number == model.size
         assert iso_equal(report.class_group, model.group)
         assert report.norms == {p.label: p.norm for p in primes}
         by_label = {p.label: p for p in primes}
-        closed = build_bundle(model, primes)
+        closed = build_bundle(model.group, primes)
         snf = InvariantBundle(
             rank=model.size,
             labels=tuple(by_label),
@@ -308,9 +309,8 @@ def test_criterion_7_zeta_truncation_to_200():
     bound = 200
     for d in (-4, -20):
         spec = QuadraticSpec(d)
-        model = class_group_model(spec)
         primes = enumerate_prime_ideals(spec, bound)
-        bundle = build_bundle(model, primes)
+        bundle = build_bundle(class_group(spec), primes)
         h = recover_class_number(bundle)
         recovered = [recover_norm(bundle, p.label, h) for p in primes]
         direct = zeta_coefficients([p.norm for p in primes], bound)
@@ -345,18 +345,16 @@ def test_criterion_8_discrimination_and_clone_equivalence():
 
 def test_criterion_9_negative_paths():
     start = time.monotonic()
-    model = class_group_model(QuadraticSpec(-20))
     primes = enumerate_prime_ideals(QuadraticSpec(-20), 30)
-    bundle = replace(build_bundle(model, primes), compute=None)
+    bundle = replace(build_bundle(class_group(QuadraticSpec(-20)), primes), compute=None)
     bundle.entries[frozenset({"p_3"})] = FinGenAbGroup((7,))
     with pytest.raises(MalformedBundle):
         recover_norm(bundle, "p_3", recover_class_number(bundle))
     with pytest.raises(MalformedBundle):
         reconstruct_all(bundle)
 
-    starved_model = ClassGroupModel.from_group(FinGenAbGroup((4,)))
     starved = build_bundle(
-        starved_model, [datum("x", 3, (2,)), datum("y", 5, (0,))]
+        FinGenAbGroup((4,)), [datum("x", 3, (2,)), datum("y", 5, (0,))]
     )
     with pytest.raises(InsufficientGenerators):
         reconstruct_all(starved)

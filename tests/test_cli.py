@@ -24,7 +24,7 @@ from classrecon.cli import (
     main,
     synthetic_spec_from_json,
 )
-from classrecon.fields import QuadraticSpec, class_group_model, enumerate_prime_ideals
+from classrecon.fields import QuadraticSpec, class_group, enumerate_prime_ideals
 from classrecon.reconstruct import build_bundle
 
 SYNTHETIC_DOC = {
@@ -111,7 +111,7 @@ class TestInvariantsCommand:
 
     def test_serialization_round_trip(self):
         spec = QuadraticSpec(-20)
-        bundle = build_bundle(class_group_model(spec), enumerate_prime_ideals(spec, 30))
+        bundle = build_bundle(class_group(spec), enumerate_prime_ideals(spec, 30))
         doc = bundle_to_json(bundle)
         parsed = bundle_from_json(json.loads(json.dumps(doc)))
         assert parsed.rank == bundle.rank
@@ -334,17 +334,27 @@ class TestLongIntegers:
 
 
 def test_runtime_needs_no_brute_force_quotient(tmp_path, monkeypatch):
-    # Every quotient the CLI computes comes from the closed formula; the
-    # brute-force Smith normal form of the sublattice is a test-only route.
+    # Every quotient the CLI computes comes from the closed formula on the
+    # plain class group; the brute-force Smith normal form of the sublattice
+    # and the enumerating ClassGroupModel are test-only routes.
     def refuse(*args):
-        raise AssertionError("brute-force quotient called at runtime")
+        raise AssertionError("brute-force quotient or element enumeration at runtime")
 
     monkeypatch.setattr(lattice, "lattice_quotient", refuse)
     monkeypatch.setattr(lattice, "sublattice_columns", refuse)
+    monkeypatch.setattr(lattice.ClassGroupModel, "__post_init__", refuse)
     out = str(tmp_path / "out.json")
+    synthetic = os.path.join(os.path.dirname(__file__), "golden", "synthetic_248.json")
     assert main(["roundtrip", "-D", "-10007", "--primes", "100", "-o", out]) == EXIT_OK
     argv = ["invariants", "-D", "-23603", "--primes", "100", "--set", "p_2,p_3c,p_37"]
     assert main([*argv, "-o", out]) == EXIT_OK
+    assert main(["reconstruct", out, "-o", str(tmp_path / "report.json")]) == EXIT_OK
+    assert main(["classgroup", "--synthetic", synthetic]) == EXIT_OK
+    assert main(["roundtrip", "--synthetic", synthetic, "-o", out]) == EXIT_OK
+    assert main(["classgroup", "-D", "-202127"]) == EXIT_OK
+    # the two fields differ, so the verdict is a failure, not an error
+    argv = ["compare", "-D", "-3299", "-D2", "-2408", "--bound", "200", "-o", out]
+    assert main(argv) == EXIT_FAIL
 
 
 class TestRoundTripCommand:
@@ -409,7 +419,10 @@ def test_help_exits_zero(capsys):
 
 def test_cli_import_does_not_load_sympy():
     src = os.path.dirname(os.path.dirname(classrecon.__file__))
-    code = "import classrecon.cli, sys; assert 'sympy' not in sys.modules"
+    code = (
+        "import classrecon.cli, sys; "
+        "assert 'sympy' not in sys.modules; assert 'classrecon.oracle' not in sys.modules"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60

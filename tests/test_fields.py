@@ -17,7 +17,8 @@ from classrecon.fields import (
     QuadraticSpec,
     SyntheticSpec,
     _discriminant_data,
-    class_group_of_discriminant,
+    class_group,
+    class_group_model,
     enumerate_prime_ideals,
     ideal_class_of_prime,
     is_fundamental_discriminant,
@@ -150,16 +151,16 @@ class TestComposition:
             assert table[(table[(f, g)], h)] == table[(f, table[(g, h)])]
 
     def test_class_group_structures(self):
-        assert class_group_of_discriminant(-4).group.factors == ()
-        assert class_group_of_discriminant(-20).group.factors == (2,)
-        assert class_group_of_discriminant(-23).group.factors == (3,)
-        assert class_group_of_discriminant(-47).group.factors == (5,)
-        assert class_group_of_discriminant(-84).group.factors == (2, 2)
+        assert class_group(QuadraticSpec(-4)).factors == ()
+        assert class_group(QuadraticSpec(-20)).factors == (2,)
+        assert class_group(QuadraticSpec(-23)).factors == (3,)
+        assert class_group(QuadraticSpec(-47)).factors == (5,)
+        assert class_group(QuadraticSpec(-84)).factors == (2, 2)
 
     def test_class_number_one_discriminants(self):
         # the nine imaginary quadratic fields with trivial class group
         for d in (-3, -4, -7, -8, -11, -19, -43, -67, -163):
-            assert class_group_of_discriminant(d).group.is_trivial, d
+            assert class_group(QuadraticSpec(d)).is_trivial, d
 
     def test_structure_matches_order_multiset(self):
         # independent check: element orders computed by raw composition
@@ -174,7 +175,7 @@ class TestComposition:
                     acc = acc.compose(f)
                     n += 1
                 orders.append(n)
-            model = class_group_of_discriminant(d)
+            model = class_group_model(QuadraticSpec(d))
             abstract_orders = sorted(
                 element_order(model.group, x) for x in model.elements
             )
@@ -185,7 +186,7 @@ class TestComposition:
         # all pairs for h <= 40, 200 seeded pairs above
         for d in ORACLE_DISCRIMINANTS:
             forms, classes = _forms_and_classes(d)
-            group = class_group_of_discriminant(d).group
+            group = class_group(QuadraticSpec(d))
             assert len(set(classes)) == len(forms) == group.order(), d
             cls = dict(zip(forms, classes))
             pairs = list(itertools.product(forms, repeat=2))
@@ -206,7 +207,7 @@ class TestComposition:
         ],
     )
     def test_pinned_structures(self, d, factors):
-        assert class_group_of_discriminant(d).group.factors == factors
+        assert class_group(QuadraticSpec(d)).factors == factors
 
     def test_model_build_is_linear_in_class_number(self, monkeypatch):
         # subgroup extension composes each new form into place once and
@@ -234,7 +235,7 @@ class TestComposition:
         monkeypatch.setattr(fields, "factorize", no_enumeration)
         for d in (-MAX_DISCRIMINANT - 1, -(10**400)):
             with pytest.raises(DiscriminantTooLarge):
-                class_group_of_discriminant(d)
+                _discriminant_data(d)
             with pytest.raises(DiscriminantTooLarge):
                 QuadraticSpec(d)
 
@@ -262,12 +263,12 @@ class TestSplitting:
 
     def test_ramified_class_squares_to_identity(self):
         for d in TEST_DISCRIMINANTS:
-            model = class_group_of_discriminant(d)
+            group = class_group(QuadraticSpec(d))
             for q in sympy.primerange(2, 50):
                 q = int(q)
                 if d % q == 0:
                     cls = ideal_class_of_prime(d, q)
-                    assert model.group.add(cls, cls) == model.group.zero()
+                    assert group.add(cls, cls) == group.zero()
 
 
 class TestIdealClasses:
@@ -294,7 +295,7 @@ class TestIdealClasses:
 
     def test_against_representation_search(self):
         for d in TEST_DISCRIMINANTS:
-            model = class_group_of_discriminant(d)
+            group = class_group(QuadraticSpec(d))
             data = {f: c for f, c in zip(*_forms_and_classes(d))}
             for q in sympy.primerange(2, 30):
                 q = int(q)
@@ -306,7 +307,7 @@ class TestIdealClasses:
                 assert rep is not None and rep.form.value(rep.x, rep.y) == q
                 cls = ideal_class_of_prime(d, q)
                 found = data[rep.form]
-                assert found in (cls, model.group.neg(cls))
+                assert found in (cls, group.neg(cls))
 
 
 def _forms_and_classes(d):
@@ -331,12 +332,12 @@ class TestEnumeration:
 
     def test_split_pair_has_inverse_classes(self):
         for d in TEST_DISCRIMINANTS:
-            model = class_group_of_discriminant(d)
+            group = class_group(QuadraticSpec(d))
             data = {p.label: p for p in enumerate_prime_ideals(QuadraticSpec(d), 60)}
             for label, p in data.items():
                 if label.endswith("c"):
                     partner = data[label[:-1]]
-                    assert model.group.neg(partner.cls) == p.cls
+                    assert group.neg(partner.cls) == p.cls
                     assert partner.norm == p.norm
 
     def test_inert_primes_are_principal_with_square_norm(self):
@@ -349,7 +350,7 @@ class TestEnumeration:
     def test_generation_by_odd_norm_classes(self):
         # the odd-norm classes below a modest bound generate; record the bound
         for d in TEST_DISCRIMINANTS:
-            model = class_group_of_discriminant(d)
+            model = class_group_model(QuadraticSpec(d))
             bound = None
             for x in range(3, 200):
                 data = enumerate_prime_ideals(QuadraticSpec(d), x)

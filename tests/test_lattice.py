@@ -39,7 +39,7 @@ Q7 = datum("q7", 7, (1,))
 
 
 def trivial_model():
-    return ClassGroupModel.from_group(FinGenAbGroup(()))
+    return ClassGroupModel(FinGenAbGroup(()))
 
 
 class TestSublatticeColumns:
@@ -205,7 +205,7 @@ def random_odd_prime_set(rng, model, max_size=3):
     ids=lambda f: "x".join(map(str, f)) or "trivial",
 )
 def test_prediction_matches_brute_force(factors):
-    model = ClassGroupModel.from_group(FinGenAbGroup(factors))
+    model = ClassGroupModel(FinGenAbGroup(factors))
     rng = random.Random(sum(factors))
     for _ in range(12):
         primes = random_odd_prime_set(rng, model)
@@ -224,7 +224,7 @@ def test_prediction_matches_brute_force(factors):
 
 
 def test_prediction_order_independent():
-    model = ClassGroupModel.from_group(FinGenAbGroup((2, 4)))
+    model = ClassGroupModel(FinGenAbGroup((2, 4)))
     rng = random.Random(17)
     primes = random_odd_prime_set(rng, model, max_size=3)
     base = predicted_quotient(model, primes)
@@ -239,7 +239,7 @@ def test_prediction_cost_linear_in_class_number(count, monkeypatch):
     # Each prime may translate every coset once and the subgroup closure may
     # add every generator to every element, so a linear induction stays
     # within a small multiple of h * |F| group additions.
-    model = ClassGroupModel.from_group(FinGenAbGroup((193,)))
+    model = ClassGroupModel(FinGenAbGroup((193,)))
     primes = [
         datum(f"q{i}", n, (c,))
         for i, (n, c) in enumerate([(3, 1), (5, 5), (7, 17), (11, 100)][:count])
@@ -265,7 +265,7 @@ def test_mixed_parity_brute_force_still_computes():
     g, proj = lattice_quotient(model, [p2, P3])
     assert g.is_finite
     assert len(proj) == 2
-    assert quotient_group(model, [p2, P3]) == g
+    assert quotient_group(model.group, [p2, P3]) == g
 
 
 # Prime powers with all four even ones up to 16, so that sets mix parities.
@@ -305,20 +305,13 @@ def small_group_and_primes(draw):
 @example((FinGenAbGroup((16,)), [datum("a", 3, (4,)), datum("b", 5, (4,))]))
 def test_formula_matches_both_certifying_routes(case):
     group, primes = case
-    model = ClassGroupModel.from_group(group)
+    model = ClassGroupModel(group)
     brute, _ = lattice_quotient(model, primes)
-    assert quotient_group(model, primes) == brute
+    assert quotient_group(group, primes) == brute
     if all(p.has_odd_norm for p in primes):
         assert predicted_group(predicted_quotient(model, primes)) == brute
     if len(primes) == 1:
         assert singleton_quotient(model, primes[0]) == brute
-
-
-def test_model_requires_identity_first():
-    with pytest.raises(ValueError):
-        ClassGroupModel(
-            group=FinGenAbGroup((2,)), elements=((1,), (0,))
-        )
 
 
 def test_prime_datum_validation():

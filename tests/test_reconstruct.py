@@ -12,10 +12,9 @@ from classrecon.abgroup import FinGenAbGroup, iso_equal, subgroup_index
 from classrecon.fields import (
     QuadraticSpec,
     SyntheticSpec,
-    class_group_model,
+    class_group,
     enumerate_prime_ideals,
 )
-from classrecon.lattice import ClassGroupModel
 from classrecon.oracle import primary_decomposition
 from classrecon.reconstruct import (
     BundleEntryMissing,
@@ -41,15 +40,14 @@ from helpers import (
     random_finite_group,
     random_generating_family,
     random_synthetic_spec,
-    z2_model,
 )
 
 
 def bundle_for_disc(d, bound=50):
     spec = QuadraticSpec(d)
-    model = class_group_model(spec)
+    group = class_group(spec)
     primes = enumerate_prime_ideals(spec, bound)
-    return model, primes, build_bundle(model, primes)
+    return group, primes, build_bundle(group, primes)
 
 
 def reconstruct_group(bundle):
@@ -65,46 +63,46 @@ def odd_labels(bundle):
 
 class TestBuildBundle:
     def test_trivial_group_single_prime(self):
-        model = ClassGroupModel.from_group(FinGenAbGroup(()))
-        bundle = build_bundle(model, [datum("p", 5, ())])
+        group = FinGenAbGroup(())
+        bundle = build_bundle(group, [datum("p", 5, ())])
         assert bundle.rank == 1
         assert bundle.entry(["p"]).factors == (4,)
 
     def test_disc_minus_20_entries(self):
-        model = class_group_model(QuadraticSpec(-20))
+        group = class_group(QuadraticSpec(-20))
         primes = [
             datum("p_3", 3, (1,)),
             datum("p_7", 7, (1,)),
             datum("p_11", 121, (0,), 11),
         ]
-        bundle = build_bundle(model, primes)
+        bundle = build_bundle(group, primes)
         assert bundle.rank == 2
         assert bundle.entry(["p_3"]).factors == (8,)
         assert bundle.entry(["p_11"]).factors == (120, 120)
         assert bundle.entry(["p_3", "p_7"]).factors == (4,)
 
     def test_empty_prime_list(self):
-        model = z2_model()
-        bundle = build_bundle(model, [])
+        group = FinGenAbGroup((2,))
+        bundle = build_bundle(group, [])
         assert bundle.entry(()).factors == (0, 0)
         assert bundle.labels == ()
 
     def test_unknown_label_rejected(self):
-        model = z2_model()
+        group = FinGenAbGroup((2,))
         with pytest.raises(ValueError):
-            build_bundle(model, [datum("a", 3, (1,))], subsets=[("b",)])
+            build_bundle(group, [datum("a", 3, (1,))], subsets=[("b",)])
 
     def test_static_bundle_refuses_unknown_subsets(self):
-        model = z2_model()
+        group = FinGenAbGroup((2,))
         bundle = replace(
-            build_bundle(model, [datum("a", 3, (1,)), datum("b", 7, (1,))]),
+            build_bundle(group, [datum("a", 3, (1,)), datum("b", 7, (1,))]),
             compute=None,
         )
         with pytest.raises(BundleEntryMissing):
             bundle.entry(["a", "b"])
 
     def test_memoization_under_threads(self):
-        model, primes, bundle = bundle_for_disc(-20, 30)
+        group, primes, bundle = bundle_for_disc(-20, 30)
         key = tuple(p.label for p in primes if p.norm % 2)[:2]
         results = []
 
@@ -138,14 +136,14 @@ class TestRecoverBasics:
             recover_class_number(bundle)
 
     def test_norm_recovery_examples(self):
-        model, primes, bundle = bundle_for_disc(-20, 130)
+        group, primes, bundle = bundle_for_disc(-20, 130)
         for p in primes:
             assert recover_norm(bundle, p.label, recover_class_number(bundle)) == p.norm
         assert recover_norm(bundle, "p_11", recover_class_number(bundle)) == 121
 
     def test_rank_one_norm_recovery(self):
-        model = ClassGroupModel.from_group(FinGenAbGroup(()))
-        bundle = build_bundle(model, [datum("p", 5, ())])
+        group = FinGenAbGroup(())
+        bundle = build_bundle(group, [datum("p", 5, ())])
         assert bundle.entry(["p"]).factors == (4,)
         assert recover_norm(bundle, "p", recover_class_number(bundle)) == 5
 
@@ -276,32 +274,31 @@ class TestReconstructClassGroup:
         assert reconstruct_group(bundle).is_trivial
 
     def test_disc_minus_20_with_pinned_labels(self):
-        model = class_group_model(QuadraticSpec(-20))
+        group = class_group(QuadraticSpec(-20))
         primes = [
             datum("p_3", 3, (1,)),
             datum("p_7", 7, (1,)),
             datum("p_11", 121, (0,), 11),
             datum("p_29", 29, (0,), 29),
         ]
-        bundle = build_bundle(model, primes)
+        bundle = build_bundle(group, primes)
         assert reconstruct_group(bundle).factors == (2,)
 
     def test_klein_four_synthetic(self):
         group = FinGenAbGroup((2, 2))
-        model = ClassGroupModel.from_group(group)
         primes = [
             datum("a", 3, (1, 0)),
             datum("b", 5, (0, 1)),
             datum("c", 7, (1, 1)),
             datum("d", 11, (0, 0)),
         ]
-        bundle = build_bundle(model, primes)
+        bundle = build_bundle(group, primes)
         assert reconstruct_group(bundle).factors == (2, 2)
 
     def test_generator_starved_raises(self):
-        model = ClassGroupModel.from_group(FinGenAbGroup((4,)))
+        group = FinGenAbGroup((4,))
         primes = [datum("x", 3, (2,)), datum("y", 5, (0,))]
-        bundle = build_bundle(model, primes)
+        bundle = build_bundle(group, primes)
         with pytest.raises(InsufficientGenerators):
             reconstruct_group(bundle)
 
@@ -321,9 +318,9 @@ class TestReconstructClassGroup:
             reconstruct_group(bundle)
 
     def test_even_norm_labels_are_ignored_by_chains(self):
-        model = z2_model()
+        group = FinGenAbGroup((2,))
         primes = [datum("e", 2, (1,)), datum("o", 3, (1,))]
-        bundle = build_bundle(model, primes)
+        bundle = build_bundle(group, primes)
         assert reconstruct_group(bundle).factors == (2,)
 
 
@@ -382,45 +379,44 @@ class TestRoundTrip:
     @pytest.mark.parametrize("d", [-4, -20, -23, -47, -84])
     def test_quadratic_fields(self, d):
         spec = QuadraticSpec(d)
-        model = class_group_model(spec)
+        group = class_group(spec)
         primes = enumerate_prime_ideals(spec, 50)
-        report = roundtrip(model, primes, 50)
+        report = roundtrip(group, primes, 50)
         assert report.all_passed, [v for v in report.verdicts if not v.passed]
 
     def test_synthetic_z3_single_generator(self):
         group = FinGenAbGroup((3,))
-        model = ClassGroupModel.from_group(group)
         primes = [datum("g", 7, (1,))]
-        report = roundtrip(model, primes, 10)
+        report = roundtrip(group, primes, 10)
         assert report.all_passed
         assert report.class_group.factors == (3,)
         # singleton entry behind the scenes: one copy of Z/(7**3 - 1)
-        bundle = build_bundle(model, primes)
+        bundle = build_bundle(group, primes)
         assert bundle.entry(["g"]).factors == (342,)
 
     def test_insufficient_generators_guidance(self):
-        model = ClassGroupModel.from_group(FinGenAbGroup((2,)))
+        group = FinGenAbGroup((2,))
         primes = [datum("only_even", 2, (1,))]
         with pytest.raises(InsufficientGenerators, match="raise the prime"):
-            roundtrip(model, primes, 10)
+            roundtrip(group, primes, 10)
 
     def test_random_synthetic_specs(self):
         rng = random.Random(23)
         for _ in range(10):
             spec = random_synthetic_spec(rng, max_order=16)
-            model = class_group_model(spec)
-            report = roundtrip(model, list(spec.primes), 30)
+            group = class_group(spec)
+            report = roundtrip(group, list(spec.primes), 30)
             assert report.all_passed
             assert iso_equal(report.class_group, FinGenAbGroup(spec.factors))
 
     @pytest.mark.parametrize("d", [-56, -120, -231, -260, -420])
     def test_larger_quadratic_fields(self, d):
         spec = QuadraticSpec(d)
-        model = class_group_model(spec)
+        group = class_group(spec)
         primes = enumerate_prime_ideals(spec, 80)
-        report = roundtrip(model, primes, 80)
+        report = roundtrip(group, primes, 80)
         assert report.all_passed, [v for v in report.verdicts if not v.passed]
-        assert iso_equal(report.class_group, model.group)
+        assert iso_equal(report.class_group, group)
 
 
 class TestCompare:
@@ -454,9 +450,8 @@ def test_norm_recovery_inverts_singleton_form_for_all_pairs():
     rng = random.Random(24)
     for _ in range(25):
         group = random_finite_group(rng, max_order=16, max_factors=2)
-        model = ClassGroupModel.from_group(group)
-        cls = model.elements[rng.randrange(model.size)]
+        cls = group.all_elements()[rng.randrange(group.order())]
         norm = rng.choice([2, 3, 4, 5, 7, 8, 9, 11, 13])
         p = datum("p", norm, cls)
-        bundle = build_bundle(model, [p])
+        bundle = build_bundle(group, [p])
         assert recover_norm(bundle, "p", recover_class_number(bundle)) == norm
