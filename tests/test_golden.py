@@ -31,6 +31,8 @@ BUNDLE_1031 = str(GOLDEN / "invariants_1031.out")
 CASES: dict[str, list[str]] = {
     "classgroup_100019": ["classgroup", "-D", "-100019"],
     "classgroup_2184": ["classgroup", "-D", "-2184"],
+    "classgroup_3000047": ["classgroup", "-D", "-3000047"],
+    "classgroup_1000040": ["classgroup", "-D", "-1000040"],
     "classgroup_synthetic": ["classgroup", "--synthetic", SYNTHETIC],
     "invariants_23603_sets": [
         "invariants", "-D", "-23603", "--primes", "100",
