@@ -13,11 +13,13 @@ factoring.
 The integer helpers the package needs live here as well, with no
 dependency outside the standard library: trial-division `factorize` for
 integers of supported size (class numbers, small quotient sizes,
-discriminants), the byte-array sieve `primes_up_to`, exact integer roots,
-and exact `is_prime` / `is_prime_power`.  The primality test is trial
-division below 10**6 and deterministic Miller-Rabin above; above the
-proven limit `MILLER_RABIN_LIMIT` it refuses with `PrimalityLimitExceeded`
-rather than guess.
+discriminants), the byte-array sieve `primes_up_to`, the least prime
+factor table `smallest_prime_factors`, square roots modulo primes and
+prime powers, exact integer roots, and exact `is_prime` /
+`is_prime_power`.  The primality test is trial division below 10**6 and
+deterministic Miller-Rabin above; above the proven limit
+`MILLER_RABIN_LIMIT` it refuses with `PrimalityLimitExceeded` rather than
+guess.
 """
 
 from __future__ import annotations
@@ -494,12 +496,101 @@ def primes_up_to(n: int) -> list[int]:
 _SMALL_PRIMES = primes_up_to(_TRIAL_LIMIT)
 
 
+def smallest_prime_factors(n: int) -> list[int]:
+    """The table spf with spf[k] the least prime factor of k, for 2 <= k <= n.
+
+    spf[0] = 0 and spf[1] = 1.  The primes up to sqrt(n) mark their
+    multiples in descending order, so the least prime marks last.
+
+    >>> smallest_prime_factors(10)
+    [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2]
+    """
+    spf = list(range(n + 1))
+    for p in reversed(primes_up_to(isqrt(n))):
+        spf[p * p :: p] = [p] * len(range(p * p, n + 1, p))
+    return spf
+
+
+def sqrt_mod_prime(a: int, q: int) -> int | None:
+    """A square root of a modulo the prime q, or None if a is a non-residue.
+
+    The (q + 1)/4 power when q = 3 (mod 4), Tonelli-Shanks otherwise
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.5.1).
+
+    >>> sqrt_mod_prime(2, 7) ** 2 % 7
+    2
+    >>> sqrt_mod_prime(3, 7) is None
+    True
+    """
+    a %= q
+    if a == 0 or q == 2:
+        return a
+    if pow(a, (q - 1) // 2, q) != 1:
+        return None
+    if q % 4 == 3:
+        return pow(a, (q + 1) // 4, q)
+    t, s = q - 1, 0  # q - 1 = 2**s * t with t odd
+    while t % 2 == 0:
+        t, s = t // 2, s + 1
+    z = 2
+    while pow(z, (q - 1) // 2, q) == 1:
+        z += 1
+    y = pow(z, t, q)  # generates the 2-Sylow subgroup of (Z/q)*
+    x, b = pow(a, (t + 1) // 2, q), pow(a, t, q)  # x*x = a*b, b in that subgroup
+    while b != 1:
+        m, power = 0, b  # the order of b is 2**m, with m < s
+        while power != 1:
+            power, m = power * power % q, m + 1
+        c = pow(y, 1 << (s - m - 1), q)
+        y, s = c * c % q, m
+        x, b = x * c % q, b * y % q
+    return x
+
+
+def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
+    """Every root of x*x = a modulo q**e, sorted, for a prime q not dividing a.
+
+    For odd q, a root modulo q lifts by Hensel's lemma one exponent at a
+    time, and the roots are r and -r.  Powers of 2 are their own small
+    case: an odd a has the root 1 modulo 2, the roots 1 and 3 modulo 4 when
+    a = 1 (mod 4), and four roots +-r, +-r + 2**(e-1) modulo 2**e for e >= 3
+    when a = 1 (mod 8); otherwise none.
+
+    >>> sqrt_mod_prime_power(2, 7, 2)
+    [10, 39]
+    >>> sqrt_mod_prime_power(17, 2, 5)
+    [7, 9, 23, 25]
+    """
+    if e < 1 or a % q == 0:
+        raise ValueError(f"need e >= 1 and {q} not dividing {a}")
+    n = q**e
+    if q == 2:
+        if e <= 2:
+            return [1] if e == 1 else [1, 3] if a % 4 == 1 else []
+        if a % 8 != 1:
+            return []
+        r = 1  # r*r = a (mod 2**k) for k = 3, then lifted to k = e
+        for k in range(3, e):
+            if (r * r - a) % (2 << k):
+                r += 1 << (k - 1)
+        half = n // 2
+        return sorted({r, n - r, (r + half) % n, (half - r) % n})
+    r = sqrt_mod_prime(a, q)
+    if r is None:
+        return []
+    modulus = q
+    for _ in range(1, e):
+        modulus *= q
+        r = (r - (r * r - a) * pow(2 * r, -1, modulus)) % modulus
+    return sorted({r, n - r})
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1, by trial division.
 
     Costs O(sqrt(n)) divisions, which suits the integers the package
     factors: class numbers, oracle quotient sizes and discriminants, whose
-    reduced-form enumeration costs more anyway.
+    reduced-form enumeration takes about as many steps.
 
     >>> factorize(360)
     {2: 3, 3: 2, 5: 1}

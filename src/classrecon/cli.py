@@ -100,15 +100,21 @@ def _from_decimal(text: str) -> int:
 
 
 def bundle_to_json(bundle: InvariantBundle) -> dict[str, Any]:
-    """Serialize known entries with labels replaced by opaque integers."""
+    """Serialize known entries with labels replaced by opaque integers.
+
+    An entry repeats few distinct factors many times (a homogeneous entry
+    is [Cl : H] copies of one), so each distinct factor is converted once.
+    """
     ids = {label: i for i, label in enumerate(bundle.labels)}
-    entries = [
-        {
-            "labels": sorted(ids[l] for l in key),
-            "factors": [_decimal(x) for x in group.factors],
-        }
-        for key, group in bundle.entries.items()
-    ]
+    entries = []
+    for key, group in bundle.entries.items():
+        text = {x: _decimal(x) for x in set(group.factors)}
+        entries.append(
+            {
+                "labels": sorted(ids[l] for l in key),
+                "factors": [text[x] for x in group.factors],
+            }
+        )
     entries.sort(key=lambda e: (len(e["labels"]), e["labels"]))
     return {
         "version": BUNDLE_VERSION,
@@ -150,6 +156,20 @@ def _json_factor(value: Any) -> int:
     return _json_int(value, "a factor", MalformedBundle)
 
 
+def _json_factors(values: list[Any]) -> tuple[int, ...]:
+    """The factors of one entry, in order, each distinct string read once."""
+    read: dict[str, int] = {}
+    factors = []
+    for x in values:
+        if isinstance(x, str):
+            if x not in read:
+                read[x] = _json_factor(x)
+            factors.append(read[x])
+        else:
+            factors.append(_json_factor(x))
+    return tuple(factors)
+
+
 def _json_list(value: Any, what: str, error: type[Exception]) -> list[Any]:
     if not isinstance(value, list):
         raise error(f"{what} must be a JSON array, got {value!r:.40}")
@@ -177,9 +197,8 @@ def bundle_from_json(doc: Any) -> InvariantBundle:
         if not isinstance(item, dict):
             raise MalformedBundle("every entry must be a JSON object")
         key = frozenset(_json_label_ids(item.get("labels"), "entry labels"))
-        factors = tuple(
-            _json_factor(x)
-            for x in _json_list(item.get("factors"), "entry factors", MalformedBundle)
+        factors = _json_factors(
+            _json_list(item.get("factors"), "entry factors", MalformedBundle)
         )
         try:
             entries[key] = FinGenAbGroup(factors)

@@ -18,10 +18,15 @@ orders of the forms match the group's, and the map from forms to classes is
 a bijective homomorphism.  `class_group` returns the group as a plain
 `FinGenAbGroup`, which is all the runtime needs; `class_group_model` wraps
 it in the enumerating `ClassGroupModel` for the certifiers and the tests.
-Quadratic specs with |D| above MAX_DISCRIMINANT are refused before any
-work, since form enumeration is linear in |D|; prime bounds above
-MAX_BOUND and synthetic groups of order above MAX_SYNTHETIC_ORDER are
-refused the same way.
+The reduced forms themselves come from square roots: for each leading
+coefficient a <= sqrt(|D|/3), the middle coefficients b are the roots of
+b^2 = D (mod 4a), combined by the Chinese remainder theorem from roots
+modulo the prime powers of 4a.  That takes about sqrt(|D|) steps, not the
+|D|/3 of trying every pair (a, b), which `oracle.naive_reduced_forms` keeps
+as the reference.  Quadratic specs with |D| above MAX_DISCRIMINANT are
+refused before any work, since the class group build grows with h, about
+sqrt(|D|); prime bounds above MAX_BOUND and synthetic groups of order above
+MAX_SYNTHETIC_ORDER are refused the same way.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from .abgroup import (
     is_prime,
     is_prime_power,
     primes_up_to,
+    smallest_prime_factors,
+    sqrt_mod_prime_power,
     subgroup_index,
     xgcd,
 )
@@ -50,9 +57,12 @@ from .lattice import (
 )
 
 
-# Every quadratic spec enumerates its reduced forms, about |D|/3 loop steps:
-# about 6 s at this limit in CPython 3.11 on a 2-core x86-64 machine.  A
-# larger |D| is refused before any work, including the squarefree test.
+# Every quadratic spec factors |D| by trial division, enumerates its reduced
+# forms and builds its class group from them, each in about sqrt(|D|)
+# steps: `classgroup` takes about 0.5 s at this limit in CPython 3.11 on a
+# 2-core x86-64 machine.  The bundle of a field grows with its class number,
+# so the limit stays until the bundle size has a cap of its own.  A larger
+# |D| is refused before any work, including the squarefree test.
 MAX_DISCRIMINANT = 10**8
 
 # The prime sieve and the zeta coefficients allocate one slot per integer up
@@ -75,7 +85,7 @@ class InvalidDiscriminant(ValueError):
 
 
 class DiscriminantTooLarge(Exception):
-    """|D| exceeds MAX_DISCRIMINANT, beyond which form enumeration is refused."""
+    """|D| exceeds MAX_DISCRIMINANT, beyond which the class group is not built."""
 
 
 def check_bound(bound: int, what: str) -> None:
@@ -148,11 +158,20 @@ def _squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(abs(n)).values())
 
 
+@lru_cache(maxsize=None)
 def _check_discriminant(d: int) -> None:
+    """Refuse d unless it is a negative fundamental discriminant within the limit.
+
+    Every function here that takes a discriminant calls this, and the
+    squarefree test factors |D| by trial division, so a valid d is checked
+    once and remembered: enumerating the prime ideals of a field then
+    factors |D| at most once, not once per prime.  A refusal raises and is
+    not remembered.
+    """
     if d < -MAX_DISCRIMINANT:
         raise DiscriminantTooLarge(
-            f"|D| = {-d} exceeds the limit {MAX_DISCRIMINANT}: enumerating "
-            "the reduced forms costs time linear in |D|"
+            f"|D| = {-d} exceeds the limit {MAX_DISCRIMINANT}: factoring it and "
+            "building its class group grow with sqrt(|D|)"
         )
     if not is_fundamental_discriminant(d):
         raise InvalidDiscriminant(
@@ -261,21 +280,78 @@ def principal_form(d: int) -> QuadraticForm:
 
 
 def reduced_forms(d: int) -> list[QuadraticForm]:
-    """All reduced forms of a negative fundamental discriminant, sorted."""
+    """All reduced forms of a negative fundamental discriminant, sorted.
+
+    A reduced form (a, b, c) has a <= sqrt(|d|/3), and b lies in (-a, a]
+    with b^2 = d (mod 4a); b and b + 2a give the same c, so the candidates
+    for each a are the classes mod 2a of the roots of d modulo 4a.  With
+    a = 2^e * m, m odd, those combine by CRT the 2-adic roots
+    (`_two_adic_roots`) with the roots modulo m.  The roots modulo each odd
+    m are built once, in increasing order: modulo its prime power q^k
+    (least prime factor q) directly, otherwise by CRT from the roots modulo
+    q^k and modulo m / q^k, both built before.  A prime factor of a at
+    which d is a non-residue leaves no roots, hence no forms.  The
+    conditions c >= a, and b >= 0 when a = c, then pick the reduced ones.
+    """
     _check_discriminant(d)
+    top = isqrt(-d // 3)
+    spf = smallest_prime_factors(top)
+    two_adic = [_two_adic_roots(d, e) for e in range(top.bit_length())]
+    odd_roots: list[list[int]] = [[], [0]] + [[] for _ in range(top - 1)]
     forms = []
-    for a in range(1, isqrt(-d // 3) + 1):
-        for b in range(-a + 1, a + 1):
-            num = b * b - d
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            forms.append(QuadraticForm(a, b, c))
-    return sorted(forms)
+    for a in range(1, top + 1):
+        e = (a & -a).bit_length() - 1
+        m = a >> e
+        if m == a > 1:  # odd a: its roots come from its least prime power and the rest
+            q = prime_power = spf[a]
+            k = 1
+            while a % (prime_power * q) == 0:
+                prime_power, k = prime_power * q, k + 1
+            rest = a // prime_power
+            odd_roots[a] = (
+                _odd_prime_power_roots(d, q, k)
+                if rest == 1
+                else _crt(odd_roots[prime_power], prime_power, odd_roots[rest], rest)
+            )
+        roots = _crt(two_adic[e], 2 << e, odd_roots[m], m)
+        for b in sorted(x - 2 * a if x > a else x for x in roots):
+            c = (b * b - d) // (4 * a)
+            if c > a or (c == a and b >= 0):
+                forms.append(QuadraticForm(a, b, c))
+    return forms
+
+
+def _two_adic_roots(d: int, e: int) -> list[int]:
+    """Every class b mod 2^(e+1) with b^2 = d (mod 2^(e+2)), sorted.
+
+    An odd d takes its roots modulo 2^(e+2).  An even d = 4n has
+    n = 2 or 3 (mod 4), and b = 2b' needs b'^2 = n (mod 2^e): any b' for
+    e = 0, b' = n (mod 2) for e = 1, and none above.
+    """
+    if d % 2:
+        return sorted({r % (2 << e) for r in sqrt_mod_prime_power(d, 2, e + 2)})
+    if e > 1:
+        return []
+    return [2 * (d // 4 % 2)] if e == 1 else [0]
+
+
+def _odd_prime_power_roots(d: int, q: int, k: int) -> list[int]:
+    """Every b mod q^k with b^2 = d (mod q^k), for an odd prime q, sorted.
+
+    A fundamental d is divisible by no odd prime square, so q | d leaves
+    the one root 0 for k = 1 and none above.
+    """
+    if d % q == 0:
+        return [0] if k == 1 else []
+    return sqrt_mod_prime_power(d, q, k)
+
+
+def _crt(r1: list[int], m1: int, r2: list[int], m2: int) -> list[int]:
+    """Every x mod m1*m2 with x in r1 (mod m1) and in r2 (mod m2); gcd(m1, m2) = 1."""
+    if not (r1 and r2):
+        return []
+    inverse = pow(m1, -1, m2)
+    return [x + m1 * ((y - x) * inverse % m2) for x in r1 for y in r2]
 
 
 @dataclass(frozen=True)
@@ -374,18 +450,26 @@ def kronecker_splitting(d: int, q: int) -> Splitting:
 
 
 def prime_form(d: int, q: int) -> QuadraticForm:
-    """The form (q, b, c) of discriminant d with the smallest b in [0, 2q)."""
+    """The form (q, b, c) of discriminant d with the smallest b in [0, 2q).
+
+    The b are the roots of d modulo 4q, one per class mod 2q, as in
+    `reduced_forms`: the root modulo q combined with the parity of d, or
+    the 2-adic roots for q = 2.
+    """
     split = kronecker_splitting(d, q)
     if split.kind == "inert":
         raise ValueError(f"{q} is inert in discriminant {d}; no form with a = {q}")
-    for b in range(2 * q):
-        num = b * b - d
-        if num % (4 * q) == 0:
-            form = QuadraticForm(q, b, num // (4 * q))
-            if gcd(gcd(form.a, form.b), form.c) != 1:
-                raise InternalContradiction(f"imprimitive prime form for ({d}, {q})")
-            return form
-    raise InternalContradiction(f"no prime form found for ({d}, {q})")
+    if q == 2:
+        roots = _two_adic_roots(d, 1)
+    else:
+        roots = _crt(_two_adic_roots(d, 0), 2, _odd_prime_power_roots(d, q, 1), q)
+    if not roots:
+        raise InternalContradiction(f"no prime form found for ({d}, {q})")
+    b = min(roots)
+    c, rem = divmod(b * b - d, 4 * q)
+    if rem or gcd(gcd(q, b), c) != 1:
+        raise InternalContradiction(f"no primitive prime form for ({d}, {q})")
+    return QuadraticForm(q, b, c)
 
 
 def ideal_class_of_prime(d: int, q: int) -> GroupElement:

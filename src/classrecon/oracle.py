@@ -6,10 +6,10 @@ route to the quotients, independent of the formula in
 `lattice.quotient_group` and of Smith normal form.
 
 Everything else here is deliberately simple and bounded: coset enumeration
-in a box, exhaustive subgroup closure, exhaustive search for represented
-primes.  The guards are hard limits, not heuristics: an oracle that
-refuses to answer is more trustworthy than one that silently takes
-shortcuts.
+in a box, exhaustive subgroup closure, the scan of every pair (a, b) for
+reduced forms, exhaustive search for represented primes.  The guards are
+hard limits, not heuristics: an oracle that refuses to answer is more
+trustworthy than one that silently takes shortcuts.
 
 None of this code shares machinery with the Smith normal form it validates;
 lattice questions, including the multiplier relations a quotient prediction
@@ -21,11 +21,11 @@ exact determinants, element orders and primary decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .abgroup import FinGenAbGroup, GroupElement, IntMatrix, factorize
-from .fields import QuadraticForm, reduced_forms
+from .fields import QuadraticForm, _check_discriminant
 from .lattice import (
     ClassGroupModel,
     InternalContradiction,
@@ -460,13 +460,35 @@ class Representation:
     y: int
 
 
+def naive_reduced_forms(d: int) -> list[QuadraticForm]:
+    """All reduced forms of a negative fundamental discriminant, sorted.
+
+    Tries every pair (a, b) with a <= sqrt(|d|/3) and -a < b <= a, about
+    |d|/3 steps; the reference for `fields.reduced_forms`.
+    """
+    _check_discriminant(d)
+    forms = []
+    for a in range(1, isqrt(-d // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            num = b * b - d
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if a == c and b < 0:
+                continue
+            forms.append(QuadraticForm(a, b, c))
+    return sorted(forms)
+
+
 def naive_represented_primes(d: int, q: int) -> Representation | None:
     """Search for a reduced form of discriminant d representing the prime q.
 
     Scans all (x, y) with |x|, |y| <= q; returns None when no reduced form
     represents q, which is exactly the inert case.
     """
-    for form in reduced_forms(d):
+    for form in naive_reduced_forms(d):
         for x in range(-q, q + 1):
             for y in range(-q, q + 1):
                 if form.value(x, y) == q:

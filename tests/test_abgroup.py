@@ -23,7 +23,10 @@ from classrecon.abgroup import (
     iso_equal,
     p_part,
     primes_up_to,
+    smallest_prime_factors,
     smith_normal_form,
+    sqrt_mod_prime,
+    sqrt_mod_prime_power,
     subgroup_index,
     xgcd,
 )
@@ -401,6 +404,33 @@ class TestIntegerHelpers:
         q = 1013 if p == 1009 else 1009
         if p**k * q < MILLER_RABIN_LIMIT:
             assert not is_prime_power(p**k * q)
+
+    def test_smallest_prime_factors_match_factorize(self):
+        spf = smallest_prime_factors(5000)
+        assert spf[:2] == [0, 1]
+        assert all(spf[k] == min(factorize(k)) for k in range(2, 5001))
+
+    def test_sqrt_mod_prime_against_squares(self):
+        # q = 1 (mod 8) and q = 1 (mod 16) exercise several Tonelli-Shanks steps
+        for q in primes_up_to(300) + [7681, 65537]:
+            squares = {x * x % q for x in range(q)}
+            for a in range(-5, min(q, 400)):
+                r = sqrt_mod_prime(a, q)
+                if a % q in squares:
+                    assert r is not None and r * r % q == a % q, (a, q)
+                else:
+                    assert r is None, (a, q)
+
+    def test_sqrt_mod_prime_power_against_brute_force(self):
+        for q, top in ((2, 9), (3, 6), (5, 4), (7, 3), (11, 2), (13, 2)):
+            for e in range(1, top + 1):
+                n = q**e
+                for a in range(-60, 60):
+                    if a % q:
+                        want = [x for x in range(n) if (x * x - a) % n == 0]
+                        assert sqrt_mod_prime_power(a, q, e) == want, (a, q, e)
+        with pytest.raises(ValueError):
+            sqrt_mod_prime_power(9, 3, 2)
 
     def test_refuses_above_the_proven_limit(self):
         mersenne_89 = 2**89 - 1  # prime, above the limit

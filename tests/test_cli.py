@@ -25,7 +25,8 @@ from classrecon.cli import (
     synthetic_spec_from_json,
 )
 from classrecon.fields import QuadraticSpec, class_group, enumerate_prime_ideals
-from classrecon.reconstruct import build_bundle
+from classrecon.abgroup import FinGenAbGroup
+from classrecon.reconstruct import InvariantBundle, build_bundle
 
 SYNTHETIC_DOC = {
     "invariant_factors": ["2", "2"],
@@ -120,6 +121,27 @@ class TestInvariantsCommand:
         for key, group in bundle.entries.items():
             assert parsed.entries[frozenset(relabel[l] for l in key)] == group
         assert bundle_to_json(parsed)["entries"] == doc["entries"]
+
+    def test_codec_converts_each_distinct_factor_once_per_entry(self, monkeypatch):
+        bundle = InvariantBundle(
+            rank=3,
+            labels=("a",),
+            entries={
+                frozenset(): FinGenAbGroup((0, 0, 0)),
+                frozenset({"a"}): FinGenAbGroup((2, 6, 6)),
+            },
+        )
+        written, read = [], []
+        decimal, json_factor = cli._decimal, cli._json_factor
+        monkeypatch.setattr(cli, "_decimal", lambda n: written.append(n) or decimal(n))
+        monkeypatch.setattr(
+            cli, "_json_factor", lambda v: read.append(v) or json_factor(v)
+        )
+        doc = bundle_to_json(bundle)
+        assert [e["factors"] for e in doc["entries"]] == [["0"] * 3, ["2", "6", "6"]]
+        assert sorted(written) == [0, 2, 6]
+        assert bundle_to_json(bundle_from_json(doc)) == doc
+        assert read == ["0", "2", "6"]
 
 
 class TestReconstructCommand:
@@ -366,6 +388,15 @@ class TestRoundTripCommand:
         doc = json.loads(out.read_text())
         assert all(v["pass"] for v in doc["verdicts"])
         assert doc["class_group_factors"] == ["2"]
+
+    def test_class_number_4325(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["roundtrip", "-D", "-30000023", "--primes", "200", "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["class_number"] == 4325
+        assert len(doc["verdicts"]) == 4
+        assert all(v["pass"] for v in doc["verdicts"])
 
     def test_synthetic_spec(self, synthetic_file, tmp_path):
         out = tmp_path / "report.json"
@@ -651,6 +682,42 @@ def _exit_code_for_file(argv_head, doc):
 @given(JSON_VALUES | BUNDLE_DOCS | shaped_bundle_docs())
 def test_arbitrary_json_bundle_never_raises(doc):
     assert _exit_code_for_file(["reconstruct"], doc) in range(4)
+
+
+# Factors up to 2**20000 run past CPython's 4300-digit conversion limit.
+FACTOR_ORDERS = st.integers(0, 40) | st.integers(0, 2**20000)
+
+
+@st.composite
+def written_bundle_docs(draw):
+    """Bundle files as `bundle_to_json` writes them, with repeated factors."""
+    n = draw(st.integers(0, 4))
+    label_sets = [[]] + [[i] for i in range(n)]
+    if n > 1:
+        label_sets += draw(
+            st.lists(
+                st.lists(st.integers(0, n - 1), min_size=2, unique=True).map(sorted),
+                max_size=4,
+                unique_by=tuple,
+            )
+        )
+    entries = []
+    for labels in label_sets:
+        orders = draw(st.lists(FACTOR_ORDERS, max_size=3)) * draw(st.integers(1, 3))
+        factors = FinGenAbGroup.from_orders(orders).factors
+        entries.append({"labels": labels, "factors": [cli._decimal(x) for x in factors]})
+    entries.sort(key=lambda e: (len(e["labels"]), e["labels"]))
+    rank = draw(st.integers(1, 6))
+    return {"version": 1, "rank": rank, "labels": list(range(n)), "entries": entries}
+
+
+@settings(max_examples=100, deadline=None)
+@given(written_bundle_docs())
+def test_bundle_file_survives_load_and_save(doc):
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    saved = bundle_to_json(bundle_from_json(json.loads(text)))
+    assert saved == doc
+    assert json.dumps(saved, indent=2, sort_keys=True) == text
 
 
 @settings(max_examples=300, deadline=None)

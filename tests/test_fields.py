@@ -29,7 +29,12 @@ from classrecon.fields import (
     reduced_forms,
     validate_synthetic,
 )
-from classrecon.oracle import element_order, naive_represented_primes
+from classrecon.abgroup import primes_up_to
+from classrecon.oracle import (
+    element_order,
+    naive_reduced_forms,
+    naive_represented_primes,
+)
 
 from helpers import datum
 
@@ -53,6 +58,38 @@ def _oracle_discriminants() -> list[int]:
 
 
 ORACLE_DISCRIMINANTS = _oracle_discriminants()
+
+
+def _enumeration_discriminants() -> list[int]:
+    """Every shape of fundamental discriminant, for the form enumeration.
+
+    Fixed: class number one, the ladder and -3000047 (h = 955).  Seeded:
+    four of each shape D = 1, 5 (mod 8) and D = 8, 12 (mod 16), drawn from
+    |D| < 2*10**5, plus two of each from |D| < 2000.
+    """
+    rng = random.Random(8)
+    sample: list[int] = []
+    for top, count in ((2000, 2), (200_000, 4)):
+        for shape in ((8, 1), (8, 5), (16, 8), (16, 12)):
+            drawn = 0
+            while drawn < count:
+                d = -rng.randrange(3, top)
+                if d % shape[0] == shape[1] and is_fundamental_discriminant(d):
+                    sample.append(d)
+                    drawn += 1
+    return [-3, -4, -7, -8, -84, -1031, -10007, -100019, -3000047] + sample
+
+
+ENUMERATION_DISCRIMINANTS = _enumeration_discriminants()
+
+
+def _scanned_prime_form(d: int, q: int) -> QuadraticForm | None:
+    """The form (q, b, c) with the least b in range(2q), by trying each b."""
+    for b in range(2 * q):
+        num = b * b - d
+        if num % (4 * q) == 0:
+            return QuadraticForm(q, b, num // (4 * q))
+    return None
 
 
 class TestKroneckerSymbol:
@@ -133,6 +170,40 @@ class TestReducedForms:
                 g = QuadraticForm(f.a, f.b + 2 * f.a, f.a + f.b + f.c)
                 assert g.discriminant == d
                 assert g.reduced() == f
+
+
+class TestFormEnumeration:
+    @pytest.mark.parametrize("d", ENUMERATION_DISCRIMINANTS)
+    def test_reduced_forms_match_the_pair_scan(self, d):
+        assert reduced_forms(d) == naive_reduced_forms(d)
+
+    def test_sample_reaches_every_root_case(self):
+        # leading coefficients with an odd prime square and with 2^3 or
+        # more, for odd D, and with 2 for D = 8 and 12 (mod 16)
+        reached = set()
+        for d in ENUMERATION_DISCRIMINANTS:
+            for f in reduced_forms(d):
+                if any(f.a % (q * q) == 0 for q in (3, 5, 7)):
+                    reached.add(("odd square", d % 2))
+                if f.a % 8 == 0:
+                    reached.add(("2^3", d % 2))
+                if f.a % 2 == 0:
+                    reached.add(("even a", d % 16 if d % 2 == 0 else 1))
+        assert reached >= {
+            ("odd square", 0), ("odd square", 1), ("2^3", 1),
+            ("even a", 1), ("even a", 8), ("even a", 12),
+        }
+
+    @pytest.mark.parametrize("d", ENUMERATION_DISCRIMINANTS)
+    def test_prime_form_matches_the_b_scan(self, d):
+        for q in primes_up_to(500):
+            want = _scanned_prime_form(d, q)
+            if kronecker_splitting(d, q).kind == "inert":
+                assert want is None
+                with pytest.raises(ValueError):
+                    prime_form(d, q)
+            else:
+                assert prime_form(d, q) == want, (d, q)
 
 
 class TestComposition:
@@ -238,6 +309,21 @@ class TestComposition:
                 _discriminant_data(d)
             with pytest.raises(DiscriminantTooLarge):
                 QuadraticSpec(d)
+
+    def test_prime_enumeration_factors_the_discriminant_once(self, monkeypatch):
+        calls = []
+        factorize = fields.factorize
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(fields, "factorize", counted)
+        fields._check_discriminant.cache_clear()
+        fields._discriminant_data.cache_clear()
+        data = enumerate_prime_ideals(QuadraticSpec(-100019), 2000)
+        assert len(data) > 250  # one check, not one per prime
+        assert calls == [100019]
 
 
 class TestSplitting:
