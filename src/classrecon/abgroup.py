@@ -2,7 +2,10 @@
 
 Everything here works with plain Python integers, so all results are exact
 at any size.  Matrices are immutable; the Smith normal form returns a fresh
-matrix together with the unimodular transformations that witness it.
+matrix together with the unimodular transformations that witness it; in
+the package only `cokernel_of_columns` calls it.  A subgroup's index and
+the relations among its generators need less: `index_and_relations` reads
+both off one column echelon.
 
 Groups are kept in canonical invariant-factor form (nonzero factors form a
 divisibility chain, no factor equals 1, free factors encoded as trailing
@@ -379,25 +382,76 @@ class FinGenAbGroup:
         return " x ".join("Z" if x == 0 else f"Z/{x}" for x in self.factors)
 
 
+def index_and_relations(
+    gens: Sequence[Sequence[int]], factors: Sequence[int]
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The index of <gens> in the group with these factors, and their relations.
+
+    `gens` are coordinate columns.  The matrix [gens | diag(factors)] is
+    brought to lower-triangular column echelon form by xgcd column
+    operations (Cohen, GTM 138, section 2.4), and of the unimodular
+    transform V only the first len(gens) rows are kept.  The index is the
+    product of the pivots, or 0 when a row has none (infinite index, which
+    needs a factor 0).  The columns of V past the pivot columns span the
+    kernel of the matrix, so their first len(gens) entries span the
+    relations {k : sum k_j gens_j = 0}.  Neither U nor a divisibility chain
+    is computed; `smith_normal_form` does that.
+
+    >>> index_and_relations([(2,), (3,)], (6,))
+    (1, [(-3, 2), (6, -6)])
+    >>> index_and_relations([(2, 0)], (4, 4))
+    (8, [(-2,)])
+    """
+    r, n = len(factors), len(gens)
+    # a column holds its r matrix entries, then its n entries of V
+    cols = []
+    for j, g in enumerate(gens):
+        col = [*g] + [0] * n
+        col[r + j] = 1
+        cols.append(col)
+    for j, d in enumerate(factors):
+        col = [0] * (r + n)
+        col[j] = d
+        cols.append(col)
+    index, t = 1, 0  # cols[:t] are the pivot columns
+    for row in range(r):
+        live = [j for j in range(t, len(cols)) if cols[j][row]]
+        if not live:
+            index = 0
+            continue
+        # the least entry leads, so most others reduce by one division
+        lead = min(live, key=lambda k: abs(cols[k][row]))
+        cols[t], cols[lead] = cols[lead], cols[t]
+        for j in range(t + 1, len(cols)):
+            b = cols[j][row]
+            if not b:
+                continue
+            a = cols[t][row]
+            if b % a == 0:
+                q = b // a
+                cols[j] = [y - q * x for x, y in zip(cols[t], cols[j])]
+            else:
+                g, x, y = xgcd(a, b)
+                ag, bg = a // g, b // g
+                cols[t], cols[j] = (
+                    [x * u + y * w for u, w in zip(cols[t], cols[j])],
+                    [ag * w - bg * u for u, w in zip(cols[t], cols[j])],
+                )
+        index *= abs(cols[t][row])
+        t += 1
+    return index, [tuple(c[r:]) for c in cols[t:]]
+
+
 def subgroup_index(g: FinGenAbGroup, gens: Sequence[GroupElement]) -> int:
     """Index [G : <gens>] in a finite group, computed exactly.
 
     The subgroup corresponds to the integer lattice spanned by the generator
     coordinates together with the relation lattice diag(factors); the index
-    is the covolume of that lattice in Z^k.
+    is the covolume of that lattice in Z^k, read off `index_and_relations`.
     """
     if not g.is_finite:
         raise ValueError("subgroup index requires a finite group")
-    k = len(g.factors)
-    if k == 0:
-        return 1
-    cols = [list(g.element(x)) for x in gens]
-    cols += [[g.factors[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    s, _, _ = smith_normal_form(IntMatrix.from_columns(cols))
-    idx = 1
-    for d in s.diagonal():
-        idx *= d
-    return idx
+    return index_and_relations([g.element(x) for x in gens], g.factors)[0]
 
 
 def iso_equal(g: FinGenAbGroup, h: FinGenAbGroup) -> bool:

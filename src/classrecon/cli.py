@@ -13,6 +13,9 @@ the interpreter-wide setting is never changed.
 Each file type has one validating loader (`bundle_from_json`,
 `synthetic_spec_from_json`) that turns any defect into its one-line error.
 
+There is one argument parser per process: `build_parser` builds it on the
+first `main` call, not at import, and every later call reuses it.
+
 Exit codes: 0 success/pass, 1 verdict failure, malformed bundle or internal
 contradiction, 2 usage or spec error (including unreadable or non-JSON
 input files), 3 insufficient data, an integer too large for the exact
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from math import log10
 from typing import Any, Sequence
 
@@ -394,7 +398,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK if result.equivalent else EXIT_FAIL
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing keeps no state in the parser: every call fills a fresh
+    namespace, so one parser serves every `main` call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="classrecon",
         description="Class-group lattice invariants and blind reconstruction",

@@ -15,11 +15,12 @@ coset representatives, and Z[H] modulo that ideal is cyclic.  So the
 quotient is [Cl : H] copies of Z/m, where m is the largest modulus on which
 [p] -> N(p)^-1 is a character of H.  It takes the class group as a plain
 `FinGenAbGroup`: the index and the relations among the [p] come from one
-Smith normal form (SNF) with at most log2 #Cl rows, and no group element is
+column echelon over Z with at most log2 #Cl rows, and no group element is
 enumerated.  Two independent routes certify the formula in the tests: the
-brute-force SNF of the whole sublattice, `lattice_quotient`, and the
-paper's induction over F in `oracle`.  Only they need `ClassGroupModel`,
-which enumerates every element to index the lattice basis.
+brute-force Smith normal form (SNF) of the whole sublattice,
+`lattice_quotient`, and the paper's induction over F in `oracle`.  Only
+they need `ClassGroupModel`, which enumerates every element to index the
+lattice basis.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from math import gcd, lcm, log2
 from .abgroup import (
     FinGenAbGroup,
     GroupElement,
-    IntMatrix,
     brief,
     cokernel_of_columns,
-    smith_normal_form,
+    index_and_relations,
 )
 
 # A quotient of F needs N(p)**ord[p] - 1 for every p in F, an integer of
@@ -173,10 +173,11 @@ def quotient_group(
     `group` is the class group Cl.  The empty set gives the free group of
     rank #Cl.  Otherwise, with d_i the invariant factors and x the
     coordinates of a class, ord[p] is the lcm of d_i / gcd(d_i, x_i).  One
-    SNF of the matrix [class coordinates | diag(d_i)] gives the index
-    [Cl : H] as the product of its diagonal and a basis of the relations
-    {k : sum k_p [p] = 0} as the kernel columns of V; one prime needs no
-    SNF, since its relations are the multiples of ord[p].  Then
+    column echelon of the matrix [class coordinates | diag(d_i)]
+    (`index_and_relations`) gives the index [Cl : H] as the product of its
+    pivots and a generating set of the relations {k : sum k_p [p] = 0} from
+    its column transform; one prime needs none, since its relations are the
+    multiples of ord[p].  Then
     m = gcd(N(p)**ord[p] - 1 over p, prod N(p)**k_p - 1 over the relations
     k), with every exponent reduced modulo ord[p] and every power taken
     modulo the running gcd.  A set whose N(p)**ord[p] would exceed
@@ -201,21 +202,14 @@ def quotient_group(
                 f"the quotient for {p.label} needs {p.norm}**{o} - 1, about "
                 f"{bits:.0f} bits, above the limit {MAX_QUOTIENT_BITS} bits"
             )
-    index, relations = 1, []
     if len(primes) == 1:  # the relations are the multiples of ord[p]
-        index = h // orders[0]
-    elif factors:
-        r = len(factors)
-        diag = [[d if i == j else 0 for i in range(r)] for j, d in enumerate(factors)]
-        s, _, v = smith_normal_form(IntMatrix.from_columns(coords + diag))
-        pivots = [d for d in s.diagonal() if d]
-        if len(pivots) != r:
+        index, relations = h // orders[0], []
+    else:
+        index, relations = index_and_relations(coords, factors)
+        if index == 0:
             raise InternalContradiction(
-                f"relation matrix of {factors} has rank {len(pivots)}, not {r}"
+                f"relation matrix of {factors} has rank below {len(factors)}"
             )
-        for d in pivots:
-            index *= d
-        relations = [v.column(j)[: len(primes)] for j in range(r, v.ncols)]
     if h % index:
         raise InternalContradiction(f"subgroup index {index} does not divide {h}")
     m = 0

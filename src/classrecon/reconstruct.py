@@ -95,11 +95,13 @@ def build_bundle(
     `group` is the class group, and no element of it is enumerated.  One
     closed formula produces every entry: the empty set, the singletons,
     the odd-norm sets the reconstruction asks for and the `subsets` given,
-    whatever their parities.  The empty set and every singleton are always
-    included.  Later requests for other subsets are served on demand (and
-    memoized); the ground truth stays enclosed in the supplier and is never
-    exposed.  Smith normal form of the whole sublattice and the induction
-    in `oracle` only certify these entries in the tests.
+    whatever their parities; a set of two or more primes costs one column
+    echelon of its class coordinates, never a Smith normal form.  The empty
+    set and every singleton are always included.  Later requests for other
+    subsets are served on demand (and memoized); the ground truth stays
+    enclosed in the supplier and is never exposed.  Smith normal form of
+    the whole sublattice and the induction in `oracle` only certify these
+    entries in the tests.
     """
     labels = tuple(p.label for p in primes)
     if len(set(labels)) != len(labels):

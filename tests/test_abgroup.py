@@ -17,6 +17,7 @@ from classrecon.abgroup import (
     PrimalityLimitExceeded,
     cokernel_of_columns,
     factorize,
+    index_and_relations,
     integer_nth_root,
     is_prime,
     is_prime_power,
@@ -35,6 +36,7 @@ from classrecon.oracle import (
     determinant,
     element_order,
     naive_cokernel,
+    naive_member,
     naive_order_index,
     primary_decomposition,
 )
@@ -168,6 +170,45 @@ class TestCokernel:
                 for i, coef in enumerate(col):
                     img = g.add(img, g.scale(coef, proj[i]))
                 assert img == g.zero()
+
+
+@st.composite
+def groups_and_generators(draw):
+    """A group of rank 1-4 and 0-6 integer columns of its rank."""
+    group = draw(st.lists(st.integers(2, 12), min_size=1, max_size=4).map(
+        FinGenAbGroup.from_orders))
+    column = st.tuples(*[st.integers(-30, 30)] * len(group.factors))
+    return group, draw(st.lists(column, max_size=6))
+
+
+class TestIndexAndRelations:
+    @settings(max_examples=200, deadline=None)
+    @given(groups_and_generators())
+    def test_against_smith_normal_form(self, case):
+        group, gens = case
+        r, n = len(group.factors), len(gens)
+        index, relations = index_and_relations(gens, group.factors)
+        diag = [tuple(d * (i == j) for i in range(r)) for j, d in enumerate(group.factors)]
+        s, _, v = smith_normal_form(IntMatrix.from_columns(gens + diag))
+        snf_index = 1
+        for d in s.diagonal():
+            snf_index *= d
+        assert index == snf_index
+        assert len(relations) == n
+        for k in relations:
+            image = [sum(c * g[i] for c, g in zip(k, gens)) for i in range(r)]
+            assert group.element(image) == group.zero()
+        # the kernel columns of V, cut to their first n entries, span the
+        # same relation lattice
+        kernel = [v.column(j)[:n] for j in range(r, v.ncols)]
+        assert all(naive_member(relations, k) for k in kernel)
+        assert all(naive_member(kernel, k) for k in relations)
+
+    def test_infinite_index(self):
+        assert index_and_relations([(1, 0)], (3, 0)) == (0, [(-3,), (0,)])
+
+    def test_trivial_group(self):
+        assert index_and_relations([(), ()], ()) == (1, [(1, 0), (0, 1)])
 
 
 class TestGroupArithmetic:

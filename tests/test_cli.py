@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classrecon
-from classrecon import cli, fields, lattice, reconstruct
+from classrecon import abgroup, cli, fields, lattice, reconstruct
 from classrecon.cli import (
     EXIT_FAIL,
     EXIT_INSUFFICIENT,
@@ -27,6 +27,10 @@ from classrecon.cli import (
 from classrecon.fields import QuadraticSpec, class_group, enumerate_prime_ideals
 from classrecon.abgroup import FinGenAbGroup
 from classrecon.reconstruct import InvariantBundle, build_bundle
+
+from test_golden import GOLDEN, run_case
+
+SYNTHETIC_248 = str(GOLDEN / "synthetic_248.json")
 
 SYNTHETIC_DOC = {
     "invariant_factors": ["2", "2"],
@@ -379,6 +383,45 @@ def test_runtime_needs_no_brute_force_quotient(tmp_path, monkeypatch):
     assert main(argv) == EXIT_FAIL
 
 
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Calls to `smith_normal_form`, counted at every binding in the package.
+
+    The package's memo caches are cleared first, so a call pays its class
+    group build as it would in a fresh process.
+    """
+    original = abgroup.smith_normal_form
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("classrecon") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+                elif callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (["roundtrip", "--synthetic", SYNTHETIC_248], 0),
+        (["invariants", "-D", "-23603", "--primes", "100", "--set", "p_2,p_3c,p_37"], 1),
+    ],
+    ids=["roundtrip-synthetic", "invariants-sets"],
+)
+def test_smith_normal_form_stays_off_the_hot_path(argv, expected, snf_calls, tmp_path):
+    # Indices and relations come from a column echelon; the one SNF left is
+    # the quadratic class-group build, through `cokernel_of_columns`.
+    assert main([*argv, "-o", str(tmp_path / "out.json")]) == EXIT_OK
+    assert len(snf_calls) == expected
+
+
 class TestRoundTripCommand:
     def test_disc_minus_20(self, tmp_path):
         out = tmp_path / "report.json"
@@ -446,6 +489,59 @@ def test_non_positive_bound_is_usage_error(argv, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EXIT_OK
     assert "usage: classrecon" in capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # A parse leaves no state in the shared parser: each call's exit code,
+    # output and written file equal those of a call on a fresh parser.
+    out = tmp_path / "out.json"
+    invariants = ["invariants", "-D", "-23603", "--primes", "100", "-o", str(out)]
+    steps = [
+        ["invariants", "-D", "-20", "--primes", "many"],
+        ["--help"],
+        [*invariants, "--set", "p_2,p_3c,p_37"],
+        invariants,
+    ]
+
+    def run(argv):
+        out.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.exists() and out.read_bytes()
+
+    cli.build_parser.cache_clear()
+    shared = [run(argv) for argv in steps]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in steps:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [step[0] for step in shared] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert shared[2][3] != shared[3][3]  # only the first holds the --set entry
+    code, stdout = run_case("invariants_23603_sets", out)
+    assert (code, stdout) == (EXIT_OK, "")
+    assert out.read_bytes() == (GOLDEN / "invariants_23603_sets.out").read_bytes()
+
+
+def test_cli_import_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(classrecon.__file__))
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import classrecon.cli\n"
+        "assert not built and classrecon.cli.build_parser.cache_info().currsize == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_does_not_load_sympy():

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from classrecon import reconstruct
 from classrecon.abgroup import FinGenAbGroup, iso_equal, subgroup_index
@@ -41,6 +43,14 @@ from helpers import (
     random_generating_family,
     random_synthetic_spec,
 )
+
+
+@st.composite
+def groups_with_generating_families(draw):
+    """A random group of order at most 512 and a family of 1-8 generators."""
+    rng = draw(st.randoms(use_true_random=False))
+    group = random_finite_group(rng, max_order=512)
+    return group, random_generating_family(rng, group, draw(st.integers(1, 8)))
 
 
 def bundle_for_disc(d, bound=50):
@@ -249,23 +259,29 @@ class TestGreedyChain:
                 recovered[p] = sorted(parts)
             assert recovered == primary_decomposition(group)
 
-    def test_tie_break_invariance(self):
-        rng = random.Random(22)
-        group = FinGenAbGroup((2, 2, 4))
-        family = random_generating_family(rng, group, 6)
+    @settings(max_examples=150, deadline=None)
+    @given(groups_with_generating_families(), st.integers(0, 2**32))
+    @example(
+        (
+            FinGenAbGroup((2, 2, 4)),
+            [(0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 0, 2), (0, 1, 0), (0, 1, 2)],
+        ),
+        99,
+    )
+    def test_tie_break_invariance(self, case, seed):
+        group, family = case
         labels, order_fn = self.direct_order_oracle(group, family)
-
-        def last(c):
-            return c[-1]
-
-        def seeded(c):
-            return random.Random(99).choice(c)
-
-        results = {
-            tuple(sorted(greedy_primary_factors(2, labels, order_fn, tb)))
-            for tb in (lambda c: c[0], last, seeded)
-        }
-        assert len(results) == 1
+        tie_breaks = (
+            lambda c: c[0],
+            lambda c: c[-1],
+            lambda c: random.Random(seed).choice(c),
+        )
+        for p, parts in primary_decomposition(group).items():
+            results = {
+                tuple(sorted(greedy_primary_factors(p, labels, order_fn, tb)))
+                for tb in tie_breaks
+            }
+            assert results == {tuple(parts)}
 
 
 class TestReconstructClassGroup:
