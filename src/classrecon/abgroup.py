@@ -300,22 +300,29 @@ class FinGenAbGroup:
 
     @classmethod
     def from_orders(cls, orders: Iterable[int]) -> FinGenAbGroup:
-        """Build the direct sum of Z/d (d > 0) and Z (d == 0), canonicalized."""
+        """Build the direct sum of Z/d (d > 0) and Z (d == 0), canonicalized.
+
+        The chain is checked once: both routes below end in canonical form,
+        so the checks of the constructor are not run again.
+        """
         orders = [int(x) for x in orders]
         if any(x < 0 for x in orders):
             raise ValueError("cyclic orders must be non-negative")
         chain = _canonical_chain(orders)
-        if chain is not None:
-            return cls(chain)
-        # Z/a x Z/b = Z/gcd(a, b) x Z/lcm(a, b): the diagonal case of Smith
-        # normal form.  After pass i, tors[i] divides every later entry, so
-        # the list ends as an ascending chain with any 1s at its front.
-        tors = [x for x in orders if x > 1]
-        for i in range(len(tors)):
-            for j in range(i + 1, len(tors)):
-                g = gcd(tors[i], tors[j])
-                tors[i], tors[j] = g, tors[i] // g * tors[j]
-        return cls(tuple(x for x in tors if x != 1) + (0,) * orders.count(0))
+        if chain is None:
+            # Z/a x Z/b = Z/gcd(a, b) x Z/lcm(a, b): the diagonal case of
+            # Smith normal form.  After pass i, tors[i] divides every later
+            # entry, so the list ends as an ascending chain with any 1s at
+            # its front.
+            tors = [x for x in orders if x > 1]
+            for i in range(len(tors)):
+                for j in range(i + 1, len(tors)):
+                    g = gcd(tors[i], tors[j])
+                    tors[i], tors[j] = g, tors[i] // g * tors[j]
+            chain = tuple(x for x in tors if x != 1) + (0,) * orders.count(0)
+        group = object.__new__(cls)
+        object.__setattr__(group, "factors", chain)
+        return group
 
     @classmethod
     def trivial(cls) -> FinGenAbGroup:

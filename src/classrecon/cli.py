@@ -133,14 +133,20 @@ def _is_int(value: Any) -> bool:
 
 
 def _json_int(value: Any, what: str, error: type[Exception]) -> int:
-    """An integer given as a JSON number or a decimal string, else `error`."""
+    """An integer given as a JSON number or a decimal string, else `error`.
+
+    A decimal string is an optional "-" and ASCII digits, nothing else: no
+    sign "+", no spaces, no underscores, no digits of other scripts.
+    """
     if _is_int(value):
         return value
     if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+        digits = value[1:] if value.startswith("-") else value
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(value)
+            except ValueError:  # past the interpreter's int/str digit limit
+                pass
     raise error(f"{what} must be an integer, got {value!r:.40}")
 
 
@@ -200,7 +206,12 @@ def bundle_from_json(doc: Any) -> InvariantBundle:
     for item in _json_list(doc.get("entries"), "entries", MalformedBundle):
         if not isinstance(item, dict):
             raise MalformedBundle("every entry must be a JSON object")
-        key = frozenset(_json_label_ids(item.get("labels"), "entry labels"))
+        ids = _json_label_ids(item.get("labels"), "entry labels")
+        key = frozenset(ids)
+        if len(key) != len(ids):
+            raise MalformedBundle(f"entry labels {sorted(ids)} repeat a label")
+        if key in entries:
+            raise MalformedBundle(f"two entries for labels {sorted(key)}")
         factors = _json_factors(
             _json_list(item.get("factors"), "entry factors", MalformedBundle)
         )

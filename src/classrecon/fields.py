@@ -10,14 +10,15 @@ prime stream, so class groups outside quadratic reach enter the test matrix.
 The class group is built by subgroup extension: walking the sorted forms,
 each one outside the subgroup covered so far becomes a generator, its least
 multiple inside that subgroup gives one relation, and its cosets are
-covered by translation.  That takes fewer than 2h compositions, never an
-h^2 table, and no GRH bound, since every reduced form is enumerated.  The
-Smith normal form of the small relation matrix gives the structure and each
-form's class.  The tests certify the build against raw composition: the
-orders of the forms match the group's, and the map from forms to classes is
-a bijective homomorphism.  `class_group` returns the group as a plain
-`FinGenAbGroup`, which is all the runtime needs; `class_group_model` wraps
-it in the enumerating `ClassGroupModel` for the certifiers and the tests.
+covered by translation; the principal form translates without one.  That
+takes h - 1 compositions, never an h^2 table, and no GRH bound, since every
+reduced form is enumerated.  The Smith normal form of the small relation
+matrix gives the structure and each form's class.  The tests certify the
+build against raw composition: the orders of the forms match the group's,
+and the map from forms to classes is a bijective homomorphism.
+`class_group` returns the group as a plain `FinGenAbGroup`, which is all the
+runtime needs; `class_group_model` wraps it in the enumerating
+`ClassGroupModel` for the certifiers and the tests.
 The reduced forms themselves come from square roots: for each leading
 coefficient a <= sqrt(|D|/3), the middle coefficients b are the roots of
 b^2 = D (mod 4a), combined by the Chinese remainder theorem from roots
@@ -364,32 +365,38 @@ class _DiscriminantData:
 
 @lru_cache(maxsize=None)
 def _discriminant_data(d: int) -> _DiscriminantData:
-    """The form class group, built by subgroup extension in O(h) compositions.
+    """The form class group, built by subgroup extension in h - 1 compositions.
 
     Walks the reduced forms in sorted order, keeping the coordinates of the
     covered subgroup H over the generators found so far.  A form x outside
     H becomes the next generator: its least multiple k*x in H gives the
     relation k*e_x - coords(k*x), and the cosets H + j*x for 0 < j < k are
-    covered by translating H.  That takes fewer than 2h compositions.  The
-    relations form a triangular matrix of determinant h on at most log2(h)
-    generators; its Smith normal form gives the group and the image of each
-    generator, and each form's class is the sum its coordinates name.
+    covered by translating H.  The principal form translates to j*x itself,
+    since reduced forms are unique per class, so each form outside H costs
+    one composition: h - 1 in all, fewer than h.  The relations form a
+    triangular matrix of determinant h on at most log2(h) generators; its
+    Smith normal form gives the group and the image of each generator, and
+    each form's class is the sum its coordinates name.
     """
     forms = reduced_forms(d)
     h = len(forms)
     index = {f: i for i, f in enumerate(forms)}
-    coords: dict[int, tuple[int, ...]] = {index[principal_form(d)]: ()}
+    principal = index[principal_form(d)]
+    coords: dict[int, tuple[int, ...]] = {principal: ()}
     relations: list[tuple[int, tuple[int, ...]]] = []  # (k, coords of k*x)
     for x, gen in enumerate(forms):
         if x in coords:
             continue
         r = len(relations)
-        subgroup = [(forms[i], c + (0,) * (r - len(c))) for i, c in coords.items()]
+        subgroup = [(i, c + (0,) * (r - len(c))) for i, c in coords.items()]
         in_subgroup = set(coords)
         multiple, k = gen, 1
         while index[multiple] not in in_subgroup:
-            for form, c in subgroup:
-                y = index[form.compose(multiple)]
+            for i, c in subgroup:
+                if i == principal:
+                    y = index[multiple]
+                else:
+                    y = index[forms[i].compose(multiple)]
                 if y in coords:
                     raise InternalContradiction(
                         f"translates of a form subgroup overlap for {d}"

@@ -16,17 +16,21 @@ quotient is [Cl : H] copies of Z/m, where m is the largest modulus on which
 [p] -> N(p)^-1 is a character of H.  It takes the class group as a plain
 `FinGenAbGroup`: the index and the relations among the [p] come from one
 column echelon over Z with at most log2 #Cl rows, and no group element is
-enumerated.  Two independent routes certify the formula in the tests: the
-brute-force Smith normal form (SNF) of the whole sublattice,
-`lattice_quotient`, and the paper's induction over F in `oracle`.  Only
-they need `ClassGroupModel`, which enumerates every element to index the
-lattice basis.
+enumerated.  The seam splits in two: `prime_terms` computes each prime's
+class coordinates, ord[p] and N(p)**ord[p] - 1, and `quotient_from_terms`
+combines the terms of a set.  A bundle computes the terms once per prime
+and reuses them for every entry it produces.  Two independent routes
+certify the formula in the tests: the brute-force Smith normal form (SNF)
+of the whole sublattice, `lattice_quotient`, and the paper's induction over
+F in `oracle`.  Only they need `ClassGroupModel`, which enumerates every
+element to index the lattice basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm, log2
+from typing import Sequence
 
 from .abgroup import (
     FinGenAbGroup,
@@ -165,35 +169,32 @@ def lattice_quotient(
     return cokernel_of_columns(cl.size, sublattice_columns(cl, primes))
 
 
-def quotient_group(
-    group: FinGenAbGroup, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
-) -> FinGenAbGroup:
-    """The quotient attached to F: [Cl : H] copies of Z/m, for every F.
+@dataclass(frozen=True)
+class PrimeTerms:
+    """One prime's share of every quotient whose set F contains it.
 
-    `group` is the class group Cl.  The empty set gives the free group of
-    rank #Cl.  Otherwise, with d_i the invariant factors and x the
-    coordinates of a class, ord[p] is the lcm of d_i / gcd(d_i, x_i).  One
-    column echelon of the matrix [class coordinates | diag(d_i)]
-    (`index_and_relations`) gives the index [Cl : H] as the product of its
-    pivots and a generating set of the relations {k : sum k_p [p] = 0} from
-    its column transform; one prime needs none, since its relations are the
-    multiples of ord[p].  Then
-    m = gcd(N(p)**ord[p] - 1 over p, prod N(p)**k_p - 1 over the relations
-    k), with every exponent reduced modulo ord[p] and every power taken
-    modulo the running gcd.  A set whose N(p)**ord[p] would exceed
-    MAX_QUOTIENT_BITS raises LimitExceeded before any power is taken.
-
-    >>> z4 = FinGenAbGroup((4,))
-    >>> p = PrimeIdealDatum(label="p", norm=2, cls=(2,), residue_char=2)
-    >>> q = PrimeIdealDatum(label="q", norm=3, cls=(1,), residue_char=3)
-    >>> str(quotient_group(z4, [p])), str(quotient_group(z4, [p, q]))
-    ('Z/3 x Z/3', 'trivial')
+    `coords` are the reduced class coordinates, `order` is ord[p], the order
+    of the class, and `power` is N(p)**ord[p] - 1.  `prime_terms` computes
+    them; a bundle computes them once per prime and every entry reuses them.
     """
-    h = group.order()
-    if not primes:
-        return FinGenAbGroup.free(h)
-    factors = group.factors
+
+    coords: GroupElement
+    order: int
+    norm: int
+    power: int
+
+
+def prime_terms(
+    group: FinGenAbGroup, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
+) -> list[PrimeTerms]:
+    """The terms of each prime, in order, with every size checked first.
+
+    With d_i the invariant factors and x the coordinates of a class, ord[p]
+    is the lcm of d_i / gcd(d_i, x_i).  A prime whose N(p)**ord[p] would
+    exceed MAX_QUOTIENT_BITS raises LimitExceeded before any power is taken.
+    """
     coords = [group.element(p.cls) for p in primes]
+    factors = group.factors
     orders = [lcm(*(d // gcd(d, x) for d, x in zip(factors, c))) for c in coords]
     for p, o in zip(primes, orders):
         bits = o * log2(p.norm)
@@ -202,10 +203,24 @@ def quotient_group(
                 f"the quotient for {p.label} needs {p.norm}**{o} - 1, about "
                 f"{bits:.0f} bits, above the limit {MAX_QUOTIENT_BITS} bits"
             )
-    if len(primes) == 1:  # the relations are the multiples of ord[p]
-        index, relations = h // orders[0], []
+    return [
+        PrimeTerms(coords=c, order=o, norm=p.norm, power=p.norm**o - 1)
+        for p, c, o in zip(primes, coords, orders)
+    ]
+
+
+def quotient_from_terms(
+    group: FinGenAbGroup, terms: Sequence[PrimeTerms]
+) -> FinGenAbGroup:
+    """The quotient attached to the primes with these terms; see `quotient_group`."""
+    h = group.order()
+    if not terms:
+        return FinGenAbGroup.free(h)
+    if len(terms) == 1:  # the relations are the multiples of ord[p]
+        index, relations = h // terms[0].order, []
     else:
-        index, relations = index_and_relations(coords, factors)
+        factors = group.factors
+        index, relations = index_and_relations([t.coords for t in terms], factors)
         if index == 0:
             raise InternalContradiction(
                 f"relation matrix of {factors} has rank below {len(factors)}"
@@ -213,15 +228,43 @@ def quotient_group(
     if h % index:
         raise InternalContradiction(f"subgroup index {index} does not divide {h}")
     m = 0
-    for p, o in zip(primes, orders):
-        m = gcd(m, p.norm**o - 1)
+    for t in terms:
+        m = gcd(m, t.power)
     for k in relations:
         x = 1
-        for p, o, e in zip(primes, orders, k):
-            x = x * pow(p.norm, e % o, m) % m
+        for t, e in zip(terms, k):
+            x = x * pow(t.norm, e % t.order, m) % m
         m = gcd(m, x - 1)
-    if all(p.has_odd_norm for p in primes) and (m <= 0 or m % 2):
+    if all(t.norm % 2 for t in terms) and (m <= 0 or m % 2):
         raise InternalContradiction(
             f"quotient order {brief(m)} of an odd-norm set is not even positive"
         )
     return FinGenAbGroup.from_orders([m] * index)
+
+
+def quotient_group(
+    group: FinGenAbGroup, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
+) -> FinGenAbGroup:
+    """The quotient attached to F: [Cl : H] copies of Z/m, for every F.
+
+    `group` is the class group Cl.  The empty set gives the free group of
+    rank #Cl.  Otherwise the terms of each prime come from `prime_terms`:
+    its class coordinates, ord[p] and N(p)**ord[p] - 1.  One column
+    echelon of the matrix [class coordinates | diag(d_i)], with d_i the
+    invariant factors (`index_and_relations`), gives the index [Cl : H] as
+    the product of its pivots and a generating set of the relations
+    {k : sum k_p [p] = 0} from its column transform; one prime needs none,
+    since its relations are the multiples of ord[p].  Then
+    m = gcd(N(p)**ord[p] - 1 over p, prod N(p)**k_p - 1 over the relations
+    k), with every exponent reduced modulo ord[p] and every power taken
+    modulo the running gcd (`quotient_from_terms`).  A set whose
+    N(p)**ord[p] would exceed MAX_QUOTIENT_BITS raises LimitExceeded before
+    any power is taken.
+
+    >>> z4 = FinGenAbGroup((4,))
+    >>> p = PrimeIdealDatum(label="p", norm=2, cls=(2,), residue_char=2)
+    >>> q = PrimeIdealDatum(label="q", norm=3, cls=(1,), residue_char=3)
+    >>> str(quotient_group(z4, [p])), str(quotient_group(z4, [p, q]))
+    ('Z/3 x Z/3', 'trivial')
+    """
+    return quotient_from_terms(group, prime_terms(group, primes))

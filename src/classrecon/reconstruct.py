@@ -31,7 +31,7 @@ from .abgroup import (
     subgroup_index,
 )
 from .fields import FieldSpec, check_bound, class_group, enumerate_prime_ideals
-from .lattice import PrimeIdealDatum, quotient_group
+from .lattice import PrimeIdealDatum, prime_terms, quotient_from_terms
 
 
 class MalformedBundle(Exception):
@@ -90,28 +90,26 @@ def build_bundle(
     primes: Sequence[PrimeIdealDatum],
     subsets: Sequence[Iterable[str]] = (),
 ) -> InvariantBundle:
-    """Evaluate quotients through `quotient_group` and erase all annotations.
+    """Evaluate quotients by the closed formula and erase all annotations.
 
-    `group` is the class group, and no element of it is enumerated.  One
-    closed formula produces every entry: the empty set, the singletons,
+    `group` is the class group, and no element of it is enumerated.  Each
+    prime's terms (class coordinates, ord[p], N(p)**ord[p] - 1) are computed
+    once, by `prime_terms`, and every size is checked before any power is
+    taken.  `quotient_from_terms`, the second half of `quotient_group`,
+    then produces every entry from them: the empty set, the singletons,
     the odd-norm sets the reconstruction asks for and the `subsets` given,
     whatever their parities; a set of two or more primes costs one column
-    echelon of its class coordinates, never a Smith normal form.  The empty
-    set and every singleton are always included.  Later requests for other
-    subsets are served on demand (and memoized); the ground truth stays
-    enclosed in the supplier and is never exposed.  Smith normal form of
+    echelon of its class coordinates, never a Smith normal form.  The terms
+    live in the bundle's supplier and go with it.  The empty set and every
+    singleton are always included.  Later requests for other subsets are
+    served on demand (and memoized); the ground truth stays enclosed in the
+    supplier and is never exposed.  Smith normal form of
     the whole sublattice and the induction in `oracle` only certify these
     entries in the tests.
     """
     labels = tuple(p.label for p in primes)
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate prime labels")
-    by_label = {p.label: p for p in primes}
-
-    def quotient_for(key: frozenset[str]) -> FinGenAbGroup:
-        return quotient_group(group, [by_label[l] for l in sorted(key)])
-
-    entries: dict[frozenset[str], FinGenAbGroup] = {}
     wanted: list[frozenset[str]] = [frozenset()]
     wanted += [frozenset({l}) for l in labels]
     for subset in subsets:
@@ -119,6 +117,12 @@ def build_bundle(
         if not key <= set(labels):
             raise ValueError(f"unknown labels in subset {sorted(key)}")
         wanted.append(key)
+    terms = dict(zip(labels, prime_terms(group, primes)))
+
+    def quotient_for(key: frozenset[str]) -> FinGenAbGroup:
+        return quotient_from_terms(group, [terms[l] for l in sorted(key)])
+
+    entries: dict[frozenset[str], FinGenAbGroup] = {}
     for key in wanted:
         if key not in entries:
             entries[key] = quotient_for(key)
@@ -150,19 +154,19 @@ def recover_norm(bundle: InvariantBundle, label: str, h: int) -> int:
     is not arithmetic data.  `h` is the class number, validated once by
     `recover_class_number`.
     """
-    entry = bundle.entry((label,))
-    if not entry.is_finite:
-        raise MalformedBundle(f"singleton entry for {label} has free summands")
-    if entry.is_trivial:
+    factors = bundle.entry((label,)).factors
+    if not factors:
         return 2
-    values = set(entry.factors)
-    if len(values) != 1:
+    # canonical factors ascend with the free summands last, so the ends
+    # decide finiteness and homogeneity
+    if factors[-1] == 0:
+        raise MalformedBundle(f"singleton entry for {label} has free summands")
+    if factors[0] != factors[-1]:
         raise MalformedBundle(
-            f"singleton entry for {label} is not homogeneous: "
-            f"{brief(entry.factors)}"
+            f"singleton entry for {label} is not homogeneous: {brief(factors)}"
         )
-    t = entry.factors[0]
-    s = len(entry.factors)
+    t = factors[0]
+    s = len(factors)
     if h % s:
         raise MalformedBundle(
             f"summand count {s} for {label} does not divide the class number {h}"
@@ -204,13 +208,13 @@ def subgroup_order_from_bundle(
     for label in key:
         if label not in odd_labels:
             raise ValueError(f"label {label} has even norm; not allowed in chains")
-    entry = bundle.entry(key)
-    if not entry.is_finite or entry.is_trivial or len(set(entry.factors)) != 1:
+    factors = bundle.entry(key).factors
+    # canonical factors ascend with the free summands last: the ends decide
+    if not factors or factors[0] != factors[-1] or factors[-1] == 0:
         raise MalformedBundle(
-            f"entry for {sorted(key)} is not homogeneous torsion: "
-            f"{brief(entry.factors)}"
+            f"entry for {sorted(key)} is not homogeneous torsion: {brief(factors)}"
         )
-    s = len(entry.factors)
+    s = len(factors)
     if h % s:
         raise MalformedBundle(
             f"summand count {s} for {sorted(key)} does not divide {h}"

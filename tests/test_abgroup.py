@@ -304,6 +304,34 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             FinGenAbGroup((1, 2))  # no factor 1
 
+    def test_from_orders_checks_the_chain_once(self, monkeypatch):
+        calls = 0
+        chain = classrecon.abgroup._canonical_chain
+
+        def counted(orders):
+            nonlocal calls
+            calls += 1
+            return chain(orders)
+
+        monkeypatch.setattr(classrecon.abgroup, "_canonical_chain", counted)
+        cases = [[], [1, 1], [5], [2, 4, 0], [4, 6], [0, 30, 4], [47] * 47]
+        for n, orders in enumerate(cases, start=1):
+            FinGenAbGroup.from_orders(orders)
+            assert calls == n
+        with pytest.raises(ValueError):
+            FinGenAbGroup.from_orders([2, -1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 60), max_size=6))
+    def test_from_orders_passes_the_constructor_checks(self, orders):
+        g = FinGenAbGroup.from_orders(orders)
+        assert FinGenAbGroup(g.factors) == g
+        assert g.free_rank == orders.count(0)
+        product = 1
+        for x in orders:
+            product *= x or 1
+        assert FinGenAbGroup(tuple(x for x in g.factors if x)).order() == product
+
     def test_element_reduction(self):
         g = FinGenAbGroup((2, 4))
         assert g.element((5, -1)) == (1, 3)

@@ -422,6 +422,79 @@ def test_smith_normal_form_stays_off_the_hot_path(argv, expected, snf_calls, tmp
     assert len(snf_calls) == expected
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "-D", "-23603", "--primes", "100",
+         "--set", "p_2,p_3c,p_37", "--set", "p_3,p_5"],
+        ["roundtrip", "-D", "-23603", "--primes", "100"],
+    ],
+    ids=["invariants-sets", "roundtrip"],
+)
+def test_each_prime_power_is_computed_once_per_bundle(argv, tmp_path, monkeypatch):
+    # A bundle computes each prime's N(p)**ord[p] - 1 once, in prime_terms,
+    # and every entry it produces, precomputed or on demand, reuses it.
+    seen = []
+    powers = 0
+    terms_of, make = reconstruct.prime_terms, lattice.PrimeTerms
+
+    def recorded(group, primes):
+        seen.extend(p.label for p in primes)
+        return terms_of(group, primes)
+
+    def counted(**kwargs):
+        nonlocal powers
+        powers += 1
+        return make(**kwargs)
+
+    monkeypatch.setattr(reconstruct, "prime_terms", recorded)
+    monkeypatch.setattr(lattice, "PrimeTerms", counted)
+    entries = 0
+    entry = reconstruct.InvariantBundle.entry
+
+    def counted_entry(bundle, labels):
+        nonlocal entries
+        entries += 1
+        return entry(bundle, labels)
+
+    monkeypatch.setattr(reconstruct.InvariantBundle, "entry", counted_entry)
+    assert main([*argv, "-o", str(tmp_path / "out.json")]) == EXIT_OK
+    labels = [p.label for p in enumerate_prime_ideals(QuadraticSpec(-23603), 100)]
+    assert sorted(seen) == sorted(labels)
+    assert powers == len(labels)
+    assert entries > 2 * len(labels)  # the greedy chain asked for many sets
+
+
+OVERSIZED_SECOND_PRIME_DOC = {
+    "invariant_factors": ["12000"],
+    "primes": [
+        {"label": "small", "norm": "3", "class": [0], "residue_char": "3"},
+        {"norm": "9999991", "class": [1], "residue_char": "9999991"},
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["invariants", "roundtrip"])
+def test_every_prime_is_checked_before_any_power(command, tmp_path, capsys, monkeypatch):
+    # The small prime comes first; its power must not be taken before the
+    # second prime is refused.
+    def refuse(**kwargs):
+        raise AssertionError("a power was taken before every size was checked")
+
+    monkeypatch.setattr(lattice, "PrimeTerms", refuse)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(OVERSIZED_SECOND_PRIME_DOC))
+    out = tmp_path / "out.json"
+    argv = [command, "--synthetic", str(spec), "--primes", "9999991", "-o", str(out)]
+    assert main(argv) == EXIT_INSUFFICIENT
+    err = capsys.readouterr().err
+    assert err == (
+        "error: the quotient for s1 needs 9999991**12000 - 1, about 279042 bits, "
+        f"above the limit {lattice.MAX_QUOTIENT_BITS} bits\n"
+    )
+    assert not out.exists()
+
+
 class TestRoundTripCommand:
     def test_disc_minus_20(self, tmp_path):
         out = tmp_path / "report.json"
@@ -652,6 +725,78 @@ def test_malformed_bundle_exits_1(doc, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _one_label_bundle(*singletons):
+    """A rank-2 bundle document with one label and these singleton entries."""
+    entries = [{"labels": [], "factors": ["0", "0"]}]
+    entries += [{"labels": labels, "factors": [t]} for labels, t in singletons]
+    return {"version": 1, "rank": 2, "labels": [0], "entries": entries}
+
+
+def _reconstruct_doc(doc, tmp_path, capsys):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    code = main(["reconstruct", str(path), "-o", str(tmp_path / "report.json")])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "singletons, message",
+    [
+        ((([0], "8"), ([0, 0], "8")), "error: entry labels ['0', '0'] repeat a label\n"),
+        ((([0], "24"), ([0], "8")), "error: two entries for labels ['0']\n"),
+        ((([0], "8"), ([0], "24")), "error: two entries for labels ['0']\n"),
+        ((([0], "8"), ([0], "8")), "error: two entries for labels ['0']\n"),
+    ],
+    ids=["label-repeated", "24-then-8", "8-then-24", "same-twice"],
+)
+def test_repeated_label_sets_exit_1(singletons, message, tmp_path, capsys):
+    code, captured = _reconstruct_doc(_one_label_bundle(*singletons), tmp_path, capsys)
+    assert code == EXIT_FAIL
+    assert captured.out == ""
+    assert captured.err == message
+    assert not (tmp_path / "report.json").exists()
+
+
+LOOSE_INTEGER_SPELLINGS = {
+    "space": " 1",
+    "plus": "+1",
+    "underscore": "1_1",
+    "arabic-indic": "\u0661",
+}
+
+
+@pytest.mark.parametrize(
+    "text", LOOSE_INTEGER_SPELLINGS.values(), ids=LOOSE_INTEGER_SPELLINGS.keys()
+)
+def test_bundle_integer_strings_are_strict(text, tmp_path, capsys):
+    doc = {"version": 1, "rank": text, "labels": [], "entries": [
+        {"labels": [], "factors": ["0"]},
+    ]}
+    code, captured = _reconstruct_doc(doc, tmp_path, capsys)
+    assert code == EXIT_FAIL
+    assert captured.err == f"error: rank must be an integer, got {text!r}\n"
+    for rank in ("1", 1):  # a decimal string and a JSON number
+        doc["rank"] = rank
+        assert _reconstruct_doc(doc, tmp_path, capsys)[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "text", LOOSE_INTEGER_SPELLINGS.values(), ids=LOOSE_INTEGER_SPELLINGS.keys()
+)
+def test_spec_integer_strings_are_strict(text, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    prime = {"norm": "3", "class": [text], "residue_char": "3"}
+    path.write_text(json.dumps({"invariant_factors": ["2"], "primes": [prime]}))
+    assert main(["classgroup", "--synthetic", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: class of s0 must be an integer, got {text!r}\n"
+    for coordinate in ("1", "-1", 1):  # decimal strings and a JSON number
+        prime["class"] = [coordinate]
+        path.write_text(json.dumps({"invariant_factors": ["2"], "primes": [prime]}))
+        assert main(["classgroup", "--synthetic", str(path)]) == EXIT_OK
 
 
 MALFORMED_SPECS = {
