@@ -11,7 +11,8 @@ Groups are kept in canonical invariant-factor form (nonzero factors form a
 divisibility chain, no factor equals 1, free factors encoded as trailing
 zeros), which makes isomorphism testing a plain comparison.  Building that
 form from arbitrary cyclic orders takes gcd/lcm exchanges only, never
-factoring.
+factoring.  No group element is enumerated here; `oracle.ClassGroupModel`
+does that for the certifiers.
 
 The integer helpers the package needs live here as well, with no
 dependency outside the standard library: trial-division `factorize` for
@@ -124,10 +125,6 @@ class IntMatrix:
         if nrows is not None and cols and nrows != n:
             raise ValueError("nrows does not match column length")
         return cls(tuple(tuple(c[i] for c in cols) for i in range(n)))
-
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
@@ -375,14 +372,6 @@ class FinGenAbGroup:
     def scale(self, n: int, a: GroupElement) -> GroupElement:
         return self.element([n * x for x in a])
 
-    def all_elements(self) -> list[GroupElement]:
-        if not self.is_finite:
-            raise ValueError("cannot enumerate an infinite group")
-        elems = [()]
-        for d in self.factors:
-            elems = [e + (r,) for e in elems for r in range(d)]
-        return elems
-
     def __str__(self) -> str:
         if not self.factors:
             return "trivial"
@@ -477,11 +466,7 @@ def cokernel_of_columns(
     for c in columns:
         if len(c) != ambient_rank:
             raise ValueError("column length does not match ambient rank")
-    if not columns:
-        g = FinGenAbGroup.free(ambient_rank)
-        eye = IntMatrix.identity(ambient_rank)
-        return g, tuple(eye.column(i) for i in range(ambient_rank))
-    a = IntMatrix.from_columns(columns)
+    a = IntMatrix.from_columns(columns, nrows=ambient_rank)
     s, u, _ = smith_normal_form(a)
     diag = list(s.diagonal())
     kept = [i for i, d in enumerate(diag) if d != 1]

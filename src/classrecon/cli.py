@@ -358,8 +358,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         subset = tuple(s.strip() for s in raw.split(",") if s.strip())
         missing = set(subset) - known
         if missing:
-            print(f"unknown labels in --set: {sorted(missing)}", file=sys.stderr)
-            return EXIT_USAGE
+            message = f"unknown labels in --set: {sorted(missing)}"
+            return _error(ValueError(message), EXIT_USAGE)
         subsets.append(subset)
     bundle = build_bundle(group, primes, subsets=subsets)
     # Run a default reconstruction so the file also contains every entry a

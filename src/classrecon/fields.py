@@ -17,8 +17,8 @@ matrix gives the structure and each form's class.  The tests certify the
 build against raw composition: the orders of the forms match the group's,
 and the map from forms to classes is a bijective homomorphism.
 `class_group` returns the group as a plain `FinGenAbGroup`, which is all the
-runtime needs; `class_group_model` wraps it in the enumerating
-`ClassGroupModel` for the certifiers and the tests.
+runtime needs; `oracle.class_group_model` enumerates its elements for the
+certifiers.
 The reduced forms themselves come from square roots: for each leading
 coefficient a <= sqrt(|D|/3), the middle coefficients b are the roots of
 b^2 = D (mod 4a), combined by the Chinese remainder theorem from roots
@@ -50,12 +50,7 @@ from .abgroup import (
     subgroup_index,
     xgcd,
 )
-from .lattice import (
-    ClassGroupModel,
-    InternalContradiction,
-    LimitExceeded,
-    PrimeIdealDatum,
-)
+from .lattice import InternalContradiction, LimitExceeded, PrimeIdealDatum
 
 
 # Every quadratic spec factors |D| by trial division, enumerates its reduced
@@ -200,15 +195,6 @@ class QuadraticForm:
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    @property
-    def is_reduced(self) -> bool:
-        a, b, c = self.triple
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
-
     def value(self, x: int, y: int) -> int:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
@@ -228,10 +214,6 @@ class QuadraticForm:
             if a == c and b < 0:
                 b = -b
             return QuadraticForm(a, b, c)
-
-    def opposite(self) -> QuadraticForm:
-        """Inverse class: the reduced form of (a, -b, c)."""
-        return QuadraticForm(self.a, -self.b, self.c).reduced()
 
     def compose(self, other: QuadraticForm) -> QuadraticForm:
         """Composition of form classes (united-forms algorithm), reduced."""
@@ -551,11 +533,6 @@ def class_group(spec: FieldSpec) -> FinGenAbGroup:
     if isinstance(spec, QuadraticSpec):
         return _discriminant_data(spec.discriminant).group
     return FinGenAbGroup(spec.factors)
-
-
-def class_group_model(spec: FieldSpec) -> ClassGroupModel:
-    """The class group with every element enumerated, for the certifiers."""
-    return ClassGroupModel(class_group(spec))
 
 
 def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]:

@@ -19,26 +19,19 @@ column echelon over Z with at most log2 #Cl rows, and no group element is
 enumerated.  The seam splits in two: `prime_terms` computes each prime's
 class coordinates, ord[p] and N(p)**ord[p] - 1, and `quotient_from_terms`
 combines the terms of a set.  A bundle computes the terms once per prime
-and reuses them for every entry it produces.  Two independent routes
-certify the formula in the tests: the brute-force Smith normal form (SNF)
-of the whole sublattice, `lattice_quotient`, and the paper's induction over
-F in `oracle`.  Only they need `ClassGroupModel`, which enumerates every
-element to index the lattice basis.
+and reuses them for every entry it produces.  Two independent routes in
+`oracle` certify the formula in the tests: the brute-force Smith normal
+form (SNF) of the whole sublattice, `oracle.lattice_quotient`, and the
+paper's induction over F.  Only they enumerate group elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm, log2
 from typing import Sequence
 
-from .abgroup import (
-    FinGenAbGroup,
-    GroupElement,
-    brief,
-    cokernel_of_columns,
-    index_and_relations,
-)
+from .abgroup import FinGenAbGroup, GroupElement, brief, index_and_relations
 
 # A quotient of F needs N(p)**ord[p] - 1 for every p in F, an integer of
 # about ord[p] * log2 N(p) bits.  Its decimal form is quadratic in that size
@@ -61,52 +54,6 @@ class LimitExceeded(Exception):
     `MAX_BOUND` and `MAX_SYNTHETIC_ORDER` in `fields`; each is checked
     before the work it bounds starts.
     """
-
-
-@dataclass(frozen=True)
-class ClassGroupModel:
-    """A finite abelian group with every element enumerated, for the certifiers.
-
-    Elements are reduced coordinate tuples, enumerated in lexicographic
-    order so index 0 is always the identity.  The enumeration indexes the
-    basis of the lattice in `sublattice_columns`; the runtime passes the
-    plain group and never builds a model.
-    """
-
-    group: FinGenAbGroup
-    elements: tuple[GroupElement, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        elements = tuple(self.group.all_elements())
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(elements)})
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    def index_of(self, coords: GroupElement) -> int:
-        try:
-            return self._index[self.group.element(coords)]
-        except KeyError:
-            raise ValueError(f"{coords} is not an element of this group") from None
-
-    def add(self, i: int, j: int) -> int:
-        return self._index[self.group.add(self.elements[i], self.elements[j])]
-
-    def subgroup_closure(self, gens: tuple[int, ...] | list[int]) -> frozenset[int]:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for g in gens:
-                    j = self.add(i, g)
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        return frozenset(seen)
 
 
 @dataclass(frozen=True)
@@ -137,36 +84,6 @@ class PrimeIdealDatum:
     @property
     def has_odd_norm(self) -> bool:
         return self.norm % 2 == 1
-
-
-def sublattice_columns(
-    cl: ClassGroupModel, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
-) -> list[tuple[int, ...]]:
-    """Generating columns of the sublattice: all columns of I - op_p, p in F.
-
-    The prime's operator sends e_a to N(p) * e_{a+[p]}, so column a of
-    I - op_p is e_a - N(p) * e_{a+[p]}.
-    """
-    n = cl.size
-    cols: list[tuple[int, ...]] = []
-    for p in primes:
-        c = cl.index_of(p.cls)
-        for a in range(n):
-            col = [0] * n
-            col[a] += 1
-            col[cl.add(a, c)] -= p.norm
-            cols.append(tuple(col))
-    return cols
-
-
-def lattice_quotient(
-    cl: ClassGroupModel, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
-) -> tuple[FinGenAbGroup, tuple[GroupElement, ...]]:
-    """Brute-force quotient of the lattice by the sublattice attached to F.
-
-    Returns the quotient group and the image of every basis class.
-    """
-    return cokernel_of_columns(cl.size, sublattice_columns(cl, primes))
 
 
 @dataclass(frozen=True)

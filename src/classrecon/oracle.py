@@ -1,5 +1,12 @@
 """Naive reference implementations used to certify the fast paths.
 
+This is the one module that enumerates group elements or builds the
+brute-force lattice, and nothing the CLI runs imports it.
+`ClassGroupModel` enumerates a class group to index the lattice basis
+(`class_group_model` builds it for a field spec), `sublattice_columns`
+writes the raw columns of I - op_p, and `lattice_quotient` takes their
+Smith normal form: the brute-force route to the quotients.
+
 The paper's induction over F (`predicted_quotient` over `cycle_cokernel`,
 with the one-prime case `singleton_quotient`) lives here as a second
 route to the quotients, independent of the formula in
@@ -11,8 +18,9 @@ reduced forms, exhaustive search for represented primes.  The guards are
 hard limits, not heuristics: an oracle that refuses to answer is more
 trustworthy than one that silently takes shortcuts.
 
-None of this code shares machinery with the Smith normal form it validates;
-lattice questions, including the multiplier relations a quotient prediction
+Apart from `lattice_quotient`, which is the SNF route, none of this code
+shares machinery with the Smith normal form it validates; lattice
+questions, including the multiplier relations a quotient prediction
 asserts, are settled by a plain insertion echelon basis and literal
 enumeration.  The reference values the tests compare against live here too:
 exact determinants, element orders and primary decompositions.
@@ -24,14 +32,15 @@ from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .abgroup import FinGenAbGroup, GroupElement, IntMatrix, factorize
-from .fields import QuadraticForm, _check_discriminant
-from .lattice import (
-    ClassGroupModel,
-    InternalContradiction,
-    PrimeIdealDatum,
-    sublattice_columns,
+from .abgroup import (
+    FinGenAbGroup,
+    GroupElement,
+    IntMatrix,
+    cokernel_of_columns,
+    factorize,
 )
+from .fields import FieldSpec, QuadraticForm, _check_discriminant, class_group
+from .lattice import InternalContradiction, PrimeIdealDatum
 
 QUOTIENT_GUARD = 10_000
 GROUP_GUARD = 10_000
@@ -39,6 +48,87 @@ GROUP_GUARD = 10_000
 
 class OracleGuard(Exception):
     """The requested instance exceeds the oracle's hard size limit."""
+
+
+class ClassGroupModel:
+    """A finite abelian group with every element enumerated.
+
+    Elements are reduced coordinate tuples, enumerated in lexicographic
+    order so index 0 is always the identity.  The enumeration indexes the
+    basis of the lattice in `sublattice_columns`.
+    """
+
+    def __init__(self, group: FinGenAbGroup) -> None:
+        if not group.is_finite:
+            raise ValueError("cannot enumerate an infinite group")
+        elements: list[GroupElement] = [()]
+        for d in group.factors:
+            elements = [e + (r,) for e in elements for r in range(d)]
+        self.group = group
+        self.elements = tuple(elements)
+        self._index = {e: i for i, e in enumerate(self.elements)}
+
+    @property
+    def size(self) -> int:
+        return len(self.elements)
+
+    def index_of(self, coords: GroupElement) -> int:
+        try:
+            return self._index[self.group.element(coords)]
+        except KeyError:
+            raise ValueError(f"{coords} is not an element of this group") from None
+
+    def add(self, i: int, j: int) -> int:
+        return self._index[self.group.add(self.elements[i], self.elements[j])]
+
+    def subgroup_closure(self, gens: tuple[int, ...] | list[int]) -> frozenset[int]:
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for g in gens:
+                    j = self.add(i, g)
+                    if j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
+            frontier = nxt
+        return frozenset(seen)
+
+
+def class_group_model(spec: FieldSpec) -> ClassGroupModel:
+    """The class group of a field spec with every element enumerated."""
+    return ClassGroupModel(class_group(spec))
+
+
+def sublattice_columns(
+    cl: ClassGroupModel, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
+) -> list[tuple[int, ...]]:
+    """Generating columns of the sublattice: all columns of I - op_p, p in F.
+
+    The prime's operator sends e_a to N(p) * e_{a+[p]}, so column a of
+    I - op_p is e_a - N(p) * e_{a+[p]}.
+    """
+    n = cl.size
+    cols: list[tuple[int, ...]] = []
+    for p in primes:
+        c = cl.index_of(p.cls)
+        for a in range(n):
+            col = [0] * n
+            col[a] += 1
+            col[cl.add(a, c)] -= p.norm
+            cols.append(tuple(col))
+    return cols
+
+
+def lattice_quotient(
+    cl: ClassGroupModel, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
+) -> tuple[FinGenAbGroup, tuple[GroupElement, ...]]:
+    """Brute-force quotient of the lattice by the sublattice attached to F.
+
+    Returns the quotient group and the image of every basis class.
+    """
+    return cokernel_of_columns(cl.size, sublattice_columns(cl, primes))
 
 
 class _EchelonBasis:

@@ -250,8 +250,9 @@ def greedy_primary_factors(
     while remaining:
         best_val = 1
         best: list[str] = []
+        orders: dict[str, int] = {}
         for c in remaining:
-            order = subgroup_order(tuple(chain) + (c,))
+            order = orders[c] = subgroup_order(tuple(chain) + (c,))
             if order % chain_order:
                 raise MalformedBundle(
                     f"subgroup order {order} of {chain + [c]} is not a multiple "
@@ -267,7 +268,7 @@ def greedy_primary_factors(
         pick = tie_break(best)
         chain.append(pick)
         remaining.remove(pick)
-        chain_order = subgroup_order(tuple(chain))
+        chain_order = orders[pick]
         out.append(best_val)
     return out
 

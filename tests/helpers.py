@@ -8,7 +8,8 @@ from sympy import primefactors
 
 from classrecon.abgroup import FinGenAbGroup, IntMatrix, subgroup_index
 from classrecon.fields import SyntheticSpec
-from classrecon.lattice import ClassGroupModel, PrimeIdealDatum
+from classrecon.lattice import PrimeIdealDatum
+from classrecon.oracle import ClassGroupModel
 
 ODD_PRIME_POWERS = [
     3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49,

@@ -22,22 +22,20 @@ from classrecon.fields import (
     QuadraticSpec,
     SyntheticSpec,
     class_group,
-    class_group_model,
     enumerate_prime_ideals,
 )
-from classrecon.lattice import (
-    ClassGroupModel,
-    lattice_quotient,
-    sublattice_columns,
-)
 from classrecon.oracle import (
+    ClassGroupModel,
+    class_group_model,
     cycle_cokernel,
+    lattice_quotient,
     naive_member,
     predicted_group,
     predicted_quotient,
     predicted_relation_failures,
     primary_decomposition,
     singleton_quotient,
+    sublattice_columns,
 )
 from classrecon.reconstruct import (
     InsufficientGenerators,

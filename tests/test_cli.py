@@ -107,12 +107,13 @@ class TestInvariantsCommand:
         assert doc["labels"] == []
         assert [e["labels"] for e in doc["entries"]] == [[]]
 
-    def test_unknown_set_label(self, tmp_path):
+    def test_unknown_set_label(self, tmp_path, capsys):
         code = main(
             ["invariants", "-D", "-20", "--primes", "12", "--set", "nope",
              "-o", str(tmp_path / "b.json")]
         )
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: unknown labels in --set: ['nope']\n"
 
     def test_serialization_round_trip(self):
         spec = QuadraticSpec(-20)
@@ -359,28 +360,39 @@ class TestLongIntegers:
         assert not out.exists()
 
 
-def test_runtime_needs_no_brute_force_quotient(tmp_path, monkeypatch):
+def test_runtime_needs_no_brute_force_quotient(tmp_path):
     # Every quotient the CLI computes comes from the closed formula on the
-    # plain class group; the brute-force Smith normal form of the sublattice
-    # and the enumerating ClassGroupModel are test-only routes.
-    def refuse(*args):
-        raise AssertionError("brute-force quotient or element enumeration at runtime")
-
-    monkeypatch.setattr(lattice, "lattice_quotient", refuse)
-    monkeypatch.setattr(lattice, "sublattice_columns", refuse)
-    monkeypatch.setattr(lattice.ClassGroupModel, "__post_init__", refuse)
+    # plain class group; the brute-force Smith normal form of the sublattice,
+    # the enumerating ClassGroupModel and every other certifier live in
+    # `oracle`, which a fresh interpreter running every subcommand never loads.
     out = str(tmp_path / "out.json")
     synthetic = os.path.join(os.path.dirname(__file__), "golden", "synthetic_248.json")
-    assert main(["roundtrip", "-D", "-10007", "--primes", "100", "-o", out]) == EXIT_OK
-    argv = ["invariants", "-D", "-23603", "--primes", "100", "--set", "p_2,p_3c,p_37"]
-    assert main([*argv, "-o", out]) == EXIT_OK
-    assert main(["reconstruct", out, "-o", str(tmp_path / "report.json")]) == EXIT_OK
-    assert main(["classgroup", "--synthetic", synthetic]) == EXIT_OK
-    assert main(["roundtrip", "--synthetic", synthetic, "-o", out]) == EXIT_OK
-    assert main(["classgroup", "-D", "-202127"]) == EXIT_OK
-    # the two fields differ, so the verdict is a failure, not an error
-    argv = ["compare", "-D", "-3299", "-D2", "-2408", "--bound", "200", "-o", out]
-    assert main(argv) == EXIT_FAIL
+    calls = [
+        (["roundtrip", "-D", "-10007", "--primes", "100", "-o", out], EXIT_OK),
+        (["invariants", "-D", "-23603", "--primes", "100", "--set", "p_2,p_3c,p_37",
+          "-o", out], EXIT_OK),
+        (["reconstruct", out, "-o", str(tmp_path / "report.json")], EXIT_OK),
+        (["classgroup", "--synthetic", synthetic], EXIT_OK),
+        (["roundtrip", "--synthetic", synthetic, "-o", out], EXIT_OK),
+        (["classgroup", "-D", "-202127"], EXIT_OK),
+        # the two fields differ, so the verdict is a failure, not an error
+        (["compare", "-D", "-3299", "-D2", "-2408", "--bound", "200", "-o", out],
+         EXIT_FAIL),
+    ]
+    code = (
+        "import json, sys\n"
+        "from classrecon.cli import main\n"
+        "for argv, want in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == want, argv\n"
+        "assert 'classrecon.oracle' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(classrecon.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(calls)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture

@@ -14,21 +14,18 @@ from classrecon.abgroup import (
     iso_equal,
     smith_normal_form,
 )
-from classrecon.lattice import (
-    ClassGroupModel,
-    PrimeIdealDatum,
-    lattice_quotient,
-    quotient_group,
-    sublattice_columns,
-)
+from classrecon.lattice import PrimeIdealDatum, quotient_group
 from classrecon.oracle import (
+    ClassGroupModel,
     PredictedQuotient,
     cycle_cokernel,
+    lattice_quotient,
     naive_member,
     predicted_group,
     predicted_quotient,
     predicted_relation_failures,
     singleton_quotient,
+    sublattice_columns,
 )
 
 from helpers import ODD_PRIME_POWERS, datum, z2_model

@@ -17,7 +17,7 @@ from classrecon.fields import (
     class_group,
     enumerate_prime_ideals,
 )
-from classrecon.oracle import primary_decomposition
+from classrecon.oracle import ClassGroupModel, primary_decomposition
 from classrecon.reconstruct import (
     BundleEntryMissing,
     InsufficientGenerators,
@@ -466,7 +466,7 @@ def test_norm_recovery_inverts_singleton_form_for_all_pairs():
     rng = random.Random(24)
     for _ in range(25):
         group = random_finite_group(rng, max_order=16, max_factors=2)
-        cls = group.all_elements()[rng.randrange(group.order())]
+        cls = ClassGroupModel(group).elements[rng.randrange(group.order())]
         norm = rng.choice([2, 3, 4, 5, 7, 8, 9, 11, 13])
         p = datum("p", norm, cls)
         bundle = build_bundle(group, [p])
