@@ -6,9 +6,14 @@ and the file it writes with `-o` (if any) byte for byte with the files in
 package, so any change to a quotient, a reconstruction or a file format
 shows up here.  After a deliberate format change, rewrite them with
 
-    PYTHONPATH=src python tests/test_golden.py --regenerate
+    PYTHONPATH=src python tests/test_golden.py --regenerate [NAME...]
 
-and review the diff.
+and review the diff.  With names, only those cases and their exit codes
+are rewritten; without, every case is.
+
+The `reconstruct_legacy_*` cases read bundle files written by an earlier
+`invariants`, which carried more entries than a reconstruction needs.  A
+file with extra entries must still reconstruct to the same report.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from classrecon.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 SYNTHETIC = str(GOLDEN / "synthetic_248.json")  # Z/2 x Z/4 x Z/8, one norm 2
 BUNDLE_1031 = str(GOLDEN / "invariants_1031.out")
+LEGACY = ("1031", "23603_sets", "3299", "synthetic_sets")
 
 # name -> argv; "{out}" marks the output file argument.
 CASES: dict[str, list[str]] = {
@@ -51,6 +57,10 @@ CASES: dict[str, list[str]] = {
     "compare_3299_2408": ["compare", "-D", "-3299", "-D2", "-2408", "--bound", "200"],
     "roundtrip_synthetic": ["roundtrip", "--synthetic", SYNTHETIC, "--primes", "50"],
 }
+CASES.update(
+    (f"reconstruct_legacy_{n}", ["reconstruct", str(GOLDEN / f"legacy_invariants_{n}.json")])
+    for n in LEGACY
+)
 
 
 def run_case(name: str, out_path: Path) -> tuple[int, str]:
@@ -77,18 +87,22 @@ def test_output_is_byte_identical(name, tmp_path):
         assert out_path.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
 
 
-def regenerate() -> None:
-    """Rewrite every expectation from the current code."""
-    codes = {}
+def regenerate(names: list[str]) -> None:
+    """Rewrite the named expectations, or every one, from the current code."""
+    unknown = set(names) - set(CASES)
+    if unknown:
+        sys.exit(f"unknown cases: {sorted(unknown)}")
+    codes_path = GOLDEN / "exit_codes.json"
+    codes = json.loads(codes_path.read_text()) if names else {}
     # invariants_1031 writes the bundle that reconstruct_1031 reads
-    for name in sorted(CASES, key=lambda n: n != "invariants_1031"):
+    for name in sorted(names or CASES, key=lambda n: n != "invariants_1031"):
         out_path = GOLDEN / f"{name}.out"
         codes[name], stdout = run_case(name, out_path)
         (GOLDEN / f"{name}.stdout").write_text(stdout)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    codes_path.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        sys.exit("usage: test_golden.py --regenerate")
-    regenerate()
+    if sys.argv[1:2] != ["--regenerate"]:
+        sys.exit("usage: test_golden.py --regenerate [NAME...]")
+    regenerate(sys.argv[2:])
