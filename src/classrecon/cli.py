@@ -363,7 +363,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         subsets.append(subset)
     bundle = build_bundle(group, primes, subsets=subsets)
     # Run a default reconstruction so the file also contains every entry a
-    # blind consumer with default settings will request.
+    # blind consumer with default settings will request.  The chains read
+    # only the sets that can change their answer, chosen from the label
+    # order and the entries read, so the consumer asks for the same sets.
     try:
         reconstruct_all(bundle, zeta_bound=2)
     except InsufficientGenerators as exc:

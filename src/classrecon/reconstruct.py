@@ -18,6 +18,7 @@ The round-trip driver compares the reconstruction against ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import log2
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .abgroup import (
@@ -172,7 +173,7 @@ def recover_norm(bundle: InvariantBundle, label: str, h: int) -> int:
             f"summand count {s} for {label} does not divide the class number {h}"
         )
     ord_p = h // s
-    n = integer_nth_root(t + 1, ord_p)
+    n = _exact_root(t + 1, ord_p)
     if n is None:
         raise MalformedBundle(
             f"torsion {brief(t)} + 1 for {label} is not a perfect {ord_p}-th power"
@@ -182,6 +183,22 @@ def recover_norm(bundle: InvariantBundle, label: str, h: int) -> int:
             f"recovered norm {brief(n)} for {label} is not a prime power"
         )
     return n
+
+
+def _exact_root(x: int, n: int) -> int | None:
+    """The n-th root of x >= 2 if x is a perfect n-th power, else None.
+
+    The root is rounded from the top bits of x, as in `integer_nth_root`,
+    and confirmed with one power; the Newton steps of `integer_nth_root`
+    run only if that check fails.
+    """
+    shift = max(x.bit_length() - 64, 0)
+    root_bits = (log2(x >> shift) + shift) / n
+    if root_bits < 53:  # a double then holds the root exactly
+        guess = round(2.0**root_bits)
+        if guess**n == x:
+            return guess
+    return integer_nth_root(x, n)
 
 
 def recover_norms(bundle: InvariantBundle, h: int) -> dict[str, int]:
@@ -231,27 +248,47 @@ def _first(candidates: list[str]) -> str:
 
 def greedy_primary_factors(
     p: int,
+    p_order: int,
     candidates: Sequence[str],
     subgroup_order: Callable[[tuple[str, ...]], int],
     tie_break: TieBreak = _first,
 ) -> list[int]:
     """Greedy chain recovering the p-primary invariant factors.
 
-    At each step, pick the unused candidate maximizing the p-part of the
-    index [<chain, c> : <chain>]; the maxima are the cyclic orders of the
-    p-primary component, largest first.  Any maximizer may be chosen.
-    `subgroup_order` maps a non-empty candidate tuple to the order of the
-    subgroup its classes generate.
+    At each step, pick a candidate maximizing the p-part of the index
+    [<chain, c> : <chain>], the gain of c; the maxima are the cyclic orders
+    of the p-primary component, largest first.  `p_order` is the p-part of
+    the class number, and `subgroup_order` maps a non-empty candidate tuple
+    to the order of the subgroup its classes generate.
+
+    Three exact cuts read only the entries that can change the answer:
+
+      * the chain stops once its picks multiply to `p_order`;
+      * the gain |<c>| / |<c> & <chain>| divides its value over any shorter
+        chain, so a candidate whose gain is 1 is dropped for good;
+      * a gain read earlier bounds the current one (Minoux's lazy greedy),
+        and an unread one is bounded by the p-part the chain still lacks.
+        Each pass queries candidates in descending order of their bounds,
+        ties in candidate order, and stops once the best gain read is at
+        least the next bound.
+
+    `tie_break` picks among the queried maximizers; any maximizer gives the
+    same factors.  Which sets are queried depends only on the candidate
+    order and the values read, so a producer that runs the chain and a
+    consumer that reruns it on the written entries ask for the same sets.
     """
     chain: list[str] = []
     chain_order = 1
     out: list[int] = []
-    remaining = list(candidates)
-    while remaining:
+    left = p_order  # the p-part the picks have yet to reach
+    bound = dict.fromkeys(candidates, p_order)
+    while left > 1 and bound:
         best_val = 1
         best: list[str] = []
         orders: dict[str, int] = {}
-        for c in remaining:
+        for c in sorted(bound, key=lambda c: -min(bound[c], left)):
+            if best_val >= min(bound[c], left):
+                break
             order = orders[c] = subgroup_order(tuple(chain) + (c,))
             if order % chain_order:
                 raise MalformedBundle(
@@ -259,18 +296,54 @@ def greedy_primary_factors(
                     f"of {chain_order}, the order of {chain}"
                 )
             val = p_part(order // chain_order, p)
+            if bound[c] % val:
+                raise MalformedBundle(
+                    f"the {p}-part {val} of the gain of {c} over {chain} does not "
+                    f"divide {bound[c]}, its bound over a shorter chain"
+                )
+            if val == 1:
+                del bound[c]
+                continue
+            bound[c] = val
             if val > best_val:
                 best_val, best = val, [c]
-            elif val == best_val and val > 1:
+            elif val == best_val:
                 best.append(c)
-        if best_val == 1:
+        if not best:
             break
         pick = tie_break(best)
+        del bound[pick]
         chain.append(pick)
-        remaining.remove(pick)
         chain_order = orders[pick]
         out.append(best_val)
+        left //= best_val
     return out
+
+
+def _check_carried_orders(
+    bundle: InvariantBundle,
+    odd_labels: AbstractSet[str],
+    subgroup_order: Callable[[tuple[str, ...]], int],
+) -> None:
+    """Reject carried odd-norm entries whose subgroup orders shrink.
+
+    A subgroup grows with its generating set: for carried entries F and
+    F - {x} of odd-norm labels, the order of F must be a multiple of that of
+    F - {x}.  The greedy chains need not read every carried entry, so each
+    is checked here, with one lookup per label of F.
+    """
+    carried = bundle.entries
+    for key in list(carried):
+        if len(key) < 2 or not key <= odd_labels:
+            continue
+        order = subgroup_order(tuple(key))
+        for x in key:
+            sub = key - {x}
+            if sub in carried and order % (sub_order := subgroup_order(tuple(sub))):
+                raise MalformedBundle(
+                    f"subgroup order {order} of {sorted(key)} is not a multiple "
+                    f"of {sub_order}, the order of {sorted(sub)}"
+                )
 
 
 def reconstruct_class_group(
@@ -281,9 +354,10 @@ def reconstruct_class_group(
     Runs the greedy chain for every prime dividing the class number over
     the odd-norm labels, then audits completeness: the recovered orders
     must multiply to the class number, else the label set cannot exhibit
-    the whole group and InsufficientGenerators is raised.  `norms` are the
-    recovered label norms (`recover_norms`), and `h` the class number from
-    `recover_class_number`.
+    the whole group and InsufficientGenerators is raised.  Carried entries
+    the chains may not read are checked first (`_check_carried_orders`).
+    `norms` are the recovered label norms (`recover_norms`), and `h` the
+    class number from `recover_class_number`.
     """
     if h == 1:
         return FinGenAbGroup.trivial()
@@ -293,10 +367,11 @@ def reconstruct_class_group(
     def subgroup_order(key: tuple[str, ...]) -> int:
         return subgroup_order_from_bundle(bundle, key, odd, h)
 
+    _check_carried_orders(bundle, odd, subgroup_order)
     cyclic_orders: list[int] = []
     total = 1
-    for p in sorted(factorize(h)):
-        parts = greedy_primary_factors(p, odd_labels, subgroup_order)
+    for p, e in sorted(factorize(h).items()):
+        parts = greedy_primary_factors(p, p**e, odd_labels, subgroup_order)
         cyclic_orders.extend(parts)
         for d in parts:
             total *= d

@@ -16,6 +16,7 @@ from classrecon.abgroup import (
     FinGenAbGroup,
     cokernel_of_columns,
     iso_equal,
+    p_part,
     subgroup_index,
 )
 from classrecon.fields import (
@@ -217,7 +218,11 @@ def test_criterion_5_greedy_chain_suite():
         outcomes = set()
         for tb in tie_breaks:
             recovered = {
-                p: sorted(greedy_primary_factors(p, labels, subgroup_order, tb))
+                p: sorted(
+                    greedy_primary_factors(
+                        p, p_part(group.order(), p), labels, subgroup_order, tb
+                    )
+                )
                 for p in sorted(primary_decomposition(group))
             }
             outcomes.add(tuple(sorted((p, tuple(v)) for p, v in recovered.items())))
@@ -247,7 +252,9 @@ def test_criterion_6_blind_round_trip_per_field():
     # builds, and blind through an SNF-only bundle.  Every entry the full
     # reconstruction requested from the closed forms must equal the SNF
     # entry for the same set, or the round trip would only invert the
-    # formulas that produced it.
+    # formulas that produced it.  A chain that stops early requests few
+    # sets, so a seeded sample of odd-norm sets of 2 and 3 primes per field
+    # is compared as well.
     fields = []
     for d, bound in [(d, 60) for d in TEST_DISCRIMINANTS] + [(-1031, 100), (-10007, 100)]:
         spec = QuadraticSpec(d)
@@ -274,6 +281,7 @@ def test_criterion_6_blind_round_trip_per_field():
     fields.append(
         ("synthetic Z/2 x Z/4 x Z/8", class_group_model(spec), list(spec.primes), 60)
     )
+    sample_rng = random.Random(206)
     for name, model, primes, bound in fields:
         start = time.monotonic()
         report = roundtrip(model.group, primes, bound)
@@ -297,6 +305,11 @@ def test_criterion_6_blind_round_trip_per_field():
             assert iso_equal(blind.class_group, model.group)
             assert blind.norms == {p.label: p.norm for p in primes}
         assert closed.entries == snf.entries, name
+        odd = [p.label for p in primes if p.has_odd_norm]
+        for size in (2, 3):
+            for _ in range(4 if len(odd) >= size else 0):
+                key = sample_rng.sample(odd, size)
+                assert closed.entry(key) == snf.entry(key), (name, key)
         elapsed = time.monotonic() - start
         assert elapsed < 60, name
         _report(6, f"blind round trip on {name}, closed forms vs SNF", elapsed)

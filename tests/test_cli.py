@@ -437,15 +437,16 @@ def test_smith_normal_form_stays_off_the_hot_path(argv, expected, snf_calls, tmp
 @pytest.mark.parametrize(
     "argv",
     [
-        ["invariants", "-D", "-23603", "--primes", "100",
-         "--set", "p_2,p_3c,p_37", "--set", "p_3,p_5"],
-        ["roundtrip", "-D", "-23603", "--primes", "100"],
+        ["invariants", "-D", "-3299", "--primes", "100",
+         "--set", "p_2,p_3c,p_7", "--set", "p_3,p_5"],
+        ["roundtrip", "-D", "-3299", "--primes", "100"],
     ],
     ids=["invariants-sets", "roundtrip"],
 )
 def test_each_prime_power_is_computed_once_per_bundle(argv, tmp_path, monkeypatch):
     # A bundle computes each prime's N(p)**ord[p] - 1 once, in prime_terms,
     # and every entry it produces, precomputed or on demand, reuses it.
+    # On Z/3 x Z/9 the chain needs entries beyond the precomputed ones.
     seen = []
     powers = 0
     terms_of, make = reconstruct.prime_terms, lattice.PrimeTerms
@@ -461,20 +462,54 @@ def test_each_prime_power_is_computed_once_per_bundle(argv, tmp_path, monkeypatc
 
     monkeypatch.setattr(reconstruct, "prime_terms", recorded)
     monkeypatch.setattr(lattice, "PrimeTerms", counted)
-    entries = 0
+    on_demand = 0
     entry = reconstruct.InvariantBundle.entry
 
     def counted_entry(bundle, labels):
-        nonlocal entries
-        entries += 1
+        nonlocal on_demand
+        on_demand += frozenset(labels) not in bundle.entries  # a `compute` call
         return entry(bundle, labels)
 
     monkeypatch.setattr(reconstruct.InvariantBundle, "entry", counted_entry)
     assert main([*argv, "-o", str(tmp_path / "out.json")]) == EXIT_OK
-    labels = [p.label for p in enumerate_prime_ideals(QuadraticSpec(-23603), 100)]
+    labels = [p.label for p in enumerate_prime_ideals(QuadraticSpec(-3299), 100)]
     assert sorted(seen) == sorted(labels)
     assert powers == len(labels)
-    assert entries > 2 * len(labels)  # the greedy chain asked for many sets
+    assert on_demand > 0
+
+
+def test_invariants_of_a_cyclic_group_writes_no_chain_entries(tmp_path):
+    # On Z/47 the first candidate of gain 47 completes the chain, so the
+    # file holds the empty set, the singletons and the --set entries only.
+    out = tmp_path / "out.json"
+    sets = ["p_2,p_3c,p_37", "p_3,p_5", "p_5,p_3"]
+    argv = ["invariants", "-D", "-23603", "--primes", "100", "-o", str(out)]
+    assert main([*argv, *(a for s in sets for a in ("--set", s))]) == EXIT_OK
+    labels = enumerate_prime_ideals(QuadraticSpec(-23603), 100)
+    distinct_sets = {frozenset(s.split(",")) for s in sets}
+    assert len(json.loads(out.read_text())["entries"]) == 1 + len(labels) + len(distinct_sets)
+
+
+@pytest.mark.parametrize(
+    ("argv", "factors"),
+    [
+        (["-D", "-84", "--primes", "50"], ["2", "2"]),
+        (["-D", "-2036", "--primes", "200"], ["30"]),
+        (["-D", "-2184", "--primes", "120"], ["2", "2", "6"]),
+        (["-D", "-3299", "--primes", "300"], ["3", "9"]),
+        (["--synthetic", SYNTHETIC_248, "--primes", "50"], ["2", "4", "8"]),
+    ],
+    ids=["84", "2036", "2184", "3299", "synthetic-248"],
+)
+def test_written_bundles_are_self_sufficient(argv, factors, tmp_path, capsys):
+    # A loaded bundle cannot compute entries, so its blind reconstruction
+    # succeeds only if `invariants` wrote every entry the chains read.
+    out = tmp_path / "bundle.json"
+    report = tmp_path / "report.json"
+    assert main(["invariants", *argv, "-o", str(out)]) == EXIT_OK
+    assert main(["reconstruct", str(out), "-o", str(report)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert json.loads(report.read_text())["class_group_factors"] == factors
 
 
 OVERSIZED_SECOND_PRIME_DOC = {

@@ -10,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classrecon import reconstruct
-from classrecon.abgroup import FinGenAbGroup, iso_equal, subgroup_index
+from classrecon.abgroup import (
+    FinGenAbGroup,
+    integer_nth_root,
+    iso_equal,
+    p_part,
+    subgroup_index,
+)
 from classrecon.fields import (
     QuadraticSpec,
     SyntheticSpec,
@@ -184,6 +190,26 @@ class TestRecoverBasics:
                 recover_norm(bundle, label, recover_class_number(bundle))
 
 
+@st.composite
+def roots_and_orders(draw):
+    """Roots to 2000 with orders to 5000, or roots past 2**50 with orders to 4."""
+    if draw(st.booleans()):
+        return draw(st.integers(2, 2000)), draw(st.integers(1, 5000))
+    return draw(st.integers(2**50, 2**64)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots_and_orders(), st.sampled_from([-1, 0, 1]))
+@example((293, 26629), 0)
+@example((2**53 + 1, 3), 0)  # a root no double holds
+def test_exact_root_agrees_with_newton(case, offset):
+    # Norm recovery confirms a rounded root with one power.  On powers and
+    # on their neighbours it must answer as the Newton iteration does.
+    root, n = case
+    x = root**n + offset
+    assert reconstruct._exact_root(x, n) == integer_nth_root(x, n)
+
+
 class TestSubgroupOrders:
     def test_disc_minus_20(self):
         _, _, bundle = bundle_for_disc(-20, 30)
@@ -255,7 +281,8 @@ class TestGreedyChain:
             labels, order_fn = self.direct_order_oracle(group, family)
             recovered = {}
             for p in sorted(primary_decomposition(group)):
-                parts = greedy_primary_factors(p, labels, order_fn)
+                p_order = p_part(group.order(), p)
+                parts = greedy_primary_factors(p, p_order, labels, order_fn)
                 recovered[p] = sorted(parts)
             assert recovered == primary_decomposition(group)
 
@@ -277,10 +304,26 @@ class TestGreedyChain:
             lambda c: random.Random(seed).choice(c),
         )
         for p, parts in primary_decomposition(group).items():
-            results = {
-                tuple(sorted(greedy_primary_factors(p, labels, order_fn, tb)))
-                for tb in tie_breaks
-            }
+            p_order = p_part(group.order(), p)
+            results = set()
+            for tb in tie_breaks:
+                queried = []
+
+                def recorded(key):
+                    queried.append(key)
+                    return order_fn(key)
+
+                got = greedy_primary_factors(p, p_order, labels, recorded, tb)
+                results.add(tuple(sorted(got)))
+                # pass j queries chains of j picks plus one candidate, so no
+                # query follows the pick that completes the p-part
+                assert max(map(len, queried)) <= len(got)
+                exhausted = set()
+                for key in queried:
+                    assert key[-1] not in exhausted, (key, queried)
+                    gain = order_fn(key) // (order_fn(key[:-1]) if key[:-1] else 1)
+                    if p_part(gain, p) == 1:
+                        exhausted.add(key[-1])
             assert results == {tuple(parts)}
 
 
@@ -331,6 +374,22 @@ class TestReconstructClassGroup:
             },
         )
         with pytest.raises(MalformedBundle):
+            reconstruct_group(bundle)
+
+    def test_growing_gains_are_malformed(self):
+        # <a> and <b> claim order 3 but <a, b> order 27: the gain of b grows
+        # from 3 to 9 over a longer chain, which no subgroup does
+        bundle = InvariantBundle(
+            rank=27,
+            labels=("a", "b"),
+            entries={
+                frozenset(): FinGenAbGroup((0,) * 27),
+                frozenset({"a"}): FinGenAbGroup((342,) * 9),
+                frozenset({"b"}): FinGenAbGroup((342,) * 9),
+                frozenset({"a", "b"}): FinGenAbGroup((6,)),
+            },
+        )
+        with pytest.raises(MalformedBundle, match="gain of b"):
             reconstruct_group(bundle)
 
     def test_even_norm_labels_are_ignored_by_chains(self):
