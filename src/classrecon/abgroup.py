@@ -28,7 +28,6 @@ guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, log2
 from typing import Iterable, Sequence
@@ -88,16 +87,20 @@ def p_part(n: int, p: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Immutable rectangular matrix of arbitrary-precision integers."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        if len({len(row) for row in entries}) > 1:
             raise ValueError("ragged rows in matrix")
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
 
     @property
     def nrows(self) -> int:
@@ -269,13 +272,13 @@ def _canonical_chain(orders: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(tors) + tuple(zeros)
 
 
-@dataclass(frozen=True)
 class FinGenAbGroup:
     """Finitely generated abelian group in invariant-factor form.
 
     `factors` lists the cyclic orders: nonzero entries form an ascending
     divisibility chain (none equal to 1) and each 0 contributes an infinite
-    cyclic summand, listed last.
+    cyclic summand, listed last.  A group is never changed after it is
+    built.
 
     >>> FinGenAbGroup.from_orders([2, 3])
     FinGenAbGroup(factors=(6,))
@@ -283,24 +286,38 @@ class FinGenAbGroup:
     'Z/2 x Z/4 x Z'
     """
 
-    factors: tuple[int, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        if any(not isinstance(x, int) or x < 0 for x in self.factors):
+    def __init__(self, factors: tuple[int, ...]) -> None:
+        if any(not isinstance(x, int) or x < 0 for x in factors):
             raise ValueError("factors must be non-negative integers")
-        if any(x == 1 for x in self.factors):
+        if any(x == 1 for x in factors):
             raise ValueError("factor 1 is not allowed in canonical form")
-        if _canonical_chain(self.factors) != self.factors:
-            raise ValueError(
-                f"factors {brief(self.factors)} are not in canonical form"
-            )
+        if _canonical_chain(factors) != factors:
+            raise ValueError(f"factors {brief(factors)} are not in canonical form")
+        self.factors = factors
+
+    @classmethod
+    def trusted(cls, chain: tuple[int, ...]) -> FinGenAbGroup:
+        """The group of a tuple already known to be canonical, not checked again."""
+        group = object.__new__(cls)
+        group.factors = chain
+        return group
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __repr__(self) -> str:
+        return f"FinGenAbGroup(factors={self.factors!r})"
 
     @classmethod
     def from_orders(cls, orders: Iterable[int]) -> FinGenAbGroup:
         """Build the direct sum of Z/d (d > 0) and Z (d == 0), canonicalized.
 
         The chain is checked once: both routes below end in canonical form,
-        so the checks of the constructor are not run again.
+        so the group is built by `trusted`.
         """
         orders = [int(x) for x in orders]
         if any(x < 0 for x in orders):
@@ -317,9 +334,7 @@ class FinGenAbGroup:
                     g = gcd(tors[i], tors[j])
                     tors[i], tors[j] = g, tors[i] // g * tors[j]
             chain = tuple(x for x in tors if x != 1) + (0,) * orders.count(0)
-        group = object.__new__(cls)
-        object.__setattr__(group, "factors", chain)
-        return group
+        return cls.trusted(chain)
 
     @classmethod
     def trivial(cls) -> FinGenAbGroup:

@@ -8,10 +8,17 @@ factors, norms) are serialized as decimal strings; labels in bundle files
 are opaque consecutive integers so the files carry no arithmetic hints.
 Bundle factors may run past CPython's limit on int/str conversion (4300
 digits by default); the codec converts them in chunks below that limit, so
-the interpreter-wide setting is never changed.
+the interpreter-wide setting is never changed.  A bundle repeats few
+distinct factors many times, so the writer converts each distinct factor
+once per entry and the loader reads each distinct factor string once per
+file.
 
 Each file type has one validating loader (`bundle_from_json`,
 `synthetic_spec_from_json`) that turns any defect into its one-line error.
+Input files and stdin are read as UTF-8 whatever the locale (RFC 8259).
+Every output is the text of `json.dumps(doc, indent=2, sort_keys=True)`,
+built by `_json_text` without the pure-Python encoder that json.dumps
+runs whenever it indents, and written as ASCII.
 
 There is one argument parser per process: `build_parser` builds it on the
 first `main` call, not at import, and every later call reuses it.
@@ -31,6 +38,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import log10
 from typing import Any, Sequence
 
@@ -166,55 +174,88 @@ def _json_factor(value: Any) -> int:
     return _json_int(value, "a factor", MalformedBundle)
 
 
-def _json_factors(values: list[Any]) -> tuple[int, ...]:
-    """The factors of one entry, in order, each distinct string read once."""
-    read: dict[str, int] = {}
-    factors = []
-    for x in values:
-        if isinstance(x, str):
-            if x not in read:
-                read[x] = _json_factor(x)
-            factors.append(read[x])
-        else:
-            factors.append(_json_factor(x))
-    return tuple(factors)
-
-
 def _json_list(value: Any, what: str, error: type[Exception]) -> list[Any]:
     if not isinstance(value, list):
         raise error(f"{what} must be a JSON array, got {value!r:.40}")
     return value
 
 
-def _json_label_ids(value: Any, what: str) -> list[str]:
+_INT = frozenset({int})
+
+
+def _json_label_ids(value: Any, what: str) -> list[int]:
     ids = _json_list(value, what, MalformedBundle)
-    if not all(_is_int(i) for i in ids):
+    # a list of plain ints, as JSON gives, passes on its types alone
+    if not _INT.issuperset(map(type, ids)) and not all(_is_int(i) for i in ids):
         raise MalformedBundle(f"{what} must be integers")
-    return [str(i) for i in ids]
+    return ids
+
+
+def _is_canonical(factors: tuple[int, ...]) -> bool:
+    """Whether the factors are in canonical form, judged on adjacent distinct values.
+
+    The torsion factors ascend from 2, each dividing the next, and the
+    zeros come last.  The [Cl : H] equal copies of a homogeneous entry cost
+    one comparison each, with no division.
+    """
+    prev = 1
+    for x in factors:
+        if x == prev:
+            if x == 1:
+                return False
+        elif x and (x < 2 or not prev or x % prev):
+            return False
+        else:
+            prev = x
+    return True
 
 
 def bundle_from_json(doc: Any) -> InvariantBundle:
-    """Load a bundle document; every defect raises a one-line MalformedBundle."""
+    """Load a bundle document; every defect raises a one-line MalformedBundle.
+
+    Each distinct factor string is converted once per file, and label ids
+    are named through one table built from `labels`.  An entry whose
+    factors pass `_is_canonical` becomes a group with no further check;
+    only one that fails goes through the `FinGenAbGroup` constructor, whose
+    message names the defect.
+    """
     if not isinstance(doc, dict):
         raise MalformedBundle("a bundle file must hold a JSON object")
     version = doc.get("version")
     if not (_is_int(version) and version == BUNDLE_VERSION):
         raise MalformedBundle(f"unsupported bundle version {version!r:.40}")
     rank = _json_int(doc.get("rank"), "rank", MalformedBundle)
-    labels = tuple(_json_label_ids(doc.get("labels"), "labels"))
+    ids = _json_label_ids(doc.get("labels"), "labels")
+    labels = tuple(map(str, ids))
+    names = dict(zip(ids, labels))
+    read: dict[str, int] = {}  # each distinct factor string, converted
     entries: dict[frozenset[str], FinGenAbGroup] = {}
     for item in _json_list(doc.get("entries"), "entries", MalformedBundle):
         if not isinstance(item, dict):
             raise MalformedBundle("every entry must be a JSON object")
-        ids = _json_label_ids(item.get("labels"), "entry labels")
-        key = frozenset(ids)
-        if len(key) != len(ids):
-            raise MalformedBundle(f"entry labels {sorted(ids)} repeat a label")
+        # an id missing from the table keeps its own name, and the bundle
+        # reports it as unknown
+        keys = [
+            names.get(i) or str(i)
+            for i in _json_label_ids(item.get("labels"), "entry labels")
+        ]
+        key = frozenset(keys)
+        if len(key) != len(keys):
+            raise MalformedBundle(f"entry labels {sorted(keys)} repeat a label")
         if key in entries:
             raise MalformedBundle(f"two entries for labels {sorted(key)}")
-        factors = _json_factors(
-            _json_list(item.get("factors"), "entry factors", MalformedBundle)
-        )
+        factors = []
+        for x in _json_list(item.get("factors"), "entry factors", MalformedBundle):
+            if isinstance(x, str):
+                if x not in read:
+                    read[x] = _json_factor(x)
+                factors.append(read[x])
+            else:
+                factors.append(_json_factor(x))
+        factors = tuple(factors)
+        if _is_canonical(factors):
+            entries[key] = FinGenAbGroup.trusted(factors)
+            continue
         try:
             entries[key] = FinGenAbGroup(factors)
         except ValueError as exc:
@@ -314,22 +355,65 @@ def _spec_from_args(args: argparse.Namespace, suffix: str = "") -> FieldSpec:
 
 
 def _read_json(path: str) -> Any:
-    """The JSON document in a file, or on stdin for "-"."""
+    """The JSON document in a file, or on stdin for "-", read as UTF-8."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
+            return json.loads(sys.stdin.buffer.read().decode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad JSON, encoding or nesting
         raise UnreadableInput(f"invalid JSON input {path}: {exc}") from None
 
 
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value: Any, indent: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True), built directly.
+
+    json.dumps runs its pure-Python encoder whenever `indent` is set.  Here,
+    as there, strings go through the C `encode_basestring_ascii` and ints
+    through `int.__repr__`, and the items of a list or dict that share one
+    scalar type are joined in one step.  Values are str, int, bool, None,
+    lists and dicts with str keys; any other type raises TypeError.
+    """
+    kind = type(value)
+    write = _SCALARS.get(kind)
+    if write is not None:
+        return write(value)
+    if kind is not list and kind is not dict:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    brackets = "[]" if kind is list else "{}"
+    if not value:
+        return brackets
+    inner = indent + "  "
+    if kind is dict:
+        keys = sorted(value)
+        for k in keys:
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        items = [value[k] for k in keys]
+    else:
+        items = value
+    kinds = set(map(type, items))
+    write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    texts = map(write, items) if write else [_json_text(x, inner) for x in items]
+    if kind is dict:
+        texts = map("{}: {}".format, map(encode_basestring_ascii, keys), texts)
+    return brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
+
+
 def _write_output(doc: dict[str, Any], path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _json_text(doc)
     if path is None or path == "-":
         print(text)
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 

@@ -32,7 +32,6 @@ MAX_SYNTHETIC_ORDER are refused the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -175,17 +174,31 @@ def _check_discriminant(d: int) -> None:
         )
 
 
-@dataclass(frozen=True, order=True)
 class QuadraticForm:
-    """Positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
+    """Positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2.
 
-    a: int
-    b: int
-    c: int
+    Forms compare, sort and hash by the triple (a, b, c).
+    """
 
-    def __post_init__(self) -> None:
-        if self.a <= 0 or self.discriminant >= 0:
-            raise ValueError(f"form {self.triple} is not positive definite")
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int) -> None:
+        if a <= 0 or b * b - 4 * a * c >= 0:
+            raise ValueError(f"form {(a, b, c)} is not positive definite")
+        self.a, self.b, self.c = a, b, c
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.c == other.c
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c) < (other.a, other.b, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c))
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -337,12 +350,20 @@ def _crt(r1: list[int], m1: int, r2: list[int], m2: int) -> list[int]:
     return [x + m1 * ((y - x) * inverse % m2) for x in r1 for y in r2]
 
 
-@dataclass(frozen=True)
 class _DiscriminantData:
-    forms: tuple[QuadraticForm, ...]
-    index: dict[QuadraticForm, int]  # position of each form in `forms`
-    group: FinGenAbGroup
-    form_class: tuple[GroupElement, ...]  # class coordinates per form
+    """The reduced forms of a discriminant, their positions, the group and their classes."""
+
+    __slots__ = ("forms", "index", "group", "form_class")
+
+    def __init__(
+        self,
+        forms: tuple[QuadraticForm, ...],
+        index: dict[QuadraticForm, int],  # position of each form in `forms`
+        group: FinGenAbGroup,
+        form_class: tuple[GroupElement, ...],  # class coordinates per form
+    ) -> None:
+        self.forms, self.index = forms, index
+        self.group, self.form_class = group, form_class
 
 
 @lru_cache(maxsize=None)
@@ -416,13 +437,14 @@ def _discriminant_data(d: int) -> _DiscriminantData:
     )
 
 
-@dataclass(frozen=True)
 class Splitting:
     """How a rational prime decomposes: kind, per-ideal norm, ideal count."""
 
-    kind: str  # "split" | "inert" | "ramified"
-    norm: int
-    prime_count: int
+    __slots__ = ("kind", "norm", "prime_count")
+
+    def __init__(self, kind: str, norm: int, prime_count: int) -> None:
+        self.kind = kind  # "split" | "inert" | "ramified"
+        self.norm, self.prime_count = norm, prime_count
 
 
 def kronecker_splitting(d: int, q: int) -> Splitting:
@@ -467,22 +489,25 @@ def ideal_class_of_prime(d: int, q: int) -> GroupElement:
     return data.form_class[data.index[prime_form(d, q).reduced()]]
 
 
-@dataclass(frozen=True)
 class QuadraticSpec:
     """An imaginary quadratic field, given by its fundamental discriminant."""
 
-    discriminant: int
+    __slots__ = ("discriminant",)
 
-    def __post_init__(self) -> None:
-        _check_discriminant(self.discriminant)
+    def __init__(self, discriminant: int) -> None:
+        _check_discriminant(discriminant)
+        self.discriminant = discriminant
 
 
-@dataclass(frozen=True)
 class SyntheticSpec:
     """A free-form field stand-in: a finite class group and a prime stream."""
 
-    factors: tuple[int, ...]
-    primes: tuple[PrimeIdealDatum, ...]
+    __slots__ = ("factors", "primes")
+
+    def __init__(
+        self, factors: tuple[int, ...], primes: tuple[PrimeIdealDatum, ...]
+    ) -> None:
+        self.factors, self.primes = factors, primes
 
 
 FieldSpec = QuadraticSpec | SyntheticSpec

@@ -27,7 +27,6 @@ paper's induction over F.  Only they enumerate group elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm, log2
 from typing import Sequence
 
@@ -56,37 +55,33 @@ class LimitExceeded(Exception):
     """
 
 
-@dataclass(frozen=True)
 class PrimeIdealDatum:
     """One prime ideal: a label, its norm, its ideal class, its residue prime.
 
     The norm must be a power of the residue characteristic.
     """
 
-    label: str
-    norm: int
-    cls: GroupElement
-    residue_char: int
+    __slots__ = ("label", "norm", "cls", "residue_char")
 
-    def __post_init__(self) -> None:
-        if self.residue_char < 2:
+    def __init__(
+        self, label: str, norm: int, cls: GroupElement, residue_char: int
+    ) -> None:
+        if residue_char < 2:
             raise ValueError("residue characteristic must be a prime >= 2")
-        n = self.norm
+        n = norm
         if n < 2:
             raise ValueError("norm must be at least 2")
-        while n % self.residue_char == 0:
-            n //= self.residue_char
+        while n % residue_char == 0:
+            n //= residue_char
         if n != 1:
-            raise ValueError(
-                f"norm {self.norm} is not a power of {self.residue_char}"
-            )
+            raise ValueError(f"norm {norm} is not a power of {residue_char}")
+        self.label, self.norm, self.cls, self.residue_char = label, norm, cls, residue_char
 
     @property
     def has_odd_norm(self) -> bool:
         return self.norm % 2 == 1
 
 
-@dataclass(frozen=True)
 class PrimeTerms:
     """One prime's share of every quotient whose set F contains it.
 
@@ -95,10 +90,10 @@ class PrimeTerms:
     them; a bundle computes them once per prime and every entry reuses them.
     """
 
-    coords: GroupElement
-    order: int
-    norm: int
-    power: int
+    __slots__ = ("coords", "order", "norm", "power")
+
+    def __init__(self, coords: GroupElement, order: int, norm: int, power: int) -> None:
+        self.coords, self.order, self.norm, self.power = coords, order, norm, power
 
 
 def prime_terms(

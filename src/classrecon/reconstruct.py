@@ -17,7 +17,6 @@ The round-trip driver compares the reconstruction against ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import log2
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
@@ -47,7 +46,6 @@ class BundleEntryMissing(Exception):
     """A required entry is absent and the bundle cannot compute it."""
 
 
-@dataclass
 class InvariantBundle:
     """Opaque quotient data: label sets to isomorphism types, plus a rank.
 
@@ -55,20 +53,27 @@ class InvariantBundle:
     results are memoized in `entries`.
     """
 
-    rank: int
-    labels: tuple[str, ...]
-    entries: dict[frozenset[str], FinGenAbGroup] = field(default_factory=dict)
-    compute: Callable[[frozenset[str]], FinGenAbGroup] | None = None
+    __slots__ = ("rank", "labels", "entries", "compute", "_label_set")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+    def __init__(
+        self,
+        rank: int,
+        labels: tuple[str, ...],
+        entries: dict[frozenset[str], FinGenAbGroup] | None = None,
+        compute: Callable[[frozenset[str]], FinGenAbGroup] | None = None,
+    ) -> None:
+        if entries is None:
+            entries = {}
+        if rank < 1:
             raise MalformedBundle("rank must be at least 1")
-        self._label_set = frozenset(self.labels)
-        if len(self._label_set) != len(self.labels):
+        label_set = frozenset(labels)
+        if len(label_set) != len(labels):
             raise MalformedBundle("duplicate labels")
-        unknown = set().union(*self.entries) - self._label_set if self.entries else set()
+        unknown = set().union(*entries) - label_set if entries else set()
         if unknown:
             raise MalformedBundle(f"entries mention unknown labels {sorted(unknown)}")
+        self.rank, self.labels, self.entries, self.compute = rank, labels, entries, compute
+        self._label_set = label_set
 
     def entry(self, labels: Iterable[str]) -> FinGenAbGroup:
         key = frozenset(labels)
@@ -383,7 +388,6 @@ def reconstruct_class_group(
     return FinGenAbGroup.from_orders(cyclic_orders)
 
 
-@dataclass(frozen=True)
 class ZetaData:
     """Truncated Dirichlet coefficients of the zeta function.
 
@@ -391,15 +395,16 @@ class ZetaData:
     product is n (that is, ideals of norm n), for n up to the bound.
     """
 
-    norms: tuple[int, ...]
-    bound: int
-    coefficients: tuple[int, ...]
+    __slots__ = ("norms", "bound", "coefficients")
 
-    def __post_init__(self) -> None:
-        if self.coefficients[0] != 1:
+    def __init__(
+        self, norms: tuple[int, ...], bound: int, coefficients: tuple[int, ...]
+    ) -> None:
+        if coefficients[0] != 1:
             raise ValueError("the unit ideal must be counted exactly once")
-        if not all(is_prime_power(n) for n in self.norms):
+        if not all(is_prime_power(n) for n in norms):
             raise ValueError("every norm must be a prime power > 1")
+        self.norms, self.bound, self.coefficients = norms, bound, coefficients
 
 
 def zeta_coefficients(norms: Iterable[int], bound: int) -> list[int]:
@@ -434,20 +439,30 @@ def zeta_data(norms: Iterable[int], bound: int) -> ZetaData:
     )
 
 
-@dataclass(frozen=True)
 class Verdict:
-    name: str
-    passed: bool
-    message: str
+    """One comparison of a reconstruction with the ground truth."""
+
+    __slots__ = ("name", "passed", "message")
+
+    def __init__(self, name: str, passed: bool, message: str) -> None:
+        self.name, self.passed, self.message = name, passed, message
 
 
-@dataclass(frozen=True)
 class ReconstructionReport:
-    class_number: int
-    class_group: FinGenAbGroup
-    norms: Mapping[str, int]
-    zeta: ZetaData
-    verdicts: tuple[Verdict, ...]
+    """What a reconstruction recovered, and its verdicts (none when blind)."""
+
+    __slots__ = ("class_number", "class_group", "norms", "zeta", "verdicts")
+
+    def __init__(
+        self,
+        class_number: int,
+        class_group: FinGenAbGroup,
+        norms: Mapping[str, int],
+        zeta: ZetaData,
+        verdicts: tuple[Verdict, ...],
+    ) -> None:
+        self.class_number, self.class_group = class_number, class_group
+        self.norms, self.zeta, self.verdicts = norms, zeta, verdicts
 
     @property
     def all_passed(self) -> bool:
@@ -536,14 +551,31 @@ def _norm_diff(got: Mapping[str, int], want: Mapping[str, int]) -> str:
     return ", ".join(f"{k}: got {got.get(k)}, want {want[k]}" for k in keys[:5])
 
 
-@dataclass(frozen=True)
 class ComparisonResult:
-    equivalent: bool
-    bound: int
-    first_zeta_difference: tuple[int, int, int] | None  # (n, a_n left, a_n right)
-    groups_isomorphic: bool
-    group_left: FinGenAbGroup
-    group_right: FinGenAbGroup
+    """Two fields compared through the blind pipeline up to a bound."""
+
+    __slots__ = (
+        "equivalent",
+        "bound",
+        "first_zeta_difference",
+        "groups_isomorphic",
+        "group_left",
+        "group_right",
+    )
+
+    def __init__(
+        self,
+        equivalent: bool,
+        bound: int,
+        first_zeta_difference: tuple[int, int, int] | None,  # (n, a_n left, a_n right)
+        groups_isomorphic: bool,
+        group_left: FinGenAbGroup,
+        group_right: FinGenAbGroup,
+    ) -> None:
+        self.equivalent, self.bound = equivalent, bound
+        self.first_zeta_difference = first_zeta_difference
+        self.groups_isomorphic = groups_isomorphic
+        self.group_left, self.group_right = group_left, group_right
 
     def describe(self) -> str:
         if self.equivalent:

@@ -677,6 +677,51 @@ def test_cli_import_does_not_load_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
+def _run_cli(args, input_bytes=None, env_extra=None):
+    """Run `python -m classrecon.cli` in a fresh interpreter; (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(classrecon.__file__))
+    env = dict(os.environ, PYTHONPATH=src, **(env_extra or {}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "classrecon.cli", *args],
+        input=input_bytes,
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# A locale whose preferred encoding is ASCII, with no coercion to UTF-8.
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_input_files_are_read_as_utf8_in_any_locale(tmp_path):
+    doc = {
+        "invariant_factors": ["2"],
+        "primes": [{"label": "p\u2081", "norm": "3", "class": [1], "residue_char": "3"}],
+    }
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    assert "\u2081".encode("utf-8") in spec.read_bytes()
+    code, out, err = _run_cli(["classgroup", "--synthetic", str(spec)], env_extra=C_LOCALE)
+    assert (code, out, err) == (EXIT_OK, b"Z/2; synthetic primes: 1\n", b"")
+    report = tmp_path / "report.json"
+    argv = ["roundtrip", "--synthetic", str(spec), "--primes", "5", "-o", str(report)]
+    assert _run_cli(argv, env_extra=C_LOCALE)[0] == EXIT_OK
+    assert json.loads(report.read_bytes())["norms"] == {"p\u2081": "3"}
+
+
+def test_reconstruct_reads_the_bundle_from_stdin():
+    bundle = (GOLDEN / "invariants_1031.out").read_bytes()
+    code, out, err = _run_cli(["reconstruct", "-"], input_bytes=bundle, env_extra=C_LOCALE)
+    assert (code, err) == (EXIT_OK, b"")
+    assert out == (GOLDEN / "reconstruct_1031.stdout").read_bytes()
+    code, out, err = _run_cli(["reconstruct", "-"], input_bytes=b"\xff\xfe{}")
+    assert (code, out) == (EXIT_USAGE, b"")
+    assert err.startswith(b"error: invalid JSON input -: 'utf-8' codec can't decode")
+    assert err.count(b"\n") == 1
+
+
 class TestSyntheticParsing:
     def test_parses_and_validates(self):
         spec = synthetic_spec_from_json(SYNTHETIC_DOC)
@@ -1012,3 +1057,58 @@ def test_bundle_file_survives_load_and_save(doc):
 @given(JSON_VALUES | SPEC_DOCS)
 def test_arbitrary_json_synthetic_spec_never_raises(doc):
     assert _exit_code_for_file(["classgroup", "--synthetic"], doc) in range(4)
+
+
+# Strings with quotes, backslashes, control characters, non-ASCII and
+# astral characters and lone surrogates; ints past CPython's 4300-digit
+# str limit, on which json.dumps raises ValueError.
+JSON_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001F600')
+    | st.characters(blacklist_categories=()),
+    max_size=6,
+)
+WRITER_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-5, 5).map(lambda k: 10**4300 + k)
+    | JSON_TEXT
+)
+WRITER_DOCS = st.recursive(
+    WRITER_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(JSON_TEXT, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(WRITER_DOCS)
+def test_writer_gives_the_bytes_of_json_dumps(doc):
+    try:
+        want = json.dumps(doc, indent=2, sort_keys=True)
+    except ValueError:  # an int past the str conversion limit
+        with pytest.raises(ValueError):
+            cli._json_text(doc)
+        return
+    assert cli._json_text(doc) == want
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, (1, 2), {1: "a"}, {"a": {1}}, [b"x"], [1, object()], {"a": [1, 2.0]}],
+    ids=["float", "tuple", "int-key", "set", "bytes", "object", "nested-float"],
+)
+def test_writer_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._json_text(doc)
+
+
+def test_output_files_end_with_one_newline(tmp_path, capsys):
+    doc = {"b": [1, "\u00e9"], "a": {}}
+    path = tmp_path / "out.json"
+    cli._write_output(doc, str(path))
+    cli._write_output(doc, None)
+    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("ascii")
+    assert capsys.readouterr().out == want

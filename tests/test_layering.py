@@ -1,4 +1,8 @@
-"""The certifiers stay in `oracle`; the runtime modules neither define nor import them."""
+"""The certifiers stay in `oracle`; the runtime modules neither define nor import them.
+
+The runtime also stays off `dataclasses`, which loads `inspect` and
+generates code for each class at import: every CLI call would pay for it.
+"""
 
 import ast
 import os
@@ -53,6 +57,46 @@ def test_only_oracle_defines_the_certifiers(path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     }
     assert not defined & CERTIFIERS
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The absolute modules a tree imports, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module or "")
+    return found
+
+
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
+def test_no_runtime_module_imports_dataclasses(path):
+    assert "dataclasses" not in _imported_modules(_parse(path))
+
+
+def test_scan_finds_dataclasses_imports():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "def f():\n"
+        "    from dataclasses import dataclass\n"
+        "from .dataclasses import x\n"
+    )
+    assert _imported_modules(tree) == {"dataclasses"}
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    src = os.path.dirname(os.path.dirname(classrecon.__file__))
+    code = (
+        "import classrecon.cli, sys; "
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+        "assert not loaded, loaded"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
