@@ -272,6 +272,27 @@ def _canonical_chain(orders: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(tors) + tuple(zeros)
 
 
+def is_canonical(factors: Sequence[int]) -> bool:
+    """Whether integer factors are in canonical form, read in their given order.
+
+    The torsion factors ascend from 2, each dividing the next, and the
+    zeros come last.  Only adjacent distinct values are compared, so the
+    [Cl : H] equal copies of a homogeneous quotient cost one comparison
+    each, with no division.  `FinGenAbGroup` accepts exactly these tuples
+    of ints.
+    """
+    prev = 1
+    for x in factors:
+        if x == prev:
+            if x == 1:
+                return False
+        elif x and (x < 2 or not prev or x % prev):
+            return False
+        else:
+            prev = x
+    return True
+
+
 class FinGenAbGroup:
     """Finitely generated abelian group in invariant-factor form.
 

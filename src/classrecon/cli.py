@@ -42,7 +42,12 @@ from json.encoder import encode_basestring_ascii
 from math import log10
 from typing import Any, Sequence
 
-from .abgroup import FinGenAbGroup, PrimalityLimitExceeded, is_prime_power
+from .abgroup import (
+    FinGenAbGroup,
+    PrimalityLimitExceeded,
+    is_canonical,
+    is_prime_power,
+)
 from .fields import (
     DiscriminantTooLarge,
     FieldSpec,
@@ -191,31 +196,12 @@ def _json_label_ids(value: Any, what: str) -> list[int]:
     return ids
 
 
-def _is_canonical(factors: tuple[int, ...]) -> bool:
-    """Whether the factors are in canonical form, judged on adjacent distinct values.
-
-    The torsion factors ascend from 2, each dividing the next, and the
-    zeros come last.  The [Cl : H] equal copies of a homogeneous entry cost
-    one comparison each, with no division.
-    """
-    prev = 1
-    for x in factors:
-        if x == prev:
-            if x == 1:
-                return False
-        elif x and (x < 2 or not prev or x % prev):
-            return False
-        else:
-            prev = x
-    return True
-
-
 def bundle_from_json(doc: Any) -> InvariantBundle:
     """Load a bundle document; every defect raises a one-line MalformedBundle.
 
     Each distinct factor string is converted once per file, and label ids
     are named through one table built from `labels`.  An entry whose
-    factors pass `_is_canonical` becomes a group with no further check;
+    factors pass `is_canonical` becomes a group with no further check;
     only one that fails goes through the `FinGenAbGroup` constructor, whose
     message names the defect.
     """
@@ -253,7 +239,7 @@ def bundle_from_json(doc: Any) -> InvariantBundle:
             else:
                 factors.append(_json_factor(x))
         factors = tuple(factors)
-        if _is_canonical(factors):
+        if is_canonical(factors):
             entries[key] = FinGenAbGroup.trusted(factors)
             continue
         try:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classrecon import cli
-from classrecon.abgroup import FinGenAbGroup
+from classrecon.abgroup import FinGenAbGroup, is_canonical
 from classrecon.cli import EXIT_FAIL, EXIT_INSUFFICIENT, EXIT_OK, main
 
 EMPTY = {"labels": [], "factors": ["0", "0"]}
@@ -202,6 +202,6 @@ def test_chain_check_agrees_with_the_constructor(factors):
     try:
         FinGenAbGroup(factors)
     except ValueError:
-        assert not cli._is_canonical(factors)
+        assert not is_canonical(factors)
     else:
-        assert cli._is_canonical(factors)
+        assert is_canonical(factors)

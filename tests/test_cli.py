@@ -1103,12 +1103,3 @@ def test_writer_refuses_other_types(doc):
     with pytest.raises(TypeError):
         cli._json_text(doc)
 
-
-def test_output_files_end_with_one_newline(tmp_path, capsys):
-    doc = {"b": [1, "\u00e9"], "a": {}}
-    path = tmp_path / "out.json"
-    cli._write_output(doc, str(path))
-    cli._write_output(doc, None)
-    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert path.read_bytes() == want.encode("ascii")
-    assert capsys.readouterr().out == want
