@@ -1,9 +1,9 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
 Everything here works with plain Python integers, so all results are exact
-at any size.  Matrices are immutable; the Smith normal form returns a fresh
-matrix together with the unimodular transformations that witness it; in
-the package only `cokernel_of_columns` calls it.  A subgroup's index and
+at any size.  Nothing changes a matrix once built; the Smith normal form
+returns a fresh matrix together with the unimodular transformations that
+witness it; in the package only `cokernel_of_columns` calls it.  A subgroup's index and
 the relations among its generators need less: `index_and_relations` reads
 both off one column echelon.
 
@@ -87,8 +87,35 @@ def p_part(n: int, p: int) -> int:
     return result
 
 
-class IntMatrix:
-    """Immutable rectangular matrix of arbitrary-precision integers."""
+class SlotRecord:
+    """Base of the validated value classes: equality, hash and repr by slots.
+
+    A subclass lists its fields in `__slots__` and checks them in its
+    `__init__`.  Two records are equal when they are of the same class and
+    their fields are equal; the hash is that of the field tuple.  The fields
+    are not write-protected, but nothing changes a record once it is built.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class IntMatrix(SlotRecord):
+    """Rectangular matrix of arbitrary-precision integers, never changed once built."""
 
     __slots__ = ("entries",)
 
@@ -96,11 +123,6 @@ class IntMatrix:
         if len({len(row) for row in entries}) > 1:
             raise ValueError("ragged rows in matrix")
         self.entries = entries
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
 
     @property
     def nrows(self) -> int:
@@ -278,8 +300,8 @@ def is_canonical(factors: Sequence[int]) -> bool:
     The torsion factors ascend from 2, each dividing the next, and the
     zeros come last.  Only adjacent distinct values are compared, so the
     [Cl : H] equal copies of a homogeneous quotient cost one comparison
-    each, with no division.  `FinGenAbGroup` accepts exactly these tuples
-    of ints.
+    each, with no division.  `FinGenAbGroup` accepts exactly the tuples of
+    non-negative ints that pass.
     """
     prev = 1
     for x in factors:
@@ -293,13 +315,13 @@ def is_canonical(factors: Sequence[int]) -> bool:
     return True
 
 
-class FinGenAbGroup:
+class FinGenAbGroup(SlotRecord):
     """Finitely generated abelian group in invariant-factor form.
 
     `factors` lists the cyclic orders: nonzero entries form an ascending
     divisibility chain (none equal to 1) and each 0 contributes an infinite
-    cyclic summand, listed last.  A group is never changed after it is
-    built.
+    cyclic summand, listed last.  Nothing changes a group after it is
+    built, and groups compare and hash by their factors.
 
     >>> FinGenAbGroup.from_orders([2, 3])
     FinGenAbGroup(factors=(6,))
@@ -314,7 +336,7 @@ class FinGenAbGroup:
             raise ValueError("factors must be non-negative integers")
         if any(x == 1 for x in factors):
             raise ValueError("factor 1 is not allowed in canonical form")
-        if _canonical_chain(factors) != factors:
+        if not (isinstance(factors, tuple) and is_canonical(factors)):
             raise ValueError(f"factors {brief(factors)} are not in canonical form")
         self.factors = factors
 
@@ -324,14 +346,6 @@ class FinGenAbGroup:
         group = object.__new__(cls)
         group.factors = chain
         return group
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __repr__(self) -> str:
-        return f"FinGenAbGroup(factors={self.factors!r})"
 
     @classmethod
     def from_orders(cls, orders: Iterable[int]) -> FinGenAbGroup:

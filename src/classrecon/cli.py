@@ -185,13 +185,9 @@ def _json_list(value: Any, what: str, error: type[Exception]) -> list[Any]:
     return value
 
 
-_INT = frozenset({int})
-
-
 def _json_label_ids(value: Any, what: str) -> list[int]:
     ids = _json_list(value, what, MalformedBundle)
-    # a list of plain ints, as JSON gives, passes on its types alone
-    if not _INT.issuperset(map(type, ids)) and not all(_is_int(i) for i in ids):
+    if not all(_is_int(i) for i in ids):
         raise MalformedBundle(f"{what} must be integers")
     return ids
 

@@ -34,10 +34,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .abgroup import (
     FinGenAbGroup,
     GroupElement,
+    SlotRecord,
     brief,
     cokernel_of_columns,
     factorize,
@@ -174,10 +176,11 @@ def _check_discriminant(d: int) -> None:
         )
 
 
-class QuadraticForm:
+class QuadraticForm(SlotRecord):
     """Positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2.
 
-    Forms compare, sort and hash by the triple (a, b, c).
+    Forms compare, sort and hash by the triple (a, b, c), read directly:
+    they are the dict keys of every class-group build.
     """
 
     __slots__ = ("a", "b", "c")
@@ -437,14 +440,12 @@ def _discriminant_data(d: int) -> _DiscriminantData:
     )
 
 
-class Splitting:
+class Splitting(NamedTuple):
     """How a rational prime decomposes: kind, per-ideal norm, ideal count."""
 
-    __slots__ = ("kind", "norm", "prime_count")
-
-    def __init__(self, kind: str, norm: int, prime_count: int) -> None:
-        self.kind = kind  # "split" | "inert" | "ramified"
-        self.norm, self.prime_count = norm, prime_count
+    kind: str  # "split" | "inert" | "ramified"
+    norm: int
+    prime_count: int
 
 
 def kronecker_splitting(d: int, q: int) -> Splitting:
@@ -489,7 +490,7 @@ def ideal_class_of_prime(d: int, q: int) -> GroupElement:
     return data.form_class[data.index[prime_form(d, q).reduced()]]
 
 
-class QuadraticSpec:
+class QuadraticSpec(SlotRecord):
     """An imaginary quadratic field, given by its fundamental discriminant."""
 
     __slots__ = ("discriminant",)
@@ -499,15 +500,11 @@ class QuadraticSpec:
         self.discriminant = discriminant
 
 
-class SyntheticSpec:
+class SyntheticSpec(NamedTuple):
     """A free-form field stand-in: a finite class group and a prime stream."""
 
-    __slots__ = ("factors", "primes")
-
-    def __init__(
-        self, factors: tuple[int, ...], primes: tuple[PrimeIdealDatum, ...]
-    ) -> None:
-        self.factors, self.primes = factors, primes
+    factors: tuple[int, ...]
+    primes: tuple[PrimeIdealDatum, ...]
 
 
 FieldSpec = QuadraticSpec | SyntheticSpec

@@ -28,9 +28,15 @@ paper's induction over F.  Only they enumerate group elements.
 from __future__ import annotations
 
 from math import gcd, lcm, log2
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .abgroup import FinGenAbGroup, GroupElement, brief, index_and_relations
+from .abgroup import (
+    FinGenAbGroup,
+    GroupElement,
+    SlotRecord,
+    brief,
+    index_and_relations,
+)
 
 # A quotient of F needs N(p)**ord[p] - 1 for every p in F, an integer of
 # about ord[p] * log2 N(p) bits.  Its decimal form is quadratic in that size
@@ -55,7 +61,7 @@ class LimitExceeded(Exception):
     """
 
 
-class PrimeIdealDatum:
+class PrimeIdealDatum(SlotRecord):
     """One prime ideal: a label, its norm, its ideal class, its residue prime.
 
     The norm must be a power of the residue characteristic.
@@ -82,7 +88,7 @@ class PrimeIdealDatum:
         return self.norm % 2 == 1
 
 
-class PrimeTerms:
+class PrimeTerms(NamedTuple):
     """One prime's share of every quotient whose set F contains it.
 
     `coords` are the reduced class coordinates, `order` is ord[p], the order
@@ -90,10 +96,10 @@ class PrimeTerms:
     them; a bundle computes them once per prime and every entry reuses them.
     """
 
-    __slots__ = ("coords", "order", "norm", "power")
-
-    def __init__(self, coords: GroupElement, order: int, norm: int, power: int) -> None:
-        self.coords, self.order, self.norm, self.power = coords, order, norm, power
+    coords: GroupElement
+    order: int
+    norm: int
+    power: int
 
 
 def prime_terms(

@@ -18,10 +18,11 @@ The round-trip driver compares the reconstruction against ground truth.
 from __future__ import annotations
 
 from math import log2
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .abgroup import (
     FinGenAbGroup,
+    SlotRecord,
     brief,
     factorize,
     integer_nth_root,
@@ -388,7 +389,7 @@ def reconstruct_class_group(
     return FinGenAbGroup.from_orders(cyclic_orders)
 
 
-class ZetaData:
+class ZetaData(SlotRecord):
     """Truncated Dirichlet coefficients of the zeta function.
 
     `coefficients[n-1]` counts the multisets of prime-ideal norms whose
@@ -439,30 +440,22 @@ def zeta_data(norms: Iterable[int], bound: int) -> ZetaData:
     )
 
 
-class Verdict:
+class Verdict(NamedTuple):
     """One comparison of a reconstruction with the ground truth."""
 
-    __slots__ = ("name", "passed", "message")
+    name: str
+    passed: bool
+    message: str
 
-    def __init__(self, name: str, passed: bool, message: str) -> None:
-        self.name, self.passed, self.message = name, passed, message
 
-
-class ReconstructionReport:
+class ReconstructionReport(NamedTuple):
     """What a reconstruction recovered, and its verdicts (none when blind)."""
 
-    __slots__ = ("class_number", "class_group", "norms", "zeta", "verdicts")
-
-    def __init__(
-        self,
-        class_number: int,
-        class_group: FinGenAbGroup,
-        norms: Mapping[str, int],
-        zeta: ZetaData,
-        verdicts: tuple[Verdict, ...],
-    ) -> None:
-        self.class_number, self.class_group = class_number, class_group
-        self.norms, self.zeta, self.verdicts = norms, zeta, verdicts
+    class_number: int
+    class_group: FinGenAbGroup
+    norms: Mapping[str, int]
+    zeta: ZetaData
+    verdicts: tuple[Verdict, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -551,31 +544,15 @@ def _norm_diff(got: Mapping[str, int], want: Mapping[str, int]) -> str:
     return ", ".join(f"{k}: got {got.get(k)}, want {want[k]}" for k in keys[:5])
 
 
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     """Two fields compared through the blind pipeline up to a bound."""
 
-    __slots__ = (
-        "equivalent",
-        "bound",
-        "first_zeta_difference",
-        "groups_isomorphic",
-        "group_left",
-        "group_right",
-    )
-
-    def __init__(
-        self,
-        equivalent: bool,
-        bound: int,
-        first_zeta_difference: tuple[int, int, int] | None,  # (n, a_n left, a_n right)
-        groups_isomorphic: bool,
-        group_left: FinGenAbGroup,
-        group_right: FinGenAbGroup,
-    ) -> None:
-        self.equivalent, self.bound = equivalent, bound
-        self.first_zeta_difference = first_zeta_difference
-        self.groups_isomorphic = groups_isomorphic
-        self.group_left, self.group_right = group_left, group_right
+    equivalent: bool
+    bound: int
+    first_zeta_difference: tuple[int, int, int] | None  # (n, a_n left, a_n right)
+    groups_isomorphic: bool
+    group_left: FinGenAbGroup
+    group_right: FinGenAbGroup
 
     def describe(self) -> str:
         if self.equivalent:

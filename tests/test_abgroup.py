@@ -19,6 +19,7 @@ from classrecon.abgroup import (
     factorize,
     index_and_relations,
     integer_nth_root,
+    is_canonical,
     is_prime,
     is_prime_power,
     iso_equal,
@@ -304,6 +305,27 @@ class TestCanonicalForm:
             FinGenAbGroup((0, 2))  # zeros must come last
         with pytest.raises(ValueError):
             FinGenAbGroup((1, 2))  # no factor 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 12, 24]), max_size=6).map(tuple)
+        | st.lists(st.integers(0, 30), max_size=6).map(
+            lambda o: tuple(x for x in FinGenAbGroup.from_orders(o).factors for _ in "ab")
+        )
+    )
+    def test_is_canonical_exactly_on_canonical_forms(self, factors):
+        # a tuple is canonical when canonicalizing its orders gives it back;
+        # the second strategy repeats each factor of a canonical form, as the
+        # equal copies of a homogeneous quotient do
+        canonical = FinGenAbGroup.from_orders(factors).factors == factors
+        assert is_canonical(factors) == canonical
+        if not canonical:
+            with pytest.raises(ValueError):
+                FinGenAbGroup(factors)
+
+    def test_constructor_refuses_lists(self):
+        with pytest.raises(ValueError, match="not in canonical form"):
+            FinGenAbGroup([2, 4])
 
     def test_from_orders_checks_the_chain_once(self, monkeypatch):
         calls = 0

@@ -8,11 +8,8 @@ the same first defect and word it the same way.
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from classrecon import cli
-from classrecon.abgroup import FinGenAbGroup, is_canonical
 from classrecon.cli import EXIT_FAIL, EXIT_INSUFFICIENT, EXIT_OK, main
 
 EMPTY = {"labels": [], "factors": ["0", "0"]}
@@ -188,20 +185,3 @@ def test_each_distinct_factor_string_is_converted_once_per_file(monkeypatch):
     monkeypatch.setattr(cli, "_json_factor", lambda v: read.append(v) or json_factor(v))
     cli.bundle_from_json(REPEATING)
     assert read == ["0", "3", "8", "24", "48", "120"]
-
-
-ORDERS = st.lists(st.sampled_from([-2, 0, 1, 2, 3, 4, 6, 8, 12, 24]), max_size=6)
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    ORDERS.map(tuple)
-    | ORDERS.map(lambda o: FinGenAbGroup.from_orders(map(abs, o)).factors)
-)
-def test_chain_check_agrees_with_the_constructor(factors):
-    try:
-        FinGenAbGroup(factors)
-    except ValueError:
-        assert not is_canonical(factors)
-    else:
-        assert is_canonical(factors)

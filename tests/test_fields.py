@@ -28,7 +28,7 @@ from classrecon.fields import (
     reduced_forms,
     validate_synthetic,
 )
-from classrecon.abgroup import primes_up_to
+from classrecon.abgroup import FinGenAbGroup, IntMatrix, primes_up_to
 from classrecon.oracle import (
     class_group_model,
     element_order,
@@ -495,3 +495,27 @@ class TestSyntheticValidation:
     def test_non_canonical_factors_rejected(self):
         with pytest.raises(ValueError):
             validate_synthetic(SyntheticSpec((4, 2), (datum("a", 3, (1, 1)),)))
+
+
+class TestValueSemantics:
+    def test_checked_types_compare_hash_and_print_by_fields(self):
+        spec = QuadraticSpec(-23)
+        assert spec == QuadraticSpec(-23) and spec != QuadraticSpec(-31)
+        assert len({spec, QuadraticSpec(-23)}) == 1
+        assert repr(spec) == "QuadraticSpec(discriminant=-23)"
+        assert {class_group(spec): "h = 3"}[FinGenAbGroup((3,))] == "h = 3"
+        assert hash(IntMatrix(((1, 2),))) == hash(IntMatrix(((1, 2),)))
+        assert enumerate_prime_ideals(spec, 50) == enumerate_prime_ideals(spec, 50)
+        assert sorted({QuadraticForm(2, 1, 3), QuadraticForm(1, 1, 6)}) == [
+            QuadraticForm(1, 1, 6),
+            QuadraticForm(2, 1, 3),
+        ]
+
+    def test_unchecked_records_are_immutable_tuples(self):
+        split = kronecker_splitting(-23, 2)
+        assert split == ("split", 2, 2)
+        with pytest.raises(AttributeError):
+            split.norm = 4
+        spec = SyntheticSpec((3,), tuple(enumerate_prime_ideals(QuadraticSpec(-23), 20)))
+        assert spec == SyntheticSpec(spec.factors, tuple(spec.primes))
+        assert hash(spec) == hash(SyntheticSpec(spec.factors, tuple(spec.primes)))
