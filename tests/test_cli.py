@@ -28,7 +28,7 @@ from classrecon.fields import QuadraticSpec, class_group, enumerate_prime_ideals
 from classrecon.abgroup import FinGenAbGroup
 from classrecon.reconstruct import InvariantBundle, build_bundle
 
-from test_golden import GOLDEN, run_case
+from test_golden import BUNDLE_1031, GOLDEN, run_case
 
 SYNTHETIC_248 = str(GOLDEN / "synthetic_248.json")
 
@@ -720,6 +720,45 @@ def test_reconstruct_reads_the_bundle_from_stdin():
     assert (code, out) == (EXIT_USAGE, b"")
     assert err.startswith(b"error: invalid JSON input -: 'utf-8' codec can't decode")
     assert err.count(b"\n") == 1
+
+
+class TestOutputFile:
+    """The -o file: where it cannot be written, the error is one line and exit 2.
+
+    A read-only file cannot stand in for a refused open when the tests run
+    as root, so only paths that refuse every user are covered.
+    """
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("{tmp}", "[Errno 21] Is a directory: {path!r}"),
+            ("{tmp}/missing/out.json", "[Errno 2] No such file or directory: {path!r}"),
+            pytest.param(
+                "/dev/full",
+                "[Errno 28] No space left on device",
+                marks=pytest.mark.skipif(
+                    not os.path.exists("/dev/full"), reason="no /dev/full"
+                ),
+            ),
+        ],
+        ids=["directory", "missing-directory", "device-full"],
+    )
+    def test_unwritable_output_exits_2(self, target, message, tmp_path, capsys):
+        path = target.format(tmp=tmp_path)
+        assert main(["reconstruct", BUNDLE_1031, "-o", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: " + message.format(path=path) + "\n"
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        out = tmp_path / "report.json"
+        umask = os.umask(0o022)
+        try:
+            assert main(["reconstruct", BUNDLE_1031, "-o", str(out)]) == EXIT_OK
+        finally:
+            os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o644
 
 
 class TestSyntheticParsing:
