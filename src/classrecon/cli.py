@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -391,12 +393,29 @@ def _json_text(value: Any, indent: str = "\n") -> str:
 
 
 def _write_output(doc: dict[str, Any], path: str | None) -> None:
+    """Write the document's text and a newline to stdout or over `path`.
+
+    The file is overwritten in place, not truncated to zero first: ext4,
+    XFS and btrfs start writeback on close when a truncated file is
+    rewritten, and that flush cost more than the reconstruction.  The
+    old file's tail is cut off after the write, only for a regular file
+    that was longer.
+    """
     text = _json_text(doc)
     if path is None or path == "-":
         print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        return
+    data = memoryview((text + "\n").encode("ascii"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        old = os.fstat(fd)
+        size = len(data)
+        while data:  # a write may be short, as above 2 GiB on Linux
+            data = data[os.write(fd, data) :]
+        if stat.S_ISREG(old.st_mode) and old.st_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 # -- subcommands ------------------------------------------------------------

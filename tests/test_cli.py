@@ -9,7 +9,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import classrecon
@@ -760,6 +760,43 @@ class TestOutputFile:
             os.umask(umask)
         assert out.stat().st_mode & 0o777 == 0o644
 
+    @pytest.mark.parametrize("old_size", [0.5, 2], ids=["over-shorter", "over-longer"])
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("reconstruct_1031.stdout", ["reconstruct", BUNDLE_1031]),
+            ("invariants_1031.out", ["invariants", "-D", "-1031", "--primes", "400"]),
+        ],
+        ids=["reconstruct", "invariants"],
+    )
+    def test_overwrite_leaves_exactly_the_golden_bytes(self, golden, argv, old_size, tmp_path):
+        want = (GOLDEN / golden).read_bytes()
+        out = tmp_path / "out.json"
+        out.write_bytes(b"x" * int(len(want) * old_size))
+        assert main([*argv, "-o", str(out)]) == EXIT_OK
+        assert out.read_bytes() == want
+
+    def test_overwrite_keeps_the_inode_and_its_hard_links(self, tmp_path):
+        out, link = tmp_path / "out.json", tmp_path / "link.json"
+        out.write_bytes(b"x" * 100_000)
+        os.link(out, link)
+        inode = out.stat().st_ino
+        assert main(["reconstruct", BUNDLE_1031, "-o", str(out)]) == EXIT_OK
+        assert out.stat().st_ino == inode
+        assert link.read_bytes() == (GOLDEN / "reconstruct_1031.stdout").read_bytes()
+
+    def test_symlink_target_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"x" * 100_000)
+        link.symlink_to(target)
+        assert main(["reconstruct", BUNDLE_1031, "-o", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        assert target.read_bytes() == (GOLDEN / "reconstruct_1031.stdout").read_bytes()
+
+    def test_dev_null_is_written_without_truncation(self, capsys):
+        assert main(["reconstruct", BUNDLE_1031, "-o", os.devnull]) == EXIT_OK
+        assert capsys.readouterr() == ("", "")
+
 
 class TestSyntheticParsing:
     def test_parses_and_validates(self):
@@ -1142,3 +1179,23 @@ def test_writer_refuses_other_types(doc):
     with pytest.raises(TypeError):
         cli._json_text(doc)
 
+
+def _text_or_none(doc):
+    """The bytes the writer gives for `doc`, or None past the int str limit."""
+    try:
+        return (cli._json_text(doc) + "\n").encode("ascii")
+    except ValueError:
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(WRITER_DOCS, WRITER_DOCS)
+def test_writing_over_a_file_leaves_exactly_the_new_text(old, new):
+    want = _text_or_none(new)
+    assume(want is not None and _text_or_none(old) is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        cli._write_output(old, path)
+        cli._write_output(new, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == want

@@ -2,6 +2,9 @@
 
 The runtime also stays off `dataclasses`, which loads `inspect` and
 generates code for each class at import: every CLI call would pay for it.
+And only `cli._write_output` opens a file for writing: it overwrites in
+place, where `open(path, "w")` would truncate to zero and make the
+filesystem flush the file on close.
 """
 
 import ast
@@ -24,8 +27,8 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _oracle_imports(tree: ast.Module) -> list[str | None]:
-    """The enclosing function of every import of the oracle module (None at top level)."""
+def _enclosing_functions(tree: ast.Module, matches) -> list[str | None]:
+    """The enclosing function of every node that `matches` (None at top level)."""
     found: list[str | None] = []
 
     def visit(node: ast.AST, func: str | None) -> None:
@@ -33,20 +36,56 @@ def _oracle_imports(tree: ast.Module) -> list[str | None]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.ImportFrom):
-                module = child.module or ""
-                names = {a.name for a in child.names}
-                if module.split(".")[-1] == "oracle" or (
-                    module in ("", "classrecon") and "oracle" in names
-                ):
-                    found.append(func)
-            elif isinstance(child, ast.Import):
-                if any(a.name == "classrecon.oracle" for a in child.names):
-                    found.append(func)
+            if matches(child):
+                found.append(func)
             visit(child, func)
 
     visit(tree, None)
     return found
+
+
+def _imports_oracle(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        names = {a.name for a in node.names}
+        return module.split(".")[-1] == "oracle" or (
+            module in ("", "classrecon") and "oracle" in names
+        )
+    if isinstance(node, ast.Import):
+        return any(a.name == "classrecon.oracle" for a in node.names)
+    return False
+
+
+def _oracle_imports(tree: ast.Module) -> list[str | None]:
+    """The enclosing function of every import of the oracle module."""
+    return _enclosing_functions(tree, _imports_oracle)
+
+
+def _opens_for_writing(node: ast.AST) -> bool:
+    """Whether a call may open a file for writing.
+
+    `os.open`, `write_text` and `write_bytes` always count.  An `open` call
+    counts when its mode is not a constant or holds "w", "a", "x" or "+";
+    the mode is the second argument of `open(...)` and `io.open(...)`, the
+    first of a method such as `Path.open(...)`, or the `mode` keyword.
+    """
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    owner = getattr(func, "value", None)
+    owner = owner.id if isinstance(owner, ast.Name) else None
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes") or (name == "open" and owner == "os"):
+        return True
+    if name != "open":
+        return False
+    skip = 1 if isinstance(func, ast.Name) or owner in ("io", "builtins", "codecs") else 0
+    modes = node.args[skip : skip + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+    return any(
+        not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+        or bool(set(m.value) & set("wax+"))
+        for m in modes
+    )
 
 
 @pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
@@ -68,6 +107,41 @@ def _imported_modules(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and not node.level:
             found.add(node.module or "")
     return found
+
+
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
+def test_only_the_output_writer_opens_files_for_writing(path):
+    writers = _enclosing_functions(_parse(path), _opens_for_writing)
+    assert writers == (["_write_output"] if path.stem == "cli" else [])
+
+
+def test_the_output_writer_opens_without_truncating():
+    writer = next(
+        node
+        for node in ast.walk(_parse(PACKAGE / "cli.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "_write_output"
+    )
+    [call] = [ast.unparse(n) for n in ast.walk(writer) if _opens_for_writing(n)]
+    assert call.startswith("os.open(") and "O_TRUNC" not in call
+
+
+def test_scan_finds_opens_for_writing():
+    tree = ast.parse(
+        "open(p)\n"
+        "open(p, encoding='utf-8')\n"
+        "open(p, 'rb')\n"
+        "Path(p).open()\n"
+        "def f():\n"
+        "    open(p, 'w')\n"
+        "    io.open(p, mode='ab')\n"
+        "    Path(p).open('r+')\n"
+        "    open(p, mode)\n"
+        "    os.open(p, os.O_RDONLY)\n"
+        "    Path(p).write_text('')\n"
+        "    with codecs.open(p, 'x') as fh:\n"
+        "        pass\n"
+    )
+    assert _enclosing_functions(tree, _opens_for_writing) == ["f"] * 7
 
 
 @pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
