@@ -393,7 +393,9 @@ class ZetaData(SlotRecord):
     """Truncated Dirichlet coefficients of the zeta function.
 
     `coefficients[n-1]` counts the multisets of prime-ideal norms whose
-    product is n (that is, ideals of norm n), for n up to the bound.
+    product is n (that is, ideals of norm n), for n up to the bound.  The
+    norms are prime powers: `zeta_data` checks them, and `reconstruct_all`
+    passes norms that `recover_norm` has proven.
     """
 
     __slots__ = ("norms", "bound", "coefficients")
@@ -403,8 +405,6 @@ class ZetaData(SlotRecord):
     ) -> None:
         if coefficients[0] != 1:
             raise ValueError("the unit ideal must be counted exactly once")
-        if not all(is_prime_power(n) for n in norms):
-            raise ValueError("every norm must be a prime power > 1")
         self.norms, self.bound, self.coefficients = norms, bound, coefficients
 
 
@@ -432,6 +432,15 @@ def zeta_coefficients(norms: Iterable[int], bound: int) -> list[int]:
 
 
 def zeta_data(norms: Iterable[int], bound: int) -> ZetaData:
+    """Zeta data from norms not yet checked; each must be a prime power > 1."""
+    norms = tuple(norms)
+    if not all(is_prime_power(n) for n in norms):
+        raise ValueError("every norm must be a prime power > 1")
+    return _zeta_data(norms, bound)
+
+
+def _zeta_data(norms: Iterable[int], bound: int) -> ZetaData:
+    """Zeta data from norms already proven prime powers."""
     norms = tuple(sorted(norms))
     return ZetaData(
         norms=norms,
@@ -470,7 +479,7 @@ def reconstruct_all(
     The zeta coefficients run up to `zeta_bound`, by default the largest
     recovered norm; a bound above `fields.MAX_BOUND` raises LimitExceeded
     before the group is reconstructed.  The class number is validated once
-    and every norm is recovered once.
+    and every norm is recovered, and proven a prime power, once.
     """
     h = recover_class_number(bundle)
     norms = recover_norms(bundle, h)
@@ -478,7 +487,7 @@ def reconstruct_all(
         zeta_bound = max(norms.values(), default=1)
     check_bound(zeta_bound, "zeta bound")
     group = reconstruct_class_group(bundle, norms, h)
-    zeta = zeta_data(norms.values(), zeta_bound)
+    zeta = _zeta_data(norms.values(), zeta_bound)
     if group.order() != h:
         raise MalformedBundle("recovered group order disagrees with the rank")
     return ReconstructionReport(

@@ -258,6 +258,16 @@ class TestNormRecoveryCount:
         ]
         assert sorted(counted) == sorted(labels)
 
+    def test_reconstruct_all_tests_each_norm_once(self, monkeypatch):
+        _, primes, bundle = bundle_for_disc(-1031, 100)
+        tested = []
+        is_prime_power = reconstruct.is_prime_power
+        monkeypatch.setattr(
+            reconstruct, "is_prime_power", lambda n: tested.append(n) or is_prime_power(n)
+        )
+        reconstruct_all(bundle)
+        assert sorted(tested) == sorted(p.norm for p in primes)
+
 
 class TestGreedyChain:
     def direct_order_oracle(self, group, family):
