@@ -18,7 +18,12 @@ Each file type has one validating loader (`bundle_from_json`,
 Input files and stdin are read as UTF-8 whatever the locale (RFC 8259).
 Every output is the text of `json.dumps(doc, indent=2, sort_keys=True)`,
 built by `_json_text` without the pure-Python encoder that json.dumps
-runs whenever it indents, and written as ASCII.
+runs whenever it indents, and written as ASCII.  An output file is
+written in place and then cut to length, not truncated to zero first:
+ext4, XFS and btrfs flush a truncated-and-rewritten file on close, a wait
+of about a fifth of a `reconstruct` call.  Writes are still not atomic:
+an interrupted write exits non-zero and may leave the old file's tail,
+where truncating first left a cut-off file.
 
 There is one argument parser per process: `build_parser` builds it on the
 first `main` call, not at import, and every later call reuses it.
@@ -393,13 +398,11 @@ def _json_text(value: Any, indent: str = "\n") -> str:
 
 
 def _write_output(doc: dict[str, Any], path: str | None) -> None:
-    """Write the document's text and a newline to stdout or over `path`.
+    """Write the document's text and a newline to stdout, or over `path`.
 
-    The file is overwritten in place, not truncated to zero first: ext4,
-    XFS and btrfs start writeback on close when a truncated file is
-    rewritten, and that flush cost more than the reconstruction.  The
-    old file's tail is cut off after the write, only for a regular file
-    that was longer.
+    The file is written in place (see the module docstring); the old tail
+    is cut off after the write, and only from a regular file that was
+    longer, so `/dev/null`, FIFOs and devices are never truncated.
     """
     text = _json_text(doc)
     if path is None or path == "-":
