@@ -9,13 +9,18 @@ isomorphism type of the class group — this package computes the invariants,
 performs the reconstruction, and cross-checks everything against naive
 oracles and quadratic-field ground truth.
 
-The top level exports the end-to-end path; everything else is imported
-from its submodule.  The certifiers live in `oracle`, which the runtime
-never imports.
-"""
+The package has two halves.  The producer computes quotients from a field:
+`fields` (quadratic forms, class groups, prime ideals, Smith normal form)
+and `lattice` (the closed-form quotients, bundles, and the round-trip and
+comparison drivers).  The blind consumer reconstructs from a bundle alone:
+`reconstruct`, which imports only the shared `abgroup` and `errors`.
+`codec` holds the JSON file formats and `cli` the command line.  The
+certifiers live in `oracle`, which the runtime never imports.
 
-from .fields import QuadraticSpec, class_group, enumerate_prime_ideals
-from .reconstruct import build_bundle, reconstruct_all
+The top level exports the end-to-end path.  Each name is imported from its
+submodule on first access (PEP 562), so `import classrecon` loads no
+submodule; everything else is imported from its submodule directly.
+"""
 
 __all__ = [
     "QuadraticSpec",
@@ -28,17 +33,22 @@ __all__ = [
 
 __version__ = "0.1.0"
 
+_FROM_FIELDS = ("QuadraticSpec", "class_group", "enumerate_prime_ideals")
 # The benchmark's ground truth imports these two certifiers from the top
-# level, so they are forwarded from `oracle` on first access, which keeps
-# `import classrecon` from loading it.  ROADMAP item 1, the next change to
-# the benchmark, re-points that import to `classrecon.oracle` and deletes
-# this hook.
+# level.  ROADMAP item 1, the next change to the benchmark, re-points that
+# import to `classrecon.oracle` and deletes them here.
 _FROM_ORACLE = ("class_group_model", "lattice_quotient")
 
 
 def __getattr__(name: str):
-    if name in _FROM_ORACLE:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _FROM_FIELDS:
+        from . import fields as home
+    elif name == "build_bundle":
+        from . import lattice as home
+    elif name == "reconstruct_all":
+        from . import reconstruct as home
+    elif name in _FROM_ORACLE:
+        from . import oracle as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(home, name)

@@ -1,11 +1,12 @@
-"""Exact integer linear algebra and finitely generated abelian groups.
+"""Finitely generated abelian groups and exact integer helpers.
 
 Everything here works with plain Python integers, so all results are exact
-at any size.  Nothing changes a matrix once built; the Smith normal form
-returns a fresh matrix together with the unimodular transformations that
-witness it; in the package only `cokernel_of_columns` calls it.  A subgroup's index and
-the relations among its generators need less: `index_and_relations` reads
-both off one column echelon.
+at any size.  Both sides of the package import this module: the producer
+(`fields`, `lattice`) and the blind consumer (`reconstruct`, `codec`).  So
+it holds only what both need or share; the Smith normal form and the
+square roots modulo prime powers live in `fields`, their one runtime user.
+A subgroup's index and the relations among its generators come from
+`index_and_relations`, which reads both off one column echelon.
 
 Groups are kept in canonical invariant-factor form (nonzero factors form a
 divisibility chain, no factor equals 1, free factors encoded as trailing
@@ -14,16 +15,14 @@ form from arbitrary cyclic orders takes gcd/lcm exchanges only, never
 factoring.  No group element is enumerated here; `oracle.ClassGroupModel`
 does that for the certifiers.
 
-The integer helpers the package needs live here as well, with no
-dependency outside the standard library: trial-division `factorize` for
-integers of supported size (class numbers, small quotient sizes,
-discriminants), the byte-array sieve `primes_up_to`, the least prime
-factor table `smallest_prime_factors`, square roots modulo primes and
-prime powers, exact integer roots, and exact `is_prime` /
-`is_prime_power`.  The primality test is trial division below 10**6 and
-deterministic Miller-Rabin above; above the proven limit
-`MILLER_RABIN_LIMIT` it refuses with `PrimalityLimitExceeded` rather than
-guess.
+The integer helpers live here as well, with no dependency outside the
+standard library: trial-division `factorize` for integers of supported
+size (class numbers, small quotient sizes, discriminants), the byte-array
+sieve `primes_up_to` and the guard `check_bound` on its bound, exact
+integer roots, and exact `is_prime` / `is_prime_power`.  The primality
+test is trial division below 10**6 and deterministic Miller-Rabin above;
+above the proven limit `MILLER_RABIN_LIMIT` it refuses with
+`PrimalityLimitExceeded` rather than guess.
 """
 
 from __future__ import annotations
@@ -31,6 +30,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt, log2
 from typing import Iterable, Sequence
+
+from .errors import MAX_BOUND, LimitExceeded, PrimalityLimitExceeded
 
 # Group elements are reduced coordinate tuples; use FinGenAbGroup methods to
 # construct and combine them so the reduction invariant holds.
@@ -112,176 +113,6 @@ class SlotRecord:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
-
-
-class IntMatrix(SlotRecord):
-    """Rectangular matrix of arbitrary-precision integers, never changed once built."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
-        if len({len(row) for row in entries}) > 1:
-            raise ValueError("ragged rows in matrix")
-        self.entries = entries
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> IntMatrix:
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int | None = None) -> IntMatrix:
-        cols = [tuple(int(x) for x in c) for c in columns]
-        if cols:
-            n = len(cols[0])
-            if any(len(c) != n for c in cols):
-                raise ValueError("columns of unequal length")
-        elif nrows is None:
-            raise ValueError("nrows required for an empty column set")
-        else:
-            n = nrows
-        if nrows is not None and cols and nrows != n:
-            raise ValueError("nrows does not match column length")
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(n)))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.nrows, self.ncols)))
-
-
-def _min_abs_pivot(m: list[list[int]], t: int) -> tuple[int, int] | None:
-    best: tuple[int, int] | None = None
-    best_val = 0
-    for i in range(t, len(m)):
-        for j in range(t, len(m[0])):
-            x = m[i][j]
-            if x != 0 and (best is None or abs(x) < best_val):
-                best = (i, j)
-                best_val = abs(x)
-                if best_val == 1:
-                    return best
-    return best
-
-
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Diagonalize an integer matrix: returns (S, U, V) with U A V = S.
-
-    U and V are unimodular and the diagonal of S is a non-negative
-    divisibility chain.  Pivots are chosen by minimal absolute value, which
-    keeps intermediate growth tame at the sizes this package targets.
-
-    >>> s, u, v = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
-    >>> s.diagonal()
-    (1, 6)
-    """
-    nr, nc = a.nrows, a.ncols
-    m = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def rows_combine(t: int, i: int, piv: int, other: int) -> None:
-        """Unimodular 2-row transform putting gcd(piv, other) at (t, t)."""
-        g, x, y = xgcd(piv, other)
-        pg, og = piv // g, other // g
-        m[t], m[i] = (
-            [x * p + y * q for p, q in zip(m[t], m[i])],
-            [-og * p + pg * q for p, q in zip(m[t], m[i])],
-        )
-        u[t], u[i] = (
-            [x * p + y * q for p, q in zip(u[t], u[i])],
-            [-og * p + pg * q for p, q in zip(u[t], u[i])],
-        )
-
-    def cols_combine(t: int, j: int, piv: int, other: int) -> None:
-        g, x, y = xgcd(piv, other)
-        pg, og = piv // g, other // g
-        for row in m:
-            row[t], row[j] = x * row[t] + y * row[j], -og * row[t] + pg * row[j]
-        for row in v:
-            row[t], row[j] = x * row[t] + y * row[j], -og * row[t] + pg * row[j]
-
-    def clear_col(t: int) -> bool:
-        changed = False
-        for i in range(t + 1, nr):
-            b = m[i][t]
-            if b == 0:
-                continue
-            changed = True
-            piv = m[t][t]
-            if piv and b % piv == 0:
-                q = b // piv
-                m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-            else:
-                rows_combine(t, i, piv, b)
-        return changed
-
-    def clear_row(t: int) -> bool:
-        changed = False
-        for j in range(t + 1, nc):
-            b = m[t][j]
-            if b == 0:
-                continue
-            changed = True
-            piv = m[t][t]
-            if piv and b % piv == 0:
-                q = b // piv
-                for row in m:
-                    row[j] -= q * row[t]
-                for row in v:
-                    row[j] -= q * row[t]
-            else:
-                cols_combine(t, j, piv, b)
-        return changed
-
-    t = 0
-    while t < min(nr, nc):
-        pos = _min_abs_pivot(m, t)
-        if pos is None:
-            break
-        pi, pj = pos
-        if pi != t:
-            m[t], m[pi] = m[pi], m[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            clear_col(t)
-            while clear_row(t) and clear_col(t):
-                pass
-            # pivot must divide the remaining submatrix for the chain
-            offender = None
-            d = m[t][t]
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if m[i][j] % d:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            m[t] = [x + y for x, y in zip(m[t], m[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    s = IntMatrix.from_rows(m)
-    return s, IntMatrix.from_rows(u), IntMatrix.from_rows(v)
 
 
 def _canonical_chain(orders: Sequence[int]) -> tuple[int, ...] | None:
@@ -387,10 +218,6 @@ class FinGenAbGroup(SlotRecord):
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.factors
-
     def order(self) -> int:
         if not self.is_finite:
             raise ValueError("infinite group has no order")
@@ -418,9 +245,6 @@ class FinGenAbGroup(SlotRecord):
 
     def neg(self, a: GroupElement) -> GroupElement:
         return self.element([-x for x in a])
-
-    def scale(self, n: int, a: GroupElement) -> GroupElement:
-        return self.element([n * x for x in a])
 
     def __str__(self) -> str:
         if not self.factors:
@@ -505,32 +329,6 @@ def iso_equal(g: FinGenAbGroup, h: FinGenAbGroup) -> bool:
     return g.factors == h.factors
 
 
-def cokernel_of_columns(
-    ambient_rank: int, columns: Sequence[Sequence[int]]
-) -> tuple[FinGenAbGroup, tuple[GroupElement, ...]]:
-    """Quotient Z^ambient_rank / (column lattice), with basis-vector images.
-
-    Returns (G, proj) where proj[i] is the class of the i-th standard basis
-    vector, expressed in coordinates matching G.factors.
-    """
-    for c in columns:
-        if len(c) != ambient_rank:
-            raise ValueError("column length does not match ambient rank")
-    a = IntMatrix.from_columns(columns, nrows=ambient_rank)
-    s, u, _ = smith_normal_form(a)
-    diag = list(s.diagonal())
-    kept = [i for i, d in enumerate(diag) if d != 1]
-    free_tail = list(range(len(diag), ambient_rank))
-    factors = [diag[i] for i in kept] + [0] * len(free_tail)
-    g = FinGenAbGroup.from_orders(factors)
-    positions = kept + free_tail
-    proj = []
-    for i in range(ambient_rank):
-        col = u.column(i)
-        proj.append(g.element([col[j] for j in positions]))
-    return g, tuple(proj)
-
-
 def integer_nth_root(x: int, n: int) -> int | None:
     """Exact n-th root of a non-negative integer, or None if not a power.
 
@@ -562,10 +360,6 @@ def integer_nth_root(x: int, n: int) -> int | None:
     return y if y**n == x else None
 
 
-class PrimalityLimitExceeded(Exception):
-    """An integer is too large for the exact primality test."""
-
-
 # Deterministic Miller-Rabin with the first 13 primes as bases is exact
 # below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017).
 MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -592,93 +386,17 @@ def primes_up_to(n: int) -> list[int]:
 _SMALL_PRIMES = primes_up_to(_TRIAL_LIMIT)
 
 
-def smallest_prime_factors(n: int) -> list[int]:
-    """The table spf with spf[k] the least prime factor of k, for 2 <= k <= n.
+def check_bound(bound: int, what: str) -> None:
+    """Refuse a bound above MAX_BOUND before anything is allocated.
 
-    spf[0] = 0 and spf[1] = 1.  The primes up to sqrt(n) mark their
-    multiples in descending order, so the least prime marks last.
-
-    >>> smallest_prime_factors(10)
-    [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2]
+    The prime sieve and the zeta coefficients allocate one slot per integer
+    up to their bound.
     """
-    spf = list(range(n + 1))
-    for p in reversed(primes_up_to(isqrt(n))):
-        spf[p * p :: p] = [p] * len(range(p * p, n + 1, p))
-    return spf
-
-
-def sqrt_mod_prime(a: int, q: int) -> int | None:
-    """A square root of a modulo the prime q, or None if a is a non-residue.
-
-    The (q + 1)/4 power when q = 3 (mod 4), Tonelli-Shanks otherwise
-    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.5.1).
-
-    >>> sqrt_mod_prime(2, 7) ** 2 % 7
-    2
-    >>> sqrt_mod_prime(3, 7) is None
-    True
-    """
-    a %= q
-    if a == 0 or q == 2:
-        return a
-    if pow(a, (q - 1) // 2, q) != 1:
-        return None
-    if q % 4 == 3:
-        return pow(a, (q + 1) // 4, q)
-    t, s = q - 1, 0  # q - 1 = 2**s * t with t odd
-    while t % 2 == 0:
-        t, s = t // 2, s + 1
-    z = 2
-    while pow(z, (q - 1) // 2, q) == 1:
-        z += 1
-    y = pow(z, t, q)  # generates the 2-Sylow subgroup of (Z/q)*
-    x, b = pow(a, (t + 1) // 2, q), pow(a, t, q)  # x*x = a*b, b in that subgroup
-    while b != 1:
-        m, power = 0, b  # the order of b is 2**m, with m < s
-        while power != 1:
-            power, m = power * power % q, m + 1
-        c = pow(y, 1 << (s - m - 1), q)
-        y, s = c * c % q, m
-        x, b = x * c % q, b * y % q
-    return x
-
-
-def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
-    """Every root of x*x = a modulo q**e, sorted, for a prime q not dividing a.
-
-    For odd q, a root modulo q lifts by Hensel's lemma one exponent at a
-    time, and the roots are r and -r.  Powers of 2 are their own small
-    case: an odd a has the root 1 modulo 2, the roots 1 and 3 modulo 4 when
-    a = 1 (mod 4), and four roots +-r, +-r + 2**(e-1) modulo 2**e for e >= 3
-    when a = 1 (mod 8); otherwise none.
-
-    >>> sqrt_mod_prime_power(2, 7, 2)
-    [10, 39]
-    >>> sqrt_mod_prime_power(17, 2, 5)
-    [7, 9, 23, 25]
-    """
-    if e < 1 or a % q == 0:
-        raise ValueError(f"need e >= 1 and {q} not dividing {a}")
-    n = q**e
-    if q == 2:
-        if e <= 2:
-            return [1] if e == 1 else [1, 3] if a % 4 == 1 else []
-        if a % 8 != 1:
-            return []
-        r = 1  # r*r = a (mod 2**k) for k = 3, then lifted to k = e
-        for k in range(3, e):
-            if (r * r - a) % (2 << k):
-                r += 1 << (k - 1)
-        half = n // 2
-        return sorted({r, n - r, (r + half) % n, (half - r) % n})
-    r = sqrt_mod_prime(a, q)
-    if r is None:
-        return []
-    modulus = q
-    for _ in range(1, e):
-        modulus *= q
-        r = (r - (r * r - a) * pow(2 * r, -1, modulus)) % modulus
-    return sorted({r, n - r})
+    if bound > MAX_BOUND:
+        raise LimitExceeded(
+            f"{what} {brief(bound)} exceeds the limit {MAX_BOUND}: it allocates "
+            "one slot per integer up to the bound"
+        )
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -1,0 +1,347 @@
+"""The JSON file formats: bundles, reports and synthetic specs.
+
+`cli` imports this module only in the handlers that read or write JSON,
+so `classgroup -D` loads neither it nor `json`.  Each loader imports the
+types it builds when it runs: `bundle_from_json` the blind consumer's
+`InvariantBundle`, `synthetic_spec_from_json` the producer's field data.
+So reading a bundle never loads the producer, and reading a spec never
+loads the consumer.
+
+All potentially large integers (group factors, norms) are serialized as
+decimal strings; labels in bundle files are opaque consecutive integers so
+the files carry no arithmetic hints.  Bundle factors may run past CPython's
+limit on int/str conversion (4300 digits by default); the codec converts
+them in chunks below that limit, so the interpreter-wide setting is never
+changed.  A bundle repeats few distinct factors many times, so the writer
+converts each distinct factor once per entry and the loader reads each
+distinct factor string once per file.
+
+Each file type has one validating loader (`bundle_from_json`,
+`synthetic_spec_from_json`) that turns any defect into its one-line error.
+Input files and stdin are read as UTF-8 whatever the locale (RFC 8259).
+Every output is the text of `json.dumps(doc, indent=2, sort_keys=True)`,
+built by `_json_text` without the pure-Python encoder that json.dumps
+runs whenever it indents, and written as ASCII.  An output file is
+written in place and then cut to length, not truncated to zero first:
+ext4, XFS and btrfs flush a truncated-and-rewritten file on close, a wait
+of about a fifth of a `reconstruct` call.  Writes are still not atomic:
+an interrupted write exits non-zero and may leave the old file's tail,
+where truncating first left a cut-off file.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import stat
+import sys
+from json.encoder import encode_basestring_ascii
+from math import log10
+from typing import TYPE_CHECKING, Any
+
+from .abgroup import FinGenAbGroup, is_canonical, is_prime_power
+from .errors import (
+    MAX_QUOTIENT_BITS,
+    InvalidSyntheticSpec,
+    LimitExceeded,
+    MalformedBundle,
+    NonPrimePowerNorm,
+    UnreadableInput,
+)
+
+if TYPE_CHECKING:
+    from .fields import SyntheticSpec
+    from .reconstruct import InvariantBundle, ReconstructionReport
+
+BUNDLE_VERSION = 1
+
+# Every int/str conversion of at most 640 digits is exempt from CPython's
+# conversion limit, whatever it is set to.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+# No quotient this package writes has a longer factor.
+_MAX_FACTOR_DIGITS = int(MAX_QUOTIENT_BITS * log10(2)) + 1
+
+
+def _decimal(n: int) -> str:
+    """str(n) for a non-negative n of any size, split at powers of ten."""
+    if n < _CHUNK:
+        return str(n)
+    power, digits = _CHUNK, _CHUNK_DIGITS
+    while power * power <= n:
+        power, digits = power * power, 2 * digits
+    high, low = divmod(n, power)
+    return _decimal(high) + _decimal(low).zfill(digits)
+
+
+def _from_decimal(text: str) -> int:
+    """int(text) for a string of ASCII digits of any length."""
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text)
+    half = len(text) // 2
+    return _from_decimal(text[:-half]) * 10**half + _from_decimal(text[-half:])
+
+
+def bundle_to_json(bundle: InvariantBundle) -> dict[str, Any]:
+    """Serialize known entries with labels replaced by opaque integers.
+
+    An entry repeats few distinct factors many times (a homogeneous entry
+    is [Cl : H] copies of one), so each distinct factor is converted once.
+    """
+    ids = {label: i for i, label in enumerate(bundle.labels)}
+    entries = []
+    for key, group in bundle.entries.items():
+        text = {x: _decimal(x) for x in set(group.factors)}
+        entries.append(
+            {
+                "labels": sorted(ids[l] for l in key),
+                "factors": [text[x] for x in group.factors],
+            }
+        )
+    entries.sort(key=lambda e: (len(e["labels"]), e["labels"]))
+    return {
+        "version": BUNDLE_VERSION,
+        "rank": bundle.rank,
+        "labels": list(range(len(bundle.labels))),
+        "entries": entries,
+    }
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_int(value: Any, what: str, error: type[Exception]) -> int:
+    """An integer given as a JSON number or a decimal string, else `error`.
+
+    A decimal string is an optional "-" and ASCII digits, nothing else: no
+    sign "+", no spaces, no underscores, no digits of other scripts.
+    """
+    if _is_int(value):
+        return value
+    if isinstance(value, str):
+        digits = value[1:] if value.startswith("-") else value
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(value)
+            except ValueError:  # past the interpreter's int/str digit limit
+                pass
+    raise error(f"{what} must be an integer, got {value!r:.40}")
+
+
+def _json_factor(value: Any) -> int:
+    """A bundle factor, as `_json_int` reads it, or a digit string of any length.
+
+    A digit string longer than any quotient order below `MAX_QUOTIENT_BITS`
+    raises LimitExceeded before it is converted.
+    """
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        if len(value) > _MAX_FACTOR_DIGITS:
+            raise LimitExceeded(
+                f"a factor of {len(value)} digits exceeds the limit of "
+                f"{MAX_QUOTIENT_BITS} bits on quotient orders"
+            )
+        return _from_decimal(value)
+    return _json_int(value, "a factor", MalformedBundle)
+
+
+def _json_list(value: Any, what: str, error: type[Exception]) -> list[Any]:
+    if not isinstance(value, list):
+        raise error(f"{what} must be a JSON array, got {value!r:.40}")
+    return value
+
+
+def _json_label_ids(value: Any, what: str) -> list[int]:
+    ids = _json_list(value, what, MalformedBundle)
+    if not all(_is_int(i) for i in ids):
+        raise MalformedBundle(f"{what} must be integers")
+    return ids
+
+
+def bundle_from_json(doc: Any) -> InvariantBundle:
+    """Load a bundle document; every defect raises a one-line MalformedBundle.
+
+    Each distinct factor string is converted once per file, and label ids
+    are named through one table built from `labels`.  An entry whose
+    factors pass `is_canonical` becomes a group with no further check;
+    only one that fails goes through the `FinGenAbGroup` constructor, whose
+    message names the defect.
+    """
+    from .reconstruct import InvariantBundle
+
+    if not isinstance(doc, dict):
+        raise MalformedBundle("a bundle file must hold a JSON object")
+    version = doc.get("version")
+    if not (_is_int(version) and version == BUNDLE_VERSION):
+        raise MalformedBundle(f"unsupported bundle version {version!r:.40}")
+    rank = _json_int(doc.get("rank"), "rank", MalformedBundle)
+    ids = _json_label_ids(doc.get("labels"), "labels")
+    labels = tuple(map(str, ids))
+    names = dict(zip(ids, labels))
+    read: dict[str, int] = {}  # each distinct factor string, converted
+    entries: dict[frozenset[str], FinGenAbGroup] = {}
+    for item in _json_list(doc.get("entries"), "entries", MalformedBundle):
+        if not isinstance(item, dict):
+            raise MalformedBundle("every entry must be a JSON object")
+        # an id missing from the table keeps its own name, and the bundle
+        # reports it as unknown
+        keys = [
+            names.get(i) or str(i)
+            for i in _json_label_ids(item.get("labels"), "entry labels")
+        ]
+        key = frozenset(keys)
+        if len(key) != len(keys):
+            raise MalformedBundle(f"entry labels {sorted(keys)} repeat a label")
+        if key in entries:
+            raise MalformedBundle(f"two entries for labels {sorted(key)}")
+        factors = []
+        for x in _json_list(item.get("factors"), "entry factors", MalformedBundle):
+            if isinstance(x, str):
+                if x not in read:
+                    read[x] = _json_factor(x)
+                factors.append(read[x])
+            else:
+                factors.append(_json_factor(x))
+        factors = tuple(factors)
+        if is_canonical(factors):
+            entries[key] = FinGenAbGroup.trusted(factors)
+            continue
+        try:
+            entries[key] = FinGenAbGroup(factors)
+        except ValueError as exc:
+            raise MalformedBundle(f"entry {sorted(key)}: {exc}") from None
+    bundle = InvariantBundle(rank=rank, labels=labels, entries=entries)
+    if frozenset() not in entries:
+        raise MalformedBundle("bundle file lacks the empty-set entry")
+    for label in labels:
+        if frozenset({label}) not in entries:
+            raise MalformedBundle(f"bundle file lacks the singleton entry for {label}")
+    return bundle
+
+
+def report_to_json(report: ReconstructionReport) -> dict[str, Any]:
+    return {
+        "class_number": report.class_number,
+        "class_group_factors": [str(x) for x in report.class_group.factors],
+        "norms": {str(k): str(v) for k, v in sorted(report.norms.items())},
+        "zeta": {
+            "bound": report.zeta.bound,
+            "coefficients": list(report.zeta.coefficients),
+        },
+        "verdicts": [
+            {"name": v.name, "pass": v.passed, "message": v.message}
+            for v in report.verdicts
+        ],
+    }
+
+
+def synthetic_spec_from_json(doc: Any) -> SyntheticSpec:
+    """Load and validate a synthetic spec; every defect is an InvalidSyntheticSpec."""
+    from .fields import PrimeIdealDatum, SyntheticSpec, validate_synthetic
+
+    bad = InvalidSyntheticSpec
+    if not isinstance(doc, dict):
+        raise bad("a synthetic spec must hold a JSON object")
+    factors = tuple(
+        _json_int(x, "an invariant factor", bad)
+        for x in _json_list(doc.get("invariant_factors"), "invariant_factors", bad)
+    )
+    primes = []
+    for i, item in enumerate(_json_list(doc.get("primes"), "primes", bad)):
+        if not isinstance(item, dict):
+            raise bad(f"prime {i} must be a JSON object")
+        label = str(item.get("label", f"s{i}"))
+        norm = _json_int(item.get("norm"), f"norm of {label}", bad)
+        if not is_prime_power(norm):
+            raise NonPrimePowerNorm(f"norm {norm} is not a prime power")
+        cls = tuple(
+            _json_int(c, f"class of {label}", bad)
+            for c in _json_list(item.get("class"), f"class of {label}", bad)
+        )
+        residue_char = _json_int(item.get("residue_char"), f"residue_char of {label}", bad)
+        try:
+            datum = PrimeIdealDatum(
+                label=label, norm=norm, cls=cls, residue_char=residue_char
+            )
+        except ValueError as exc:
+            raise InvalidSyntheticSpec(f"prime {label}: {exc}") from None
+        primes.append(datum)
+    return validate_synthetic(SyntheticSpec(factors=factors, primes=tuple(primes)))
+
+
+def _read_json(path: str) -> Any:
+    """The JSON document in a file, or on stdin for "-", read as UTF-8."""
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.buffer.read().decode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad JSON, encoding or nesting
+        raise UnreadableInput(f"invalid JSON input {path}: {exc}") from None
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value: Any, indent: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True), built directly.
+
+    json.dumps runs its pure-Python encoder whenever `indent` is set.  Here,
+    as there, strings go through the C `encode_basestring_ascii` and ints
+    through `int.__repr__`, and the items of a list or dict that share one
+    scalar type are joined in one step.  Values are str, int, bool, None,
+    lists and dicts with str keys; any other type raises TypeError.
+    """
+    kind = type(value)
+    write = _SCALARS.get(kind)
+    if write is not None:
+        return write(value)
+    if kind is not list and kind is not dict:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    brackets = "[]" if kind is list else "{}"
+    if not value:
+        return brackets
+    inner = indent + "  "
+    if kind is dict:
+        keys = sorted(value)
+        for k in keys:
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        items = [value[k] for k in keys]
+    else:
+        items = value
+    kinds = set(map(type, items))
+    write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    texts = map(write, items) if write else [_json_text(x, inner) for x in items]
+    if kind is dict:
+        texts = map("{}: {}".format, map(encode_basestring_ascii, keys), texts)
+    return brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
+
+
+def _write_output(doc: dict[str, Any], path: str | None) -> None:
+    """Write the document's text and a newline to stdout, or over `path`.
+
+    The file is written in place (see the module docstring); the old tail
+    is cut off after the write, and only from a regular file that was
+    longer, so `/dev/null`, FIFOs and devices are never truncated.
+    """
+    text = _json_text(doc)
+    if path is None or path == "-":
+        print(text)
+        return
+    data = memoryview((text + "\n").encode("ascii"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        old = os.fstat(fd)
+        size = len(data)
+        while data:  # a write may be short, as above 2 GiB on Linux
+            data = data[os.write(fd, data) :]
+        if stat.S_ISREG(old.st_mode) and old.st_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)

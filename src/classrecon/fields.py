@@ -1,4 +1,4 @@
-"""Arithmetic ground truth for imaginary quadratic fields, plus synthetic data.
+"""The producer's ground truth: imaginary quadratic fields and synthetic data.
 
 The class group of a negative fundamental discriminant is realized on the
 reduced positive definite binary quadratic forms under composition; prime
@@ -6,6 +6,7 @@ splitting comes from the Kronecker symbol; the ideal class of a prime above
 q is the class of a form with leading coefficient q.  Synthetic field
 specifications carry an arbitrary finite abelian group and a free-form
 prime stream, so class groups outside quadratic reach enter the test matrix.
+Either kind of spec yields its primes as `PrimeIdealDatum`s.
 
 The class group is built by subgroup extension: walking the sorted forms,
 each one outside the subgroup covered so far becomes a generator, its least
@@ -24,86 +25,345 @@ coefficient a <= sqrt(|D|/3), the middle coefficients b are the roots of
 b^2 = D (mod 4a), combined by the Chinese remainder theorem from roots
 modulo the prime powers of 4a.  That takes about sqrt(|D|) steps, not the
 |D|/3 of trying every pair (a, b), which `oracle.naive_reduced_forms` keeps
-as the reference.  Quadratic specs with |D| above MAX_DISCRIMINANT are
-refused before any work, since the class group build grows with h, about
-sqrt(|D|); prime bounds above MAX_BOUND and synthetic groups of order above
-MAX_SYNTHETIC_ORDER are refused the same way.
+as the reference.
+
+The Smith normal form (`IntMatrix`, `smith_normal_form`,
+`cokernel_of_columns`), the square roots modulo primes and prime powers
+and the least prime factor table live here, beside the class-group build
+and the form enumeration, their one runtime user; the certifiers in
+`oracle` import them from here.  So a blind `reconstruct`, which never
+loads this module, never compiles them.  This module imports neither the
+lattice producer nor the blind consumer: `classgroup -D` loads only it,
+`abgroup` and `errors`.
+
+Quadratic specs with |D| above `errors.MAX_DISCRIMINANT` are refused
+before any work, since the class group build grows with h, about
+sqrt(|D|); prime bounds above `errors.MAX_BOUND` and synthetic groups of
+order above `errors.MAX_SYNTHETIC_ORDER` are refused the same way.  The
+fourth limit, on the bit size of a quotient order, is
+`errors.MAX_QUOTIENT_BITS`, checked where quotients are computed, in
+`lattice`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .abgroup import (
     FinGenAbGroup,
     GroupElement,
     SlotRecord,
-    brief,
-    cokernel_of_columns,
+    check_bound,
     factorize,
     is_prime,
     is_prime_power,
     primes_up_to,
-    smallest_prime_factors,
-    sqrt_mod_prime_power,
     subgroup_index,
     xgcd,
 )
-from .lattice import InternalContradiction, LimitExceeded, PrimeIdealDatum
+from .errors import (
+    MAX_DISCRIMINANT,
+    MAX_SYNTHETIC_ORDER,
+    DiscriminantTooLarge,
+    InternalContradiction,
+    InvalidDiscriminant,
+    InvalidSyntheticSpec,
+    LimitExceeded,
+    NonPrimePowerNorm,
+    OddNormClassesDoNotGenerate,
+)
+
+# -- exact linear algebra and modular square roots --------------------------
 
 
-# Every quadratic spec factors |D| by trial division, enumerates its reduced
-# forms and builds its class group from them, each in about sqrt(|D|)
-# steps: `classgroup` takes about 0.5 s at this limit in CPython 3.11 on a
-# 2-core x86-64 machine.  The bundle of a field grows with its class number,
-# so the limit stays until the bundle size has a cap of its own.  A larger
-# |D| is refused before any work, including the squarefree test.
-MAX_DISCRIMINANT = 10**8
+class IntMatrix(SlotRecord):
+    """Rectangular matrix of arbitrary-precision integers, never changed once built."""
 
-# The prime sieve and the zeta coefficients allocate one slot per integer up
-# to their bound (about 0.6 s for the sieve alone at this limit).  A larger
-# prime, comparison or zeta bound is refused before any work.
-MAX_BOUND = 10**7
+    __slots__ = ("entries",)
 
-# A bundle lists h factors in its empty-set entry and one factor per coset
-# in every other entry, so its size grows with the class group order h:
-# `invariants --synthetic` on Z/100000 writes 1.4 MB.  A synthetic group of
-# larger order is refused before any quotient is computed.
-MAX_SYNTHETIC_ORDER = 10**5
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        if len({len(row) for row in entries}) > 1:
+            raise ValueError("ragged rows in matrix")
+        self.entries = entries
 
-# The fourth limit, on the bit size of a quotient order, is
-# `lattice.MAX_QUOTIENT_BITS`, checked where quotients are computed.
+    @property
+    def nrows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.entries[0]) if self.entries else 0
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> IntMatrix:
+        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int | None = None) -> IntMatrix:
+        cols = [tuple(int(x) for x in c) for c in columns]
+        if cols:
+            n = len(cols[0])
+            if any(len(c) != n for c in cols):
+                raise ValueError("columns of unequal length")
+        elif nrows is None:
+            raise ValueError("nrows required for an empty column set")
+        else:
+            n = nrows
+        if nrows is not None and cols and nrows != n:
+            raise ValueError("nrows does not match column length")
+        return cls(tuple(tuple(c[i] for c in cols) for i in range(n)))
+
+    def column(self, j: int) -> tuple[int, ...]:
+        return tuple(row[j] for row in self.entries)
+
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.entries[i][i] for i in range(min(self.nrows, self.ncols)))
 
 
-class InvalidDiscriminant(ValueError):
-    """Discriminant is not negative and fundamental."""
+def _min_abs_pivot(m: list[list[int]], t: int) -> tuple[int, int] | None:
+    best: tuple[int, int] | None = None
+    best_val = 0
+    for i in range(t, len(m)):
+        for j in range(t, len(m[0])):
+            x = m[i][j]
+            if x != 0 and (best is None or abs(x) < best_val):
+                best = (i, j)
+                best_val = abs(x)
+                if best_val == 1:
+                    return best
+    return best
 
 
-class DiscriminantTooLarge(Exception):
-    """|D| exceeds MAX_DISCRIMINANT, beyond which the class group is not built."""
+def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Diagonalize an integer matrix: returns (S, U, V) with U A V = S.
 
+    U and V are unimodular and the diagonal of S is a non-negative
+    divisibility chain.  Pivots are chosen by minimal absolute value, which
+    keeps intermediate growth tame at the sizes this package targets.
 
-def check_bound(bound: int, what: str) -> None:
-    """Refuse a bound above MAX_BOUND before anything is allocated."""
-    if bound > MAX_BOUND:
-        raise LimitExceeded(
-            f"{what} {brief(bound)} exceeds the limit {MAX_BOUND}: it allocates "
-            "one slot per integer up to the bound"
+    >>> s, u, v = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    >>> s.diagonal()
+    (1, 6)
+    """
+    nr, nc = a.nrows, a.ncols
+    m = [list(row) for row in a.entries]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def rows_combine(t: int, i: int, piv: int, other: int) -> None:
+        """Unimodular 2-row transform putting gcd(piv, other) at (t, t)."""
+        g, x, y = xgcd(piv, other)
+        pg, og = piv // g, other // g
+        m[t], m[i] = (
+            [x * p + y * q for p, q in zip(m[t], m[i])],
+            [-og * p + pg * q for p, q in zip(m[t], m[i])],
+        )
+        u[t], u[i] = (
+            [x * p + y * q for p, q in zip(u[t], u[i])],
+            [-og * p + pg * q for p, q in zip(u[t], u[i])],
         )
 
+    def cols_combine(t: int, j: int, piv: int, other: int) -> None:
+        g, x, y = xgcd(piv, other)
+        pg, og = piv // g, other // g
+        for row in m:
+            row[t], row[j] = x * row[t] + y * row[j], -og * row[t] + pg * row[j]
+        for row in v:
+            row[t], row[j] = x * row[t] + y * row[j], -og * row[t] + pg * row[j]
 
-class InvalidSyntheticSpec(ValueError):
-    """A synthetic field spec is malformed or inconsistent."""
+    def clear_col(t: int) -> bool:
+        changed = False
+        for i in range(t + 1, nr):
+            b = m[i][t]
+            if b == 0:
+                continue
+            changed = True
+            piv = m[t][t]
+            if piv and b % piv == 0:
+                q = b // piv
+                m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+            else:
+                rows_combine(t, i, piv, b)
+        return changed
+
+    def clear_row(t: int) -> bool:
+        changed = False
+        for j in range(t + 1, nc):
+            b = m[t][j]
+            if b == 0:
+                continue
+            changed = True
+            piv = m[t][t]
+            if piv and b % piv == 0:
+                q = b // piv
+                for row in m:
+                    row[j] -= q * row[t]
+                for row in v:
+                    row[j] -= q * row[t]
+            else:
+                cols_combine(t, j, piv, b)
+        return changed
+
+    t = 0
+    while t < min(nr, nc):
+        pos = _min_abs_pivot(m, t)
+        if pos is None:
+            break
+        pi, pj = pos
+        if pi != t:
+            m[t], m[pi] = m[pi], m[t]
+            u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
+            for row in v:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            clear_col(t)
+            while clear_row(t) and clear_col(t):
+                pass
+            # pivot must divide the remaining submatrix for the chain
+            offender = None
+            d = m[t][t]
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if m[i][j] % d:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            m[t] = [x + y for x, y in zip(m[t], m[offender])]
+            u[t] = [x + y for x, y in zip(u[t], u[offender])]
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    s = IntMatrix.from_rows(m)
+    return s, IntMatrix.from_rows(u), IntMatrix.from_rows(v)
 
 
-class NonPrimePowerNorm(InvalidSyntheticSpec):
-    """A synthetic prime datum has a norm that is not a prime power."""
+def cokernel_of_columns(
+    ambient_rank: int, columns: Sequence[Sequence[int]]
+) -> tuple[FinGenAbGroup, tuple[GroupElement, ...]]:
+    """Quotient Z^ambient_rank / (column lattice), with basis-vector images.
+
+    Returns (G, proj) where proj[i] is the class of the i-th standard basis
+    vector, expressed in coordinates matching G.factors.
+    """
+    for c in columns:
+        if len(c) != ambient_rank:
+            raise ValueError("column length does not match ambient rank")
+    a = IntMatrix.from_columns(columns, nrows=ambient_rank)
+    s, u, _ = smith_normal_form(a)
+    diag = list(s.diagonal())
+    kept = [i for i, d in enumerate(diag) if d != 1]
+    free_tail = list(range(len(diag), ambient_rank))
+    factors = [diag[i] for i in kept] + [0] * len(free_tail)
+    g = FinGenAbGroup.from_orders(factors)
+    positions = kept + free_tail
+    proj = []
+    for i in range(ambient_rank):
+        col = u.column(i)
+        proj.append(g.element([col[j] for j in positions]))
+    return g, tuple(proj)
 
 
-class OddNormClassesDoNotGenerate(InvalidSyntheticSpec):
-    """The odd-norm classes of a synthetic spec fail to generate the group."""
+def smallest_prime_factors(n: int) -> list[int]:
+    """The table spf with spf[k] the least prime factor of k, for 2 <= k <= n.
+
+    spf[0] = 0 and spf[1] = 1.  The primes up to sqrt(n) mark their
+    multiples in descending order, so the least prime marks last.
+
+    >>> smallest_prime_factors(10)
+    [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2]
+    """
+    spf = list(range(n + 1))
+    for p in reversed(primes_up_to(isqrt(n))):
+        spf[p * p :: p] = [p] * len(range(p * p, n + 1, p))
+    return spf
+
+
+def sqrt_mod_prime(a: int, q: int) -> int | None:
+    """A square root of a modulo the prime q, or None if a is a non-residue.
+
+    The (q + 1)/4 power when q = 3 (mod 4), Tonelli-Shanks otherwise
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.5.1).
+
+    >>> sqrt_mod_prime(2, 7) ** 2 % 7
+    2
+    >>> sqrt_mod_prime(3, 7) is None
+    True
+    """
+    a %= q
+    if a == 0 or q == 2:
+        return a
+    if pow(a, (q - 1) // 2, q) != 1:
+        return None
+    if q % 4 == 3:
+        return pow(a, (q + 1) // 4, q)
+    t, s = q - 1, 0  # q - 1 = 2**s * t with t odd
+    while t % 2 == 0:
+        t, s = t // 2, s + 1
+    z = 2
+    while pow(z, (q - 1) // 2, q) == 1:
+        z += 1
+    y = pow(z, t, q)  # generates the 2-Sylow subgroup of (Z/q)*
+    x, b = pow(a, (t + 1) // 2, q), pow(a, t, q)  # x*x = a*b, b in that subgroup
+    while b != 1:
+        m, power = 0, b  # the order of b is 2**m, with m < s
+        while power != 1:
+            power, m = power * power % q, m + 1
+        c = pow(y, 1 << (s - m - 1), q)
+        y, s = c * c % q, m
+        x, b = x * c % q, b * y % q
+    return x
+
+
+def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
+    """Every root of x*x = a modulo q**e, sorted, for a prime q not dividing a.
+
+    For odd q, a root modulo q lifts by Hensel's lemma one exponent at a
+    time, and the roots are r and -r.  Powers of 2 are their own small
+    case: an odd a has the root 1 modulo 2, the roots 1 and 3 modulo 4 when
+    a = 1 (mod 4), and four roots +-r, +-r + 2**(e-1) modulo 2**e for e >= 3
+    when a = 1 (mod 8); otherwise none.
+
+    >>> sqrt_mod_prime_power(2, 7, 2)
+    [10, 39]
+    >>> sqrt_mod_prime_power(17, 2, 5)
+    [7, 9, 23, 25]
+    """
+    if e < 1 or a % q == 0:
+        raise ValueError(f"need e >= 1 and {q} not dividing {a}")
+    n = q**e
+    if q == 2:
+        if e <= 2:
+            return [1] if e == 1 else [1, 3] if a % 4 == 1 else []
+        if a % 8 != 1:
+            return []
+        r = 1  # r*r = a (mod 2**k) for k = 3, then lifted to k = e
+        for k in range(3, e):
+            if (r * r - a) % (2 << k):
+                r += 1 << (k - 1)
+        half = n // 2
+        return sorted({r, n - r, (r + half) % n, (half - r) % n})
+    r = sqrt_mod_prime(a, q)
+    if r is None:
+        return []
+    modulus = q
+    for _ in range(1, e):
+        modulus *= q
+        r = (r - (r * r - a) * pow(2 * r, -1, modulus)) % modulus
+    return sorted({r, n - r})
+
+
+# -- quadratic forms and their class group ----------------------------------
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -498,6 +758,33 @@ class QuadraticSpec(SlotRecord):
     def __init__(self, discriminant: int) -> None:
         _check_discriminant(discriminant)
         self.discriminant = discriminant
+
+
+class PrimeIdealDatum(SlotRecord):
+    """One prime ideal: a label, its norm, its ideal class, its residue prime.
+
+    The norm must be a power of the residue characteristic.
+    """
+
+    __slots__ = ("label", "norm", "cls", "residue_char")
+
+    def __init__(
+        self, label: str, norm: int, cls: GroupElement, residue_char: int
+    ) -> None:
+        if residue_char < 2:
+            raise ValueError("residue characteristic must be a prime >= 2")
+        n = norm
+        if n < 2:
+            raise ValueError("norm must be at least 2")
+        while n % residue_char == 0:
+            n //= residue_char
+        if n != 1:
+            raise ValueError(f"norm {norm} is not a power of {residue_char}")
+        self.label, self.norm, self.cls, self.residue_char = label, norm, cls, residue_char
+
+    @property
+    def has_odd_norm(self) -> bool:
+        return self.norm % 2 == 1
 
 
 class SyntheticSpec(NamedTuple):

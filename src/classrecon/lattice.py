@@ -1,4 +1,4 @@
-"""The class-group lattice and its quotient invariants.
+"""The producer: quotient invariants of the class-group lattice, and bundles.
 
 A finite abelian class group Cl indexes the basis of a free lattice of rank
 #Cl.  Each prime-ideal datum p acts on that lattice by permuting the basis
@@ -23,69 +23,40 @@ and reuses them for every entry it produces.  Two independent routes in
 `oracle` certify the formula in the tests: the brute-force Smith normal
 form (SNF) of the whole sublattice, `oracle.lattice_quotient`, and the
 paper's induction over F.  Only they enumerate group elements.
+
+`build_bundle` turns the quotients into an opaque `InvariantBundle` for
+the blind consumer in `reconstruct`.  The drivers that hold the ground
+truth beside a blind reconstruction, `roundtrip` and `compare_fields`,
+live here too, so the consumer never imports the producer.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm, log2
-from typing import NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .abgroup import (
     FinGenAbGroup,
     GroupElement,
-    SlotRecord,
     brief,
     index_and_relations,
+    iso_equal,
+    subgroup_index,
 )
-
-# A quotient of F needs N(p)**ord[p] - 1 for every p in F, an integer of
-# about ord[p] * log2 N(p) bits.  Its decimal form is quadratic in that size
-# (about 0.1 s at this limit in CPython 3.11), and it goes into the bundle
-# file once per coset.  A set above the limit is refused before any power.
-MAX_QUOTIENT_BITS = 2**18
-
-
-class InternalContradiction(Exception):
-    """Raised when a structural invariant that should always hold fails.
-
-    Seeing this means a bug in this package, not bad input data.
-    """
-
-
-class LimitExceeded(Exception):
-    """An input is above one of the documented size limits.
-
-    The limits are `MAX_QUOTIENT_BITS` here and `MAX_DISCRIMINANT`,
-    `MAX_BOUND` and `MAX_SYNTHETIC_ORDER` in `fields`; each is checked
-    before the work it bounds starts.
-    """
-
-
-class PrimeIdealDatum(SlotRecord):
-    """One prime ideal: a label, its norm, its ideal class, its residue prime.
-
-    The norm must be a power of the residue characteristic.
-    """
-
-    __slots__ = ("label", "norm", "cls", "residue_char")
-
-    def __init__(
-        self, label: str, norm: int, cls: GroupElement, residue_char: int
-    ) -> None:
-        if residue_char < 2:
-            raise ValueError("residue characteristic must be a prime >= 2")
-        n = norm
-        if n < 2:
-            raise ValueError("norm must be at least 2")
-        while n % residue_char == 0:
-            n //= residue_char
-        if n != 1:
-            raise ValueError(f"norm {norm} is not a power of {residue_char}")
-        self.label, self.norm, self.cls, self.residue_char = label, norm, cls, residue_char
-
-    @property
-    def has_odd_norm(self) -> bool:
-        return self.norm % 2 == 1
+from .errors import (
+    MAX_QUOTIENT_BITS,
+    InsufficientGenerators,
+    InternalContradiction,
+    LimitExceeded,
+)
+from .fields import FieldSpec, PrimeIdealDatum, class_group, enumerate_prime_ideals
+from .reconstruct import (
+    InvariantBundle,
+    ReconstructionReport,
+    Verdict,
+    reconstruct_all,
+    zeta_coefficients,
+)
 
 
 class PrimeTerms(NamedTuple):
@@ -186,3 +157,164 @@ def quotient_group(
     ('Z/3 x Z/3', 'trivial')
     """
     return quotient_from_terms(group, prime_terms(group, primes))
+
+
+def build_bundle(
+    group: FinGenAbGroup,
+    primes: Sequence[PrimeIdealDatum],
+    subsets: Sequence[Iterable[str]] = (),
+) -> InvariantBundle:
+    """Evaluate quotients by the closed formula and erase all annotations.
+
+    `group` is the class group, and no element of it is enumerated.  Each
+    prime's terms (class coordinates, ord[p], N(p)**ord[p] - 1) are computed
+    once, by `prime_terms`, and every size is checked before any power is
+    taken.  `quotient_from_terms`, the second half of `quotient_group`,
+    then produces every entry from them: the empty set, the singletons,
+    the odd-norm sets the reconstruction asks for and the `subsets` given,
+    whatever their parities; a set of two or more primes costs one column
+    echelon of its class coordinates, never a Smith normal form.  The terms
+    live in the bundle's supplier and go with it.  The empty set and every
+    singleton are always included.  Later requests for other subsets are
+    served on demand (and memoized); the ground truth stays enclosed in the
+    supplier and is never exposed.  Smith normal form of
+    the whole sublattice and the induction in `oracle` only certify these
+    entries in the tests.
+    """
+    labels = tuple(p.label for p in primes)
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate prime labels")
+    wanted: list[frozenset[str]] = [frozenset()]
+    wanted += [frozenset({l}) for l in labels]
+    for subset in subsets:
+        key = frozenset(subset)
+        if not key <= set(labels):
+            raise ValueError(f"unknown labels in subset {sorted(key)}")
+        wanted.append(key)
+    terms = dict(zip(labels, prime_terms(group, primes)))
+
+    def quotient_for(key: frozenset[str]) -> FinGenAbGroup:
+        return quotient_from_terms(group, [terms[l] for l in sorted(key)])
+
+    entries: dict[frozenset[str], FinGenAbGroup] = {}
+    for key in wanted:
+        if key not in entries:
+            entries[key] = quotient_for(key)
+    return InvariantBundle(
+        rank=group.order(),
+        labels=labels,
+        entries=entries,
+        compute=quotient_for,
+    )
+
+
+def roundtrip(
+    group: FinGenAbGroup,
+    primes: Sequence[PrimeIdealDatum],
+    zeta_bound: int,
+) -> ReconstructionReport:
+    """Build a bundle, reconstruct blind, and compare with the ground truth.
+
+    The classes of the odd-norm primes must generate the class group; for
+    genuine fields that always holds once enough primes are supplied, so
+    failure carries guidance to raise the norm bound.
+    """
+    odd = [group.element(p.cls) for p in primes if p.has_odd_norm]
+    if subgroup_index(group, odd) != 1:
+        raise InsufficientGenerators(
+            "the odd-norm primes supplied do not generate the class group; "
+            "raise the prime norm bound"
+        )
+    report = reconstruct_all(build_bundle(group, primes), zeta_bound)
+    true_norms = {p.label: p.norm for p in primes}
+    verdicts = [
+        Verdict(
+            "class_number",
+            report.class_number == group.order(),
+            f"recovered {report.class_number}, true {group.order()}",
+        ),
+        Verdict(
+            "class_group",
+            iso_equal(report.class_group, group),
+            f"recovered {report.class_group}, true {group}",
+        ),
+        Verdict(
+            "norms",
+            report.norms == true_norms,
+            "all labelwise norms agree"
+            if report.norms == true_norms
+            else f"norm map differs: {_norm_diff(report.norms, true_norms)}",
+        ),
+        Verdict(
+            "zeta",
+            report.zeta.coefficients
+            == tuple(zeta_coefficients(true_norms.values(), zeta_bound)),
+            f"coefficients up to {zeta_bound} compared",
+        ),
+    ]
+    return ReconstructionReport(
+        class_number=report.class_number,
+        class_group=report.class_group,
+        norms=report.norms,
+        zeta=report.zeta,
+        verdicts=tuple(verdicts),
+    )
+
+
+def _norm_diff(got: Mapping[str, int], want: Mapping[str, int]) -> str:
+    keys = [k for k in want if got.get(k) != want[k]]
+    return ", ".join(f"{k}: got {got.get(k)}, want {want[k]}" for k in keys[:5])
+
+
+class ComparisonResult(NamedTuple):
+    """Two fields compared through the blind pipeline up to a bound."""
+
+    equivalent: bool
+    bound: int
+    first_zeta_difference: tuple[int, int, int] | None  # (n, a_n left, a_n right)
+    groups_isomorphic: bool
+    group_left: FinGenAbGroup
+    group_right: FinGenAbGroup
+
+    def describe(self) -> str:
+        if self.equivalent:
+            return f"equivalent at bound {self.bound}"
+        parts = []
+        if self.first_zeta_difference:
+            n, a, b = self.first_zeta_difference
+            parts.append(f"zeta coefficients differ at n = {n} ({a} vs {b})")
+        if not self.groups_isomorphic:
+            parts.append(
+                f"class groups differ ({self.group_left} vs {self.group_right})"
+            )
+        return "; ".join(parts)
+
+
+def compare_fields(
+    spec_left: FieldSpec, spec_right: FieldSpec, bound: int
+) -> ComparisonResult:
+    """Compare two field specs through the blind pipeline, up to a bound.
+
+    Both sides get a bundle built from their prime data and a blind
+    reconstruction with zeta coefficients up to the bound.
+    """
+    sides = []
+    for spec in (spec_left, spec_right):
+        primes = enumerate_prime_ideals(spec, bound)
+        report = reconstruct_all(build_bundle(class_group(spec), primes), bound)
+        sides.append((report.zeta.coefficients, report.class_group))
+    (za, ga), (zb, gb) = sides
+    first_diff = None
+    for n, (x, y) in enumerate(zip(za, zb), start=1):
+        if x != y:
+            first_diff = (n, x, y)
+            break
+    groups_ok = iso_equal(ga, gb)
+    return ComparisonResult(
+        equivalent=first_diff is None and groups_ok,
+        bound=bound,
+        first_zeta_difference=first_diff,
+        groups_isomorphic=groups_ok,
+        group_left=ga,
+        group_right=gb,
+    )

@@ -32,15 +32,17 @@ from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .abgroup import (
-    FinGenAbGroup,
-    GroupElement,
+from .abgroup import FinGenAbGroup, GroupElement, factorize
+from .errors import InternalContradiction
+from .fields import (
+    FieldSpec,
     IntMatrix,
+    PrimeIdealDatum,
+    QuadraticForm,
+    _check_discriminant,
+    class_group,
     cokernel_of_columns,
-    factorize,
 )
-from .fields import FieldSpec, QuadraticForm, _check_discriminant, class_group
-from .lattice import InternalContradiction, PrimeIdealDatum
 
 QUOTIENT_GUARD = 10_000
 GROUP_GUARD = 10_000

@@ -1,4 +1,4 @@
-"""Blind reconstruction of arithmetic data from quotient invariants.
+"""The blind consumer: arithmetic data from quotient invariants alone.
 
 The only reconstruction input is an `InvariantBundle`: a rank, a set of
 opaque labels, and for finite label sets F the isomorphism type of the
@@ -7,12 +7,16 @@ lattice quotient attached to F.  From that alone the pipeline recovers
   * the class number (the rank),
   * the norm behind every label (inverting the one-prime closed form),
   * which labels have odd norm,
-  * subgroup orders of the classes behind odd-norm label sets, and
+  * subgroup orders of the classes behind odd-norm label sets,
   * the isomorphism type of the class group, one prime at a time, by a
-    greedy maximal-order chain.
+    greedy maximal-order chain, and
+  * the truncated zeta coefficients, from the recovered norms.
 
-Labels never carry arithmetic annotations here; `build_bundle` erases them.
-The round-trip driver compares the reconstruction against ground truth.
+Labels never carry arithmetic annotations here.  This module imports only
+`abgroup` and `errors`, so the blinding rule is a fact of the import
+graph: nothing the producer knows (`fields`, `lattice`) is loaded by a
+blind `reconstruct`.  `lattice.build_bundle` erases the labels, and the
+round-trip and comparison drivers that hold the ground truth live there.
 """
 
 from __future__ import annotations
@@ -24,27 +28,13 @@ from .abgroup import (
     FinGenAbGroup,
     SlotRecord,
     brief,
+    check_bound,
     factorize,
     integer_nth_root,
     is_prime_power,
-    iso_equal,
     p_part,
-    subgroup_index,
 )
-from .fields import FieldSpec, check_bound, class_group, enumerate_prime_ideals
-from .lattice import PrimeIdealDatum, prime_terms, quotient_from_terms
-
-
-class MalformedBundle(Exception):
-    """The bundle's entries cannot come from consistent arithmetic data."""
-
-
-class InsufficientGenerators(Exception):
-    """The label set is too small to exhibit the whole class group."""
-
-
-class BundleEntryMissing(Exception):
-    """A required entry is absent and the bundle cannot compute it."""
+from .errors import BundleEntryMissing, InsufficientGenerators, MalformedBundle
 
 
 class InvariantBundle:
@@ -90,55 +80,6 @@ class InvariantBundle:
                 f"no entry for {sorted(key)} and the bundle is not computable"
             )
         return self.entries.setdefault(key, self.compute(key))
-
-
-def build_bundle(
-    group: FinGenAbGroup,
-    primes: Sequence[PrimeIdealDatum],
-    subsets: Sequence[Iterable[str]] = (),
-) -> InvariantBundle:
-    """Evaluate quotients by the closed formula and erase all annotations.
-
-    `group` is the class group, and no element of it is enumerated.  Each
-    prime's terms (class coordinates, ord[p], N(p)**ord[p] - 1) are computed
-    once, by `prime_terms`, and every size is checked before any power is
-    taken.  `quotient_from_terms`, the second half of `quotient_group`,
-    then produces every entry from them: the empty set, the singletons,
-    the odd-norm sets the reconstruction asks for and the `subsets` given,
-    whatever their parities; a set of two or more primes costs one column
-    echelon of its class coordinates, never a Smith normal form.  The terms
-    live in the bundle's supplier and go with it.  The empty set and every
-    singleton are always included.  Later requests for other subsets are
-    served on demand (and memoized); the ground truth stays enclosed in the
-    supplier and is never exposed.  Smith normal form of
-    the whole sublattice and the induction in `oracle` only certify these
-    entries in the tests.
-    """
-    labels = tuple(p.label for p in primes)
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate prime labels")
-    wanted: list[frozenset[str]] = [frozenset()]
-    wanted += [frozenset({l}) for l in labels]
-    for subset in subsets:
-        key = frozenset(subset)
-        if not key <= set(labels):
-            raise ValueError(f"unknown labels in subset {sorted(key)}")
-        wanted.append(key)
-    terms = dict(zip(labels, prime_terms(group, primes)))
-
-    def quotient_for(key: frozenset[str]) -> FinGenAbGroup:
-        return quotient_from_terms(group, [terms[l] for l in sorted(key)])
-
-    entries: dict[frozenset[str], FinGenAbGroup] = {}
-    for key in wanted:
-        if key not in entries:
-            entries[key] = quotient_for(key)
-    return InvariantBundle(
-        rank=group.order(),
-        labels=labels,
-        entries=entries,
-        compute=quotient_for,
-    )
 
 
 def recover_class_number(bundle: InvariantBundle) -> int:
@@ -477,7 +418,7 @@ def reconstruct_all(
     """Full blind reconstruction: class number, group, norms, zeta data.
 
     The zeta coefficients run up to `zeta_bound`, by default the largest
-    recovered norm; a bound above `fields.MAX_BOUND` raises LimitExceeded
+    recovered norm; a bound above `errors.MAX_BOUND` raises LimitExceeded
     before the group is reconstructed.  The class number is validated once
     and every norm is recovered, and proven a prime power, once.
     """
@@ -492,116 +433,4 @@ def reconstruct_all(
         raise MalformedBundle("recovered group order disagrees with the rank")
     return ReconstructionReport(
         class_number=h, class_group=group, norms=norms, zeta=zeta, verdicts=()
-    )
-
-
-def roundtrip(
-    group: FinGenAbGroup,
-    primes: Sequence[PrimeIdealDatum],
-    zeta_bound: int,
-) -> ReconstructionReport:
-    """Build a bundle, reconstruct blind, and compare with the ground truth.
-
-    The classes of the odd-norm primes must generate the class group; for
-    genuine fields that always holds once enough primes are supplied, so
-    failure carries guidance to raise the norm bound.
-    """
-    odd = [group.element(p.cls) for p in primes if p.has_odd_norm]
-    if subgroup_index(group, odd) != 1:
-        raise InsufficientGenerators(
-            "the odd-norm primes supplied do not generate the class group; "
-            "raise the prime norm bound"
-        )
-    report = reconstruct_all(build_bundle(group, primes), zeta_bound)
-    true_norms = {p.label: p.norm for p in primes}
-    verdicts = [
-        Verdict(
-            "class_number",
-            report.class_number == group.order(),
-            f"recovered {report.class_number}, true {group.order()}",
-        ),
-        Verdict(
-            "class_group",
-            iso_equal(report.class_group, group),
-            f"recovered {report.class_group}, true {group}",
-        ),
-        Verdict(
-            "norms",
-            report.norms == true_norms,
-            "all labelwise norms agree"
-            if report.norms == true_norms
-            else f"norm map differs: {_norm_diff(report.norms, true_norms)}",
-        ),
-        Verdict(
-            "zeta",
-            report.zeta.coefficients
-            == tuple(zeta_coefficients(true_norms.values(), zeta_bound)),
-            f"coefficients up to {zeta_bound} compared",
-        ),
-    ]
-    return ReconstructionReport(
-        class_number=report.class_number,
-        class_group=report.class_group,
-        norms=report.norms,
-        zeta=report.zeta,
-        verdicts=tuple(verdicts),
-    )
-
-
-def _norm_diff(got: Mapping[str, int], want: Mapping[str, int]) -> str:
-    keys = [k for k in want if got.get(k) != want[k]]
-    return ", ".join(f"{k}: got {got.get(k)}, want {want[k]}" for k in keys[:5])
-
-
-class ComparisonResult(NamedTuple):
-    """Two fields compared through the blind pipeline up to a bound."""
-
-    equivalent: bool
-    bound: int
-    first_zeta_difference: tuple[int, int, int] | None  # (n, a_n left, a_n right)
-    groups_isomorphic: bool
-    group_left: FinGenAbGroup
-    group_right: FinGenAbGroup
-
-    def describe(self) -> str:
-        if self.equivalent:
-            return f"equivalent at bound {self.bound}"
-        parts = []
-        if self.first_zeta_difference:
-            n, a, b = self.first_zeta_difference
-            parts.append(f"zeta coefficients differ at n = {n} ({a} vs {b})")
-        if not self.groups_isomorphic:
-            parts.append(
-                f"class groups differ ({self.group_left} vs {self.group_right})"
-            )
-        return "; ".join(parts)
-
-
-def compare_fields(
-    spec_left: FieldSpec, spec_right: FieldSpec, bound: int
-) -> ComparisonResult:
-    """Compare two field specs through the blind pipeline, up to a bound.
-
-    Both sides get a bundle built from their prime data and a blind
-    reconstruction with zeta coefficients up to the bound.
-    """
-    sides = []
-    for spec in (spec_left, spec_right):
-        primes = enumerate_prime_ideals(spec, bound)
-        report = reconstruct_all(build_bundle(class_group(spec), primes), bound)
-        sides.append((report.zeta.coefficients, report.class_group))
-    (za, ga), (zb, gb) = sides
-    first_diff = None
-    for n, (x, y) in enumerate(zip(za, zb), start=1):
-        if x != y:
-            first_diff = (n, x, y)
-            break
-    groups_ok = iso_equal(ga, gb)
-    return ComparisonResult(
-        equivalent=first_diff is None and groups_ok,
-        bound=bound,
-        first_zeta_difference=first_diff,
-        groups_isomorphic=groups_ok,
-        group_left=ga,
-        group_right=gb,
     )

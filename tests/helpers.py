@@ -6,9 +6,8 @@ import random
 
 from sympy import primefactors
 
-from classrecon.abgroup import FinGenAbGroup, IntMatrix, subgroup_index
-from classrecon.fields import SyntheticSpec
-from classrecon.lattice import PrimeIdealDatum
+from classrecon.abgroup import FinGenAbGroup, subgroup_index
+from classrecon.fields import IntMatrix, PrimeIdealDatum, SyntheticSpec
 from classrecon.oracle import ClassGroupModel
 
 ODD_PRIME_POWERS = [

@@ -13,7 +13,6 @@ import sympy
 
 from classrecon.abgroup import (
     FinGenAbGroup,
-    cokernel_of_columns,
     iso_equal,
     p_part,
     subgroup_index,
@@ -22,8 +21,10 @@ from classrecon.fields import (
     QuadraticSpec,
     SyntheticSpec,
     class_group,
+    cokernel_of_columns,
     enumerate_prime_ideals,
 )
+from classrecon.lattice import build_bundle, compare_fields, roundtrip
 from classrecon.oracle import (
     ClassGroupModel,
     class_group_model,
@@ -41,13 +42,10 @@ from classrecon.reconstruct import (
     InsufficientGenerators,
     InvariantBundle,
     MalformedBundle,
-    build_bundle,
-    compare_fields,
     greedy_primary_factors,
     reconstruct_all,
     recover_class_number,
     recover_norm,
-    roundtrip,
     zeta_coefficients,
 )
 

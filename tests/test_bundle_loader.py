@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from classrecon import cli
+from classrecon import codec
 from classrecon.cli import EXIT_FAIL, EXIT_INSUFFICIENT, EXIT_OK, main
 
 EMPTY = {"labels": [], "factors": ["0", "0"]}
@@ -23,7 +23,7 @@ def _single(factors, labels=(0,)):
     return {"labels": list(labels), "factors": factors}
 
 
-TOO_LONG = "7" * (cli._MAX_FACTOR_DIGITS + 1)
+TOO_LONG = "7" * (codec._MAX_FACTOR_DIGITS + 1)
 
 # name -> (document, exit code, stderr)
 MALFORMED = {
@@ -176,12 +176,12 @@ REPEATING_REPORT = (
 def test_factor_strings_repeating_across_entries(tmp_path, capsys):
     code, captured = _run(REPEATING, tmp_path, capsys)
     assert (code, captured.out, captured.err) == (EXIT_OK, REPEATING_REPORT, "")
-    assert cli.bundle_to_json(cli.bundle_from_json(REPEATING)) == REPEATING
+    assert codec.bundle_to_json(codec.bundle_from_json(REPEATING)) == REPEATING
 
 
 def test_each_distinct_factor_string_is_converted_once_per_file(monkeypatch):
     read = []
-    json_factor = cli._json_factor
-    monkeypatch.setattr(cli, "_json_factor", lambda v: read.append(v) or json_factor(v))
-    cli.bundle_from_json(REPEATING)
+    json_factor = codec._json_factor
+    monkeypatch.setattr(codec, "_json_factor", lambda v: read.append(v) or json_factor(v))
+    codec.bundle_from_json(REPEATING)
     assert read == ["0", "3", "8", "24", "48", "120"]

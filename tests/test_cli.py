@@ -13,20 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import classrecon
-from classrecon import abgroup, cli, fields, lattice, reconstruct
-from classrecon.cli import (
-    EXIT_FAIL,
-    EXIT_INSUFFICIENT,
-    EXIT_OK,
-    EXIT_USAGE,
-    bundle_from_json,
-    bundle_to_json,
-    main,
-    synthetic_spec_from_json,
-)
+from classrecon import cli, codec, errors, fields, lattice, reconstruct
+from classrecon.cli import EXIT_FAIL, EXIT_INSUFFICIENT, EXIT_OK, EXIT_USAGE, main
+from classrecon.codec import bundle_from_json, bundle_to_json, synthetic_spec_from_json
 from classrecon.fields import QuadraticSpec, class_group, enumerate_prime_ideals
 from classrecon.abgroup import FinGenAbGroup
-from classrecon.reconstruct import InvariantBundle, build_bundle
+from classrecon.lattice import build_bundle
+from classrecon.reconstruct import InvariantBundle
 
 from test_golden import BUNDLE_1031, GOLDEN, run_case
 
@@ -137,10 +130,10 @@ class TestInvariantsCommand:
             },
         )
         written, read = [], []
-        decimal, json_factor = cli._decimal, cli._json_factor
-        monkeypatch.setattr(cli, "_decimal", lambda n: written.append(n) or decimal(n))
+        decimal, json_factor = codec._decimal, codec._json_factor
+        monkeypatch.setattr(codec, "_decimal", lambda n: written.append(n) or decimal(n))
         monkeypatch.setattr(
-            cli, "_json_factor", lambda v: read.append(v) or json_factor(v)
+            codec, "_json_factor", lambda v: read.append(v) or json_factor(v)
         )
         doc = bundle_to_json(bundle)
         assert [e["factors"] for e in doc["entries"]] == [["0"] * 3, ["2", "6", "6"]]
@@ -223,7 +216,7 @@ class TestSizeLimits:
 
     @pytest.mark.parametrize(
         "torsion, extra",
-        [(str(2**40 - 1), []), ("4", ["--zeta", str(fields.MAX_BOUND + 1)])],
+        [(str(2**40 - 1), []), ("4", ["--zeta", str(errors.MAX_BOUND + 1)])],
         ids=["default-zeta-bound-2^40", "explicit-zeta-bound"],
     )
     def test_zeta_bound_above_limit_exits_3(self, tmp_path, capsys, torsion, extra):
@@ -255,7 +248,7 @@ class TestSizeLimits:
         ids=["invariants", "roundtrip", "compare"],
     )
     def test_prime_bound_above_limit_exits_3(self, capsys, argv):
-        assert main([*argv, str(fields.MAX_BOUND + 1)]) == EXIT_INSUFFICIENT
+        assert main([*argv, str(errors.MAX_BOUND + 1)]) == EXIT_INSUFFICIENT
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: prime norm bound ")
@@ -305,9 +298,9 @@ class TestLongIntegers:
 
     def test_decimal_codec_matches_str(self):
         for n in (0, 7, 10**600 - 1, 10**600, 10**1201 + 1, 3**40000, 149**2000 - 1):
-            text = cli._decimal(n)
+            text = codec._decimal(n)
             assert text.isdigit() and (text == "0" or text[0] != "0")
-            assert cli._from_decimal(text) == n
+            assert codec._from_decimal(text) == n
             if n < 10**4000:
                 assert text == str(n)
 
@@ -328,7 +321,7 @@ class TestLongIntegers:
         self, tmp_path, capsys, empty, single, code
     ):
         def text(x):
-            return x if isinstance(x, str) else cli._decimal(x)
+            return x if isinstance(x, str) else codec._decimal(x)
 
         doc = {
             "version": 1,
@@ -402,7 +395,7 @@ def snf_calls(monkeypatch):
     The package's memo caches are cleared first, so a call pays its class
     group build as it would in a fresh process.
     """
-    original = abgroup.smith_normal_form
+    original = fields.smith_normal_form
     calls = []
 
     def counted(*args, **kwargs):
@@ -449,7 +442,7 @@ def test_each_prime_power_is_computed_once_per_bundle(argv, tmp_path, monkeypatc
     # On Z/3 x Z/9 the chain needs entries beyond the precomputed ones.
     seen = []
     powers = 0
-    terms_of, make = reconstruct.prime_terms, lattice.PrimeTerms
+    terms_of, make = lattice.prime_terms, lattice.PrimeTerms
 
     def recorded(group, primes):
         seen.extend(p.label for p in primes)
@@ -460,7 +453,7 @@ def test_each_prime_power_is_computed_once_per_bundle(argv, tmp_path, monkeypatc
         powers += 1
         return make(**kwargs)
 
-    monkeypatch.setattr(reconstruct, "prime_terms", recorded)
+    monkeypatch.setattr(lattice, "prime_terms", recorded)
     monkeypatch.setattr(lattice, "PrimeTerms", counted)
     on_demand = 0
     entry = reconstruct.InvariantBundle.entry
@@ -667,7 +660,8 @@ def test_cli_import_builds_no_parser():
 def test_cli_import_does_not_load_sympy():
     src = os.path.dirname(os.path.dirname(classrecon.__file__))
     code = (
-        "import classrecon.cli, sys; "
+        # `cli` imports the rest on demand, so every runtime module is imported
+        "import classrecon.cli, classrecon.codec, classrecon.lattice, sys; "
         "assert 'sympy' not in sys.modules; assert 'classrecon.oracle' not in sys.modules"
     )
     env = dict(os.environ, PYTHONPATH=src)
@@ -1114,7 +1108,7 @@ def written_bundle_docs(draw):
     for labels in label_sets:
         orders = draw(st.lists(FACTOR_ORDERS, max_size=3)) * draw(st.integers(1, 3))
         factors = FinGenAbGroup.from_orders(orders).factors
-        entries.append({"labels": labels, "factors": [cli._decimal(x) for x in factors]})
+        entries.append({"labels": labels, "factors": [codec._decimal(x) for x in factors]})
     entries.sort(key=lambda e: (len(e["labels"]), e["labels"]))
     rank = draw(st.integers(1, 6))
     return {"version": 1, "rank": rank, "labels": list(range(n)), "entries": entries}
@@ -1165,9 +1159,9 @@ def test_writer_gives_the_bytes_of_json_dumps(doc):
         want = json.dumps(doc, indent=2, sort_keys=True)
     except ValueError:  # an int past the str conversion limit
         with pytest.raises(ValueError):
-            cli._json_text(doc)
+            codec._json_text(doc)
         return
-    assert cli._json_text(doc) == want
+    assert codec._json_text(doc) == want
 
 
 @pytest.mark.parametrize(
@@ -1177,13 +1171,13 @@ def test_writer_gives_the_bytes_of_json_dumps(doc):
 )
 def test_writer_refuses_other_types(doc):
     with pytest.raises(TypeError):
-        cli._json_text(doc)
+        codec._json_text(doc)
 
 
 def _text_or_none(doc):
     """The bytes the writer gives for `doc`, or None past the int str limit."""
     try:
-        return (cli._json_text(doc) + "\n").encode("ascii")
+        return (codec._json_text(doc) + "\n").encode("ascii")
     except ValueError:
         return None
 
@@ -1195,7 +1189,7 @@ def test_writing_over_a_file_leaves_exactly_the_new_text(old, new):
     assume(want is not None and _text_or_none(old) is not None)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.json")
-        cli._write_output(old, path)
-        cli._write_output(new, path)
+        codec._write_output(old, path)
+        codec._write_output(new, path)
         with open(path, "rb") as fh:
             assert fh.read() == want

@@ -7,17 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from classrecon.abgroup import (
-    FinGenAbGroup,
+from classrecon.abgroup import FinGenAbGroup, iso_equal
+from classrecon.fields import (
     IntMatrix,
+    PrimeIdealDatum,
+    QuadraticSpec,
     cokernel_of_columns,
-    iso_equal,
+    enumerate_prime_ideals,
     smith_normal_form,
 )
-from classrecon.lattice import PrimeIdealDatum, quotient_group
+from classrecon.lattice import build_bundle, quotient_group
+from classrecon.reconstruct import reconstruct_all
 from classrecon.oracle import (
     ClassGroupModel,
     PredictedQuotient,
+    class_group_model,
     cycle_cokernel,
     lattice_quotient,
     naive_member,
@@ -28,7 +32,7 @@ from classrecon.oracle import (
     sublattice_columns,
 )
 
-from helpers import ODD_PRIME_POWERS, datum, z2_model
+from helpers import ODD_PRIME_POWERS, datum, random_generating_family, z2_model
 
 
 P3 = datum("p3", 3, (1,))
@@ -309,6 +313,61 @@ def test_formula_matches_both_certifying_routes(case):
         assert predicted_group(predicted_quotient(model, primes)) == brute
     if len(primes) == 1:
         assert singleton_quotient(model, primes[0]) == brute
+
+
+# The two top rungs of the benchmark ladder, certified by routes that share
+# nothing with the closed formula: the paper's induction at -100019
+# (h = 193), and SNF of the whole sublattice on Z/4 x Z/4 x Z/8 (h = 128).
+
+
+def test_top_quadratic_rung_matches_the_induction():
+    spec = QuadraticSpec(-100019)
+    primes = enumerate_prime_ideals(spec, 60)
+    model = class_group_model(spec)
+    assert model.size == 193
+    bundle = build_bundle(model.group, primes)
+    odd = [p for p in primes if p.has_odd_norm]
+    sets = [[p] for p in primes]
+    rng = random.Random(193)
+    sets += [rng.sample(odd, rng.randint(1, 3)) for _ in range(12)]
+    # A conjugate pair has inverse classes, so its relation (1, 1) cuts m
+    # from N**193 - 1 down to N - 1; each pair also gets a seeded third prime.
+    by_label = {p.label: p for p in primes}
+    for p in primes:
+        if p.label + "c" in by_label:
+            pair = [p, by_label[p.label + "c"]]
+            sets += [pair, pair + [rng.choice([q for q in odd if q not in pair])]]
+    assert any(len(s) == 3 for s in sets)
+    for subset in sets:
+        if all(p.has_odd_norm for p in subset):
+            want = predicted_group(predicted_quotient(model, subset))
+        else:  # the induction needs odd norms: p_2 is inert, of norm 4
+            [p] = subset
+            want = singleton_quotient(model, p)
+        assert bundle.entry([p.label for p in subset]) == want, subset
+
+
+def test_top_synthetic_rung_matches_snf():
+    # Every entry a blind reconstruction reads, plus seeded sets of mixed
+    # parity, against the Smith normal form of the whole sublattice.
+    rng = random.Random(448)
+    group = FinGenAbGroup((4, 4, 8))
+    classes = random_generating_family(rng, group, 5)
+    norms = rng.sample(ODD_PRIME_POWERS, len(classes)) + [2, 4]
+    classes += [group.element([rng.randrange(d) for d in group.factors]) for _ in range(2)]
+    primes = [datum(f"s{i}", n, c) for i, (n, c) in enumerate(zip(norms, classes))]
+    bundle = build_bundle(group, primes)
+    assert reconstruct_all(bundle).class_group == group
+    sets = [frozenset(key) for key in bundle.entries]
+    assert max(map(len, sets)) >= 2
+    labels = [p.label for p in primes]
+    sets += [frozenset(rng.sample(labels, rng.randint(2, 3))) for _ in range(3)]
+    assert any(norms[labels.index(l)] % 2 == 0 for s in sets[-3:] for l in s)
+    model = ClassGroupModel(group)
+    by_label = dict(zip(labels, primes))
+    for key in sets:
+        want, _ = lattice_quotient(model, [by_label[l] for l in sorted(key)])
+        assert bundle.entry(key) == want, sorted(key)
 
 
 def test_prime_datum_validation():

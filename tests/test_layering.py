@@ -1,8 +1,15 @@
-"""The certifiers stay in `oracle`; the runtime modules neither define nor import them.
+"""The layering of the package, pinned by its import graph.
+
+The certifiers stay in `oracle`; the runtime modules neither define nor
+import them.  The blind consumer (`reconstruct`, with the shared `abgroup`
+and `errors`) imports no producer module (`fields`, `lattice`, `oracle`),
+so the blinding rule holds by construction.  No module imports `cli`, and
+each subcommand loads exactly the modules it runs: nothing is compiled that
+a call does not use.
 
 The runtime also stays off `dataclasses`, which loads `inspect` and
 generates code for each class at import: every CLI call would pay for it.
-And only `cli._write_output` opens a file for writing: it overwrites in
+And only `codec._write_output` opens a file for writing: it overwrites in
 place, where `open(path, "w")` would truncate to zero and make the
 filesystem flush the file on close.
 """
@@ -112,13 +119,13 @@ def _imported_modules(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
 def test_only_the_output_writer_opens_files_for_writing(path):
     writers = _enclosing_functions(_parse(path), _opens_for_writing)
-    assert writers == (["_write_output"] if path.stem == "cli" else [])
+    assert writers == (["_write_output"] if path.stem == "codec" else [])
 
 
 def test_the_output_writer_opens_without_truncating():
     writer = next(
         node
-        for node in ast.walk(_parse(PACKAGE / "cli.py"))
+        for node in ast.walk(_parse(PACKAGE / "codec.py"))
         if isinstance(node, ast.FunctionDef) and node.name == "_write_output"
     )
     [call] = [ast.unparse(n) for n in ast.walk(writer) if _opens_for_writing(n)]
@@ -162,7 +169,8 @@ def test_scan_finds_dataclasses_imports():
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     src = os.path.dirname(os.path.dirname(classrecon.__file__))
     code = (
-        "import classrecon.cli, sys; "
+        # `cli` imports the rest on demand, so every runtime module is imported
+        "import classrecon.cli, classrecon.codec, classrecon.lattice, sys; "
         "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
         "assert not loaded, loaded"
     )
@@ -218,3 +226,129 @@ def test_package_import_leaves_oracle_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+GOLDEN = Path(__file__).parent / "golden"
+SRC = os.path.dirname(os.path.dirname(classrecon.__file__))
+CONSUMER = {"abgroup", "errors", "reconstruct"}
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The `classrecon` submodules a tree imports, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(
+                a.name.split(".")[1] for a in node.names if a.name.startswith("classrecon.")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 or module == "classrecon" or module.startswith("classrecon."):
+                base = module.split(".")[-1] if module and module != "classrecon" else None
+                found.update([base] if base else [a.name for a in node.names])
+    return found
+
+
+def test_scan_finds_package_imports():
+    tree = ast.parse(
+        "import json\n"
+        "from .abgroup import x\n"
+        "from . import fields as home\n"
+        "def f():\n"
+        "    import classrecon.lattice\n"
+        "    from classrecon.codec import y\n"
+        "    from classrecon import oracle\n"
+        "from json.encoder import z\n"
+    )
+    assert _package_imports(tree) == {"abgroup", "fields", "lattice", "codec", "oracle"}
+
+
+@pytest.mark.parametrize("name", sorted(CONSUMER))
+def test_consumer_imports_no_producer(name):
+    # `reconstruct` sees only the bundle: it cannot reach the field data,
+    # the quotient producer or the certifiers, even in a deferred import.
+    assert _package_imports(_parse(PACKAGE / f"{name}.py")) <= CONSUMER - {name}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_cli(path):
+    # Under `python -m classrecon.cli` an import of `classrecon.cli` would
+    # compile the module a second time, and runpy would warn about it.
+    assert "cli" not in _package_imports(_parse(path))
+
+
+def _loaded_by(*argv: str) -> tuple[list[str], bool]:
+    """The `classrecon` modules and whether `json` is loaded after a call.
+
+    A fresh interpreter runs `cli.main(argv)`; with no argv it runs only
+    `import classrecon`.
+    """
+    call = "from classrecon.cli import main; assert main(sys.argv[1:]) == 0\n" if argv else ""
+    code = (
+        "import sys\n"
+        "import classrecon\n"
+        f"{call}"
+        "names = sorted(m for m in sys.modules if m.split('.')[0] == 'classrecon')\n"
+        "print(' '.join(names), 'json' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    *names, json_loaded = proc.stdout.splitlines()[-1].split()
+    return sorted(n.removeprefix("classrecon.") for n in names), json_loaded == "True"
+
+
+# `invariants` and `roundtrip` produce a bundle and reconstruct it blind
+EVERY_RUNTIME_MODULE = [
+    "abgroup", "classrecon", "cli", "codec", "errors", "fields", "lattice", "reconstruct",
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "modules"),
+    [
+        ([], ["classrecon"]),
+        (["classgroup", "-D", "-84"], ["abgroup", "classrecon", "cli", "errors", "fields"]),
+        (
+            ["classgroup", "--synthetic", str(GOLDEN / "synthetic_248.json")],
+            ["abgroup", "classrecon", "cli", "codec", "errors", "fields"],
+        ),
+        (
+            ["reconstruct", str(GOLDEN / "invariants_1031.out")],
+            ["abgroup", "classrecon", "cli", "codec", "errors", "reconstruct"],
+        ),
+        (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE),
+        (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE),
+    ],
+    ids=["import", "classgroup-D", "classgroup-synthetic", "reconstruct", "invariants",
+         "roundtrip"],
+)
+def test_each_command_loads_only_what_it_runs(argv, modules):
+    loaded, json_loaded = _loaded_by(*argv)
+    assert loaded == modules
+    # JSON is read or written only through the codec
+    assert json_loaded == ("codec" in modules)
+
+
+def test_run_as_a_module_writes_nothing_to_stderr():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "classrecon.cli", "classgroup", "-D", "-84"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "Z/2 x Z/2; forms: (1,0,21),(2,2,11),(3,0,7),(5,4,5)\n"
+
+
+def test_cli_forwards_the_names_the_benchmark_reads():
+    from classrecon import cli, codec, lattice, reconstruct
+
+    for name in ("bundle_from_json", "bundle_to_json", "report_to_json",
+                 "synthetic_spec_from_json"):
+        assert getattr(cli, name) is getattr(codec, name)
+    assert cli.reconstruct_all is reconstruct.reconstruct_all
+    assert classrecon.build_bundle is lattice.build_bundle
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name  # noqa: B018
