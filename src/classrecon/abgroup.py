@@ -240,9 +240,6 @@ class FinGenAbGroup(SlotRecord):
     def zero(self) -> GroupElement:
         return (0,) * len(self.factors)
 
-    def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.element([x + y for x, y in zip(a, b)])
-
     def neg(self, a: GroupElement) -> GroupElement:
         return self.element([-x for x in a])
 

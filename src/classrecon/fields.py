@@ -8,47 +8,43 @@ specifications carry an arbitrary finite abelian group and a free-form
 prime stream, so class groups outside quadratic reach enter the test matrix.
 Either kind of spec yields its primes as `PrimeIdealDatum`s.
 
-The class group is built by subgroup extension: walking the sorted forms,
-each one outside the subgroup covered so far becomes a generator, its least
-multiple inside that subgroup gives one relation, and its cosets are
-covered by translation; the principal form translates without one.  That
-takes h - 1 compositions, never an h^2 table, and no GRH bound, since every
-reduced form is enumerated.  The Smith normal form of the small relation
-matrix gives the structure and each form's class.  The tests certify the
-build against raw composition: the orders of the forms match the group's,
-and the map from forms to classes is a bijective homomorphism.
-`class_group` returns the group as a plain `FinGenAbGroup`, which is all the
-runtime needs; `oracle.class_group_model` enumerates its elements for the
-certifiers.
-The reduced forms themselves come from square roots: for each leading
-coefficient a <= sqrt(|D|/3), the middle coefficients b are the roots of
-b^2 = D (mod 4a), combined by the Chinese remainder theorem from roots
-modulo the prime powers of 4a.  That takes about sqrt(|D|) steps, not the
-|D|/3 of trying every pair (a, b), which `oracle.naive_reduced_forms` keeps
-as the reference.
+Form arithmetic has one kernel on plain (a, b, c) int triples:
+`_compose_triples` (the united-forms algorithm, its congruences solved by
+`gcd` and a modular inverse) and `_reduce_triple` (which keeps c by the
+shift c + k(b + ak), never from the discriminant).  `QuadraticForm.compose`
+and `.reduced` wrap it; the tests certify it against Dirichlet composition
+(`oracle.dirichlet_compose`) and the group axioms.
 
-The Smith normal form (`IntMatrix`, `smith_normal_form`,
-`cokernel_of_columns`), the square roots modulo primes and prime powers
-and the least prime factor table live here, beside the class-group build
-and the form enumeration, their one runtime user; the certifiers in
-`oracle` import them from here.  So a blind `reconstruct`, which never
-loads this module, never compiles them.  This module imports neither the
-lattice producer nor the blind consumer: `classgroup -D` loads only it,
-`abgroup` and `errors`.
+The class group is built on triples by subgroup extension: walking the
+sorted reduced forms, each one outside the subgroup covered so far becomes
+a generator, its least multiple inside that subgroup gives one relation,
+and its cosets are covered by translation; the principal form translates
+without one.  That takes h - 1 compositions, never an h^2 table, and no
+GRH bound, since every reduced form is enumerated.  The Smith normal form
+of the small relation matrix gives the structure and each form's class.
+The reduced forms come from square roots: for each a <= sqrt(|D|/3), the
+b are the roots of b^2 = D (mod 4a), combined by CRT from roots modulo the
+prime powers of 4a, about sqrt(|D|) steps against the |D|/3 of
+`oracle.naive_reduced_forms`.  Prime enumeration computes one Kronecker
+symbol per rational prime and finds a prime's class by its reduced triple.
+
+The Smith normal form, the modular square roots and the least prime
+factor table live here, beside their one runtime user.  This module
+imports neither the lattice producer nor the blind consumer:
+`classgroup -D` loads only it, `abgroup` and `errors`.
 
 Quadratic specs with |D| above `errors.MAX_DISCRIMINANT` are refused
 before any work, since the class group build grows with h, about
 sqrt(|D|); prime bounds above `errors.MAX_BOUND` and synthetic groups of
-order above `errors.MAX_SYNTHETIC_ORDER` are refused the same way.  The
-fourth limit, on the bit size of a quotient order, is
-`errors.MAX_QUOTIENT_BITS`, checked where quotients are computed, in
-`lattice`.
+order above `errors.MAX_SYNTHETIC_ORDER` are refused the same way.
+`errors.MAX_QUOTIENT_BITS` is checked where quotients are computed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .abgroup import (
@@ -436,11 +432,14 @@ def _check_discriminant(d: int) -> None:
         )
 
 
+Triple = tuple[int, int, int]  # the coefficients (a, b, c) of a form
+
+
 class QuadraticForm(SlotRecord):
     """Positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2.
 
-    Forms compare, sort and hash by the triple (a, b, c), read directly:
-    they are the dict keys of every class-group build.
+    Forms compare, sort and hash by the triple (a, b, c), read directly;
+    `reduced` and `compose` wrap the kernel on triples.
     """
 
     __slots__ = ("a", "b", "c")
@@ -464,7 +463,7 @@ class QuadraticForm(SlotRecord):
         return hash((self.a, self.b, self.c))
 
     @property
-    def triple(self) -> tuple[int, int, int]:
+    def triple(self) -> Triple:
         return (self.a, self.b, self.c)
 
     @property
@@ -475,71 +474,78 @@ class QuadraticForm(SlotRecord):
         return self.a * x * x + self.b * x * y + self.c * y * y
 
     def reduced(self) -> QuadraticForm:
-        a, b, c = self.triple
-        d = self.discriminant
-        while True:
-            if a > c:
-                a, b, c = c, -b, a
-                continue
-            if b > a or b <= -a:
-                r = b % (2 * a)
-                if r > a:
-                    r -= 2 * a
-                b, c = r, (r * r - d) // (4 * a)
-                continue
-            if a == c and b < 0:
-                b = -b
-            return QuadraticForm(a, b, c)
+        return QuadraticForm(*_reduce_triple(self.a, self.b, self.c))
 
     def compose(self, other: QuadraticForm) -> QuadraticForm:
         """Composition of form classes (united-forms algorithm), reduced."""
-        d = self.discriminant
-        if other.discriminant != d:
+        if other.discriminant != self.discriminant:
             raise ValueError("cannot compose forms of different discriminants")
-        a1, b1, c1 = self.triple
-        a2, b2, c2 = other.triple
-        s = (b1 + b2) // 2
-        n = (b2 - b1) // 2
-        w = gcd(gcd(a1, a2), s)
-        t1, t2, u = a1 // w, a2 // w, s // w
-        mod1 = t1 * t2
-        mu, step = _solve_congruence(t2 * u, n * u + t1 * c1, mod1)
-        if t1 == 1:
-            lam = 0
-        else:
-            lam, _ = _solve_congruence(t2 * step, n - t2 * mu, t1)
-        k = mu + step * lam
-        ell, rem1 = divmod(k * t2 - n, t1)
-        m, rem2 = divmod(t2 * u * k - n * u - c1 * t1, t1 * t2)
-        if rem1 or rem2:
-            raise InternalContradiction("united-forms composition left a remainder")
-        a3 = t1 * t2
-        b3 = w * u - (k * t2 + ell * t1)
-        c3 = k * ell - w * m
-        return QuadraticForm(a3, b3, c3).reduced()
+        return QuadraticForm(*_compose_triples(self.triple, other.triple))
+
+
+def _reduce_triple(a: int, b: int, c: int) -> Triple:
+    """The reduced form of the class of the positive definite form (a, b, c).
+
+    The substitution x -> x + k*y takes (a, b, c) to (a, b + 2ak,
+    c + k(b + ak)), and k = floor((a - b) / 2a) brings b into (-a, a];
+    while a > c, the swap (a, b, c) -> (c, -b, a) follows.  No step
+    recomputes c from the discriminant.
+    """
+    while True:
+        if b > a or b <= -a:
+            k = (a - b) // (2 * a)
+            c += k * (b + a * k)
+            b += 2 * a * k
+        if a <= c:
+            return (a, -b, c) if a == c and b < 0 else (a, b, c)
+        a, b, c = c, -b, a
+
+
+def _compose_triples(f: Triple, g: Triple) -> Triple:
+    """The reduced composition of two forms of one discriminant.
+
+    The united-forms algorithm: with s = (b1 + b2)/2, n = b2 - s and
+    w = gcd(a1, a2, s), two linear congruences (`_solve_congruence`) give
+    k, and k gives the composite of leading coefficient a1*a2/w^2, never
+    using the discriminant.  A remainder in an exact division raises.
+    """
+    a1, b1, c1 = f
+    a2, b2, _ = g
+    s = (b1 + b2) // 2
+    n = b2 - s
+    w = gcd(a1, a2, s)
+    t1, t2, u = a1 // w, a2 // w, s // w
+    mu, step = _solve_congruence(t2 * u, n * u + t1 * c1, t1 * t2)
+    lam, _ = _solve_congruence(t2 * step, n - t2 * mu, t1)
+    k = mu + step * lam
+    ell, rem1 = divmod(k * t2 - n, t1)
+    m, rem2 = divmod(t2 * u * k - n * u - c1 * t1, t1 * t2)
+    if rem1 or rem2:
+        raise InternalContradiction("united-forms composition left a remainder")
+    return _reduce_triple(t1 * t2, w * u - (k * t2 + ell * t1), k * ell - w * m)
 
 
 def _solve_congruence(a: int, b: int, m: int) -> tuple[int, int]:
-    """Solve a*x = b (mod m); return (x0, step) describing all solutions."""
-    if m == 1:
-        return 0, 1
-    a %= m
-    g, inv, _ = xgcd(a, m)
+    """Solve a*x = b (mod m): the solutions are x0 + step*t, with 0 <= x0 < step."""
+    g = gcd(a, m)
     if b % g:
         raise InternalContradiction(f"{a}*x = {b} (mod {m}) has no solution")
     step = m // g
-    return ((b // g) * inv) % step, step
+    return (b // g) * pow(a // g, -1, step) % step, step
 
 
 def principal_form(d: int) -> QuadraticForm:
     _check_discriminant(d)
-    if d % 2 == 0:
-        return QuadraticForm(1, 0, -d // 4)
-    return QuadraticForm(1, 1, (1 - d) // 4)
+    return QuadraticForm(1, d % 2, (d % 2 - d) // 4)
 
 
 def reduced_forms(d: int) -> list[QuadraticForm]:
-    """All reduced forms of a negative fundamental discriminant, sorted.
+    """All reduced forms of a negative fundamental discriminant, sorted."""
+    return [QuadraticForm(*f) for f in _reduced_triples(d)]
+
+
+def _reduced_triples(d: int) -> list[Triple]:
+    """The triples of the reduced forms of discriminant d, sorted.
 
     A reduced form (a, b, c) has a <= sqrt(|d|/3), and b lies in (-a, a]
     with b^2 = d (mod 4a); b and b + 2a give the same c, so the candidates
@@ -572,11 +578,13 @@ def reduced_forms(d: int) -> list[QuadraticForm]:
                 if rest == 1
                 else _crt(odd_roots[prime_power], prime_power, odd_roots[rest], rest)
             )
+        if not (two_adic[e] and odd_roots[m]):
+            continue
         roots = _crt(two_adic[e], 2 << e, odd_roots[m], m)
-        for b in sorted(x - 2 * a if x > a else x for x in roots):
+        for b in sorted([x - 2 * a if x > a else x for x in roots]):
             c = (b * b - d) // (4 * a)
             if c > a or (c == a and b >= 0):
-                forms.append(QuadraticForm(a, b, c))
+                forms.append((a, b, c))
     return forms
 
 
@@ -621,7 +629,7 @@ class _DiscriminantData:
     def __init__(
         self,
         forms: tuple[QuadraticForm, ...],
-        index: dict[QuadraticForm, int],  # position of each form in `forms`
+        index: dict[Triple, int],  # position of each form's triple in `forms`
         group: FinGenAbGroup,
         form_class: tuple[GroupElement, ...],  # class coordinates per form
     ) -> None:
@@ -642,34 +650,33 @@ def _discriminant_data(d: int) -> _DiscriminantData:
     one composition: h - 1 in all, fewer than h.  The relations form a
     triangular matrix of determinant h on at most log2(h) generators; its
     Smith normal form gives the group and the image of each generator, and
-    each form's class is the sum its coordinates name.
+    each form's class is the sum its coordinates name.  The walk runs on
+    triples; only the returned `forms` are built as `QuadraticForm`s.
     """
-    forms = reduced_forms(d)
-    h = len(forms)
-    index = {f: i for i, f in enumerate(forms)}
-    principal = index[principal_form(d)]
+    triples = _reduced_triples(d)
+    h = len(triples)
+    index = {f: i for i, f in enumerate(triples)}
+    principal = index[(1, d % 2, (d % 2 - d) // 4)]  # as in `principal_form`
     coords: dict[int, tuple[int, ...]] = {principal: ()}
     relations: list[tuple[int, tuple[int, ...]]] = []  # (k, coords of k*x)
-    for x, gen in enumerate(forms):
+    for x, gen in enumerate(triples):
         if x in coords:
             continue
         r = len(relations)
-        subgroup = [(i, c + (0,) * (r - len(c))) for i, c in coords.items()]
+        subgroup = [(i, triples[i], c + (0,) * (r - len(c))) for i, c in coords.items()]
         in_subgroup = set(coords)
-        multiple, k = gen, 1
-        while index[multiple] not in in_subgroup:
-            for i, c in subgroup:
-                if i == principal:
-                    y = index[multiple]
-                else:
-                    y = index[forms[i].compose(multiple)]
-                if y in coords:
+        multiple, y, k = gen, x, 1
+        while y not in in_subgroup:
+            for i, f, c in subgroup:
+                z = y if i == principal else index[_compose_triples(f, multiple)]
+                if z in coords:
                     raise InternalContradiction(
                         f"translates of a form subgroup overlap for {d}"
                     )
-                coords[y] = c + (k,)
-            multiple, k = multiple.compose(gen), k + 1
-        relations.append((k, coords[index[multiple]]))
+                coords[z] = c + (k,)
+            multiple, k = _compose_triples(multiple, gen), k + 1
+            y = index[multiple]
+        relations.append((k, coords[y]))
     if len(coords) != h:
         raise InternalContradiction(f"subgroup extension missed forms of {d}")
     n = len(relations)
@@ -683,21 +690,14 @@ def _discriminant_data(d: int) -> _DiscriminantData:
         raise InternalContradiction(
             f"relation lattice of {d} has index {group.order()}, not {h}"
         )
-    rank = len(group.factors)
-    form_class = tuple(
-        group.element(
-            [sum(v * img[t] for v, img in zip(coords[i], images)) for t in range(rank)]
-        )
-        for i in range(h)
-    )
+    weights = [(f, [img[t] for img in images]) for t, f in enumerate(group.factors)]
+    form_class: list[GroupElement] = [()] * h
+    for i, c in coords.items():
+        form_class[i] = tuple([sum(map(mul, c, w)) % f for f, w in weights])
     if len(set(form_class)) != h:
         raise InternalContradiction(f"form classes of {d} are not a bijection")
-    return _DiscriminantData(
-        forms=tuple(forms),
-        index=index,
-        group=group,
-        form_class=form_class,
-    )
+    forms = tuple(QuadraticForm(*f) for f in triples)
+    return _DiscriminantData(forms, index, group, tuple(form_class))
 
 
 class Splitting(NamedTuple):
@@ -722,32 +722,38 @@ def kronecker_splitting(d: int, q: int) -> Splitting:
 
 
 def prime_form(d: int, q: int) -> QuadraticForm:
-    """The form (q, b, c) of discriminant d with the smallest b in [0, 2q).
+    """The form (q, b, c) of discriminant d with the smallest b in [0, 2q)."""
+    if kronecker_splitting(d, q).kind == "inert":
+        raise ValueError(f"{q} is inert in discriminant {d}; no form with a = {q}")
+    return QuadraticForm(*_prime_triple(d, q))
+
+
+def _prime_triple(d: int, q: int) -> Triple:
+    """The triple of `prime_form(d, q)`, for a prime q known not to be inert.
 
     The b are the roots of d modulo 4q, one per class mod 2q, as in
-    `reduced_forms`: the root modulo q combined with the parity of d, or
-    the 2-adic roots for q = 2.
+    `reduced_forms`: for odd q, each root +-r modulo q lifted to the
+    parity of d (for r = 0 the lift of q is q or 2q, never below the lift
+    of 0); for q = 2, the 2-adic roots.  The form must be primitive.
     """
-    split = kronecker_splitting(d, q)
-    if split.kind == "inert":
-        raise ValueError(f"{q} is inert in discriminant {d}; no form with a = {q}")
     if q == 2:
         roots = _two_adic_roots(d, 1)
     else:
-        roots = _crt(_two_adic_roots(d, 0), 2, _odd_prime_power_roots(d, q, 1), q)
+        r = sqrt_mod_prime(d, q)
+        roots = [] if r is None else [x + q * ((x - d) % 2) for x in (r, q - r)]
     if not roots:
         raise InternalContradiction(f"no prime form found for ({d}, {q})")
     b = min(roots)
     c, rem = divmod(b * b - d, 4 * q)
-    if rem or gcd(gcd(q, b), c) != 1:
+    if rem or gcd(q, b, c) != 1:
         raise InternalContradiction(f"no primitive prime form for ({d}, {q})")
-    return QuadraticForm(q, b, c)
+    return (q, b, c)
 
 
 def ideal_class_of_prime(d: int, q: int) -> GroupElement:
     """Class of the canonical prime ideal above a non-inert rational prime."""
     data = _discriminant_data(d)
-    return data.form_class[data.index[prime_form(d, q).reduced()]]
+    return data.form_class[data.index[_reduce_triple(*prime_form(d, q).triple)]]
 
 
 class QuadraticSpec(SlotRecord):
@@ -856,30 +862,21 @@ def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]
     if isinstance(spec, SyntheticSpec):
         return [p for p in spec.primes if p.norm <= bound]
     d = spec.discriminant
-    group = _discriminant_data(d).group
+    data = _discriminant_data(d)
+    group = data.group
     out: list[PrimeIdealDatum] = []
     for q in primes_up_to(bound):
         split = kronecker_splitting(d, q)
         if split.norm > bound:
             continue
         if split.kind == "inert":
-            out.append(
-                PrimeIdealDatum(
-                    label=f"p_{q}", norm=split.norm, cls=group.zero(), residue_char=q
-                )
-            )
+            out.append(PrimeIdealDatum(f"p_{q}", split.norm, group.zero(), q))
             continue
-        cls = ideal_class_of_prime(d, q)
-        out.append(
-            PrimeIdealDatum(label=f"p_{q}", norm=split.norm, cls=cls, residue_char=q)
-        )
+        # the splitting is known, so the prime form skips `prime_form`'s check
+        cls = data.form_class[data.index[_reduce_triple(*_prime_triple(d, q))]]
+        out.append(PrimeIdealDatum(f"p_{q}", q, cls, q))
         if split.kind == "split":
-            inverse = group.neg(cls)
-            out.append(
-                PrimeIdealDatum(
-                    label=f"p_{q}c", norm=split.norm, cls=inverse, residue_char=q
-                )
-            )
+            out.append(PrimeIdealDatum(f"p_{q}c", q, group.neg(cls), q))
     return out
 
 

@@ -52,6 +52,11 @@ class OracleGuard(Exception):
     """The requested instance exceeds the oracle's hard size limit."""
 
 
+def group_add(g: FinGenAbGroup, a: GroupElement, b: GroupElement) -> GroupElement:
+    """The sum of two elements of g, reduced."""
+    return g.element([x + y for x, y in zip(a, b)])
+
+
 class ClassGroupModel:
     """A finite abelian group with every element enumerated.
 
@@ -81,7 +86,7 @@ class ClassGroupModel:
             raise ValueError(f"{coords} is not an element of this group") from None
 
     def add(self, i: int, j: int) -> int:
-        return self._index[self.group.add(self.elements[i], self.elements[j])]
+        return self._index[group_add(self.group, self.elements[i], self.elements[j])]
 
     def subgroup_closure(self, gens: tuple[int, ...] | list[int]) -> frozenset[int]:
         seen = {0}
@@ -476,7 +481,7 @@ def naive_order_index(
     order = 1
     acc = elem
     while any(acc):
-        acc = g.add(acc, elem)
+        acc = group_add(g, acc, elem)
         order += 1
     closure = {g.zero()}
     frontier = [g.zero()]
@@ -485,7 +490,7 @@ def naive_order_index(
         nxt = []
         for v in frontier:
             for x in gens:
-                w = g.add(v, x)
+                w = group_add(g, v, x)
                 if w not in closure:
                     closure.add(w)
                     nxt.append(w)
@@ -572,6 +577,55 @@ def naive_reduced_forms(d: int) -> list[QuadraticForm]:
                 continue
             forms.append(QuadraticForm(a, b, c))
     return sorted(forms)
+
+
+def naive_reduce(a: int, b: int, c: int) -> QuadraticForm:
+    """The reduced form equivalent to the positive definite form (a, b, c).
+
+    Alternates two moves until the form is reduced: b goes to the
+    representative of b modulo 2a in (-a, a], with c recomputed from the
+    discriminant, and (a, b, c) goes to (c, -b, a) while c < a.  The
+    reference for `fields._reduce_triple`, which keeps c by its shift.
+    """
+    d = b * b - 4 * a * c
+    if a <= 0 or d >= 0:
+        raise ValueError(f"form {(a, b, c)} is not positive definite")
+    while True:
+        b = a - (a - b) % (2 * a)
+        c, rem = divmod(b * b - d, 4 * a)
+        if rem:
+            raise InternalContradiction(f"reduction of discriminant {d} left a remainder")
+        if c >= a:
+            break
+        a, b, c = c, -b, a
+    if a == c and b < 0:
+        b = -b
+    return QuadraticForm(a, b, c)
+
+
+def dirichlet_compose(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
+    """Dirichlet composition of two forms with coprime leading coefficients, reduced.
+
+    Cox, Primes of the Form x^2 + ny^2, section 3: B is the class modulo
+    2*a1*a2 with B = b1 (mod 2a1) and B = b2 (mod 2a2), found by CRT;
+    then B^2 = D (mod 4*a1*a2), and the composite is
+    (a1*a2, B, (B^2 - D)/(4*a1*a2)).  It shares no step with the
+    united-forms kernel `fields._compose_triples` it certifies, and
+    `naive_reduce` reduces it.
+    """
+    d = f.discriminant
+    if g.discriminant != d:
+        raise ValueError("cannot compose forms of different discriminants")
+    if gcd(f.a, g.a) != 1:
+        raise ValueError(f"leading coefficients {f.a} and {g.a} are not coprime")
+    # B = b1 + 2*a1*t, and B = b2 (mod 2a2) asks a1*t = (b2 - b1)/2 (mod a2)
+    inverse, _ = _bezout(f.a, g.a)
+    big_b = f.b + 2 * f.a * ((g.b - f.b) // 2 * inverse % g.a)
+    a = f.a * g.a
+    c, rem = divmod(big_b * big_b - d, 4 * a)
+    if rem:
+        raise InternalContradiction(f"B^2 = D fails modulo 4*{a} for {f} and {g}")
+    return naive_reduce(a, big_b, c)
 
 
 def naive_represented_primes(d: int, q: int) -> Representation | None:

@@ -38,6 +38,7 @@ from classrecon.oracle import (
     QUOTIENT_GUARD,
     determinant,
     element_order,
+    group_add,
     naive_cokernel,
     naive_member,
     naive_order_index,
@@ -172,7 +173,7 @@ class TestCokernel:
             for col in cols:
                 img = g.zero()
                 for i, coef in enumerate(col):
-                    img = g.add(img, g.element([coef * x for x in proj[i]]))
+                    img = group_add(g, img, g.element([coef * x for x in proj[i]]))
                 assert img == g.zero()
 
 
@@ -360,7 +361,7 @@ class TestCanonicalForm:
     def test_element_reduction(self):
         g = FinGenAbGroup((2, 4))
         assert g.element((5, -1)) == (1, 3)
-        assert g.add((1, 3), (1, 1)) == (0, 0)
+        assert group_add(g, (1, 3), (1, 1)) == (0, 0)
         assert g.neg((1, 3)) == (1, 1)
 
     def test_str(self):

@@ -2,9 +2,12 @@
 
 import itertools
 import random
+from math import gcd, isqrt
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from classrecon import fields
 from classrecon.fields import (
@@ -32,7 +35,10 @@ from classrecon.fields import (
 from classrecon.abgroup import FinGenAbGroup, primes_up_to
 from classrecon.oracle import (
     class_group_model,
+    dirichlet_compose,
     element_order,
+    group_add,
+    naive_reduce,
     naive_reduced_forms,
     naive_represented_primes,
 )
@@ -91,6 +97,13 @@ def _scanned_prime_form(d: int, q: int) -> QuadraticForm | None:
         if num % (4 * q) == 0:
             return QuadraticForm(q, b, num // (4 * q))
     return None
+
+
+@st.composite
+def positive_definite_triples(draw):
+    a, c = draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))
+    top = isqrt(4 * a * c - 1)
+    return a, draw(st.integers(-top, top)), c
 
 
 class TestKroneckerSymbol:
@@ -171,6 +184,16 @@ class TestReducedForms:
                 g = QuadraticForm(f.a, f.b + 2 * f.a, f.a + f.b + f.c)
                 assert g.discriminant == d
                 assert g.reduced() == f
+
+    @settings(max_examples=300, deadline=None)
+    @given(positive_definite_triples())
+    @example((5, -3, 5))
+    @example((7, 7, 7))
+    @example((3, -17, 25))
+    def test_reduction_agrees_with_the_oracle(self, triple):
+        want = naive_reduce(*triple)
+        assert fields._reduce_triple(*triple) == want.triple
+        assert QuadraticForm(*triple).reduced() == want
 
 
 class TestFormEnumeration:
@@ -255,17 +278,42 @@ class TestComposition:
             assert model.size == len(forms)
 
     def test_form_class_is_bijective_homomorphism(self):
-        # all pairs for h <= 40, 200 seeded pairs above
+        # every pair for h <= 40; larger fields draw their pairs below
         for d in ORACLE_DISCRIMINANTS:
             forms, classes = _forms_and_classes(d)
             group = class_group(QuadraticSpec(d))
             assert len(set(classes)) == len(forms) == group.order(), d
-            cls = dict(zip(forms, classes))
-            pairs = list(itertools.product(forms, repeat=2))
             if len(forms) > 40:
-                pairs = random.Random(d).sample(pairs, 200)
-            for f, g in pairs:
-                assert cls[f.compose(g)] == group.add(cls[f], cls[g]), (d, f, g)
+                continue
+            cls = dict(zip(forms, classes))
+            for f, g in itertools.product(forms, repeat=2):
+                assert cls[f.compose(g)] == group_add(group, cls[f], cls[g]), (d, f, g)
+
+    @pytest.mark.parametrize(
+        "d", [d for d in ORACLE_DISCRIMINANTS if len(reduced_forms(d)) > 40]
+    )
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_form_class_is_homomorphic_on_drawn_pairs(self, d, data):
+        forms, classes = _forms_and_classes(d)
+        group = class_group(QuadraticSpec(d))
+        i, j = data.draw(st.tuples(*[st.integers(0, len(forms) - 1)] * 2))
+        product = forms.index(forms[i].compose(forms[j]))
+        assert classes[product] == group_add(group, classes[i], classes[j])
+
+    @pytest.mark.parametrize("d, h", [(-100019, 193), (-895211, 299)])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_kernel_agrees_with_dirichlet_composition(self, d, h, data):
+        # the united-forms kernel against Dirichlet composition (CRT for B,
+        # its own reduction) on reduced forms with coprime leading coefficients
+        forms = _forms_and_classes(d)[0]
+        assert len(forms) == h
+        f = data.draw(st.sampled_from(forms))
+        g = data.draw(st.sampled_from([x for x in forms if gcd(f.a, x.a) == 1]))
+        want = dirichlet_compose(f, g)
+        assert fields._compose_triples(f.triple, g.triple) == want.triple
+        assert f.compose(g) == want == g.compose(f)
 
     @pytest.mark.parametrize(
         "d, factors",
@@ -286,17 +334,45 @@ class TestComposition:
         # translate or as a power step, and the principal form translates
         # without a composition: h - 1 in all, no h^2 table
         calls = 0
-        compose = QuadraticForm.compose
+        compose = fields._compose_triples
 
-        def counted(self, other):
+        def counted(f, g):
             nonlocal calls
             calls += 1
-            return compose(self, other)
+            return compose(f, g)
 
-        monkeypatch.setattr(QuadraticForm, "compose", counted)
+        monkeypatch.setattr(fields, "_compose_triples", counted)
         data = _discriminant_data.__wrapped__(-202127)
         assert len(data.forms) == 303
-        assert calls < len(data.forms)
+        assert 0 < calls < len(data.forms)
+
+    def test_model_build_constructs_one_form_object_per_class(self, monkeypatch):
+        # the build runs on triples; only the returned forms are objects
+        built = 0
+        init = QuadraticForm.__init__
+
+        def counted(self, a, b, c):
+            nonlocal built
+            built += 1
+            init(self, a, b, c)
+
+        monkeypatch.setattr(QuadraticForm, "__init__", counted)
+        data = _discriminant_data.__wrapped__(-202127)
+        assert built <= len(data.forms) == 303
+
+    def test_prime_enumeration_computes_one_symbol_per_prime(self, monkeypatch):
+        calls = 0
+        symbol = fields.kronecker_symbol
+
+        def counted(a, n):
+            nonlocal calls
+            calls += 1
+            return symbol(a, n)
+
+        _discriminant_data(-100019)
+        monkeypatch.setattr(fields, "kronecker_symbol", counted)
+        enumerate_prime_ideals(QuadraticSpec(-100019), 2000)
+        assert calls == len(primes_up_to(2000)) == 303
 
     def test_discriminant_above_limit_is_refused(self, monkeypatch):
         def no_enumeration(*args):
@@ -356,7 +432,7 @@ class TestSplitting:
                 q = int(q)
                 if d % q == 0:
                     cls = ideal_class_of_prime(d, q)
-                    assert group.add(cls, cls) == group.zero()
+                    assert group_add(group, cls, cls) == group.zero()
 
 
 class TestIdealClasses:

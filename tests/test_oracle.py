@@ -3,12 +3,16 @@
 import pytest
 
 from classrecon.abgroup import FinGenAbGroup
+from classrecon.fields import QuadraticForm
 from classrecon.oracle import (
     OracleGuard,
     Representation,
+    dirichlet_compose,
     naive_cokernel,
     naive_member,
     naive_order_index,
+    naive_reduce,
+    naive_reduced_forms,
     naive_represented_primes,
 )
 
@@ -93,3 +97,34 @@ class TestRepresentedPrimes:
         assert isinstance(rep, Representation)
         assert rep.form.triple == (1, 0, 1)
         assert rep.form.value(rep.x, rep.y) == 5
+
+
+class TestDirichletComposition:
+    def test_reduction_lands_on_the_pair_scan(self):
+        # each reduced form moved by x -> x + t*y and swapped comes back
+        for d in (-23, -47, -84, -1031):
+            forms = naive_reduced_forms(d)
+            for f in forms:
+                assert naive_reduce(*f.triple) == f
+                for t in (-3, 1, 5):
+                    a, b, c = f.a, f.b + 2 * f.a * t, f.c + t * (f.b + f.a * t)
+                    assert naive_reduce(a, b, c) == f
+                    assert naive_reduce(c, -b, a) == f
+
+    def test_pinned_composites(self):
+        q = QuadraticForm
+        # D = -47.  B = 1 (mod 4) and (mod 6) gives (6, 1, 2), which
+        # reduces to (2, -1, 6); B = 1 (mod 6) and -1 (mod 4) gives
+        # (6, 7, 4) -> (6, -5, 3) -> (3, 5, 6) -> (3, -1, 4)
+        assert dirichlet_compose(q(2, 1, 6), q(3, 1, 4)) == q(2, -1, 6)
+        assert dirichlet_compose(q(3, 1, 4), q(2, -1, 6)) == q(3, -1, 4)
+        assert dirichlet_compose(q(1, 1, 12), q(3, -1, 4)) == q(3, -1, 4)
+
+    def test_refuses_what_it_does_not_cover(self):
+        q = QuadraticForm
+        with pytest.raises(ValueError):
+            dirichlet_compose(q(2, 2, 3), q(2, 2, 3))
+        with pytest.raises(ValueError):
+            dirichlet_compose(q(2, 1, 3), q(3, 1, 4))
+        with pytest.raises(ValueError):
+            naive_reduce(1, 3, 1)
