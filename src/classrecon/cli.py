@@ -111,7 +111,7 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
     forms = reduced_forms_of_spec(spec)
     line = str(class_group(spec))
     if forms is not None:
-        line += "; forms: " + ",".join(f"({f.a},{f.b},{f.c})" for f in forms)
+        line += "; forms: " + ",".join(f"({a},{b},{c})" for a, b, c in forms)
     else:
         line += f"; synthetic primes: {len(spec.primes)}"
     print(line)

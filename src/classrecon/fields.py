@@ -8,12 +8,13 @@ specifications carry an arbitrary finite abelian group and a free-form
 prime stream, so class groups outside quadratic reach enter the test matrix.
 Either kind of spec yields its primes as `PrimeIdealDatum`s.
 
-Form arithmetic has one kernel on plain (a, b, c) int triples:
-`_compose_triples` (the united-forms algorithm, its congruences solved by
-`gcd` and a modular inverse) and `_reduce_triple` (which keeps c by the
-shift c + k(b + ak), never from the discriminant).  `QuadraticForm.compose`
-and `.reduced` wrap it; the tests certify it against Dirichlet composition
-(`oracle.dirichlet_compose`) and the group axioms.
+A form a*x^2 + b*x*y + c*y^2 is the plain int triple (a, b, c) throughout,
+and its arithmetic has one kernel: `_compose_triples` (the united-forms
+algorithm, its congruences solved by `gcd` and a modular inverse) and
+`_reduce_triple` (which keeps c by the shift c + k(b + ak), never from the
+discriminant).  The tests certify it against Dirichlet composition
+(`oracle.dirichlet_compose`) and the group axioms.  A matrix is a tuple of
+its rows, as `smith_normal_form` takes and returns it.
 
 The class group is built on triples by subgroup extension: walking the
 sorted reduced forms, each one outside the subgroup covered so far becomes
@@ -45,7 +46,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .abgroup import (
     FinGenAbGroup,
@@ -73,49 +74,7 @@ from .errors import (
 
 # -- exact linear algebra and modular square roots --------------------------
 
-
-class IntMatrix(SlotRecord):
-    """Rectangular matrix of arbitrary-precision integers, never changed once built."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
-        if len({len(row) for row in entries}) > 1:
-            raise ValueError("ragged rows in matrix")
-        self.entries = entries
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> IntMatrix:
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int | None = None) -> IntMatrix:
-        cols = [tuple(int(x) for x in c) for c in columns]
-        if cols:
-            n = len(cols[0])
-            if any(len(c) != n for c in cols):
-                raise ValueError("columns of unequal length")
-        elif nrows is None:
-            raise ValueError("nrows required for an empty column set")
-        else:
-            n = nrows
-        if nrows is not None and cols and nrows != n:
-            raise ValueError("nrows does not match column length")
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(n)))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.nrows, self.ncols)))
+Matrix = tuple[tuple[int, ...], ...]  # the rows of an integer matrix
 
 
 def _min_abs_pivot(m: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -132,19 +91,20 @@ def _min_abs_pivot(m: list[list[int]], t: int) -> tuple[int, int] | None:
     return best
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Diagonalize an integer matrix: returns (S, U, V) with U A V = S.
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
+    """Diagonalize an integer matrix given by its rows: (S, U, V) with U A V = S.
 
     U and V are unimodular and the diagonal of S is a non-negative
-    divisibility chain.  Pivots are chosen by minimal absolute value, which
-    keeps intermediate growth tame at the sizes this package targets.
+    divisibility chain; all three come back as tuples of row tuples.
+    Pivots are chosen by minimal absolute value, which keeps intermediate
+    growth tame at the sizes this package targets.
 
-    >>> s, u, v = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
-    >>> s.diagonal()
-    (1, 6)
+    >>> s, u, v = smith_normal_form([[2, 0], [0, 3]])
+    >>> s
+    ((1, 0), (0, 6))
     """
-    nr, nc = a.nrows, a.ncols
-    m = [list(row) for row in a.entries]
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    m = [list(row) for row in rows]
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
@@ -240,8 +200,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             u[t] = [-x for x in u[t]]
         t += 1
 
-    s = IntMatrix.from_rows(m)
-    return s, IntMatrix.from_rows(u), IntMatrix.from_rows(v)
+    return tuple(map(tuple, m)), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 def cokernel_of_columns(
@@ -255,19 +214,14 @@ def cokernel_of_columns(
     for c in columns:
         if len(c) != ambient_rank:
             raise ValueError("column length does not match ambient rank")
-    a = IntMatrix.from_columns(columns, nrows=ambient_rank)
-    s, u, _ = smith_normal_form(a)
-    diag = list(s.diagonal())
+    s, u, _ = smith_normal_form([[c[i] for c in columns] for i in range(ambient_rank)])
+    diag = [s[i][i] for i in range(min(ambient_rank, len(columns)))]
     kept = [i for i, d in enumerate(diag) if d != 1]
     free_tail = list(range(len(diag), ambient_rank))
     factors = [diag[i] for i in kept] + [0] * len(free_tail)
     g = FinGenAbGroup.from_orders(factors)
     positions = kept + free_tail
-    proj = []
-    for i in range(ambient_rank):
-        col = u.column(i)
-        proj.append(g.element([col[j] for j in positions]))
-    return g, tuple(proj)
+    return g, tuple(g.element([u[j][i] for j in positions]) for i in range(ambient_rank))
 
 
 def smallest_prime_factors(n: int) -> list[int]:
@@ -435,54 +389,6 @@ def _check_discriminant(d: int) -> None:
 Triple = tuple[int, int, int]  # the coefficients (a, b, c) of a form
 
 
-class QuadraticForm(SlotRecord):
-    """Positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2.
-
-    Forms compare, sort and hash by the triple (a, b, c), read directly;
-    `reduced` and `compose` wrap the kernel on triples.
-    """
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: int, b: int, c: int) -> None:
-        if a <= 0 or b * b - 4 * a * c >= 0:
-            raise ValueError(f"form {(a, b, c)} is not positive definite")
-        self.a, self.b, self.c = a, b, c
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.c == other.c
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.c) < (other.a, other.b, other.c)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c))
-
-    @property
-    def triple(self) -> Triple:
-        return (self.a, self.b, self.c)
-
-    @property
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def value(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
-    def reduced(self) -> QuadraticForm:
-        return QuadraticForm(*_reduce_triple(self.a, self.b, self.c))
-
-    def compose(self, other: QuadraticForm) -> QuadraticForm:
-        """Composition of form classes (united-forms algorithm), reduced."""
-        if other.discriminant != self.discriminant:
-            raise ValueError("cannot compose forms of different discriminants")
-        return QuadraticForm(*_compose_triples(self.triple, other.triple))
-
-
 def _reduce_triple(a: int, b: int, c: int) -> Triple:
     """The reduced form of the class of the positive definite form (a, b, c).
 
@@ -532,16 +438,6 @@ def _solve_congruence(a: int, b: int, m: int) -> tuple[int, int]:
         raise InternalContradiction(f"{a}*x = {b} (mod {m}) has no solution")
     step = m // g
     return (b // g) * pow(a // g, -1, step) % step, step
-
-
-def principal_form(d: int) -> QuadraticForm:
-    _check_discriminant(d)
-    return QuadraticForm(1, d % 2, (d % 2 - d) // 4)
-
-
-def reduced_forms(d: int) -> list[QuadraticForm]:
-    """All reduced forms of a negative fundamental discriminant, sorted."""
-    return [QuadraticForm(*f) for f in _reduced_triples(d)]
 
 
 def _reduced_triples(d: int) -> list[Triple]:
@@ -628,8 +524,8 @@ class _DiscriminantData:
 
     def __init__(
         self,
-        forms: tuple[QuadraticForm, ...],
-        index: dict[Triple, int],  # position of each form's triple in `forms`
+        forms: tuple[Triple, ...],
+        index: dict[Triple, int],  # position of each form in `forms`
         group: FinGenAbGroup,
         form_class: tuple[GroupElement, ...],  # class coordinates per form
     ) -> None:
@@ -650,13 +546,12 @@ def _discriminant_data(d: int) -> _DiscriminantData:
     one composition: h - 1 in all, fewer than h.  The relations form a
     triangular matrix of determinant h on at most log2(h) generators; its
     Smith normal form gives the group and the image of each generator, and
-    each form's class is the sum its coordinates name.  The walk runs on
-    triples; only the returned `forms` are built as `QuadraticForm`s.
+    each form's class is the sum its coordinates name.
     """
     triples = _reduced_triples(d)
     h = len(triples)
     index = {f: i for i, f in enumerate(triples)}
-    principal = index[(1, d % 2, (d % 2 - d) // 4)]  # as in `principal_form`
+    principal = index[(1, d % 2, (d % 2 - d) // 4)]
     coords: dict[int, tuple[int, ...]] = {principal: ()}
     relations: list[tuple[int, tuple[int, ...]]] = []  # (k, coords of k*x)
     for x, gen in enumerate(triples):
@@ -696,8 +591,7 @@ def _discriminant_data(d: int) -> _DiscriminantData:
         form_class[i] = tuple([sum(map(mul, c, w)) % f for f, w in weights])
     if len(set(form_class)) != h:
         raise InternalContradiction(f"form classes of {d} are not a bijection")
-    forms = tuple(QuadraticForm(*f) for f in triples)
-    return _DiscriminantData(forms, index, group, tuple(form_class))
+    return _DiscriminantData(tuple(triples), index, group, tuple(form_class))
 
 
 class Splitting(NamedTuple):
@@ -721,20 +615,14 @@ def kronecker_splitting(d: int, q: int) -> Splitting:
     raise InternalContradiction(f"symbol ({d}|{q}) = 0 for unramified {q}")
 
 
-def prime_form(d: int, q: int) -> QuadraticForm:
-    """The form (q, b, c) of discriminant d with the smallest b in [0, 2q)."""
-    if kronecker_splitting(d, q).kind == "inert":
-        raise ValueError(f"{q} is inert in discriminant {d}; no form with a = {q}")
-    return QuadraticForm(*_prime_triple(d, q))
-
-
 def _prime_triple(d: int, q: int) -> Triple:
-    """The triple of `prime_form(d, q)`, for a prime q known not to be inert.
+    """The form (q, b, c) of discriminant d with the least b in [0, 2q).
 
-    The b are the roots of d modulo 4q, one per class mod 2q, as in
-    `reduced_forms`: for odd q, each root +-r modulo q lifted to the
-    parity of d (for r = 0 the lift of q is q or 2q, never below the lift
-    of 0); for q = 2, the 2-adic roots.  The form must be primitive.
+    The prime q must be known not to be inert.  The b are the roots of d
+    modulo 4q, one per class mod 2q, as in `_reduced_triples`: for odd q,
+    each root +-r modulo q lifted to the parity of d (for r = 0 the lift
+    of q is q or 2q, never below the lift of 0); for q = 2, the 2-adic
+    roots.  The form must be primitive.
     """
     if q == 2:
         roots = _two_adic_roots(d, 1)
@@ -748,12 +636,6 @@ def _prime_triple(d: int, q: int) -> Triple:
     if rem or gcd(q, b, c) != 1:
         raise InternalContradiction(f"no primitive prime form for ({d}, {q})")
     return (q, b, c)
-
-
-def ideal_class_of_prime(d: int, q: int) -> GroupElement:
-    """Class of the canonical prime ideal above a non-inert rational prime."""
-    data = _discriminant_data(d)
-    return data.form_class[data.index[_reduce_triple(*prime_form(d, q).triple)]]
 
 
 class QuadraticSpec(SlotRecord):
@@ -872,7 +754,6 @@ def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]
         if split.kind == "inert":
             out.append(PrimeIdealDatum(f"p_{q}", split.norm, group.zero(), q))
             continue
-        # the splitting is known, so the prime form skips `prime_form`'s check
         cls = data.form_class[data.index[_reduce_triple(*_prime_triple(d, q))]]
         out.append(PrimeIdealDatum(f"p_{q}", q, cls, q))
         if split.kind == "split":
@@ -880,8 +761,8 @@ def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]
     return out
 
 
-def reduced_forms_of_spec(spec: FieldSpec) -> list[QuadraticForm] | None:
-    """Reduced forms for quadratic specs; None for synthetic ones."""
+def reduced_forms_of_spec(spec: FieldSpec) -> tuple[Triple, ...] | None:
+    """Reduced triples (a, b, c), sorted, for quadratic specs; None for synthetic ones."""
     if isinstance(spec, QuadraticSpec):
-        return list(_discriminant_data(spec.discriminant).forms)
+        return _discriminant_data(spec.discriminant).forms
     return None

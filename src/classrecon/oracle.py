@@ -23,7 +23,9 @@ shares machinery with the Smith normal form it validates; lattice
 questions, including the multiplier relations a quotient prediction
 asserts, are settled by a plain insertion echelon basis and literal
 enumeration.  The reference values the tests compare against live here too:
-exact determinants, element orders and primary decompositions.
+exact determinants, element orders and primary decompositions.  As in
+`fields`, a form is its (a, b, c) int triple and a matrix the tuple of its
+rows.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from .abgroup import FinGenAbGroup, GroupElement, factorize
 from .errors import InternalContradiction
 from .fields import (
     FieldSpec,
-    IntMatrix,
     PrimeIdealDatum,
-    QuadraticForm,
+    Triple,
     _check_discriminant,
     class_group,
     cokernel_of_columns,
@@ -498,14 +499,14 @@ def naive_order_index(
     return order, g.order() // len(closure)
 
 
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = a.nrows
-    if n != a.ncols:
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square matrix given by its rows (Bareiss elimination)."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1
-    m = [list(row) for row in a.entries]
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -552,16 +553,16 @@ def primary_decomposition(g: FinGenAbGroup) -> dict[int, list[int]]:
 
 @dataclass(frozen=True)
 class Representation:
-    form: QuadraticForm
+    form: Triple
     x: int
     y: int
 
 
-def naive_reduced_forms(d: int) -> list[QuadraticForm]:
-    """All reduced forms of a negative fundamental discriminant, sorted.
+def naive_reduced_forms(d: int) -> list[Triple]:
+    """All reduced triples (a, b, c) of a negative fundamental discriminant, sorted.
 
     Tries every pair (a, b) with a <= sqrt(|d|/3) and -a < b <= a, about
-    |d|/3 steps; the reference for `fields.reduced_forms`.
+    |d|/3 steps; the reference for `fields._reduced_triples`.
     """
     _check_discriminant(d)
     forms = []
@@ -575,11 +576,11 @@ def naive_reduced_forms(d: int) -> list[QuadraticForm]:
                 continue
             if a == c and b < 0:
                 continue
-            forms.append(QuadraticForm(a, b, c))
+            forms.append((a, b, c))
     return sorted(forms)
 
 
-def naive_reduce(a: int, b: int, c: int) -> QuadraticForm:
+def naive_reduce(a: int, b: int, c: int) -> Triple:
     """The reduced form equivalent to the positive definite form (a, b, c).
 
     Alternates two moves until the form is reduced: b goes to the
@@ -600,10 +601,10 @@ def naive_reduce(a: int, b: int, c: int) -> QuadraticForm:
         a, b, c = c, -b, a
     if a == c and b < 0:
         b = -b
-    return QuadraticForm(a, b, c)
+    return (a, b, c)
 
 
-def dirichlet_compose(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
+def dirichlet_compose(f: Triple, g: Triple) -> Triple:
     """Dirichlet composition of two forms with coprime leading coefficients, reduced.
 
     Cox, Primes of the Form x^2 + ny^2, section 3: B is the class modulo
@@ -613,15 +614,16 @@ def dirichlet_compose(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
     united-forms kernel `fields._compose_triples` it certifies, and
     `naive_reduce` reduces it.
     """
-    d = f.discriminant
-    if g.discriminant != d:
+    (a1, b1, c1), (a2, b2, c2) = f, g
+    d = b1 * b1 - 4 * a1 * c1
+    if b2 * b2 - 4 * a2 * c2 != d:
         raise ValueError("cannot compose forms of different discriminants")
-    if gcd(f.a, g.a) != 1:
-        raise ValueError(f"leading coefficients {f.a} and {g.a} are not coprime")
+    if gcd(a1, a2) != 1:
+        raise ValueError(f"leading coefficients {a1} and {a2} are not coprime")
     # B = b1 + 2*a1*t, and B = b2 (mod 2a2) asks a1*t = (b2 - b1)/2 (mod a2)
-    inverse, _ = _bezout(f.a, g.a)
-    big_b = f.b + 2 * f.a * ((g.b - f.b) // 2 * inverse % g.a)
-    a = f.a * g.a
+    inverse, _ = _bezout(a1, a2)
+    big_b = b1 + 2 * a1 * ((b2 - b1) // 2 * inverse % a2)
+    a = a1 * a2
     c, rem = divmod(big_b * big_b - d, 4 * a)
     if rem:
         raise InternalContradiction(f"B^2 = D fails modulo 4*{a} for {f} and {g}")
@@ -634,9 +636,9 @@ def naive_represented_primes(d: int, q: int) -> Representation | None:
     Scans all (x, y) with |x|, |y| <= q; returns None when no reduced form
     represents q, which is exactly the inert case.
     """
-    for form in naive_reduced_forms(d):
+    for a, b, c in naive_reduced_forms(d):
         for x in range(-q, q + 1):
             for y in range(-q, q + 1):
-                if form.value(x, y) == q:
-                    return Representation(form, x, y)
+                if a * x * x + b * x * y + c * y * y == q:
+                    return Representation((a, b, c), x, y)
     return None

@@ -335,8 +335,8 @@ class ZetaData(SlotRecord):
 
     `coefficients[n-1]` counts the multisets of prime-ideal norms whose
     product is n (that is, ideals of norm n), for n up to the bound.  The
-    norms are prime powers: `zeta_data` checks them, and `reconstruct_all`
-    passes norms that `recover_norm` has proven.
+    norms are prime powers: `reconstruct_all` passes norms that
+    `recover_norm` has proven.
     """
 
     __slots__ = ("norms", "bound", "coefficients")
@@ -373,15 +373,11 @@ def zeta_coefficients(norms: Iterable[int], bound: int) -> list[int]:
 
 
 def zeta_data(norms: Iterable[int], bound: int) -> ZetaData:
-    """Zeta data from norms not yet checked; each must be a prime power > 1."""
-    norms = tuple(norms)
-    if not all(is_prime_power(n) for n in norms):
-        raise ValueError("every norm must be a prime power > 1")
-    return _zeta_data(norms, bound)
+    """Zeta data from norms already proven prime powers, not checked again.
 
-
-def _zeta_data(norms: Iterable[int], bound: int) -> ZetaData:
-    """Zeta data from norms already proven prime powers."""
+    `reconstruct_all` passes the norms `recover_norm` has proven; norms
+    from outside the program are checked where they enter.
+    """
     norms = tuple(sorted(norms))
     return ZetaData(
         norms=norms,
@@ -428,7 +424,7 @@ def reconstruct_all(
         zeta_bound = max(norms.values(), default=1)
     check_bound(zeta_bound, "zeta bound")
     group = reconstruct_class_group(bundle, norms, h)
-    zeta = _zeta_data(norms.values(), zeta_bound)
+    zeta = zeta_data(norms.values(), zeta_bound)
     if group.order() != h:
         raise MalformedBundle("recovered group order disagrees with the rank")
     return ReconstructionReport(

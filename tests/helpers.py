@@ -7,7 +7,7 @@ import random
 from sympy import primefactors
 
 from classrecon.abgroup import FinGenAbGroup, subgroup_index
-from classrecon.fields import IntMatrix, PrimeIdealDatum, SyntheticSpec
+from classrecon.fields import Matrix, PrimeIdealDatum, SyntheticSpec
 from classrecon.oracle import ClassGroupModel
 
 ODD_PRIME_POWERS = [
@@ -20,16 +20,15 @@ def z2_model() -> ClassGroupModel:
     return ClassGroupModel(FinGenAbGroup.from_orders([2]))
 
 
-def matrix_product(*factors: IntMatrix) -> IntMatrix:
-    """The product of non-empty integer matrices, left to right."""
-    rows = factors[0].entries
+def matrix_product(*factors: Matrix) -> Matrix:
+    """The product of non-empty integer matrices given by their rows, left to right."""
+    rows = tuple(map(tuple, factors[0]))
     for m in factors[1:]:
-        assert len(rows[0]) == m.nrows, "dimension mismatch in matrix product"
+        assert len(rows[0]) == len(m), "dimension mismatch in matrix product"
         rows = tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*m.entries))
-            for row in rows
+            tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*m)) for row in rows
         )
-    return IntMatrix(rows)
+    return rows
 
 
 def datum(label: str, norm: int, cls: tuple[int, ...], char: int | None = None) -> PrimeIdealDatum:

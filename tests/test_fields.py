@@ -13,23 +13,22 @@ from classrecon import fields
 from classrecon.fields import (
     MAX_DISCRIMINANT,
     DiscriminantTooLarge,
-    IntMatrix,
+    InternalContradiction,
     InvalidDiscriminant,
     NonPrimePowerNorm,
     OddNormClassesDoNotGenerate,
-    QuadraticForm,
     QuadraticSpec,
     SyntheticSpec,
+    _compose_triples,
     _discriminant_data,
+    _prime_triple,
+    _reduce_triple,
+    _reduced_triples,
     class_group,
     enumerate_prime_ideals,
-    ideal_class_of_prime,
     is_fundamental_discriminant,
     kronecker_splitting,
     kronecker_symbol,
-    prime_form,
-    principal_form,
-    reduced_forms,
     validate_synthetic,
 )
 from classrecon.abgroup import FinGenAbGroup, primes_up_to
@@ -58,7 +57,7 @@ def _oracle_discriminants() -> list[int]:
         if (
             is_fundamental_discriminant(d)
             and d not in sample
-            and len(reduced_forms(d)) <= 200
+            and len(_reduced_triples(d)) <= 200
         ):
             sample.append(d)
     return [-56, -120, -231, -260, -420, -2184, -3299] + sorted(sample, reverse=True)
@@ -90,13 +89,22 @@ def _enumeration_discriminants() -> list[int]:
 ENUMERATION_DISCRIMINANTS = _enumeration_discriminants()
 
 
-def _scanned_prime_form(d: int, q: int) -> QuadraticForm | None:
+def _scanned_prime_form(d: int, q: int) -> tuple[int, int, int] | None:
     """The form (q, b, c) with the least b in range(2q), by trying each b."""
     for b in range(2 * q):
         num = b * b - d
         if num % (4 * q) == 0:
-            return QuadraticForm(q, b, num // (4 * q))
+            return (q, b, num // (4 * q))
     return None
+
+
+def _principal(d: int) -> tuple[int, int, int]:
+    return (1, d % 2, (d % 2 - d) // 4)
+
+
+def _discriminant(f: tuple[int, int, int]) -> int:
+    a, b, c = f
+    return b * b - 4 * a * c
 
 
 @st.composite
@@ -149,16 +157,16 @@ class TestDiscriminants:
 
     def test_reduced_forms_reject_bad_discriminant(self):
         with pytest.raises(InvalidDiscriminant):
-            reduced_forms(5)
+            _reduced_triples(5)
         with pytest.raises(InvalidDiscriminant):
-            reduced_forms(-12)
+            _reduced_triples(-12)
 
 
 class TestReducedForms:
     def test_pinned_enumerations(self):
-        assert [f.triple for f in reduced_forms(-4)] == [(1, 0, 1)]
-        assert [f.triple for f in reduced_forms(-20)] == [(1, 0, 5), (2, 2, 3)]
-        assert sorted(f.triple for f in reduced_forms(-23)) == [
+        assert _reduced_triples(-4) == [(1, 0, 1)]
+        assert _reduced_triples(-20) == [(1, 0, 5), (2, 2, 3)]
+        assert sorted(_reduced_triples(-23)) == [
             (1, 1, 6),
             (2, -1, 3),
             (2, 1, 3),
@@ -166,24 +174,24 @@ class TestReducedForms:
 
     def test_all_reduced_and_right_discriminant(self):
         for d in TEST_DISCRIMINANTS:
-            for f in reduced_forms(d):
-                assert f.reduced() == f
-                assert f.discriminant == d
+            for f in _reduced_triples(d):
+                assert _reduce_triple(*f) == f
+                assert _discriminant(f) == d
 
     def test_class_numbers(self):
         for d, h in CLASS_NUMBERS.items():
-            assert len(reduced_forms(d)) == h
+            assert len(_reduced_triples(d)) == h
 
     def test_reduction_is_idempotent_and_class_preserving(self):
         for d in TEST_DISCRIMINANTS:
-            forms = reduced_forms(d)
+            forms = _reduced_triples(d)
             for f in forms:
-                assert f.reduced() == f
+                assert _reduce_triple(*f) == f
             # the substitution (x, y) -> (x + y, y) lands back on the same form
-            for f in forms:
-                g = QuadraticForm(f.a, f.b + 2 * f.a, f.a + f.b + f.c)
-                assert g.discriminant == d
-                assert g.reduced() == f
+            for a, b, c in forms:
+                g = (a, b + 2 * a, a + b + c)
+                assert _discriminant(g) == d
+                assert _reduce_triple(*g) == (a, b, c)
 
     @settings(max_examples=300, deadline=None)
     @given(positive_definite_triples())
@@ -191,27 +199,25 @@ class TestReducedForms:
     @example((7, 7, 7))
     @example((3, -17, 25))
     def test_reduction_agrees_with_the_oracle(self, triple):
-        want = naive_reduce(*triple)
-        assert fields._reduce_triple(*triple) == want.triple
-        assert QuadraticForm(*triple).reduced() == want
+        assert _reduce_triple(*triple) == naive_reduce(*triple)
 
 
 class TestFormEnumeration:
     @pytest.mark.parametrize("d", ENUMERATION_DISCRIMINANTS)
     def test_reduced_forms_match_the_pair_scan(self, d):
-        assert reduced_forms(d) == naive_reduced_forms(d)
+        assert _reduced_triples(d) == naive_reduced_forms(d)
 
     def test_sample_reaches_every_root_case(self):
         # leading coefficients with an odd prime square and with 2^3 or
         # more, for odd D, and with 2 for D = 8 and 12 (mod 16)
         reached = set()
         for d in ENUMERATION_DISCRIMINANTS:
-            for f in reduced_forms(d):
-                if any(f.a % (q * q) == 0 for q in (3, 5, 7)):
+            for a, _, _ in _reduced_triples(d):
+                if any(a % (q * q) == 0 for q in (3, 5, 7)):
                     reached.add(("odd square", d % 2))
-                if f.a % 8 == 0:
+                if a % 8 == 0:
                     reached.add(("2^3", d % 2))
-                if f.a % 2 == 0:
+                if a % 2 == 0:
                     reached.add(("even a", d % 16 if d % 2 == 0 else 1))
         assert reached >= {
             ("odd square", 0), ("odd square", 1), ("2^3", 1),
@@ -224,22 +230,21 @@ class TestFormEnumeration:
             want = _scanned_prime_form(d, q)
             if kronecker_splitting(d, q).kind == "inert":
                 assert want is None
-                with pytest.raises(ValueError):
-                    prime_form(d, q)
             else:
-                assert prime_form(d, q) == want, (d, q)
+                assert _prime_triple(d, q) == want, (d, q)
 
 
 class TestComposition:
     @pytest.mark.parametrize("d", TEST_DISCRIMINANTS)
     def test_group_axioms(self, d):
-        forms = reduced_forms(d)
-        table = {(f, g): f.compose(g) for f in forms for g in forms}
-        e = principal_form(d).reduced()
+        forms = _reduced_triples(d)
+        table = {(f, g): _compose_triples(f, g) for f in forms for g in forms}
+        e = _reduce_triple(*_principal(d))
         for f in forms:
+            a, b, c = f
             assert table[(f, e)] == f
             assert table[(e, f)] == f
-            assert table[(f, QuadraticForm(f.a, -f.b, f.c).reduced())] == e
+            assert table[(f, _reduce_triple(a, -b, c))] == e
         for f, g in itertools.product(forms, repeat=2):
             assert table[(f, g)] == table[(g, f)]
         for f, g, h in itertools.product(forms, repeat=3):
@@ -261,13 +266,13 @@ class TestComposition:
         # independent check: element orders computed by raw composition
         # must match the order multiset of the claimed abstract group
         for d in ORACLE_DISCRIMINANTS:
-            forms = reduced_forms(d)
-            e = principal_form(d)
+            forms = _reduced_triples(d)
+            e = _principal(d)
             orders = []
             for f in forms:
                 acc, n = f, 1
                 while acc != e:
-                    acc = acc.compose(f)
+                    acc = _compose_triples(acc, f)
                     n += 1
                 orders.append(n)
             model = class_group_model(QuadraticSpec(d))
@@ -287,10 +292,11 @@ class TestComposition:
                 continue
             cls = dict(zip(forms, classes))
             for f, g in itertools.product(forms, repeat=2):
-                assert cls[f.compose(g)] == group_add(group, cls[f], cls[g]), (d, f, g)
+                want = group_add(group, cls[f], cls[g])
+                assert cls[_compose_triples(f, g)] == want, (d, f, g)
 
     @pytest.mark.parametrize(
-        "d", [d for d in ORACLE_DISCRIMINANTS if len(reduced_forms(d)) > 40]
+        "d", [d for d in ORACLE_DISCRIMINANTS if len(_reduced_triples(d)) > 40]
     )
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -298,7 +304,7 @@ class TestComposition:
         forms, classes = _forms_and_classes(d)
         group = class_group(QuadraticSpec(d))
         i, j = data.draw(st.tuples(*[st.integers(0, len(forms) - 1)] * 2))
-        product = forms.index(forms[i].compose(forms[j]))
+        product = forms.index(_compose_triples(forms[i], forms[j]))
         assert classes[product] == group_add(group, classes[i], classes[j])
 
     @pytest.mark.parametrize("d, h", [(-100019, 193), (-895211, 299)])
@@ -310,10 +316,8 @@ class TestComposition:
         forms = _forms_and_classes(d)[0]
         assert len(forms) == h
         f = data.draw(st.sampled_from(forms))
-        g = data.draw(st.sampled_from([x for x in forms if gcd(f.a, x.a) == 1]))
-        want = dirichlet_compose(f, g)
-        assert fields._compose_triples(f.triple, g.triple) == want.triple
-        assert f.compose(g) == want == g.compose(f)
+        g = data.draw(st.sampled_from([x for x in forms if gcd(f[0], x[0]) == 1]))
+        assert _compose_triples(f, g) == dirichlet_compose(f, g) == _compose_triples(g, f)
 
     @pytest.mark.parametrize(
         "d, factors",
@@ -346,19 +350,8 @@ class TestComposition:
         assert len(data.forms) == 303
         assert 0 < calls < len(data.forms)
 
-    def test_model_build_constructs_one_form_object_per_class(self, monkeypatch):
-        # the build runs on triples; only the returned forms are objects
-        built = 0
-        init = QuadraticForm.__init__
-
-        def counted(self, a, b, c):
-            nonlocal built
-            built += 1
-            init(self, a, b, c)
-
-        monkeypatch.setattr(QuadraticForm, "__init__", counted)
-        data = _discriminant_data.__wrapped__(-202127)
-        assert built <= len(data.forms) == 303
+    def test_model_build_returns_the_enumerated_triples(self):
+        assert _discriminant_data(-202127).forms == tuple(_reduced_triples(-202127))
 
     def test_prime_enumeration_computes_one_symbol_per_prime(self, monkeypatch):
         calls = 0
@@ -428,23 +421,33 @@ class TestSplitting:
     def test_ramified_class_squares_to_identity(self):
         for d in TEST_DISCRIMINANTS:
             group = class_group(QuadraticSpec(d))
-            for q in sympy.primerange(2, 50):
-                q = int(q)
-                if d % q == 0:
-                    cls = ideal_class_of_prime(d, q)
-                    assert group_add(group, cls, cls) == group.zero()
+            ramified = [
+                p for p in enumerate_prime_ideals(QuadraticSpec(d), 50)
+                if d % p.residue_char == 0
+            ]
+            assert [p.residue_char for p in ramified] == [
+                int(q) for q in sympy.primerange(2, 50) if d % q == 0
+            ]
+            for p in ramified:
+                assert group_add(group, p.cls, p.cls) == group.zero()
+
+
+def _classes_by_label(d: int, bound: int) -> dict:
+    return {p.label: p.cls for p in enumerate_prime_ideals(QuadraticSpec(d), bound)}
 
 
 class TestIdealClasses:
     def test_pinned_examples(self):
         nontrivial = (1,)
-        assert ideal_class_of_prime(-20, 3) == nontrivial
-        assert ideal_class_of_prime(-20, 7) == nontrivial
-        assert ideal_class_of_prime(-20, 29) == (0,)
+        classes = _classes_by_label(-20, 30)
+        assert classes["p_3"] == nontrivial
+        assert classes["p_7"] == nontrivial
+        assert classes["p_29"] == (0,)
 
     def test_inert_rejected(self):
-        with pytest.raises(ValueError):
-            ideal_class_of_prime(-20, 11)
+        # an inert prime has no form (q, b, c), and the kernel finds none
+        with pytest.raises(InternalContradiction):
+            _prime_triple(-20, 11)
 
     def test_prime_form_leading_coefficient(self):
         for d in TEST_DISCRIMINANTS:
@@ -452,15 +455,16 @@ class TestIdealClasses:
                 q = int(q)
                 if kronecker_splitting(d, q).kind == "inert":
                     continue
-                f = prime_form(d, q)
-                assert f.a == q
-                assert f.discriminant == d
-                assert 0 <= f.b < 2 * q
+                f = _prime_triple(d, q)
+                assert f[0] == q
+                assert _discriminant(f) == d
+                assert 0 <= f[1] < 2 * q
 
     def test_against_representation_search(self):
         for d in TEST_DISCRIMINANTS:
             group = class_group(QuadraticSpec(d))
             data = {f: c for f, c in zip(*_forms_and_classes(d))}
+            classes = _classes_by_label(d, 30)
             for q in sympy.primerange(2, 30):
                 q = int(q)
                 rep = naive_represented_primes(d, q)
@@ -468,10 +472,12 @@ class TestIdealClasses:
                 if split.kind == "inert":
                     assert rep is None
                     continue
-                assert rep is not None and rep.form.value(rep.x, rep.y) == q
-                cls = ideal_class_of_prime(d, q)
-                found = data[rep.form]
-                assert found in (cls, group.neg(cls))
+                (a, b, c), x, y = rep.form, rep.x, rep.y
+                assert a * x * x + b * x * y + c * y * y == q
+                cls = classes[f"p_{q}"]
+                if split.kind == "split":
+                    assert classes[f"p_{q}c"] == group.neg(cls)
+                assert data[rep.form] in (cls, group.neg(cls))
 
 
 def _forms_and_classes(d):
@@ -581,12 +587,7 @@ class TestValueSemantics:
         assert len({spec, QuadraticSpec(-23)}) == 1
         assert repr(spec) == "QuadraticSpec(discriminant=-23)"
         assert {class_group(spec): "h = 3"}[FinGenAbGroup((3,))] == "h = 3"
-        assert hash(IntMatrix(((1, 2),))) == hash(IntMatrix(((1, 2),)))
         assert enumerate_prime_ideals(spec, 50) == enumerate_prime_ideals(spec, 50)
-        assert sorted({QuadraticForm(2, 1, 3), QuadraticForm(1, 1, 6)}) == [
-            QuadraticForm(1, 1, 6),
-            QuadraticForm(2, 1, 3),
-        ]
 
     def test_unchecked_records_are_immutable_tuples(self):
         split = kronecker_splitting(-23, 2)

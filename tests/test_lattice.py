@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from classrecon.abgroup import FinGenAbGroup, iso_equal
 from classrecon.fields import (
-    IntMatrix,
     PrimeIdealDatum,
     QuadraticSpec,
     cokernel_of_columns,
@@ -99,8 +98,8 @@ class TestCycleCokernel:
         order, coeffs = cycle_cokernel([3, 5], 0)
         assert order == 14
         assert coeffs == (3, 1)
-        s, _, _ = smith_normal_form(IntMatrix.from_rows([[1, -5], [-3, 1]]))
-        assert s.diagonal() == (1, 14)
+        s, _, _ = smith_normal_form([[1, -5], [-3, 1]])
+        assert s == ((1, 0), (0, 14))
 
     def test_triple_modulo_8(self):
         order, _ = cycle_cokernel([3, 3, 3], 8)

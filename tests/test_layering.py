@@ -7,6 +7,10 @@ so the blinding rule holds by construction.  No module imports `cli`, and
 each subcommand loads exactly the modules it runs: nothing is compiled that
 a call does not use.
 
+Every public top-level function and class of a runtime module is read by
+runtime code or by the benchmark under `perfbench/`: code that only tests
+call is deleted.
+
 The runtime also stays off `dataclasses`, which loads `inspect` and
 generates code for each class at import: every CLI call would pay for it.
 And only `codec._write_output` opens a file for writing: it overwrites in
@@ -27,6 +31,7 @@ from classrecon import oracle
 
 PACKAGE = Path(classrecon.__file__).parent
 RUNTIME = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "oracle"]
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 CERTIFIERS = {"ClassGroupModel", "sublattice_columns", "lattice_quotient", "class_group_model"}
 
 
@@ -103,6 +108,61 @@ def test_only_oracle_defines_the_certifiers(path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     }
     assert not defined & CERTIFIERS
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    """The public functions and classes a module defines at its top level."""
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name a tree reads, bare or as an attribute; docstrings do not count."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+# `lattice.quotient_group` is the documented seam for producing quotients,
+# with a doctest; the runtime calls its two halves, `prime_terms` and
+# `quotient_from_terms`, so that a bundle computes each prime's terms once.
+ONLY_TESTED = {("lattice", "quotient_group")}
+
+
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
+def test_runtime_defines_nothing_only_tests_call(path):
+    used = set()
+    for user in [*RUNTIME, *sorted(PERFBENCH.rglob("*.py"))]:
+        used |= _references(_parse(user))
+    unused = _public_definitions(_parse(path)) - used
+    assert unused == {name for stem, name in ONLY_TESTED if stem == path.stem}
+
+
+def test_scan_finds_unreferenced_definitions():
+    tree = ast.parse(
+        "import m\n"
+        "from m import imported_only\n"
+        "def called(): pass\n"
+        "def mentioned():\n"
+        "    '''Not called: mentioned() appears only here.'''\n"
+        "async def _private(): pass\n"
+        "class Read:\n"
+        "    def method(self): pass\n"
+        "def f():\n"
+        "    return called() + Read.attr + m.attribute\n"
+    )
+    assert _public_definitions(tree) == {"called", "mentioned", "Read", "f"}
+    assert _public_definitions(tree) - _references(tree) == {"mentioned", "f"}
+    assert {"m", "attribute", "attr"} <= _references(tree)
+    assert "imported_only" not in _references(tree)
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

@@ -3,7 +3,6 @@
 import pytest
 
 from classrecon.abgroup import FinGenAbGroup
-from classrecon.fields import QuadraticForm
 from classrecon.oracle import (
     OracleGuard,
     Representation,
@@ -79,24 +78,29 @@ class TestNaiveOrderIndex:
             naive_order_index(g, [], (1,))
 
 
+def represented(rep: Representation) -> int:
+    (a, b, c), x, y = rep.form, rep.x, rep.y
+    return a * x * x + b * x * y + c * y * y
+
+
 class TestRepresentedPrimes:
     def test_pinned_examples(self):
         rep = naive_represented_primes(-20, 7)
         assert rep is not None
-        assert rep.form.value(rep.x, rep.y) == 7
-        assert rep.form.triple == (2, 2, 3)
+        assert represented(rep) == 7
+        assert rep.form == (2, 2, 3)
 
         rep = naive_represented_primes(-20, 29)
-        assert rep is not None and rep.form.value(rep.x, rep.y) == 29
-        assert rep.form.triple == (1, 0, 5)
+        assert rep is not None and represented(rep) == 29
+        assert rep.form == (1, 0, 5)
 
         assert naive_represented_primes(-20, 11) is None
 
     def test_representation_record(self):
         rep = naive_represented_primes(-4, 5)
         assert isinstance(rep, Representation)
-        assert rep.form.triple == (1, 0, 1)
-        assert rep.form.value(rep.x, rep.y) == 5
+        assert rep.form == (1, 0, 1)
+        assert represented(rep) == 5
 
 
 class TestDirichletComposition:
@@ -105,26 +109,25 @@ class TestDirichletComposition:
         for d in (-23, -47, -84, -1031):
             forms = naive_reduced_forms(d)
             for f in forms:
-                assert naive_reduce(*f.triple) == f
+                assert naive_reduce(*f) == f
+                fa, fb, fc = f
                 for t in (-3, 1, 5):
-                    a, b, c = f.a, f.b + 2 * f.a * t, f.c + t * (f.b + f.a * t)
+                    a, b, c = fa, fb + 2 * fa * t, fc + t * (fb + fa * t)
                     assert naive_reduce(a, b, c) == f
                     assert naive_reduce(c, -b, a) == f
 
     def test_pinned_composites(self):
-        q = QuadraticForm
         # D = -47.  B = 1 (mod 4) and (mod 6) gives (6, 1, 2), which
         # reduces to (2, -1, 6); B = 1 (mod 6) and -1 (mod 4) gives
         # (6, 7, 4) -> (6, -5, 3) -> (3, 5, 6) -> (3, -1, 4)
-        assert dirichlet_compose(q(2, 1, 6), q(3, 1, 4)) == q(2, -1, 6)
-        assert dirichlet_compose(q(3, 1, 4), q(2, -1, 6)) == q(3, -1, 4)
-        assert dirichlet_compose(q(1, 1, 12), q(3, -1, 4)) == q(3, -1, 4)
+        assert dirichlet_compose((2, 1, 6), (3, 1, 4)) == (2, -1, 6)
+        assert dirichlet_compose((3, 1, 4), (2, -1, 6)) == (3, -1, 4)
+        assert dirichlet_compose((1, 1, 12), (3, -1, 4)) == (3, -1, 4)
 
     def test_refuses_what_it_does_not_cover(self):
-        q = QuadraticForm
-        with pytest.raises(ValueError):
-            dirichlet_compose(q(2, 2, 3), q(2, 2, 3))
-        with pytest.raises(ValueError):
-            dirichlet_compose(q(2, 1, 3), q(3, 1, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not coprime"):
+            dirichlet_compose((2, 2, 3), (2, 2, 3))
+        with pytest.raises(ValueError, match="different discriminants"):
+            dirichlet_compose((2, 1, 3), (3, 1, 4))
+        with pytest.raises(ValueError, match="not positive definite"):
             naive_reduce(1, 3, 1)
