@@ -115,16 +115,6 @@ class SlotRecord:
         return f"{type(self).__name__}({fields})"
 
 
-def _canonical_chain(orders: Sequence[int]) -> tuple[int, ...] | None:
-    """Return the sorted orders if they already form a canonical chain."""
-    tors = sorted(x for x in orders if x != 0 and x != 1)
-    zeros = [0] * sum(1 for x in orders if x == 0)
-    for a, b in zip(tors, tors[1:]):
-        if b % a:
-            return None
-    return tuple(tors) + tuple(zeros)
-
-
 def is_canonical(factors: Sequence[int]) -> bool:
     """Whether integer factors are in canonical form, read in their given order.
 
@@ -182,25 +172,24 @@ class FinGenAbGroup(SlotRecord):
     def from_orders(cls, orders: Iterable[int]) -> FinGenAbGroup:
         """Build the direct sum of Z/d (d > 0) and Z (d == 0), canonicalized.
 
-        The chain is checked once: both routes below end in canonical form,
-        so the group is built by `trusted`.
+        The sorted orders are checked once, by `is_canonical`: both routes
+        below end in canonical form, so the group is built by `trusted`.
         """
         orders = [int(x) for x in orders]
         if any(x < 0 for x in orders):
             raise ValueError("cyclic orders must be non-negative")
-        chain = _canonical_chain(orders)
-        if chain is None:
+        tors = sorted(x for x in orders if x > 1)
+        if not is_canonical(tors):
             # Z/a x Z/b = Z/gcd(a, b) x Z/lcm(a, b): the diagonal case of
             # Smith normal form.  After pass i, tors[i] divides every later
             # entry, so the list ends as an ascending chain with any 1s at
             # its front.
-            tors = [x for x in orders if x > 1]
             for i in range(len(tors)):
                 for j in range(i + 1, len(tors)):
                     g = gcd(tors[i], tors[j])
                     tors[i], tors[j] = g, tors[i] // g * tors[j]
-            chain = tuple(x for x in tors if x != 1) + (0,) * orders.count(0)
-        return cls.trusted(chain)
+            tors = [x for x in tors if x != 1]
+        return cls.trusted(tuple(tors) + (0,) * orders.count(0))
 
     @classmethod
     def trivial(cls) -> FinGenAbGroup:
@@ -329,8 +318,10 @@ def iso_equal(g: FinGenAbGroup, h: FinGenAbGroup) -> bool:
 def integer_nth_root(x: int, n: int) -> int | None:
     """Exact n-th root of a non-negative integer, or None if not a power.
 
-    Newton's iteration from above, started at a floating-point estimate of
-    the root, so the cost is a few powers of x's size even when x has
+    A root under 53 bits, which a double holds exactly, is rounded from a
+    floating-point estimate and confirmed with one power.  Otherwise, or if
+    that check fails, Newton's iteration runs from above, started at the
+    estimate, so the cost is a few powers of x's size even when x has
     hundreds of thousands of bits.
     """
     if x < 0 or n < 1:
@@ -345,6 +336,10 @@ def integer_nth_root(x: int, n: int) -> int | None:
         return y if y * y == x else None
     shift = max(bits - 64, 0)
     root_bits = (log2(x >> shift) + shift) / n
+    if root_bits < 53:
+        y = round(2.0**root_bits)
+        if y**n == x:
+            return y
     shift = max(int(root_bits) - 52, 0)
     y = (int(2.0 ** (root_bits - shift) * (1 + 2.0**-30)) + 1) << shift
     while y**n < x:  # only if the estimate fell short

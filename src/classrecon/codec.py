@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 from math import log10
 from typing import TYPE_CHECKING, Any
 
-from .abgroup import FinGenAbGroup, is_canonical, is_prime_power
+from .abgroup import FinGenAbGroup, brief, is_canonical, is_prime_power
 from .errors import (
     MAX_QUOTIENT_BITS,
     InvalidSyntheticSpec,
@@ -253,7 +253,7 @@ def synthetic_spec_from_json(doc: Any) -> SyntheticSpec:
         label = str(item.get("label", f"s{i}"))
         norm = _json_int(item.get("norm"), f"norm of {label}", bad)
         if not is_prime_power(norm):
-            raise NonPrimePowerNorm(f"norm {norm} is not a prime power")
+            raise NonPrimePowerNorm(f"norm {brief(norm)} is not a prime power")
         cls = tuple(
             _json_int(c, f"class of {label}", bad)
             for c in _json_list(item.get("class"), f"class of {label}", bad)

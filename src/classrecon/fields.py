@@ -1,9 +1,10 @@
 """The producer's ground truth: imaginary quadratic fields and synthetic data.
 
 The class group of a negative fundamental discriminant is realized on the
-reduced positive definite binary quadratic forms under composition; prime
-splitting comes from the Kronecker symbol; the ideal class of a prime above
-q is the class of a form with leading coefficient q.  Synthetic field
+reduced positive definite binary quadratic forms under composition.  A
+rational prime q splits, ramifies or stays inert as D has two, one or no
+square roots modulo 4q, and a root gives a form with leading coefficient q,
+whose class is the ideal class of a prime above q.  Synthetic field
 specifications carry an arbitrary finite abelian group and a free-form
 prime stream, so class groups outside quadratic reach enter the test matrix.
 Either kind of spec yields its primes as `PrimeIdealDatum`s.
@@ -26,8 +27,9 @@ of the small relation matrix gives the structure and each form's class.
 The reduced forms come from square roots: for each a <= sqrt(|D|/3), the
 b are the roots of b^2 = D (mod 4a), combined by CRT from roots modulo the
 prime powers of 4a, about sqrt(|D|) steps against the |D|/3 of
-`oracle.naive_reduced_forms`.  Prime enumeration computes one Kronecker
-symbol per rational prime and finds a prime's class by its reduced triple.
+`oracle.naive_reduced_forms`.  Prime enumeration takes one square root of
+D per rational prime, which both decides its splitting and gives its
+prime form, and finds a prime's class by that form's reduced triple.
 
 The Smith normal form, the modular square roots and the least prime
 factor table live here, beside their one runtime user.  This module
@@ -52,10 +54,10 @@ from .abgroup import (
     FinGenAbGroup,
     GroupElement,
     SlotRecord,
+    brief,
     check_bound,
     factorize,
     is_prime,
-    is_prime_power,
     primes_up_to,
     subgroup_index,
     xgcd,
@@ -68,7 +70,6 @@ from .errors import (
     InvalidDiscriminant,
     InvalidSyntheticSpec,
     LimitExceeded,
-    NonPrimePowerNorm,
     OddNormClassesDoNotGenerate,
 )
 
@@ -316,42 +317,6 @@ def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
 # -- quadratic forms and their class group ----------------------------------
 
 
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), the quadratic character of discriminant a.
-
-    Extends the Jacobi symbol to even and negative lower arguments with the
-    standard conventions, in particular (a|2) = 0, 1, -1 according to
-    a mod 8 in {even}, {1, 7}, {3, 5}.
-    """
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    if n % 2 == 0:
-        if a % 2 == 0:
-            return 0
-        twos = 0
-        while n % 2 == 0:
-            n //= 2
-            twos += 1
-        if twos % 2 == 1 and a % 8 in (3, 5):
-            result = -result
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def is_fundamental_discriminant(d: int) -> bool:
     if d >= 0 or d % 4 not in (0, 1):
         return False
@@ -594,35 +559,14 @@ def _discriminant_data(d: int) -> _DiscriminantData:
     return _DiscriminantData(tuple(triples), index, group, tuple(form_class))
 
 
-class Splitting(NamedTuple):
-    """How a rational prime decomposes: kind, per-ideal norm, ideal count."""
+def _prime_triple(d: int, q: int) -> Triple | None:
+    """The form (q, b, c) of discriminant d with the least b in [0, 2q), or None.
 
-    kind: str  # "split" | "inert" | "ramified"
-    norm: int
-    prime_count: int
-
-
-def kronecker_splitting(d: int, q: int) -> Splitting:
-    """Splitting of the rational prime q in the field of discriminant d."""
-    _check_discriminant(d)
-    if d % q == 0:
-        return Splitting("ramified", q, 1)
-    symbol = kronecker_symbol(d, q)
-    if symbol == 1:
-        return Splitting("split", q, 2)
-    if symbol == -1:
-        return Splitting("inert", q * q, 1)
-    raise InternalContradiction(f"symbol ({d}|{q}) = 0 for unramified {q}")
-
-
-def _prime_triple(d: int, q: int) -> Triple:
-    """The form (q, b, c) of discriminant d with the least b in [0, 2q).
-
-    The prime q must be known not to be inert.  The b are the roots of d
-    modulo 4q, one per class mod 2q, as in `_reduced_triples`: for odd q,
-    each root +-r modulo q lifted to the parity of d (for r = 0 the lift
-    of q is q or 2q, never below the lift of 0); for q = 2, the 2-adic
-    roots.  The form must be primitive.
+    The b are the roots of d modulo 4q, one per class mod 2q, as in
+    `_reduced_triples`: for odd q, each root +-r modulo q lifted to the
+    parity of d (for r = 0 the lift of q is q or 2q, never below the lift
+    of 0); for q = 2, the 2-adic roots.  No root means that q is inert, and
+    gives None.  A form found must be primitive.
     """
     if q == 2:
         roots = _two_adic_roots(d, 1)
@@ -630,7 +574,7 @@ def _prime_triple(d: int, q: int) -> Triple:
         r = sqrt_mod_prime(d, q)
         roots = [] if r is None else [x + q * ((x - d) % 2) for x in (r, q - r)]
     if not roots:
-        raise InternalContradiction(f"no prime form found for ({d}, {q})")
+        return None
     b = min(roots)
     c, rem = divmod(b * b - d, 4 * q)
     if rem or gcd(q, b, c) != 1:
@@ -667,7 +611,9 @@ class PrimeIdealDatum(SlotRecord):
         while n % residue_char == 0:
             n //= residue_char
         if n != 1:
-            raise ValueError(f"norm {norm} is not a power of {residue_char}")
+            raise ValueError(
+                f"norm {brief(norm)} is not a power of {brief(residue_char)}"
+            )
         self.label, self.norm, self.cls, self.residue_char = label, norm, cls, residue_char
 
     @property
@@ -688,8 +634,9 @@ FieldSpec = QuadraticSpec | SyntheticSpec
 def validate_synthetic(spec: SyntheticSpec) -> SyntheticSpec:
     """Check a synthetic spec; every failure is an InvalidSyntheticSpec.
 
-    The factors must be canonical and finite, each norm a prime power over
-    a prime residue characteristic, and the odd-norm classes must generate.
+    The factors must be canonical and finite, each residue characteristic
+    a prime (so each norm, a power of it by `PrimeIdealDatum`, is a prime
+    power), and the odd-norm classes must generate.
     A group of order above MAX_SYNTHETIC_ORDER raises LimitExceeded.
     """
     try:
@@ -707,11 +654,10 @@ def validate_synthetic(spec: SyntheticSpec) -> SyntheticSpec:
     if len(set(labels)) != len(labels):
         raise InvalidSyntheticSpec("duplicate prime labels in synthetic spec")
     for p in spec.primes:
-        if not is_prime_power(p.norm):
-            raise NonPrimePowerNorm(f"norm {p.norm} of {p.label} is not a prime power")
         if not is_prime(p.residue_char):
+            char = brief(p.residue_char)
             raise InvalidSyntheticSpec(
-                f"residue characteristic {p.residue_char} of {p.label} is not a prime"
+                f"residue characteristic {char} of {p.label} is not a prime"
             )
         try:
             group.element(p.cls)
@@ -735,10 +681,12 @@ def class_group(spec: FieldSpec) -> FinGenAbGroup:
 def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]:
     """Every prime ideal of norm <= bound, one datum per ideal.
 
-    Split rational primes contribute two data with mutually inverse classes;
-    inert primes contribute one principal datum of norm q**2; ramified
-    primes contribute one datum.  Completeness below the bound is exactly
-    the contract the zeta truncation relies on.
+    The prime form (`_prime_triple`) decides each rational prime q.  With
+    none, q is inert and contributes one principal datum of norm q**2.
+    Otherwise its class is that of a prime above q: a ramified q (dividing
+    D) contributes that one datum, and a split q a second one of the
+    inverse class.  Completeness below the bound is exactly the contract
+    the zeta truncation relies on.
     """
     check_bound(bound, "prime norm bound")
     if isinstance(spec, SyntheticSpec):
@@ -748,15 +696,14 @@ def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]
     group = data.group
     out: list[PrimeIdealDatum] = []
     for q in primes_up_to(bound):
-        split = kronecker_splitting(d, q)
-        if split.norm > bound:
+        form = _prime_triple(d, q)
+        if form is None:  # q is inert
+            if q * q <= bound:
+                out.append(PrimeIdealDatum(f"p_{q}", q * q, group.zero(), q))
             continue
-        if split.kind == "inert":
-            out.append(PrimeIdealDatum(f"p_{q}", split.norm, group.zero(), q))
-            continue
-        cls = data.form_class[data.index[_reduce_triple(*_prime_triple(d, q))]]
+        cls = data.form_class[data.index[_reduce_triple(*form)]]
         out.append(PrimeIdealDatum(f"p_{q}", q, cls, q))
-        if split.kind == "split":
+        if d % q:  # q splits
             out.append(PrimeIdealDatum(f"p_{q}c", q, group.neg(cls), q))
     return out
 

@@ -21,7 +21,6 @@ round-trip and comparison drivers that hold the ground truth live there.
 
 from __future__ import annotations
 
-from math import log2
 from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .abgroup import (
@@ -120,7 +119,7 @@ def recover_norm(bundle: InvariantBundle, label: str, h: int) -> int:
             f"summand count {s} for {label} does not divide the class number {h}"
         )
     ord_p = h // s
-    n = _exact_root(t + 1, ord_p)
+    n = integer_nth_root(t + 1, ord_p)
     if n is None:
         raise MalformedBundle(
             f"torsion {brief(t)} + 1 for {label} is not a perfect {ord_p}-th power"
@@ -130,22 +129,6 @@ def recover_norm(bundle: InvariantBundle, label: str, h: int) -> int:
             f"recovered norm {brief(n)} for {label} is not a prime power"
         )
     return n
-
-
-def _exact_root(x: int, n: int) -> int | None:
-    """The n-th root of x >= 2 if x is a perfect n-th power, else None.
-
-    The root is rounded from the top bits of x, as in `integer_nth_root`,
-    and confirmed with one power; the Newton steps of `integer_nth_root`
-    run only if that check fails.
-    """
-    shift = max(x.bit_length() - 64, 0)
-    root_bits = (log2(x >> shift) + shift) / n
-    if root_bits < 53:  # a double then holds the root exactly
-        guess = round(2.0**root_bits)
-        if guess**n == x:
-            return guess
-    return integer_nth_root(x, n)
 
 
 def recover_norms(bundle: InvariantBundle, h: int) -> dict[str, int]:

@@ -338,14 +338,14 @@ class TestCanonicalForm:
 
     def test_from_orders_checks_the_chain_once(self, monkeypatch):
         calls = 0
-        chain = classrecon.abgroup._canonical_chain
+        check = classrecon.abgroup.is_canonical
 
-        def counted(orders):
+        def counted(factors):
             nonlocal calls
             calls += 1
-            return chain(orders)
+            return check(factors)
 
-        monkeypatch.setattr(classrecon.abgroup, "_canonical_chain", counted)
+        monkeypatch.setattr(classrecon.abgroup, "is_canonical", counted)
         cases = [[], [1, 1], [5], [2, 4, 0], [4, 6], [0, 30, 4], [47] * 47]
         for n, orders in enumerate(cases, start=1):
             FinGenAbGroup.from_orders(orders)

@@ -823,8 +823,29 @@ class TestSyntheticParsing:
                 "invariant_factors": ["2"],
                 "primes": [{"norm": "9", "class": [1], "residue_char": "9"}],
             },
+            {
+                "invariant_factors": ["2"],
+                "primes": [{"norm": "2" + "0" * 4000, "class": [1], "residue_char": "2"}],
+            },
+            {
+                "invariant_factors": ["2"],
+                "primes": [{"norm": str(3**3000), "class": [1], "residue_char": "5"}],
+            },
+            {
+                "invariant_factors": ["2"],
+                "primes": [
+                    {"norm": str(3**3000), "class": [1], "residue_char": str(3**1000)}
+                ],
+            },
         ],
-        ids=["norm-not-power-of-char", "non-canonical-factors", "composite-char"],
+        ids=[
+            "norm-not-power-of-char",
+            "non-canonical-factors",
+            "composite-char",
+            "huge-non-prime-power-norm",
+            "huge-norm-not-power-of-char",
+            "huge-composite-char",
+        ],
     )
     def test_inconsistent_spec_exits_2(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
@@ -832,6 +853,7 @@ class TestSyntheticParsing:
         assert main(["classgroup", "--synthetic", str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200  # integers above 256 bits are named by their size
 
     def test_group_order_above_limit_exits_3(self, tmp_path, capsys):
         doc = {

@@ -15,7 +15,6 @@ from classrecon.fields import (
     DiscriminantTooLarge,
     InternalContradiction,
     InvalidDiscriminant,
-    NonPrimePowerNorm,
     OddNormClassesDoNotGenerate,
     QuadraticSpec,
     SyntheticSpec,
@@ -27,11 +26,10 @@ from classrecon.fields import (
     class_group,
     enumerate_prime_ideals,
     is_fundamental_discriminant,
-    kronecker_splitting,
-    kronecker_symbol,
     validate_synthetic,
 )
 from classrecon.abgroup import FinGenAbGroup, primes_up_to
+from classrecon.errors import NonPrimePowerNorm
 from classrecon.oracle import (
     class_group_model,
     dirichlet_compose,
@@ -114,38 +112,6 @@ def positive_definite_triples(draw):
     return a, draw(st.integers(-top, top)), c
 
 
-class TestKroneckerSymbol:
-    def test_against_sympy(self):
-        rng = random.Random(12)
-        for _ in range(400):
-            a = rng.randint(-300, 300)
-            n = rng.randint(1, 300)
-            assert kronecker_symbol(a, n) == sympy.kronecker_symbol(a, n), (a, n)
-
-    def test_odd_prime_is_legendre(self):
-        for q in [3, 5, 7, 11, 13]:
-            squares = {x * x % q for x in range(1, q)}
-            for a in range(-40, 40):
-                want = 0 if a % q == 0 else (1 if a % q in squares else -1)
-                assert kronecker_symbol(a, q) == want
-
-    def test_two_conventions(self):
-        assert kronecker_symbol(7, 2) == 1
-        assert kronecker_symbol(-1, 2) == 1
-        assert kronecker_symbol(3, 2) == -1
-        assert kronecker_symbol(5, 2) == -1
-        assert kronecker_symbol(4, 2) == 0
-
-    def test_completely_multiplicative(self):
-        rng = random.Random(13)
-        for _ in range(200):
-            d = rng.choice(TEST_DISCRIMINANTS)
-            m, n = rng.randint(1, 60), rng.randint(1, 60)
-            assert kronecker_symbol(d, m * n) == kronecker_symbol(
-                d, m
-            ) * kronecker_symbol(d, n)
-
-
 class TestDiscriminants:
     def test_fundamental_accepts(self):
         for d in TEST_DISCRIMINANTS + [-3, -8, -7, -11, -15, -24, -163]:
@@ -226,12 +192,9 @@ class TestFormEnumeration:
 
     @pytest.mark.parametrize("d", ENUMERATION_DISCRIMINANTS)
     def test_prime_form_matches_the_b_scan(self, d):
+        # None, which marks q inert, exactly where the scan finds no form
         for q in primes_up_to(500):
-            want = _scanned_prime_form(d, q)
-            if kronecker_splitting(d, q).kind == "inert":
-                assert want is None
-            else:
-                assert _prime_triple(d, q) == want, (d, q)
+            assert _prime_triple(d, q) == _scanned_prime_form(d, q), (d, q)
 
 
 class TestComposition:
@@ -354,18 +317,20 @@ class TestComposition:
         assert _discriminant_data(-202127).forms == tuple(_reduced_triples(-202127))
 
     def test_prime_enumeration_computes_one_symbol_per_prime(self, monkeypatch):
+        # one square root per odd prime decides its splitting and gives its
+        # prime form; q = 2 takes the 2-adic roots instead
         calls = 0
-        symbol = fields.kronecker_symbol
+        root = fields.sqrt_mod_prime
 
-        def counted(a, n):
+        def counted(a, q):
             nonlocal calls
             calls += 1
-            return symbol(a, n)
+            return root(a, q)
 
         _discriminant_data(-100019)
-        monkeypatch.setattr(fields, "kronecker_symbol", counted)
+        monkeypatch.setattr(fields, "sqrt_mod_prime", counted)
         enumerate_prime_ideals(QuadraticSpec(-100019), 2000)
-        assert calls == len(primes_up_to(2000)) == 303
+        assert calls == len(primes_up_to(2000)) - 1 == 302
 
     def test_discriminant_above_limit_is_refused(self, monkeypatch):
         def no_enumeration(*args):
@@ -397,26 +362,45 @@ class TestComposition:
         assert calls == [100019]
 
 
+def _norms_by_prime(d: int, bound: int) -> dict[int, list[int]]:
+    """The norms of the prime ideals above each rational prime, in label order."""
+    norms: dict[int, list[int]] = {}
+    for p in enumerate_prime_ideals(QuadraticSpec(d), bound):
+        norms.setdefault(p.residue_char, []).append(p.norm)
+    return norms
+
+
 class TestSplitting:
     def test_pinned_examples(self):
-        s = kronecker_splitting(-20, 3)
-        assert (s.kind, s.norm, s.prime_count) == ("split", 3, 2)
-        s = kronecker_splitting(-20, 11)
-        assert (s.kind, s.norm, s.prime_count) == ("inert", 121, 1)
-        s = kronecker_splitting(-20, 5)
-        assert (s.kind, s.norm, s.prime_count) == ("ramified", 5, 1)
+        data = {p.label: p for p in enumerate_prime_ideals(QuadraticSpec(-20), 121)}
+        assert [data[k].norm for k in ("p_3", "p_3c", "p_5", "p_11")] == [3, 3, 5, 121]
+        assert "p_5c" not in data and "p_11c" not in data  # ramified, inert
+        assert data["p_11"].cls == (0,)
 
     def test_norm_product_is_q_squared_for_unramified(self):
         for d in TEST_DISCRIMINANTS:
+            norms = _norms_by_prime(d, 50 * 50)
             for q in sympy.primerange(2, 50):
                 q = int(q)
-                s = kronecker_splitting(d, q)
-                if s.kind == "split":
-                    assert s.norm * s.norm == q * q and s.prime_count == 2
-                elif s.kind == "inert":
-                    assert s.norm == q * q and s.prime_count == 1
+                if d % q == 0:
+                    assert norms[q] == [q], (d, q)
                 else:
-                    assert d % q == 0 and s.norm == q
+                    assert norms[q] in ([q, q], [q * q]), (d, q)
+
+    @pytest.mark.parametrize("d", ENUMERATION_DISCRIMINANTS)
+    def test_kinds_follow_the_kronecker_symbol(self, d):
+        # ramified, split and inert as q | d, (d|q) = 1 and (d|q) = -1
+        data = {p.label: p for p in enumerate_prime_ideals(QuadraticSpec(d), 500 * 500)}
+        for q in primes_up_to(500):
+            p = data[f"p_{q}"]
+            symbol = sympy.kronecker_symbol(d, q)
+            if d % q == 0:
+                assert (p.norm, f"p_{q}c" in data) == (q, False), (d, q)
+            elif symbol == 1:
+                assert (p.norm, data[f"p_{q}c"].norm) == (q, q), (d, q)
+            else:
+                assert symbol == -1 and f"p_{q}c" not in data, (d, q)
+                assert (p.norm, p.cls) == (q * q, class_group(QuadraticSpec(d)).zero())
 
     def test_ramified_class_squares_to_identity(self):
         for d in TEST_DISCRIMINANTS:
@@ -446,38 +430,42 @@ class TestIdealClasses:
 
     def test_inert_rejected(self):
         # an inert prime has no form (q, b, c), and the kernel finds none
-        with pytest.raises(InternalContradiction):
-            _prime_triple(-20, 11)
+        assert _prime_triple(-20, 11) is None
+
+    def test_imprimitive_form_raises(self):
+        # only a non-fundamental discriminant has one: (2, 2, 2) and (3, 0, 3)
+        for d, q in ((-12, 2), (-36, 3)):
+            with pytest.raises(InternalContradiction):
+                _prime_triple(d, q)
 
     def test_prime_form_leading_coefficient(self):
         for d in TEST_DISCRIMINANTS:
             for q in sympy.primerange(2, 30):
-                q = int(q)
-                if kronecker_splitting(d, q).kind == "inert":
+                f = _prime_triple(d, int(q))
+                if f is None:
                     continue
-                f = _prime_triple(d, q)
                 assert f[0] == q
                 assert _discriminant(f) == d
                 assert 0 <= f[1] < 2 * q
 
     def test_against_representation_search(self):
+        # the kinds come from the enumeration, the forms from a naive search
         for d in TEST_DISCRIMINANTS:
             group = class_group(QuadraticSpec(d))
             data = {f: c for f, c in zip(*_forms_and_classes(d))}
-            classes = _classes_by_label(d, 30)
+            primes = {p.label: p for p in enumerate_prime_ideals(QuadraticSpec(d), 900)}
             for q in sympy.primerange(2, 30):
                 q = int(q)
                 rep = naive_represented_primes(d, q)
-                split = kronecker_splitting(d, q)
-                if split.kind == "inert":
+                p = primes[f"p_{q}"]
+                if p.norm == q * q:  # inert
                     assert rep is None
                     continue
                 (a, b, c), x, y = rep.form, rep.x, rep.y
                 assert a * x * x + b * x * y + c * y * y == q
-                cls = classes[f"p_{q}"]
-                if split.kind == "split":
-                    assert classes[f"p_{q}c"] == group.neg(cls)
-                assert data[rep.form] in (cls, group.neg(cls))
+                if f"p_{q}c" in primes:  # split
+                    assert primes[f"p_{q}c"].cls == group.neg(p.cls)
+                assert data[rep.form] in (p.cls, group.neg(p.cls))
 
 
 def _forms_and_classes(d):
@@ -590,10 +578,10 @@ class TestValueSemantics:
         assert enumerate_prime_ideals(spec, 50) == enumerate_prime_ideals(spec, 50)
 
     def test_unchecked_records_are_immutable_tuples(self):
-        split = kronecker_splitting(-23, 2)
-        assert split == ("split", 2, 2)
+        primes = tuple(enumerate_prime_ideals(QuadraticSpec(-23), 20))
+        spec = SyntheticSpec((3,), primes)
+        assert spec == ((3,), primes)
         with pytest.raises(AttributeError):
-            split.norm = 4
-        spec = SyntheticSpec((3,), tuple(enumerate_prime_ideals(QuadraticSpec(-23), 20)))
+            spec.factors = (5,)
         assert spec == SyntheticSpec(spec.factors, tuple(spec.primes))
         assert hash(spec) == hash(SyntheticSpec(spec.factors, tuple(spec.primes)))

@@ -8,7 +8,8 @@ each subcommand loads exactly the modules it runs: nothing is compiled that
 a call does not use.
 
 Every public top-level function and class of a runtime module is read by
-runtime code or by the benchmark under `perfbench/`: code that only tests
+runtime code or by the benchmark under `perfbench/`, and so is every
+private top-level function, outside its own body: code that only tests
 call is deleted.
 
 The runtime also stays off `dataclasses`, which loads `inspect` and
@@ -120,15 +121,44 @@ def _public_definitions(tree: ast.Module) -> set[str]:
     }
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Every name a tree reads, bare or as an attribute; docstrings do not count."""
+def _private_functions(tree: ast.Module) -> dict[str, ast.AST]:
+    """The private functions a module defines at its top level; dunders do not count."""
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name a tree reads, bare or as an attribute, outside the node `skip`.
+
+    Docstrings do not count.
+    """
     found = set()
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
     return found
+
+
+def _unread_private_functions(tree: ast.Module, elsewhere: set[str]) -> set[str]:
+    """The private functions of a module that neither `elsewhere` nor the
+    module outside their own bodies reads."""
+    return {
+        name
+        for name, node in _private_functions(tree).items()
+        if name not in elsewhere and name not in _references(tree, skip=node)
+    }
 
 
 # `lattice.quotient_group` is the documented seam for producing quotients,
@@ -144,6 +174,15 @@ def test_runtime_defines_nothing_only_tests_call(path):
         used |= _references(_parse(user))
     unused = _public_definitions(_parse(path)) - used
     assert unused == {name for stem, name in ONLY_TESTED if stem == path.stem}
+
+
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
+def test_runtime_reads_every_private_function(path):
+    elsewhere = set()
+    for user in [*RUNTIME, *sorted(PERFBENCH.rglob("*.py"))]:
+        if user != path:
+            elsewhere |= _references(_parse(user))
+    assert _unread_private_functions(_parse(path), elsewhere) == set()
 
 
 def test_scan_finds_unreferenced_definitions():
@@ -163,6 +202,27 @@ def test_scan_finds_unreferenced_definitions():
     assert _public_definitions(tree) - _references(tree) == {"mentioned", "f"}
     assert {"m", "attribute", "attr"} <= _references(tree)
     assert "imported_only" not in _references(tree)
+
+
+def test_scan_finds_unread_private_functions():
+    tree = ast.parse(
+        "def _called(): pass\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1)\n"
+        "def _read_elsewhere(): pass\n"
+        "def __getattr__(name): pass\n"
+        "def _outer():\n"
+        "    def _nested(): pass\n"
+        "    return _nested()\n"
+        "class _Private:\n"
+        "    def _method(self): pass\n"
+        "def public():\n"
+        "    return _called()\n"
+    )
+    assert set(_private_functions(tree)) == {
+        "_called", "_recursive", "_read_elsewhere", "_outer"
+    }
+    assert _unread_private_functions(tree, {"_read_elsewhere"}) == {"_recursive", "_outer"}
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

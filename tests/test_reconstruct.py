@@ -198,11 +198,13 @@ def roots_and_orders(draw):
 @example((293, 26629), 0)
 @example((2**53 + 1, 3), 0)  # a root no double holds
 def test_exact_root_agrees_with_newton(case, offset):
-    # Norm recovery confirms a rounded root with one power.  On powers and
-    # on their neighbours it must answer as the Newton iteration does.
+    # Norm recovery takes exact roots with `integer_nth_root`, which confirms
+    # a rounded root with one power before any Newton step.  On powers and
+    # on their neighbours it must answer as sympy's integer root does.
     root, n = case
     x = root**n + offset
-    assert reconstruct._exact_root(x, n) == integer_nth_root(x, n)
+    want, exact = sympy.integer_nthroot(x, n)
+    assert integer_nth_root(x, n) == (int(want) if exact else None)
 
 
 class TestSubgroupOrders:
