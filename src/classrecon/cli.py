@@ -121,8 +121,7 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
 def cmd_invariants(args: argparse.Namespace) -> int:
     from .codec import _write_output, bundle_to_json
     from .fields import class_group, enumerate_prime_ideals
-    from .lattice import build_bundle
-    from .reconstruct import reconstruct_all
+    from .lattice import add_chain_entries, build_bundle
 
     spec = _spec_from_args(args)
     group = class_group(spec)
@@ -137,12 +136,12 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             return _error(ValueError(message), EXIT_USAGE)
         subsets.append(subset)
     bundle = build_bundle(group, primes, subsets=subsets)
-    # Run a default reconstruction so the file also contains every entry a
-    # blind consumer with default settings will request.  The chains read
-    # only the sets that can change their answer, chosen from the label
-    # order and the entries read, so the consumer asks for the same sets.
+    # The file must also carry every entry a blind `reconstruct` will read:
+    # the greedy chains, run on the true norms, query the same sets as the
+    # consumer's.  When the odd-norm classes fall short of the class group,
+    # the file is still written, with a warning.
     try:
-        reconstruct_all(bundle, zeta_bound=2)
+        add_chain_entries(bundle, primes)
     except InsufficientGenerators as exc:
         print(f"warning: {exc}", file=sys.stderr)
     if args.show_labels:

@@ -13,7 +13,7 @@ the files carry no arithmetic hints.  Bundle factors may run past CPython's
 limit on int/str conversion (4300 digits by default); the codec converts
 them in chunks below that limit, so the interpreter-wide setting is never
 changed.  A bundle repeats few distinct factors many times, so the writer
-converts each distinct factor once per entry and the loader reads each
+converts each distinct factor once per bundle and the loader reads each
 distinct factor string once per file.
 
 Each file type has one validating loader (`bundle_from_json`,
@@ -85,25 +85,26 @@ def _from_decimal(text: str) -> int:
 def bundle_to_json(bundle: InvariantBundle) -> dict[str, Any]:
     """Serialize known entries with labels replaced by opaque integers.
 
-    An entry repeats few distinct factors many times (a homogeneous entry
-    is [Cl : H] copies of one), so each distinct factor is converted once.
+    A bundle repeats few distinct factors many times (a homogeneous entry
+    is [Cl : H] copies of one, and many entries share it), so each distinct
+    factor is converted once per bundle.
     """
-    ids = {label: i for i, label in enumerate(bundle.labels)}
-    entries = []
+    ids = {label: i for i, label in enumerate(bundle.labels)}.__getitem__
+    text: dict[int, str] = {}
+    rows = []
     for key, group in bundle.entries.items():
-        text = {x: _decimal(x) for x in set(group.factors)}
-        entries.append(
-            {
-                "labels": sorted(ids[l] for l in key),
-                "factors": [text[x] for x in group.factors],
-            }
-        )
-    entries.sort(key=lambda e: (len(e["labels"]), e["labels"]))
+        factors = group.factors
+        for x in dict.fromkeys(factors):
+            if x not in text:
+                text[x] = _decimal(x)
+        # entry keys are distinct, so the sort never compares the factors
+        rows.append((len(key), sorted(map(ids, key)), list(map(text.__getitem__, factors))))
+    rows.sort()
     return {
         "version": BUNDLE_VERSION,
         "rank": bundle.rank,
         "labels": list(range(len(bundle.labels))),
-        "entries": entries,
+        "entries": [{"labels": labels, "factors": strings} for _, labels, strings in rows],
     }
 
 
@@ -282,7 +283,7 @@ def _read_json(path: str) -> Any:
 
 _SCALARS = {
     str: encode_basestring_ascii,
-    int: int.__repr__,
+    int: repr,  # int.__repr__: only an exact int maps here, never a bool
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
@@ -293,8 +294,9 @@ def _json_text(value: Any, indent: str = "\n") -> str:
 
     json.dumps runs its pure-Python encoder whenever `indent` is set.  Here,
     as there, strings go through the C `encode_basestring_ascii` and ints
-    through `int.__repr__`, and the items of a list or dict that share one
-    scalar type are joined in one step.  Values are str, int, bool, None,
+    through `int.__repr__` (called as `repr`, which is quicker through
+    `map`), and the items of a list or dict that share one scalar type are
+    joined in one step.  Values are str, int, bool, None,
     lists and dicts with str keys; any other type raises TypeError.
     """
     kind = type(value)

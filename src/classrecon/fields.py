@@ -277,7 +277,7 @@ def sqrt_mod_prime(a: int, q: int) -> int | None:
 
 
 def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
-    """Every root of x*x = a modulo q**e, sorted, for a prime q not dividing a.
+    """Every root of x*x = a modulo q**e, each once, for a prime q not dividing a.
 
     For odd q, a root modulo q lifts by Hensel's lemma one exponent at a
     time, and the roots are r and -r.  Powers of 2 are their own small
@@ -285,9 +285,9 @@ def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
     a = 1 (mod 4), and four roots +-r, +-r + 2**(e-1) modulo 2**e for e >= 3
     when a = 1 (mod 8); otherwise none.
 
-    >>> sqrt_mod_prime_power(2, 7, 2)
+    >>> sorted(sqrt_mod_prime_power(2, 7, 2))
     [10, 39]
-    >>> sqrt_mod_prime_power(17, 2, 5)
+    >>> sorted(sqrt_mod_prime_power(17, 2, 5))
     [7, 9, 23, 25]
     """
     if e < 1 or a % q == 0:
@@ -302,8 +302,8 @@ def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
         for k in range(3, e):
             if (r * r - a) % (2 << k):
                 r += 1 << (k - 1)
-        half = n // 2
-        return sorted({r, n - r, (r + half) % n, (half - r) % n})
+        half = n // 2  # r is odd, so the four roots are distinct
+        return [r, n - r, (r + half) % n, (half - r) % n]
     r = sqrt_mod_prime(a, q)
     if r is None:
         return []
@@ -311,7 +311,7 @@ def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
     for _ in range(1, e):
         modulus *= q
         r = (r - (r * r - a) * pow(2 * r, -1, modulus)) % modulus
-    return sorted({r, n - r})
+    return [r, n - r]  # distinct, since q does not divide a
 
 
 # -- quadratic forms and their class group ----------------------------------
@@ -410,14 +410,16 @@ def _reduced_triples(d: int) -> list[Triple]:
 
     A reduced form (a, b, c) has a <= sqrt(|d|/3), and b lies in (-a, a]
     with b^2 = d (mod 4a); b and b + 2a give the same c, so the candidates
-    for each a are the classes mod 2a of the roots of d modulo 4a.  With
-    a = 2^e * m, m odd, those combine by CRT the 2-adic roots
-    (`_two_adic_roots`) with the roots modulo m.  The roots modulo each odd
-    m are built once, in increasing order: modulo its prime power q^k
-    (least prime factor q) directly, otherwise by CRT from the roots modulo
-    q^k and modulo m / q^k, both built before.  A prime factor of a at
-    which d is a non-residue leaves no roots, hence no forms.  The
-    conditions c >= a, and b >= 0 when a = c, then pick the reduced ones.
+    for each a are the classes mod 2a of the roots of d modulo 4a.  The
+    roots modulo each odd a are built once, in increasing order: modulo its
+    prime power q^k (least prime factor q) directly, otherwise by CRT from
+    the roots modulo q^k and modulo a / q^k, both built before.  For odd a,
+    each root x modulo a lifts to the one class mod 2a of the parity of d,
+    x or x + a.  For a = 2^e * m with e > 0 and m odd, CRT combines the
+    2-adic roots (`_two_adic_roots`) with the roots modulo m.  A prime
+    factor of a at which d is a non-residue leaves no roots, hence no
+    forms.  The conditions c >= a, and b >= 0 when a = c, then pick the
+    reduced ones.
     """
     _check_discriminant(d)
     top = isqrt(-d // 3)
@@ -426,22 +428,27 @@ def _reduced_triples(d: int) -> list[Triple]:
     odd_roots: list[list[int]] = [[], [0]] + [[] for _ in range(top - 1)]
     forms = []
     for a in range(1, top + 1):
-        e = (a & -a).bit_length() - 1
-        m = a >> e
-        if m == a > 1:  # odd a: its roots come from its least prime power and the rest
-            q = prime_power = spf[a]
-            k = 1
-            while a % (prime_power * q) == 0:
-                prime_power, k = prime_power * q, k + 1
-            rest = a // prime_power
-            odd_roots[a] = (
-                _odd_prime_power_roots(d, q, k)
-                if rest == 1
-                else _crt(odd_roots[prime_power], prime_power, odd_roots[rest], rest)
-            )
-        if not (two_adic[e] and odd_roots[m]):
-            continue
-        roots = _crt(two_adic[e], 2 << e, odd_roots[m], m)
+        if a % 2:
+            if a > 1:  # its roots come from its least prime power and the rest
+                q = prime_power = spf[a]
+                k = 1
+                while a % (prime_power * q) == 0:
+                    prime_power, k = prime_power * q, k + 1
+                rest = a // prime_power
+                odd_roots[a] = (
+                    _odd_prime_power_roots(d, q, k)
+                    if rest == 1
+                    else _crt(odd_roots[prime_power], prime_power, odd_roots[rest], rest)
+                )
+            if not odd_roots[a]:
+                continue
+            roots = [x + a * ((x - d) % 2) for x in odd_roots[a]]
+        else:
+            e = (a & -a).bit_length() - 1
+            m = a >> e
+            if not (two_adic[e] and odd_roots[m]):
+                continue
+            roots = _crt(two_adic[e], 2 << e, odd_roots[m], m)
         for b in sorted([x - 2 * a if x > a else x for x in roots]):
             c = (b * b - d) // (4 * a)
             if c > a or (c == a and b >= 0):
@@ -450,21 +457,21 @@ def _reduced_triples(d: int) -> list[Triple]:
 
 
 def _two_adic_roots(d: int, e: int) -> list[int]:
-    """Every class b mod 2^(e+1) with b^2 = d (mod 2^(e+2)), sorted.
+    """Every class b mod 2^(e+1) with b^2 = d (mod 2^(e+2)), each once.
 
     An odd d takes its roots modulo 2^(e+2).  An even d = 4n has
     n = 2 or 3 (mod 4), and b = 2b' needs b'^2 = n (mod 2^e): any b' for
     e = 0, b' = n (mod 2) for e = 1, and none above.
     """
     if d % 2:
-        return sorted({r % (2 << e) for r in sqrt_mod_prime_power(d, 2, e + 2)})
+        return list({r % (2 << e) for r in sqrt_mod_prime_power(d, 2, e + 2)})
     if e > 1:
         return []
     return [2 * (d // 4 % 2)] if e == 1 else [0]
 
 
 def _odd_prime_power_roots(d: int, q: int, k: int) -> list[int]:
-    """Every b mod q^k with b^2 = d (mod q^k), for an odd prime q, sorted.
+    """Every b mod q^k with b^2 = d (mod q^k), for an odd prime q, each once.
 
     A fundamental d is divisible by no odd prime square, so q | d leaves
     the one root 0 for k = 1 and none above.

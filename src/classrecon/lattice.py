@@ -25,9 +25,11 @@ form (SNF) of the whole sublattice, `oracle.lattice_quotient`, and the
 paper's induction over F.  Only they enumerate group elements.
 
 `build_bundle` turns the quotients into an opaque `InvariantBundle` for
-the blind consumer in `reconstruct`.  The drivers that hold the ground
-truth beside a blind reconstruction, `roundtrip` and `compare_fields`,
-live here too, so the consumer never imports the producer.
+the blind consumer in `reconstruct`, and `add_chain_entries` adds the
+entries the consumer's greedy chains will read, found by running those
+chains on the true norms.  The drivers that hold the ground truth beside
+a blind reconstruction, `roundtrip` and `compare_fields`, live here too,
+so the consumer never imports the producer.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .reconstruct import (
     ReconstructionReport,
     Verdict,
     reconstruct_all,
+    reconstruct_class_group,
     zeta_coefficients,
 )
 
@@ -99,12 +102,16 @@ def prime_terms(
 
 
 def quotient_from_terms(
-    group: FinGenAbGroup, terms: Sequence[PrimeTerms]
+    group: FinGenAbGroup, terms: Sequence[PrimeTerms], h: int
 ) -> FinGenAbGroup:
-    """The quotient attached to the primes with these terms; see `quotient_group`."""
-    h = group.order()
+    """The quotient attached to the primes with these terms; see `quotient_group`.
+
+    `h` is the order of `group`, which a bundle computes once for all its
+    entries.  The quotient, [Cl : H] copies of Z/m, is canonical as built,
+    so it is made by `FinGenAbGroup.trusted` and not checked again.
+    """
     if not terms:
-        return FinGenAbGroup.free(h)
+        return FinGenAbGroup.trusted((0,) * h)
     if len(terms) == 1:  # the relations are the multiples of ord[p]
         index, relations = h // terms[0].order, []
     else:
@@ -128,7 +135,8 @@ def quotient_from_terms(
         raise InternalContradiction(
             f"quotient order {brief(m)} of an odd-norm set is not even positive"
         )
-    return FinGenAbGroup.from_orders([m] * index)
+    # m >= 1, since every N(p)**ord[p] - 1 is
+    return FinGenAbGroup.trusted((m,) * index) if m > 1 else FinGenAbGroup.trivial()
 
 
 def quotient_group(
@@ -156,7 +164,7 @@ def quotient_group(
     >>> str(quotient_group(z4, [p])), str(quotient_group(z4, [p, q]))
     ('Z/3 x Z/3', 'trivial')
     """
-    return quotient_from_terms(group, prime_terms(group, primes))
+    return quotient_from_terms(group, prime_terms(group, primes), group.order())
 
 
 def build_bundle(
@@ -192,20 +200,40 @@ def build_bundle(
             raise ValueError(f"unknown labels in subset {sorted(key)}")
         wanted.append(key)
     terms = dict(zip(labels, prime_terms(group, primes)))
+    h = group.order()
 
     def quotient_for(key: frozenset[str]) -> FinGenAbGroup:
-        return quotient_from_terms(group, [terms[l] for l in sorted(key)])
+        return quotient_from_terms(group, [terms[l] for l in sorted(key)], h)
 
     entries: dict[frozenset[str], FinGenAbGroup] = {}
     for key in wanted:
         if key not in entries:
             entries[key] = quotient_for(key)
     return InvariantBundle(
-        rank=group.order(),
+        rank=h,
         labels=labels,
         entries=entries,
         compute=quotient_for,
     )
+
+
+def add_chain_entries(
+    bundle: InvariantBundle, primes: Sequence[PrimeIdealDatum]
+) -> None:
+    """Add to a bundle every entry a default blind reconstruction reads.
+
+    A blind `reconstruct` reads the empty-set and singleton entries, which
+    every bundle carries, and the entries its greedy chains query.  The
+    chains choose their queries from the label order and the values read
+    (`reconstruct.greedy_primary_factors`), so running them here on the
+    true norms asks for exactly the sets the consumer will ask for, and
+    the bundle's supplier computes and keeps each one.  No norm is
+    recovered and no zeta coefficient computed.  Raises
+    InsufficientGenerators, after every chain entry is in the bundle, when
+    the odd-norm classes do not generate the class group.
+    """
+    norms = {p.label: p.norm for p in primes}
+    reconstruct_class_group(bundle, norms, bundle.rank)
 
 
 def roundtrip(

@@ -276,6 +276,51 @@ def _check_carried_orders(
                 )
 
 
+def _check_torsion(bundle: InvariantBundle, norms: Mapping[str, int], h: int) -> None:
+    """Refuse carried multi-label entries that the closed form rules out.
+
+    The entry of a label set F is s_F copies of Z/m, and that of a label p
+    is s_p copies of Z/t_p with t_p = N(p)**ord[p] - 1 (the `lattice`
+    docstring).  So, for every p in F:
+
+      * m divides t_p, since m is a gcd that t_p enters;
+      * s_F divides s_p, since [Cl : H_F] divides [Cl : <p>];
+      * m is even when every norm in F is odd, since then every term of
+        that gcd is even.
+
+    A trivial entry has m = 1 and shows no summand count; a trivial
+    singleton has N = 2, ord = 1, t_p = 1 and s_p = h.  Each check is one
+    modulus per label.  A bundle read from a file computes no entry, so
+    every entry the chains read from it is carried and checked here.
+    """
+    for key, group in list(bundle.entries.items()):
+        if len(key) < 2:
+            continue
+        factors = group.factors
+        if factors and (factors[0] != factors[-1] or factors[-1] == 0):
+            raise MalformedBundle(
+                f"entry for {sorted(key)} is not homogeneous torsion: {brief(factors)}"
+            )
+        m, s = (factors[0], len(factors)) if factors else (1, 0)
+        for label in sorted(key):
+            single = bundle.entry((label,)).factors
+            t, s_p = (single[0], len(single)) if single else (1, h)
+            if t % m:
+                raise MalformedBundle(
+                    f"torsion {brief(m)} of {sorted(key)} does not divide "
+                    f"{brief(t)}, the torsion of {label}"
+                )
+            if s and s_p % s:
+                raise MalformedBundle(
+                    f"summand count {s} of {sorted(key)} does not divide {s_p}, "
+                    f"the summand count of {label}"
+                )
+        if m % 2 and all(norms[l] % 2 for l in key):
+            raise MalformedBundle(
+                f"torsion {brief(m)} of the odd-norm set {sorted(key)} is not even"
+            )
+
+
 def reconstruct_class_group(
     bundle: InvariantBundle, norms: Mapping[str, int], h: int
 ) -> FinGenAbGroup:
@@ -399,13 +444,16 @@ def reconstruct_all(
     The zeta coefficients run up to `zeta_bound`, by default the largest
     recovered norm; a bound above `errors.MAX_BOUND` raises LimitExceeded
     before the group is reconstructed.  The class number is validated once
-    and every norm is recovered, and proven a prime power, once.
+    and every norm is recovered, and proven a prime power, once.  Carried
+    multi-label entries the closed form rules out raise MalformedBundle
+    (`_check_torsion`) before any chain runs.
     """
     h = recover_class_number(bundle)
     norms = recover_norms(bundle, h)
     if zeta_bound is None:
         zeta_bound = max(norms.values(), default=1)
     check_bound(zeta_bound, "zeta bound")
+    _check_torsion(bundle, norms, h)
     group = reconstruct_class_group(bundle, norms, h)
     zeta = zeta_data(norms.values(), zeta_bound)
     if group.order() != h:

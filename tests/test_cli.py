@@ -141,6 +141,24 @@ class TestInvariantsCommand:
         assert bundle_to_json(bundle_from_json(doc)) == doc
         assert read == ["0", "2", "6"]
 
+    def test_codec_converts_a_factor_shared_by_entries_once(self, monkeypatch):
+        bundle = InvariantBundle(
+            rank=4,
+            labels=("a", "b"),
+            entries={
+                frozenset(): FinGenAbGroup((0,) * 4),
+                frozenset({"a"}): FinGenAbGroup((8,) * 4),
+                frozenset({"b"}): FinGenAbGroup((24,) * 2),
+                frozenset({"a", "b"}): FinGenAbGroup((8,) * 2),
+            },
+        )
+        written = []
+        decimal = codec._decimal
+        monkeypatch.setattr(codec, "_decimal", lambda n: written.append(n) or decimal(n))
+        doc = bundle_to_json(bundle)
+        assert [e["labels"] for e in doc["entries"]] == [[], [0], [1], [0, 1]]
+        assert sorted(written) == [0, 8, 24]
+
 
 class TestReconstructCommand:
     def test_blind_reconstruction_from_file(self, tmp_path, capsys):
@@ -503,6 +521,82 @@ def test_written_bundles_are_self_sufficient(argv, factors, tmp_path, capsys):
     assert main(["reconstruct", str(out), "-o", str(report)]) == EXIT_OK
     assert capsys.readouterr().err == ""
     assert json.loads(report.read_text())["class_group_factors"] == factors
+
+
+def test_invariants_warns_when_odd_norms_miss_the_class_group(tmp_path, capsys):
+    # Cl(-420) = (Z/2)^3, and the classes of p_3, p_5 and p_7 span only Z/2 x Z/2:
+    # the file is written all the same, and one warning line says why.
+    out = tmp_path / "out.json"
+    code = main(["invariants", "-D", "-420", "--primes", "10", "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert captured.out == ""
+    assert captured.err == (
+        "warning: odd-norm labels exhibit a subgroup of order 4, but the class "
+        "number is 8; supply more primes\n"
+    )
+    assert out.read_bytes() == (GOLDEN / "invariants_420.out").read_bytes()
+
+
+GOLDEN_BUNDLES = sorted(GOLDEN.glob("invariants_*.out")) + sorted(
+    GOLDEN.glob("legacy_invariants_*.json")
+)
+
+
+@pytest.mark.parametrize("path", GOLDEN_BUNDLES, ids=lambda p: p.name)
+def test_golden_bundles_reconstruct_from_the_file_alone(path):
+    # A loaded bundle cannot compute entries: every entry the chains read
+    # must be in the file, or BundleEntryMissing escapes.
+    bundle = bundle_from_json(json.loads(path.read_text()))
+    assert bundle.compute is None
+    if path.name == "invariants_420.out":  # the chains read all, then fall short
+        with pytest.raises(errors.InsufficientGenerators):
+            reconstruct.reconstruct_all(bundle)
+    else:
+        reconstruct.reconstruct_all(bundle)
+
+
+@pytest.mark.parametrize(
+    "name", ["invariants_1031", "invariants_23603_sets", "invariants_3299",
+             "invariants_420", "invariants_synthetic_sets"],
+)
+def test_invariants_recovers_no_norm_and_sieves_no_zeta(name, tmp_path, monkeypatch):
+    # The producer knows the norms; only the blind consumer recovers them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the producer ran consumer-only work")
+
+    monkeypatch.setattr(reconstruct, "recover_norm", refuse)
+    monkeypatch.setattr(reconstruct, "zeta_coefficients", refuse)
+    out = tmp_path / "out"
+    assert run_case(name, out) == (EXIT_OK, "")
+    assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("torsion", "message"),
+    [
+        ("1000", "error: torsion 1000 of ['1', '2'] does not divide 19682, the torsion of 1"),
+        ("3", "error: torsion 3 of ['1', '2'] does not divide 19682, the torsion of 1"),
+        ("2" * 400, "error: torsion <1327-bit integer> of ['1', '2'] does not divide"),
+    ],
+    ids=["not-a-divisor", "odd", "huge"],
+)
+def test_reconstruct_refuses_torsion_the_closed_form_rules_out(
+    torsion, message, tmp_path, capsys
+):
+    # In this bundle of Cl = Z/3 x Z/9, entry {1, 2} is 3 copies of Z/2, and
+    # t_1 = 3**9 - 1 = 19682.
+    path = tmp_path / "bundle.json"
+    assert main(["invariants", "-D", "-3299", "--primes", "100", "-o", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    entry = next(e for e in doc["entries"] if e["labels"] == [1, 2])
+    assert entry["factors"] == ["2", "2", "2"]
+    entry["factors"] = [torsion] * 3
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["reconstruct", str(path)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 OVERSIZED_SECOND_PRIME_DOC = {

@@ -46,6 +46,8 @@ CASES: dict[str, list[str]] = {
     ],
     "invariants_3299": ["invariants", "-D", "-3299", "--primes", "300", "-o", "{out}"],
     "invariants_1031": ["invariants", "-D", "-1031", "--primes", "400", "-o", "{out}"],
+    # the odd-norm primes below 10 miss Cl(-420) = (Z/2)^3: a warning, exit 0
+    "invariants_420": ["invariants", "-D", "-420", "--primes", "10", "-o", "{out}"],
     "invariants_synthetic_sets": [
         "invariants", "--synthetic", SYNTHETIC, "--primes", "50",
         "--set", "s3,s10,s13", "--set", "s6,s13", "--set", "s0,s1,s13", "-o", "{out}",

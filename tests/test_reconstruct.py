@@ -1,7 +1,12 @@
 """Blind reconstruction: bundles, norm recovery, greedy chains, zeta, drivers."""
 
+import copy
+import json
 import random
 import threading
+from functools import lru_cache
+from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy
@@ -9,6 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classrecon import reconstruct
+from classrecon.codec import (
+    bundle_from_json,
+    bundle_to_json,
+    report_to_json,
+    synthetic_spec_from_json,
+)
 from classrecon.abgroup import (
     FinGenAbGroup,
     integer_nth_root,
@@ -22,7 +33,7 @@ from classrecon.fields import (
     class_group,
     enumerate_prime_ideals,
 )
-from classrecon.lattice import build_bundle, compare_fields, roundtrip
+from classrecon.lattice import add_chain_entries, build_bundle, compare_fields, roundtrip
 from classrecon.oracle import ClassGroupModel, primary_decomposition
 from classrecon.reconstruct import (
     BundleEntryMissing,
@@ -535,3 +546,100 @@ def test_norm_recovery_inverts_singleton_form_for_all_pairs():
         p = datum("p", norm, cls)
         bundle = build_bundle(group, [p])
         assert recover_norm(bundle, "p", recover_class_number(bundle)) == norm
+
+
+# Genuine bundle files: the ladder fields and -3299 (Cl = Z/3 x Z/9), each
+# with mixed-parity sets, and synthetic specs; every one holds multi-label
+# entries.  (source, prime bound, sets)
+GENUINE_BUNDLES = {
+    "84": (-84, 100, [("p_3", "p_5", "p_2")]),
+    "1031": (-1031, 100, [("p_3", "p_5", "p_2"), ("p_7", "p_11c")]),
+    "3299": (-3299, 100, [("p_3", "p_5c", "p_2")]),
+    "10007": (-10007, 100, [("p_7", "p_11", "p_2"), ("p_13", "p_19c")]),
+    "synthetic-248": (
+        "synthetic_248.json", 50, [("s3", "s10", "s13"), ("s6", "s13"), ("s0", "s1", "s13")]
+    ),
+    "synthetic-random-1": (1, 101, [("s0", "s1")]),
+    "synthetic-random-2": (2, 101, [("s1", "s2", "s3")]),
+}
+
+
+@lru_cache(maxsize=None)
+def genuine_bundle(name):
+    """A written bundle document, its norms by label id, and its blind report."""
+    source, bound, sets = GENUINE_BUNDLES[name]
+    if isinstance(source, str):
+        path = Path(__file__).parent / "golden" / source
+        spec = synthetic_spec_from_json(json.loads(path.read_text()))
+    elif source > 0:
+        spec = random_synthetic_spec(random.Random(source), max_order=32)
+    else:
+        spec = QuadraticSpec(source)
+    primes = enumerate_prime_ideals(spec, bound)
+    bundle = build_bundle(class_group(spec), primes, subsets=sets)
+    add_chain_entries(bundle, primes)
+    doc = json.loads(json.dumps(bundle_to_json(bundle)))
+    norms = {i: p.norm for i, p in enumerate(primes)}
+    return doc, norms, report_to_json(reconstruct_all(bundle_from_json(doc)))
+
+
+@st.composite
+def broken_torsion(draw):
+    """A genuine bundle, one multi-label entry of it, and factors that break it.
+
+    Each break violates one condition of the closed form for some label p of
+    the entry's set F: the torsion does not divide t_p, the summand count
+    does not divide s_p, or the torsion of an odd-norm F is odd.
+    """
+    name = draw(st.sampled_from(sorted(GENUINE_BUNDLES)))
+    doc, norms, _ = genuine_bundle(name)
+    entries = doc["entries"]
+    i = draw(st.sampled_from([i for i, e in enumerate(entries) if len(e["labels"]) > 1]))
+    labels, factors = entries[i]["labels"], entries[i]["factors"]
+    m = int(factors[0]) if factors else 1
+    single = {e["labels"][0]: e["factors"] for e in entries if len(e["labels"]) == 1}
+    torsion = {l: int(single[l][0]) if single[l] else 1 for l in labels}
+    count = {l: len(single[l]) if single[l] else doc["rank"] for l in labels}
+    kinds = ["divide"] + ["count"] * bool(factors)
+    if all(norms[l] % 2 for l in labels):
+        kinds.append("odd")
+    kind = draw(st.sampled_from(kinds))
+    p = draw(st.sampled_from(labels))
+    if kind == "divide":
+        bad = torsion[p] + draw(st.integers(1, 10**6))
+        return name, i, [str(bad)] * max(len(factors), 1)
+    if kind == "count":
+        return name, i, [str(m)] * (count[p] + draw(st.integers(1, 20)))
+    odd = 0
+    for l in labels:
+        odd = gcd(odd, torsion[l])
+    while odd % 2 == 0:
+        odd //= 2
+    return name, i, [str(odd)] * len(factors) if odd > 1 else []
+
+
+class TestTorsionChecks:
+    @settings(max_examples=150, deadline=None)
+    @given(broken_torsion())
+    def test_torsion_the_closed_form_rules_out_is_refused(self, case):
+        name, i, factors = case
+        doc, _, report = genuine_bundle(name)
+        broken = copy.deepcopy(doc)
+        broken["entries"][i]["factors"] = factors
+        with pytest.raises(MalformedBundle):
+            reconstruct_all(bundle_from_json(broken))
+        broken["entries"][i]["factors"] = doc["entries"][i]["factors"]
+        assert report_to_json(reconstruct_all(bundle_from_json(broken))) == report
+
+    def test_every_genuine_bundle_passes(self):
+        for name in GENUINE_BUNDLES:
+            doc, _, report = genuine_bundle(name)
+            assert report["class_number"] == doc["rank"]
+
+    def test_mixed_free_summands_are_refused(self):
+        doc, _, _ = genuine_bundle("84")
+        broken = copy.deepcopy(doc)
+        entry = next(e for e in broken["entries"] if len(e["labels"]) > 1)
+        entry["factors"] = entry["factors"][:-1] + ["0"]
+        with pytest.raises(MalformedBundle, match="not homogeneous torsion"):
+            reconstruct_all(bundle_from_json(broken))
