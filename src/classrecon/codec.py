@@ -89,7 +89,7 @@ def bundle_to_json(bundle: InvariantBundle) -> dict[str, Any]:
     is [Cl : H] copies of one, and many entries share it), so each distinct
     factor is converted once per bundle.
     """
-    ids = {label: i for i, label in enumerate(bundle.labels)}.__getitem__
+    id_of = {label: i for i, label in enumerate(bundle.labels)}.__getitem__
     text: dict[int, str] = {}
     rows = []
     for key, group in bundle.entries.items():
@@ -98,7 +98,8 @@ def bundle_to_json(bundle: InvariantBundle) -> dict[str, Any]:
             if x not in text:
                 text[x] = _decimal(x)
         # entry keys are distinct, so the sort never compares the factors
-        rows.append((len(key), sorted(map(ids, key)), list(map(text.__getitem__, factors))))
+        strings = list(map(text.__getitem__, factors))
+        rows.append((len(key), sorted(map(id_of, key)), strings))
     rows.sort()
     return {
         "version": BUNDLE_VERSION,

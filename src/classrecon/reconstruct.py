@@ -293,7 +293,7 @@ def _check_torsion(bundle: InvariantBundle, norms: Mapping[str, int], h: int) ->
     modulus per label.  A bundle read from a file computes no entry, so
     every entry the chains read from it is carried and checked here.
     """
-    for key, group in list(bundle.entries.items()):
+    for key, group in bundle.entries.items():  # every singleton is read by now
         if len(key) < 2:
             continue
         factors = group.factors
