@@ -297,8 +297,8 @@ def _json_text(value: Any, indent: str = "\n") -> str:
     as there, strings go through the C `encode_basestring_ascii` and ints
     through `int.__repr__` (called as `repr`, which is quicker through
     `map`), and the items of a list or dict that share one scalar type are
-    joined in one step.  Values are str, int, bool, None,
-    lists and dicts with str keys; any other type raises TypeError.
+    joined in one step.  Values are str, int, bool, None, lists and dicts
+    with str keys; any other type raises TypeError.
     """
     kind = type(value)
     write = _SCALARS.get(kind)

@@ -577,9 +577,11 @@ def test_invariants_recovers_no_norm_and_sieves_no_zeta(name, tmp_path, monkeypa
     [
         ("1000", "error: torsion 1000 of ['1', '2'] does not divide 19682, the torsion of 1"),
         ("3", "error: torsion 3 of ['1', '2'] does not divide 19682, the torsion of 1"),
+        # the odd part of gcd(t_1, t_2) = 19682 divides both, but is odd
+        ("9841", "error: torsion 9841 of the odd-norm set ['1', '2'] is not even"),
         ("2" * 400, "error: torsion <1327-bit integer> of ['1', '2'] does not divide"),
     ],
-    ids=["not-a-divisor", "odd", "huge"],
+    ids=["not-a-divisor", "odd-non-divisor", "odd", "huge"],
 )
 def test_reconstruct_refuses_torsion_the_closed_form_rules_out(
     torsion, message, tmp_path, capsys
