@@ -19,8 +19,13 @@ So a blind `reconstruct` never loads the producer (`fields`, `lattice`),
 and `classgroup -D` loads neither the consumer, the codec nor `json`.
 The JSON formats live in `codec`.
 
-There is one argument parser per process: `build_parser` builds it on the
-first `main` call, not at import, and every later call reuses it.
+`COMMANDS` is the one table of the command line.  `_parse` fills a
+handler's arguments in one walk over argv; `-h`/`--help` prints usage made
+from the table.  An option is named exactly, and its value is the next
+token (which may be `-` or a negative integer, as in `-D -20`) or follows
+`=`.  The last of a repeated option wins; `--set` keeps every one.  A usage
+error, such as an abbreviation (`--prim`), an attached short value (`-D-20`)
+or `--`, is one stderr line, `error: ` and argparse's message, with exit 2.
 
 Exit codes: 0 success/pass, 1 verdict failure, malformed bundle or internal
 contradiction, 2 usage or spec error (including unreadable or non-JSON
@@ -33,10 +38,9 @@ of order above `errors.MAX_SYNTHETIC_ORDER`, or a quotient order above
 
 from __future__ import annotations
 
-import argparse
 import sys
-from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
     BundleEntryMissing,
@@ -49,6 +53,7 @@ from .errors import (
     MalformedBundle,
     PrimalityLimitExceeded,
     UnreadableInput,
+    UsageError,
 )
 
 if TYPE_CHECKING:
@@ -60,37 +65,7 @@ EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
 
 
-# -- argument plumbing ------------------------------------------------------
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for bounds: a bad value is a usage error (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def _add_spec_args(parser: argparse.ArgumentParser, suffix: str = "") -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        f"-D{suffix}",
-        dest=f"discriminant{suffix}",
-        type=int,
-        help="negative fundamental discriminant of an imaginary quadratic field",
-    )
-    group.add_argument(
-        f"--synthetic{suffix}",
-        dest=f"synthetic{suffix}",
-        metavar="FILE",
-        help="JSON file with a synthetic field spec",
-    )
-
-
-def _spec_from_args(args: argparse.Namespace, suffix: str = "") -> FieldSpec:
+def _spec_from_args(args: SimpleNamespace, suffix: str = "") -> FieldSpec:
     disc = getattr(args, f"discriminant{suffix}")
     if disc is not None:
         from .fields import QuadraticSpec
@@ -104,7 +79,7 @@ def _spec_from_args(args: argparse.Namespace, suffix: str = "") -> FieldSpec:
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_classgroup(args: argparse.Namespace) -> int:
+def cmd_classgroup(args: SimpleNamespace) -> int:
     from .fields import class_group, reduced_forms_of_spec
 
     spec = _spec_from_args(args)
@@ -118,7 +93,7 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_invariants(args: argparse.Namespace) -> int:
+def cmd_invariants(args: SimpleNamespace) -> int:
     from .codec import _write_output, bundle_to_json
     from .fields import class_group, enumerate_prime_ideals
     from .lattice import add_chain_entries, build_bundle
@@ -151,7 +126,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> int:
+def cmd_reconstruct(args: SimpleNamespace) -> int:
     from .codec import _read_json, _write_output, bundle_from_json, report_to_json
     from .reconstruct import reconstruct_all
 
@@ -160,7 +135,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_roundtrip(args: argparse.Namespace) -> int:
+def cmd_roundtrip(args: SimpleNamespace) -> int:
     from .codec import _write_output, report_to_json
     from .fields import class_group, enumerate_prime_ideals
     from .lattice import roundtrip
@@ -174,7 +149,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_passed else EXIT_FAIL
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: SimpleNamespace) -> int:
     from .codec import _write_output
     from .lattice import compare_fields
 
@@ -195,69 +170,155 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK if result.equivalent else EXIT_FAIL
 
 
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it.
+# -- the command table ------------------------------------------------------
 
-    Parsing keeps no state in the parser: every call fills a fresh
-    namespace, so one parser serves every `main` call in a process.
+# An option is (names, dest, kind, default, metavar, help).  Its kind says
+# what the walk reads: "int" and "positive" (a bound) convert one value,
+# "text" keeps it, "repeat" appends it to a list; "flag" and "help" take none.
+_HELP = (("-h", "--help"), "help", "help", None, None, "show this help message and exit")
+_OUTPUT = (("-o", "--output"), "output", "text", None, "FILE", "write JSON here (default stdout)")
+_D_HELP = "negative fundamental discriminant of an imaginary quadratic field"
+_FILE_HELP = "JSON file with a synthetic field spec"
+_SPEC = ((("-D",), "discriminant", "int", None, "D", _D_HELP),
+         (("--synthetic",), "synthetic", "text", None, "FILE", _FILE_HELP))
+_SPEC2 = ((("-D2",), "discriminant2", "int", None, "D", _D_HELP),
+          (("--synthetic2",), "synthetic2", "text", None, "FILE", _FILE_HELP))
+
+# name: (handler, help, positionals as (dest, help), the required pairs of
+# options that exclude each other, the other options)
+COMMANDS = {
+    "classgroup": (cmd_classgroup, "print invariant factors and reduced forms", (), (_SPEC,), ()),
+    "invariants": (cmd_invariants, "compute quotient invariants into a bundle file", (), (_SPEC,), (
+        (("--primes",), "primes", "positive", 50, "X",
+         "include every prime ideal of norm <= X (default 50)"),
+        (("--set",), "set", "repeat", None, "LABELS",
+         "comma-separated labels; adds the subset's entry (repeatable)"),
+        (("--show-labels",), "show_labels", "flag", False, None,
+         "print the label-id mapping to stderr"),
+        _OUTPUT,
+    )),
+    "reconstruct": (cmd_reconstruct, "blind reconstruction from a bundle file",
+                    (("bundle", "bundle JSON file, or - for stdin"),), (), (
+        (("--zeta",), "zeta", "positive", None, "X",
+         "zeta truncation bound (default: largest recovered norm)"),
+        _OUTPUT,
+    )),
+    "roundtrip": (cmd_roundtrip, "reconstruct blind and compare to ground truth", (), (_SPEC,), (
+        (("--primes",), "primes", "positive", 50, "X", "prime ideal norm bound (default 50)"),
+        (("--zeta",), "zeta", "positive", None, "X",
+         "zeta truncation bound (default: the --primes bound)"),
+        _OUTPUT,
+    )),
+    "compare": (cmd_compare, "compare two field specs", (), (_SPEC, _SPEC2), (
+        (("--bound",), "bound", "positive", 50, "X",
+         "norm and zeta bound for the comparison (default 50)"),
+        _OUTPUT,
+    )),
+}
+
+
+def _is_value(token: str, by_name: dict) -> bool:
+    """Whether a token is a value, not an option, by argparse's rule: no
+    option is named before its `=`, and it is `-`, a negative number, holds
+    a space or does not start with `-`."""
+    number = token[1:].replace(".", "", 1)
+    return token.partition("=")[0] not in by_name and (
+        token[:1] != "-" or len(token) == 1 or " " in token
+        or (number.isdecimal() and token[-1] != "."))
+
+
+def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int] | None, SimpleNamespace]:
+    """The handler for argv and its arguments; no handler once help is printed.
+
+    Until the first value, the subcommand, only -h/--help is an option.
+    A usage error raises `UsageError` with argparse's message text.
     """
-    parser = argparse.ArgumentParser(
-        prog="classrecon",
-        description="Class-group lattice invariants and blind reconstruction",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    command, pairs, values, missing, extras = None, (), {}, ["command"], []
+    by_name = dict.fromkeys(_HELP[0], _HELP)
+    i = -1
+    while (i := i + 1) < len(argv):
+        name, eq, value = argv[i].partition("=")
+        option = by_name.get(name)
+        if option is None:
+            if not (missing and _is_value(argv[i], by_name)):
+                extras.append(argv[i])
+            elif command is None:
+                if argv[i] not in COMMANDS:
+                    choices = ", ".join(map(repr, COMMANDS))
+                    raise UsageError(
+                        f"argument command: invalid choice: {argv[i]!r} (choose from {choices})")
+                command = argv[i]
+                handler, _, positionals, pairs, table = COMMANDS[command]
+                options = [_HELP, *(o for pair in pairs for o in pair), *table]
+                by_name = {name: o for o in options for name in o[0]}
+                values = {o[1]: o[3] for o in options[1:]}  # all but help
+                missing = [dest for dest, _ in positionals]
+            else:
+                values[missing.pop(0)] = argv[i]
+            continue
+        label = "argument " + "/".join(option[0])
+        dest, kind = option[1:3]
+        if kind in ("flag", "help"):
+            if eq:
+                raise UsageError(f"{label}: ignored explicit argument {value!r}")
+            if kind == "help":
+                print(_help(command))
+                return None, SimpleNamespace()
+            value = True
+        elif not eq:
+            if i + 1 == len(argv) or not _is_value(argv[i + 1], by_name):
+                raise UsageError(f"{label}: expected one argument")
+            i += 1
+            value = argv[i]
+        if kind in ("int", "positive"):
+            try:
+                value = int(value)
+            except ValueError:
+                text = "invalid int value:" if kind == "int" else "invalid integer"
+                raise UsageError(f"{label}: {text} {value!r}") from None
+            if kind == "positive" and value < 1:
+                raise UsageError(f"{label}: must be a positive integer, got {value}")
+        rival = next((pair[pair[0] is option] for pair in pairs if option in pair), None)
+        if rival and values[rival[1]] is not None:
+            raise UsageError(f"{label}: not allowed with argument {rival[0][0]}")
+        values[dest] = [*(values[dest] or ()), value] if kind == "repeat" else value
+    if missing:
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
+    for a, b in pairs:
+        if values[a[1]] is None and values[b[1]] is None:
+            raise UsageError(f"one of the arguments {a[0][0]} {b[0][0]} is required")
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return handler, SimpleNamespace(**values)
 
-    p = sub.add_parser("classgroup", help="print invariant factors and reduced forms")
-    _add_spec_args(p)
-    p.set_defaults(func=cmd_classgroup)
 
-    p = sub.add_parser("invariants", help="compute quotient invariants into a bundle file")
-    _add_spec_args(p)
-    p.add_argument("--primes", type=_positive_int, default=50, metavar="X",
-                   help="include every prime ideal of norm <= X (default 50)")
-    p.add_argument("--set", action="append", metavar="LABELS",
-                   help="comma-separated labels; adds the subset's entry (repeatable)")
-    p.add_argument("--show-labels", action="store_true",
-                   help="print the label-id mapping to stderr")
-    p.add_argument("-o", "--output", metavar="FILE", help="write JSON here (default stdout)")
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("reconstruct", help="blind reconstruction from a bundle file")
-    p.add_argument("bundle", help="bundle JSON file, or - for stdin")
-    p.add_argument("--zeta", type=_positive_int, metavar="X",
-                   help="zeta truncation bound (default: largest recovered norm)")
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("roundtrip", help="reconstruct blind and compare to ground truth")
-    _add_spec_args(p)
-    p.add_argument("--primes", type=_positive_int, default=50, metavar="X",
-                   help="prime ideal norm bound (default 50)")
-    p.add_argument("--zeta", type=_positive_int, metavar="X",
-                   help="zeta truncation bound (default: the --primes bound)")
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=cmd_roundtrip)
-
-    p = sub.add_parser("compare", help="compare two field specs")
-    _add_spec_args(p)
-    _add_spec_args(p, suffix="2")
-    p.add_argument("--bound", type=_positive_int, default=50, metavar="X",
-                   help="norm and zeta bound for the comparison (default 50)")
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=cmd_compare)
-
-    return parser
+def _help(command: str | None) -> str:
+    """The usage of the program, or of one subcommand, from the table."""
+    if command is None:
+        usage = "[-h] COMMAND ..."
+        about = "Class-group lattice invariants and blind reconstruction"
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        _, about, positionals, pairs, table = COMMANDS[command]
+        options = [_HELP, *(o for pair in pairs for o in pair), *table]
+        shown = {o: ", ".join(o[0]) + (f" {o[4]}" if o[4] else "") for o in options}
+        spec = [f"({shown[a]} | {shown[b]})" for a, b in pairs]
+        usage = " ".join([command, *(dest for dest, _ in positionals), *spec, "[options]"])
+        rows = [*positionals, *((shown[o], o[5]) for o in options)]
+    width = max(len(name) for name, _ in rows) + 2
+    rows = [f"  {name:<{width}}{text}" for name, text in rows]
+    return "\n".join([f"usage: classrecon {usage}", "", about, "", *rows])
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits on --help and on usage errors
-        return EXIT_USAGE if exc.code else EXIT_OK
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as exc:
+        return _error(exc, EXIT_USAGE)
+    if handler is None:  # help was asked for
+        return EXIT_OK
     try:
-        return args.func(args)
+        return handler(args)
     except (InvalidDiscriminant, InvalidSyntheticSpec, UnreadableInput, OSError) as exc:
         return _error(exc, EXIT_USAGE)
     except (

@@ -93,3 +93,7 @@ class BundleEntryMissing(Exception):
 
 class UnreadableInput(Exception):
     """An input file does not hold a JSON document."""
+
+
+class UsageError(ValueError):
+    """A command line that does not fit its subcommand's grammar (exit 2)."""

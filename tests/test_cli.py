@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +22,7 @@ from classrecon.abgroup import FinGenAbGroup
 from classrecon.lattice import build_bundle
 from classrecon.reconstruct import InvariantBundle
 
+import argparse_reference
 from test_golden import BUNDLE_1031, GOLDEN, run_case
 
 SYNTHETIC_248 = str(GOLDEN / "synthetic_248.json")
@@ -700,9 +702,177 @@ def test_help_exits_zero(capsys):
     assert "usage: classrecon" in capsys.readouterr().out
 
 
-def test_one_parser_serves_every_call(tmp_path, capsys):
-    # A parse leaves no state in the shared parser: each call's exit code,
-    # output and written file equal those of a call on a fresh parser.
+# -- the argv grammar: the command table against the argparse reference -----
+
+OPTION_NAMES = {
+    "classgroup": ["-D", "--synthetic"],
+    "invariants": ["-D", "--synthetic", "--primes", "--set", "--show-labels", "-o", "--output"],
+    "reconstruct": ["--zeta", "-o", "--output"],
+    "roundtrip": ["-D", "--synthetic", "--primes", "--zeta", "-o", "--output"],
+    "compare": ["-D", "--synthetic", "-D2", "--synthetic2", "--bound", "-o", "--output"],
+}
+# Positive, zero, negative and non-integer values, `-`, the empty string and
+# a value with a space (argparse reads it as a value, never as an option).
+ARG_VALUES = st.integers(-100, 100).map(str) | st.sampled_from(
+    ["1e3", "1.5", "-1.5", "-.5", "-5.", "x", "-", "", "a b", "-x y", "p_2,p_3", " 7"]
+)
+# Unknown options, abbreviations and tokens that only look like numbers.
+JUNK = st.sampled_from(["--bogus", "-x", "foo", "--prim", "--out", "--synth", "-5x", "-1e3"])
+
+
+@st.composite
+def grammar_argvs(draw):
+    """Argv from the documented grammar: exact names, `--name=value`, values
+    in the next token, junk and -h; no attached short values and no `--`,
+    which only argparse accepts."""
+    command = draw(st.sampled_from([*OPTION_NAMES, "bogus"]))
+    names = ["-h", "--help", *OPTION_NAMES.get(command, [])]
+    long_names = [n for n in names if n.startswith("--")]
+    token = (
+        st.sampled_from(names)
+        | ARG_VALUES
+        | JUNK
+        | st.tuples(st.sampled_from(long_names), ARG_VALUES).map("=".join)
+    )
+    head = draw(st.lists(JUNK | st.sampled_from(["-h", "--help=x", "-20"]), max_size=2))
+    named = [command] if draw(st.integers(0, 9)) else []
+    return [*head, *named, *draw(st.lists(token, max_size=8))]
+
+
+def _reference_parse(argv):
+    """(exit code, handler, arguments) from argparse; on exit, its message."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            args = argparse_reference.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        message = err.getvalue().splitlines()[-1].partition(": error: ")[2] if exc.code else None
+        return exc.code, message
+    values = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    return EXIT_OK, args.func, values
+
+
+def _table_parse(argv):
+    """The same triple from the command table."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            handler, args = cli._parse(argv)
+    except errors.UsageError as exc:
+        return EXIT_USAGE, str(exc)
+    return (EXIT_OK, None) if handler is None else (EXIT_OK, handler, vars(args))
+
+
+@settings(max_examples=400, deadline=None)
+@given(grammar_argvs())
+def test_table_parser_agrees_with_argparse(argv):
+    assert _table_parse(argv) == _reference_parse(argv)
+
+
+@pytest.mark.parametrize(
+    ("argv", "values"),
+    [
+        (["classgroup", "-D", "-20"], {"discriminant": -20, "synthetic": None}),
+        (["classgroup", "--synthetic=-"], {"discriminant": None, "synthetic": "-"}),
+        (
+            ["invariants", "--primes=7", "-D", "-20", "--primes", "12", "--set", "a",
+             "--set=b,c", "--show-labels", "-o", "-"],
+            {"discriminant": -20, "synthetic": None, "primes": 12, "set": ["a", "b,c"],
+             "show_labels": True, "output": "-"},
+        ),
+        (["reconstruct", "--zeta", "3", "-"], {"bundle": "-", "zeta": 3, "output": None}),
+        (
+            ["compare", "-D2", "-4", "--synthetic", "f", "--output=o"],
+            {"discriminant": None, "synthetic": "f", "discriminant2": -4,
+             "synthetic2": None, "bound": 50, "output": "o"},
+        ),
+    ],
+    ids=["next-token", "equals", "last-wins-and-repeat", "positional", "pairs"],
+)
+def test_accepted_forms(argv, values):
+    handler, args = cli._parse(argv)
+    assert handler is cli.COMMANDS[argv[0]][0]
+    assert vars(args) == values
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["invariants", "-D", "-20", "--prim", "5"], "unrecognized arguments: --prim 5"),
+        (["classgroup", "-D-20"], "one of the arguments -D --synthetic is required"),
+        (["classgroup", "-D", "-20", "--", "x"], "unrecognized arguments: -- x"),
+        (["reconstruct", "--", "-x"], "the following arguments are required: bundle"),
+        (["classgroup", "-D", "-20", "--synthetic", "f"],
+         "argument --synthetic: not allowed with argument -D"),
+        (["invariants", "-D", "-20", "--show-labels=yes"],
+         "argument --show-labels: ignored explicit argument 'yes'"),
+        (["-D", "-20"], "argument command: invalid choice: '-20' (choose from 'classgroup', "
+         "'invariants', 'reconstruct', 'roundtrip', 'compare')"),
+    ],
+    ids=["abbreviation", "attached-short-value", "double-dash", "double-dash-positional",
+         "pair", "flag-value", "no-command"],
+)
+def test_refused_forms_exit_2_with_one_line(argv, message, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# Small inputs only: every call must finish in milliseconds.
+DISCRIMINANTS = ["-3", "-4", "-20", "-84", "-1031", "5", "-1000000000007", "x"]
+FILES = [SYNTHETIC_248, BUNDLE_1031, "missing.json", "-"]
+SMALL_VALUES = {
+    "--primes": ["1", "12", "0", "1e3"], "--zeta": ["1", "12", "0"], "--bound": ["12", "0"],
+    "--set": ["p_2,p_3", "p_3", "nope"], "--show-labels": [None], "-o": ["out", "-"],
+}
+NOISE = st.sampled_from(["-h", "--bogus", "--", "x", "-D", "--primes", "--synthetic"])
+
+
+@st.composite
+def small_argvs(draw):
+    """A subcommand with its spec or bundle and options of small values,
+    sometimes with a noise token put in."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    argv = [command]
+    if command == "reconstruct":
+        argv.append(draw(st.sampled_from(FILES)))
+    for suffix in ("", "2") if command == "compare" else ("",) * (command != "reconstruct"):
+        argv += draw(
+            st.tuples(st.just(f"-D{suffix}"), st.sampled_from(DISCRIMINANTS))
+            | st.tuples(st.just(f"--synthetic{suffix}"), st.sampled_from(FILES))
+        )
+    names = [n for n in OPTION_NAMES[command] if n in SMALL_VALUES]
+    for name in draw(st.lists(st.sampled_from(names), max_size=3)) if names else ():
+        value = draw(st.sampled_from(SMALL_VALUES[name]))
+        argv += [name] if value is None else [name, value]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(NOISE))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_argvs())
+def test_any_argv_exits_with_a_documented_code_and_one_error_line(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        here = os.getcwd()
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.TextIOWrapper(io.BytesIO(b"not json"))
+        os.chdir(tmp)  # relative -o paths land here
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    mock.patch.object(sys, "stdin", stdin):
+                code = main(argv)
+        finally:
+            os.chdir(here)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INSUFFICIENT)
+    # Exit 1 is also a failed verdict of `compare` or `roundtrip`, which
+    # writes its report, not an error.
+    if code != EXIT_OK and (code != EXIT_FAIL or err.getvalue()):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err
+
+
+
+def test_calls_in_one_process_match_fresh_interpreters(tmp_path, capsys):
+    # A call leaves no state behind: each step's exit code, output and
+    # written file equal those of the same step in a fresh interpreter.
     out = tmp_path / "out.json"
     invariants = ["invariants", "-D", "-23603", "--primes", "100", "-o", str(out)]
     steps = [
@@ -712,20 +882,21 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
         invariants,
     ]
 
-    def run(argv):
+    def written():
+        return out.exists() and out.read_bytes()
+
+    def in_process(argv):
         out.unlink(missing_ok=True)
         code = main(argv)
         captured = capsys.readouterr()
-        return code, captured.out, captured.err, out.exists() and out.read_bytes()
+        return code, captured.out.encode(), captured.err.encode(), written()
 
-    cli.build_parser.cache_clear()
-    shared = [run(argv) for argv in steps]
-    assert cli.build_parser.cache_info().misses == 1
-    fresh = []
-    for argv in steps:
-        cli.build_parser.cache_clear()
-        fresh.append(run(argv))
-    assert shared == fresh
+    def fresh(argv):
+        out.unlink(missing_ok=True)
+        return (*_run_cli(argv), written())
+
+    shared = [in_process(argv) for argv in steps]
+    assert shared == [fresh(argv) for argv in steps]
     assert [step[0] for step in shared] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
     assert shared[2][3] != shared[3][3]  # only the first holds the --set entry
     code, stdout = run_case("invariants_23603_sets", out)
@@ -733,18 +904,14 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / "invariants_23603_sets.out").read_bytes()
 
 
-def test_cli_import_builds_no_parser():
+def test_a_call_loads_no_argparse_gettext_or_locale():
     src = os.path.dirname(os.path.dirname(classrecon.__file__))
     code = (
-        "import argparse\n"
-        "built = []\n"
-        "init = argparse.ArgumentParser.__init__\n"
-        "def counted(self, *args, **kwargs):\n"
-        "    built.append(self)\n"
-        "    init(self, *args, **kwargs)\n"
-        "argparse.ArgumentParser.__init__ = counted\n"
+        "import sys\n"
         "import classrecon.cli\n"
-        "assert not built and classrecon.cli.build_parser.cache_info().currsize == 0\n"
+        "assert classrecon.cli.main(['classgroup', '-D', '-20']) == 0\n"
+        "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(

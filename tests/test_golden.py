@@ -58,6 +58,13 @@ CASES: dict[str, list[str]] = {
     "reconstruct_1031": ["reconstruct", BUNDLE_1031],
     "compare_3299_2408": ["compare", "-D", "-3299", "-D2", "-2408", "--bound", "200"],
     "roundtrip_synthetic": ["roundtrip", "--synthetic", SYNTHETIC, "--primes", "50"],
+    # usage, generated from the command table, and usage errors (exit 2, no stdout)
+    "help": ["--help"],
+    "invariants_help": ["invariants", "--help"],
+    "classgroup_1e3": ["classgroup", "-D", "1e3"],
+    "classgroup_no_spec": ["classgroup"],
+    "reconstruct_no_bundle": ["reconstruct"],
+    "invariants_primes_0": ["invariants", "-D", "-20", "--primes", "0"],
 }
 CASES.update(
     (f"reconstruct_legacy_{n}", ["reconstruct", str(GOLDEN / f"legacy_invariants_{n}.json")])

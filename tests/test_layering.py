@@ -14,6 +14,7 @@ call is deleted.
 
 The runtime also stays off `dataclasses`, which loads `inspect` and
 generates code for each class at import: every CLI call would pay for it.
+No source file imports `argparse` or `gettext` either.
 And only `codec._write_output` opens a file for writing: it overwrites in
 place, where `open(path, "w")` would truncate to zero and make the
 filesystem flush the file on close.
@@ -284,6 +285,13 @@ def test_scan_finds_dataclasses_imports():
         "from .dataclasses import x\n"
     )
     assert _imported_modules(tree) == {"dataclasses"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.parent.rglob("*.py")), ids=lambda p: p.stem)
+def test_no_source_module_imports_argparse_or_gettext(path):
+    # `cli` parses argv from its command table: building an argparse parser
+    # and its gettext lookups cost more than the parse of a whole call.
+    assert not {"argparse", "gettext"} & _imported_modules(_parse(path))
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
