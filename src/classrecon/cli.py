@@ -278,7 +278,7 @@ def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int] | None, Si
                 raise UsageError(f"{label}: {text} {value!r}") from None
             if kind == "positive" and value < 1:
                 raise UsageError(f"{label}: must be a positive integer, got {value}")
-        rival = next((pair[pair[0] is option] for pair in pairs if option in pair), None)
+        rival = next((a if b is option else b for a, b in pairs if option in (a, b)), None)
         if rival and values[rival[1]] is not None:
             raise UsageError(f"{label}: not allowed with argument {rival[0][0]}")
         values[dest] = [*(values[dest] or ()), value] if kind == "repeat" else value
