@@ -250,7 +250,7 @@ def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int] | None, Si
                 command = argv[i]
                 handler, _, positionals, pairs, table = COMMANDS[command]
                 options = [_HELP, *(o for pair in pairs for o in pair), *table]
-                by_name = {name: o for o in options for name in o[0]}
+                by_name = {alias: o for o in options for alias in o[0]}
                 values = {o[1]: o[3] for o in options[1:]}  # all but help
                 missing = [dest for dest, _ in positionals]
             else:
