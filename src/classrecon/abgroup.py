@@ -195,10 +195,6 @@ class FinGenAbGroup(SlotRecord):
     def trivial(cls) -> FinGenAbGroup:
         return cls(())
 
-    @classmethod
-    def free(cls, rank: int) -> FinGenAbGroup:
-        return cls((0,) * rank)
-
     @property
     def free_rank(self) -> int:
         return sum(1 for x in self.factors if x == 0)

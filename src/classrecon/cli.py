@@ -27,12 +27,14 @@ token (which may be `-` or a negative integer, as in `-D -20`) or follows
 error, such as an abbreviation (`--prim`), an attached short value (`-D-20`)
 or `--`, is one stderr line, `error: ` and argparse's message, with exit 2.
 
-Exit codes: 0 success/pass, 1 verdict failure, malformed bundle or internal
-contradiction, 2 usage or spec error (including unreadable or non-JSON
-input files), 3 insufficient data, an integer too large for the exact
-primality test, a discriminant above `errors.MAX_DISCRIMINANT`, a prime,
-comparison or zeta bound above `errors.MAX_BOUND`, a synthetic class group
-of order above `errors.MAX_SYNTHETIC_ORDER`, or a quotient order above
+Every failure is one stderr line, `error: ` and its message (a failed
+verdict's report is written first).  Exit codes: 0 success/pass, 1 verdict
+failure, malformed bundle or internal contradiction, 2 usage or spec error
+(including unreadable or non-JSON input files), 3 insufficient data, an
+integer too large for the exact primality test, a discriminant above
+`errors.MAX_DISCRIMINANT`, a prime, comparison or zeta bound above
+`errors.MAX_BOUND`, a synthetic class group of order above
+`errors.MAX_SYNTHETIC_ORDER`, or a quotient order above
 `errors.MAX_QUOTIENT_BITS` bits.
 """
 
@@ -146,7 +148,10 @@ def cmd_roundtrip(args: SimpleNamespace) -> int:
     zeta_bound = args.zeta if args.zeta is not None else args.primes
     report = roundtrip(group, primes, zeta_bound)
     _write_output(report_to_json(report), args.output)
-    return EXIT_OK if report.all_passed else EXIT_FAIL
+    if report.all_passed:
+        return EXIT_OK
+    failed = ", ".join(v.name for v in report.verdicts if not v.passed)
+    return _error(ValueError(f"failed verdicts: {failed}"), EXIT_FAIL)
 
 
 def cmd_compare(args: SimpleNamespace) -> int:
@@ -167,7 +172,9 @@ def cmd_compare(args: SimpleNamespace) -> int:
         n, a, b = result.first_zeta_difference
         doc["first_zeta_difference"] = {"n": n, "left": a, "right": b}
     _write_output(doc, args.output)
-    return EXIT_OK if result.equivalent else EXIT_FAIL
+    if result.equivalent:
+        return EXIT_OK
+    return _error(ValueError(result.describe()), EXIT_FAIL)
 
 
 # -- the command table ------------------------------------------------------

@@ -25,7 +25,6 @@ from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequenc
 
 from .abgroup import (
     FinGenAbGroup,
-    SlotRecord,
     brief,
     check_bound,
     factorize,
@@ -92,6 +91,27 @@ def recover_class_number(bundle: InvariantBundle) -> int:
     return bundle.rank
 
 
+def _shape(factors: tuple[int, ...], key: Iterable[str], h: int) -> tuple[int, int] | None:
+    """Read an entry as s copies of Z/m: (m, s), or None when it is trivial.
+
+    Anything else is not arithmetic data: free summands, unequal torsion, or
+    a summand count s that does not divide the class number `h`.
+    """
+    if not factors:
+        return None
+    # canonical factors ascend with the free summands last: the ends decide
+    if factors[0] != factors[-1] or factors[-1] == 0:
+        raise MalformedBundle(
+            f"entry for {sorted(key)} is not homogeneous torsion: {brief(factors)}"
+        )
+    if h % len(factors):
+        raise MalformedBundle(
+            f"summand count {len(factors)} for {sorted(key)} does not divide "
+            f"the class number {h}"
+        )
+    return factors[0], len(factors)
+
+
 def recover_norm(bundle: InvariantBundle, label: str, h: int) -> int:
     """Invert the one-prime closed form: read N off the singleton entry.
 
@@ -101,23 +121,10 @@ def recover_norm(bundle: InvariantBundle, label: str, h: int) -> int:
     is not arithmetic data.  `h` is the class number, validated once by
     `recover_class_number`.
     """
-    factors = bundle.entry((label,)).factors
-    if not factors:
+    shape = _shape(bundle.entry((label,)).factors, (label,), h)
+    if shape is None:
         return 2
-    # canonical factors ascend with the free summands last, so the ends
-    # decide finiteness and homogeneity
-    if factors[-1] == 0:
-        raise MalformedBundle(f"singleton entry for {label} has free summands")
-    if factors[0] != factors[-1]:
-        raise MalformedBundle(
-            f"singleton entry for {label} is not homogeneous: {brief(factors)}"
-        )
-    t = factors[0]
-    s = len(factors)
-    if h % s:
-        raise MalformedBundle(
-            f"summand count {s} for {label} does not divide the class number {h}"
-        )
+    t, s = shape
     ord_p = h // s
     n = integer_nth_root(t + 1, ord_p)
     if n is None:
@@ -155,18 +162,10 @@ def subgroup_order_from_bundle(
     for label in key:
         if label not in odd_labels:
             raise ValueError(f"label {label} has even norm; not allowed in chains")
-    factors = bundle.entry(key).factors
-    # canonical factors ascend with the free summands last: the ends decide
-    if not factors or factors[0] != factors[-1] or factors[-1] == 0:
-        raise MalformedBundle(
-            f"entry for {sorted(key)} is not homogeneous torsion: {brief(factors)}"
-        )
-    s = len(factors)
-    if h % s:
-        raise MalformedBundle(
-            f"summand count {s} for {sorted(key)} does not divide {h}"
-        )
-    return h // s
+    shape = _shape(bundle.entry(key).factors, key, h)
+    if shape is None:  # odd norms make every term of the torsion even
+        raise MalformedBundle(f"entry for {sorted(key)} of odd-norm labels is trivial")
+    return h // shape[1]
 
 
 TieBreak = Callable[[list[str]], str]
@@ -250,70 +249,45 @@ def greedy_primary_factors(
     return out
 
 
-def _check_carried_orders(
-    bundle: InvariantBundle,
-    odd_labels: AbstractSet[str],
-    subgroup_order: Callable[[tuple[str, ...]], int],
-) -> None:
-    """Reject carried odd-norm entries whose subgroup orders shrink.
-
-    A subgroup grows with its generating set: for carried entries F and
-    F - {x} of odd-norm labels, the order of F must be a multiple of that of
-    F - {x}.  The greedy chains need not read every carried entry, so each
-    is checked here, with one lookup per label of F.
-    """
-    carried = bundle.entries
-    for key in list(carried):
-        if len(key) < 2 or not key <= odd_labels:
-            continue
-        order = subgroup_order(tuple(key))
-        for x in key:
-            sub = key - {x}
-            if sub in carried and order % (sub_order := subgroup_order(tuple(sub))):
-                raise MalformedBundle(
-                    f"subgroup order {order} of {sorted(key)} is not a multiple "
-                    f"of {sub_order}, the order of {sorted(sub)}"
-                )
-
-
 def _check_torsion(bundle: InvariantBundle, norms: Mapping[str, int], h: int) -> None:
     """Refuse carried multi-label entries that the closed form rules out.
 
-    The entry of a label set F is s_F copies of Z/m, and that of a label p
-    is s_p copies of Z/t_p with t_p = N(p)**ord[p] - 1 (the `lattice`
-    docstring).  So, for every p in F:
+    The entry of a label set F is s_F copies of Z/m_F, where s_F is the
+    index [Cl : H_F] of the subgroup the classes of F generate and m_F the
+    gcd of terms N(p)**k - 1 (the `lattice` docstring).  A subset G of F
+    generates a subgroup of H_F and enters fewer terms, so
 
-      * m divides t_p, since m is a gcd that t_p enters;
-      * s_F divides s_p, since [Cl : H_F] divides [Cl : <p>];
-      * m is even when every norm in F is odd, since then every term of
-        that gcd is even.
+      * m_F divides m_G and s_F divides s_G;
+      * m_F is even when every norm in F is odd, since every term is even.
 
-    A trivial entry has m = 1 and shows no summand count; a trivial
-    singleton has N = 2, ord = 1, t_p = 1 and s_p = h.  Each check is one
-    modulus per label.  A bundle read from a file computes no entry, so
-    every entry the chains read from it is carried and checked here.
+    Every carried F of two or more labels, whatever its parities, is checked
+    against its singletons and its carried sets F - {x}.  A trivial entry
+    has m = 1 and shows no summand count, except a trivial singleton: its
+    norm is 2, so ord = 1 and s = h.  A bundle read from a file computes no
+    entry, so every entry the chains read from it is carried and checked
+    here.
     """
-    for key, group in bundle.entries.items():  # every singleton is read by now
+    carried = bundle.entries  # every singleton is in it by now
+    for key, group in carried.items():
         if len(key) < 2:
             continue
-        factors = group.factors
-        if factors and (factors[0] != factors[-1] or factors[-1] == 0):
-            raise MalformedBundle(
-                f"entry for {sorted(key)} is not homogeneous torsion: {brief(factors)}"
-            )
-        m, s = (factors[0], len(factors)) if factors else (1, 0)
-        for label in sorted(key):
-            single = bundle.entry((label,)).factors
-            t, s_p = (single[0], len(single)) if single else (1, h)
-            if t % m:
+        m, s = _shape(group.factors, key, h) or (1, 0)
+        subs = [frozenset((l,)) for l in sorted(key)]
+        if len(key) > 2:
+            subs += [key - {x} for x in sorted(key) if key - {x} in carried]
+        for sub in subs:
+            shape = _shape(carried[sub].factors, sub, h)
+            m_g, s_g = shape or (1, h if len(sub) == 1 else 0)
+            name = sorted(sub) if len(sub) > 1 else min(sub)
+            if m_g % m:
                 raise MalformedBundle(
                     f"torsion {brief(m)} of {sorted(key)} does not divide "
-                    f"{brief(t)}, the torsion of {label}"
+                    f"{brief(m_g)}, the torsion of {name}"
                 )
-            if s and s_p % s:
+            if s and s_g % s:
                 raise MalformedBundle(
-                    f"summand count {s} of {sorted(key)} does not divide {s_p}, "
-                    f"the summand count of {label}"
+                    f"summand count {s} of {sorted(key)} does not divide {s_g}, "
+                    f"the summand count of {name}"
                 )
         if m % 2 and all(norms[l] % 2 for l in key):
             raise MalformedBundle(
@@ -329,8 +303,9 @@ def reconstruct_class_group(
     Runs the greedy chain for every prime dividing the class number over
     the odd-norm labels, then audits completeness: the recovered orders
     must multiply to the class number, else the label set cannot exhibit
-    the whole group and InsufficientGenerators is raised.  Carried entries
-    the chains may not read are checked first (`_check_carried_orders`).
+    the whole group and InsufficientGenerators is raised.  The entries the
+    chains read are checked as they are read, and no others:
+    `reconstruct_all` audits the carried entries before it calls this.
     `norms` are the recovered label norms (`recover_norms`), and `h` the
     class number from `recover_class_number`.
     """
@@ -342,7 +317,6 @@ def reconstruct_class_group(
     def subgroup_order(key: tuple[str, ...]) -> int:
         return subgroup_order_from_bundle(bundle, key, odd, h)
 
-    _check_carried_orders(bundle, odd, subgroup_order)
     cyclic_orders: list[int] = []
     total = 1
     for p, e in sorted(factorize(h).items()):
@@ -358,23 +332,14 @@ def reconstruct_class_group(
     return FinGenAbGroup.from_orders(cyclic_orders)
 
 
-class ZetaData(SlotRecord):
+class ZetaData(NamedTuple):
     """Truncated Dirichlet coefficients of the zeta function.
 
-    `coefficients[n-1]` counts the multisets of prime-ideal norms whose
-    product is n (that is, ideals of norm n), for n up to the bound.  The
-    norms are prime powers: `reconstruct_all` passes norms that
-    `recover_norm` has proven.
+    `coefficients[n-1]` counts the ideals of norm n, for n up to `bound`.
     """
 
-    __slots__ = ("norms", "bound", "coefficients")
-
-    def __init__(
-        self, norms: tuple[int, ...], bound: int, coefficients: tuple[int, ...]
-    ) -> None:
-        if coefficients[0] != 1:
-            raise ValueError("the unit ideal must be counted exactly once")
-        self.norms, self.bound, self.coefficients = norms, bound, coefficients
+    bound: int
+    coefficients: tuple[int, ...]
 
 
 def zeta_coefficients(norms: Iterable[int], bound: int) -> list[int]:
@@ -398,20 +363,6 @@ def zeta_coefficients(norms: Iterable[int], bound: int) -> list[int]:
         for k in range(n, bound + 1, n):
             a[k] += a[k // n]
     return a[1:]
-
-
-def zeta_data(norms: Iterable[int], bound: int) -> ZetaData:
-    """Zeta data from norms already proven prime powers, not checked again.
-
-    `reconstruct_all` passes the norms `recover_norm` has proven; norms
-    from outside the program are checked where they enter.
-    """
-    norms = tuple(sorted(norms))
-    return ZetaData(
-        norms=norms,
-        bound=bound,
-        coefficients=tuple(zeta_coefficients(norms, bound)),
-    )
 
 
 class Verdict(NamedTuple):
@@ -444,9 +395,9 @@ def reconstruct_all(
     The zeta coefficients run up to `zeta_bound`, by default the largest
     recovered norm; a bound above `errors.MAX_BOUND` raises LimitExceeded
     before the group is reconstructed.  The class number is validated once
-    and every norm is recovered, and proven a prime power, once.  Carried
-    multi-label entries the closed form rules out raise MalformedBundle
-    (`_check_torsion`) before any chain runs.
+    and every norm is recovered, and proven a prime power, once.  Then one
+    audit refuses, with MalformedBundle, every carried multi-label entry
+    the closed form rules out (`_check_torsion`), before any chain runs.
     """
     h = recover_class_number(bundle)
     norms = recover_norms(bundle, h)
@@ -455,9 +406,7 @@ def reconstruct_all(
     check_bound(zeta_bound, "zeta bound")
     _check_torsion(bundle, norms, h)
     group = reconstruct_class_group(bundle, norms, h)
-    zeta = zeta_data(norms.values(), zeta_bound)
-    if group.order() != h:
-        raise MalformedBundle("recovered group order disagrees with the rank")
+    zeta = ZetaData(zeta_bound, tuple(zeta_coefficients(norms.values(), zeta_bound)))
     return ReconstructionReport(
         class_number=h, class_group=group, norms=norms, zeta=zeta, verdicts=()
     )

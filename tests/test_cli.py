@@ -662,8 +662,23 @@ class TestRoundTripCommand:
         assert doc["class_group_factors"] == ["2", "2"]
 
 
+    def test_failed_verdict_is_named_on_one_line(self, tmp_path, capsys, monkeypatch):
+        # the ground truth's zeta coefficients, tampered: only that verdict fails
+        argv = ["roundtrip", "-D", "-20", "--primes", "20"]
+        assert main(argv) == EXIT_OK
+        passed = capsys.readouterr()
+        truth = lattice.zeta_coefficients
+        monkeypatch.setattr(lattice, "zeta_coefficients", lambda *a: truth(*a)[:-1] + [-1])
+        assert main(argv) == EXIT_FAIL
+        failed = capsys.readouterr()
+        assert failed.err == "error: failed verdicts: zeta\n"
+        doc = json.loads(failed.out)
+        assert [v["name"] for v in doc["verdicts"] if not v["pass"]] == ["zeta"]
+        assert doc["class_group_factors"] == json.loads(passed.out)["class_group_factors"]
+
+
 class TestCompareCommand:
-    def test_differ_at_three(self, tmp_path):
+    def test_differ_at_three(self, tmp_path, capsys):
         out = tmp_path / "cmp.json"
         code = main(
             ["compare", "-D", "-4", "-D2", "-20", "--bound", "10", "-o", str(out)]
@@ -672,6 +687,7 @@ class TestCompareCommand:
         doc = json.loads(out.read_text())
         assert doc["equivalent"] is False
         assert doc["first_zeta_difference"] == {"n": 3, "left": 0, "right": 2}
+        assert capsys.readouterr().err == f"error: {doc['detail']}\n"
 
     def test_equivalent_to_itself(self, tmp_path):
         out = tmp_path / "cmp.json"
@@ -863,9 +879,7 @@ def test_any_argv_exits_with_a_documented_code_and_one_error_line(argv):
         finally:
             os.chdir(here)
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INSUFFICIENT)
-    # Exit 1 is also a failed verdict of `compare` or `roundtrip`, which
-    # writes its report, not an error.
-    if code != EXIT_OK and (code != EXIT_FAIL or err.getvalue()):
+    if code != EXIT_OK:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err
 
 

@@ -7,10 +7,10 @@ so the blinding rule holds by construction.  No module imports `cli`, and
 each subcommand loads exactly the modules it runs: nothing is compiled that
 a call does not use.
 
-Every public top-level function and class of a runtime module is read by
-runtime code or by the benchmark under `perfbench/`, and so is every
-private top-level function, outside its own body: code that only tests
-call is deleted.
+Every public top-level function and class of a runtime module, and every
+public method of its classes, is read by runtime code or by the benchmark
+under `perfbench/`, and so is every private top-level function, outside
+its own body: code that only tests call is deleted.
 
 The runtime also stays off `dataclasses`, which loads `inspect` and
 generates code for each class at import: every CLI call would pay for it.
@@ -113,13 +113,28 @@ def test_only_oracle_defines_the_certifiers(path):
 
 
 def _public_definitions(tree: ast.Module) -> set[str]:
-    """The public functions and classes a module defines at its top level."""
-    return {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    }
+    """The public functions and classes a module defines at its top level,
+    and the public methods of its classes, as `Class.method`."""
+    found = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            found.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            found |= {
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+            }
+    return found
+
+
+def _unused_definitions(tree: ast.Module, used: set[str]) -> set[str]:
+    """The public definitions of a module that `used` does not name; a
+    method counts as used when any attribute of its name is read."""
+    return {name for name in _public_definitions(tree) if name.rpartition(".")[2] not in used}
 
 
 def _private_functions(tree: ast.Module) -> dict[str, ast.AST]:
@@ -173,7 +188,7 @@ def test_runtime_defines_nothing_only_tests_call(path):
     used = set()
     for user in [*RUNTIME, *sorted(PERFBENCH.rglob("*.py"))]:
         used |= _references(_parse(user))
-    unused = _public_definitions(_parse(path)) - used
+    unused = _unused_definitions(_parse(path), used)
     assert unused == {name for stem, name in ONLY_TESTED if stem == path.stem}
 
 
@@ -196,11 +211,20 @@ def test_scan_finds_unreferenced_definitions():
         "async def _private(): pass\n"
         "class Read:\n"
         "    def method(self): pass\n"
+        "    @classmethod\n"
+        "    def build(cls): pass\n"
+        "    def _helper(self): pass\n"
+        "class _Hidden:\n"
+        "    def shown(self): pass\n"
         "def f():\n"
-        "    return called() + Read.attr + m.attribute\n"
+        "    return called() + Read.attr + m.attribute + Read.build()\n"
     )
-    assert _public_definitions(tree) == {"called", "mentioned", "Read", "f"}
-    assert _public_definitions(tree) - _references(tree) == {"mentioned", "f"}
+    assert _public_definitions(tree) == {
+        "called", "mentioned", "Read", "Read.method", "Read.build", "_Hidden.shown", "f"
+    }
+    assert _unused_definitions(tree, _references(tree)) == {
+        "mentioned", "Read.method", "_Hidden.shown", "f"
+    }
     assert {"m", "attribute", "attr"} <= _references(tree)
     assert "imported_only" not in _references(tree)
 

@@ -48,7 +48,6 @@ from classrecon.reconstruct import (
     recover_norms,
     subgroup_order_from_bundle,
     zeta_coefficients,
-    zeta_data,
 )
 
 from helpers import (
@@ -380,7 +379,8 @@ class TestReconstructClassGroup:
             reconstruct_group(bundle)
 
     def test_shrinking_subgroup_orders_are_malformed(self):
-        # <a, b> claims order 1 while <a> claims order 2: no subgroup does that
+        # <a, b> claims order 1 while <a> claims order 2: no subgroup does
+        # that, and the one audit of `reconstruct_all` refuses it
         bundle = InvariantBundle(
             rank=2,
             labels=("a", "b"),
@@ -391,8 +391,8 @@ class TestReconstructClassGroup:
                 frozenset({"a", "b"}): FinGenAbGroup((2, 2)),
             },
         )
-        with pytest.raises(MalformedBundle):
-            reconstruct_group(bundle)
+        with pytest.raises(MalformedBundle, match="summand count 2 of"):
+            reconstruct_all(bundle)
 
     def test_growing_gains_are_malformed(self):
         # <a> and <b> claim order 3 but <a, b> order 27: the gain of b grows
@@ -433,7 +433,9 @@ class TestZeta:
                 assert coeffs[n - 1] == char_sum, (d, n)
 
     def test_empty_norms(self):
+        # the unit ideal is counted once, with or without prime norms
         assert zeta_coefficients([], 3) == [1, 0, 0]
+        assert zeta_coefficients([2, 3], 6) == [1, 1, 1, 1, 0, 1]
 
     def test_determinism(self):
         norms = [2, 3, 3, 5]
@@ -460,10 +462,6 @@ class TestZeta:
                 replacement = rng.choice([n for n in (2, 3, 5, 7, 11) if n != mutated[i]])
                 mutated[i] = replacement
             assert zeta_coefficients(mutated, bound) != reference
-
-    def test_zeta_data_counts_the_unit_ideal_once(self):
-        zd = zeta_data([2, 3], 6)
-        assert zd.coefficients[0] == 1
 
 
 class TestRoundTrip:
@@ -643,3 +641,41 @@ class TestTorsionChecks:
         entry["factors"] = entry["factors"][:-1] + ["0"]
         with pytest.raises(MalformedBundle, match="not homogeneous torsion"):
             reconstruct_all(bundle_from_json(broken))
+
+
+def _tampered(group, primes, sets, key, factors):
+    """A built bundle whose entry for `key` is replaced by `factors`."""
+    bundle = build_bundle(group, primes, subsets=sets)
+    entries = {**bundle.entries, frozenset(key): FinGenAbGroup(factors)}
+    return InvariantBundle(bundle.rank, bundle.labels, entries)
+
+
+class TestOneAudit:
+    """Every carried set F is checked against its singletons and its carried
+    sets F - {x}, whatever its parities."""
+
+    def test_even_norm_triple_is_checked_against_its_carried_pair(self):
+        # Cl = Z/2 x Z/2: {a, b, e} is genuinely Z/3 and {a, b} is Z/24.  Two
+        # copies of Z/3 divide each singleton's (two copies each) but claim
+        # index 2 where the pair already generates all of Cl.
+        group = FinGenAbGroup((2, 2))
+        primes = [datum("a", 7, (1, 0)), datum("b", 13, (0, 1)), datum("e", 4, (1, 0), 2)]
+        sets = [("a", "b"), ("a", "b", "e")]
+        genuine = build_bundle(group, primes, subsets=sets)
+        assert genuine.entry(("a", "b", "e")).factors == (3,)
+        bundle = _tampered(group, primes, sets, ("a", "b", "e"), (3, 3))
+        with pytest.raises(MalformedBundle, match="does not divide 1, the summand count"):
+            reconstruct_all(bundle)
+
+    def test_odd_norm_triple_torsion_divides_its_carried_pair_torsion(self):
+        # Cl = Z/4: {a, b} is Z/4 through the relation 2a = b, while 8 divides
+        # t_a = 80, t_b = 24 and t_c = 14640; so Z/8 passes every singleton
+        # check and fails only against the pair.
+        group = FinGenAbGroup((4,))
+        primes = [datum("a", 3, (1,)), datum("b", 5, (2,)), datum("c", 11, (1,))]
+        sets = [("a", "b"), ("a", "b", "c")]
+        genuine = build_bundle(group, primes, subsets=sets)
+        assert genuine.entry(("a", "b")).factors == (4,)
+        bundle = _tampered(group, primes, sets, ("a", "b", "c"), (8,))
+        with pytest.raises(MalformedBundle, match=r"the torsion of \['a', 'b'\]"):
+            reconstruct_all(bundle)
