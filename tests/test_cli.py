@@ -661,8 +661,7 @@ class TestRoundTripCommand:
         doc = json.loads(out.read_text())
         assert doc["class_group_factors"] == ["2", "2"]
 
-
-    def test_failed_verdict_is_named_on_one_line(self, tmp_path, capsys, monkeypatch):
+    def test_failed_verdict_is_named_on_one_line(self, capsys, monkeypatch):
         # the ground truth's zeta coefficients, tampered: only that verdict fails
         argv = ["roundtrip", "-D", "-20", "--primes", "20"]
         assert main(argv) == EXIT_OK
