@@ -445,6 +445,13 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta_coefficients([1], 5)
 
+    def test_zeta_data_counts_the_unit_ideal_once(self):
+        # the zeta data of a blind reconstruction, built from recovered norms
+        _, _, bundle = bundle_for_disc(-4, 10)
+        zeta = reconstruct_all(bundle, 10).zeta
+        assert zeta.bound == 10
+        assert zeta.coefficients == (1, 1, 0, 1, 2, 0, 0, 1, 1, 2)
+
     def test_multiset_changes_below_bound_are_detected(self):
         rng = random.Random(25)
         bound = 60
