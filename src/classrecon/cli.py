@@ -129,16 +129,16 @@ def cmd_invariants(args: SimpleNamespace) -> int:
 
 
 def cmd_reconstruct(args: SimpleNamespace) -> int:
-    from .codec import _read_json, _write_output, bundle_from_json, report_to_json
+    from .codec import _json_text, _read_json, _write_output, bundle_from_json, report_to_json
     from .reconstruct import reconstruct_all
 
     report = reconstruct_all(bundle_from_json(_read_json(args.bundle)), args.zeta)
-    _write_output(report_to_json(report), args.output)
+    _write_output(_json_text(report_to_json(report)), args.output)
     return EXIT_OK
 
 
 def cmd_roundtrip(args: SimpleNamespace) -> int:
-    from .codec import _write_output, report_to_json
+    from .codec import _json_text, _write_output, report_to_json
     from .fields import class_group, enumerate_prime_ideals
     from .lattice import roundtrip
 
@@ -147,7 +147,7 @@ def cmd_roundtrip(args: SimpleNamespace) -> int:
     primes = enumerate_prime_ideals(spec, args.primes)
     zeta_bound = args.zeta if args.zeta is not None else args.primes
     report = roundtrip(group, primes, zeta_bound)
-    _write_output(report_to_json(report), args.output)
+    _write_output(_json_text(report_to_json(report)), args.output)
     if report.all_passed:
         return EXIT_OK
     failed = ", ".join(v.name for v in report.verdicts if not v.passed)
@@ -155,7 +155,7 @@ def cmd_roundtrip(args: SimpleNamespace) -> int:
 
 
 def cmd_compare(args: SimpleNamespace) -> int:
-    from .codec import _write_output
+    from .codec import _json_text, _write_output
     from .lattice import compare_fields
 
     spec_a = _spec_from_args(args)
@@ -171,7 +171,7 @@ def cmd_compare(args: SimpleNamespace) -> int:
     if result.first_zeta_difference:
         n, a, b = result.first_zeta_difference
         doc["first_zeta_difference"] = {"n": n, "left": a, "right": b}
-    _write_output(doc, args.output)
+    _write_output(_json_text(doc), args.output)
     if result.equivalent:
         return EXIT_OK
     return _error(ValueError(result.describe()), EXIT_FAIL)

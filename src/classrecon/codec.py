@@ -20,8 +20,10 @@ Each file type has one validating loader (`bundle_from_json`,
 `synthetic_spec_from_json`) that turns any defect into its one-line error.
 Input files and stdin are read as UTF-8 whatever the locale (RFC 8259).
 Every output is the text of `json.dumps(doc, indent=2, sort_keys=True)`,
-built by `_json_text` without the pure-Python encoder that json.dumps
-runs whenever it indents, and written as ASCII.  An output file is
+written as ASCII and built without the pure-Python encoder that json.dumps
+runs whenever it indents: `bundle_to_json` lays a bundle file out from
+fixed templates in one pass over the entries, and the generic `_json_text`
+writes reports and every other document.  An output file is
 written in place and then cut to length, not truncated to zero first:
 ext4, XFS and btrfs flush a truncated-and-rewritten file on close, a wait
 of about a fifth of a `reconstruct` call.  Writes are still not atomic:
@@ -82,31 +84,47 @@ def _from_decimal(text: str) -> int:
     return _from_decimal(text[:-half]) * 10**half + _from_decimal(text[-half:])
 
 
-def bundle_to_json(bundle: InvariantBundle) -> dict[str, Any]:
-    """Serialize known entries with labels replaced by opaque integers.
+# The bundle file is json.dumps(doc, indent=2, sort_keys=True) of one
+# document shape, so it is laid out from these templates, keys in order.
+_BUNDLE = '{\n  "entries": %s,\n  "labels": %s,\n  "rank": %d,\n  "version": %d\n}'
+_ENTRY = '{\n      "factors": %s,\n      "labels": %s\n    }'
+
+
+def _array(items: str, indent: str) -> str:
+    """A JSON array around its items, already joined, closed at `indent`."""
+    return f"[{indent}  {items}{indent}]" if items else "[]"
+
+
+def bundle_to_json(bundle: InvariantBundle) -> str:
+    """The bundle file's text, with labels replaced by opaque integers.
 
     A bundle repeats few distinct factors many times (a homogeneous entry
     is [Cl : H] copies of one, and many entries share it), so each distinct
-    factor is converted once per bundle.
+    factor is converted, and the factor list of each distinct tuple laid
+    out, once per bundle.
     """
     id_of = {label: i for i, label in enumerate(bundle.labels)}.__getitem__
-    text: dict[int, str] = {}
+    text: dict[int, str] = {}  # each distinct factor, quoted
+    blocks: dict[tuple[int, ...], str] = {}
     rows = []
     for key, group in bundle.entries.items():
         factors = group.factors
-        for x in dict.fromkeys(factors):
-            if x not in text:
-                text[x] = _decimal(x)
-        # entry keys are distinct, so the sort never compares the factors
-        strings = list(map(text.__getitem__, factors))
-        rows.append((len(key), sorted(map(id_of, key)), strings))
+        block = blocks.get(factors)
+        if block is None:
+            for x in dict.fromkeys(factors):
+                if x not in text:
+                    text[x] = f'"{_decimal(x)}"'
+            items = ",\n        ".join(map(text.__getitem__, factors))
+            block = blocks[factors] = _array(items, "\n      ")
+        # entry keys are distinct, so the sort never compares the blocks
+        rows.append((len(key), sorted(map(id_of, key)), block))
     rows.sort()
-    return {
-        "version": BUNDLE_VERSION,
-        "rank": bundle.rank,
-        "labels": list(range(len(bundle.labels))),
-        "entries": [{"labels": labels, "factors": strings} for _, labels, strings in rows],
-    }
+    entries = ",\n    ".join([
+        _ENTRY % (block, _array(",\n        ".join(map(repr, ids)), "\n      "))
+        for _, ids, block in rows
+    ])
+    labels = _array(",\n    ".join(map(repr, range(len(bundle.labels)))), "\n  ")
+    return _BUNDLE % (_array(entries, "\n  "), labels, bundle.rank, BUNDLE_VERSION)
 
 
 def _is_int(value: Any) -> bool:
@@ -225,7 +243,7 @@ def report_to_json(report: ReconstructionReport) -> dict[str, Any]:
     return {
         "class_number": report.class_number,
         "class_group_factors": [str(x) for x in report.class_group.factors],
-        "norms": {str(k): str(v) for k, v in sorted(report.norms.items())},
+        "norms": {str(k): str(v) for k, v in report.norms.items()},
         "zeta": {
             "bound": report.zeta.bound,
             "coefficients": list(report.zeta.coefficients),
@@ -326,14 +344,13 @@ def _json_text(value: Any, indent: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
 
 
-def _write_output(doc: dict[str, Any], path: str | None) -> None:
-    """Write the document's text and a newline to stdout, or over `path`.
+def _write_output(text: str, path: str | None) -> None:
+    """Write the text and a newline to stdout, or over `path`.
 
     The file is written in place (see the module docstring); the old tail
     is cut off after the write, and only from a regular file that was
     longer, so `/dev/null`, FIFOs and devices are never truncated.
     """
-    text = _json_text(doc)
     if path is None or path == "-":
         print(text)
         return

@@ -1,14 +1,18 @@
-"""Shared builders for the test suite: random groups, primes, synthetic specs."""
+"""Shared builders for the test suite: random groups, primes, synthetic specs,
+and the bundle document that the bundle file writer is checked against."""
 
 from __future__ import annotations
 
 import random
+from typing import Any
 
 from sympy import primefactors
 
 from classrecon.abgroup import FinGenAbGroup, subgroup_index
+from classrecon.codec import BUNDLE_VERSION, _decimal
 from classrecon.fields import Matrix, PrimeIdealDatum, SyntheticSpec
 from classrecon.oracle import ClassGroupModel
+from classrecon.reconstruct import InvariantBundle
 
 ODD_PRIME_POWERS = [
     3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49,
@@ -120,3 +124,23 @@ def cycle_matrix_columns(norms: list[int], modulus: int) -> list[tuple[int, ...]
             col[i] = modulus
             cols.append(tuple(col))
     return cols
+
+
+def reference_bundle_doc(bundle: InvariantBundle) -> dict[str, Any]:
+    """The document a bundle file holds, with labels replaced by opaque integers.
+
+    Entries are sorted by label count, then by their sorted label ids;
+    `codec.bundle_to_json(bundle)` must be exactly
+    `json.dumps(reference_bundle_doc(bundle), indent=2, sort_keys=True)`.
+    """
+    id_of = {label: i for i, label in enumerate(bundle.labels)}
+    rows = sorted(
+        (len(key), sorted(id_of[l] for l in key), [_decimal(x) for x in group.factors])
+        for key, group in bundle.entries.items()
+    )
+    return {
+        "version": BUNDLE_VERSION,
+        "rank": bundle.rank,
+        "labels": list(range(len(bundle.labels))),
+        "entries": [{"labels": labels, "factors": strings} for _, labels, strings in rows],
+    }

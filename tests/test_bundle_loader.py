@@ -176,7 +176,7 @@ REPEATING_REPORT = (
 def test_factor_strings_repeating_across_entries(tmp_path, capsys):
     code, captured = _run(REPEATING, tmp_path, capsys)
     assert (code, captured.out, captured.err) == (EXIT_OK, REPEATING_REPORT, "")
-    assert codec.bundle_to_json(codec.bundle_from_json(REPEATING)) == REPEATING
+    assert json.loads(codec.bundle_to_json(codec.bundle_from_json(REPEATING))) == REPEATING
 
 
 def test_each_distinct_factor_string_is_converted_once_per_file(monkeypatch):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import lru_cache
 from unittest import mock
 
 import pytest
@@ -23,6 +24,7 @@ from classrecon.lattice import build_bundle
 from classrecon.reconstruct import InvariantBundle
 
 import argparse_reference
+from helpers import reference_bundle_doc
 from test_golden import BUNDLE_1031, GOLDEN, run_case
 
 SYNTHETIC_248 = str(GOLDEN / "synthetic_248.json")
@@ -113,14 +115,14 @@ class TestInvariantsCommand:
     def test_serialization_round_trip(self):
         spec = QuadraticSpec(-20)
         bundle = build_bundle(class_group(spec), enumerate_prime_ideals(spec, 30))
-        doc = bundle_to_json(bundle)
-        parsed = bundle_from_json(json.loads(json.dumps(doc)))
+        doc = json.loads(bundle_to_json(bundle))
+        parsed = bundle_from_json(doc)
         assert parsed.rank == bundle.rank
         assert len(parsed.labels) == len(bundle.labels)
         relabel = {l: str(i) for i, l in enumerate(bundle.labels)}
         for key, group in bundle.entries.items():
             assert parsed.entries[frozenset(relabel[l] for l in key)] == group
-        assert bundle_to_json(parsed)["entries"] == doc["entries"]
+        assert json.loads(bundle_to_json(parsed))["entries"] == doc["entries"]
 
     def test_codec_converts_each_distinct_factor_once_per_entry(self, monkeypatch):
         bundle = InvariantBundle(
@@ -137,10 +139,11 @@ class TestInvariantsCommand:
         monkeypatch.setattr(
             codec, "_json_factor", lambda v: read.append(v) or json_factor(v)
         )
-        doc = bundle_to_json(bundle)
+        text = bundle_to_json(bundle)
+        doc = json.loads(text)
         assert [e["factors"] for e in doc["entries"]] == [["0"] * 3, ["2", "6", "6"]]
         assert sorted(written) == [0, 2, 6]
-        assert bundle_to_json(bundle_from_json(doc)) == doc
+        assert bundle_to_json(bundle_from_json(doc)) == text
         assert read == ["0", "2", "6"]
 
     def test_codec_converts_a_factor_shared_by_entries_once(self, monkeypatch):
@@ -157,7 +160,7 @@ class TestInvariantsCommand:
         written = []
         decimal = codec._decimal
         monkeypatch.setattr(codec, "_decimal", lambda n: written.append(n) or decimal(n))
-        doc = bundle_to_json(bundle)
+        doc = json.loads(bundle_to_json(bundle))
         assert [e["labels"] for e in doc["entries"]] == [[], [0], [1], [0, 1]]
         assert sorted(written) == [0, 8, 24]
 
@@ -300,10 +303,11 @@ class TestLongIntegers:
         bundle = tmp_path / "bundle.json"
         argv = ["invariants", "--synthetic", str(spec), "--primes", "200"]
         assert main([*argv, "-o", str(bundle)]) == EXIT_OK
-        doc = json.loads(bundle.read_text())
+        text = bundle.read_text()
+        doc = json.loads(text)
         longest = max(len(f) for e in doc["entries"] for f in e["factors"])
         assert longest > 4300
-        assert bundle_to_json(bundle_from_json(doc)) == doc
+        assert bundle_to_json(bundle_from_json(doc)) + "\n" == text
         report = tmp_path / "report.json"
         assert main(["reconstruct", str(bundle), "-o", str(report)]) == EXIT_OK
         got = json.loads(report.read_text())
@@ -1417,8 +1421,42 @@ def written_bundle_docs(draw):
 def test_bundle_file_survives_load_and_save(doc):
     text = json.dumps(doc, indent=2, sort_keys=True)
     saved = bundle_to_json(bundle_from_json(json.loads(text)))
-    assert saved == doc
-    assert json.dumps(saved, indent=2, sort_keys=True) == text
+    assert json.loads(saved) == doc
+    assert saved == text
+
+
+@lru_cache(maxsize=None)
+def _field_at_100(d):
+    spec = QuadraticSpec(d)
+    return class_group(spec), tuple(enumerate_prime_ideals(spec, 100))
+
+
+@st.composite
+def built_bundles(draw):
+    """Bundles as `invariants -D d --primes 100 --set ...` builds them."""
+    group, primes = _field_at_100(draw(st.sampled_from([-84, -1031, -23603])))
+    labels = st.sampled_from([p.label for p in primes])
+    sets = draw(st.lists(st.lists(labels, min_size=2, max_size=4, unique=True), max_size=3))
+    bundle = build_bundle(group, primes, subsets=sets)
+    lattice.add_chain_entries(bundle, primes)
+    return bundle
+
+
+@settings(max_examples=150, deadline=None)
+@given(written_bundle_docs().map(bundle_from_json) | built_bundles())
+def test_bundle_text_is_json_dumps_of_the_reference_doc(bundle):
+    want = json.dumps(reference_bundle_doc(bundle), indent=2, sort_keys=True)
+    assert bundle_to_json(bundle) == want
+
+
+def test_bundle_files_are_written_without_the_generic_writer(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a bundle file went through codec._json_text")
+
+    monkeypatch.setattr(codec, "_json_text", refuse)
+    out = tmp_path / "bundle.json"
+    assert main(["invariants", "-D", "-1031", "--primes", "400", "-o", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / "invariants_1031.out").read_bytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -1487,7 +1525,7 @@ def test_writing_over_a_file_leaves_exactly_the_new_text(old, new):
     assume(want is not None and _text_or_none(old) is not None)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.json")
-        codec._write_output(old, path)
-        codec._write_output(new, path)
+        codec._write_output(codec._json_text(old), path)
+        codec._write_output(codec._json_text(new), path)
         with open(path, "rb") as fh:
             assert fh.read() == want

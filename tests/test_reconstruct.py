@@ -583,7 +583,7 @@ def genuine_bundle(name):
     primes = enumerate_prime_ideals(spec, bound)
     bundle = build_bundle(class_group(spec), primes, subsets=sets)
     add_chain_entries(bundle, primes)
-    doc = json.loads(json.dumps(bundle_to_json(bundle)))
+    doc = json.loads(bundle_to_json(bundle))
     norms = {i: p.norm for i, p in enumerate(primes)}
     return doc, norms, report_to_json(reconstruct_all(bundle_from_json(doc)))
 
