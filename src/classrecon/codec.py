@@ -20,15 +20,15 @@ Each file type has one validating loader (`bundle_from_json`,
 `synthetic_spec_from_json`) that turns any defect into its one-line error.
 Input files and stdin are read as UTF-8 whatever the locale (RFC 8259).
 Every output is the text of `json.dumps(doc, indent=2, sort_keys=True)`,
-written as ASCII and built without the pure-Python encoder that json.dumps
-runs whenever it indents: `bundle_to_json` lays a bundle file out from
-fixed templates in one pass over the entries, and the generic `_json_text`
-writes reports and every other document.  An output file is
-written in place and then cut to length, not truncated to zero first:
-ext4, XFS and btrfs flush a truncated-and-rewritten file on close, a wait
-of about a fifth of a `reconstruct` call.  Writes are still not atomic:
-an interrupted write exits non-zero and may leave the old file's tail,
-where truncating first left a cut-off file.
+written as ASCII without the pure-Python encoder json.dumps runs when it
+indents: `bundle_to_json` lays bundle files out from fixed templates, and
+`_json_text` writes every other document; a property test holds each to
+json.dumps.  An output file is written in place and then cut to length,
+not truncated to zero first: ext4, XFS and btrfs flush a
+truncated-and-rewritten file on close, a wait of about a fifth of a
+`reconstruct` call.  Writes are still not atomic: an interrupted write
+exits non-zero and may leave the old file's tail, where truncating first
+left a cut-off file.
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ def bundle_to_json(bundle: InvariantBundle) -> str:
 
     A bundle repeats few distinct factors many times (a homogeneous entry
     is [Cl : H] copies of one, and many entries share it), so each distinct
-    factor is converted, and the factor list of each distinct tuple laid
-    out, once per bundle.
+    factor tuple is laid out, and each factor converted, once per bundle.
     """
     id_of = {label: i for i, label in enumerate(bundle.labels)}.__getitem__
     text: dict[int, str] = {}  # each distinct factor, quoted
