@@ -129,25 +129,29 @@ def cmd_invariants(args: SimpleNamespace) -> int:
 
 
 def cmd_reconstruct(args: SimpleNamespace) -> int:
-    from .codec import _json_text, _read_json, _write_output, bundle_from_json, report_to_json
+    from .codec import _read_json, _write_output, bundle_from_json, report_text
     from .reconstruct import reconstruct_all
 
     report = reconstruct_all(bundle_from_json(_read_json(args.bundle)), args.zeta)
-    _write_output(_json_text(report_to_json(report)), args.output)
+    _write_output(report_text(report), args.output)
     return EXIT_OK
 
 
 def cmd_roundtrip(args: SimpleNamespace) -> int:
-    from .codec import _json_text, _write_output, report_to_json
+    from .codec import _write_output, report_text
     from .fields import class_group, enumerate_prime_ideals
     from .lattice import roundtrip
 
+    if args.zeta is not None and args.zeta > args.primes:
+        # the true coefficients, like the blind ones, see only these primes
+        message = f"--zeta {args.zeta} is above the --primes bound {args.primes}"
+        return _error(ValueError(message), EXIT_USAGE)
     spec = _spec_from_args(args)
     group = class_group(spec)
     primes = enumerate_prime_ideals(spec, args.primes)
     zeta_bound = args.zeta if args.zeta is not None else args.primes
     report = roundtrip(group, primes, zeta_bound)
-    _write_output(_json_text(report_to_json(report)), args.output)
+    _write_output(report_text(report), args.output)
     if report.all_passed:
         return EXIT_OK
     failed = ", ".join(v.name for v in report.verdicts if not v.passed)
@@ -155,23 +159,13 @@ def cmd_roundtrip(args: SimpleNamespace) -> int:
 
 
 def cmd_compare(args: SimpleNamespace) -> int:
-    from .codec import _json_text, _write_output
+    from .codec import _write_output, comparison_text
     from .lattice import compare_fields
 
     spec_a = _spec_from_args(args)
     spec_b = _spec_from_args(args, suffix="2")
     result = compare_fields(spec_a, spec_b, args.bound)
-    doc = {
-        "equivalent": result.equivalent,
-        "bound": result.bound,
-        "detail": result.describe(),
-        "class_group_left": [str(x) for x in result.group_left.factors],
-        "class_group_right": [str(x) for x in result.group_right.factors],
-    }
-    if result.first_zeta_difference:
-        n, a, b = result.first_zeta_difference
-        doc["first_zeta_difference"] = {"n": n, "left": a, "right": b}
-    _write_output(_json_text(doc), args.output)
+    _write_output(comparison_text(result), args.output)
     if result.equivalent:
         return EXIT_OK
     return _error(ValueError(result.describe()), EXIT_FAIL)
@@ -213,7 +207,7 @@ COMMANDS = {
     "roundtrip": (cmd_roundtrip, "reconstruct blind and compare to ground truth", (), (_SPEC,), (
         (("--primes",), "primes", "positive", 50, "X", "prime ideal norm bound (default 50)"),
         (("--zeta",), "zeta", "positive", None, "X",
-         "zeta truncation bound (default: the --primes bound)"),
+         "zeta truncation bound (default and maximum: the --primes bound)"),
         _OUTPUT,
     )),
     "compare": (cmd_compare, "compare two field specs", (), (_SPEC, _SPEC2), (

@@ -1,4 +1,4 @@
-"""The JSON file formats: bundles, reports and synthetic specs.
+"""The JSON file formats: bundles, reports, compare results and synthetic specs.
 
 `cli` imports this module only in the handlers that read or write JSON,
 so `classgroup -D` loads neither it nor `json`.  Each loader imports the
@@ -21,14 +21,16 @@ Each file type has one validating loader (`bundle_from_json`,
 Input files and stdin are read as UTF-8 whatever the locale (RFC 8259).
 Every output is the text of `json.dumps(doc, indent=2, sort_keys=True)`,
 written as ASCII without the pure-Python encoder json.dumps runs when it
-indents: `bundle_to_json` lays bundle files out from fixed templates, and
-`_json_text` writes every other document; a property test holds each to
-json.dumps.  An output file is written in place and then cut to length,
-not truncated to zero first: ext4, XFS and btrfs flush a
-truncated-and-rewritten file on close, a wait of about a fifth of a
-`reconstruct` call.  Writes are still not atomic: an interrupted write
-exits non-zero and may leave the old file's tail, where truncating first
-left a cut-off file.
+indents.  Each output has one fixed shape, so `bundle_to_json`,
+`report_text` and `comparison_text` lay it out from fixed templates, keys
+in sorted order: strings go through the C `encode_basestring_ascii`, and
+every integer written as a string through `_decimal`.  Property tests hold
+each to json.dumps of a plain document builder kept in the tests.  An
+output file is written in place and then cut to length, not truncated to
+zero first: ext4, XFS and btrfs flush a truncated-and-rewritten file on
+close, a wait of about a fifth of a `reconstruct` call.  Writes are still
+not atomic: an interrupted write exits non-zero and may leave the old
+file's tail, where truncating first left a cut-off file.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .fields import SyntheticSpec
+    from .lattice import ComparisonResult
     from .reconstruct import InvariantBundle, ReconstructionReport
 
 BUNDLE_VERSION = 1
@@ -84,15 +87,32 @@ def _from_decimal(text: str) -> int:
     return _from_decimal(text[:-half]) * 10**half + _from_decimal(text[-half:])
 
 
-# The bundle file is json.dumps(doc, indent=2, sort_keys=True) of one
+# Each output file is json.dumps(doc, indent=2, sort_keys=True) of one
 # document shape, so it is laid out from these templates, keys in order.
 _BUNDLE = '{\n  "entries": %s,\n  "labels": %s,\n  "rank": %d,\n  "version": %d\n}'
 _ENTRY = '{\n      "factors": %s,\n      "labels": %s\n    }'
+_REPORT = (
+    '{\n  "class_group_factors": %s,\n  "class_number": %d,\n  "norms": %s,\n'
+    '  "verdicts": %s,\n  "zeta": {\n    "bound": %d,\n    "coefficients": %s\n  }\n}'
+)
+_VERDICT = '{\n      "message": %s,\n      "name": %s,\n      "pass": %s\n    }'
+_COMPARISON = (
+    '{\n  "bound": %d,\n  "class_group_left": %s,\n  "class_group_right": %s,\n'
+    '  "detail": %s,\n  "equivalent": %s%s\n}'
+)
+_ZETA_DIFFERENCE = (
+    ',\n  "first_zeta_difference": {\n    "left": %d,\n    "n": %d,\n    "right": %d\n  }'
+)
 
 
-def _array(items: str, indent: str) -> str:
-    """A JSON array around its items, already joined, closed at `indent`."""
-    return f"[{indent}  {items}{indent}]" if items else "[]"
+def _array(items: str, indent: str, brackets: str = "[]") -> str:
+    """A JSON array (or object) around its items, already joined, closed at `indent`."""
+    return f"{brackets[0]}{indent}  {items}{indent}{brackets[1]}" if items else brackets
+
+
+def _factor_array(group: FinGenAbGroup) -> str:
+    """A group's invariant factors as a top-level array of decimal strings."""
+    return _array(",\n    ".join([f'"{_decimal(x)}"' for x in group.factors]), "\n  ")
 
 
 def bundle_to_json(bundle: InvariantBundle) -> str:
@@ -124,6 +144,41 @@ def bundle_to_json(bundle: InvariantBundle) -> str:
     ])
     labels = _array(",\n    ".join(map(repr, range(len(bundle.labels)))), "\n  ")
     return _BUNDLE % (_array(entries, "\n  "), labels, bundle.rank, BUNDLE_VERSION)
+
+
+def report_text(report: ReconstructionReport) -> str:
+    """The report file's text; norms are keyed by label, in label-text order."""
+    norms = ",\n    ".join([
+        f'{encode_basestring_ascii(label)}: "{_decimal(norm)}"'
+        for label, norm in sorted(report.norms.items())
+    ])
+    verdicts = ",\n    ".join([
+        _VERDICT % (encode_basestring_ascii(v.message), encode_basestring_ascii(v.name),
+                    "true" if v.passed else "false")
+        for v in report.verdicts
+    ])
+    coefficients = _array(",\n      ".join(map(repr, report.zeta.coefficients)), "\n    ")
+    return _REPORT % (_factor_array(report.class_group), report.class_number,
+                      _array(norms, "\n  ", "{}"), _array(verdicts, "\n  "),
+                      report.zeta.bound, coefficients)
+
+
+def report_to_json(report: ReconstructionReport) -> dict[str, Any]:
+    """The document a report file holds."""
+    return json.loads(report_text(report))
+
+
+def comparison_text(result: ComparisonResult) -> str:
+    """The compare result's text; `first_zeta_difference` appears only
+    when the two fields' zeta coefficients differ."""
+    difference = ""
+    if result.first_zeta_difference:
+        n, left, right = result.first_zeta_difference
+        difference = _ZETA_DIFFERENCE % (left, n, right)
+    return _COMPARISON % (result.bound, _factor_array(result.group_left),
+                          _factor_array(result.group_right),
+                          encode_basestring_ascii(result.describe()),
+                          "true" if result.equivalent else "false", difference)
 
 
 def _is_int(value: Any) -> bool:
@@ -238,22 +293,6 @@ def bundle_from_json(doc: Any) -> InvariantBundle:
     return bundle
 
 
-def report_to_json(report: ReconstructionReport) -> dict[str, Any]:
-    return {
-        "class_number": report.class_number,
-        "class_group_factors": [str(x) for x in report.class_group.factors],
-        "norms": {str(k): str(v) for k, v in report.norms.items()},
-        "zeta": {
-            "bound": report.zeta.bound,
-            "coefficients": list(report.zeta.coefficients),
-        },
-        "verdicts": [
-            {"name": v.name, "pass": v.passed, "message": v.message}
-            for v in report.verdicts
-        ],
-    }
-
-
 def synthetic_spec_from_json(doc: Any) -> SyntheticSpec:
     """Load and validate a synthetic spec; every defect is an InvalidSyntheticSpec."""
     from .fields import PrimeIdealDatum, SyntheticSpec, validate_synthetic
@@ -297,50 +336,6 @@ def _read_json(path: str) -> Any:
             return json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad JSON, encoding or nesting
         raise UnreadableInput(f"invalid JSON input {path}: {exc}") from None
-
-
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: repr,  # int.__repr__: only an exact int maps here, never a bool
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _json_text(value: Any, indent: str = "\n") -> str:
-    """The text of json.dumps(value, indent=2, sort_keys=True), built directly.
-
-    json.dumps runs its pure-Python encoder whenever `indent` is set.  Here,
-    as there, strings go through the C `encode_basestring_ascii` and ints
-    through `int.__repr__` (called as `repr`, which is quicker through
-    `map`), and the items of a list or dict that share one scalar type are
-    joined in one step.  Values are str, int, bool, None, lists and dicts
-    with str keys; any other type raises TypeError.
-    """
-    kind = type(value)
-    write = _SCALARS.get(kind)
-    if write is not None:
-        return write(value)
-    if kind is not list and kind is not dict:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    brackets = "[]" if kind is list else "{}"
-    if not value:
-        return brackets
-    inner = indent + "  "
-    if kind is dict:
-        keys = sorted(value)
-        for k in keys:
-            if type(k) is not str:
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-        items = [value[k] for k in keys]
-    else:
-        items = value
-    kinds = set(map(type, items))
-    write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-    texts = map(write, items) if write else [_json_text(x, inner) for x in items]
-    if kind is dict:
-        texts = map("{}: {}".format, map(encode_basestring_ascii, keys), texts)
-    return brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
 
 
 def _write_output(text: str, path: str | None) -> None:

@@ -334,11 +334,11 @@ def _squarefree(n: int) -> bool:
 def _check_discriminant(d: int) -> None:
     """Refuse d unless it is a negative fundamental discriminant within the limit.
 
-    Every function here that takes a discriminant calls this, and the
-    squarefree test factors |D| by trial division, so a valid d is checked
-    once and remembered: enumerating the prime ideals of a field then
-    factors |D| at most once, not once per prime.  A refusal raises and is
-    not remembered.
+    `QuadraticSpec` and `_reduced_triples` (and the oracle's reference
+    forms) call this, and the squarefree test factors |D| by trial
+    division, so a valid d is checked once and remembered: a call that
+    builds a spec and then its reduced forms factors |D| once, not twice.
+    A refusal raises and is not remembered.
     """
     if d < -MAX_DISCRIMINANT:
         raise DiscriminantTooLarge(

@@ -1,5 +1,5 @@
 """Shared builders for the test suite: random groups, primes, synthetic specs,
-and the bundle document that the bundle file writer is checked against."""
+and the documents that the output file writers are checked against."""
 
 from __future__ import annotations
 
@@ -11,8 +11,9 @@ from sympy import primefactors
 from classrecon.abgroup import FinGenAbGroup, subgroup_index
 from classrecon.codec import BUNDLE_VERSION, _decimal
 from classrecon.fields import Matrix, PrimeIdealDatum, SyntheticSpec
+from classrecon.lattice import ComparisonResult
 from classrecon.oracle import ClassGroupModel
-from classrecon.reconstruct import InvariantBundle
+from classrecon.reconstruct import InvariantBundle, ReconstructionReport
 
 ODD_PRIME_POWERS = [
     3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49,
@@ -144,3 +145,44 @@ def reference_bundle_doc(bundle: InvariantBundle) -> dict[str, Any]:
         "labels": list(range(len(bundle.labels))),
         "entries": [{"labels": labels, "factors": strings} for _, labels, strings in rows],
     }
+
+
+def reference_report_doc(report: ReconstructionReport) -> dict[str, Any]:
+    """The document a report file holds.
+
+    `codec.report_text(report)` must be exactly
+    `json.dumps(reference_report_doc(report), indent=2, sort_keys=True)`.
+    Group factors and norms are decimal strings of any length.
+    """
+    return {
+        "class_number": report.class_number,
+        "class_group_factors": [_decimal(x) for x in report.class_group.factors],
+        "norms": {str(k): _decimal(v) for k, v in report.norms.items()},
+        "zeta": {
+            "bound": report.zeta.bound,
+            "coefficients": list(report.zeta.coefficients),
+        },
+        "verdicts": [
+            {"name": v.name, "pass": v.passed, "message": v.message}
+            for v in report.verdicts
+        ],
+    }
+
+
+def reference_comparison_doc(result: ComparisonResult) -> dict[str, Any]:
+    """The document a compare result file holds.
+
+    `codec.comparison_text(result)` must be exactly
+    `json.dumps(reference_comparison_doc(result), indent=2, sort_keys=True)`.
+    """
+    doc = {
+        "equivalent": result.equivalent,
+        "bound": result.bound,
+        "detail": result.describe(),
+        "class_group_left": [_decimal(x) for x in result.group_left.factors],
+        "class_group_right": [_decimal(x) for x in result.group_right.factors],
+    }
+    if result.first_zeta_difference:
+        n, a, b = result.first_zeta_difference
+        doc["first_zeta_difference"] = {"n": n, "left": a, "right": b}
+    return doc

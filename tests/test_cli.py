@@ -11,7 +11,7 @@ from functools import lru_cache
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classrecon
@@ -24,7 +24,7 @@ from classrecon.lattice import build_bundle
 from classrecon.reconstruct import InvariantBundle
 
 import argparse_reference
-from helpers import reference_bundle_doc
+from helpers import reference_bundle_doc, reference_comparison_doc, reference_report_doc
 from test_golden import BUNDLE_1031, GOLDEN, run_case
 
 SYNTHETIC_248 = str(GOLDEN / "synthetic_248.json")
@@ -319,6 +319,29 @@ class TestLongIntegers:
         assert all(v["pass"] for v in json.loads(report.read_text())["verdicts"])
         assert capsys.readouterr().err == ""
         assert sys.get_int_max_str_digits() == limit
+
+    def test_norm_past_the_str_limit_reconstructs(self, tmp_path, capsys):
+        # rank 1: the singleton Z/(3**10000 - 1) gives the norm 3**10000,
+        # 4772 digits, far above the zeta bound
+        doc = {
+            "version": 1,
+            "rank": 1,
+            "labels": [0],
+            "entries": [
+                {"labels": [], "factors": ["0"]},
+                {"labels": [0], "factors": [codec._decimal(3**10000 - 1)]},
+            ],
+        }
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["reconstruct", str(path), "--zeta", "10"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        [norm] = report["norms"].values()
+        assert len(norm) == 4772 and codec._from_decimal(norm) == 3**10000
+        assert report["class_group_factors"] == []
+        assert report["zeta"] == {"bound": 10, "coefficients": [1] + [0] * 9}
 
     def test_decimal_codec_matches_str(self):
         for n in (0, 7, 10**600 - 1, 10**600, 10**1201 + 1, 3**40000, 149**2000 - 1):
@@ -678,6 +701,19 @@ class TestRoundTripCommand:
         doc = json.loads(failed.out)
         assert [v["name"] for v in doc["verdicts"] if not v["pass"]] == ["zeta"]
         assert doc["class_group_factors"] == json.loads(passed.out)["class_group_factors"]
+
+
+    def test_zeta_above_the_prime_bound_is_refused(self, capsys):
+        # Both sides would count only the primes of norm <= 10, so for Q(i)
+        # the verdicts would pass with a_13 = a_17 = 0.
+        argv = ["roundtrip", "-D", "-4", "--primes", "10", "--zeta", "20"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --zeta 20 is above the --primes bound 10\n"
+        assert main(["roundtrip", "-D", "-4", "--primes", "20", "--zeta", "20"]) == EXIT_OK
+        coefficients = json.loads(capsys.readouterr().out)["zeta"]["coefficients"]
+        assert coefficients[12] == coefficients[16] == 2
 
 
 class TestCompareCommand:
@@ -1449,16 +1485,6 @@ def test_bundle_text_is_json_dumps_of_the_reference_doc(bundle):
     assert bundle_to_json(bundle) == want
 
 
-def test_bundle_files_are_written_without_the_generic_writer(tmp_path, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a bundle file went through codec._json_text")
-
-    monkeypatch.setattr(codec, "_json_text", refuse)
-    out = tmp_path / "bundle.json"
-    assert main(["invariants", "-D", "-1031", "--primes", "400", "-o", str(out)]) == EXIT_OK
-    assert out.read_bytes() == (GOLDEN / "invariants_1031.out").read_bytes()
-
-
 @settings(max_examples=300, deadline=None)
 @given(JSON_VALUES | SPEC_DOCS)
 def test_arbitrary_json_synthetic_spec_never_raises(doc):
@@ -1466,66 +1492,108 @@ def test_arbitrary_json_synthetic_spec_never_raises(doc):
 
 
 # Strings with quotes, backslashes, control characters, non-ASCII and
-# astral characters and lone surrogates; ints past CPython's 4300-digit
-# str limit, on which json.dumps raises ValueError.
+# astral characters and lone surrogates.
 JSON_TEXT = st.text(
     st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001F600')
     | st.characters(blacklist_categories=()),
     max_size=6,
 )
-WRITER_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(-5, 5).map(lambda k: 10**4300 + k)
-    | JSON_TEXT
-)
-WRITER_DOCS = st.recursive(
-    WRITER_SCALARS,
-    lambda inner: st.lists(inner, max_size=5)
-    | st.dictionaries(JSON_TEXT, inner, max_size=5),
-    max_leaves=25,
-)
+# Norms and factors up to 3**10000 run past CPython's 4300-digit str limit.
+REPORT_INTEGERS = st.integers(0, 10**6) | st.just(3**10000) | st.integers(0, 2**20000)
 
 
-@settings(max_examples=200, deadline=None)
-@given(WRITER_DOCS)
-def test_writer_gives_the_bytes_of_json_dumps(doc):
-    try:
-        want = json.dumps(doc, indent=2, sort_keys=True)
-    except ValueError:  # an int past the str conversion limit
-        with pytest.raises(ValueError):
-            codec._json_text(doc)
-        return
-    assert codec._json_text(doc) == want
+@lru_cache(maxsize=None)
+def _blind_report(d, zeta_bound):
+    group, primes = _field_at_100(d)
+    return reconstruct.reconstruct_all(build_bundle(group, primes), zeta_bound)
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [1.5, (1, 2), {1: "a"}, {"a": {1}}, [b"x"], [1, object()], {"a": [1, 2.0]}],
-    ids=["float", "tuple", "int-key", "set", "bytes", "object", "nested-float"],
-)
-def test_writer_refuses_other_types(doc):
-    with pytest.raises(TypeError):
-        codec._json_text(doc)
+@lru_cache(maxsize=None)
+def _roundtrip_report(d, zeta_bound):
+    group, primes = _field_at_100(d)
+    return lattice.roundtrip(group, primes, zeta_bound)
 
 
-def _text_or_none(doc):
-    """The bytes the writer gives for `doc`, or None past the int str limit."""
-    try:
-        return (codec._json_text(doc) + "\n").encode("ascii")
-    except ValueError:
-        return None
+@st.composite
+def real_reports(draw):
+    """Blind and roundtrip reports of real fields, some with a failed verdict."""
+    d = draw(st.sampled_from([-84, -1031, -23603]))
+    zeta_bound = draw(st.integers(1, 100))
+    if draw(st.booleans()):
+        return _blind_report(d, zeta_bound)
+    report = _roundtrip_report(d, zeta_bound)
+    i = draw(st.integers(-1, len(report.verdicts) - 1))
+    if i < 0:
+        return report
+    verdicts = list(report.verdicts)
+    verdicts[i] = verdicts[i]._replace(passed=False)
+    return report._replace(verdicts=tuple(verdicts))
+
+
+@st.composite
+def built_reports(draw):
+    """Reports with any labels and messages, no labels, trivial groups and
+    norms past the str limit."""
+    coefficients = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
+    return reconstruct.ReconstructionReport(
+        class_number=draw(st.integers(1, 10**6)),
+        class_group=FinGenAbGroup.from_orders(draw(st.lists(REPORT_INTEGERS, max_size=3))),
+        norms=draw(st.dictionaries(JSON_TEXT, REPORT_INTEGERS, max_size=4)),
+        zeta=reconstruct.ZetaData(len(coefficients), tuple(coefficients)),
+        verdicts=tuple(
+            reconstruct.Verdict(name, passed, message)
+            for name, passed, message in draw(
+                st.lists(st.tuples(JSON_TEXT, st.booleans(), JSON_TEXT), max_size=4))
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_reports() | built_reports())
+def test_report_text_is_json_dumps_of_the_reference_doc(report):
+    want = json.dumps(reference_report_doc(report), indent=2, sort_keys=True)
+    assert codec.report_text(report) == want
+
+
+@lru_cache(maxsize=None)
+def _comparison(d, d2, bound):
+    return lattice.compare_fields(QuadraticSpec(d), QuadraticSpec(d2), bound)
+
+
+SMALL_GROUPS = st.lists(st.integers(0, 60), max_size=3).map(FinGenAbGroup.from_orders)
+
+
+@st.composite
+def built_comparisons(draw):
+    """Comparison results with and without a first zeta difference."""
+    difference = draw(st.none() | st.tuples(*[st.integers(1, 10**6)] * 3))
+    isomorphic = draw(st.booleans())
+    return lattice.ComparisonResult(
+        equivalent=difference is None and isomorphic,
+        bound=draw(st.integers(1, 10**7)),
+        first_zeta_difference=difference,
+        groups_isomorphic=isomorphic,
+        group_left=draw(SMALL_GROUPS),
+        group_right=draw(SMALL_GROUPS),
+    )
+
+
+FIELDS = st.sampled_from([-3, -4, -20, -84, -2408, -3299])
 
 
 @settings(max_examples=100, deadline=None)
-@given(WRITER_DOCS, WRITER_DOCS)
+@given(st.builds(_comparison, FIELDS, FIELDS, st.sampled_from([100, 200])) | built_comparisons())
+def test_comparison_text_is_json_dumps_of_the_reference_doc(result):
+    want = json.dumps(reference_comparison_doc(result), indent=2, sort_keys=True)
+    assert codec.comparison_text(result) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(st.characters(max_codepoint=127)), st.text(st.characters(max_codepoint=127)))
 def test_writing_over_a_file_leaves_exactly_the_new_text(old, new):
-    want = _text_or_none(new)
-    assume(want is not None and _text_or_none(old) is not None)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.json")
-        codec._write_output(codec._json_text(old), path)
-        codec._write_output(codec._json_text(new), path)
+        codec._write_output(old, path)
+        codec._write_output(new, path)
         with open(path, "rb") as fh:
-            assert fh.read() == want
+            assert fh.read() == (new + "\n").encode("ascii")

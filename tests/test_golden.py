@@ -14,6 +14,10 @@ are rewritten; without, every case is.
 The `reconstruct_legacy_*` cases read bundle files written by an earlier
 `invariants`, which carried more entries than a reconstruction needs.  A
 file with extra entries must still reconstruct to the same report.
+
+The runtime needs nothing outside the standard library: every case also
+runs in one `python -I -S -B` child, with no site-packages and no
+`PYTHON*` variables, and must give the same bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -94,6 +99,44 @@ def test_output_is_byte_identical(name, tmp_path):
     assert stdout == (GOLDEN / f"{name}.stdout").read_text()
     if _writes_file(name):
         assert out_path.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# Runs the cases given as JSON in argv[2] with `src` (argv[1]) first on the
+# path, and prints each case's exit code and stdout as one JSON object.
+_STDLIB_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from classrecon.cli import main
+results = {}
+for name, argv in json.loads(sys.argv[2]).items():
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        results[name] = [main(argv), stdout.getvalue()]
+print(json.dumps(results))
+"""
+
+
+def test_cases_run_on_the_standard_library_alone(tmp_path):
+    src = str(Path(__file__).parent.parent / "src")
+    cases = {
+        name: [str(tmp_path / f"{name}.out") if a == "{out}" else a for a in argv]
+        for name, argv in CASES.items()
+    }
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", _STDLIB_CHILD, src, json.dumps(cases)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    for name in sorted(CASES):
+        code, stdout = results[name]
+        assert code == expected_codes[name], name
+        assert stdout == (GOLDEN / f"{name}.stdout").read_text(), name
+        if _writes_file(name):
+            assert (tmp_path / f"{name}.out").read_bytes() == (
+                GOLDEN / f"{name}.out"
+            ).read_bytes(), name
 
 
 def regenerate(names: list[str]) -> None:

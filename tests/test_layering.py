@@ -17,7 +17,9 @@ generates code for each class at import: every CLI call would pay for it.
 No source file imports `argparse` or `gettext` either.
 And only `codec._write_output` opens a file for writing: it overwrites in
 place, where `open(path, "w")` would truncate to zero and make the
-filesystem flush the file on close.
+filesystem flush the file on close.  No runtime module calls `json.dump`
+or `json.dumps`, which run the pure-Python encoder whenever they indent:
+every output is laid out from the codec's fixed templates.
 """
 
 import ast
@@ -294,6 +296,43 @@ def test_scan_finds_opens_for_writing():
         "        pass\n"
     )
     assert _enclosing_functions(tree, _opens_for_writing) == ["f"] * 7
+
+
+def _json_dumps(node: ast.AST) -> bool:
+    """Whether a node calls `json.dump` or `json.dumps`, or imports either
+    from `json` (so that a bare or renamed call would reach it)."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json" and any(a.name in ("dump", "dumps") for a in node.names)
+    func = getattr(node, "func", None)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(func, ast.Attribute)
+        and func.attr in ("dump", "dumps")
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "json"
+    )
+
+
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
+def test_no_runtime_module_calls_json_dumps(path):
+    assert _enclosing_functions(_parse(path), _json_dumps) == []
+
+
+def test_scan_finds_json_dumps():
+    tree = ast.parse(
+        "import json\n"
+        "from json import loads\n"
+        "from json.encoder import encode_basestring_ascii\n"
+        "json.loads(s)\n"
+        "json.load(fh)\n"
+        "text.dumps()\n"
+        "json.dumps(doc)\n"
+        "def f():\n"
+        "    json.dump(doc, fh)\n"
+        "    from json import dumps as d\n"
+        "    return json.dumps(doc, indent=2)\n"
+    )
+    assert _enclosing_functions(tree, _json_dumps) == [None, "f", "f", "f"]
 
 
 @pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
