@@ -22,7 +22,7 @@ sieve `primes_up_to` and the guard `check_bound` on its bound, exact
 integer roots, and exact `is_prime` / `is_prime_power`.  The primality
 test is trial division below 10**6 and deterministic Miller-Rabin above;
 above the proven limit `MILLER_RABIN_LIMIT` it refuses with
-`PrimalityLimitExceeded` rather than guess.
+`LimitExceeded`, as every limit of the package does, rather than guess.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import gcd, isqrt, log2
 from typing import Iterable, Sequence
 
-from .errors import MAX_BOUND, LimitExceeded, PrimalityLimitExceeded
+from .errors import MAX_BOUND, LimitExceeded
 
 # Group elements are reduced coordinate tuples; use FinGenAbGroup methods to
 # construct and combine them so the reduction invariant holds.
@@ -428,7 +428,7 @@ def _small_factor(n: int) -> int | None:
 def _miller_rabin(n: int) -> bool:
     """Deterministic Miller-Rabin for odd n with no factor below _TRIAL_LIMIT."""
     if n >= MILLER_RABIN_LIMIT:
-        raise PrimalityLimitExceeded(
+        raise LimitExceeded(
             f"cannot certify primality of a {n.bit_length()}-bit integer "
             f"(exact test limited to {MILLER_RABIN_LIMIT})"
         )
@@ -482,7 +482,7 @@ def _power_base(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test; raises PrimalityLimitExceeded when it cannot be.
+    """Exact primality test; raises LimitExceeded when it cannot be.
 
     >>> [q for q in range(20) if is_prime(q)]
     [2, 3, 5, 7, 11, 13, 17, 19]
@@ -501,7 +501,7 @@ def is_prime_power(n: int) -> bool:
     A small least prime factor is stripped by trial division.  Otherwise
     every prime factor exceeds _TRIAL_LIMIT, and n is a prime power exactly
     when the base of its highest perfect power is prime.  Raises
-    PrimalityLimitExceeded when that base is too large to certify.
+    LimitExceeded when that base is too large to certify.
 
     >>> [q for q in range(20) if is_prime_power(q)]
     [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]

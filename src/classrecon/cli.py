@@ -30,12 +30,15 @@ or `--`, is one stderr line, `error: ` and argparse's message, with exit 2.
 Every failure is one stderr line, `error: ` and its message (a failed
 verdict's report is written first).  Exit codes: 0 success/pass, 1 verdict
 failure, malformed bundle or internal contradiction, 2 usage or spec error
-(including unreadable or non-JSON input files), 3 insufficient data, an
-integer too large for the exact primality test, a discriminant above
-`errors.MAX_DISCRIMINANT`, a prime, comparison or zeta bound above
-`errors.MAX_BOUND`, a synthetic class group of order above
-`errors.MAX_SYNTHETIC_ORDER`, or a quotient order above
-`errors.MAX_QUOTIENT_BITS` bits.
+(including unreadable or non-JSON input files, and a `--zeta` above
+`--primes` or above the largest recovered norm), 3 insufficient data or
+`LimitExceeded`.  Insufficient data is decided by the blind consumer
+alone, so `roundtrip`, `compare` and `reconstruct` refuse too few odd-norm
+primes with one message.  `LimitExceeded` covers an integer too large for
+the exact primality test, a discriminant above `errors.MAX_DISCRIMINANT`,
+a prime, comparison or zeta bound above `errors.MAX_BOUND`, a synthetic
+class group of order above `errors.MAX_SYNTHETIC_ORDER`, and a quotient
+order above `errors.MAX_QUOTIENT_BITS` bits.
 """
 
 from __future__ import annotations
@@ -46,14 +49,12 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
     BundleEntryMissing,
-    DiscriminantTooLarge,
     InsufficientGenerators,
     InternalContradiction,
     InvalidDiscriminant,
     InvalidSyntheticSpec,
     LimitExceeded,
     MalformedBundle,
-    PrimalityLimitExceeded,
     UnreadableInput,
     UsageError,
 )
@@ -133,6 +134,12 @@ def cmd_reconstruct(args: SimpleNamespace) -> int:
     from .reconstruct import reconstruct_all
 
     report = reconstruct_all(bundle_from_json(_read_json(args.bundle)), args.zeta)
+    largest = max(report.norms.values(), default=1)
+    if args.zeta is not None and args.zeta > largest:
+        # a bundle carries every prime ideal up to its producer's bound, which
+        # is at least this norm; a coefficient beyond it may miss primes
+        message = f"--zeta {args.zeta} is above the largest recovered norm {largest}"
+        return _error(ValueError(message), EXIT_USAGE)
     _write_output(report_text(report), args.output)
     return EXIT_OK
 
@@ -201,7 +208,7 @@ COMMANDS = {
     "reconstruct": (cmd_reconstruct, "blind reconstruction from a bundle file",
                     (("bundle", "bundle JSON file, or - for stdin"),), (), (
         (("--zeta",), "zeta", "positive", None, "X",
-         "zeta truncation bound (default: largest recovered norm)"),
+         "zeta truncation bound (default and maximum: the largest recovered norm)"),
         _OUTPUT,
     )),
     "roundtrip": (cmd_roundtrip, "reconstruct blind and compare to ground truth", (), (_SPEC,), (
@@ -314,21 +321,11 @@ def _help(command: str | None) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
-    except UsageError as exc:
+        return EXIT_OK if handler is None else handler(args)  # None: help printed
+    except (UsageError, InvalidDiscriminant, InvalidSyntheticSpec, UnreadableInput,
+            OSError) as exc:
         return _error(exc, EXIT_USAGE)
-    if handler is None:  # help was asked for
-        return EXIT_OK
-    try:
-        return handler(args)
-    except (InvalidDiscriminant, InvalidSyntheticSpec, UnreadableInput, OSError) as exc:
-        return _error(exc, EXIT_USAGE)
-    except (
-        InsufficientGenerators,
-        BundleEntryMissing,
-        PrimalityLimitExceeded,
-        DiscriminantTooLarge,
-        LimitExceeded,
-    ) as exc:
+    except (InsufficientGenerators, BundleEntryMissing, LimitExceeded) as exc:
         return _error(exc, EXIT_INSUFFICIENT)
     except (MalformedBundle, InternalContradiction) as exc:
         return _error(exc, EXIT_FAIL)

@@ -43,13 +43,12 @@ from json.encoder import encode_basestring_ascii
 from math import log10
 from typing import TYPE_CHECKING, Any
 
-from .abgroup import FinGenAbGroup, brief, is_canonical, is_prime_power
+from .abgroup import FinGenAbGroup, is_canonical
 from .errors import (
     MAX_QUOTIENT_BITS,
     InvalidSyntheticSpec,
     LimitExceeded,
     MalformedBundle,
-    NonPrimePowerNorm,
     UnreadableInput,
 )
 
@@ -294,7 +293,11 @@ def bundle_from_json(doc: Any) -> InvariantBundle:
 
 
 def synthetic_spec_from_json(doc: Any) -> SyntheticSpec:
-    """Load and validate a synthetic spec; every defect is an InvalidSyntheticSpec."""
+    """Load and validate a synthetic spec; every defect is an InvalidSyntheticSpec.
+
+    A norm is a prime power because `PrimeIdealDatum` makes it a power of
+    its residue characteristic and `validate_synthetic` proves that prime.
+    """
     from .fields import PrimeIdealDatum, SyntheticSpec, validate_synthetic
 
     bad = InvalidSyntheticSpec
@@ -310,8 +313,6 @@ def synthetic_spec_from_json(doc: Any) -> SyntheticSpec:
             raise bad(f"prime {i} must be a JSON object")
         label = str(item.get("label", f"s{i}"))
         norm = _json_int(item.get("norm"), f"norm of {label}", bad)
-        if not is_prime_power(norm):
-            raise NonPrimePowerNorm(f"norm {brief(norm)} is not a prime power")
         cls = tuple(
             _json_int(c, f"class of {label}", bad)
             for c in _json_list(item.get("class"), f"class of {label}", bad)

@@ -2,7 +2,11 @@
 
 `cli.main` maps these classes to exit codes, so it imports this module and
 no module that raises them: a subcommand loads only the modules it runs.
-This module imports nothing.
+This module imports nothing.  Each class is one kind of refusal, decided
+once, in the layer that owns it: an input above any stated limit is a
+`LimitExceeded`, every defect of a synthetic spec an `InvalidSyntheticSpec`,
+and a label set that cannot exhibit the class group is refused by the
+blind consumer alone, with `InsufficientGenerators`.
 
 The four size limits live here too, beside `LimitExceeded`, because both
 sides of the package enforce them: the producer (`fields`, `lattice`) on
@@ -46,37 +50,21 @@ class InternalContradiction(Exception):
 
 
 class LimitExceeded(Exception):
-    """An input is above one of the documented size limits.
+    """An input is above one of the documented limits.
 
-    The limits are `MAX_BOUND`, `MAX_SYNTHETIC_ORDER` and
-    `MAX_QUOTIENT_BITS` above; each is checked before the work it bounds
-    starts.  A discriminant above `MAX_DISCRIMINANT` raises
-    `DiscriminantTooLarge` instead.
+    The limits are `MAX_DISCRIMINANT`, `MAX_BOUND`, `MAX_SYNTHETIC_ORDER`
+    and `MAX_QUOTIENT_BITS` above, each checked before the work it bounds
+    starts, and `abgroup.MILLER_RABIN_LIMIT`, above which an integer's
+    primality is not certified.
     """
-
-
-class PrimalityLimitExceeded(Exception):
-    """An integer is too large for the exact primality test."""
 
 
 class InvalidDiscriminant(ValueError):
     """Discriminant is not negative and fundamental."""
 
 
-class DiscriminantTooLarge(Exception):
-    """|D| exceeds MAX_DISCRIMINANT, beyond which the class group is not built."""
-
-
 class InvalidSyntheticSpec(ValueError):
     """A synthetic field spec is malformed or inconsistent."""
-
-
-class NonPrimePowerNorm(InvalidSyntheticSpec):
-    """A synthetic prime datum has a norm that is not a prime power."""
-
-
-class OddNormClassesDoNotGenerate(InvalidSyntheticSpec):
-    """The odd-norm classes of a synthetic spec fail to generate the group."""
 
 
 class MalformedBundle(Exception):

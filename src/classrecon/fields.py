@@ -65,12 +65,10 @@ from .abgroup import (
 from .errors import (
     MAX_DISCRIMINANT,
     MAX_SYNTHETIC_ORDER,
-    DiscriminantTooLarge,
     InternalContradiction,
     InvalidDiscriminant,
     InvalidSyntheticSpec,
     LimitExceeded,
-    OddNormClassesDoNotGenerate,
 )
 
 # -- exact linear algebra and modular square roots --------------------------
@@ -341,7 +339,7 @@ def _check_discriminant(d: int) -> None:
     A refusal raises and is not remembered.
     """
     if d < -MAX_DISCRIMINANT:
-        raise DiscriminantTooLarge(
+        raise LimitExceeded(
             f"|D| = {-d} exceeds the limit {MAX_DISCRIMINANT}: factoring it and "
             "building its class group grow with sqrt(|D|)"
         )
@@ -672,7 +670,7 @@ def validate_synthetic(spec: SyntheticSpec) -> SyntheticSpec:
             raise InvalidSyntheticSpec(f"class of {p.label}: {exc}") from None
     odd_classes = [group.element(p.cls) for p in spec.primes if p.has_odd_norm]
     if subgroup_index(group, odd_classes) != 1:
-        raise OddNormClassesDoNotGenerate(
+        raise InvalidSyntheticSpec(
             "classes of the odd-norm primes do not generate the class group"
         )
     return spec

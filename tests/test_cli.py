@@ -202,6 +202,16 @@ class TestReconstructCommand:
         bundle_path.write_text(json.dumps(doc))
         assert main(["reconstruct", str(bundle_path)]) == EXIT_FAIL
 
+    def test_zeta_above_the_largest_norm_is_refused(self, capsys):
+        # The bundle was written at --primes 400, and its largest norm is 397.
+        # It lacks the primes above 400, so a_401 and a_421 would read 0.
+        assert main(["reconstruct", BUNDLE_1031, "--zeta", "500"]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: --zeta 500 is above the largest recovered norm 397\n")
+        # the largest norm itself is the default bound
+        assert main(["reconstruct", BUNDLE_1031, "--zeta", "397"]) == EXIT_OK
+        assert capsys.readouterr() == ((GOLDEN / "reconstruct_1031.stdout").read_text(), "")
+
     def test_missing_file_usage_error(self):
         assert main(["reconstruct", "/nonexistent/bundle.json"]) == EXIT_USAGE
 
@@ -567,6 +577,22 @@ def test_invariants_warns_when_odd_norms_miss_the_class_group(tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / "invariants_420.out").read_bytes()
 
 
+def test_too_few_odd_norm_primes_give_one_message(tmp_path, capsys):
+    # Below norm 3, -20 (h = 2) has only the prime above 2, of even norm.
+    # The blind consumer alone decides this, so every command that runs it
+    # refuses with its line, and `invariants` prints it as its warning.
+    message = ("odd-norm labels exhibit a subgroup of order 1, but the class number "
+               "is 2; supply more primes")
+    bundle = str(tmp_path / "bundle.json")
+    assert main(["invariants", "-D", "-20", "--primes", "2", "-o", bundle]) == EXIT_OK
+    assert capsys.readouterr() == ("", f"warning: {message}\n")
+    for argv in (["roundtrip", "-D", "-20", "--primes", "2"],
+                 ["compare", "-D", "-20", "-D2", "-4", "--bound", "2"],
+                 ["reconstruct", bundle]):
+        assert main(argv) == EXIT_INSUFFICIENT, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
 GOLDEN_BUNDLES = sorted(GOLDEN.glob("invariants_*.out")) + sorted(
     GOLDEN.glob("legacy_invariants_*.json")
 )
@@ -921,6 +947,38 @@ def test_any_argv_exits_with_a_documented_code_and_one_error_line(argv):
     if code != EXIT_OK:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err
 
+
+
+# The exit code of every exception class in `classrecon.errors`, as the `cli`
+# docstring and the README give them.
+DOCUMENTED_EXIT_CODES = {
+    "InternalContradiction": EXIT_FAIL,
+    "MalformedBundle": EXIT_FAIL,
+    "InvalidDiscriminant": EXIT_USAGE,
+    "InvalidSyntheticSpec": EXIT_USAGE,
+    "UnreadableInput": EXIT_USAGE,
+    "UsageError": EXIT_USAGE,
+    "InsufficientGenerators": EXIT_INSUFFICIENT,
+    "BundleEntryMissing": EXIT_INSUFFICIENT,
+    "LimitExceeded": EXIT_INSUFFICIENT,
+}
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, Exception)]
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    assert sorted(c.__name__ for c in ERROR_CLASSES) == sorted(DOCUMENTED_EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_code_and_one_line(cls, capsys, monkeypatch):
+    # An unmapped class would escape `main` as a traceback.
+    def handler(args):
+        raise cls("a message\n  on two lines")
+
+    monkeypatch.setitem(cli.COMMANDS, "classgroup", (handler, *cli.COMMANDS["classgroup"][1:]))
+    assert main(["classgroup", "-D", "-4"]) == DOCUMENTED_EXIT_CODES[cls.__name__]
+    assert capsys.readouterr() == ("", "error: a message on two lines\n")
 
 
 def test_calls_in_one_process_match_fresh_interpreters(tmp_path, capsys):

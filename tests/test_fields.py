@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from classrecon import fields
 from classrecon.fields import (
     MAX_DISCRIMINANT,
-    DiscriminantTooLarge,
     InternalContradiction,
     InvalidDiscriminant,
-    OddNormClassesDoNotGenerate,
+    InvalidSyntheticSpec,
+    LimitExceeded,
     QuadraticSpec,
     SyntheticSpec,
     _compose_triples,
@@ -29,7 +29,6 @@ from classrecon.fields import (
     validate_synthetic,
 )
 from classrecon.abgroup import FinGenAbGroup, primes_up_to
-from classrecon.errors import NonPrimePowerNorm
 from classrecon.oracle import (
     class_group_model,
     dirichlet_compose,
@@ -341,9 +340,9 @@ class TestComposition:
         monkeypatch.setattr(fields, "is_fundamental_discriminant", no_enumeration)
         monkeypatch.setattr(fields, "factorize", no_enumeration)
         for d in (-MAX_DISCRIMINANT - 1, -(10**400)):
-            with pytest.raises(DiscriminantTooLarge):
+            with pytest.raises(LimitExceeded, match=r"^\|D\| = \d+ exceeds the limit"):
                 _discriminant_data(d)
-            with pytest.raises(DiscriminantTooLarge):
+            with pytest.raises(LimitExceeded, match=r"^\|D\| = \d+ exceeds the limit"):
                 QuadraticSpec(d)
 
     def test_prime_enumeration_factors_the_discriminant_once(self, monkeypatch):
@@ -531,27 +530,27 @@ class TestSyntheticValidation:
 
     def test_odd_classes_must_generate(self):
         spec = SyntheticSpec((2,), (datum("a", 3, (0,)),))
-        with pytest.raises(OddNormClassesDoNotGenerate):
+        with pytest.raises(InvalidSyntheticSpec, match="odd-norm primes do not generate"):
             validate_synthetic(spec)
         # even-norm nontrivial class does not rescue generation
         spec = SyntheticSpec(
             (2,), (datum("a", 2, (1,)), datum("b", 3, (0,)))
         )
-        with pytest.raises(OddNormClassesDoNotGenerate):
+        with pytest.raises(InvalidSyntheticSpec, match="odd-norm primes do not generate"):
             validate_synthetic(spec)
 
     def test_norms_must_be_prime_powers(self):
         # the datum type itself refuses a norm that is not a power of its prime
         with pytest.raises(ValueError):
             datum("a", 6, (1,), 2)
-        # raw file data with norm 6 surfaces the designated error
+        # raw file data with norm 6 gets the datum's refusal, as a spec error
         from classrecon.codec import synthetic_spec_from_json
 
         doc = {
             "invariant_factors": ["2"],
             "primes": [{"norm": "6", "class": [1], "residue_char": "2"}],
         }
-        with pytest.raises(NonPrimePowerNorm):
+        with pytest.raises(InvalidSyntheticSpec, match="^prime s0: norm 6 is not a power of 2$"):
             synthetic_spec_from_json(doc)
         ok = SyntheticSpec((2,), (datum("a", 3, (1,)), datum("b", 25, (1,), 5)))
         assert validate_synthetic(ok)

@@ -493,7 +493,7 @@ class TestRoundTrip:
     def test_insufficient_generators_guidance(self):
         group = FinGenAbGroup((2,))
         primes = [datum("only_even", 2, (1,))]
-        with pytest.raises(InsufficientGenerators, match="raise the prime"):
+        with pytest.raises(InsufficientGenerators, match="supply more primes"):
             roundtrip(group, primes, 10)
 
     def test_random_synthetic_specs(self):
