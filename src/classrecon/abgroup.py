@@ -10,8 +10,8 @@ A subgroup's index and the relations among its generators come from
 
 Groups are kept in canonical invariant-factor form (nonzero factors form a
 divisibility chain, no factor equals 1, free factors encoded as trailing
-zeros), which makes isomorphism testing a plain comparison.  Building that
-form from arbitrary cyclic orders takes gcd/lcm exchanges only, never
+zeros), so two groups are isomorphic exactly when they are `==`.  Building
+that form from arbitrary cyclic orders takes gcd/lcm exchanges only, never
 factoring.  No group element is enumerated here; `oracle.ClassGroupModel`
 does that for the certifiers.
 
@@ -292,23 +292,6 @@ def index_and_relations(
         index *= abs(cols[t][row])
         t += 1
     return index, [tuple(c[r:]) for c in cols[t:]]
-
-
-def subgroup_index(g: FinGenAbGroup, gens: Sequence[GroupElement]) -> int:
-    """Index [G : <gens>] in a finite group, computed exactly.
-
-    The subgroup corresponds to the integer lattice spanned by the generator
-    coordinates together with the relation lattice diag(factors); the index
-    is the covolume of that lattice in Z^k, read off `index_and_relations`.
-    """
-    if not g.is_finite:
-        raise ValueError("subgroup index requires a finite group")
-    return index_and_relations([g.element(x) for x in gens], g.factors)[0]
-
-
-def iso_equal(g: FinGenAbGroup, h: FinGenAbGroup) -> bool:
-    """Whether two groups are isomorphic (canonical forms coincide)."""
-    return g.factors == h.factors
 
 
 def integer_nth_root(x: int, n: int) -> int | None:

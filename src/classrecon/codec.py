@@ -146,7 +146,10 @@ def bundle_to_json(bundle: InvariantBundle) -> str:
 
 
 def report_text(report: ReconstructionReport) -> str:
-    """The report file's text; norms are keyed by label, in label-text order."""
+    """The report file's text; norms are keyed by label, in label-text order.
+
+    The zeta block's `bound` is the number of coefficients, `len(report.zeta)`.
+    """
     norms = ",\n    ".join([
         f'{encode_basestring_ascii(label)}: "{_decimal(norm)}"'
         for label, norm in sorted(report.norms.items())
@@ -156,10 +159,10 @@ def report_text(report: ReconstructionReport) -> str:
                     "true" if v.passed else "false")
         for v in report.verdicts
     ])
-    coefficients = _array(",\n      ".join(map(repr, report.zeta.coefficients)), "\n    ")
+    coefficients = _array(",\n      ".join(map(repr, report.zeta)), "\n    ")
     return _REPORT % (_factor_array(report.class_group), report.class_number,
                       _array(norms, "\n  ", "{}"), _array(verdicts, "\n  "),
-                      report.zeta.bound, coefficients)
+                      len(report.zeta), coefficients)
 
 
 def report_to_json(report: ReconstructionReport) -> dict[str, Any]:

@@ -21,7 +21,7 @@ round-trip and comparison drivers that hold the ground truth live there.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .abgroup import (
     FinGenAbGroup,
@@ -144,24 +144,17 @@ def recover_norms(bundle: InvariantBundle, h: int) -> dict[str, int]:
 
 
 def subgroup_order_from_bundle(
-    bundle: InvariantBundle,
-    labels: Iterable[str],
-    odd_labels: AbstractSet[str],
-    h: int,
+    bundle: InvariantBundle, labels: Iterable[str], h: int
 ) -> int:
     """Order of the subgroup generated by the classes behind odd-norm labels.
 
     The entry for F is homogeneous with one summand per coset, so the
     summand count is the subgroup index; dividing the class number gives
-    the subgroup order.  `odd_labels` are the labels of odd recovered norm,
-    and `h` the class number from `recover_class_number`.
+    the subgroup order.  The labels must be a non-empty set of odd
+    recovered norm, as `reconstruct_class_group` picks them, and `h` is the
+    class number from `recover_class_number`.
     """
     key = tuple(labels)
-    if not key:
-        raise ValueError("subgroup order requires a non-empty label set")
-    for label in key:
-        if label not in odd_labels:
-            raise ValueError(f"label {label} has even norm; not allowed in chains")
     shape = _shape(bundle.entry(key).factors, key, h)
     if shape is None:  # odd norms make every term of the torsion even
         raise MalformedBundle(f"entry for {sorted(key)} of odd-norm labels is trivial")
@@ -300,22 +293,22 @@ def reconstruct_class_group(
 ) -> FinGenAbGroup:
     """Isomorphism type of the class group, from the bundle alone.
 
-    Runs the greedy chain for every prime dividing the class number over
-    the odd-norm labels, then audits completeness: the recovered orders
-    must multiply to the class number, else the label set cannot exhibit
-    the whole group and InsufficientGenerators is raised.  The entries the
-    chains read are checked as they are read, and no others:
-    `reconstruct_all` audits the carried entries before it calls this.
-    `norms` are the recovered label norms (`recover_norms`), and `h` the
-    class number from `recover_class_number`.
+    Picks the odd-norm labels, the only ones a chain may read, and runs the
+    greedy chain over them for every prime dividing the class number (none
+    when it is 1, which gives the trivial group).  Then it audits
+    completeness: the recovered orders must multiply to the class number,
+    else the label set cannot exhibit the whole group and
+    InsufficientGenerators is raised.  This is the one place that decides
+    whether the supplied primes exhibit all of Cl.  The entries the chains
+    read are checked as they are read, and no others: `reconstruct_all`
+    audits the carried entries before it calls this.  `norms` are the
+    recovered label norms (`recover_norms`), and `h` the class number from
+    `recover_class_number`.
     """
-    if h == 1:
-        return FinGenAbGroup.trivial()
     odd_labels = [l for l in bundle.labels if norms[l] % 2 == 1]
-    odd = frozenset(odd_labels)
 
     def subgroup_order(key: tuple[str, ...]) -> int:
-        return subgroup_order_from_bundle(bundle, key, odd, h)
+        return subgroup_order_from_bundle(bundle, key, h)
 
     cyclic_orders: list[int] = []
     total = 1
@@ -330,16 +323,6 @@ def reconstruct_class_group(
             f"but the class number is {h}; supply more primes"
         )
     return FinGenAbGroup.from_orders(cyclic_orders)
-
-
-class ZetaData(NamedTuple):
-    """Truncated Dirichlet coefficients of the zeta function.
-
-    `coefficients[n-1]` counts the ideals of norm n, for n up to `bound`.
-    """
-
-    bound: int
-    coefficients: tuple[int, ...]
 
 
 def zeta_coefficients(norms: Iterable[int], bound: int) -> list[int]:
@@ -374,12 +357,17 @@ class Verdict(NamedTuple):
 
 
 class ReconstructionReport(NamedTuple):
-    """What a reconstruction recovered, and its verdicts (none when blind)."""
+    """What a reconstruction recovered, and its verdicts (none when blind).
+
+    `zeta` holds the truncated Dirichlet coefficients a_1..a_B of the zeta
+    function: `zeta[n-1]` counts the ideals of norm n, and the truncation
+    bound B is `len(zeta)`.
+    """
 
     class_number: int
     class_group: FinGenAbGroup
     norms: Mapping[str, int]
-    zeta: ZetaData
+    zeta: tuple[int, ...]
     verdicts: tuple[Verdict, ...]
 
     @property
@@ -406,7 +394,7 @@ def reconstruct_all(
     check_bound(zeta_bound, "zeta bound")
     _check_torsion(bundle, norms, h)
     group = reconstruct_class_group(bundle, norms, h)
-    zeta = ZetaData(zeta_bound, tuple(zeta_coefficients(norms.values(), zeta_bound)))
+    zeta = tuple(zeta_coefficients(norms.values(), zeta_bound))
     return ReconstructionReport(
         class_number=h, class_group=group, norms=norms, zeta=zeta, verdicts=()
     )

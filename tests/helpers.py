@@ -8,7 +8,7 @@ from typing import Any
 
 from sympy import primefactors
 
-from classrecon.abgroup import FinGenAbGroup, subgroup_index
+from classrecon.abgroup import FinGenAbGroup, index_and_relations
 from classrecon.codec import BUNDLE_VERSION, _decimal
 from classrecon.fields import Matrix, PrimeIdealDatum, SyntheticSpec
 from classrecon.lattice import ComparisonResult
@@ -73,7 +73,7 @@ def random_generating_family(
             group.element([rng.randrange(d) for d in group.factors])
             for _ in range(size)
         ]
-        if subgroup_index(group, family) == 1:
+        if index_and_relations(family, group.factors)[0] == 1:
             return family
     # fall back: basis vectors hidden among random elements
     basis = [
@@ -158,10 +158,7 @@ def reference_report_doc(report: ReconstructionReport) -> dict[str, Any]:
         "class_number": report.class_number,
         "class_group_factors": [_decimal(x) for x in report.class_group.factors],
         "norms": {str(k): _decimal(v) for k, v in report.norms.items()},
-        "zeta": {
-            "bound": report.zeta.bound,
-            "coefficients": list(report.zeta.coefficients),
-        },
+        "zeta": {"bound": len(report.zeta), "coefficients": list(report.zeta)},
         "verdicts": [
             {"name": v.name, "pass": v.passed, "message": v.message}
             for v in report.verdicts

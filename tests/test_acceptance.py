@@ -11,12 +11,7 @@ import time
 import pytest
 import sympy
 
-from classrecon.abgroup import (
-    FinGenAbGroup,
-    iso_equal,
-    p_part,
-    subgroup_index,
-)
+from classrecon.abgroup import FinGenAbGroup, index_and_relations, p_part
 from classrecon.fields import (
     QuadraticSpec,
     SyntheticSpec,
@@ -91,7 +86,7 @@ def test_criterion_1_cycle_cokernel_formula_suite():
         order, coeffs = cycle_cokernel(norms, d)
         cols = cycle_matrix_columns(norms, d)
         group, _ = cokernel_of_columns(n, cols)
-        assert iso_equal(group, FinGenAbGroup.from_orders([order]))
+        assert group == FinGenAbGroup.from_orders([order])
         for i in range(n):
             vec = [0] * n
             vec[i] += 1
@@ -114,7 +109,7 @@ def test_criterion_2_single_prime_closed_form_suite():
         }
         for p in by_char:
             brute, _ = lattice_quotient(model, [p])
-            assert iso_equal(brute, singleton_quotient(model, p)), (d, p.label)
+            assert brute == singleton_quotient(model, p), (d, p.label)
             checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 30
@@ -160,7 +155,7 @@ def test_criterion_3_homogeneous_quotient_suite():
             )
             coset_count = model.size // len(subgroup)
             assert brute.factors == (pred.exponent,) * coset_count
-            assert iso_equal(brute, predicted_group(pred))
+            assert brute == predicted_group(pred)
             assert pred.exponent > 0 and pred.exponent % 2 == 0
             assert all(m % 2 == 1 for _, m in pred.multipliers.values())
             assert predicted_relation_failures(model, subset, pred) == []
@@ -204,9 +199,8 @@ def test_criterion_5_greedy_chain_suite():
         members = dict(zip(labels, family))
 
         def subgroup_order(key):
-            return group.order() // subgroup_index(
-                group, [members[l] for l in key]
-            )
+            gens = [members[l] for l in key]
+            return group.order() // index_and_relations(gens, group.factors)[0]
 
         tie_breaks = [lambda c: c[0]]
         if trial % 5 == 0:
@@ -285,7 +279,7 @@ def test_criterion_6_blind_round_trip_per_field():
         failed = [v for v in report.verdicts if not v.passed]
         assert not failed, (name, failed)
         assert report.class_number == model.size
-        assert iso_equal(report.class_group, model.group)
+        assert report.class_group == model.group
         assert report.norms == {p.label: p.norm for p in primes}
         by_label = {p.label: p for p in primes}
         closed = build_bundle(model.group, primes)
@@ -299,7 +293,7 @@ def test_criterion_6_blind_round_trip_per_field():
         for bundle in (closed, snf):
             blind = reconstruct_all(bundle, bound)
             assert blind.class_number == model.size
-            assert iso_equal(blind.class_group, model.group)
+            assert blind.class_group == model.group
             assert blind.norms == {p.label: p.norm for p in primes}
         assert closed.entries == snf.entries, name
         odd = [p.label for p in primes if p.has_odd_norm]

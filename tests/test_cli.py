@@ -578,19 +578,30 @@ def test_invariants_warns_when_odd_norms_miss_the_class_group(tmp_path, capsys):
 
 
 def test_too_few_odd_norm_primes_give_one_message(tmp_path, capsys):
-    # Below norm 3, -20 (h = 2) has only the prime above 2, of even norm.
-    # The blind consumer alone decides this, so every command that runs it
-    # refuses with its line, and `invariants` prints it as its warning.
+    # Below norm 3, -20 (h = 2) has only the prime above 2, of even norm;
+    # the synthetic Z/2 below has its one odd-norm prime in the trivial
+    # class.  The blind consumer alone decides this, so the spec loads,
+    # every command that runs the consumer refuses with its line, and
+    # `invariants` prints it as its warning.
     message = ("odd-norm labels exhibit a subgroup of order 1, but the class number "
                "is 2; supply more primes")
-    bundle = str(tmp_path / "bundle.json")
-    assert main(["invariants", "-D", "-20", "--primes", "2", "-o", bundle]) == EXIT_OK
-    assert capsys.readouterr() == ("", f"warning: {message}\n")
-    for argv in (["roundtrip", "-D", "-20", "--primes", "2"],
-                 ["compare", "-D", "-20", "-D2", "-4", "--bound", "2"],
-                 ["reconstruct", bundle]):
-        assert main(argv) == EXIT_INSUFFICIENT, argv
-        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "invariant_factors": ["2"],
+        "primes": [{"norm": "3", "class": [0], "residue_char": "3"},
+                   {"norm": "2", "class": [1], "residue_char": "2"}],
+    }))
+    assert main(["classgroup", "--synthetic", str(spec)]) == EXIT_OK
+    assert capsys.readouterr() == ("Z/2; synthetic primes: 2\n", "")
+    for field, bound in ((["-D", "-20"], "2"), (["--synthetic", str(spec)], "50")):
+        bundle = str(tmp_path / "bundle.json")
+        assert main(["invariants", *field, "--primes", bound, "-o", bundle]) == EXIT_OK
+        assert capsys.readouterr() == ("", f"warning: {message}\n"), field
+        for argv in (["roundtrip", *field, "--primes", bound],
+                     ["compare", *field, "-D2", "-4", "--bound", bound],
+                     ["reconstruct", bundle]):
+            assert main(argv) == EXIT_INSUFFICIENT, argv
+            assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
 
 GOLDEN_BUNDLES = sorted(GOLDEN.glob("invariants_*.out")) + sorted(
@@ -1243,14 +1254,17 @@ class TestSyntheticParsing:
         assert err.startswith("error: synthetic class group order ")
         assert err.count("\n") == 1
 
-    def test_bad_synthetic_spec_exits_2(self, tmp_path):
+    def test_bad_synthetic_spec_exits_2(self, tmp_path, capsys):
         doc = {
             "invariant_factors": ["2"],
-            "primes": [{"norm": "3", "class": [0], "residue_char": "3"}],
+            "primes": [{"norm": "4", "class": [1], "residue_char": "4"}],
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["classgroup", "--synthetic", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: residue characteristic 4 of s0 is not a prime\n"
+        )
 
     def test_bundle_version_check(self):
         from classrecon.reconstruct import MalformedBundle
@@ -1597,7 +1611,7 @@ def built_reports(draw):
         class_number=draw(st.integers(1, 10**6)),
         class_group=FinGenAbGroup.from_orders(draw(st.lists(REPORT_INTEGERS, max_size=3))),
         norms=draw(st.dictionaries(JSON_TEXT, REPORT_INTEGERS, max_size=4)),
-        zeta=reconstruct.ZetaData(len(coefficients), tuple(coefficients)),
+        zeta=tuple(coefficients),
         verdicts=tuple(
             reconstruct.Verdict(name, passed, message)
             for name, passed, message in draw(

@@ -29,6 +29,8 @@ from classrecon.fields import (
     validate_synthetic,
 )
 from classrecon.abgroup import FinGenAbGroup, primes_up_to
+from classrecon.errors import InsufficientGenerators
+from classrecon.lattice import roundtrip
 from classrecon.oracle import (
     class_group_model,
     dirichlet_compose,
@@ -528,16 +530,20 @@ class TestSyntheticValidation:
         )
         assert validate_synthetic(spec) is spec
 
-    def test_odd_classes_must_generate(self):
-        spec = SyntheticSpec((2,), (datum("a", 3, (0,)),))
-        with pytest.raises(InvalidSyntheticSpec, match="odd-norm primes do not generate"):
-            validate_synthetic(spec)
-        # even-norm nontrivial class does not rescue generation
-        spec = SyntheticSpec(
-            (2,), (datum("a", 2, (1,)), datum("b", 3, (0,)))
-        )
-        with pytest.raises(InvalidSyntheticSpec, match="odd-norm primes do not generate"):
-            validate_synthetic(spec)
+    def test_odd_classes_need_not_generate(self):
+        # Whether the odd-norm classes generate is the blind consumer's
+        # question, as for a quadratic field: the spec loads, and a round
+        # trip refuses it with the consumer's line.
+        too_few = [
+            SyntheticSpec((2,), (datum("a", 3, (0,)),)),
+            # an even-norm nontrivial class does not rescue generation
+            SyntheticSpec((2,), (datum("a", 2, (1,)), datum("b", 3, (0,)))),
+        ]
+        for spec in too_few:
+            assert validate_synthetic(spec) is spec
+            with pytest.raises(InsufficientGenerators, match="^odd-norm labels exhibit "
+                               "a subgroup of order 1, but the class number is 2; "):
+                roundtrip(class_group(spec), list(spec.primes), 10)
 
     def test_norms_must_be_prime_powers(self):
         # the datum type itself refuses a norm that is not a power of its prime

@@ -14,6 +14,9 @@ its own body: code that only tests call is deleted.
 
 The runtime also stays off `dataclasses`, which loads `inspect` and
 generates code for each class at import: every CLI call would pay for it.
+A record with no checks is a `typing.NamedTuple`: no runtime class lists
+`__slots__` beside an `__init__` that only assigns fields of `self`, while
+a `SlotRecord` subclass whose `__init__` checks its input stays allowed.
 No source file imports `argparse` or `gettext` either.
 And only `codec._write_output` opens a file for writing: it overwrites in
 place, where `open(path, "w")` would truncate to zero and make the
@@ -296,6 +299,96 @@ def test_scan_finds_opens_for_writing():
         "        pass\n"
     )
     assert _enclosing_functions(tree, _opens_for_writing) == ["f"] * 7
+
+
+def _assigned(stmt: ast.stmt) -> list[ast.expr]:
+    """The targets a plain or annotated assignment writes, tuples unpacked;
+    none for any other statement."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [e for t in targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+
+
+def _assigns_only_self_fields(stmt: ast.stmt) -> bool:
+    targets = _assigned(stmt)
+    return bool(targets) and all(
+        isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self"
+        for t in targets
+    )
+
+
+def _unchecked_slot_classes(tree: ast.Module) -> list[str]:
+    """The classes, at any depth, that list `__slots__` and whose `__init__`,
+    its docstring aside, only assigns fields of `self`: records that check
+    nothing."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        slots = any(
+            isinstance(t, ast.Name) and t.id == "__slots__"
+            for item in node.body
+            for t in _assigned(item)
+        )
+        inits = [item.body for item in node.body
+                 if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
+        if not (slots and inits):
+            continue
+        body = inits[0]
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if body and all(map(_assigns_only_self_fields, body)):
+            found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
+def test_records_without_checks_are_named_tuples(path):
+    assert _unchecked_slot_classes(_parse(path)) == []
+
+
+def test_scan_finds_unchecked_slot_classes():
+    tree = ast.parse(
+        "class Plain:\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a, b):\n"
+        "        'Only assigns.'\n"
+        "        self.a, self.b = a, b\n"
+        "class Annotated(SlotRecord):\n"
+        "    __slots__: tuple = ('a',)\n"
+        "    def __init__(self, a):\n"
+        "        self.a: int = a\n"
+        "class Checked(SlotRecord):\n"
+        "    __slots__ = ('a',)\n"
+        "    def __init__(self, a):\n"
+        "        if a < 0:\n"
+        "            raise ValueError(a)\n"
+        "        self.a = a\n"
+        "class Calls:\n"
+        "    __slots__ = ('a',)\n"
+        "    def __init__(self, a):\n"
+        "        _check(a)\n"
+        "        self.a = a\n"
+        "class NoSlots:\n"
+        "    def __init__(self, a):\n"
+        "        self.a = a\n"
+        "class Elsewhere:\n"
+        "    __slots__ = ('a',)\n"
+        "    def __init__(self, other, a):\n"
+        "        other.a = a\n"
+        "class Base:\n"
+        "    __slots__ = ()\n"
+        "def f():\n"
+        "    class Inner:\n"
+        "        __slots__ = ('a',)\n"
+        "        def __init__(self, a):\n"
+        "            self.a = a\n"
+    )
+    assert _unchecked_slot_classes(tree) == ["Plain", "Annotated", "Inner"]
 
 
 def _json_dumps(node: ast.AST) -> bool:

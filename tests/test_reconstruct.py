@@ -22,16 +22,16 @@ from classrecon.codec import (
 )
 from classrecon.abgroup import (
     FinGenAbGroup,
+    index_and_relations,
     integer_nth_root,
-    iso_equal,
     p_part,
-    subgroup_index,
 )
 from classrecon.fields import (
     QuadraticSpec,
     SyntheticSpec,
     class_group,
     enumerate_prime_ideals,
+    validate_synthetic,
 )
 from classrecon.lattice import add_chain_entries, build_bundle, compare_fields, roundtrip
 from classrecon.oracle import ClassGroupModel, primary_decomposition
@@ -51,6 +51,7 @@ from classrecon.reconstruct import (
 )
 
 from helpers import (
+    ODD_PRIME_POWERS,
     datum,
     random_finite_group,
     random_generating_family,
@@ -77,11 +78,6 @@ def reconstruct_group(bundle):
     """`reconstruct_class_group` given the class number and norms it needs."""
     h = recover_class_number(bundle)
     return reconstruct_class_group(bundle, recover_norms(bundle, h), h)
-
-
-def odd_labels(bundle):
-    norms = recover_norms(bundle, recover_class_number(bundle))
-    return frozenset(l for l, n in norms.items() if n % 2)
 
 
 class TestBuildBundle:
@@ -220,26 +216,10 @@ def test_exact_root_agrees_with_newton(case, offset):
 class TestSubgroupOrders:
     def test_disc_minus_20(self):
         _, _, bundle = bundle_for_disc(-20, 30)
-        odd = odd_labels(bundle)
         h = recover_class_number(bundle)
-        assert subgroup_order_from_bundle(bundle, ["p_3"], odd, h) == 2
-        assert subgroup_order_from_bundle(bundle, ["p_29"], odd, h) == 1
-        assert subgroup_order_from_bundle(bundle, ["p_3", "p_7"], odd, h) == 2
-
-    def test_even_norm_label_rejected(self):
-        _, _, bundle = bundle_for_disc(-20, 30)
-        odd = odd_labels(bundle)
-        h = recover_class_number(bundle)
-        with pytest.raises(ValueError):
-            subgroup_order_from_bundle(bundle, ["p_2"], odd, h)
-        with pytest.raises(ValueError):
-            subgroup_order_from_bundle(bundle, ["p_3", "p_2"], odd, h)
-        assert subgroup_order_from_bundle(bundle, ["p_3"], odd, h) == 2
-
-    def test_empty_set_rejected(self):
-        _, _, bundle = bundle_for_disc(-20, 30)
-        with pytest.raises(ValueError):
-            subgroup_order_from_bundle(bundle, [], odd_labels(bundle), 2)
+        assert subgroup_order_from_bundle(bundle, ["p_3"], h) == 2
+        assert subgroup_order_from_bundle(bundle, ["p_29"], h) == 1
+        assert subgroup_order_from_bundle(bundle, ["p_3", "p_7"], h) == 2
 
 
 class TestNormRecoveryCount:
@@ -286,7 +266,7 @@ class TestGreedyChain:
 
         def subgroup_order(key):
             gens = [members[l] for l in key]
-            return group.order() // subgroup_index(group, gens)
+            return group.order() // index_and_relations(gens, group.factors)[0]
 
         return labels, subgroup_order
 
@@ -410,11 +390,20 @@ class TestReconstructClassGroup:
         with pytest.raises(MalformedBundle, match="gain of b"):
             reconstruct_group(bundle)
 
-    def test_even_norm_labels_are_ignored_by_chains(self):
+    def test_even_norm_labels_are_ignored_by_chains(self, monkeypatch):
         group = FinGenAbGroup((2,))
         primes = [datum("e", 2, (1,)), datum("o", 3, (1,))]
         bundle = build_bundle(group, primes)
+        read = []
+        order_of = reconstruct.subgroup_order_from_bundle
+
+        def recording(bundle, labels, h):
+            read.append(tuple(labels))
+            return order_of(bundle, labels, h)
+
+        monkeypatch.setattr(reconstruct, "subgroup_order_from_bundle", recording)
         assert reconstruct_group(bundle).factors == (2,)
+        assert read == [("o",)]  # the chains read only non-empty odd-norm sets
 
 
 class TestZeta:
@@ -449,8 +438,7 @@ class TestZeta:
         # the zeta data of a blind reconstruction, built from recovered norms
         _, _, bundle = bundle_for_disc(-4, 10)
         zeta = reconstruct_all(bundle, 10).zeta
-        assert zeta.bound == 10
-        assert zeta.coefficients == (1, 1, 0, 1, 2, 0, 0, 1, 1, 2)
+        assert zeta == (1, 1, 0, 1, 2, 0, 0, 1, 1, 2)  # a_1..a_10: the bound is 10
 
     def test_multiset_changes_below_bound_are_detected(self):
         rng = random.Random(25)
@@ -503,7 +491,7 @@ class TestRoundTrip:
             group = class_group(spec)
             report = roundtrip(group, list(spec.primes), 30)
             assert report.all_passed
-            assert iso_equal(report.class_group, FinGenAbGroup(spec.factors))
+            assert report.class_group == FinGenAbGroup(spec.factors)
 
     @pytest.mark.parametrize("d", [-56, -120, -231, -260, -420])
     def test_larger_quadratic_fields(self, d):
@@ -512,7 +500,44 @@ class TestRoundTrip:
         primes = enumerate_prime_ideals(spec, 80)
         report = roundtrip(group, primes, 80)
         assert report.all_passed, [v for v in report.verdicts if not v.passed]
-        assert iso_equal(report.class_group, group)
+        assert report.class_group == group
+
+
+@st.composite
+def synthetic_specs_with_any_primes(draw):
+    """A synthetic spec over a random group of order at most 64, with 0-6
+    primes of random classes and of odd and even norms mixed, so that the
+    odd-norm classes generate the group only some of the time."""
+    rng = draw(st.randoms(use_true_random=False))
+    group = random_finite_group(rng, max_order=64)
+    primes = tuple(
+        datum(
+            f"s{i}",
+            rng.choice(ODD_PRIME_POWERS + [2, 4, 8]),
+            group.element([rng.randrange(d) for d in group.factors]),
+        )
+        for i in range(draw(st.integers(0, 6)))
+    )
+    return validate_synthetic(SyntheticSpec(group.factors, primes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(synthetic_specs_with_any_primes())
+def test_roundtrip_refuses_exactly_when_odd_classes_do_not_generate(spec):
+    # The blind consumer alone decides whether the primes exhibit all of Cl;
+    # the ground truth certifies its decision with one column echelon of
+    # the odd-norm classes beside the invariant factors.
+    group = class_group(spec)
+    odd = [p.cls for p in spec.primes if p.has_odd_norm]
+    index = index_and_relations(odd, group.factors)[0]
+    if index == 1:
+        report = roundtrip(group, list(spec.primes), 10)
+        assert report.all_passed, [v for v in report.verdicts if not v.passed]
+    else:
+        order = group.order() // index
+        with pytest.raises(InsufficientGenerators,
+                           match=f"^odd-norm labels exhibit a subgroup of order {order}, "):
+            roundtrip(group, list(spec.primes), 10)
 
 
 class TestCompare:
