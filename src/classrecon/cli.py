@@ -28,11 +28,14 @@ error, such as an abbreviation (`--prim`), an attached short value (`-D-20`)
 or `--`, is one stderr line, `error: ` and argparse's message, with exit 2.
 
 Every failure is one stderr line, `error: ` and its message (a failed
-verdict's report is written first).  Exit codes: 0 success/pass, 1 verdict
+verdict's report is written first).  A handler refuses by raising, and
+`main` alone maps each refusal to its exit code; a handler returns only
+success or a failed verdict.  Exit codes: 0 success/pass, 1 verdict
 failure, malformed bundle or internal contradiction, 2 usage or spec error
-(including unreadable or non-JSON input files, and a `--zeta` above
-`--primes` or above the largest recovered norm), 3 insufficient data or
-`LimitExceeded`.  Insufficient data is decided by the blind consumer
+(including unreadable or non-JSON input files, unknown `--set` labels, a
+`roundtrip --zeta` above `--primes`, and a `reconstruct --zeta` that
+reaches a prime power above the largest recovered norm), 3 insufficient
+data or `LimitExceeded`.  Insufficient data is decided by the blind consumer
 alone, so `roundtrip`, `compare` and `reconstruct` refuse too few odd-norm
 primes with one message.  `LimitExceeded` covers an integer too large for
 the exact primality test, a discriminant above `errors.MAX_DISCRIMINANT`,
@@ -105,15 +108,13 @@ def cmd_invariants(args: SimpleNamespace) -> int:
     group = class_group(spec)
     primes = enumerate_prime_ideals(spec, args.primes)
     known = {p.label for p in primes}
-    subsets = []
-    for raw in args.set or []:
-        subset = tuple(s.strip() for s in raw.split(",") if s.strip())
-        missing = set(subset) - known
-        if missing:
-            message = f"unknown labels in --set: {sorted(missing)}"
-            return _error(ValueError(message), EXIT_USAGE)
-        subsets.append(subset)
-    bundle = build_bundle(group, primes, subsets=subsets)
+    subsets = [tuple(s.strip() for s in raw.split(",") if s.strip()) for raw in args.set or []]
+    for subset in subsets:
+        if missing := set(subset) - known:
+            raise UsageError(f"unknown labels in --set: {sorted(missing)}")
+    bundle = build_bundle(group, primes)
+    for subset in subsets:
+        bundle.entry(subset)
     # The file must also carry every entry a blind `reconstruct` will read:
     # the greedy chains, run on the true norms, query the same sets as the
     # consumer's.  When the odd-norm classes fall short of the class group,
@@ -130,16 +131,18 @@ def cmd_invariants(args: SimpleNamespace) -> int:
 
 
 def cmd_reconstruct(args: SimpleNamespace) -> int:
+    from .abgroup import is_prime_power
     from .codec import _read_json, _write_output, bundle_from_json, report_text
     from .reconstruct import reconstruct_all
 
     report = reconstruct_all(bundle_from_json(_read_json(args.bundle)), args.zeta)
     largest = max(report.norms.values(), default=1)
-    if args.zeta is not None and args.zeta > largest:
-        # a bundle carries every prime ideal up to its producer's bound, which
-        # is at least this norm; a coefficient beyond it may miss primes
-        message = f"--zeta {args.zeta} is above the largest recovered norm {largest}"
-        return _error(ValueError(message), EXIT_USAGE)
+    # A bundle carries every prime ideal up to its producer's bound, which is
+    # at least its largest norm M.  An ideal of norm n <= Z factors through
+    # carried norms when no prime power lies in (M, Z]; otherwise a
+    # coefficient may miss primes.
+    if args.zeta is not None and any(map(is_prime_power, range(largest + 1, args.zeta + 1))):
+        raise UsageError(f"--zeta {args.zeta} is above the largest recovered norm {largest}")
     _write_output(report_text(report), args.output)
     return EXIT_OK
 
@@ -151,8 +154,7 @@ def cmd_roundtrip(args: SimpleNamespace) -> int:
 
     if args.zeta is not None and args.zeta > args.primes:
         # the true coefficients, like the blind ones, see only these primes
-        message = f"--zeta {args.zeta} is above the --primes bound {args.primes}"
-        return _error(ValueError(message), EXIT_USAGE)
+        raise UsageError(f"--zeta {args.zeta} is above the --primes bound {args.primes}")
     spec = _spec_from_args(args)
     group = class_group(spec)
     primes = enumerate_prime_ideals(spec, args.primes)
@@ -208,7 +210,8 @@ COMMANDS = {
     "reconstruct": (cmd_reconstruct, "blind reconstruction from a bundle file",
                     (("bundle", "bundle JSON file, or - for stdin"),), (), (
         (("--zeta",), "zeta", "positive", None, "X",
-         "zeta truncation bound (default and maximum: the largest recovered norm)"),
+         "zeta truncation bound (default: the largest recovered norm; "
+         "maximum: one below the next prime power)"),
         _OUTPUT,
     )),
     "roundtrip": (cmd_roundtrip, "reconstruct blind and compare to ground truth", (), (_SPEC,), (

@@ -7,27 +7,28 @@ a finite set F of prime data, the columns of (I - op_p) over p in F span a
 finite-index sublattice; the quotient is the invariant this package studies
 and later reconstructs from.
 
-`quotient_group` is the one seam that produces quotients, and one formula
-serves every set F, whatever the parities of its norms.  Let H be the
-subgroup generated by the classes [p], p in F.  The quotient is Z[Cl]
-modulo the ideal generated by the 1 - N(p)[p]; Z[Cl] is free over Z[H] on
-coset representatives, and Z[H] modulo that ideal is cyclic.  So the
-quotient is [Cl : H] copies of Z/m, where m is the largest modulus on which
-[p] -> N(p)^-1 is a character of H.  It takes the class group as a plain
-`FinGenAbGroup`: the index and the relations among the [p] come from one
-column echelon over Z with at most log2 #Cl rows, and no group element is
-enumerated.  The seam splits in two: `prime_terms` computes each prime's
-class coordinates, ord[p] and N(p)**ord[p] - 1, and `quotient_from_terms`
-combines the terms of a set.  A bundle computes the terms once per prime
-and reuses them for every entry it produces.  Two independent routes in
-`oracle` certify the formula in the tests: the brute-force Smith normal
-form (SNF) of the whole sublattice, `oracle.lattice_quotient`, and the
-paper's induction over F.  Only they enumerate group elements.
+One seam produces quotients, and one formula serves every set F, whatever
+the parities of its norms.  Let H be the subgroup generated by the classes
+[p], p in F.  The quotient is Z[Cl] modulo the ideal generated by the
+1 - N(p)[p]; Z[Cl] is free over Z[H] on coset representatives, and Z[H]
+modulo that ideal is cyclic.  So the quotient is [Cl : H] copies of Z/m,
+where m is the largest modulus on which [p] -> N(p)^-1 is a character of
+H.  It takes the class group as a plain `FinGenAbGroup`: the index and the
+relations among the [p] come from one column echelon over Z with at most
+log2 #Cl rows, and no group element is enumerated.  The seam has two
+halves: `prime_terms` computes each prime's class coordinates, ord[p] and
+N(p)**ord[p] - 1, and `quotient_from_terms` combines the terms of a set.
+Two independent routes in `oracle` certify the formula in the tests: the
+brute-force Smith normal form (SNF) of the whole sublattice,
+`oracle.lattice_quotient`, and the paper's induction over F.  Only they
+enumerate group elements.
 
-`build_bundle` turns the quotients into an opaque `InvariantBundle` for
-the blind consumer in `reconstruct`, and `add_chain_entries` adds the
-entries the consumer's greedy chains will read, found by running those
-chains on the true norms.  The drivers that hold the ground truth beside
+`build_bundle` computes the terms once per prime and returns an opaque
+`InvariantBundle` for the blind consumer in `reconstruct`; it holds no
+entry until one is asked for.  `add_chain_entries` is the one place that
+decides which entries a blind reconstruction needs a bundle file to carry:
+the empty set, every singleton and the sets the consumer's greedy chains
+will read, found by running those chains on the true norms.  The drivers that hold the ground truth beside
 a blind reconstruction, `roundtrip` and `compare_fields`, live here too,
 so the consumer never imports the producer.
 """
@@ -35,7 +36,7 @@ so the consumer never imports the producer.
 from __future__ import annotations
 
 from math import gcd, lcm, log2
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .abgroup import FinGenAbGroup, GroupElement, brief, index_and_relations
 from .errors import MAX_QUOTIENT_BITS, InternalContradiction, LimitExceeded
@@ -92,11 +93,27 @@ def prime_terms(
 def quotient_from_terms(
     group: FinGenAbGroup, terms: Sequence[PrimeTerms], h: int
 ) -> FinGenAbGroup:
-    """The quotient attached to the primes with these terms; see `quotient_group`.
+    """The quotient attached to F: [Cl : H] copies of Z/m, for every F.
 
-    `h` is the order of `group`, which a bundle computes once for all its
-    entries.  The quotient, [Cl : H] copies of Z/m, is canonical as built,
-    so it is made by `FinGenAbGroup.trusted` and not checked again.
+    `group` is the class group Cl, `h` its order, which a bundle computes
+    once for all its entries, and `terms` those of the primes of F, from
+    `prime_terms`.  The empty set gives the free group of rank #Cl.  One
+    column echelon of the matrix [class coordinates | diag(d_i)], with d_i
+    the invariant factors (`index_and_relations`), gives the index [Cl : H]
+    as the product of its pivots and a generating set of the relations
+    {k : sum k_p [p] = 0} from its column transform; one prime needs none,
+    since its relations are the multiples of ord[p].  Then
+    m = gcd(N(p)**ord[p] - 1 over p, prod N(p)**k_p - 1 over the relations
+    k), with every exponent reduced modulo ord[p] and every power taken
+    modulo the running gcd.  The quotient is canonical as built, so it is
+    made by `FinGenAbGroup.trusted` and not checked again.
+
+    >>> z4 = FinGenAbGroup((4,))
+    >>> p = PrimeIdealDatum(label="p", norm=2, cls=(2,), residue_char=2)
+    >>> q = PrimeIdealDatum(label="q", norm=3, cls=(1,), residue_char=3)
+    >>> tp, tq = prime_terms(z4, [p, q])
+    >>> str(quotient_from_terms(z4, [tp], 4)), str(quotient_from_terms(z4, [tp, tq], 4))
+    ('Z/3 x Z/3', 'trivial')
     """
     if not terms:
         return FinGenAbGroup.trusted((0,) * h)
@@ -127,82 +144,27 @@ def quotient_from_terms(
     return FinGenAbGroup.trusted((m,) * index) if m > 1 else FinGenAbGroup.trivial()
 
 
-def quotient_group(
-    group: FinGenAbGroup, primes: list[PrimeIdealDatum] | tuple[PrimeIdealDatum, ...]
-) -> FinGenAbGroup:
-    """The quotient attached to F: [Cl : H] copies of Z/m, for every F.
-
-    `group` is the class group Cl.  The empty set gives the free group of
-    rank #Cl.  Otherwise the terms of each prime come from `prime_terms`:
-    its class coordinates, ord[p] and N(p)**ord[p] - 1.  One column
-    echelon of the matrix [class coordinates | diag(d_i)], with d_i the
-    invariant factors (`index_and_relations`), gives the index [Cl : H] as
-    the product of its pivots and a generating set of the relations
-    {k : sum k_p [p] = 0} from its column transform; one prime needs none,
-    since its relations are the multiples of ord[p].  Then
-    m = gcd(N(p)**ord[p] - 1 over p, prod N(p)**k_p - 1 over the relations
-    k), with every exponent reduced modulo ord[p] and every power taken
-    modulo the running gcd (`quotient_from_terms`).  A set whose
-    N(p)**ord[p] would exceed MAX_QUOTIENT_BITS raises LimitExceeded before
-    any power is taken.
-
-    >>> z4 = FinGenAbGroup((4,))
-    >>> p = PrimeIdealDatum(label="p", norm=2, cls=(2,), residue_char=2)
-    >>> q = PrimeIdealDatum(label="q", norm=3, cls=(1,), residue_char=3)
-    >>> str(quotient_group(z4, [p])), str(quotient_group(z4, [p, q]))
-    ('Z/3 x Z/3', 'trivial')
-    """
-    return quotient_from_terms(group, prime_terms(group, primes), group.order())
-
-
-def build_bundle(
-    group: FinGenAbGroup,
-    primes: Sequence[PrimeIdealDatum],
-    subsets: Sequence[Iterable[str]] = (),
-) -> InvariantBundle:
-    """Evaluate quotients by the closed formula and erase all annotations.
+def build_bundle(group: FinGenAbGroup, primes: Sequence[PrimeIdealDatum]) -> InvariantBundle:
+    """An opaque bundle over these primes that computes each entry when asked.
 
     `group` is the class group, and no element of it is enumerated.  Each
-    prime's terms (class coordinates, ord[p], N(p)**ord[p] - 1) are computed
-    once, by `prime_terms`, and every size is checked before any power is
-    taken.  `quotient_from_terms`, the second half of `quotient_group`,
-    then produces every entry from them: the empty set, the singletons,
-    the odd-norm sets the reconstruction asks for and the `subsets` given,
-    whatever their parities; a set of two or more primes costs one column
-    echelon of its class coordinates, never a Smith normal form.  The terms
-    live in the bundle's supplier and go with it.  The empty set and every
-    singleton are always included.  Later requests for other subsets are
-    served on demand (and memoized); the ground truth stays enclosed in the
-    supplier and is never exposed.  Smith normal form of
-    the whole sublattice and the induction in `oracle` only certify these
-    entries in the tests.
+    prime's terms are computed here, once, by `prime_terms`, which checks
+    every size before any power is taken; the bundle holds no entry yet.
+    Its supplier closes over the terms and makes the entry of any label set
+    by `quotient_from_terms`, whatever the parities of its norms, and the
+    bundle memoizes each entry the first time it is asked for
+    (`InvariantBundle.entry`).  A set of two or more primes costs one column
+    echelon of its class coordinates, never a Smith normal form.  The
+    ground truth stays enclosed in the supplier and is never exposed.
     """
     labels = tuple(p.label for p in primes)
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate prime labels")
-    wanted: list[frozenset[str]] = [frozenset()]
-    wanted += [frozenset({l}) for l in labels]
-    for subset in subsets:
-        key = frozenset(subset)
-        if not key <= set(labels):
-            raise ValueError(f"unknown labels in subset {sorted(key)}")
-        wanted.append(key)
     terms = dict(zip(labels, prime_terms(group, primes)))
     h = group.order()
 
     def quotient_for(key: frozenset[str]) -> FinGenAbGroup:
         return quotient_from_terms(group, [terms[l] for l in sorted(key)], h)
 
-    entries: dict[frozenset[str], FinGenAbGroup] = {}
-    for key in wanted:
-        if key not in entries:
-            entries[key] = quotient_for(key)
-    return InvariantBundle(
-        rank=h,
-        labels=labels,
-        entries=entries,
-        compute=quotient_for,
-    )
+    return InvariantBundle(rank=h, labels=labels, compute=quotient_for)
 
 
 def add_chain_entries(
@@ -210,9 +172,10 @@ def add_chain_entries(
 ) -> None:
     """Add to a bundle every entry a default blind reconstruction reads.
 
-    A blind `reconstruct` reads the empty-set and singleton entries, which
-    every bundle carries, and the entries its greedy chains query.  The
-    chains choose their queries from the label order and the values read
+    This is the one place that decides which entries a bundle file needs.
+    A blind `reconstruct` reads the empty-set and singleton entries, asked for here
+    first, and the entries its greedy chains query.  The chains choose
+    their queries from the label order and the values read
     (`reconstruct.greedy_primary_factors`), so running them here on the
     true norms asks for exactly the sets the consumer will ask for, and
     the bundle's supplier computes and keeps each one.  No norm is
@@ -220,6 +183,9 @@ def add_chain_entries(
     InsufficientGenerators, after every chain entry is in the bundle, when
     the odd-norm classes do not generate the class group.
     """
+    bundle.entry(())
+    for p in primes:
+        bundle.entry((p.label,))
     norms = {p.label: p.norm for p in primes}
     reconstruct_class_group(bundle, norms, bundle.rank)
 

@@ -10,7 +10,7 @@ Smith normal form: the brute-force route to the quotients.
 The paper's induction over F (`predicted_quotient` over `cycle_cokernel`,
 with the one-prime case `singleton_quotient`) lives here as a second
 route to the quotients, independent of the formula in
-`lattice.quotient_group` and of Smith normal form.
+`lattice.quotient_from_terms` and of Smith normal form.
 
 Everything else here is deliberately simple and bounded: coset enumeration
 in a box, exhaustive subgroup closure, the scan of every pair (a, b) for

@@ -4,14 +4,14 @@ and the documents that the output file writers are checked against."""
 from __future__ import annotations
 
 import random
-from typing import Any
+from typing import Any, Sequence
 
 from sympy import primefactors
 
 from classrecon.abgroup import FinGenAbGroup, index_and_relations
 from classrecon.codec import BUNDLE_VERSION, _decimal
 from classrecon.fields import Matrix, PrimeIdealDatum, SyntheticSpec
-from classrecon.lattice import ComparisonResult
+from classrecon.lattice import ComparisonResult, build_bundle
 from classrecon.oracle import ClassGroupModel
 from classrecon.reconstruct import InvariantBundle, ReconstructionReport
 
@@ -40,6 +40,17 @@ def datum(label: str, norm: int, cls: tuple[int, ...], char: int | None = None) 
     if char is None:
         char = min(primefactors(norm))
     return PrimeIdealDatum(label=label, norm=norm, cls=cls, residue_char=char)
+
+
+def bundle_carrying(
+    group: FinGenAbGroup, primes: Sequence[PrimeIdealDatum], sets: Sequence[Sequence[str]] = ()
+) -> InvariantBundle:
+    """A bundle of these primes that holds the entries of the empty set, every
+    singleton and `sets`, and no other yet."""
+    bundle = build_bundle(group, primes)
+    for key in [(), *((p.label,) for p in primes), *sets]:
+        bundle.entry(key)
+    return bundle
 
 
 def random_finite_group(

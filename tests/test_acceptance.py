@@ -46,6 +46,7 @@ from classrecon.reconstruct import (
 
 from helpers import (
     ODD_PRIME_POWERS,
+    bundle_carrying,
     cycle_matrix_columns,
     datum,
     random_finite_group,
@@ -348,7 +349,7 @@ def test_criterion_8_discrimination_and_clone_equivalence():
 def test_criterion_9_negative_paths():
     start = time.monotonic()
     primes = enumerate_prime_ideals(QuadraticSpec(-20), 30)
-    built = build_bundle(class_group(QuadraticSpec(-20)), primes)
+    built = bundle_carrying(class_group(QuadraticSpec(-20)), primes)
     bundle = InvariantBundle(rank=built.rank, labels=built.labels, entries=built.entries)
     bundle.entries[frozenset({"p_3"})] = FinGenAbGroup((7,))
     with pytest.raises(MalformedBundle):

@@ -24,7 +24,12 @@ from classrecon.lattice import build_bundle
 from classrecon.reconstruct import InvariantBundle
 
 import argparse_reference
-from helpers import reference_bundle_doc, reference_comparison_doc, reference_report_doc
+from helpers import (
+    bundle_carrying,
+    reference_bundle_doc,
+    reference_comparison_doc,
+    reference_report_doc,
+)
 from test_golden import BUNDLE_1031, GOLDEN, run_case
 
 SYNTHETIC_248 = str(GOLDEN / "synthetic_248.json")
@@ -114,7 +119,7 @@ class TestInvariantsCommand:
 
     def test_serialization_round_trip(self):
         spec = QuadraticSpec(-20)
-        bundle = build_bundle(class_group(spec), enumerate_prime_ideals(spec, 30))
+        bundle = bundle_carrying(class_group(spec), enumerate_prime_ideals(spec, 30))
         doc = json.loads(bundle_to_json(bundle))
         parsed = bundle_from_json(doc)
         assert parsed.rank == bundle.rank
@@ -208,9 +213,22 @@ class TestReconstructCommand:
         assert main(["reconstruct", BUNDLE_1031, "--zeta", "500"]) == EXIT_USAGE
         assert capsys.readouterr() == (
             "", "error: --zeta 500 is above the largest recovered norm 397\n")
+        # 401 is prime, so a_401 would miss the primes of norm 401
+        assert main(["reconstruct", BUNDLE_1031, "--zeta", "401"]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: --zeta 401 is above the largest recovered norm 397\n")
         # the largest norm itself is the default bound
         assert main(["reconstruct", BUNDLE_1031, "--zeta", "397"]) == EXIT_OK
         assert capsys.readouterr() == ((GOLDEN / "reconstruct_1031.stdout").read_text(), "")
+
+    def test_zeta_below_the_next_prime_power_is_accepted(self, capsys):
+        # 398, 399 and 400 are not prime powers: every ideal of norm at most
+        # 400 is a product of prime ideals of norm at most 397, all carried.
+        assert main(["reconstruct", BUNDLE_1031, "--zeta", "400"]) == EXIT_OK
+        blind = json.loads(capsys.readouterr().out)["zeta"]
+        assert main(["roundtrip", "-D", "-1031", "--primes", "400", "--zeta", "400"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["zeta"] == blind
+        assert blind["bound"] == 400
 
     def test_missing_file_usage_error(self):
         assert main(["reconstruct", "/nonexistent/bundle.json"]) == EXIT_USAGE
@@ -236,6 +254,23 @@ class TestReconstructCommand:
         assert main(["reconstruct", str(path)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_handlers_raise_their_usage_refusals(tmp_path):
+    # `main` alone maps a refusal to its exit code
+    out = str(tmp_path / "out.json")
+    for argv, message in [
+        (["invariants", "-D", "-20", "--set", "p_3,nope", "-o", out],
+         "unknown labels in --set: ['nope']"),
+        (["roundtrip", "-D", "-20", "--primes", "30", "--zeta", "31"],
+         "--zeta 31 is above the --primes bound 30"),
+        (["reconstruct", BUNDLE_1031, "--zeta", "500"],
+         "--zeta 500 is above the largest recovered norm 397"),
+    ]:
+        handler, args = cli._parse(argv)
+        with pytest.raises(errors.UsageError) as refused:
+            handler(args)
+        assert str(refused.value) == message
 
 
 class TestSizeLimits:
@@ -495,8 +530,8 @@ def test_smith_normal_form_stays_off_the_hot_path(argv, expected, snf_calls, tmp
 )
 def test_each_prime_power_is_computed_once_per_bundle(argv, tmp_path, monkeypatch):
     # A bundle computes each prime's N(p)**ord[p] - 1 once, in prime_terms,
-    # and every entry it produces, precomputed or on demand, reuses it.
-    # On Z/3 x Z/9 the chain needs entries beyond the precomputed ones.
+    # and every entry it computes on demand reuses it.  On Z/3 x Z/9 the
+    # chains need multi-label entries too.
     seen = []
     powers = 0
     terms_of, make = lattice.prime_terms, lattice.PrimeTerms
@@ -1545,7 +1580,9 @@ def built_bundles(draw):
     group, primes = _field_at_100(draw(st.sampled_from([-84, -1031, -23603])))
     labels = st.sampled_from([p.label for p in primes])
     sets = draw(st.lists(st.lists(labels, min_size=2, max_size=4, unique=True), max_size=3))
-    bundle = build_bundle(group, primes, subsets=sets)
+    bundle = build_bundle(group, primes)
+    for subset in sets:
+        bundle.entry(subset)
     lattice.add_chain_entries(bundle, primes)
     return bundle
 

@@ -15,7 +15,7 @@ from classrecon.fields import (
     enumerate_prime_ideals,
     smith_normal_form,
 )
-from classrecon.lattice import build_bundle, quotient_group
+from classrecon.lattice import build_bundle
 from classrecon.reconstruct import reconstruct_all
 from classrecon.oracle import (
     ClassGroupModel,
@@ -265,7 +265,7 @@ def test_mixed_parity_brute_force_still_computes():
     g, proj = lattice_quotient(model, [p2, P3])
     assert g.is_finite
     assert len(proj) == 2
-    assert quotient_group(model.group, [p2, P3]) == g
+    assert build_bundle(model.group, [p2, P3]).entry(["p2", "p3"]) == g
 
 
 # Prime powers with all four even ones up to 16, so that sets mix parities.
@@ -307,7 +307,7 @@ def test_formula_matches_both_certifying_routes(case):
     group, primes = case
     model = ClassGroupModel(group)
     brute, _ = lattice_quotient(model, primes)
-    assert quotient_group(group, primes) == brute
+    assert build_bundle(group, primes).entry(p.label for p in primes) == brute
     if all(p.has_odd_norm for p in primes):
         assert predicted_group(predicted_quotient(model, primes)) == brute
     if len(primes) == 1:

@@ -182,19 +182,13 @@ def _unread_private_functions(tree: ast.Module, elsewhere: set[str]) -> set[str]
     }
 
 
-# `lattice.quotient_group` is the documented seam for producing quotients,
-# with a doctest; the runtime calls its two halves, `prime_terms` and
-# `quotient_from_terms`, so that a bundle computes each prime's terms once.
-ONLY_TESTED = {("lattice", "quotient_group")}
-
-
 @pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
 def test_runtime_defines_nothing_only_tests_call(path):
     used = set()
     for user in [*RUNTIME, *sorted(PERFBENCH.rglob("*.py"))]:
         used |= _references(_parse(user))
     unused = _unused_definitions(_parse(path), used)
-    assert unused == {name for stem, name in ONLY_TESTED if stem == path.stem}
+    assert unused == set()
 
 
 @pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)

@@ -1,5 +1,6 @@
 """Blind reconstruction: bundles, norm recovery, greedy chains, zeta, drivers."""
 
+import contextlib
 import copy
 import json
 import random
@@ -52,6 +53,7 @@ from classrecon.reconstruct import (
 
 from helpers import (
     ODD_PRIME_POWERS,
+    bundle_carrying,
     datum,
     random_finite_group,
     random_generating_family,
@@ -108,12 +110,25 @@ class TestBuildBundle:
 
     def test_unknown_label_rejected(self):
         group = FinGenAbGroup((2,))
-        with pytest.raises(ValueError):
-            build_bundle(group, [datum("a", 3, (1,))], subsets=[("b",)])
+        with pytest.raises(BundleEntryMissing, match=r"\['b'\] are not in the bundle"):
+            build_bundle(group, [datum("a", 3, (1,))]).entry(["b"])
+
+    def test_duplicate_labels_rejected(self):
+        group = FinGenAbGroup((2,))
+        with pytest.raises(MalformedBundle, match="duplicate labels"):
+            build_bundle(group, [datum("a", 3, (1,)), datum("a", 7, (1,))])
+
+    def test_entries_are_computed_when_first_asked_for(self):
+        group = FinGenAbGroup((2,))
+        bundle = build_bundle(group, [datum("a", 3, (1,)), datum("b", 7, (1,))])
+        assert bundle.entries == {}
+        pair = bundle.entry(["b", "a"])
+        assert bundle.entries == {frozenset({"a", "b"}): pair}
+        assert bundle.entry(["a", "b"]) is pair
 
     def test_static_bundle_refuses_unknown_subsets(self):
         group = FinGenAbGroup((2,))
-        built = build_bundle(group, [datum("a", 3, (1,)), datum("b", 7, (1,))])
+        built = bundle_carrying(group, [datum("a", 3, (1,)), datum("b", 7, (1,))])
         bundle = InvariantBundle(rank=built.rank, labels=built.labels, entries=built.entries)
         with pytest.raises(BundleEntryMissing):
             bundle.entry(["a", "b"])
@@ -540,6 +555,28 @@ def test_roundtrip_refuses_exactly_when_odd_classes_do_not_generate(spec):
             roundtrip(group, list(spec.primes), 10)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([-20, -84, -420, -1031, -2184, -3299]).map(QuadraticSpec)
+    | synthetic_specs_with_any_primes(),
+    st.integers(2, 80),
+)
+def test_blind_reconstruction_reads_exactly_what_a_written_bundle_carries(spec, bound):
+    # `invariants` without --set writes the entries `add_chain_entries` asks
+    # for; a blind reconstruction must ask for those and no others, and a
+    # fresh bundle must hold only the entries it was asked for.
+    group = class_group(spec)
+    primes = enumerate_prime_ideals(spec, bound)
+    read, written = build_bundle(group, primes), build_bundle(group, primes)
+    asked, compute = set(), read.compute
+    read.compute = lambda key: asked.add(key) or compute(key)
+    with contextlib.suppress(InsufficientGenerators):
+        reconstruct_all(read)
+    with contextlib.suppress(InsufficientGenerators):
+        add_chain_entries(written, primes)
+    assert set(read.entries) == asked == set(written.entries)
+
+
 class TestCompare:
     def test_distinguishes_gaussians_from_sqrt_minus_5(self):
         result = compare_fields(QuadraticSpec(-4), QuadraticSpec(-20), 10)
@@ -606,7 +643,7 @@ def genuine_bundle(name):
     else:
         spec = QuadraticSpec(source)
     primes = enumerate_prime_ideals(spec, bound)
-    bundle = build_bundle(class_group(spec), primes, subsets=sets)
+    bundle = bundle_carrying(class_group(spec), primes, sets)
     add_chain_entries(bundle, primes)
     doc = json.loads(bundle_to_json(bundle))
     norms = {i: p.norm for i, p in enumerate(primes)}
@@ -677,7 +714,7 @@ class TestTorsionChecks:
 
 def _tampered(group, primes, sets, key, factors):
     """A built bundle whose entry for `key` is replaced by `factors`."""
-    bundle = build_bundle(group, primes, subsets=sets)
+    bundle = bundle_carrying(group, primes, sets)
     entries = {**bundle.entries, frozenset(key): FinGenAbGroup(factors)}
     return InvariantBundle(bundle.rank, bundle.labels, entries)
 
@@ -693,7 +730,7 @@ class TestOneAudit:
         group = FinGenAbGroup((2, 2))
         primes = [datum("a", 7, (1, 0)), datum("b", 13, (0, 1)), datum("e", 4, (1, 0), 2)]
         sets = [("a", "b"), ("a", "b", "e")]
-        genuine = build_bundle(group, primes, subsets=sets)
+        genuine = build_bundle(group, primes)
         assert genuine.entry(("a", "b", "e")).factors == (3,)
         bundle = _tampered(group, primes, sets, ("a", "b", "e"), (3, 3))
         with pytest.raises(MalformedBundle, match="does not divide 1, the summand count"):
@@ -706,7 +743,7 @@ class TestOneAudit:
         group = FinGenAbGroup((4,))
         primes = [datum("a", 3, (1,)), datum("b", 5, (2,)), datum("c", 11, (1,))]
         sets = [("a", "b"), ("a", "b", "c")]
-        genuine = build_bundle(group, primes, subsets=sets)
+        genuine = build_bundle(group, primes)
         assert genuine.entry(("a", "b")).factors == (4,)
         bundle = _tampered(group, primes, sets, ("a", "b", "c"), (8,))
         with pytest.raises(MalformedBundle, match=r"the torsion of \['a', 'b'\]"):
