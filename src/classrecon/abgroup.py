@@ -19,15 +19,14 @@ The integer helpers live here as well, with no dependency outside the
 standard library: trial-division `factorize` for integers of supported
 size (class numbers, small quotient sizes, discriminants), the byte-array
 sieve `primes_up_to` and the guard `check_bound` on its bound, exact
-integer roots, and exact `is_prime` / `is_prime_power`.  The primality
-test is trial division below 10**6 and deterministic Miller-Rabin above;
-above the proven limit `MILLER_RABIN_LIMIT` it refuses with
-`LimitExceeded`, as every limit of the package does, rather than guess.
+integer roots, and `is_prime` / `is_prime_power` by trial division by the
+primes up to isqrt(MAX_BOUND).  That decides every integer up to MAX_BOUND,
+and no bundle carries a larger norm; a larger integer with no factor in
+the table is refused with `LimitExceeded`, as every limit of the package is.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, isqrt, log2
 from typing import Iterable, Sequence
 
@@ -331,13 +330,6 @@ def integer_nth_root(x: int, n: int) -> int | None:
     return y if y**n == x else None
 
 
-# Deterministic Miller-Rabin with the first 13 primes as bases is exact
-# below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017).
-MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_TRIAL_LIMIT = 1000  # no composite below _TRIAL_LIMIT**2 escapes trial division
-
-
 def primes_up_to(n: int) -> list[int]:
     """All primes p <= n, by the sieve of Eratosthenes on a byte array.
 
@@ -354,7 +346,7 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-_SMALL_PRIMES = primes_up_to(_TRIAL_LIMIT)
+_SMALL_PRIMES = primes_up_to(isqrt(MAX_BOUND))  # so every n <= MAX_BOUND is decided
 
 
 def check_bound(bound: int, what: str) -> None:
@@ -394,73 +386,18 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _small_factor(n: int) -> int | None:
-    """Least prime factor of n >= 2 if it is below _TRIAL_LIMIT.
-
-    Returns n itself when n is a prime below _TRIAL_LIMIT**2, and None when
-    n has no prime factor below _TRIAL_LIMIT and is at least that large.
-    """
+def _least_prime_factor(n: int) -> int:
+    """Least prime factor of n >= 2; LimitExceeded if it is not in the table."""
     for p in _SMALL_PRIMES:
         if p * p > n:
             return n
         if n % p == 0:
             return p
-    return n if n < _TRIAL_LIMIT**2 else None
-
-
-def _miller_rabin(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd n with no factor below _TRIAL_LIMIT."""
-    if n >= MILLER_RABIN_LIMIT:
+    if n > MAX_BOUND:
         raise LimitExceeded(
-            f"cannot certify primality of a {n.bit_length()}-bit integer "
-            f"(exact test limited to {MILLER_RABIN_LIMIT})"
+            f"cannot certify primality of {brief(n)}: it is above {MAX_BOUND} "
+            f"and has no prime factor up to {_SMALL_PRIMES[-1]}"
         )
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _residue_moduli(k: int) -> tuple[int, ...]:
-    """The three least primes q = 1 (mod 2k), for k-th power residue tests."""
-    out: list[int] = []
-    q = 1
-    while len(out) < 3:
-        q += 2 * k
-        if is_prime(q):
-            out.append(q)
-    return tuple(out)
-
-
-def _power_base(n: int) -> int:
-    """Least r with n = r**k, for n with no prime factor below _TRIAL_LIMIT."""
-    reduced = True
-    while reduced:
-        reduced = False
-        # n = r**k with r > _TRIAL_LIMIT > 2**9 forces 9 * k < n.bit_length()
-        for k in _SMALL_PRIMES:
-            if 9 * k >= n.bit_length():
-                break
-            # a k-th power is 0 or a k-th power residue modulo every prime q;
-            # ruling k out this way saves a root of n's size
-            if any(pow(n % q, (q - 1) // k, q) > 1 for q in _residue_moduli(k)):
-                continue
-            r = integer_nth_root(n, k)
-            if r is not None:
-                n, reduced = r, True
-                break
     return n
 
 
@@ -469,31 +406,25 @@ def is_prime(n: int) -> bool:
 
     >>> [q for q in range(20) if is_prime(q)]
     [2, 3, 5, 7, 11, 13, 17, 19]
+    >>> is_prime(2**31 - 1)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    classrecon.errors.LimitExceeded: cannot certify primality of 2147483647: ...
     """
-    if n < 2:
-        return False
-    p = _small_factor(n)
-    if p is not None:
-        return p == n
-    return _power_base(n) == n and _miller_rabin(n)
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 def is_prime_power(n: int) -> bool:
     """Whether n = p**k for a prime p and k >= 1, decided exactly.
 
-    A small least prime factor is stripped by trial division.  Otherwise
-    every prime factor exceeds _TRIAL_LIMIT, and n is a prime power exactly
-    when the base of its highest perfect power is prime.  Raises
-    LimitExceeded when that base is too large to certify.
+    Strips the least prime factor, found and refused as in `is_prime`, so
+    a power of a small prime, such as 3**10000, is decided at any size.
 
     >>> [q for q in range(20) if is_prime_power(q)]
     [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
     """
     if n < 2:
         return False
-    p = _small_factor(n)
-    if p is not None:
-        while n % p == 0:
-            n //= p
-        return n == 1
-    return _miller_rabin(_power_base(n))
+    p = _least_prime_factor(n)
+    while n % p == 0:
+        n //= p
+    return n == 1

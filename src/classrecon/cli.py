@@ -37,11 +37,12 @@ failure, malformed bundle or internal contradiction, 2 usage or spec error
 reaches a prime power above the largest recovered norm), 3 insufficient
 data or `LimitExceeded`.  Insufficient data is decided by the blind consumer
 alone, so `roundtrip`, `compare` and `reconstruct` refuse too few odd-norm
-primes with one message.  `LimitExceeded` covers an integer too large for
-the exact primality test, a discriminant above `errors.MAX_DISCRIMINANT`,
-a prime, comparison or zeta bound above `errors.MAX_BOUND`, a synthetic
-class group of order above `errors.MAX_SYNTHETIC_ORDER`, and a quotient
-order above `errors.MAX_QUOTIENT_BITS` bits.
+primes with one message.  `LimitExceeded` covers a discriminant above
+`errors.MAX_DISCRIMINANT`, a prime, comparison or zeta bound above
+`errors.MAX_BOUND` or an integer above it that trial division cannot
+certify, a synthetic class group of order above
+`errors.MAX_SYNTHETIC_ORDER`, and a quotient order above
+`errors.MAX_QUOTIENT_BITS` bits.
 """
 
 from __future__ import annotations
@@ -141,8 +142,11 @@ def cmd_reconstruct(args: SimpleNamespace) -> int:
     # at least its largest norm M.  An ideal of norm n <= Z factors through
     # carried norms when no prime power lies in (M, Z]; otherwise a
     # coefficient may miss primes.
-    if args.zeta is not None and any(map(is_prime_power, range(largest + 1, args.zeta + 1))):
-        raise UsageError(f"--zeta {args.zeta} is above the largest recovered norm {largest}")
+    if args.zeta is not None:
+        missed = next(filter(is_prime_power, range(largest + 1, args.zeta + 1)), None)
+        if missed is not None:
+            raise UsageError(f"--zeta {args.zeta} reaches the prime power {missed}, "
+                             f"above the largest recovered norm {largest}")
     _write_output(report_text(report), args.output)
     return EXIT_OK
 

@@ -120,7 +120,12 @@ def bundle_to_json(bundle: InvariantBundle) -> str:
     A bundle repeats few distinct factors many times (a homogeneous entry
     is [Cl : H] copies of one, and many entries share it), so each distinct
     factor tuple is laid out, and each factor converted, once per bundle.
+    A bundle lacking an entry its reader requires raises ValueError instead.
     """
+    needed = [frozenset(), *(frozenset({label}) for label in bundle.labels)]
+    if not all(key in bundle.entries for key in needed):
+        raise ValueError("bundle lacks the empty-set or a singleton entry; "
+                         "lattice.add_chain_entries adds them")
     id_of = {label: i for i, label in enumerate(bundle.labels)}.__getitem__
     text: dict[int, str] = {}  # each distinct factor, quoted
     blocks: dict[tuple[int, ...], str] = {}

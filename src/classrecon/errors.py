@@ -25,7 +25,8 @@ MAX_DISCRIMINANT = 10**8
 # The prime sieve and the zeta coefficients allocate one slot per integer up
 # to their bound (about 0.6 s for the sieve alone at this limit).  A larger
 # prime, comparison or zeta bound is refused before any work
-# (`abgroup.check_bound`).
+# (`abgroup.check_bound`), so no bundle carries a larger norm.  It also
+# bounds the primes the package certifies (`abgroup.is_prime`).
 MAX_BOUND = 10**7
 
 # A bundle lists h factors in its empty-set entry and one factor per coset
@@ -54,8 +55,7 @@ class LimitExceeded(Exception):
 
     The limits are `MAX_DISCRIMINANT`, `MAX_BOUND`, `MAX_SYNTHETIC_ORDER`
     and `MAX_QUOTIENT_BITS` above, each checked before the work it bounds
-    starts, and `abgroup.MILLER_RABIN_LIMIT`, above which an integer's
-    primality is not certified.
+    starts.
     """
 
 

@@ -634,8 +634,9 @@ def validate_synthetic(spec: SyntheticSpec) -> SyntheticSpec:
     The factors must be canonical and finite, and each residue characteristic
     a prime (so each norm, a power of it by `PrimeIdealDatum`, is a prime
     power).  A group of order above MAX_SYNTHETIC_ORDER raises
-    LimitExceeded.  Whether the odd-norm classes generate the group is not
-    checked here: the blind consumer decides it, as for a quadratic field.
+    LimitExceeded, as does a characteristic that `is_prime` cannot certify.
+    Whether the odd-norm classes generate the group is not checked here:
+    the blind consumer decides it, as for a quadratic field.
     """
     try:
         group = FinGenAbGroup(spec.factors)  # must already be canonical

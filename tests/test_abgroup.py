@@ -1,17 +1,18 @@
 """Exact linear algebra and abelian group arithmetic, checked against oracles."""
 
 import doctest
+import operator
 import random
 import time
+from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import classrecon.abgroup
 from classrecon.abgroup import (
-    MILLER_RABIN_LIMIT,
     FinGenAbGroup,
     LimitExceeded,
     factorize,
@@ -24,6 +25,7 @@ from classrecon.abgroup import (
     primes_up_to,
     xgcd,
 )
+from classrecon.errors import MAX_BOUND
 from classrecon.fields import (
     cokernel_of_columns,
     smallest_prime_factors,
@@ -442,6 +444,26 @@ class TestFromOrders:
         assert g.factors[0] == sympy.gcd(*orders)
 
 
+# the primes trial division tries: above MAX_BOUND, an integer with none of
+# them as a factor is refused
+TABLE_PRIMES = list(sympy.primerange(2, isqrt(MAX_BOUND) + 1))
+
+
+def sympy_is_prime_power(n):
+    # perfect_power gives the base of the largest exponent, or False
+    power = sympy.perfect_power(n)
+    return sympy.isprime(power[0] if power else n)
+
+
+# powers of table primes, of primes beyond the table, and their products
+_POWERS = st.builds(
+    pow, st.sampled_from([2, 3, 1009, 3137, 3163, 9_999_991, 2**31 - 1]), st.integers(1, 12)
+)
+ABOVE_MAX_BOUND = st.one_of(
+    st.integers(MAX_BOUND + 1, 2**100), _POWERS, st.builds(operator.mul, _POWERS, _POWERS)
+).filter(lambda n: n > MAX_BOUND)
+
+
 class TestIntegerHelpers:
     def test_sieve_small_bounds(self):
         assert [primes_up_to(n) for n in range(-1, 4)] == [[], [], [], [2], [2, 3]]
@@ -470,33 +492,64 @@ class TestIntegerHelpers:
         assert not any(is_prime(n) or is_prime_power(n) for n in (-7, 0, 1))
 
     @pytest.mark.parametrize(
-        "n",
-        [3215031751, 3825123056546413051, 3825123056546413051**2],
+        "n, decided",
+        [(3215031751, True), (3825123056546413051, False), (3825123056546413051**2, False)],
         ids=["spsp-2357", "spsp-2-to-23", "spsp-squared"],
     )
-    def test_strong_pseudoprimes(self, n):
-        assert is_prime(n) is sympy.isprime(n) is False
-        assert is_prime_power(n) is (len(sympy.factorint(n)) == 1) is False
+    def test_strong_pseudoprimes(self, n, decided):
+        # composites that pass Miller-Rabin to many bases: trial division
+        # finds 151 in the first, and refuses the others, whose least prime
+        # factor 149491 lies beyond the table
+        assert not sympy.isprime(n) and len(sympy.factorint(n)) > 1
+        for test in (is_prime, is_prime_power):
+            if decided:
+                assert test(n) is False
+            else:
+                with pytest.raises(LimitExceeded, match="cannot certify primality"):
+                    test(n)
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_powers_of_mersenne_61(self, k):
+        # 2**61 - 1 is a prime beyond the table, so its powers are refused,
+        # and a multiple by a table prime is decided
         n = (2**61 - 1) ** k
-        assert is_prime(n) is sympy.isprime(n) is (k == 1)
-        assert is_prime_power(n)
+        for test in (is_prime, is_prime_power):
+            with pytest.raises(LimitExceeded, match="cannot certify primality"):
+                test(n)
+        assert not is_prime(3 * n)
         assert not is_prime_power(3 * n)
 
     @settings(deadline=None)
-    @given(st.integers(2, MILLER_RABIN_LIMIT - 1))
+    @given(st.integers(2, MAX_BOUND))
+    @example(3137**2)  # the square of the largest table prime
+    @example(9_999_991)  # the largest prime up to MAX_BOUND: no table factor
+    @example(MAX_BOUND)
     def test_is_prime_matches_isprime_below_limit(self, n):
         assert is_prime(n) == sympy.isprime(n)
+        assert is_prime_power(n) == sympy_is_prime_power(n)
 
     @settings(deadline=None)
-    @given(st.sampled_from(list(sympy.primerange(1000, 3000))), st.integers(1, 12))
-    def test_large_prime_powers_need_root_reduction(self, p, k):
+    @given(ABOVE_MAX_BOUND)
+    @example(2**31 - 1)
+    @example(3**10000)
+    def test_above_the_limit_agrees_with_sympy_or_refuses(self, n):
+        # decided exactly when a table prime divides n
+        decided = any(n % p == 0 for p in TABLE_PRIMES)
+        for test, want in ((is_prime, sympy.isprime), (is_prime_power, sympy_is_prime_power)):
+            if decided:
+                assert test(n) == want(n)
+            else:
+                with pytest.raises(LimitExceeded, match="cannot certify primality"):
+                    test(n)
+
+    @settings(deadline=None)
+    @given(st.sampled_from(TABLE_PRIMES[168:]), st.integers(1, 12))
+    def test_large_prime_powers_are_decided_by_trial_division(self, p, k):
+        # the table primes above 1000, up to 3137
         assert is_prime_power(p**k)
+        assert is_prime(p**k) is (k == 1)
         q = 1013 if p == 1009 else 1009
-        if p**k * q < MILLER_RABIN_LIMIT:
-            assert not is_prime_power(p**k * q)
+        assert not is_prime_power(p**k * q)
 
     def test_smallest_prime_factors_match_factorize(self):
         spf = smallest_prime_factors(5000)
@@ -526,26 +579,26 @@ class TestIntegerHelpers:
             sqrt_mod_prime_power(9, 3, 2)
 
     def test_refuses_above_the_proven_limit(self):
-        mersenne_89 = 2**89 - 1  # prime, above the limit
-        assert mersenne_89 > MILLER_RABIN_LIMIT
-        with pytest.raises(LimitExceeded, match="cannot certify primality"):
-            is_prime(mersenne_89)
-        with pytest.raises(LimitExceeded, match="cannot certify primality"):
-            is_prime_power(mersenne_89**2)
-        # a small factor or a perfect-power shape still settles the answer
-        assert not is_prime(3 * mersenne_89)
-        assert not is_prime(mersenne_89**2)
-        assert not is_prime_power(2 * mersenne_89)
+        # 2**31 - 1 is prime, 3163 the least prime beyond the table, and
+        # 10000019 the least integer trial division refuses
+        for n in (2**31 - 1, (2**31 - 1) ** 2, 3163**2, 3163 * 3167, 10_000_019):
+            for test in (is_prime, is_prime_power):
+                with pytest.raises(LimitExceeded, match="cannot certify primality"):
+                    test(n)
+        assert is_prime(9_999_991) and is_prime_power(3137**2)
+        assert not is_prime_power(MAX_BOUND)
+        # a factor in the table still settles the answer
+        assert not is_prime(3 * (2**31 - 1))
+        assert not is_prime_power(2 * (2**31 - 1))
 
     def test_large_integer_without_small_factors_is_refused_fast(self):
-        # Power residues rule out almost every exponent before a root is
-        # taken, so a 65 000-bit input costs milliseconds, not minutes.
+        # one division per table prime refuses a 65 000-bit input
         n = 2**65536 + 1
-        while any(n % p == 0 for p in sympy.primerange(2, 1000)):
+        while any(n % p == 0 for p in TABLE_PRIMES):
             n += 2
         start = time.monotonic()
         with pytest.raises(LimitExceeded, match="cannot certify primality"):
             is_prime_power(n)
-        assert is_prime_power(1009**3000)  # the residue tests pass true powers
+        assert is_prime_power(1009**3000)  # a table prime is stripped at any size
         assert time.monotonic() - start < 2
 

@@ -129,6 +129,20 @@ class TestInvariantsCommand:
             assert parsed.entries[frozenset(relabel[l] for l in key)] == group
         assert json.loads(bundle_to_json(parsed))["entries"] == doc["entries"]
 
+    def test_writer_refuses_a_bundle_its_reader_refuses(self):
+        # a lazy bundle holds no entry until one is asked for, and a reader
+        # needs the empty-set and every singleton entry
+        spec = QuadraticSpec(-20)
+        primes = enumerate_prime_ideals(spec, 30)
+        bundle = build_bundle(class_group(spec), primes)
+        with pytest.raises(ValueError, match="lattice.add_chain_entries"):
+            bundle_to_json(bundle)
+        bundle.entry(())
+        with pytest.raises(ValueError, match="lattice.add_chain_entries"):
+            bundle_to_json(bundle)
+        lattice.add_chain_entries(bundle, primes)
+        assert bundle_from_json(json.loads(bundle_to_json(bundle))).rank == bundle.rank
+
     def test_codec_converts_each_distinct_factor_once_per_entry(self, monkeypatch):
         bundle = InvariantBundle(
             rank=3,
@@ -211,12 +225,12 @@ class TestReconstructCommand:
         # The bundle was written at --primes 400, and its largest norm is 397.
         # It lacks the primes above 400, so a_401 and a_421 would read 0.
         assert main(["reconstruct", BUNDLE_1031, "--zeta", "500"]) == EXIT_USAGE
-        assert capsys.readouterr() == (
-            "", "error: --zeta 500 is above the largest recovered norm 397\n")
+        assert capsys.readouterr() == ("", "error: --zeta 500 reaches the prime power "
+                                       "401, above the largest recovered norm 397\n")
         # 401 is prime, so a_401 would miss the primes of norm 401
         assert main(["reconstruct", BUNDLE_1031, "--zeta", "401"]) == EXIT_USAGE
-        assert capsys.readouterr() == (
-            "", "error: --zeta 401 is above the largest recovered norm 397\n")
+        assert capsys.readouterr() == ("", "error: --zeta 401 reaches the prime power "
+                                       "401, above the largest recovered norm 397\n")
         # the largest norm itself is the default bound
         assert main(["reconstruct", BUNDLE_1031, "--zeta", "397"]) == EXIT_OK
         assert capsys.readouterr() == ((GOLDEN / "reconstruct_1031.stdout").read_text(), "")
@@ -265,7 +279,7 @@ def test_handlers_raise_their_usage_refusals(tmp_path):
         (["roundtrip", "-D", "-20", "--primes", "30", "--zeta", "31"],
          "--zeta 31 is above the --primes bound 30"),
         (["reconstruct", BUNDLE_1031, "--zeta", "500"],
-         "--zeta 500 is above the largest recovered norm 397"),
+         "--zeta 500 reaches the prime power 401, above the largest recovered norm 397"),
     ]:
         handler, args = cli._parse(argv)
         with pytest.raises(errors.UsageError) as refused:
@@ -321,6 +335,30 @@ class TestSizeLimits:
         assert captured.out == ""
         assert captured.err.startswith("error: prime norm bound ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["classgroup", "--synthetic"], {"invariant_factors": ["2"], "primes": [
+                {"norm": "3", "class": [1], "residue_char": "3"},
+                {"norm": "2147483647", "class": [0], "residue_char": "2147483647"},
+            ]}),
+            (["reconstruct", "--zeta", "10"], {"version": 1, "rank": 1, "labels": [0], "entries": [
+                {"labels": [], "factors": ["0"]},
+                {"labels": [0], "factors": ["2147483646"]},
+            ]}),
+        ],
+        ids=["synthetic-residue-char", "recovered-norm"],
+    )
+    def test_prime_trial_division_cannot_certify_exits_3(self, tmp_path, capsys, argv, doc):
+        # 2**31 - 1 is prime, but it is above MAX_BOUND and has no prime
+        # factor up to isqrt(MAX_BOUND), so trial division cannot certify it
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        assert main([*argv, str(path)]) == EXIT_INSUFFICIENT
+        assert capsys.readouterr() == ("", (
+            "error: cannot certify primality of 2147483647: it is above 10000000 "
+            "and has no prime factor up to 3137\n"))
 
 
 # Z/2000 with generating norms 149 and 151: each singleton order

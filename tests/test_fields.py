@@ -29,7 +29,7 @@ from classrecon.fields import (
     validate_synthetic,
 )
 from classrecon.abgroup import FinGenAbGroup, primes_up_to
-from classrecon.errors import InsufficientGenerators
+from classrecon.errors import MAX_BOUND, InsufficientGenerators
 from classrecon.lattice import roundtrip
 from classrecon.oracle import (
     class_group_model,
@@ -505,6 +505,20 @@ class TestEnumeration:
         assert len(inert) == 1
         assert inert[0].cls == (0,)
         assert inert[0].residue_char == 11
+
+    def test_no_norm_above_the_bound_limit_comes_back(self):
+        # No bundle carries a norm above MAX_BOUND, so the consumer's
+        # primality test need decide no larger norm.
+        spec = validate_synthetic(SyntheticSpec((2,), (
+            datum("a", 3, (1,)),
+            datum("b", 3137**2, (0,)),
+            datum("c", 9_999_991, (1,)),
+            datum("d", 2**24, (1,)),
+            datum("e", 3**15, (0,)),
+            datum("f", 9_999_991**2, (1,)),
+        )))
+        data = enumerate_prime_ideals(spec, MAX_BOUND)
+        assert [p.label for p in data] == ["a", "b", "c"]
 
     def test_generation_by_odd_norm_classes(self):
         # the odd-norm classes below a modest bound generate; record the bound
