@@ -10,8 +10,8 @@ performs the reconstruction, and cross-checks everything against naive
 oracles and quadratic-field ground truth.
 
 The package has two halves.  The producer computes quotients from a field:
-`fields` (reduced forms as (a, b, c) int triples, class groups, prime
-ideals, Smith normal form on matrices given as tuples of rows) and
+`fields` (reduced forms as (a, b, c) int triples, class groups and prime
+ideals) and
 `lattice` (the closed-form quotients, bundles, and the round-trip and
 comparison drivers).  The blind consumer reconstructs from a bundle alone:
 `reconstruct`, which imports only the shared `abgroup` and `errors`.

@@ -3,10 +3,12 @@
 Everything here works with plain Python integers, so all results are exact
 at any size.  Both sides of the package import this module: the producer
 (`fields`, `lattice`) and the blind consumer (`reconstruct`, `codec`).  So
-it holds only what both need or share; the Smith normal form and the
-square roots modulo prime powers live in `fields`, their one runtime user.
-A subgroup's index and the relations among its generators come from
-`index_and_relations`, which reads both off one column echelon.
+it holds only what both need or share, and every call of either side
+compiles it.  Code with one runtime user lives beside that user: the
+class-group build's cokernel and the square roots modulo prime powers in
+`fields`, the column echelon `index_and_relations` in `lattice`, and
+`p_part` in `reconstruct`.  The general Smith normal form is a certifier,
+in `oracle`.
 
 Groups are kept in canonical invariant-factor form (nonzero factors form a
 divisibility chain, no factor equals 1, free factors encoded as trailing
@@ -37,21 +39,6 @@ from .errors import MAX_BOUND, LimitExceeded
 GroupElement = tuple[int, ...]
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def brief(value: int | Sequence[int]) -> str:
     """An integer, or a tuple of them, as error-message text.
 
@@ -64,27 +51,6 @@ def brief(value: int | Sequence[int]) -> str:
         return str(value) if bits <= 256 else f"<{bits}-bit integer>"
     items = [brief(x) for x in value]
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
-
-
-def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n (for n >= 1, p prime).
-
-    >>> p_part(12, 2)
-    4
-    >>> p_part(40, 5)
-    5
-    >>> p_part(1, 7)
-    1
-    """
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    if p < 2:
-        raise ValueError(f"expected a prime, got {p}")
-    result = 1
-    while n % p == 0:
-        n //= p
-        result *= p
-    return result
 
 
 class SlotRecord:
@@ -233,66 +199,6 @@ class FinGenAbGroup(SlotRecord):
         return " x ".join("Z" if x == 0 else f"Z/{x}" for x in self.factors)
 
 
-def index_and_relations(
-    gens: Sequence[Sequence[int]], factors: Sequence[int]
-) -> tuple[int, list[tuple[int, ...]]]:
-    """The index of <gens> in the group with these factors, and their relations.
-
-    `gens` are coordinate columns.  The matrix [gens | diag(factors)] is
-    brought to lower-triangular column echelon form by xgcd column
-    operations (Cohen, GTM 138, section 2.4), and of the unimodular
-    transform V only the first len(gens) rows are kept.  The index is the
-    product of the pivots, or 0 when a row has none (infinite index, which
-    needs a factor 0).  The columns of V past the pivot columns span the
-    kernel of the matrix, so their first len(gens) entries span the
-    relations {k : sum k_j gens_j = 0}.  Neither U nor a divisibility chain
-    is computed; `smith_normal_form` does that.
-
-    >>> index_and_relations([(2,), (3,)], (6,))
-    (1, [(-3, 2), (6, -6)])
-    >>> index_and_relations([(2, 0)], (4, 4))
-    (8, [(-2,)])
-    """
-    r, n = len(factors), len(gens)
-    # a column holds its r matrix entries, then its n entries of V
-    cols = []
-    for j, g in enumerate(gens):
-        col = [*g] + [0] * n
-        col[r + j] = 1
-        cols.append(col)
-    for j, d in enumerate(factors):
-        col = [0] * (r + n)
-        col[j] = d
-        cols.append(col)
-    index, t = 1, 0  # cols[:t] are the pivot columns
-    for row in range(r):
-        live = [j for j in range(t, len(cols)) if cols[j][row]]
-        if not live:
-            index = 0
-            continue
-        # the least entry leads, so most others reduce by one division
-        lead = min(live, key=lambda k: abs(cols[k][row]))
-        cols[t], cols[lead] = cols[lead], cols[t]
-        for j in range(t + 1, len(cols)):
-            b = cols[j][row]
-            if not b:
-                continue
-            a = cols[t][row]
-            if b % a == 0:
-                q = b // a
-                cols[j] = [y - q * x for x, y in zip(cols[t], cols[j])]
-            else:
-                g, x, y = xgcd(a, b)
-                ag, bg = a // g, b // g
-                cols[t], cols[j] = (
-                    [x * u + y * w for u, w in zip(cols[t], cols[j])],
-                    [ag * w - bg * u for u, w in zip(cols[t], cols[j])],
-                )
-        index *= abs(cols[t][row])
-        t += 1
-    return index, [tuple(c[r:]) for c in cols[t:]]
-
-
 def integer_nth_root(x: int, n: int) -> int | None:
     """Exact n-th root of a non-negative integer, or None if not a power.
 
@@ -416,8 +322,11 @@ def is_prime(n: int) -> bool:
 def is_prime_power(n: int) -> bool:
     """Whether n = p**k for a prime p and k >= 1, decided exactly.
 
-    Strips the least prime factor, found and refused as in `is_prime`, so
-    a power of a small prime, such as 3**10000, is decided at any size.
+    p is the least prime factor, found and refused as in `is_prime`.  If
+    n = p**k, then k = log2(n) / log2(p), and the floating-point quotient
+    is off by far less than 1/2 for any n a bundle can hold, so one power
+    p**k, rounded to that k, decides it.  A power of a small prime, such as
+    3**10000, costs a few multiplications of its size, not k divisions.
 
     >>> [q for q in range(20) if is_prime_power(q)]
     [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
@@ -425,6 +334,4 @@ def is_prime_power(n: int) -> bool:
     if n < 2:
         return False
     p = _least_prime_factor(n)
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return p ** round(log2(n) / log2(p)) == n

@@ -134,19 +134,19 @@ def cmd_invariants(args: SimpleNamespace) -> int:
 def cmd_reconstruct(args: SimpleNamespace) -> int:
     from .abgroup import is_prime_power
     from .codec import _read_json, _write_output, bundle_from_json, report_text
-    from .reconstruct import reconstruct_all
+    from .reconstruct import reconstruct_without_zeta, zeta_coefficients
 
-    report = reconstruct_all(bundle_from_json(_read_json(args.bundle)), args.zeta)
+    report, bound = reconstruct_without_zeta(bundle_from_json(_read_json(args.bundle)), args.zeta)
     largest = max(report.norms.values(), default=1)
     # A bundle carries every prime ideal up to its producer's bound, which is
     # at least its largest norm M.  An ideal of norm n <= Z factors through
     # carried norms when no prime power lies in (M, Z]; otherwise a
-    # coefficient may miss primes.
-    if args.zeta is not None:
-        missed = next(filter(is_prime_power, range(largest + 1, args.zeta + 1)), None)
-        if missed is not None:
-            raise UsageError(f"--zeta {args.zeta} reaches the prime power {missed}, "
-                             f"above the largest recovered norm {largest}")
+    # coefficient may miss primes, so such a Z is refused before the sieve.
+    missed = next(filter(is_prime_power, range(largest + 1, bound + 1)), None)
+    if missed is not None:
+        raise UsageError(f"--zeta {bound} reaches the prime power {missed}, "
+                         f"above the largest recovered norm {largest}")
+    report = report._replace(zeta=tuple(zeta_coefficients(report.norms.values(), bound)))
     _write_output(report_text(report), args.output)
     return EXIT_OK
 

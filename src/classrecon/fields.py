@@ -14,16 +14,17 @@ and its arithmetic has one kernel: `_compose_triples` (the united-forms
 algorithm, its congruences solved by `gcd` and a modular inverse) and
 `_reduce_triple` (which keeps c by the shift c + k(b + ak), never from the
 discriminant).  The tests certify it against Dirichlet composition
-(`oracle.dirichlet_compose`) and the group axioms.  A matrix is a tuple of
-its rows, as `smith_normal_form` takes and returns it.
+(`oracle.dirichlet_compose`) and the group axioms.
 
 The class group is built on triples by subgroup extension: walking the
 sorted reduced forms, each one outside the subgroup covered so far becomes
 a generator, its least multiple inside that subgroup gives one relation,
 and its cosets are covered by translation; the principal form translates
 without one.  That takes h - 1 compositions, never an h^2 table, and no
-GRH bound, since every reduced form is enumerated.  The Smith normal form
-of the small relation matrix gives the structure and each form's class.
+GRH bound, since every reduced form is enumerated.  A Smith normal form
+of the small relation matrix gives the structure and each form's class;
+`_cokernel` computes it with the row transform alone, since nothing reads
+the column transform.
 The reduced forms come from square roots: for each a <= sqrt(|D|/3), the
 b are the roots of b^2 = D (mod 4a), combined by CRT from roots modulo the
 prime powers of 4a, about sqrt(|D|) steps against the |D|/3 of
@@ -31,10 +32,11 @@ prime powers of 4a, about sqrt(|D|) steps against the |D|/3 of
 D per rational prime, which both decides its splitting and gives its
 prime form, and finds a prime's class by that form's reduced triple.
 
-The Smith normal form, the modular square roots and the least prime
-factor table live here, beside their one runtime user.  This module
-imports neither the lattice producer nor the blind consumer:
-`classgroup -D` loads only it, `abgroup` and `errors`.
+That cokernel, the modular square roots and the least prime factor table
+live here, beside their one runtime user; the general Smith normal form is
+a certifier in `oracle`.  This module imports neither the lattice producer
+nor the blind consumer: `classgroup -D` loads only it, `abgroup` and
+`errors`.
 
 Quadratic specs with |D| above `errors.MAX_DISCRIMINANT` are refused
 before any work, since the class group build grows with h, about
@@ -59,7 +61,6 @@ from .abgroup import (
     factorize,
     is_prime,
     primes_up_to,
-    xgcd,
 )
 from .errors import (
     MAX_DISCRIMINANT,
@@ -72,154 +73,48 @@ from .errors import (
 
 # -- exact linear algebra and modular square roots --------------------------
 
-Matrix = tuple[tuple[int, ...], ...]  # the rows of an integer matrix
+def _cokernel(
+    rank: int, columns: Sequence[Sequence[int]]
+) -> tuple[FinGenAbGroup, list[list[int]]]:
+    """Z^rank modulo the span of the columns, and the map onto it.
 
-
-def _min_abs_pivot(m: list[list[int]], t: int) -> tuple[int, int] | None:
-    best: tuple[int, int] | None = None
-    best_val = 0
-    for i in range(t, len(m)):
-        for j in range(t, len(m[0])):
-            x = m[i][j]
-            if x != 0 and (best is None or abs(x) < best_val):
-                best = (i, j)
-                best_val = abs(x)
-                if best_val == 1:
-                    return best
-    return best
-
-
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
-    """Diagonalize an integer matrix given by its rows: (S, U, V) with U A V = S.
-
-    U and V are unimodular and the diagonal of S is a non-negative
-    divisibility chain; all three come back as tuples of row tuples.
-    Pivots are chosen by minimal absolute value, which keeps intermediate
-    growth tame at the sizes this package targets.
-
-    >>> s, u, v = smith_normal_form([[2, 0], [0, 3]])
-    >>> s
-    ((1, 0), (0, 6))
+    A Smith normal form U A V = S of the matrix A of the columns, by row
+    and column reduction with remainders: the entry of least absolute value
+    left becomes the pivot, and a row holding an entry it does not divide
+    is added to the pivot row.  The rows carry U beside A, so row
+    operations act on both; V is never formed.  Returns the group and the
+    rows of U whose diagonal entry is not 1, one per invariant factor:
+    coordinate t of the image of e_i is row t at i, modulo factor t.
+    `oracle.cokernel_of_columns`, the general route, certifies it in the
+    tests.
     """
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    m = [list(row) for row in rows]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def rows_combine(t: int, i: int, piv: int, other: int) -> None:
-        """Unimodular 2-row transform putting gcd(piv, other) at (t, t)."""
-        g, x, y = xgcd(piv, other)
-        pg, og = piv // g, other // g
-        m[t], m[i] = (
-            [x * p + y * q for p, q in zip(m[t], m[i])],
-            [-og * p + pg * q for p, q in zip(m[t], m[i])],
-        )
-        u[t], u[i] = (
-            [x * p + y * q for p, q in zip(u[t], u[i])],
-            [-og * p + pg * q for p, q in zip(u[t], u[i])],
-        )
-
-    def cols_combine(t: int, j: int, piv: int, other: int) -> None:
-        g, x, y = xgcd(piv, other)
-        pg, og = piv // g, other // g
-        for row in m:
-            row[t], row[j] = x * row[t] + y * row[j], -og * row[t] + pg * row[j]
-        for row in v:
-            row[t], row[j] = x * row[t] + y * row[j], -og * row[t] + pg * row[j]
-
-    def clear_col(t: int) -> bool:
-        changed = False
-        for i in range(t + 1, nr):
-            b = m[i][t]
-            if b == 0:
-                continue
-            changed = True
-            piv = m[t][t]
-            if piv and b % piv == 0:
-                q = b // piv
-                m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-            else:
-                rows_combine(t, i, piv, b)
-        return changed
-
-    def clear_row(t: int) -> bool:
-        changed = False
-        for j in range(t + 1, nc):
-            b = m[t][j]
-            if b == 0:
-                continue
-            changed = True
-            piv = m[t][t]
-            if piv and b % piv == 0:
-                q = b // piv
-                for row in m:
-                    row[j] -= q * row[t]
-                for row in v:
-                    row[j] -= q * row[t]
-            else:
-                cols_combine(t, j, piv, b)
-        return changed
-
-    t = 0
-    while t < min(nr, nc):
-        pos = _min_abs_pivot(m, t)
-        if pos is None:
-            break
-        pi, pj = pos
-        if pi != t:
-            m[t], m[pi] = m[pi], m[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
+    n = len(columns)
+    m = [[c[i] for c in columns] + [int(i == j) for j in range(rank)] for i in range(rank)]
+    for t in range(min(rank, n)):
+        while entries := [
+            (abs(x), i, j) for i in range(t, rank) for j, x in enumerate(m[i][t:n], t) if x
+        ]:
+            _, i, j = min(entries)
+            m[t], m[i] = m[i], m[t]
             for row in m:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            clear_col(t)
-            while clear_row(t) and clear_col(t):
-                pass
-            # pivot must divide the remaining submatrix for the chain
-            offender = None
-            d = m[t][t]
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if m[i][j] % d:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+                row[t], row[j] = row[j], row[t]
+            p = m[t][t]
+            for i in range(t + 1, rank):
+                if q := m[i][t] // p:
+                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+            for j in range(t + 1, n):
+                if q := m[t][j] // p:
+                    for row in m:
+                        row[j] -= q * row[t]
+            if any(m[t][t + 1 : n]):
+                continue  # a remainder left in the pivot row is the next pivot
+            rest = [row for row in m[t + 1 :] if any(x % p for x in row[t:n])]
+            if not rest:
                 break
-            m[t] = [x + y for x, y in zip(m[t], m[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    return tuple(map(tuple, m)), tuple(map(tuple, u)), tuple(map(tuple, v))
-
-
-def cokernel_of_columns(
-    ambient_rank: int, columns: Sequence[Sequence[int]]
-) -> tuple[FinGenAbGroup, tuple[GroupElement, ...]]:
-    """Quotient Z^ambient_rank / (column lattice), with basis-vector images.
-
-    Returns (G, proj) where proj[i] is the class of the i-th standard basis
-    vector, expressed in coordinates matching G.factors.
-    """
-    for c in columns:
-        if len(c) != ambient_rank:
-            raise ValueError("column length does not match ambient rank")
-    s, u, _ = smith_normal_form([[c[i] for c in columns] for i in range(ambient_rank)])
-    diag = [s[i][i] for i in range(min(ambient_rank, len(columns)))]
-    kept = [i for i, d in enumerate(diag) if d != 1]
-    free_tail = list(range(len(diag), ambient_rank))
-    factors = [diag[i] for i in kept] + [0] * len(free_tail)
-    g = FinGenAbGroup.from_orders(factors)
-    positions = kept + free_tail
-    return g, tuple(g.element([u[j][i] for j in positions]) for i in range(ambient_rank))
+            m[t] = [x + y for x, y in zip(m[t], rest[0])]
+    diag = [abs(m[t][t]) if t < n else 0 for t in range(rank)]
+    kept = [t for t, d in enumerate(diag) if d != 1]
+    return FinGenAbGroup(tuple(diag[t] for t in kept)), [m[t][n:] for t in kept]
 
 
 def smallest_prime_factors(n: int) -> list[int]:
@@ -507,8 +402,9 @@ def _discriminant_data(d: int) -> _DiscriminantData:
     since reduced forms are unique per class, so each form outside H costs
     one composition: h - 1 in all, fewer than h.  The relations form a
     triangular matrix of determinant h on at most log2(h) generators; its
-    Smith normal form gives the group and the image of each generator, and
-    each form's class is the sum its coordinates name.
+    Smith normal form (`_cokernel`, which keeps only the row transform)
+    gives the group and the image of each generator, and each form's class
+    is the sum its coordinates name.
     """
     triples = _reduced_triples(d)
     h = len(triples)
@@ -542,12 +438,12 @@ def _discriminant_data(d: int) -> _DiscriminantData:
         col = [-v for v in c] + [0] * (n - len(c))
         col[r] += k
         columns.append(col)
-    group, images = cokernel_of_columns(n, columns)
+    group, rows = _cokernel(n, columns)
     if group.order() != h:
         raise InternalContradiction(
             f"relation lattice of {d} has index {group.order()}, not {h}"
         )
-    weights = [(f, [img[t] for img in images]) for t, f in enumerate(group.factors)]
+    weights = list(zip(group.factors, rows))
     form_class: list[GroupElement] = [()] * h
     for i, c in coords.items():
         form_class[i] = tuple([sum(map(mul, c, w)) % f for f, w in weights])

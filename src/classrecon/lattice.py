@@ -18,6 +18,8 @@ relations among the [p] come from one column echelon over Z with at most
 log2 #Cl rows, and no group element is enumerated.  The seam has two
 halves: `prime_terms` computes each prime's class coordinates, ord[p] and
 N(p)**ord[p] - 1, and `quotient_from_terms` combines the terms of a set.
+The column echelon `index_and_relations` and its `xgcd` live here, beside
+their one runtime user, so the blind consumer does not compile them.
 Two independent routes in `oracle` certify the formula in the tests: the
 brute-force Smith normal form (SNF) of the whole sublattice,
 `oracle.lattice_quotient`, and the paper's induction over F.  Only they
@@ -38,7 +40,7 @@ from __future__ import annotations
 from math import gcd, lcm, log2
 from typing import Mapping, NamedTuple, Sequence
 
-from .abgroup import FinGenAbGroup, GroupElement, brief, index_and_relations
+from .abgroup import FinGenAbGroup, GroupElement, brief
 from .errors import MAX_QUOTIENT_BITS, InternalContradiction, LimitExceeded
 from .fields import FieldSpec, PrimeIdealDatum, class_group, enumerate_prime_ideals
 from .reconstruct import (
@@ -49,6 +51,81 @@ from .reconstruct import (
     reconstruct_class_group,
     zeta_coefficients,
 )
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def index_and_relations(
+    gens: Sequence[Sequence[int]], factors: Sequence[int]
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The index of <gens> in the group with these factors, and their relations.
+
+    `gens` are coordinate columns.  The matrix [gens | diag(factors)] is
+    brought to lower-triangular column echelon form by xgcd column
+    operations (Cohen, GTM 138, section 2.4), and of the unimodular
+    transform V only the first len(gens) rows are kept.  The index is the
+    product of the pivots, or 0 when a row has none (infinite index, which
+    needs a factor 0).  The columns of V past the pivot columns span the
+    kernel of the matrix, so their first len(gens) entries span the
+    relations {k : sum k_j gens_j = 0}.  Neither U nor a divisibility chain
+    is computed; `oracle.smith_normal_form` does that.
+
+    >>> index_and_relations([(2,), (3,)], (6,))
+    (1, [(-3, 2), (6, -6)])
+    >>> index_and_relations([(2, 0)], (4, 4))
+    (8, [(-2,)])
+    """
+    r, n = len(factors), len(gens)
+    # a column holds its r matrix entries, then its n entries of V
+    cols = []
+    for j, g in enumerate(gens):
+        col = [*g] + [0] * n
+        col[r + j] = 1
+        cols.append(col)
+    for j, d in enumerate(factors):
+        col = [0] * (r + n)
+        col[j] = d
+        cols.append(col)
+    index, t = 1, 0  # cols[:t] are the pivot columns
+    for row in range(r):
+        live = [j for j in range(t, len(cols)) if cols[j][row]]
+        if not live:
+            index = 0
+            continue
+        # the least entry leads, so most others reduce by one division
+        lead = min(live, key=lambda k: abs(cols[k][row]))
+        cols[t], cols[lead] = cols[lead], cols[t]
+        for j in range(t + 1, len(cols)):
+            b = cols[j][row]
+            if not b:
+                continue
+            a = cols[t][row]
+            if b % a == 0:
+                q = b // a
+                cols[j] = [y - q * x for x, y in zip(cols[t], cols[j])]
+            else:
+                g, x, y = xgcd(a, b)
+                ag, bg = a // g, b // g
+                cols[t], cols[j] = (
+                    [x * u + y * w for u, w in zip(cols[t], cols[j])],
+                    [ag * w - bg * u for u, w in zip(cols[t], cols[j])],
+                )
+        index *= abs(cols[t][row])
+        t += 1
+    return index, [tuple(c[r:]) for c in cols[t:]]
 
 
 class PrimeTerms(NamedTuple):

@@ -18,14 +18,17 @@ reduced forms, exhaustive search for represented primes.  The guards are
 hard limits, not heuristics: an oracle that refuses to answer is more
 trustworthy than one that silently takes shortcuts.
 
-Apart from `lattice_quotient`, which is the SNF route, none of this code
-shares machinery with the Smith normal form it validates; lattice
-questions, including the multiplier relations a quotient prediction
-asserts, are settled by a plain insertion echelon basis and literal
-enumeration.  The reference values the tests compare against live here too:
-exact determinants, element orders and primary decompositions.  As in
-`fields`, a form is its (a, b, c) int triple and a matrix the tuple of its
-rows.
+The general Smith normal form (`smith_normal_form`, with both transforms,
+and `cokernel_of_columns` on top of it) lives here as well: it is the
+brute-force route behind `lattice_quotient`, and the tests' reference for
+the class-group build's own cokernel, `fields._cokernel`.  Apart from
+those, none of this code shares machinery with the Smith normal form it
+validates; lattice questions, including the multiplier relations a
+quotient prediction asserts, are settled by a plain insertion echelon
+basis and literal enumeration.  The reference values the
+tests compare against live here too: exact determinants, element orders
+and primary decompositions.  As in `fields`, a form is its (a, b, c) int
+triple; a matrix is the tuple of its rows (`Matrix`).
 """
 
 from __future__ import annotations
@@ -36,17 +39,160 @@ from typing import Sequence
 
 from .abgroup import FinGenAbGroup, GroupElement, factorize
 from .errors import InternalContradiction
-from .fields import (
-    FieldSpec,
-    PrimeIdealDatum,
-    Triple,
-    _check_discriminant,
-    class_group,
-    cokernel_of_columns,
-)
+from .fields import FieldSpec, PrimeIdealDatum, Triple, _check_discriminant, class_group
+from .lattice import xgcd
 
 QUOTIENT_GUARD = 10_000
 GROUP_GUARD = 10_000
+
+Matrix = tuple[tuple[int, ...], ...]  # the rows of an integer matrix
+
+
+def _min_abs_pivot(m: list[list[int]], t: int) -> tuple[int, int] | None:
+    best: tuple[int, int] | None = None
+    best_val = 0
+    for i in range(t, len(m)):
+        for j in range(t, len(m[0])):
+            x = m[i][j]
+            if x != 0 and (best is None or abs(x) < best_val):
+                best = (i, j)
+                best_val = abs(x)
+                if best_val == 1:
+                    return best
+    return best
+
+
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
+    """Diagonalize an integer matrix given by its rows: (S, U, V) with U A V = S.
+
+    U and V are unimodular and the diagonal of S is a non-negative
+    divisibility chain; all three come back as tuples of row tuples.
+    Pivots are chosen by minimal absolute value, which keeps intermediate
+    growth tame at the sizes this package targets.
+
+    >>> s, u, v = smith_normal_form([[2, 0], [0, 3]])
+    >>> s
+    ((1, 0), (0, 6))
+    """
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    m = [list(row) for row in rows]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def rows_combine(t: int, i: int, piv: int, other: int) -> None:
+        """Unimodular 2-row transform putting gcd(piv, other) at (t, t)."""
+        g, x, y = xgcd(piv, other)
+        pg, og = piv // g, other // g
+        m[t], m[i] = (
+            [x * p + y * q for p, q in zip(m[t], m[i])],
+            [-og * p + pg * q for p, q in zip(m[t], m[i])],
+        )
+        u[t], u[i] = (
+            [x * p + y * q for p, q in zip(u[t], u[i])],
+            [-og * p + pg * q for p, q in zip(u[t], u[i])],
+        )
+
+    def cols_combine(t: int, j: int, piv: int, other: int) -> None:
+        g, x, y = xgcd(piv, other)
+        pg, og = piv // g, other // g
+        for row in m:
+            row[t], row[j] = x * row[t] + y * row[j], -og * row[t] + pg * row[j]
+        for row in v:
+            row[t], row[j] = x * row[t] + y * row[j], -og * row[t] + pg * row[j]
+
+    def clear_col(t: int) -> bool:
+        changed = False
+        for i in range(t + 1, nr):
+            b = m[i][t]
+            if b == 0:
+                continue
+            changed = True
+            piv = m[t][t]
+            if piv and b % piv == 0:
+                q = b // piv
+                m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+            else:
+                rows_combine(t, i, piv, b)
+        return changed
+
+    def clear_row(t: int) -> bool:
+        changed = False
+        for j in range(t + 1, nc):
+            b = m[t][j]
+            if b == 0:
+                continue
+            changed = True
+            piv = m[t][t]
+            if piv and b % piv == 0:
+                q = b // piv
+                for row in m:
+                    row[j] -= q * row[t]
+                for row in v:
+                    row[j] -= q * row[t]
+            else:
+                cols_combine(t, j, piv, b)
+        return changed
+
+    t = 0
+    while t < min(nr, nc):
+        pos = _min_abs_pivot(m, t)
+        if pos is None:
+            break
+        pi, pj = pos
+        if pi != t:
+            m[t], m[pi] = m[pi], m[t]
+            u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
+            for row in v:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            clear_col(t)
+            while clear_row(t) and clear_col(t):
+                pass
+            # pivot must divide the remaining submatrix for the chain
+            offender = None
+            d = m[t][t]
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if m[i][j] % d:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            m[t] = [x + y for x, y in zip(m[t], m[offender])]
+            u[t] = [x + y for x, y in zip(u[t], u[offender])]
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    return tuple(map(tuple, m)), tuple(map(tuple, u)), tuple(map(tuple, v))
+
+
+def cokernel_of_columns(
+    ambient_rank: int, columns: Sequence[Sequence[int]]
+) -> tuple[FinGenAbGroup, tuple[GroupElement, ...]]:
+    """Quotient Z^ambient_rank / (column lattice), with basis-vector images.
+
+    Returns (G, proj) where proj[i] is the class of the i-th standard basis
+    vector, expressed in coordinates matching G.factors.
+    """
+    for c in columns:
+        if len(c) != ambient_rank:
+            raise ValueError("column length does not match ambient rank")
+    s, u, _ = smith_normal_form([[c[i] for c in columns] for i in range(ambient_rank)])
+    diag = [s[i][i] for i in range(min(ambient_rank, len(columns)))]
+    kept = [i for i, d in enumerate(diag) if d != 1]
+    free_tail = list(range(len(diag), ambient_rank))
+    factors = [diag[i] for i in kept] + [0] * len(free_tail)
+    g = FinGenAbGroup.from_orders(factors)
+    positions = kept + free_tail
+    return g, tuple(g.element([u[j][i] for j in positions]) for i in range(ambient_rank))
 
 
 class OracleGuard(Exception):

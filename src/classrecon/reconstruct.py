@@ -30,7 +30,6 @@ from .abgroup import (
     factorize,
     integer_nth_root,
     is_prime_power,
-    p_part,
 )
 from .errors import BundleEntryMissing, InsufficientGenerators, MalformedBundle
 
@@ -159,6 +158,27 @@ def subgroup_order_from_bundle(
     if shape is None:  # odd norms make every term of the torsion even
         raise MalformedBundle(f"entry for {sorted(key)} of odd-norm labels is trivial")
     return h // shape[1]
+
+
+def p_part(n: int, p: int) -> int:
+    """Largest power of p dividing n (for n >= 1, p prime).
+
+    >>> p_part(12, 2)
+    4
+    >>> p_part(40, 5)
+    5
+    >>> p_part(1, 7)
+    1
+    """
+    if n < 1:
+        raise ValueError(f"expected a positive integer, got {n}")
+    if p < 2:
+        raise ValueError(f"expected a prime, got {p}")
+    result = 1
+    while n % p == 0:
+        n //= p
+        result *= p
+    return result
 
 
 TieBreak = Callable[[list[str]], str]
@@ -375,17 +395,21 @@ class ReconstructionReport(NamedTuple):
         return all(v.passed for v in self.verdicts)
 
 
-def reconstruct_all(
+def reconstruct_without_zeta(
     bundle: InvariantBundle, zeta_bound: int | None = None
-) -> ReconstructionReport:
-    """Full blind reconstruction: class number, group, norms, zeta data.
+) -> tuple[ReconstructionReport, int]:
+    """Everything a blind reconstruction does before the zeta sieve.
 
-    The zeta coefficients run up to `zeta_bound`, by default the largest
-    recovered norm; a bound above `errors.MAX_BOUND` raises LimitExceeded
-    before the group is reconstructed.  The class number is validated once
-    and every norm is recovered, and proven a prime power, once.  Then one
-    audit refuses, with MalformedBundle, every carried multi-label entry
-    the closed form rules out (`_check_torsion`), before any chain runs.
+    Returns the report with no zeta coefficients yet, and their bound:
+    `zeta_bound`, by default the largest recovered norm.  A bound above
+    `errors.MAX_BOUND` raises LimitExceeded before the group is
+    reconstructed.  The class number is validated once and every norm is
+    recovered, and proven a prime power, once.  Then one audit refuses,
+    with MalformedBundle, every carried multi-label entry the closed form
+    rules out (`_check_torsion`), before any chain runs.  A caller that
+    refuses a bound the bundle cannot back, as `reconstruct --zeta` does,
+    decides it between this and the sieve, so it costs no sieve and every
+    refusal here keeps its precedence.
     """
     h = recover_class_number(bundle)
     norms = recover_norms(bundle, h)
@@ -394,7 +418,15 @@ def reconstruct_all(
     check_bound(zeta_bound, "zeta bound")
     _check_torsion(bundle, norms, h)
     group = reconstruct_class_group(bundle, norms, h)
-    zeta = tuple(zeta_coefficients(norms.values(), zeta_bound))
-    return ReconstructionReport(
-        class_number=h, class_group=group, norms=norms, zeta=zeta, verdicts=()
-    )
+    return ReconstructionReport(h, group, norms, (), ()), zeta_bound
+
+
+def reconstruct_all(
+    bundle: InvariantBundle, zeta_bound: int | None = None
+) -> ReconstructionReport:
+    """Full blind reconstruction: class number, group, norms, zeta data.
+
+    `reconstruct_without_zeta`, then the zeta coefficients up to its bound.
+    """
+    report, zeta_bound = reconstruct_without_zeta(bundle, zeta_bound)
+    return report._replace(zeta=tuple(zeta_coefficients(report.norms.values(), zeta_bound)))

@@ -8,11 +8,11 @@ from typing import Any, Sequence
 
 from sympy import primefactors
 
-from classrecon.abgroup import FinGenAbGroup, index_and_relations
+from classrecon.abgroup import FinGenAbGroup
 from classrecon.codec import BUNDLE_VERSION, _decimal
-from classrecon.fields import Matrix, PrimeIdealDatum, SyntheticSpec
-from classrecon.lattice import ComparisonResult, build_bundle
-from classrecon.oracle import ClassGroupModel
+from classrecon.fields import PrimeIdealDatum, SyntheticSpec
+from classrecon.lattice import ComparisonResult, build_bundle, index_and_relations
+from classrecon.oracle import ClassGroupModel, Matrix
 from classrecon.reconstruct import InvariantBundle, ReconstructionReport
 
 ODD_PRIME_POWERS = [

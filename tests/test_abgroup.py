@@ -16,25 +16,18 @@ from classrecon.abgroup import (
     FinGenAbGroup,
     LimitExceeded,
     factorize,
-    index_and_relations,
     integer_nth_root,
     is_canonical,
     is_prime,
     is_prime_power,
-    p_part,
     primes_up_to,
-    xgcd,
 )
 from classrecon.errors import MAX_BOUND
-from classrecon.fields import (
-    cokernel_of_columns,
-    smallest_prime_factors,
-    smith_normal_form,
-    sqrt_mod_prime,
-    sqrt_mod_prime_power,
-)
+from classrecon.fields import smallest_prime_factors, sqrt_mod_prime, sqrt_mod_prime_power
+from classrecon.lattice import index_and_relations, xgcd
 from classrecon.oracle import (
     QUOTIENT_GUARD,
+    cokernel_of_columns,
     determinant,
     element_order,
     group_add,
@@ -42,7 +35,9 @@ from classrecon.oracle import (
     naive_member,
     naive_order_index,
     primary_decomposition,
+    smith_normal_form,
 )
+from classrecon.reconstruct import p_part
 
 from helpers import matrix_product
 
@@ -599,6 +594,16 @@ class TestIntegerHelpers:
         start = time.monotonic()
         with pytest.raises(LimitExceeded, match="cannot certify primality"):
             is_prime_power(n)
-        assert is_prime_power(1009**3000)  # a table prime is stripped at any size
+        assert is_prime_power(1009**3000)  # a power of a table prime, at any size
         assert time.monotonic() - start < 2
+
+    def test_powers_of_small_primes_are_decided_by_one_power(self):
+        # k = log2(n) / log2(p) gives the one exponent to try; stripping p one
+        # division at a time took over a second for 2**65536
+        start = time.monotonic()
+        assert is_prime_power(2**65536)
+        assert is_prime_power(3**40000)
+        assert not is_prime_power(3 * 2**65536)
+        assert not is_prime_power(2**65536 - 1)  # divisible by 3, not a power of 3
+        assert time.monotonic() - start < 0.25
 

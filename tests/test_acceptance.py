@@ -11,18 +11,18 @@ import time
 import pytest
 import sympy
 
-from classrecon.abgroup import FinGenAbGroup, index_and_relations, p_part
+from classrecon.abgroup import FinGenAbGroup
 from classrecon.fields import (
     QuadraticSpec,
     SyntheticSpec,
     class_group,
-    cokernel_of_columns,
     enumerate_prime_ideals,
 )
-from classrecon.lattice import build_bundle, compare_fields, roundtrip
+from classrecon.lattice import build_bundle, compare_fields, index_and_relations, roundtrip
 from classrecon.oracle import (
     ClassGroupModel,
     class_group_model,
+    cokernel_of_columns,
     cycle_cokernel,
     lattice_quotient,
     naive_member,
@@ -38,6 +38,7 @@ from classrecon.reconstruct import (
     InvariantBundle,
     MalformedBundle,
     greedy_primary_factors,
+    p_part,
     reconstruct_all,
     recover_class_number,
     recover_norm,

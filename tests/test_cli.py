@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from functools import lru_cache
 from unittest import mock
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classrecon
-from classrecon import cli, codec, errors, fields, lattice, reconstruct
+from classrecon import cli, codec, errors, fields, lattice, oracle, reconstruct
 from classrecon.cli import EXIT_FAIL, EXIT_INSUFFICIENT, EXIT_OK, EXIT_USAGE, main
 from classrecon.codec import bundle_from_json, bundle_to_json, synthetic_spec_from_json
 from classrecon.fields import QuadraticSpec, class_group, enumerate_prime_ideals
@@ -235,6 +236,30 @@ class TestReconstructCommand:
         assert main(["reconstruct", BUNDLE_1031, "--zeta", "397"]) == EXIT_OK
         assert capsys.readouterr() == ((GOLDEN / "reconstruct_1031.stdout").read_text(), "")
 
+    def test_zeta_refusal_is_decided_before_the_sieve(self, capsys, monkeypatch):
+        # The refusal needs only the recovered norms, so it costs what a
+        # default call costs, not a zeta sieve up to 10**7.
+        def best_of_three(argv, code):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                assert main(argv) == code
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        default = best_of_three(["reconstruct", BUNDLE_1031], EXIT_OK)
+        refused = best_of_three(["reconstruct", BUNDLE_1031, "--zeta", "10000000"], EXIT_USAGE)
+        assert refused < 2 * default + 0.05
+        capsys.readouterr()
+
+        def refuse(*args):
+            raise AssertionError("sieved before the refusal")
+
+        monkeypatch.setattr(reconstruct, "zeta_coefficients", refuse)
+        assert main(["reconstruct", BUNDLE_1031, "--zeta", "10000000"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: --zeta 10000000 reaches the prime power "
+                                       "401, above the largest recovered norm 397\n")
+
     def test_zeta_below_the_next_prime_power_is_accepted(self, capsys):
         # 398, 399 and 400 are not prime powers: every ideal of norm at most
         # 400 is a product of prime ideals of norm at most 397, all carried.
@@ -426,6 +451,37 @@ class TestLongIntegers:
         assert report["class_group_factors"] == []
         assert report["zeta"] == {"bound": 10, "coefficients": [1] + [0] * 9}
 
+    def test_power_of_two_norm_is_refused_cold_without_delay(self, tmp_path):
+        # The singleton Z/(2**65536 - 1) gives the norm 2**65536, a prime power
+        # far above the zeta limit.  Deciding the prime power takes one power
+        # of 2, so a cold call reaches its one exit-3 line about as fast as a
+        # cold call on a small bundle (stripping 2 took over a second).
+        def cold(doc):
+            path = tmp_path / "bundle.json"
+            path.write_text(json.dumps(doc))
+            env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(classrecon.__file__)))
+            times = []
+            for _ in range(2):
+                start = time.perf_counter()
+                proc = subprocess.run(
+                    [sys.executable, "-m", "classrecon.cli", "reconstruct", str(path)],
+                    env=env, capture_output=True, text=True, timeout=60,
+                )
+                times.append(time.perf_counter() - start)
+            return proc, min(times)
+
+        def rank_one(factor):
+            return {"version": 1, "rank": 1, "labels": [0], "entries": [
+                {"labels": [], "factors": ["0"]}, {"labels": [0], "factors": [factor]}]}
+
+        small, baseline = cold(rank_one("4"))
+        assert small.returncode == EXIT_OK
+        big, elapsed = cold(rank_one(codec._decimal(2**65536 - 1)))
+        assert (big.returncode, big.stdout) == (EXIT_INSUFFICIENT, "")
+        assert big.stderr == ("error: zeta bound <65537-bit integer> exceeds the limit "
+                              "10000000: it allocates one slot per integer up to the bound\n")
+        assert elapsed < baseline + 0.4
+
     def test_decimal_codec_matches_str(self):
         for n in (0, 7, 10**600 - 1, 10**600, 10**1201 + 1, 3**40000, 149**2000 - 1):
             text = codec._decimal(n)
@@ -520,41 +576,53 @@ def test_runtime_needs_no_brute_force_quotient(tmp_path):
 
 @pytest.fixture
 def snf_calls(monkeypatch):
-    """Calls to `smith_normal_form`, counted at every binding in the package.
+    """Calls to the general `oracle.smith_normal_form` and to the class-group
+    build's `fields._cokernel`, counted at every binding in the package.
 
     The package's memo caches are cleared first, so a call pays its class
     group build as it would in a fresh process.
     """
-    original = fields.smith_normal_form
-    calls = []
+    calls = {"smith_normal_form": [], "_cokernel": []}
+    originals = {oracle.smith_normal_form: "smith_normal_form", fields._cokernel: "_cokernel"}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(original, name):
+        def counted(*args, **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("classrecon") and module is not None:
+        return counted
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("classrecon") and module is not None:
             for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+                if callable(value) and value in originals:
+                    monkeypatch.setattr(module, attr, counting(value, originals[value]))
                 elif callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
     return calls
 
 
 @pytest.mark.parametrize(
-    ("argv", "expected"),
+    ("argv", "code", "expected"),
     [
-        (["roundtrip", "--synthetic", SYNTHETIC_248], 0),
-        (["invariants", "-D", "-23603", "--primes", "100", "--set", "p_2,p_3c,p_37"], 1),
+        (["roundtrip", "--synthetic", SYNTHETIC_248], EXIT_OK, 0),
+        (["invariants", "-D", "-23603", "--primes", "100", "--set", "p_2,p_3c,p_37"], EXIT_OK, 1),
+        (["classgroup", "-D", "-3299"], EXIT_OK, 1),
+        (["roundtrip", "-D", "-2184", "--primes", "60"], EXIT_OK, 1),
+        (["compare", "-D", "-3299", "-D2", "-2408", "--bound", "60"], EXIT_FAIL, 2),
+        (["reconstruct", BUNDLE_1031], EXIT_OK, 0),
     ],
-    ids=["roundtrip-synthetic", "invariants-sets"],
+    ids=["roundtrip-synthetic", "invariants-sets", "classgroup-D", "roundtrip-D", "compare",
+         "reconstruct"],
 )
-def test_smith_normal_form_stays_off_the_hot_path(argv, expected, snf_calls, tmp_path):
-    # Indices and relations come from a column echelon; the one SNF left is
-    # the quadratic class-group build, through `cokernel_of_columns`.
-    assert main([*argv, "-o", str(tmp_path / "out.json")]) == EXIT_OK
-    assert len(snf_calls) == expected
+def test_smith_normal_form_stays_off_the_hot_path(argv, code, expected, snf_calls, capsys):
+    # Indices and relations come from a column echelon, and no command runs
+    # the general Smith normal form, a certifier in `oracle`.  A quadratic
+    # class-group build reduces its relation matrix once, by `_cokernel`.
+    assert main(argv) == code
+    capsys.readouterr()
+    assert snf_calls == {"smith_normal_form": [], "_cokernel": snf_calls["_cokernel"]}
+    assert len(snf_calls["_cokernel"]) == expected
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from classrecon.fields import (
     LimitExceeded,
     QuadraticSpec,
     SyntheticSpec,
+    _cokernel,
     _compose_triples,
     _discriminant_data,
     _prime_triple,
@@ -30,12 +31,15 @@ from classrecon.fields import (
 )
 from classrecon.abgroup import FinGenAbGroup, primes_up_to
 from classrecon.errors import MAX_BOUND, InsufficientGenerators
-from classrecon.lattice import roundtrip
+from classrecon.lattice import index_and_relations, roundtrip
 from classrecon.oracle import (
+    QUOTIENT_GUARD,
     class_group_model,
+    cokernel_of_columns,
     dirichlet_compose,
     element_order,
     group_add,
+    naive_cokernel,
     naive_reduce,
     naive_reduced_forms,
     naive_represented_primes,
@@ -196,6 +200,39 @@ class TestFormEnumeration:
         # None, which marks q inert, exactly where the scan finds no form
         for q in primes_up_to(500):
             assert _prime_triple(d, q) == _scanned_prime_form(d, q), (d, q)
+
+
+@st.composite
+def relation_matrices(draw):
+    """A rank of 0-4 and up to 7 integer columns of that rank, some of them zero."""
+    rank = draw(st.integers(0, 4))
+    column = st.one_of(st.just((0,) * rank), st.tuples(*[st.integers(-12, 12)] * rank))
+    return rank, draw(st.lists(column, max_size=7))
+
+
+class TestBuildCokernel:
+    @settings(max_examples=200, deadline=None)
+    @given(relation_matrices())
+    @example((2, []))  # no relation: free of rank 2
+    @example((2, [(0, 0), (4, 0)]))  # a zero column, and fewer columns than rows
+    @example((1, [(6,), (4,), (0,), (9,)]))  # more columns than rows
+    @example((3, [(2, 0, 0), (-1, 37, 0), (-1, -5, 2)]))  # a build's triangular relations
+    def test_matches_both_references(self, case):
+        # the class-group build's cokernel against the general Smith normal
+        # form and against coset enumeration; its images must respect every
+        # relation and generate the group, so Z^rank / columns maps onto the
+        # group isomorphically
+        rank, columns = case
+        group, rows = _cokernel(rank, columns)
+        assert group == cokernel_of_columns(rank, columns)[0]
+        if group.is_finite and group.order() <= QUOTIENT_GUARD:
+            assert group == naive_cokernel(rank, columns)
+        assert len(rows) == len(group.factors) and all(len(row) == rank for row in rows)
+        images = [group.element([row[i] for row in rows]) for i in range(rank)]
+        for column in columns:
+            image = [sum(c * x[t] for c, x in zip(column, images)) for t in range(len(rows))]
+            assert group.element(image) == group.zero()
+        assert index_and_relations(images, group.factors)[0] == 1
 
 
 class TestComposition:

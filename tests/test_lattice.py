@@ -11,9 +11,7 @@ from classrecon.abgroup import FinGenAbGroup
 from classrecon.fields import (
     PrimeIdealDatum,
     QuadraticSpec,
-    cokernel_of_columns,
     enumerate_prime_ideals,
-    smith_normal_form,
 )
 from classrecon.lattice import build_bundle
 from classrecon.reconstruct import reconstruct_all
@@ -21,6 +19,7 @@ from classrecon.oracle import (
     ClassGroupModel,
     PredictedQuotient,
     class_group_model,
+    cokernel_of_columns,
     cycle_cokernel,
     lattice_quotient,
     naive_member,
@@ -28,6 +27,7 @@ from classrecon.oracle import (
     predicted_quotient,
     predicted_relation_failures,
     singleton_quotient,
+    smith_normal_form,
     sublattice_columns,
 )
 

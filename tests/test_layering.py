@@ -5,7 +5,9 @@ import them.  The blind consumer (`reconstruct`, with the shared `abgroup`
 and `errors`) imports no producer module (`fields`, `lattice`, `oracle`),
 so the blinding rule holds by construction.  No module imports `cli`, and
 each subcommand loads exactly the modules it runs: nothing is compiled that
-a call does not use.
+a call does not use.  The modules that a cold `classgroup -D` and a cold
+`reconstruct` load stay within a budget of AST nodes, so code neither runs
+does not creep back into them.
 
 Every public top-level function and class of a runtime module, and every
 public method of its classes, is read by runtime code or by the benchmark
@@ -583,20 +585,25 @@ EVERY_RUNTIME_MODULE = [
     "abgroup", "classrecon", "cli", "codec", "errors", "fields", "lattice", "reconstruct",
 ]
 
+# The modules that a cold `classgroup -D` and a cold `reconstruct` load, and
+# so compile (the package ships no bytecode), with the most AST nodes they
+# may hold together.  A call pays about 2 us of compile per node.
+COLD_PATHS = {
+    "classgroup-D": (["abgroup", "classrecon", "cli", "errors", "fields"], 8403),
+    "reconstruct": (["abgroup", "classrecon", "cli", "codec", "errors", "reconstruct"], 8598),
+}
+
 
 @pytest.mark.parametrize(
     ("argv", "modules"),
     [
         ([], ["classrecon"]),
-        (["classgroup", "-D", "-84"], ["abgroup", "classrecon", "cli", "errors", "fields"]),
+        (["classgroup", "-D", "-84"], COLD_PATHS["classgroup-D"][0]),
         (
             ["classgroup", "--synthetic", str(GOLDEN / "synthetic_248.json")],
             ["abgroup", "classrecon", "cli", "codec", "errors", "fields"],
         ),
-        (
-            ["reconstruct", str(GOLDEN / "invariants_1031.out")],
-            ["abgroup", "classrecon", "cli", "codec", "errors", "reconstruct"],
-        ),
+        (["reconstruct", str(GOLDEN / "invariants_1031.out")], COLD_PATHS["reconstruct"][0]),
         (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE),
         (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE),
     ],
@@ -608,6 +615,20 @@ def test_each_command_loads_only_what_it_runs(argv, modules):
     assert loaded == modules
     # JSON is read or written only through the codec
     assert json_loaded == ("codec" in modules)
+
+
+def _ast_nodes(module: str) -> int:
+    path = PACKAGE / ("__init__.py" if module == "classrecon" else f"{module}.py")
+    return sum(1 for _ in ast.walk(_parse(path)))
+
+
+@pytest.mark.parametrize("command", sorted(COLD_PATHS))
+def test_cold_paths_compile_no_more_than_their_budget(command):
+    # Code that a command does not run lives outside the modules it loads:
+    # the general Smith normal form in `oracle`, the column echelon in
+    # `lattice`.  A move back, or new code on these paths, shows up here.
+    modules, budget = COLD_PATHS[command]
+    assert sum(map(_ast_nodes, modules)) <= budget
 
 
 def test_run_as_a_module_writes_nothing_to_stderr():

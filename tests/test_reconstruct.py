@@ -21,12 +21,7 @@ from classrecon.codec import (
     report_to_json,
     synthetic_spec_from_json,
 )
-from classrecon.abgroup import (
-    FinGenAbGroup,
-    index_and_relations,
-    integer_nth_root,
-    p_part,
-)
+from classrecon.abgroup import FinGenAbGroup, integer_nth_root
 from classrecon.fields import (
     QuadraticSpec,
     SyntheticSpec,
@@ -34,7 +29,13 @@ from classrecon.fields import (
     enumerate_prime_ideals,
     validate_synthetic,
 )
-from classrecon.lattice import add_chain_entries, build_bundle, compare_fields, roundtrip
+from classrecon.lattice import (
+    add_chain_entries,
+    build_bundle,
+    compare_fields,
+    index_and_relations,
+    roundtrip,
+)
 from classrecon.oracle import ClassGroupModel, primary_decomposition
 from classrecon.reconstruct import (
     BundleEntryMissing,
@@ -42,6 +43,7 @@ from classrecon.reconstruct import (
     InvariantBundle,
     MalformedBundle,
     greedy_primary_factors,
+    p_part,
     reconstruct_all,
     reconstruct_class_group,
     recover_class_number,
