@@ -10,13 +10,15 @@ performs the reconstruction, and cross-checks everything against naive
 oracles and quadratic-field ground truth.
 
 The package has two halves.  The producer computes quotients from a field:
-`fields` (reduced forms as (a, b, c) int triples, class groups and prime
-ideals) and
-`lattice` (the closed-form quotients, bundles, and the round-trip and
-comparison drivers).  The blind consumer reconstructs from a bundle alone:
+`forms` (reduced forms as (a, b, c) int triples and the class group built
+on them), `fields` (prime ideals and synthetic specs) and `lattice` (the
+closed-form quotients, bundles, and the round-trip and comparison
+drivers).  The blind consumer reconstructs from a bundle alone:
 `reconstruct`, which imports only the shared `abgroup` and `errors`.
-`codec` holds the JSON file formats and `cli` the command line.  The
-certifiers live in `oracle`, which the runtime never imports.
+`codec` holds the JSON file formats, and `cli` the command table and its
+dispatch, each command's handler living beside the work it runs (`usage`
+holds the help text).  The certifiers live in `oracle`, which the runtime
+never imports.
 
 The top level exports the end-to-end path.  Each name is imported from its
 submodule on first access (PEP 562), so `import classrecon` loads no
@@ -34,7 +36,7 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-_FROM_FIELDS = ("QuadraticSpec", "class_group", "enumerate_prime_ideals")
+_FROM_FORMS = ("QuadraticSpec", "class_group")
 # The benchmark's ground truth imports these two certifiers from the top
 # level.  ROADMAP item 1, the next change to the benchmark, re-points that
 # import to `classrecon.oracle` and deletes them here.
@@ -42,7 +44,9 @@ _FROM_ORACLE = ("class_group_model", "lattice_quotient")
 
 
 def __getattr__(name: str):
-    if name in _FROM_FIELDS:
+    if name in _FROM_FORMS:
+        from . import forms as home
+    elif name == "enumerate_prime_ideals":
         from . import fields as home
     elif name == "build_bundle":
         from . import lattice as home

@@ -2,13 +2,13 @@
 
 Everything here works with plain Python integers, so all results are exact
 at any size.  Both sides of the package import this module: the producer
-(`fields`, `lattice`) and the blind consumer (`reconstruct`, `codec`).  So
-it holds only what both need or share, and every call of either side
-compiles it.  Code with one runtime user lives beside that user: the
-class-group build's cokernel and the square roots modulo prime powers in
-`fields`, the column echelon `index_and_relations` in `lattice`, and
-`p_part` in `reconstruct`.  The general Smith normal form is a certifier,
-in `oracle`.
+(`forms`, `fields`, `lattice`) and the blind consumer (`reconstruct`,
+`codec`).  So it holds only what both need or share, and every call of
+either side compiles it.  Code with one runtime user lives beside that
+user: the class-group build's cokernel and the square roots modulo prime
+powers in `forms`, the column echelon `index_and_relations` in `lattice`,
+and `p_part` in `reconstruct`.  The general Smith normal form is a
+certifier, in `oracle`.
 
 Groups are kept in canonical invariant-factor form (nonzero factors form a
 divisibility chain, no factor equals 1, free factors encoded as trailing
@@ -22,9 +22,10 @@ standard library: trial-division `factorize` for integers of supported
 size (class numbers, small quotient sizes, discriminants), the byte-array
 sieve `primes_up_to` and the guard `check_bound` on its bound, exact
 integer roots, and `is_prime` / `is_prime_power` by trial division by the
-primes up to isqrt(MAX_BOUND).  That decides every integer up to MAX_BOUND,
-and no bundle carries a larger norm; a larger integer with no factor in
-the table is refused with `LimitExceeded`, as every limit of the package is.
+primes up to isqrt(MAX_BOUND), a table sieved by the first test.  That
+decides every integer up to MAX_BOUND, and no bundle carries a larger
+norm; a larger integer with no factor in the table is refused with
+`LimitExceeded`, as every limit of the package is.
 """
 
 from __future__ import annotations
@@ -252,7 +253,11 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-_SMALL_PRIMES = primes_up_to(isqrt(MAX_BOUND))  # so every n <= MAX_BOUND is decided
+# The primes up to isqrt(MAX_BOUND), so every n <= MAX_BOUND is decided.
+# Sieved by the first primality test, not at import, since most commands
+# test none; a plain list, not a memo cache, so that clearing the package's
+# caches does not make the next test sieve again.
+_SMALL_PRIMES: list[int] = []
 
 
 def check_bound(bound: int, what: str) -> None:
@@ -294,6 +299,8 @@ def factorize(n: int) -> dict[int, int]:
 
 def _least_prime_factor(n: int) -> int:
     """Least prime factor of n >= 2; LimitExceeded if it is not in the table."""
+    if not _SMALL_PRIMES:
+        _SMALL_PRIMES[:] = primes_up_to(isqrt(MAX_BOUND))  # one store: a racing fill is equal
     for p in _SMALL_PRIMES:
         if p * p > n:
             return n

@@ -1,23 +1,27 @@
-"""Command-line front end: one handler per subcommand, and the exit codes.
+"""Command-line front end: the command table, its dispatch and the exit codes.
 
 Subcommands: classgroup, invariants, reconstruct, roundtrip, compare.
 The shell stays thin: every verdict printed is the library's verdict.
 
-Each handler imports the modules it runs when it starts, so a call
-compiles only those (the package ships no bytecode, and a run with
-`PYTHONDONTWRITEBYTECODE=1` caches none).  Importing this module loads
-only `errors`, which `main` needs to map exceptions to exit codes.  The
-modules each subcommand loads, besides `cli` and `errors`:
+Each handler lives beside the work it runs, and its module is imported
+only once argv has parsed, so a call compiles only what it runs (the
+package ships no bytecode, and a run with `PYTHONDONTWRITEBYTECODE=1`
+caches none): `classgroup` is in `forms`, `invariants`, `roundtrip` and
+`compare` in `lattice`, and `reconstruct` in `codec`, on the consumer
+side.  Importing this module loads only `errors`, which `main` needs to
+map exceptions to exit codes; the help text, in `usage`, loads only for
+`-h`/`--help`.  The modules each subcommand loads, besides `cli` and
+`errors`:
 
-  classgroup -D           fields, abgroup
-  classgroup --synthetic  fields, abgroup, codec
-  invariants, roundtrip,  fields, abgroup, codec, lattice, reconstruct
-  compare
+  classgroup -D           forms, abgroup
+  classgroup --synthetic  forms, abgroup, codec, fields
+  invariants, roundtrip,  forms, fields, abgroup, codec, lattice,
+  compare                 reconstruct
   reconstruct             reconstruct, abgroup, codec
 
-So a blind `reconstruct` never loads the producer (`fields`, `lattice`),
-and `classgroup -D` loads neither the consumer, the codec nor `json`.
-The JSON formats live in `codec`.
+So a blind `reconstruct` never loads the producer (`forms`, `fields`,
+`lattice`), and `classgroup -D` loads neither the consumer, the codec,
+the prime ideals in `fields` nor `json`.  The JSON formats live in `codec`.
 
 `COMMANDS` is the one table of the command line.  `_parse` fills a
 handler's arguments in one walk over argv; `-h`/`--help` prints usage made
@@ -28,16 +32,17 @@ error, such as an abbreviation (`--prim`), an attached short value (`-D-20`)
 or `--`, is one stderr line, `error: ` and argparse's message, with exit 2.
 
 Every failure is one stderr line, `error: ` and its message (a failed
-verdict's report is written first).  A handler refuses by raising, and
-`main` alone maps each refusal to its exit code; a handler returns only
-success or a failed verdict.  Exit codes: 0 success/pass, 1 verdict
-failure, malformed bundle or internal contradiction, 2 usage or spec error
-(including unreadable or non-JSON input files, unknown `--set` labels, a
-`roundtrip --zeta` above `--primes`, and a `reconstruct --zeta` that
-reaches a prime power above the largest recovered norm), 3 insufficient
-data or `LimitExceeded`.  Insufficient data is decided by the blind consumer
-alone, so `roundtrip`, `compare` and `reconstruct` refuse too few odd-norm
-primes with one message.  `LimitExceeded` covers a discriminant above
+verdict's report is written first).  A handler refuses by raising, a
+failed verdict too (`errors.VerdictFailed`, once its report is written),
+and `main` alone maps each refusal to its exit code.  Exit codes: 0
+success/pass, 1 verdict failure, malformed bundle or internal
+contradiction, 2 usage or spec error (including unreadable or non-JSON
+input files, unknown `--set` labels, a `roundtrip --zeta` above
+`--primes`, and a `reconstruct --zeta` that reaches a prime power above
+the largest recovered norm), 3 insufficient data or `LimitExceeded`.
+Insufficient data is decided by the blind consumer alone, so `roundtrip`,
+`compare` and `reconstruct` refuse too few odd-norm primes with one
+message.  `LimitExceeded` covers a discriminant above
 `errors.MAX_DISCRIMINANT`, a prime, comparison or zeta bound above
 `errors.MAX_BOUND` or an integer above it that trial division cannot
 certify, a synthetic class group of order above
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     BundleEntryMissing,
@@ -61,127 +66,13 @@ from .errors import (
     MalformedBundle,
     UnreadableInput,
     UsageError,
+    VerdictFailed,
 )
-
-if TYPE_CHECKING:
-    from .fields import FieldSpec
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT = 3
-
-
-def _spec_from_args(args: SimpleNamespace, suffix: str = "") -> FieldSpec:
-    disc = getattr(args, f"discriminant{suffix}")
-    if disc is not None:
-        from .fields import QuadraticSpec
-
-        return QuadraticSpec(disc)
-    from .codec import _read_json, synthetic_spec_from_json
-
-    return synthetic_spec_from_json(_read_json(getattr(args, f"synthetic{suffix}")))
-
-
-# -- subcommands ------------------------------------------------------------
-
-
-def cmd_classgroup(args: SimpleNamespace) -> int:
-    from .fields import class_group, reduced_forms_of_spec
-
-    spec = _spec_from_args(args)
-    forms = reduced_forms_of_spec(spec)
-    line = str(class_group(spec))
-    if forms is not None:
-        line += "; forms: " + ",".join(f"({a},{b},{c})" for a, b, c in forms)
-    else:
-        line += f"; synthetic primes: {len(spec.primes)}"
-    print(line)
-    return EXIT_OK
-
-
-def cmd_invariants(args: SimpleNamespace) -> int:
-    from .codec import _write_output, bundle_to_json
-    from .fields import class_group, enumerate_prime_ideals
-    from .lattice import add_chain_entries, build_bundle
-
-    spec = _spec_from_args(args)
-    group = class_group(spec)
-    primes = enumerate_prime_ideals(spec, args.primes)
-    known = {p.label for p in primes}
-    subsets = [tuple(s.strip() for s in raw.split(",") if s.strip()) for raw in args.set or []]
-    for subset in subsets:
-        if missing := set(subset) - known:
-            raise UsageError(f"unknown labels in --set: {sorted(missing)}")
-    bundle = build_bundle(group, primes)
-    for subset in subsets:
-        bundle.entry(subset)
-    # The file must also carry every entry a blind `reconstruct` will read:
-    # the greedy chains, run on the true norms, query the same sets as the
-    # consumer's.  When the odd-norm classes fall short of the class group,
-    # the file is still written, with a warning.
-    try:
-        add_chain_entries(bundle, primes)
-    except InsufficientGenerators as exc:
-        print(f"warning: {exc}", file=sys.stderr)
-    if args.show_labels:
-        for i, label in enumerate(bundle.labels):
-            print(f"# {i} = {label}", file=sys.stderr)
-    _write_output(bundle_to_json(bundle), args.output)
-    return EXIT_OK
-
-
-def cmd_reconstruct(args: SimpleNamespace) -> int:
-    from .abgroup import is_prime_power
-    from .codec import _read_json, _write_output, bundle_from_json, report_text
-    from .reconstruct import reconstruct_without_zeta, zeta_coefficients
-
-    report, bound = reconstruct_without_zeta(bundle_from_json(_read_json(args.bundle)), args.zeta)
-    largest = max(report.norms.values(), default=1)
-    # A bundle carries every prime ideal up to its producer's bound, which is
-    # at least its largest norm M.  An ideal of norm n <= Z factors through
-    # carried norms when no prime power lies in (M, Z]; otherwise a
-    # coefficient may miss primes, so such a Z is refused before the sieve.
-    missed = next(filter(is_prime_power, range(largest + 1, bound + 1)), None)
-    if missed is not None:
-        raise UsageError(f"--zeta {bound} reaches the prime power {missed}, "
-                         f"above the largest recovered norm {largest}")
-    report = report._replace(zeta=tuple(zeta_coefficients(report.norms.values(), bound)))
-    _write_output(report_text(report), args.output)
-    return EXIT_OK
-
-
-def cmd_roundtrip(args: SimpleNamespace) -> int:
-    from .codec import _write_output, report_text
-    from .fields import class_group, enumerate_prime_ideals
-    from .lattice import roundtrip
-
-    if args.zeta is not None and args.zeta > args.primes:
-        # the true coefficients, like the blind ones, see only these primes
-        raise UsageError(f"--zeta {args.zeta} is above the --primes bound {args.primes}")
-    spec = _spec_from_args(args)
-    group = class_group(spec)
-    primes = enumerate_prime_ideals(spec, args.primes)
-    zeta_bound = args.zeta if args.zeta is not None else args.primes
-    report = roundtrip(group, primes, zeta_bound)
-    _write_output(report_text(report), args.output)
-    if report.all_passed:
-        return EXIT_OK
-    failed = ", ".join(v.name for v in report.verdicts if not v.passed)
-    return _error(ValueError(f"failed verdicts: {failed}"), EXIT_FAIL)
-
-
-def cmd_compare(args: SimpleNamespace) -> int:
-    from .codec import _write_output, comparison_text
-    from .lattice import compare_fields
-
-    spec_a = _spec_from_args(args)
-    spec_b = _spec_from_args(args, suffix="2")
-    result = compare_fields(spec_a, spec_b, args.bound)
-    _write_output(comparison_text(result), args.output)
-    if result.equivalent:
-        return EXIT_OK
-    return _error(ValueError(result.describe()), EXIT_FAIL)
 
 
 # -- the command table ------------------------------------------------------
@@ -198,11 +89,14 @@ _SPEC = ((("-D",), "discriminant", "int", None, "D", _D_HELP),
 _SPEC2 = ((("-D2",), "discriminant2", "int", None, "D", _D_HELP),
           (("--synthetic2",), "synthetic2", "text", None, "FILE", _FILE_HELP))
 
-# name: (handler, help, positionals as (dest, help), the required pairs of
-# options that exclude each other, the other options)
+# name: (the handler's module and name, help, positionals as (dest, help),
+# the required pairs of options that exclude each other, the other options).
+# Each handler lives beside the work it runs and is imported on dispatch.
 COMMANDS = {
-    "classgroup": (cmd_classgroup, "print invariant factors and reduced forms", (), (_SPEC,), ()),
-    "invariants": (cmd_invariants, "compute quotient invariants into a bundle file", (), (_SPEC,), (
+    "classgroup": ("forms", "cmd_classgroup", "print invariant factors and reduced forms",
+                   (), (_SPEC,), ()),
+    "invariants": ("lattice", "cmd_invariants", "compute quotient invariants into a bundle file",
+                   (), (_SPEC,), (
         (("--primes",), "primes", "positive", 50, "X",
          "include every prime ideal of norm <= X (default 50)"),
         (("--set",), "set", "repeat", None, "LABELS",
@@ -211,20 +105,21 @@ COMMANDS = {
          "print the label-id mapping to stderr"),
         _OUTPUT,
     )),
-    "reconstruct": (cmd_reconstruct, "blind reconstruction from a bundle file",
+    "reconstruct": ("codec", "cmd_reconstruct", "blind reconstruction from a bundle file",
                     (("bundle", "bundle JSON file, or - for stdin"),), (), (
         (("--zeta",), "zeta", "positive", None, "X",
          "zeta truncation bound (default: the largest recovered norm; "
          "maximum: one below the next prime power)"),
         _OUTPUT,
     )),
-    "roundtrip": (cmd_roundtrip, "reconstruct blind and compare to ground truth", (), (_SPEC,), (
+    "roundtrip": ("lattice", "cmd_roundtrip", "reconstruct blind and compare to ground truth",
+                  (), (_SPEC,), (
         (("--primes",), "primes", "positive", 50, "X", "prime ideal norm bound (default 50)"),
         (("--zeta",), "zeta", "positive", None, "X",
          "zeta truncation bound (default and maximum: the --primes bound)"),
         _OUTPUT,
     )),
-    "compare": (cmd_compare, "compare two field specs", (), (_SPEC, _SPEC2), (
+    "compare": ("lattice", "cmd_compare", "compare two field specs", (), (_SPEC, _SPEC2), (
         (("--bound",), "bound", "positive", 50, "X",
          "norm and zeta bound for the comparison (default 50)"),
         _OUTPUT,
@@ -242,11 +137,12 @@ def _is_value(token: str, by_name: dict) -> bool:
         or (number.isdecimal() and token[-1] != "."))
 
 
-def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int] | None, SimpleNamespace]:
+def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], None] | None, SimpleNamespace]:
     """The handler for argv and its arguments; no handler once help is printed.
 
     Until the first value, the subcommand, only -h/--help is an option.
-    A usage error raises `UsageError` with argparse's message text.
+    A usage error raises `UsageError` with argparse's message text.  The
+    handler's module is imported once argv has parsed.
     """
     command, pairs, values, missing, extras = None, (), {}, ["command"], []
     by_name = dict.fromkeys(_HELP[0], _HELP)
@@ -263,7 +159,7 @@ def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int] | None, Si
                     raise UsageError(
                         f"argument command: invalid choice: {argv[i]!r} (choose from {choices})")
                 command = argv[i]
-                handler, _, positionals, pairs, table = COMMANDS[command]
+                *_, positionals, pairs, table = COMMANDS[command]
                 options = [_HELP, *(o for pair in pairs for o in pair), *table]
                 by_name = {alias: o for o in options for alias in o[0]}
                 values = {o[1]: o[3] for o in options[1:]}  # all but help
@@ -277,7 +173,9 @@ def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int] | None, Si
             if eq:
                 raise UsageError(f"{label}: ignored explicit argument {value!r}")
             if kind == "help":
-                print(_help(command))
+                from .usage import usage_text
+
+                print(usage_text(COMMANDS, _HELP, command))
                 return None, SimpleNamespace()
             value = True
         elif not eq:
@@ -304,37 +202,25 @@ def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int] | None, Si
             raise UsageError(f"one of the arguments {a[0][0]} {b[0][0]} is required")
     if extras:
         raise UsageError("unrecognized arguments: " + " ".join(extras))
+    module, name = COMMANDS[command][:2]
+    # `__import__` rather than `importlib.import_module`: `-X importtime`
+    # reports only the former
+    handler = getattr(__import__(module, globals(), None, (name,), 1), name)
     return handler, SimpleNamespace(**values)
-
-
-def _help(command: str | None) -> str:
-    """The usage of the program, or of one subcommand, from the table."""
-    if command is None:
-        usage = "[-h] COMMAND ..."
-        about = "Class-group lattice invariants and blind reconstruction"
-        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
-    else:
-        _, about, positionals, pairs, table = COMMANDS[command]
-        options = [_HELP, *(o for pair in pairs for o in pair), *table]
-        shown = {o: ", ".join(o[0]) + (f" {o[4]}" if o[4] else "") for o in options}
-        spec = [f"({shown[a]} | {shown[b]})" for a, b in pairs]
-        usage = " ".join([command, *(dest for dest, _ in positionals), *spec, "[options]"])
-        rows = [*positionals, *((shown[o], o[5]) for o in options)]
-    width = max(len(name) for name, _ in rows) + 2
-    rows = [f"  {name:<{width}}{text}" for name, text in rows]
-    return "\n".join([f"usage: classrecon {usage}", "", about, "", *rows])
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
-        return EXIT_OK if handler is None else handler(args)  # None: help printed
+        if handler is not None:  # None: help printed
+            handler(args)
+        return EXIT_OK
     except (UsageError, InvalidDiscriminant, InvalidSyntheticSpec, UnreadableInput,
             OSError) as exc:
         return _error(exc, EXIT_USAGE)
     except (InsufficientGenerators, BundleEntryMissing, LimitExceeded) as exc:
         return _error(exc, EXIT_INSUFFICIENT)
-    except (MalformedBundle, InternalContradiction) as exc:
+    except (MalformedBundle, InternalContradiction, VerdictFailed) as exc:
         return _error(exc, EXIT_FAIL)
 
 

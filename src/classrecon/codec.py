@@ -1,11 +1,13 @@
 """The JSON file formats: bundles, reports, compare results and synthetic specs.
 
-`cli` imports this module only in the handlers that read or write JSON,
-so `classgroup -D` loads neither it nor `json`.  Each loader imports the
+Only the commands that read or write JSON import this module, so
+`classgroup -D` loads neither it nor `json`.  Each loader imports the
 types it builds when it runs: `bundle_from_json` the blind consumer's
 `InvariantBundle`, `synthetic_spec_from_json` the producer's field data.
 So reading a bundle never loads the producer, and reading a spec never
-loads the consumer.
+loads the consumer.  The `reconstruct` command's handler,
+`cmd_reconstruct`, lives here on the consumer side for the same reason:
+it reads a bundle file and writes a report, with `reconstruct` alone.
 
 All potentially large integers (group factors, norms) are serialized as
 decimal strings; labels in bundle files are opaque consecutive integers so
@@ -43,16 +45,19 @@ from json.encoder import encode_basestring_ascii
 from math import log10
 from typing import TYPE_CHECKING, Any
 
-from .abgroup import FinGenAbGroup, is_canonical
+from .abgroup import FinGenAbGroup, is_canonical, is_prime_power
 from .errors import (
     MAX_QUOTIENT_BITS,
     InvalidSyntheticSpec,
     LimitExceeded,
     MalformedBundle,
     UnreadableInput,
+    UsageError,
 )
 
 if TYPE_CHECKING:
+    from types import SimpleNamespace
+
     from .fields import SyntheticSpec
     from .lattice import ComparisonResult
     from .reconstruct import InvariantBundle, ReconstructionReport
@@ -368,3 +373,24 @@ def _write_output(text: str, path: str | None) -> None:
             os.ftruncate(fd, size)
     finally:
         os.close(fd)
+
+
+# -- the blind consumer's command -------------------------------------------
+
+
+def cmd_reconstruct(args: SimpleNamespace) -> None:
+    """Write the blind report of a bundle file, its zeta coefficients up to `--zeta`."""
+    from .reconstruct import reconstruct_without_zeta, zeta_coefficients
+
+    report, bound = reconstruct_without_zeta(bundle_from_json(_read_json(args.bundle)), args.zeta)
+    largest = max(report.norms.values(), default=1)
+    # A bundle carries every prime ideal up to its producer's bound, which is
+    # at least its largest norm M.  An ideal of norm n <= Z factors through
+    # carried norms when no prime power lies in (M, Z]; otherwise a
+    # coefficient may miss primes, so such a Z is refused before the sieve.
+    missed = next(filter(is_prime_power, range(largest + 1, bound + 1)), None)
+    if missed is not None:
+        raise UsageError(f"--zeta {bound} reaches the prime power {missed}, "
+                         f"above the largest recovered norm {largest}")
+    report = report._replace(zeta=tuple(zeta_coefficients(report.norms.values(), bound)))
+    _write_output(report_text(report), args.output)

@@ -32,17 +32,28 @@ decides which entries a blind reconstruction needs a bundle file to carry:
 the empty set, every singleton and the sets the consumer's greedy chains
 will read, found by running those chains on the true norms.  The drivers that hold the ground truth beside
 a blind reconstruction, `roundtrip` and `compare_fields`, live here too,
-so the consumer never imports the producer.
+so the consumer never imports the producer.  So do the handlers of the
+commands that produce: `cmd_invariants`, `cmd_roundtrip` and
+`cmd_compare`, which `cli` imports on dispatch.
 """
 
 from __future__ import annotations
 
+import sys
 from math import gcd, lcm, log2
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .abgroup import FinGenAbGroup, GroupElement, brief
-from .errors import MAX_QUOTIENT_BITS, InternalContradiction, LimitExceeded
-from .fields import FieldSpec, PrimeIdealDatum, class_group, enumerate_prime_ideals
+from .errors import (
+    MAX_QUOTIENT_BITS,
+    InsufficientGenerators,
+    InternalContradiction,
+    LimitExceeded,
+    UsageError,
+    VerdictFailed,
+)
+from .fields import FieldSpec, PrimeIdealDatum, enumerate_prime_ideals
+from .forms import _spec_from_args, class_group
 from .reconstruct import (
     InvariantBundle,
     ReconstructionReport,
@@ -51,6 +62,9 @@ from .reconstruct import (
     reconstruct_class_group,
     zeta_coefficients,
 )
+
+if TYPE_CHECKING:
+    from types import SimpleNamespace
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -365,3 +379,65 @@ def compare_fields(
         group_left=ga,
         group_right=gb,
     )
+
+
+# -- the producer's commands ------------------------------------------------
+
+
+def cmd_invariants(args: SimpleNamespace) -> None:
+    """Write the bundle of a spec's prime ideals up to `--primes`, with the `--set` entries."""
+    from .codec import _write_output, bundle_to_json
+
+    spec = _spec_from_args(args)
+    group = class_group(spec)
+    primes = enumerate_prime_ideals(spec, args.primes)
+    known = {p.label for p in primes}
+    subsets = [tuple(s.strip() for s in raw.split(",") if s.strip()) for raw in args.set or []]
+    for subset in subsets:
+        if missing := set(subset) - known:
+            raise UsageError(f"unknown labels in --set: {sorted(missing)}")
+    bundle = build_bundle(group, primes)
+    for subset in subsets:
+        bundle.entry(subset)
+    # The file must also carry every entry a blind `reconstruct` will read:
+    # the greedy chains, run on the true norms, query the same sets as the
+    # consumer's.  When the odd-norm classes fall short of the class group,
+    # the file is still written, with a warning.
+    try:
+        add_chain_entries(bundle, primes)
+    except InsufficientGenerators as exc:
+        print(f"warning: {exc}", file=sys.stderr)
+    if args.show_labels:
+        for i, label in enumerate(bundle.labels):
+            print(f"# {i} = {label}", file=sys.stderr)
+    _write_output(bundle_to_json(bundle), args.output)
+
+
+def cmd_roundtrip(args: SimpleNamespace) -> None:
+    """Write the round-trip report of a spec; a failed verdict raises once it is written."""
+    from .codec import _write_output, report_text
+
+    if args.zeta is not None and args.zeta > args.primes:
+        # the true coefficients, like the blind ones, see only these primes
+        raise UsageError(f"--zeta {args.zeta} is above the --primes bound {args.primes}")
+    spec = _spec_from_args(args)
+    group = class_group(spec)
+    primes = enumerate_prime_ideals(spec, args.primes)
+    zeta_bound = args.zeta if args.zeta is not None else args.primes
+    report = roundtrip(group, primes, zeta_bound)
+    _write_output(report_text(report), args.output)
+    if not report.all_passed:
+        failed = ", ".join(v.name for v in report.verdicts if not v.passed)
+        raise VerdictFailed(f"failed verdicts: {failed}")
+
+
+def cmd_compare(args: SimpleNamespace) -> None:
+    """Write the comparison of two specs; a difference raises once it is written."""
+    from .codec import _write_output, comparison_text
+
+    spec_a = _spec_from_args(args)
+    spec_b = _spec_from_args(args, suffix="2")
+    result = compare_fields(spec_a, spec_b, args.bound)
+    _write_output(comparison_text(result), args.output)
+    if not result.equivalent:
+        raise VerdictFailed(result.describe())

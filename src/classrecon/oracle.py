@@ -21,13 +21,13 @@ trustworthy than one that silently takes shortcuts.
 The general Smith normal form (`smith_normal_form`, with both transforms,
 and `cokernel_of_columns` on top of it) lives here as well: it is the
 brute-force route behind `lattice_quotient`, and the tests' reference for
-the class-group build's own cokernel, `fields._cokernel`.  Apart from
+the class-group build's own cokernel, `forms._cokernel`.  Apart from
 those, none of this code shares machinery with the Smith normal form it
 validates; lattice questions, including the multiplier relations a
 quotient prediction asserts, are settled by a plain insertion echelon
 basis and literal enumeration.  The reference values the
 tests compare against live here too: exact determinants, element orders
-and primary decompositions.  As in `fields`, a form is its (a, b, c) int
+and primary decompositions.  As in `forms`, a form is its (a, b, c) int
 triple; a matrix is the tuple of its rows (`Matrix`).
 """
 
@@ -39,7 +39,8 @@ from typing import Sequence
 
 from .abgroup import FinGenAbGroup, GroupElement, factorize
 from .errors import InternalContradiction
-from .fields import FieldSpec, PrimeIdealDatum, Triple, _check_discriminant, class_group
+from .fields import FieldSpec, PrimeIdealDatum
+from .forms import Triple, _check_discriminant, class_group
 from .lattice import xgcd
 
 QUOTIENT_GUARD = 10_000
@@ -708,7 +709,7 @@ def naive_reduced_forms(d: int) -> list[Triple]:
     """All reduced triples (a, b, c) of a negative fundamental discriminant, sorted.
 
     Tries every pair (a, b) with a <= sqrt(|d|/3) and -a < b <= a, about
-    |d|/3 steps; the reference for `fields._reduced_triples`.
+    |d|/3 steps; the reference for `forms._reduced_triples`.
     """
     _check_discriminant(d)
     forms = []
@@ -732,7 +733,7 @@ def naive_reduce(a: int, b: int, c: int) -> Triple:
     Alternates two moves until the form is reduced: b goes to the
     representative of b modulo 2a in (-a, a], with c recomputed from the
     discriminant, and (a, b, c) goes to (c, -b, a) while c < a.  The
-    reference for `fields._reduce_triple`, which keeps c by its shift.
+    reference for `forms._reduce_triple`, which keeps c by its shift.
     """
     d = b * b - 4 * a * c
     if a <= 0 or d >= 0:
@@ -757,7 +758,7 @@ def dirichlet_compose(f: Triple, g: Triple) -> Triple:
     2*a1*a2 with B = b1 (mod 2a1) and B = b2 (mod 2a2), found by CRT;
     then B^2 = D (mod 4*a1*a2), and the composite is
     (a1*a2, B, (B^2 - D)/(4*a1*a2)).  It shares no step with the
-    united-forms kernel `fields._compose_triples` it certifies, and
+    united-forms kernel `forms._compose_triples` it certifies, and
     `naive_reduce` reduces it.
     """
     (a1, b1, c1), (a2, b2, c2) = f, g

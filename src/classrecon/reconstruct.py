@@ -14,8 +14,8 @@ lattice quotient attached to F.  From that alone the pipeline recovers
 
 Labels never carry arithmetic annotations here.  This module imports only
 `abgroup` and `errors`, so the blinding rule is a fact of the import
-graph: nothing the producer knows (`fields`, `lattice`) is loaded by a
-blind `reconstruct`.  `lattice.build_bundle` erases the labels, and the
+graph: nothing the producer knows (`forms`, `fields`, `lattice`) is
+loaded by a blind `reconstruct`.  `lattice.build_bundle` erases the labels, and the
 round-trip and comparison drivers that hold the ground truth live there.
 """
 

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 import argparse
 
-from classrecon.cli import (
-    cmd_classgroup,
-    cmd_compare,
-    cmd_invariants,
-    cmd_reconstruct,
-    cmd_roundtrip,
-)
+from classrecon.codec import cmd_reconstruct
+from classrecon.forms import cmd_classgroup
+from classrecon.lattice import cmd_compare, cmd_invariants, cmd_roundtrip
 
 
 def _positive_int(text: str) -> int:

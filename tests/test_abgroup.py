@@ -2,7 +2,10 @@
 
 import doctest
 import operator
+import os
 import random
+import subprocess
+import sys
 import time
 from math import isqrt
 
@@ -23,7 +26,7 @@ from classrecon.abgroup import (
     primes_up_to,
 )
 from classrecon.errors import MAX_BOUND
-from classrecon.fields import smallest_prime_factors, sqrt_mod_prime, sqrt_mod_prime_power
+from classrecon.forms import smallest_prime_factors, sqrt_mod_prime, sqrt_mod_prime_power
 from classrecon.lattice import index_and_relations, xgcd
 from classrecon.oracle import (
     QUOTIENT_GUARD,
@@ -585,6 +588,27 @@ class TestIntegerHelpers:
         # a factor in the table still settles the answer
         assert not is_prime(3 * (2**31 - 1))
         assert not is_prime_power(2 * (2**31 - 1))
+
+    def test_the_prime_table_is_sieved_by_the_first_primality_test(self):
+        # `classgroup -D` tests no primality, so a fresh call never sieves
+        # the table; the first test fills it with the primes up to
+        # isqrt(MAX_BOUND), and a refusal still names the last of them
+        src = os.path.dirname(os.path.dirname(classrecon.abgroup.__file__))
+        code = (
+            "from classrecon import abgroup\n"
+            "from classrecon.cli import main\n"
+            "assert main(['classgroup', '-D', '-84']) == 0\n"
+            "assert abgroup._SMALL_PRIMES == [], 'classgroup -D sieved the table'\n"
+            "assert abgroup.is_prime(9_999_991)\n"
+            "assert abgroup._SMALL_PRIMES == abgroup.primes_up_to(3162)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        with pytest.raises(LimitExceeded, match="no prime factor up to 3137$"):
+            is_prime(2**31 - 1)
 
     def test_large_integer_without_small_factors_is_refused_fast(self):
         # one division per table prime refuses a 65 000-bit input

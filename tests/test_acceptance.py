@@ -12,12 +12,8 @@ import pytest
 import sympy
 
 from classrecon.abgroup import FinGenAbGroup
-from classrecon.fields import (
-    QuadraticSpec,
-    SyntheticSpec,
-    class_group,
-    enumerate_prime_ideals,
-)
+from classrecon.fields import SyntheticSpec, enumerate_prime_ideals
+from classrecon.forms import QuadraticSpec, class_group
 from classrecon.lattice import build_bundle, compare_fields, index_and_relations, roundtrip
 from classrecon.oracle import (
     ClassGroupModel,

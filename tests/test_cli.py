@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, file formats, exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -16,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classrecon
-from classrecon import cli, codec, errors, fields, lattice, oracle, reconstruct
+from classrecon import cli, codec, errors, fields, forms, lattice, oracle, reconstruct
 from classrecon.cli import EXIT_FAIL, EXIT_INSUFFICIENT, EXIT_OK, EXIT_USAGE, main
 from classrecon.codec import bundle_from_json, bundle_to_json, synthetic_spec_from_json
-from classrecon.fields import QuadraticSpec, class_group, enumerate_prime_ideals
+from classrecon.fields import enumerate_prime_ideals
+from classrecon.forms import QuadraticSpec, class_group
 from classrecon.abgroup import FinGenAbGroup
 from classrecon.lattice import build_bundle
 from classrecon.reconstruct import InvariantBundle
@@ -69,7 +71,7 @@ class TestClassGroupCommand:
         def no_enumeration(*args):
             raise AssertionError("work started on a refused discriminant")
 
-        monkeypatch.setattr(fields, "is_fundamental_discriminant", no_enumeration)
+        monkeypatch.setattr(forms, "is_fundamental_discriminant", no_enumeration)
         assert main(["classgroup", "-D", "-1000000000007"]) == EXIT_INSUFFICIENT
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -577,13 +579,13 @@ def test_runtime_needs_no_brute_force_quotient(tmp_path):
 @pytest.fixture
 def snf_calls(monkeypatch):
     """Calls to the general `oracle.smith_normal_form` and to the class-group
-    build's `fields._cokernel`, counted at every binding in the package.
+    build's `forms._cokernel`, counted at every binding in the package.
 
     The package's memo caches are cleared first, so a call pays its class
     group build as it would in a fresh process.
     """
     calls = {"smith_normal_form": [], "_cokernel": []}
-    originals = {oracle.smith_normal_form: "smith_normal_form", fields._cokernel: "_cokernel"}
+    originals = {oracle.smith_normal_form: "smith_normal_form", forms._cokernel: "_cokernel"}
 
     def counting(original, name):
         def counted(*args, **kwargs):
@@ -1023,7 +1025,8 @@ def test_table_parser_agrees_with_argparse(argv):
 )
 def test_accepted_forms(argv, values):
     handler, args = cli._parse(argv)
-    assert handler is cli.COMMANDS[argv[0]][0]
+    module, name = cli.COMMANDS[argv[0]][:2]
+    assert handler is getattr(importlib.import_module(f"classrecon.{module}"), name)
     assert vars(args) == values
 
 
@@ -1113,6 +1116,7 @@ DOCUMENTED_EXIT_CODES = {
     "InsufficientGenerators": EXIT_INSUFFICIENT,
     "BundleEntryMissing": EXIT_INSUFFICIENT,
     "LimitExceeded": EXIT_INSUFFICIENT,
+    "VerdictFailed": EXIT_FAIL,
 }
 ERROR_CLASSES = [c for c in vars(errors).values()
                  if isinstance(c, type) and issubclass(c, Exception)]
@@ -1128,7 +1132,7 @@ def test_every_error_class_exits_with_its_code_and_one_line(cls, capsys, monkeyp
     def handler(args):
         raise cls("a message\n  on two lines")
 
-    monkeypatch.setitem(cli.COMMANDS, "classgroup", (handler, *cli.COMMANDS["classgroup"][1:]))
+    monkeypatch.setattr(forms, "cmd_classgroup", handler)
     assert main(["classgroup", "-D", "-4"]) == DOCUMENTED_EXIT_CODES[cls.__name__]
     assert capsys.readouterr() == ("", "error: a message on two lines\n")
 
@@ -1386,7 +1390,7 @@ class TestSyntheticParsing:
             "invariant_factors": ["100000000"],
             "primes": [{"norm": "3", "class": [1], "residue_char": "3"}],
         }
-        with pytest.raises(fields.LimitExceeded):
+        with pytest.raises(errors.LimitExceeded):
             synthetic_spec_from_json(doc)
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))

@@ -9,28 +9,33 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from classrecon import fields
+from classrecon import fields, forms
 from classrecon.fields import (
+    SyntheticSpec,
+    _prime_triple,
+    enumerate_prime_ideals,
+    validate_synthetic,
+)
+from classrecon.forms import (
+    QuadraticSpec,
+    _cokernel,
+    _compose_triples,
+    _discriminant_data,
+    _reduce_triple,
+    _reduced_triples,
+    class_group,
+    is_fundamental_discriminant,
+)
+from classrecon.abgroup import FinGenAbGroup, primes_up_to
+from classrecon.errors import (
+    MAX_BOUND,
     MAX_DISCRIMINANT,
+    InsufficientGenerators,
     InternalContradiction,
     InvalidDiscriminant,
     InvalidSyntheticSpec,
     LimitExceeded,
-    QuadraticSpec,
-    SyntheticSpec,
-    _cokernel,
-    _compose_triples,
-    _discriminant_data,
-    _prime_triple,
-    _reduce_triple,
-    _reduced_triples,
-    class_group,
-    enumerate_prime_ideals,
-    is_fundamental_discriminant,
-    validate_synthetic,
 )
-from classrecon.abgroup import FinGenAbGroup, primes_up_to
-from classrecon.errors import MAX_BOUND, InsufficientGenerators
 from classrecon.lattice import index_and_relations, roundtrip
 from classrecon.oracle import (
     QUOTIENT_GUARD,
@@ -339,14 +344,14 @@ class TestComposition:
         # translate or as a power step, and the principal form translates
         # without a composition: h - 1 in all, no h^2 table
         calls = 0
-        compose = fields._compose_triples
+        compose = forms._compose_triples
 
         def counted(f, g):
             nonlocal calls
             calls += 1
             return compose(f, g)
 
-        monkeypatch.setattr(fields, "_compose_triples", counted)
+        monkeypatch.setattr(forms, "_compose_triples", counted)
         data = _discriminant_data.__wrapped__(-202127)
         assert len(data.forms) == 303
         assert 0 < calls < len(data.forms)
@@ -376,8 +381,8 @@ class TestComposition:
 
         # the refusal comes before the squarefree test, which comes before
         # any form enumeration
-        monkeypatch.setattr(fields, "is_fundamental_discriminant", no_enumeration)
-        monkeypatch.setattr(fields, "factorize", no_enumeration)
+        monkeypatch.setattr(forms, "is_fundamental_discriminant", no_enumeration)
+        monkeypatch.setattr(forms, "factorize", no_enumeration)
         for d in (-MAX_DISCRIMINANT - 1, -(10**400)):
             with pytest.raises(LimitExceeded, match=r"^\|D\| = \d+ exceeds the limit"):
                 _discriminant_data(d)
@@ -386,15 +391,15 @@ class TestComposition:
 
     def test_prime_enumeration_factors_the_discriminant_once(self, monkeypatch):
         calls = []
-        factorize = fields.factorize
+        factorize = forms.factorize
 
         def counted(n):
             calls.append(n)
             return factorize(n)
 
-        monkeypatch.setattr(fields, "factorize", counted)
-        fields._check_discriminant.cache_clear()
-        fields._discriminant_data.cache_clear()
+        monkeypatch.setattr(forms, "factorize", counted)
+        forms._check_discriminant.cache_clear()
+        forms._discriminant_data.cache_clear()
         data = enumerate_prime_ideals(QuadraticSpec(-100019), 2000)
         assert len(data) > 250  # one check, not one per prime
         assert calls == [100019]

@@ -8,11 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classrecon.abgroup import FinGenAbGroup
-from classrecon.fields import (
-    PrimeIdealDatum,
-    QuadraticSpec,
-    enumerate_prime_ideals,
-)
+from classrecon.fields import PrimeIdealDatum, enumerate_prime_ideals
+from classrecon.forms import QuadraticSpec
 from classrecon.lattice import build_bundle
 from classrecon.reconstruct import reconstruct_all
 from classrecon.oracle import (

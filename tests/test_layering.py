@@ -5,14 +5,15 @@ import them.  The blind consumer (`reconstruct`, with the shared `abgroup`
 and `errors`) imports no producer module (`fields`, `lattice`, `oracle`),
 so the blinding rule holds by construction.  No module imports `cli`, and
 each subcommand loads exactly the modules it runs: nothing is compiled that
-a call does not use.  The modules that a cold `classgroup -D` and a cold
-`reconstruct` load stay within a budget of AST nodes, so code neither runs
-does not creep back into them.
+a call does not use.  The modules that each cold command loads stay within
+a budget of AST nodes, so code it does not run does not creep back into
+them.
 
 Every public top-level function and class of a runtime module, and every
 public method of its classes, is read by runtime code or by the benchmark
-under `perfbench/`, and so is every private top-level function, outside
-its own body: code that only tests call is deleted.
+under `perfbench/` (a handler counts as read by the row of `cli.COMMANDS`
+that names it), and so is every private top-level function, outside its
+own body: code that only tests call is deleted.
 
 The runtime also stays off `dataclasses`, which loads `inspect` and
 generates code for each class at import: every CLI call would pay for it.
@@ -28,6 +29,7 @@ every output is laid out from the codec's fixed templates.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -36,7 +38,7 @@ from pathlib import Path
 import pytest
 
 import classrecon
-from classrecon import oracle
+from classrecon import cli, oracle
 
 PACKAGE = Path(classrecon.__file__).parent
 RUNTIME = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "oracle"]
@@ -186,7 +188,8 @@ def _unread_private_functions(tree: ast.Module, elsewhere: set[str]) -> set[str]
 
 @pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
 def test_runtime_defines_nothing_only_tests_call(path):
-    used = set()
+    # `cli.main` imports each handler by the module and name its row gives
+    used = {name for _, name, *_ in cli.COMMANDS.values()}
     for user in [*RUNTIME, *sorted(PERFBENCH.rglob("*.py"))]:
         used |= _references(_parse(user))
     unused = _unused_definitions(_parse(path), used)
@@ -580,35 +583,42 @@ def _loaded_by(*argv: str) -> tuple[list[str], bool]:
     return sorted(n.removeprefix("classrecon.") for n in names), json_loaded == "True"
 
 
-# `invariants` and `roundtrip` produce a bundle and reconstruct it blind
+# `invariants`, `roundtrip` and `compare` produce bundles and reconstruct them blind
 EVERY_RUNTIME_MODULE = [
-    "abgroup", "classrecon", "cli", "codec", "errors", "fields", "lattice", "reconstruct",
+    "abgroup", "classrecon", "cli", "codec", "errors", "fields", "forms", "lattice",
+    "reconstruct",
 ]
 
-# The modules that a cold `classgroup -D` and a cold `reconstruct` load, and
-# so compile (the package ships no bytecode), with the most AST nodes they
-# may hold together.  A call pays about 2 us of compile per node.
+# What each command loads, and so compiles (the package ships no bytecode):
+# its argv, the modules, and the most AST nodes they may hold together.  A
+# call pays about 2 us of compile per node.
 COLD_PATHS = {
-    "classgroup-D": (["abgroup", "classrecon", "cli", "errors", "fields"], 8403),
-    "reconstruct": (["abgroup", "classrecon", "cli", "codec", "errors", "reconstruct"], 8598),
+    "classgroup-D": (
+        ["classgroup", "-D", "-84"], ["abgroup", "classrecon", "cli", "errors", "forms"], 6773,
+    ),
+    "classgroup-synthetic": (
+        ["classgroup", "--synthetic", str(GOLDEN / "synthetic_248.json")],
+        ["abgroup", "classrecon", "cli", "codec", "errors", "fields", "forms"],
+        9875,
+    ),
+    "reconstruct": (
+        ["reconstruct", str(GOLDEN / "invariants_1031.out")],
+        ["abgroup", "classrecon", "cli", "codec", "errors", "reconstruct"],
+        7734,
+    ),
+    "invariants": (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14531),
+    "roundtrip": (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14531),
+    "compare": (
+        ["compare", "-D", "-84", "-D2", "-84", "--bound", "30"], EVERY_RUNTIME_MODULE, 14531,
+    ),
+    "help": (["--help"], ["classrecon", "cli", "errors", "usage"], 1886),
 }
 
 
 @pytest.mark.parametrize(
     ("argv", "modules"),
-    [
-        ([], ["classrecon"]),
-        (["classgroup", "-D", "-84"], COLD_PATHS["classgroup-D"][0]),
-        (
-            ["classgroup", "--synthetic", str(GOLDEN / "synthetic_248.json")],
-            ["abgroup", "classrecon", "cli", "codec", "errors", "fields"],
-        ),
-        (["reconstruct", str(GOLDEN / "invariants_1031.out")], COLD_PATHS["reconstruct"][0]),
-        (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE),
-        (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE),
-    ],
-    ids=["import", "classgroup-D", "classgroup-synthetic", "reconstruct", "invariants",
-         "roundtrip"],
+    [([], ["classrecon"]), *(path[:2] for path in COLD_PATHS.values())],
+    ids=["import", *COLD_PATHS],
 )
 def test_each_command_loads_only_what_it_runs(argv, modules):
     loaded, json_loaded = _loaded_by(*argv)
@@ -626,8 +636,10 @@ def _ast_nodes(module: str) -> int:
 def test_cold_paths_compile_no_more_than_their_budget(command):
     # Code that a command does not run lives outside the modules it loads:
     # the general Smith normal form in `oracle`, the column echelon in
-    # `lattice`.  A move back, or new code on these paths, shows up here.
-    modules, budget = COLD_PATHS[command]
+    # `lattice`, the prime ideals in `fields`, each handler beside its work
+    # and the help text in `usage`.  A move back, or new code on these
+    # paths, shows up here.
+    _, modules, budget = COLD_PATHS[command]
     assert sum(map(_ast_nodes, modules)) <= budget
 
 
@@ -641,13 +653,50 @@ def test_run_as_a_module_writes_nothing_to_stderr():
     assert proc.stdout == "Z/2 x Z/2; forms: (1,0,21),(2,2,11),(3,0,7),(5,4,5)\n"
 
 
+# The tracer's targets whose functions moved before this test was written
+# (ROADMAP item 12 re-points them); every other target must resolve.
+ABSENT_TRACER_TARGETS = {
+    "abgroup.smith_normal_form",
+    "fields.class_group_model",
+    "lattice.lattice_quotient",
+    "lattice.predicted_quotient",
+    "lattice.singleton_quotient",
+}
+
+
 def test_cli_forwards_the_names_the_benchmark_reads():
-    from classrecon import cli, codec, lattice, reconstruct
+    # `perfbench/` reads these names where they are read here; a move that
+    # dropped one would fail its run or turn a per-layer metric "absent".
+    from classrecon import codec, fields, forms, lattice, reconstruct
 
     for name in ("bundle_from_json", "bundle_to_json", "report_to_json",
                  "synthetic_spec_from_json"):
         assert getattr(cli, name) is getattr(codec, name)
     assert cli.reconstruct_all is reconstruct.reconstruct_all
+    assert callable(cli.main)
     assert classrecon.build_bundle is lattice.build_bundle
+    assert classrecon.QuadraticSpec is forms.QuadraticSpec
+    assert classrecon.class_group is forms.class_group
+    assert classrecon.enumerate_prime_ideals is fields.enumerate_prime_ideals
+    assert classrecon.class_group_model is oracle.class_group_model
+    assert classrecon.lattice_quotient is oracle.lattice_quotient
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name  # noqa: B018
+    # `perfbench/tracer.py` wraps each target by module and attribute path,
+    # and reports one it cannot find as absent, with its metrics at 0
+    [targets] = [
+        ast.literal_eval(node.value)
+        for node in _parse(PERFBENCH / "tracer.py").body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    ]
+    absent = set()
+    for name, (module_name, path) in targets.items():
+        module = importlib.import_module(f"classrecon.{module_name}")
+        owner, _, attr = path.rpartition(".")
+        if owner:  # a method, defined on the class itself
+            found = attr in vars(getattr(module, owner))
+        else:
+            found = callable(getattr(module, attr, None))
+        if not found:
+            absent.add(name)
+    assert absent == ABSENT_TRACER_TARGETS

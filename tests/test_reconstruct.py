@@ -22,13 +22,8 @@ from classrecon.codec import (
     synthetic_spec_from_json,
 )
 from classrecon.abgroup import FinGenAbGroup, integer_nth_root
-from classrecon.fields import (
-    QuadraticSpec,
-    SyntheticSpec,
-    class_group,
-    enumerate_prime_ideals,
-    validate_synthetic,
-)
+from classrecon.fields import SyntheticSpec, enumerate_prime_ideals, validate_synthetic
+from classrecon.forms import QuadraticSpec, class_group
 from classrecon.lattice import (
     add_chain_entries,
     build_bundle,
