@@ -157,10 +157,6 @@ class FinGenAbGroup(SlotRecord):
             tors = [x for x in tors if x != 1]
         return cls.trusted(tuple(tors) + (0,) * orders.count(0))
 
-    @classmethod
-    def trivial(cls) -> FinGenAbGroup:
-        return cls(())
-
     @property
     def free_rank(self) -> int:
         return sum(1 for x in self.factors if x == 0)

@@ -21,7 +21,9 @@ map exceptions to exit codes; the help text, in `usage`, loads only for
 
 So a blind `reconstruct` never loads the producer (`forms`, `fields`,
 `lattice`), and `classgroup -D` loads neither the consumer, the codec,
-the prime ideals in `fields` nor `json`.  The JSON formats live in `codec`.
+the prime ideals in `fields` nor `json`.  The JSON formats live in
+`codec`; synthetic specs are loaded, and every spec error decided, by
+`fields.synthetic_spec_from_json` alone.
 
 `COMMANDS` is the one table of the command line.  `_parse` fills a
 handler's arguments in one walk over argv; `-h`/`--help` prints usage made
@@ -205,7 +207,7 @@ def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], None] | None, S
     module, name = COMMANDS[command][:2]
     # `__import__` rather than `importlib.import_module`: `-X importtime`
     # reports only the former
-    handler = getattr(__import__(module, globals(), None, (name,), 1), name)
+    handler = getattr(__import__(module, globals(), level=1), name)
     return handler, SimpleNamespace(**values)
 
 
@@ -230,27 +232,22 @@ def _error(exc: Exception, code: int) -> int:
     return code
 
 
-# The benchmark (`perfbench/`) reads these names from this module.  They
-# resolve on first access, so importing `cli` loads neither side.  ROADMAP
-# item 1, the next change to the benchmark, re-points it to the names'
-# homes and deletes this hook.
-_FROM_CODEC = (
-    "bundle_from_json",
-    "bundle_to_json",
-    "report_to_json",
-    "synthetic_spec_from_json",
-)
+# The benchmark (`perfbench/`) reads these names from this module, each from
+# the module it names here.  They resolve on first access, so importing
+# `cli` loads neither side.  ROADMAP item 12 re-points the benchmark to the
+# names' homes and deletes this hook.
+_BENCHMARK_NAMES = {
+    "bundle_from_json": "codec",
+    "bundle_to_json": "codec",
+    "report_to_json": "codec",
+    "synthetic_spec_from_json": "fields",
+    "reconstruct_all": "reconstruct",
+}
 
 
 def __getattr__(name: str):
-    if name in _FROM_CODEC:
-        from . import codec
-
-        return getattr(codec, name)
-    if name == "reconstruct_all":
-        from .reconstruct import reconstruct_all
-
-        return reconstruct_all
+    if name in _BENCHMARK_NAMES:
+        return getattr(__import__(_BENCHMARK_NAMES[name], globals(), level=1), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

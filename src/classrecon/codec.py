@@ -1,11 +1,12 @@
-"""The JSON file formats: bundles, reports, compare results and synthetic specs.
+"""The JSON file formats (bundles, reports, compare results) and the shared readers.
 
 Only the commands that read or write JSON import this module, so
-`classgroup -D` loads neither it nor `json`.  Each loader imports the
-types it builds when it runs: `bundle_from_json` the blind consumer's
-`InvariantBundle`, `synthetic_spec_from_json` the producer's field data.
-So reading a bundle never loads the producer, and reading a spec never
-loads the consumer.  The `reconstruct` command's handler,
+`classgroup -D` loads neither it nor `json`.  `bundle_from_json` imports
+the blind consumer's `InvariantBundle` when it runs, so the codec loads no
+producer, and reading a bundle never loads one.  Synthetic specs are read
+by `fields.synthetic_spec_from_json`, beside the field data it builds,
+with this module's `_read_json`, `_json_int` and `_json_list`; so the
+blind consumer compiles no spec code.  The `reconstruct` command's handler,
 `cmd_reconstruct`, lives here on the consumer side for the same reason:
 it reads a bundle file and writes a report, with `reconstruct` alone.
 
@@ -18,21 +19,22 @@ changed.  A bundle repeats few distinct factors many times, so the writer
 converts each distinct factor once per bundle and the loader reads each
 distinct factor string once per file.
 
-Each file type has one validating loader (`bundle_from_json`,
-`synthetic_spec_from_json`) that turns any defect into its one-line error.
-Input files and stdin are read as UTF-8 whatever the locale (RFC 8259).
-Every output is the text of `json.dumps(doc, indent=2, sort_keys=True)`,
-written as ASCII without the pure-Python encoder json.dumps runs when it
-indents.  Each output has one fixed shape, so `bundle_to_json`,
-`report_text` and `comparison_text` lay it out from fixed templates, keys
-in sorted order: strings go through the C `encode_basestring_ascii`, and
-every integer written as a string through `_decimal`.  Property tests hold
-each to json.dumps of a plain document builder kept in the tests.  An
-output file is written in place and then cut to length, not truncated to
-zero first: ext4, XFS and btrfs flush a truncated-and-rewritten file on
-close, a wait of about a fifth of a `reconstruct` call.  Writes are still
-not atomic: an interrupted write exits non-zero and may leave the old
-file's tail, where truncating first left a cut-off file.
+Each input file type has one validating loader (`bundle_from_json` here,
+`fields.synthetic_spec_from_json`) that turns any defect into its one-line
+error.  Input files and stdin are read as UTF-8 whatever the locale (RFC
+8259).  Every output is the text of `json.dumps(doc, indent=2,
+sort_keys=True)`, written as ASCII without the pure-Python encoder
+json.dumps runs when it indents.  Each output has one fixed shape, so
+`bundle_to_json`, `report_text` and `comparison_text` lay it out from fixed
+templates, keys in sorted order: strings go through the C
+`encode_basestring_ascii`, and every integer written as a string through
+`_decimal`.  Property tests hold each to json.dumps of a plain document
+builder kept in the tests.  An output file is written in place and then
+cut to length, not truncated to zero first: ext4, XFS and btrfs flush a
+truncated-and-rewritten file on close, a wait of about a fifth of a
+`reconstruct` call.  Writes are still not atomic: an interrupted write
+exits non-zero and may leave the old file's tail, where truncating first
+left a cut-off file.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from typing import TYPE_CHECKING, Any
 from .abgroup import FinGenAbGroup, is_canonical, is_prime_power
 from .errors import (
     MAX_QUOTIENT_BITS,
-    InvalidSyntheticSpec,
     LimitExceeded,
     MalformedBundle,
     UnreadableInput,
@@ -58,7 +59,6 @@ from .errors import (
 if TYPE_CHECKING:
     from types import SimpleNamespace
 
-    from .fields import SyntheticSpec
     from .lattice import ComparisonResult
     from .reconstruct import InvariantBundle, ReconstructionReport
 
@@ -303,42 +303,6 @@ def bundle_from_json(doc: Any) -> InvariantBundle:
         if frozenset({label}) not in entries:
             raise MalformedBundle(f"bundle file lacks the singleton entry for {label}")
     return bundle
-
-
-def synthetic_spec_from_json(doc: Any) -> SyntheticSpec:
-    """Load and validate a synthetic spec; every defect is an InvalidSyntheticSpec.
-
-    A norm is a prime power because `PrimeIdealDatum` makes it a power of
-    its residue characteristic and `validate_synthetic` proves that prime.
-    """
-    from .fields import PrimeIdealDatum, SyntheticSpec, validate_synthetic
-
-    bad = InvalidSyntheticSpec
-    if not isinstance(doc, dict):
-        raise bad("a synthetic spec must hold a JSON object")
-    factors = tuple(
-        _json_int(x, "an invariant factor", bad)
-        for x in _json_list(doc.get("invariant_factors"), "invariant_factors", bad)
-    )
-    primes = []
-    for i, item in enumerate(_json_list(doc.get("primes"), "primes", bad)):
-        if not isinstance(item, dict):
-            raise bad(f"prime {i} must be a JSON object")
-        label = str(item.get("label", f"s{i}"))
-        norm = _json_int(item.get("norm"), f"norm of {label}", bad)
-        cls = tuple(
-            _json_int(c, f"class of {label}", bad)
-            for c in _json_list(item.get("class"), f"class of {label}", bad)
-        )
-        residue_char = _json_int(item.get("residue_char"), f"residue_char of {label}", bad)
-        try:
-            datum = PrimeIdealDatum(
-                label=label, norm=norm, cls=cls, residue_char=residue_char
-            )
-        except ValueError as exc:
-            raise InvalidSyntheticSpec(f"prime {label}: {exc}") from None
-        primes.append(datum)
-    return validate_synthetic(SyntheticSpec(factors=factors, primes=tuple(primes)))
 
 
 def _read_json(path: str) -> Any:

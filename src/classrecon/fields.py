@@ -8,8 +8,11 @@ rational prime, which both decides its splitting and gives its prime form,
 and finds a prime's class by that form's reduced triple in the class group
 that `forms` builds.  Synthetic field specifications carry an arbitrary
 finite abelian group and a free-form prime stream, so class groups outside
-quadratic reach enter the test matrix.  Either kind of spec yields its
-primes as `PrimeIdealDatum`s.
+quadratic reach enter the test matrix.  `synthetic_spec_from_json` is
+their one loader: it reads a spec document's JSON shape, with the codec's
+integer and array readers, and decides every rule of a valid spec.
+Either kind of spec yields its primes as `PrimeIdealDatum`s, plain records
+that check nothing.
 
 This module imports neither the lattice producer nor the blind consumer.
 `classgroup -D` does not load it: it runs the class-group build in
@@ -23,17 +26,17 @@ Prime bounds above `errors.MAX_BOUND` and synthetic groups of order above
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .abgroup import (
     FinGenAbGroup,
     GroupElement,
-    SlotRecord,
     brief,
     check_bound,
     is_prime,
     primes_up_to,
 )
+from .codec import _json_int, _json_list
 from .errors import (
     MAX_SYNTHETIC_ORDER,
     InternalContradiction,
@@ -74,29 +77,17 @@ def _prime_triple(d: int, q: int) -> Triple | None:
 
 
 
-class PrimeIdealDatum(SlotRecord):
+class PrimeIdealDatum(NamedTuple):
     """One prime ideal: a label, its norm, its ideal class, its residue prime.
 
-    The norm must be a power of the residue characteristic.
+    The norm is a power of the residue characteristic: the quadratic
+    enumeration builds it so, and `synthetic_spec_from_json` checks it.
     """
 
-    __slots__ = ("label", "norm", "cls", "residue_char")
-
-    def __init__(
-        self, label: str, norm: int, cls: GroupElement, residue_char: int
-    ) -> None:
-        if residue_char < 2:
-            raise ValueError("residue characteristic must be a prime >= 2")
-        n = norm
-        if n < 2:
-            raise ValueError("norm must be at least 2")
-        while n % residue_char == 0:
-            n //= residue_char
-        if n != 1:
-            raise ValueError(
-                f"norm {brief(norm)} is not a power of {brief(residue_char)}"
-            )
-        self.label, self.norm, self.cls, self.residue_char = label, norm, cls, residue_char
+    label: str
+    norm: int
+    cls: GroupElement
+    residue_char: int
 
     @property
     def has_odd_norm(self) -> bool:
@@ -113,42 +104,67 @@ class SyntheticSpec(NamedTuple):
 FieldSpec = QuadraticSpec | SyntheticSpec
 
 
-def validate_synthetic(spec: SyntheticSpec) -> SyntheticSpec:
-    """Check a synthetic spec; every failure is an InvalidSyntheticSpec.
+def synthetic_spec_from_json(doc: Any) -> SyntheticSpec:
+    """Load and validate a synthetic spec; every defect is an InvalidSyntheticSpec.
 
-    The factors must be canonical and finite, and each residue characteristic
-    a prime (so each norm, a power of it by `PrimeIdealDatum`, is a prime
-    power).  A group of order above MAX_SYNTHETIC_ORDER raises
+    Each prime is read and its norm checked to be a power of its residue
+    characteristic before the next prime is read.  Then the factors must be
+    canonical and finite, the labels distinct, each residue characteristic
+    a prime (so each norm is a prime power) and each class an element of
+    the group.  A group of order above MAX_SYNTHETIC_ORDER raises
     LimitExceeded, as does a characteristic that `is_prime` cannot certify.
     Whether the odd-norm classes generate the group is not checked here:
     the blind consumer decides it, as for a quadratic field.
     """
+    bad = InvalidSyntheticSpec
+    if not isinstance(doc, dict):
+        raise bad("a synthetic spec must hold a JSON object")
+    factors = tuple(
+        _json_int(x, "an invariant factor", bad)
+        for x in _json_list(doc.get("invariant_factors"), "invariant_factors", bad)
+    )
+    primes = []
+    for i, item in enumerate(_json_list(doc.get("primes"), "primes", bad)):
+        if not isinstance(item, dict):
+            raise bad(f"prime {i} must be a JSON object")
+        label = str(item.get("label", f"s{i}"))
+        norm = _json_int(item.get("norm"), f"norm of {label}", bad)
+        cls = tuple(
+            _json_int(c, f"class of {label}", bad)
+            for c in _json_list(item.get("class"), f"class of {label}", bad)
+        )
+        char = _json_int(item.get("residue_char"), f"residue_char of {label}", bad)
+        if char < 2:
+            raise bad(f"prime {label}: residue characteristic must be a prime >= 2")
+        if norm < 2:
+            raise bad(f"prime {label}: norm must be at least 2")
+        n = norm
+        while n % char == 0:
+            n //= char
+        if n != 1:
+            raise bad(f"prime {label}: norm {brief(norm)} is not a power of {brief(char)}")
+        primes.append(PrimeIdealDatum(label, norm, cls, char))
     try:
-        group = FinGenAbGroup(spec.factors)  # must already be canonical
+        group = FinGenAbGroup(factors)  # must already be canonical
     except ValueError as exc:
-        raise InvalidSyntheticSpec(f"invariant factors: {exc}") from None
+        raise bad(f"invariant factors: {exc}") from None
     if not group.is_finite:
-        raise InvalidSyntheticSpec("synthetic class group must be finite")
+        raise bad("synthetic class group must be finite")
     if group.order() > MAX_SYNTHETIC_ORDER:
         raise LimitExceeded(
             f"synthetic class group order {group.order()} exceeds the limit "
             f"{MAX_SYNTHETIC_ORDER}: every bundle entry lists up to that many factors"
         )
-    labels = [p.label for p in spec.primes]
-    if len(set(labels)) != len(labels):
-        raise InvalidSyntheticSpec("duplicate prime labels in synthetic spec")
-    for p in spec.primes:
+    if len({p.label for p in primes}) != len(primes):
+        raise bad("duplicate prime labels in synthetic spec")
+    for p in primes:
         if not is_prime(p.residue_char):
-            char = brief(p.residue_char)
-            raise InvalidSyntheticSpec(
-                f"residue characteristic {char} of {p.label} is not a prime"
-            )
+            raise bad(f"residue characteristic {brief(p.residue_char)} of {p.label} is not a prime")
         try:
             group.element(p.cls)
         except ValueError as exc:
-            raise InvalidSyntheticSpec(f"class of {p.label}: {exc}") from None
-    return spec
-
+            raise bad(f"class of {p.label}: {exc}") from None
+    return SyntheticSpec(factors, tuple(primes))
 
 
 def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]:

@@ -462,12 +462,13 @@ def class_group(spec: FieldSpec) -> FinGenAbGroup:
 def _spec_from_args(args: SimpleNamespace, suffix: str = "") -> FieldSpec:
     """The spec that `-D` or `--synthetic` names (`-D2`/`--synthetic2` with suffix "2").
 
-    A synthetic spec is read by `codec`, imported only then.
+    A synthetic spec is read by `codec` and loaded by `fields`, imported only then.
     """
     disc = getattr(args, f"discriminant{suffix}")
     if disc is not None:
         return QuadraticSpec(disc)
-    from .codec import _read_json, synthetic_spec_from_json
+    from .codec import _read_json
+    from .fields import synthetic_spec_from_json
 
     return synthetic_spec_from_json(_read_json(getattr(args, f"synthetic{suffix}")))
 

@@ -232,7 +232,7 @@ def quotient_from_terms(
             f"quotient order {brief(m)} of an odd-norm set is not even positive"
         )
     # m >= 1, since every N(p)**ord[p] - 1 is
-    return FinGenAbGroup.trusted((m,) * index) if m > 1 else FinGenAbGroup.trivial()
+    return FinGenAbGroup.trusted((m,) * index if m > 1 else ())
 
 
 def build_bundle(group: FinGenAbGroup, primes: Sequence[PrimeIdealDatum]) -> InvariantBundle:

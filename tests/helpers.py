@@ -10,7 +10,7 @@ from sympy import primefactors
 
 from classrecon.abgroup import FinGenAbGroup
 from classrecon.codec import BUNDLE_VERSION, _decimal
-from classrecon.fields import PrimeIdealDatum, SyntheticSpec
+from classrecon.fields import PrimeIdealDatum, SyntheticSpec, synthetic_spec_from_json
 from classrecon.lattice import ComparisonResult, build_bundle, index_and_relations
 from classrecon.oracle import ClassGroupModel, Matrix
 from classrecon.reconstruct import InvariantBundle, ReconstructionReport
@@ -40,6 +40,19 @@ def datum(label: str, norm: int, cls: tuple[int, ...], char: int | None = None) 
     if char is None:
         char = min(primefactors(norm))
     return PrimeIdealDatum(label=label, norm=norm, cls=cls, residue_char=char)
+
+
+def load_spec(spec: SyntheticSpec) -> SyntheticSpec:
+    """`spec` written as its spec document and read back by the one loader,
+    which refuses it if it is invalid."""
+    return synthetic_spec_from_json({
+        "invariant_factors": [str(x) for x in spec.factors],
+        "primes": [
+            {"label": p.label, "norm": str(p.norm), "class": list(p.cls),
+             "residue_char": str(p.residue_char)}
+            for p in spec.primes
+        ],
+    })
 
 
 def bundle_carrying(

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 import classrecon
 from classrecon import cli, codec, errors, fields, forms, lattice, oracle, reconstruct
 from classrecon.cli import EXIT_FAIL, EXIT_INSUFFICIENT, EXIT_OK, EXIT_USAGE, main
-from classrecon.codec import bundle_from_json, bundle_to_json, synthetic_spec_from_json
-from classrecon.fields import enumerate_prime_ideals
+from classrecon.codec import bundle_from_json, bundle_to_json
+from classrecon.fields import enumerate_prime_ideals, synthetic_spec_from_json
 from classrecon.forms import QuadraticSpec, class_group
 from classrecon.abgroup import FinGenAbGroup
 from classrecon.lattice import build_bundle
@@ -1322,6 +1322,80 @@ class TestOutputFile:
         assert capsys.readouterr() == ("", "")
 
 
+def _prime(**fields):
+    """A prime of a synthetic spec: norm 3, class (1,), residue characteristic 3."""
+    return {"norm": "3", "class": [1], "residue_char": "3", **fields}
+
+
+# Specs that parse as JSON but describe no field, each with its one line.
+# The last two have two defects each: a prime's datum is checked before the
+# next prime is read, and before the invariant factors.
+INCONSISTENT_SPECS = {
+    "norm-not-power-of-char": (
+        {"invariant_factors": ["2"], "primes": [_prime(residue_char="5")]},
+        "prime s0: norm 3 is not a power of 5",
+    ),
+    "non-canonical-factors": (
+        {"invariant_factors": ["2", "3"], "primes": [_prime(**{"class": [1, 1]})]},
+        "invariant factors: factors (2, 3) are not in canonical form",
+    ),
+    "composite-char": (
+        {"invariant_factors": ["2"], "primes": [_prime(norm="9", residue_char="9")]},
+        "residue characteristic 9 of s0 is not a prime",
+    ),
+    "huge-non-prime-power-norm": (
+        {"invariant_factors": ["2"], "primes": [_prime(norm="2" + "0" * 4000, residue_char="2")]},
+        "prime s0: norm <13289-bit integer> is not a power of 2",
+    ),
+    "huge-norm-not-power-of-char": (
+        {"invariant_factors": ["2"], "primes": [_prime(norm=str(3**3000), residue_char="5")]},
+        "prime s0: norm <4755-bit integer> is not a power of 5",
+    ),
+    "huge-composite-char": (
+        {"invariant_factors": ["2"],
+         "primes": [_prime(norm=str(3**3000), residue_char=str(3**1000))]},
+        "residue characteristic <1585-bit integer> of s0 is not a prime",
+    ),
+    "char-below-2": (
+        {"invariant_factors": ["2"], "primes": [_prime(residue_char="1")]},
+        "prime s0: residue characteristic must be a prime >= 2",
+    ),
+    "norm-below-2": (
+        {"invariant_factors": ["2"], "primes": [_prime(norm="1")]},
+        "prime s0: norm must be at least 2",
+    ),
+    "factor-1": (
+        {"invariant_factors": ["1", "2"], "primes": []},
+        "invariant factors: factor 1 is not allowed in canonical form",
+    ),
+    "negative-factor": (
+        {"invariant_factors": ["-2"], "primes": []},
+        "invariant factors: factors must be non-negative integers",
+    ),
+    "infinite-group": (
+        {"invariant_factors": ["2", "0"], "primes": []},
+        "synthetic class group must be finite",
+    ),
+    "duplicate-labels": (
+        {"invariant_factors": ["2"],
+         "primes": [_prime(label="a"), _prime(label="a", norm="5", residue_char="5")]},
+        "duplicate prime labels in synthetic spec",
+    ),
+    "class-of-wrong-length": (
+        {"invariant_factors": ["2"], "primes": [_prime(**{"class": [1, 0]})]},
+        "class of s0: expected 1 coordinates, got 2",
+    ),
+    "bad-datum-before-non-object-prime": (
+        {"invariant_factors": ["2"], "primes": [_prime(norm="6", residue_char="2"), 7]},
+        "prime s0: norm 6 is not a power of 2",
+    ),
+    "bad-datum-before-non-canonical-factors": (
+        {"invariant_factors": ["4", "2"], "primes": [_prime(norm="6", residue_char="2")]},
+        "prime s0: norm 6 is not a power of 2",
+    ),
+}
+
+
 class TestSyntheticParsing:
     def test_parses_and_validates(self):
         spec = synthetic_spec_from_json(SYNTHETIC_DOC)
@@ -1339,51 +1413,14 @@ class TestSyntheticParsing:
         assert spec.primes[0].label == "alpha"
 
     @pytest.mark.parametrize(
-        "doc",
-        [
-            {
-                "invariant_factors": ["2"],
-                "primes": [{"norm": "3", "class": [1], "residue_char": "5"}],
-            },
-            {
-                "invariant_factors": ["2", "3"],
-                "primes": [{"norm": "3", "class": [1, 1], "residue_char": "3"}],
-            },
-            {
-                "invariant_factors": ["2"],
-                "primes": [{"norm": "9", "class": [1], "residue_char": "9"}],
-            },
-            {
-                "invariant_factors": ["2"],
-                "primes": [{"norm": "2" + "0" * 4000, "class": [1], "residue_char": "2"}],
-            },
-            {
-                "invariant_factors": ["2"],
-                "primes": [{"norm": str(3**3000), "class": [1], "residue_char": "5"}],
-            },
-            {
-                "invariant_factors": ["2"],
-                "primes": [
-                    {"norm": str(3**3000), "class": [1], "residue_char": str(3**1000)}
-                ],
-            },
-        ],
-        ids=[
-            "norm-not-power-of-char",
-            "non-canonical-factors",
-            "composite-char",
-            "huge-non-prime-power-norm",
-            "huge-norm-not-power-of-char",
-            "huge-composite-char",
-        ],
+        ("doc", "line"), INCONSISTENT_SPECS.values(), ids=INCONSISTENT_SPECS.keys()
     )
-    def test_inconsistent_spec_exits_2(self, tmp_path, capsys, doc):
+    def test_inconsistent_spec_exits_2(self, tmp_path, capsys, doc, line):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["classgroup", "--synthetic", str(path)]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert len(err) < 200  # integers above 256 bits are named by their size
+        # integers above 256 bits are named by their size
+        assert capsys.readouterr() == ("", f"error: {line}\n")
 
     def test_group_order_above_limit_exits_3(self, tmp_path, capsys):
         doc = {
@@ -1603,15 +1640,21 @@ def shaped_bundle_docs(draw):
     return {"version": 1, "rank": rank, "labels": list(range(n)), "entries": entries}
 
 
+# Spec integers also reach the limits a spec meets: MAX_SYNTHETIC_ORDER
+# (10**5) and a prime above it, the largest prime below MAX_BOUND (10**7)
+# and a prime above it that trial division cannot certify, and large prime
+# powers.  `classgroup --synthetic` runs no sieve, so they cost no time.
+LIMIT_INTS = st.sampled_from([100_000, 100_003, 9_999_991, 10**7, 10**7 + 19, 3**20, 2**31 - 1])
+SPEC_INTEGERS = INTEGERS | LIMIT_INTS | LIMIT_INTS.map(str)
 SPEC_DOCS = st.fixed_dictionaries(
     {
-        "invariant_factors": st.lists(INTEGERS, max_size=3) | JSON_VALUES,
+        "invariant_factors": st.lists(SPEC_INTEGERS, max_size=3) | JSON_VALUES,
         "primes": st.lists(
             st.fixed_dictionaries(
                 {
-                    "norm": INTEGERS,
-                    "class": st.lists(INTEGERS, max_size=3) | JSON_VALUES,
-                    "residue_char": INTEGERS,
+                    "norm": SPEC_INTEGERS,
+                    "class": st.lists(SPEC_INTEGERS, max_size=3) | JSON_VALUES,
+                    "residue_char": SPEC_INTEGERS,
                 },
                 optional={"label": JSON_VALUES},
             )

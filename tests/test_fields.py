@@ -14,7 +14,7 @@ from classrecon.fields import (
     SyntheticSpec,
     _prime_triple,
     enumerate_prime_ideals,
-    validate_synthetic,
+    synthetic_spec_from_json,
 )
 from classrecon.forms import (
     QuadraticSpec,
@@ -50,7 +50,7 @@ from classrecon.oracle import (
     naive_represented_primes,
 )
 
-from helpers import datum
+from helpers import datum, load_spec
 
 TEST_DISCRIMINANTS = [-4, -20, -23, -47, -84]
 CLASS_NUMBERS = {-4: 1, -20: 2, -23: 3, -47: 5, -84: 4}
@@ -551,7 +551,7 @@ class TestEnumeration:
     def test_no_norm_above_the_bound_limit_comes_back(self):
         # No bundle carries a norm above MAX_BOUND, so the consumer's
         # primality test need decide no larger norm.
-        spec = validate_synthetic(SyntheticSpec((2,), (
+        spec = load_spec(SyntheticSpec((2,), (
             datum("a", 3, (1,)),
             datum("b", 3137**2, (0,)),
             datum("c", 9_999_991, (1,)),
@@ -580,11 +580,13 @@ class TestEnumeration:
 
 
 class TestSyntheticValidation:
+    # `synthetic_spec_from_json` alone decides whether a spec is valid; the
+    # command-line refusals, line by line, are in `tests/test_cli.py`.
     def test_valid_spec(self):
         spec = SyntheticSpec(
             (2,), (datum("a", 3, (1,)), datum("b", 7, (1,)))
         )
-        assert validate_synthetic(spec) is spec
+        assert load_spec(spec) == spec
 
     def test_odd_classes_need_not_generate(self):
         # Whether the odd-norm classes generate is the blind consumer's
@@ -596,18 +598,15 @@ class TestSyntheticValidation:
             SyntheticSpec((2,), (datum("a", 2, (1,)), datum("b", 3, (0,)))),
         ]
         for spec in too_few:
-            assert validate_synthetic(spec) is spec
+            assert load_spec(spec) == spec
             with pytest.raises(InsufficientGenerators, match="^odd-norm labels exhibit "
                                "a subgroup of order 1, but the class number is 2; "):
                 roundtrip(class_group(spec), list(spec.primes), 10)
 
     def test_norms_must_be_prime_powers(self):
-        # the datum type itself refuses a norm that is not a power of its prime
-        with pytest.raises(ValueError):
-            datum("a", 6, (1,), 2)
-        # raw file data with norm 6 gets the datum's refusal, as a spec error
-        from classrecon.codec import synthetic_spec_from_json
-
+        # the loader refuses a norm that is not a power of its prime; the
+        # record itself checks nothing
+        assert datum("a", 6, (1,), 2).norm == 6
         doc = {
             "invariant_factors": ["2"],
             "primes": [{"norm": "6", "class": [1], "residue_char": "2"}],
@@ -615,18 +614,19 @@ class TestSyntheticValidation:
         with pytest.raises(InvalidSyntheticSpec, match="^prime s0: norm 6 is not a power of 2$"):
             synthetic_spec_from_json(doc)
         ok = SyntheticSpec((2,), (datum("a", 3, (1,)), datum("b", 25, (1,), 5)))
-        assert validate_synthetic(ok)
+        assert load_spec(ok) == ok
 
     def test_duplicate_labels_rejected(self):
         spec = SyntheticSpec(
             (2,), (datum("a", 3, (1,)), datum("a", 5, (1,)))
         )
-        with pytest.raises(ValueError):
-            validate_synthetic(spec)
+        with pytest.raises(InvalidSyntheticSpec, match="^duplicate prime labels"):
+            load_spec(spec)
 
     def test_non_canonical_factors_rejected(self):
-        with pytest.raises(ValueError):
-            validate_synthetic(SyntheticSpec((4, 2), (datum("a", 3, (1, 1)),)))
+        with pytest.raises(InvalidSyntheticSpec, match="^invariant factors: factors "
+                           r"\(4, 2\) are not in canonical form$"):
+            load_spec(SyntheticSpec((4, 2), (datum("a", 3, (1, 1)),)))
 
 
 class TestValueSemantics:

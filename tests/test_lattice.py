@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classrecon.abgroup import FinGenAbGroup
-from classrecon.fields import PrimeIdealDatum, enumerate_prime_ideals
+from classrecon.errors import InvalidSyntheticSpec
+from classrecon.fields import PrimeIdealDatum, enumerate_prime_ideals, synthetic_spec_from_json
 from classrecon.forms import QuadraticSpec
 from classrecon.lattice import build_bundle
 from classrecon.reconstruct import reconstruct_all
@@ -367,9 +368,15 @@ def test_top_synthetic_rung_matches_snf():
 
 
 def test_prime_datum_validation():
-    with pytest.raises(ValueError):
-        PrimeIdealDatum(label="x", norm=6, cls=(), residue_char=2)
-    with pytest.raises(ValueError):
-        PrimeIdealDatum(label="x", norm=1, cls=(), residue_char=2)
-    p = PrimeIdealDatum(label="x", norm=8, cls=(), residue_char=2)
+    # the spec loader decides each datum; `PrimeIdealDatum` checks nothing
+    def load(norm):
+        prime = {"label": "x", "norm": norm, "class": [], "residue_char": "2"}
+        return synthetic_spec_from_json({"invariant_factors": [], "primes": [prime]})
+
+    with pytest.raises(InvalidSyntheticSpec, match="^prime x: norm 6 is not a power of 2$"):
+        load("6")
+    with pytest.raises(InvalidSyntheticSpec, match="^prime x: norm must be at least 2$"):
+        load("1")
+    [p] = load("8").primes
+    assert p == PrimeIdealDatum(label="x", norm=8, cls=(), residue_char=2)
     assert not p.has_odd_norm

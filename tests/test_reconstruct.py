@@ -19,10 +19,9 @@ from classrecon.codec import (
     bundle_from_json,
     bundle_to_json,
     report_to_json,
-    synthetic_spec_from_json,
 )
 from classrecon.abgroup import FinGenAbGroup, integer_nth_root
-from classrecon.fields import SyntheticSpec, enumerate_prime_ideals, validate_synthetic
+from classrecon.fields import SyntheticSpec, enumerate_prime_ideals, synthetic_spec_from_json
 from classrecon.forms import QuadraticSpec, class_group
 from classrecon.lattice import (
     add_chain_entries,
@@ -52,6 +51,7 @@ from helpers import (
     ODD_PRIME_POWERS,
     bundle_carrying,
     datum,
+    load_spec,
     random_finite_group,
     random_generating_family,
     random_synthetic_spec,
@@ -530,7 +530,7 @@ def synthetic_specs_with_any_primes(draw):
         )
         for i in range(draw(st.integers(0, 6)))
     )
-    return validate_synthetic(SyntheticSpec(group.factors, primes))
+    return load_spec(SyntheticSpec(group.factors, primes))
 
 
 @settings(max_examples=100, deadline=None)
