@@ -53,6 +53,11 @@ CASES: dict[str, list[str]] = {
     "invariants_1031": ["invariants", "-D", "-1031", "--primes", "400", "-o", "{out}"],
     # the odd-norm primes below 10 miss Cl(-420) = (Z/2)^3: a warning, exit 0
     "invariants_420": ["invariants", "-D", "-420", "--primes", "10", "-o", "{out}"],
+    # Z/2 x Z/10, Z/2 x Z/8 and Z/45: fields whose class coordinates depend on
+    # how the build walks the cosets, while every entry is an isomorphism type
+    "invariants_455": ["invariants", "-D", "-455", "--primes", "60", "-o", "{out}"],
+    "invariants_644": ["invariants", "-D", "-644", "--primes", "60", "-o", "{out}"],
+    "invariants_1319": ["invariants", "-D", "-1319", "--primes", "60", "-o", "{out}"],
     "invariants_synthetic_sets": [
         "invariants", "--synthetic", SYNTHETIC, "--primes", "50",
         "--set", "s3,s10,s13", "--set", "s6,s13", "--set", "s0,s1,s13", "-o", "{out}",
