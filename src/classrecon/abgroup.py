@@ -30,7 +30,7 @@ norm; a larger integer with no factor in the table is refused with
 
 from __future__ import annotations
 
-from math import gcd, isqrt, log2
+from math import gcd, isqrt, log2, prod
 from typing import Iterable, Sequence
 
 from .errors import MAX_BOUND, LimitExceeded
@@ -168,10 +168,7 @@ class FinGenAbGroup(SlotRecord):
     def order(self) -> int:
         if not self.is_finite:
             raise ValueError("infinite group has no order")
-        n = 1
-        for x in self.factors:
-            n *= x
-        return n
+        return prod(self.factors)
 
     # -- element arithmetic (elements are reduced coordinate tuples) --
 
@@ -181,14 +178,8 @@ class FinGenAbGroup(SlotRecord):
                 f"expected {len(self.factors)} coordinates, got {len(coords)}"
             )
         return tuple(
-            int(c) % d if d else int(c) for c, d in zip(coords, self.factors)
+            c % d if d else c for c, d in zip(coords, self.factors)
         )
-
-    def zero(self) -> GroupElement:
-        return (0,) * len(self.factors)
-
-    def neg(self, a: GroupElement) -> GroupElement:
-        return self.element([-x for x in a])
 
     def __str__(self) -> str:
         if not self.factors:

@@ -6,7 +6,9 @@ gives a form with leading coefficient q, whose class is the ideal class of
 a prime above q.  Prime enumeration takes one square root of D per
 rational prime, which both decides its splitting and gives its prime form,
 and finds a prime's class by that form's reduced triple in the class group
-that `forms` builds.  Synthetic field specifications carry an arbitrary
+that `forms` builds.  The conjugate of a split prime has the inverse class,
+that of the inverse form (q, -b, c), which the same table gives, so no
+group arithmetic runs.  Synthetic field specifications carry an arbitrary
 finite abelian group and a free-form prime stream, so class groups outside
 quadratic reach enter the test matrix.  `synthetic_spec_from_json` is
 their one loader: it reads a spec document's JSON shape, with the codec's
@@ -36,7 +38,7 @@ from .abgroup import (
     is_prime,
     primes_up_to,
 )
-from .codec import _json_int, _json_list
+from .codec import _decimal, _json_int, _json_list
 from .errors import (
     MAX_SYNTHETIC_ORDER,
     InternalContradiction,
@@ -111,7 +113,7 @@ def synthetic_spec_from_json(doc: Any) -> SyntheticSpec:
     characteristic before the next prime is read.  Then the factors must be
     canonical and finite, the labels distinct, each residue characteristic
     a prime (so each norm is a prime power) and each class an element of
-    the group.  A group of order above MAX_SYNTHETIC_ORDER raises
+    the group, which is stored reduced, as the quadratic build gives it.  A group of order above MAX_SYNTHETIC_ORDER raises
     LimitExceeded, as does a characteristic that `is_prime` cannot certify.
     Whether the odd-norm classes generate the group is not checked here:
     the blind consumer decides it, as for a quadratic field.
@@ -152,16 +154,16 @@ def synthetic_spec_from_json(doc: Any) -> SyntheticSpec:
         raise bad("synthetic class group must be finite")
     if group.order() > MAX_SYNTHETIC_ORDER:
         raise LimitExceeded(
-            f"synthetic class group order {group.order()} exceeds the limit "
+            f"synthetic class group order {_decimal(group.order())} exceeds the limit "
             f"{MAX_SYNTHETIC_ORDER}: every bundle entry lists up to that many factors"
         )
     if len({p.label for p in primes}) != len(primes):
         raise bad("duplicate prime labels in synthetic spec")
-    for p in primes:
+    for i, p in enumerate(primes):
         if not is_prime(p.residue_char):
             raise bad(f"residue characteristic {brief(p.residue_char)} of {p.label} is not a prime")
         try:
-            group.element(p.cls)
+            primes[i] = p._replace(cls=group.element(p.cls))
         except ValueError as exc:
             raise bad(f"class of {p.label}: {exc}") from None
     return SyntheticSpec(factors, tuple(primes))
@@ -174,7 +176,8 @@ def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]
     none, q is inert and contributes one principal datum of norm q**2.
     Otherwise its class is that of a prime above q: a ramified q (dividing
     D) contributes that one datum, and a split q a second one of the
-    inverse class.  Completeness below the bound is exactly the contract
+    inverse class, read from the build's table at the inverse form
+    (q, -b, c).  An inert q's class is that of form 0, the principal form.  Completeness below the bound is exactly the contract
     the zeta truncation relies on.
     """
     check_bound(bound, "prime norm bound")
@@ -182,16 +185,17 @@ def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]
         return [p for p in spec.primes if p.norm <= bound]
     d = spec.discriminant
     data = _discriminant_data(d)
-    group = data.group
     out: list[PrimeIdealDatum] = []
     for q in primes_up_to(bound):
         form = _prime_triple(d, q)
-        if form is None:  # q is inert
+        if form is None:  # q is inert, and (q) is principal: form 0's class
             if q * q <= bound:
-                out.append(PrimeIdealDatum(f"p_{q}", q * q, group.zero(), q))
+                out.append(PrimeIdealDatum(f"p_{q}", q * q, data.form_class[0], q))
             continue
-        cls = data.form_class[data.index[_reduce_triple(*form)]]
-        out.append(PrimeIdealDatum(f"p_{q}", q, cls, q))
-        if d % q:  # q splits
-            out.append(PrimeIdealDatum(f"p_{q}c", q, group.neg(cls), q))
+        # a ramified q gives one prime; a split q a second, of the inverse form (q, -b, c)
+        for label, b in (f"p_{q}", form[1]), (f"p_{q}c", -form[1]):
+            cls = data.form_class[data.index[_reduce_triple(q, b, form[2])]]
+            out.append(PrimeIdealDatum(label, q, cls, q))
+            if d % q == 0:
+                break
     return out

@@ -13,8 +13,10 @@ The class group is built on triples by subgroup extension: walking the
 sorted reduced forms, each one outside the subgroup covered so far becomes
 a generator, its least multiple inside that subgroup gives one relation,
 and its cosets are covered by translation; the principal form translates
-without one.  That takes h - 1 compositions, never an h^2 table, and no
-GRH bound, since every reduced form is enumerated.  A Smith normal form
+without one.  Inversion is free on reduced forms, (a, b, c) -> (a, -b, c),
+so each coset covered by translation also gives its inverse coset.  That
+takes at most h/2 compositions ((h - 1)/2 for odd h), never an h^2 table,
+and no GRH bound, since every reduced form is enumerated.  A Smith normal form
 of the small relation matrix gives the structure and each form's class;
 `_cokernel` computes it with the row transform alone, since nothing reads
 the column transform.
@@ -376,43 +378,53 @@ class _DiscriminantData(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _discriminant_data(d: int) -> _DiscriminantData:
-    """The form class group, built by subgroup extension in h - 1 compositions.
+    """The form class group, built by subgroup extension in at most h/2 compositions.
 
     Walks the reduced forms in sorted order, keeping the coordinates of the
-    covered subgroup H over the generators found so far.  A form x outside
-    H becomes the next generator: its least multiple k*x in H gives the
-    relation k*e_x - coords(k*x), and the cosets H + j*x for 0 < j < k are
-    covered by translating H.  The principal form translates to j*x itself,
-    since reduced forms are unique per class, so each form outside H costs
-    one composition: h - 1 in all, fewer than h.  The relations form a
-    triangular matrix of determinant h on at most log2(h) generators; its
-    Smith normal form (`_cokernel`, which keeps only the row transform)
-    gives the group and the image of each generator, and each form's class
-    is the sum its coordinates name.
+    covered subgroup H over the generators found so far; the principal form
+    (1, b, c) sorts first.  A form x outside H becomes the next generator,
+    of order k modulo H.  For j = 1, 2, ... the coset H + j*x is covered by
+    translating H, and then its inverse coset H - j*x = H + (k - j)*x by
+    inverting each form, (a, b, c) -> (a, -b, c), with the coordinates
+    negated, unless the coset is its own inverse.  The walk stops at the
+    first multiple j*x already covered, and j*e_x - coords(j*x) is the
+    relation, whose coefficient at x is k.  The principal form translates
+    to j*x itself, since reduced forms are unique per class, so each
+    translated form costs one composition: (h - 1)/2 in all for odd h, and
+    at most h/2 for even h, against h - 1 without inversion.  The relations
+    form a triangular matrix of determinant h on at most log2(h)
+    generators; its Smith normal form (`_cokernel`, which keeps only the row
+    transform) gives the group and the image of each generator, and each
+    form's class is the sum its coordinates name.  Which coordinates a
+    class gets depends on the walk; every output of the package depends
+    only on the group and the isomorphism types of its quotients.
     """
     triples = _reduced_triples(d)
     h = len(triples)
     index = {f: i for i, f in enumerate(triples)}
-    principal = index[(1, d % 2, (d % 2 - d) // 4)]
-    coords: dict[int, tuple[int, ...]] = {principal: ()}
+    coords: dict[int, tuple[int, ...]] = {0: ()}  # the principal form sorts first
     relations: list[tuple[int, tuple[int, ...]]] = []  # (k, coords of k*x)
     for x, gen in enumerate(triples):
         if x in coords:
             continue
-        r = len(relations)
-        subgroup = [(i, triples[i], c + (0,) * (r - len(c))) for i, c in coords.items()]
-        in_subgroup = set(coords)
-        multiple, y, k = gen, x, 1
-        while y not in in_subgroup:
-            for i, f, c in subgroup:
-                z = y if i == principal else index[_compose_triples(f, multiple)]
-                if z in coords:
+        subgroup = [
+            (i, triples[i], c + (0,) * (len(relations) - len(c))) for i, c in coords.items()
+        ]
+        multiple, k = gen, 1
+        while (y := index[multiple]) not in coords:
+            coset = [(_compose_triples(f, multiple) if i else multiple, c + (k,))
+                     for i, f, c in subgroup]
+            a, b, c = multiple
+            if _reduce_triple(a, -b, c) not in dict(coset):
+                # H - k*x holds no class of order 2, so each inverse form is reduced
+                coset += [((a, -b, c), tuple([-v for v in u])) for (a, b, c), u in coset]
+            for f, u in coset:
+                if (z := index[f]) in coords:
                     raise InternalContradiction(
                         f"translates of a form subgroup overlap for {d}"
                     )
-                coords[z] = c + (k,)
+                coords[z] = u
             multiple, k = _compose_triples(multiple, gen), k + 1
-            y = index[multiple]
         relations.append((k, coords[y]))
     if len(coords) != h:
         raise InternalContradiction(f"subgroup extension missed forms of {d}")
@@ -428,12 +440,12 @@ def _discriminant_data(d: int) -> _DiscriminantData:
             f"relation lattice of {d} has index {group.order()}, not {h}"
         )
     weights = list(zip(group.factors, rows))
-    form_class: list[GroupElement] = [()] * h
-    for i, c in coords.items():
-        form_class[i] = tuple([sum(map(mul, c, w)) % f for f, w in weights])
+    form_class = tuple(
+        [tuple([sum(map(mul, coords[i], w)) % f for f, w in weights]) for i in range(h)]
+    )
     if len(set(form_class)) != h:
         raise InternalContradiction(f"form classes of {d} are not a bijection")
-    return _DiscriminantData(tuple(triples), index, group, tuple(form_class))
+    return _DiscriminantData(tuple(triples), index, group, form_class)
 
 
 

@@ -104,15 +104,8 @@ def index_and_relations(
     """
     r, n = len(factors), len(gens)
     # a column holds its r matrix entries, then its n entries of V
-    cols = []
-    for j, g in enumerate(gens):
-        col = [*g] + [0] * n
-        col[r + j] = 1
-        cols.append(col)
-    for j, d in enumerate(factors):
-        col = [0] * (r + n)
-        col[j] = d
-        cols.append(col)
+    cols = [[*g] + [int(i == j) for i in range(n)] for j, g in enumerate(gens)]
+    cols += [[d * (i == j) for i in range(r + n)] for j, d in enumerate(factors)]
     index, t = 1, 0  # cols[:t] are the pivot columns
     for row in range(r):
         live = [j for j in range(t, len(cols)) if cols[j][row]]
@@ -145,7 +138,7 @@ def index_and_relations(
 class PrimeTerms(NamedTuple):
     """One prime's share of every quotient whose set F contains it.
 
-    `coords` are the reduced class coordinates, `order` is ord[p], the order
+    `coords` are the class coordinates as given, `order` is ord[p], the order
     of the class, and `power` is N(p)**ord[p] - 1.  `prime_terms` computes
     them; a bundle computes them once per prime and every entry reuses them.
     """
@@ -162,12 +155,15 @@ def prime_terms(
     """The terms of each prime, in order, with every size checked first.
 
     With d_i the invariant factors and x the coordinates of a class, ord[p]
-    is the lcm of d_i / gcd(d_i, x_i).  A prime whose N(p)**ord[p] would
-    exceed MAX_QUOTIENT_BITS raises LimitExceeded before any power is taken.
+    is the lcm of d_i / gcd(d_i, x_i).  Neither that nor the column echelon
+    needs x reduced modulo d_i, so each class is read as given (the
+    producers give it reduced); a class of the wrong length raises
+    ValueError.  A prime whose N(p)**ord[p] would exceed MAX_QUOTIENT_BITS
+    raises LimitExceeded before any power is taken.
     """
-    coords = [group.element(p.cls) for p in primes]
     factors = group.factors
-    orders = [lcm(*(d // gcd(d, x) for d, x in zip(factors, c))) for c in coords]
+    # strict: a class of the wrong length raises ValueError
+    orders = [lcm(*(d // gcd(d, x) for d, x in zip(factors, p.cls, strict=True))) for p in primes]
     for p, o in zip(primes, orders):
         bits = o * log2(p.norm)
         if bits > MAX_QUOTIENT_BITS:
@@ -176,8 +172,8 @@ def prime_terms(
                 f"{bits:.0f} bits, above the limit {MAX_QUOTIENT_BITS} bits"
             )
     return [
-        PrimeTerms(coords=c, order=o, norm=p.norm, power=p.norm**o - 1)
-        for p, c, o in zip(primes, coords, orders)
+        PrimeTerms(coords=p.cls, order=o, norm=p.norm, power=p.norm**o - 1)
+        for p, o in zip(primes, orders)
     ]
 
 
@@ -192,8 +188,9 @@ def quotient_from_terms(
     column echelon of the matrix [class coordinates | diag(d_i)], with d_i
     the invariant factors (`index_and_relations`), gives the index [Cl : H]
     as the product of its pivots and a generating set of the relations
-    {k : sum k_p [p] = 0} from its column transform; one prime needs none,
-    since its relations are the multiples of ord[p].  Then
+    {k : sum k_p [p] = 0} from its column transform.  One prime needs
+    none: its entry is h/ord[p] copies of Z/(N(p)**ord[p] - 1), read from
+    its terms, or trivial when that order is 1.  Otherwise
     m = gcd(N(p)**ord[p] - 1 over p, prod N(p)**k_p - 1 over the relations
     k), with every exponent reduced modulo ord[p] and every power taken
     modulo the running gcd.  The quotient is canonical as built, so it is
@@ -208,8 +205,11 @@ def quotient_from_terms(
     """
     if not terms:
         return FinGenAbGroup.trusted((0,) * h)
-    if len(terms) == 1:  # the relations are the multiples of ord[p]
-        index, relations = h // terms[0].order, []
+    if len(terms) == 1:  # H = <[p]> has index h/ord[p], and m = N(p)**ord[p] - 1
+        [t] = terms
+        if h % t.order:
+            raise InternalContradiction(f"class order {t.order} does not divide {h}")
+        index, m = h // t.order, t.power
     else:
         factors = group.factors
         index, relations = index_and_relations([t.coords for t in terms], factors)
@@ -217,16 +217,16 @@ def quotient_from_terms(
             raise InternalContradiction(
                 f"relation matrix of {factors} has rank below {len(factors)}"
             )
-    if h % index:
-        raise InternalContradiction(f"subgroup index {index} does not divide {h}")
-    m = 0
-    for t in terms:
-        m = gcd(m, t.power)
-    for k in relations:
-        x = 1
-        for t, e in zip(terms, k):
-            x = x * pow(t.norm, e % t.order, m) % m
-        m = gcd(m, x - 1)
+        if h % index:
+            raise InternalContradiction(f"subgroup index {index} does not divide {h}")
+        m = 0
+        for t in terms:
+            m = gcd(m, t.power)
+        for k in relations:
+            x = 1
+            for t, e in zip(terms, k):
+                x = x * pow(t.norm, e % t.order, m) % m
+            m = gcd(m, x - 1)
     if all(t.norm % 2 for t in terms) and (m <= 0 or m % 2):
         raise InternalContradiction(
             f"quotient order {brief(m)} of an odd-norm set is not even positive"

@@ -631,8 +631,8 @@ def naive_order_index(
     while any(acc):
         acc = group_add(g, acc, elem)
         order += 1
-    closure = {g.zero()}
-    frontier = [g.zero()]
+    closure = {(0,) * len(g.factors)}
+    frontier = list(closure)
     gens = [g.element(x) for x in gens]
     while frontier:
         nxt = []

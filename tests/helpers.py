@@ -36,6 +36,16 @@ def matrix_product(*factors: Matrix) -> Matrix:
     return rows
 
 
+def zero(group: FinGenAbGroup) -> tuple[int, ...]:
+    """The identity of a group, as reduced coordinates."""
+    return (0,) * len(group.factors)
+
+
+def neg(group: FinGenAbGroup, a: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a group element, as reduced coordinates."""
+    return group.element([-x for x in a])
+
+
 def datum(label: str, norm: int, cls: tuple[int, ...], char: int | None = None) -> PrimeIdealDatum:
     if char is None:
         char = min(primefactors(norm))

@@ -42,7 +42,7 @@ from classrecon.oracle import (
 )
 from classrecon.reconstruct import p_part
 
-from helpers import matrix_product
+from helpers import matrix_product, zero
 
 
 def random_matrix(rng, max_dim=6, lo=-50, hi=50):
@@ -175,10 +175,10 @@ class TestCokernel:
             g, proj = cokernel_of_columns(r, cols)
             # every relation column maps to zero in the quotient
             for col in cols:
-                img = g.zero()
+                img = zero(g)
                 for i, coef in enumerate(col):
                     img = group_add(g, img, g.element([coef * x for x in proj[i]]))
-                assert img == g.zero()
+                assert img == zero(g)
 
 
 @st.composite
@@ -206,7 +206,7 @@ class TestIndexAndRelations:
         assert len(relations) == n
         for k in relations:
             image = [sum(c * g[i] for c, g in zip(k, gens)) for i in range(r)]
-            assert group.element(image) == group.zero()
+            assert group.element(image) == zero(group)
         # the kernel columns of V, cut to their first n entries, span the
         # same relation lattice
         kernel = [tuple(row[j] for row in v[:n]) for j in range(r, len(v))]
@@ -223,7 +223,7 @@ class TestIndexAndRelations:
 class TestGroupArithmetic:
     def test_element_order_examples(self):
         g = FinGenAbGroup((2, 4))
-        assert element_order(g, g.zero()) == 1
+        assert element_order(g, zero(g)) == 1
         assert element_order(g, (0, 1)) == 4
         assert element_order(g, (1, 2)) == 2
 
@@ -362,7 +362,6 @@ class TestCanonicalForm:
         g = FinGenAbGroup((2, 4))
         assert g.element((5, -1)) == (1, 3)
         assert group_add(g, (1, 3), (1, 1)) == (0, 0)
-        assert g.neg((1, 3)) == (1, 1)
 
     def test_str(self):
         assert str(FinGenAbGroup(())) == "trivial"

@@ -29,7 +29,7 @@ from classrecon.oracle import (
     sublattice_columns,
 )
 
-from helpers import ODD_PRIME_POWERS, datum, random_generating_family, z2_model
+from helpers import ODD_PRIME_POWERS, datum, random_generating_family, z2_model, zero
 
 
 P3 = datum("p3", 3, (1,))
@@ -283,7 +283,7 @@ def small_group_and_primes(draw):
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["any", "trivial", "repeated"]))
         if kind == "trivial" or (kind == "repeated" and not classes):
-            cls = group.zero()
+            cls = zero(group)
         elif kind == "repeated":
             cls = draw(st.sampled_from(classes))
         else:
