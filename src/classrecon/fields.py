@@ -113,8 +113,9 @@ def synthetic_spec_from_json(doc: Any) -> SyntheticSpec:
     characteristic before the next prime is read.  Then the factors must be
     canonical and finite, the labels distinct, each residue characteristic
     a prime (so each norm is a prime power) and each class an element of
-    the group, which is stored reduced, as the quadratic build gives it.  A group of order above MAX_SYNTHETIC_ORDER raises
-    LimitExceeded, as does a characteristic that `is_prime` cannot certify.
+    the group, stored reduced, as the quadratic build gives it.  A group of
+    order above MAX_SYNTHETIC_ORDER raises LimitExceeded, as does a
+    characteristic that `is_prime` cannot certify.
     Whether the odd-norm classes generate the group is not checked here:
     the blind consumer decides it, as for a quadratic field.
     """
@@ -177,8 +178,9 @@ def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]
     Otherwise its class is that of a prime above q: a ramified q (dividing
     D) contributes that one datum, and a split q a second one of the
     inverse class, read from the build's table at the inverse form
-    (q, -b, c).  An inert q's class is that of form 0, the principal form.  Completeness below the bound is exactly the contract
-    the zeta truncation relies on.
+    (q, -b, c).  An inert q's class is that of form 0, the principal form.
+    Completeness below the bound is exactly the contract the zeta
+    truncation relies on.
     """
     check_bound(bound, "prime norm bound")
     if isinstance(spec, SyntheticSpec):

@@ -15,11 +15,11 @@ a generator, its least multiple inside that subgroup gives one relation,
 and its cosets are covered by translation; the principal form translates
 without one.  Inversion is free on reduced forms, (a, b, c) -> (a, -b, c),
 so each coset covered by translation also gives its inverse coset.  That
-takes at most h/2 compositions ((h - 1)/2 for odd h), never an h^2 table,
-and no GRH bound, since every reduced form is enumerated.  A Smith normal form
-of the small relation matrix gives the structure and each form's class;
-`_cokernel` computes it with the row transform alone, since nothing reads
-the column transform.
+takes (h - 1)/2 compositions for odd h and fewer than h for even h, never
+an h^2 table, and no GRH bound, since every reduced form is enumerated.
+A Smith normal form of the small relation matrix gives the structure and
+each form's class; `_cokernel` computes it with the row transform alone,
+since nothing reads the column transform.
 The reduced forms come from square roots: for each a <= sqrt(|D|/3), the
 b are the roots of b^2 = D (mod 4a), combined by CRT from roots modulo the
 prime powers of 4a, about sqrt(|D|) steps against the |D|/3 of
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import mul
+from operator import mul, neg
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .abgroup import FinGenAbGroup, GroupElement, SlotRecord, factorize, primes_up_to
@@ -378,7 +378,7 @@ class _DiscriminantData(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _discriminant_data(d: int) -> _DiscriminantData:
-    """The form class group, built by subgroup extension in at most h/2 compositions.
+    """The form class group, built by subgroup extension in (h - 1)/2 compositions for odd h.
 
     Walks the reduced forms in sorted order, keeping the coordinates of the
     covered subgroup H over the generators found so far; the principal form
@@ -390,12 +390,13 @@ def _discriminant_data(d: int) -> _DiscriminantData:
     first multiple j*x already covered, and j*e_x - coords(j*x) is the
     relation, whose coefficient at x is k.  The principal form translates
     to j*x itself, since reduced forms are unique per class, so each
-    translated form costs one composition: (h - 1)/2 in all for odd h, and
-    at most h/2 for even h, against h - 1 without inversion.  The relations
-    form a triangular matrix of determinant h on at most log2(h)
-    generators; its Smith normal form (`_cokernel`, which keeps only the row
-    transform) gives the group and the image of each generator, and each
-    form's class is the sum its coordinates name.  Which coordinates a
+    translated form costs one composition: floor(k/2)*#H per generator,
+    (h - 1)/2 in all for odd h and fewer than h for even h, against h - 1
+    without inversion.  The relations form a triangular matrix of
+    determinant h on at most log2(h) generators; its Smith normal form
+    (`_cokernel`, which keeps only the row transform) gives the group and
+    the image of each generator, and each form's class is the sum its
+    coordinates name.  Which coordinates a
     class gets depends on the walk; every output of the package depends
     only on the group and the isomorphism types of its quotients.
     """
@@ -417,7 +418,7 @@ def _discriminant_data(d: int) -> _DiscriminantData:
             a, b, c = multiple
             if _reduce_triple(a, -b, c) not in dict(coset):
                 # H - k*x holds no class of order 2, so each inverse form is reduced
-                coset += [((a, -b, c), tuple([-v for v in u])) for (a, b, c), u in coset]
+                coset += [((a, -b, c), tuple(map(neg, u))) for (a, b, c), u in coset]
             for f, u in coset:
                 if (z := index[f]) in coords:
                     raise InternalContradiction(

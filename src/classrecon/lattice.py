@@ -163,7 +163,7 @@ def prime_terms(
     """
     factors = group.factors
     # strict: a class of the wrong length raises ValueError
-    orders = [lcm(*(d // gcd(d, x) for d, x in zip(factors, p.cls, strict=True))) for p in primes]
+    orders = [lcm(*[d // gcd(d, x) for d, x in zip(factors, p.cls, strict=True)]) for p in primes]
     for p, o in zip(primes, orders):
         bits = o * log2(p.norm)
         if bits > MAX_QUOTIENT_BITS:
@@ -172,8 +172,7 @@ def prime_terms(
                 f"{bits:.0f} bits, above the limit {MAX_QUOTIENT_BITS} bits"
             )
     return [
-        PrimeTerms(coords=p.cls, order=o, norm=p.norm, power=p.norm**o - 1)
-        for p, o in zip(primes, orders)
+        PrimeTerms(p.cls, o, p.norm, p.norm**o - 1) for p, o in zip(primes, orders)
     ]
 
 
@@ -227,7 +226,7 @@ def quotient_from_terms(
             for t, e in zip(terms, k):
                 x = x * pow(t.norm, e % t.order, m) % m
             m = gcd(m, x - 1)
-    if all(t.norm % 2 for t in terms) and (m <= 0 or m % 2):
+    if (m <= 0 or m % 2) and all(t.norm % 2 for t in terms):
         raise InternalContradiction(
             f"quotient order {brief(m)} of an odd-norm set is not even positive"
         )

@@ -627,6 +627,25 @@ def test_smith_normal_form_stays_off_the_hot_path(argv, code, expected, snf_call
     assert len(snf_calls["_cokernel"]) == expected
 
 
+@pytest.mark.parametrize(("d", "h", "calls"), [(-10007, 77, 38), (-3000047, 955, 477)])
+def test_odd_class_number_takes_half_the_compositions(d, h, calls, monkeypatch):
+    # Each coset the build covers by translation gives its inverse coset by
+    # negation, (a, b, c) -> (a, -b, c), so odd h takes (h - 1)/2
+    # compositions, where translation alone took h - 1.
+    count = 0
+    compose = forms._compose_triples
+
+    def counted(f, g):
+        nonlocal count
+        count += 1
+        return compose(f, g)
+
+    monkeypatch.setattr(forms, "_compose_triples", counted)
+    data = forms._discriminant_data.__wrapped__(d)
+    assert len(data.forms) == h
+    assert count == calls == (h - 1) // 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1435,6 +1454,19 @@ class TestSyntheticParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: synthetic class group order ")
         assert err.count("\n") == 1
+
+    def test_group_order_past_the_digit_limit_exits_3(self, tmp_path, capsys):
+        # an order of 6001 digits: str() would refuse it, so the line is
+        # written by the codec's decimal writer
+        big = "1" + "0" * 3000
+        doc = {"invariant_factors": [big, big], "primes": []}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classgroup", "--synthetic", str(path)]) == EXIT_INSUFFICIENT
+        assert capsys.readouterr() == ("", (
+            f"error: synthetic class group order 1{'0' * 6000} exceeds the limit "
+            f"{errors.MAX_SYNTHETIC_ORDER}: every bundle entry lists up to that many factors\n"
+        ))
 
     def test_bad_synthetic_spec_exits_2(self, tmp_path, capsys):
         doc = {

@@ -413,6 +413,27 @@ def _norms_by_prime(d: int, bound: int) -> dict[int, list[int]]:
     return norms
 
 
+def _inverse_sample() -> list[int]:
+    """Fields whose class coordinates depend on the coset walk, and a seeded sample."""
+    rng = random.Random(34)
+    pool = [d for d in range(-3, -6000, -1) if is_fundamental_discriminant(d)]
+    return [-287, -455, -644, -1319, -1000040] + rng.sample(pool, 60)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_inverse_sample()))
+def test_inverse_form_has_the_negated_class(d):
+    # (a, -b, c) is the inverse of the reduced form (a, b, c); unless the form
+    # is ambiguous (b = 0, b = a or a = c), it is reduced and another form
+    data = _discriminant_data(d)
+    index = {f: i for i, f in enumerate(data.forms)}
+    for (a, b, c), cls in zip(data.forms, data.form_class):
+        if b in (0, a) or a == c:
+            assert group_add(data.group, cls, cls) == zero(data.group)
+            continue
+        assert data.form_class[index[a, -b, c]] == neg(data.group, cls)
+
+
 class TestSplitting:
     def test_pinned_examples(self):
         data = {p.label: p for p in enumerate_prime_ideals(QuadraticSpec(-20), 121)}

@@ -11,7 +11,7 @@ from classrecon.abgroup import FinGenAbGroup
 from classrecon.errors import InvalidSyntheticSpec
 from classrecon.fields import PrimeIdealDatum, enumerate_prime_ideals, synthetic_spec_from_json
 from classrecon.forms import QuadraticSpec
-from classrecon.lattice import build_bundle
+from classrecon.lattice import build_bundle, prime_terms, quotient_from_terms
 from classrecon.reconstruct import reconstruct_all
 from classrecon.oracle import (
     ClassGroupModel,
@@ -380,3 +380,40 @@ def test_prime_datum_validation():
     [p] = load("8").primes
     assert p == PrimeIdealDatum(label="x", norm=8, cls=(), residue_char=2)
     assert not p.has_odd_norm
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_prime_terms_read_classes_up_to_the_invariant_factors(data):
+    # ord[p] and the column echelon see a class only modulo the invariant
+    # factors, and a negated class generates the same subgroup
+    group = data.draw(
+        st.lists(st.integers(2, 12), min_size=1, max_size=3).map(FinGenAbGroup.from_orders)
+    )
+    n = data.draw(st.integers(1, 3))
+    classes = [
+        group.element([data.draw(st.integers(0, f - 1)) for f in group.factors])
+        for _ in range(n)
+    ]
+    norms = data.draw(st.lists(st.sampled_from(MIXED_NORMS), min_size=n, max_size=n))
+    shifted = [
+        tuple(x + f * data.draw(st.integers(-3, 3)) for x, f in zip(c, group.factors))
+        for c in classes
+    ]
+    negated = [tuple(-x for x in c) for c in classes]
+
+    def terms(coords):
+        primes = [datum(f"r{i}", m, c) for i, (m, c) in enumerate(zip(norms, coords))]
+        return prime_terms(group, primes)
+
+    h = group.order()
+    want = terms(classes)
+    for other in (terms(shifted), terms(negated)):
+        assert [t[1:] for t in other] == [t[1:] for t in want]
+        assert quotient_from_terms(group, other, h) == quotient_from_terms(group, want, h)
+
+
+@pytest.mark.parametrize("cls", [(), (1, 0)])
+def test_prime_terms_refuse_a_class_of_the_wrong_length(cls):
+    with pytest.raises(ValueError):
+        prime_terms(FinGenAbGroup((2,)), [datum("p", 3, cls)])

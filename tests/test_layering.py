@@ -594,22 +594,22 @@ EVERY_RUNTIME_MODULE = [
 # call pays about 2 us of compile per node.
 COLD_PATHS = {
     "classgroup-D": (
-        ["classgroup", "-D", "-84"], ["abgroup", "classrecon", "cli", "errors", "forms"], 6761,
+        ["classgroup", "-D", "-84"], ["abgroup", "classrecon", "cli", "errors", "forms"], 6721,
     ),
     "classgroup-synthetic": (
         ["classgroup", "--synthetic", str(GOLDEN / "synthetic_248.json")],
         ["abgroup", "classrecon", "cli", "codec", "errors", "fields", "forms"],
-        9776,
+        9770,
     ),
     "reconstruct": (
         ["reconstruct", str(GOLDEN / "invariants_1031.out")],
         ["abgroup", "classrecon", "cli", "codec", "errors", "reconstruct"],
-        7455,
+        7396,
     ),
-    "invariants": (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14429),
-    "roundtrip": (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14429),
+    "invariants": (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14417),
+    "roundtrip": (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14417),
     "compare": (
-        ["compare", "-D", "-84", "-D2", "-84", "--bound", "30"], EVERY_RUNTIME_MODULE, 14429,
+        ["compare", "-D", "-84", "-D2", "-84", "--bound", "30"], EVERY_RUNTIME_MODULE, 14417,
     ),
     "help": (["--help"], ["classrecon", "cli", "errors", "usage"], 1886),
 }
