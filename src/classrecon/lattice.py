@@ -172,7 +172,8 @@ def prime_terms(
                 f"{bits:.0f} bits, above the limit {MAX_QUOTIENT_BITS} bits"
             )
     return [
-        PrimeTerms(p.cls, o, p.norm, p.norm**o - 1) for p, o in zip(primes, orders)
+        PrimeTerms(coords=p.cls, order=o, norm=p.norm, power=p.norm**o - 1)
+        for p, o in zip(primes, orders)
     ]
 
 

@@ -606,10 +606,10 @@ COLD_PATHS = {
         ["abgroup", "classrecon", "cli", "codec", "errors", "reconstruct"],
         7396,
     ),
-    "invariants": (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14417),
-    "roundtrip": (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14417),
+    "invariants": (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14421),
+    "roundtrip": (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14421),
     "compare": (
-        ["compare", "-D", "-84", "-D2", "-84", "--bound", "30"], EVERY_RUNTIME_MODULE, 14417,
+        ["compare", "-D", "-84", "-D2", "-84", "--bound", "30"], EVERY_RUNTIME_MODULE, 14421,
     ),
     "help": (["--help"], ["classrecon", "cli", "errors", "usage"], 1886),
 }
