@@ -38,8 +38,8 @@ __version__ = "0.1.0"
 
 _FROM_FORMS = ("QuadraticSpec", "class_group")
 # The benchmark's ground truth imports these two certifiers from the top
-# level.  ROADMAP item 1, the next change to the benchmark, re-points that
-# import to `classrecon.oracle` and deletes them here.
+# level.  ROADMAP item 12 re-points that import to `classrecon.oracle` and
+# deletes them here.
 _FROM_ORACLE = ("class_group_model", "lattice_quotient")
 
 

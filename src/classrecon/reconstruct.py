@@ -151,13 +151,11 @@ def subgroup_order_from_bundle(
     summand count is the subgroup index; dividing the class number gives
     the subgroup order.  The labels must be a non-empty set of odd
     recovered norm, as `reconstruct_class_group` picks them, and `h` is the
-    class number from `recover_class_number`.
+    class number from `recover_class_number`.  The entry is not re-checked:
+    a singleton was shaped by `recover_norm`, and a carried larger set by
+    `_check_torsion`, whose parity rule refuses it when trivial.
     """
-    key = tuple(labels)
-    shape = _shape(bundle.entry(key).factors, key, h)
-    if shape is None:  # odd norms make every term of the torsion even
-        raise MalformedBundle(f"entry for {sorted(key)} of odd-norm labels is trivial")
-    return h // shape[1]
+    return h // len(bundle.entry(labels).factors)
 
 
 def p_part(n: int, p: int) -> int:
@@ -181,19 +179,11 @@ def p_part(n: int, p: int) -> int:
     return result
 
 
-TieBreak = Callable[[list[str]], str]
-
-
-def _first(candidates: list[str]) -> str:
-    return candidates[0]
-
-
 def greedy_primary_factors(
     p: int,
     p_order: int,
     candidates: Sequence[str],
     subgroup_order: Callable[[tuple[str, ...]], int],
-    tie_break: TieBreak = _first,
 ) -> list[int]:
     """Greedy chain recovering the p-primary invariant factors.
 
@@ -214,10 +204,13 @@ def greedy_primary_factors(
         ties in candidate order, and stops once the best gain read is at
         least the next bound.
 
-    `tie_break` picks among the queried maximizers; any maximizer gives the
+    Each pass picks the first maximizer it queried; any maximizer gives the
     same factors.  Which sets are queried depends only on the candidate
     order and the values read, so a producer that runs the chain and a
     consumer that reruns it on the written entries ask for the same sets.
+    The order of each set read must be a multiple of the chain's order, as
+    the caller decides: for a bundle file `_check_torsion` does, since the
+    chain's set was read, and so carried, a pass before.
     """
     chain: list[str] = []
     chain_order = 1
@@ -225,19 +218,13 @@ def greedy_primary_factors(
     left = p_order  # the p-part the picks have yet to reach
     bound = dict.fromkeys(candidates, p_order)
     while left > 1 and bound:
-        best_val = 1
-        best: list[str] = []
+        best_val, best = 1, ""
         orders: dict[str, int] = {}
         for c in sorted(bound, key=lambda c: -min(bound[c], left)):
             if best_val >= min(bound[c], left):
                 break
-            order = orders[c] = subgroup_order(tuple(chain) + (c,))
-            if order % chain_order:
-                raise MalformedBundle(
-                    f"subgroup order {order} of {chain + [c]} is not a multiple "
-                    f"of {chain_order}, the order of {chain}"
-                )
-            val = p_part(order // chain_order, p)
+            orders[c] = subgroup_order(tuple(chain) + (c,))
+            val = p_part(orders[c] // chain_order, p)
             if bound[c] % val:
                 raise MalformedBundle(
                     f"the {p}-part {val} of the gain of {c} over {chain} does not "
@@ -248,15 +235,12 @@ def greedy_primary_factors(
                 continue
             bound[c] = val
             if val > best_val:
-                best_val, best = val, [c]
-            elif val == best_val:
-                best.append(c)
-        if not best:
+                best_val, best = val, c
+        if best_val == 1:
             break
-        pick = tie_break(best)
-        del bound[pick]
-        chain.append(pick)
-        chain_order = orders[pick]
+        del bound[best]
+        chain.append(best)
+        chain_order = orders[best]
         out.append(best_val)
         left //= best_val
     return out
@@ -319,11 +303,11 @@ def reconstruct_class_group(
     completeness: the recovered orders must multiply to the class number,
     else the label set cannot exhibit the whole group and
     InsufficientGenerators is raised.  This is the one place that decides
-    whether the supplied primes exhibit all of Cl.  The entries the chains
-    read are checked as they are read, and no others: `reconstruct_all`
-    audits the carried entries before it calls this.  `norms` are the
-    recovered label norms (`recover_norms`), and `h` the class number from
-    `recover_class_number`.
+    whether the supplied primes exhibit all of Cl.  The chains re-check
+    nothing they read but that each gain divides its bound, so the bundle
+    must be a producer's or one that `_check_torsion` has accepted, as in
+    `reconstruct_without_zeta`.  `norms` are the recovered label norms
+    (`recover_norms`), and `h` the class number from `recover_class_number`.
     """
     odd_labels = [l for l in bundle.labels if norms[l] % 2 == 1]
 

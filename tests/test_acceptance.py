@@ -200,16 +200,19 @@ def test_criterion_5_greedy_chain_suite():
             gens = [members[l] for l in key]
             return group.order() // index_and_relations(gens, group.factors)[0]
 
-        tie_breaks = [lambda c: c[0]]
+        # the chain picks the first maximizer it queries: reordering the
+        # candidates changes which one that is
+        orders = [labels]
         if trial % 5 == 0:
-            seed = rng.randint(0, 10**6)
-            tie_breaks += [lambda c: c[-1], lambda c: random.Random(seed).choice(c)]
+            shuffled = list(labels)
+            random.Random(rng.randint(0, 10**6)).shuffle(shuffled)
+            orders += [labels[::-1], shuffled]
         outcomes = set()
-        for tb in tie_breaks:
+        for candidates in orders:
             recovered = {
                 p: sorted(
                     greedy_primary_factors(
-                        p, p_part(group.order(), p), labels, subgroup_order, tb
+                        p, p_part(group.order(), p), candidates, subgroup_order
                     )
                 )
                 for p in sorted(primary_decomposition(group))
@@ -219,7 +222,7 @@ def test_criterion_5_greedy_chain_suite():
         assert len(outcomes) == 1
     elapsed = time.monotonic() - start
     assert elapsed < 10
-    _report(5, "greedy chain recovery on 200 random groups, tie-break invariant", elapsed)
+    _report(5, "greedy chain recovery on 200 random groups, in any candidate order", elapsed)
 
 
 def _synthetic_248_spec(rng):

@@ -13,7 +13,9 @@ Every public top-level function and class of a runtime module, and every
 public method of its classes, is read by runtime code or by the benchmark
 under `perfbench/` (a handler counts as read by the row of `cli.COMMANDS`
 that names it), and so is every private top-level function, outside its
-own body: code that only tests call is deleted.
+own body: code that only tests call is deleted.  For the same reason some
+runtime or benchmark call passes every defaulted parameter of a runtime
+function: a default that only tests override is a knob no run turns.
 
 The runtime also stays off `dataclasses`, which loads `inspect` and
 generates code for each class at import: every CLI call would pay for it.
@@ -252,6 +254,96 @@ def test_scan_finds_unread_private_functions():
         "_called", "_recursive", "_read_elsewhere", "_outer"
     }
     assert _unread_private_functions(tree, {"_read_elsewhere"}) == {"_recursive", "_outer"}
+
+
+def _defaulted_parameters(tree: ast.Module) -> set[tuple[str, str, int | None]]:
+    """Every parameter with a default of a function that a tree defines, at
+    any depth, as (the name a call uses, parameter, its index among a call's
+    positional arguments, or None when keyword-only).  A method's first
+    parameter is not counted, and `__init__` is called by its class's name."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = (args.posonlyargs + args.args)[1 if owner else 0 :]
+                name = owner if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                found.update(
+                    (name, a.arg, i) for i, a in enumerate(positional) if i >= first
+                )
+                found.update(
+                    (name, a.arg, None)
+                    for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                )
+            visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether a call may pass the parameter `param`, at `index` if positional."""
+    return (
+        any(k.arg in (param, None) for k in call.keywords)
+        or any(isinstance(a, ast.Starred) for a in call.args)
+        or (index is not None and len(call.args) > index)
+    )
+
+
+def _unpassed_defaults(tree: ast.Module, callers: list[ast.Module]) -> set[str]:
+    """The defaulted parameters of `tree`'s functions, as `function(parameter)`,
+    that no call in `callers` to a function of that name may pass."""
+    calls: dict[str, list[ast.Call]] = {}
+    for caller in callers:
+        for node in ast.walk(caller):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+    return {
+        f"{name}({param})"
+        for name, param, index in _defaulted_parameters(tree)
+        if not any(_passes(call, param, index) for call in calls.get(name, []))
+    }
+
+
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.stem)
+def test_runtime_passes_every_defaulted_parameter(path):
+    callers = [_parse(user) for user in [*RUNTIME, *sorted(PERFBENCH.rglob("*.py"))]]
+    assert _unpassed_defaults(_parse(path), callers) == set()
+
+
+def test_scan_finds_unpassed_defaults():
+    tree = ast.parse(
+        "def f(a, b=1, *, c=2, d=3): pass\n"
+        "def g(a=1): pass\n"
+        "def h(a=1, b=2): pass\n"
+        "def unused(x=0): pass\n"
+        "class K:\n"
+        "    def __init__(self, a, b=None): pass\n"
+        "    def m(self, a=0, b=0): pass\n"
+        "def caller(args, kw, k):\n"
+        "    def inner(y=1): pass\n"
+        "    f(0, 1, c=2)\n"
+        "    g(**kw)\n"
+        "    h(*args)\n"
+        "    K(0)\n"
+        "    k.m(1)\n"
+    )
+    assert _defaulted_parameters(tree) == {
+        ("f", "b", 1), ("f", "c", None), ("f", "d", None), ("g", "a", 0), ("h", "a", 0),
+        ("h", "b", 1), ("unused", "x", 0), ("K", "b", 1), ("m", "a", 0), ("m", "b", 1),
+        ("inner", "y", 0),
+    }
+    assert _unpassed_defaults(tree, [tree]) == {
+        "f(d)", "unused(x)", "K(b)", "m(b)", "inner(y)"
+    }
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:
@@ -604,12 +696,12 @@ COLD_PATHS = {
     "reconstruct": (
         ["reconstruct", str(GOLDEN / "invariants_1031.out")],
         ["abgroup", "classrecon", "cli", "codec", "errors", "reconstruct"],
-        7396,
+        7256,
     ),
-    "invariants": (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14421),
-    "roundtrip": (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14421),
+    "invariants": (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14281),
+    "roundtrip": (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14281),
     "compare": (
-        ["compare", "-D", "-84", "-D2", "-84", "--bound", "30"], EVERY_RUNTIME_MODULE, 14421,
+        ["compare", "-D", "-84", "-D2", "-84", "--bound", "30"], EVERY_RUNTIME_MODULE, 14281,
     ),
     "help": (["--help"], ["classrecon", "cli", "errors", "usage"], 1886),
 }

@@ -36,6 +36,7 @@ from classrecon.reconstruct import (
     InsufficientGenerators,
     InvariantBundle,
     MalformedBundle,
+    _check_torsion,
     greedy_primary_factors,
     p_part,
     reconstruct_all,
@@ -305,24 +306,24 @@ class TestGreedyChain:
         99,
     )
     def test_tie_break_invariance(self, case, seed):
+        # The chain picks the first maximizer it queries; reordering the
+        # candidates changes which one that is, never the factors.
         group, family = case
         labels, order_fn = self.direct_order_oracle(group, family)
-        tie_breaks = (
-            lambda c: c[0],
-            lambda c: c[-1],
-            lambda c: random.Random(seed).choice(c),
-        )
+        shuffled = list(labels)
+        random.Random(seed).shuffle(shuffled)
+        orders = (labels, labels[::-1], shuffled)
         for p, parts in primary_decomposition(group).items():
             p_order = p_part(group.order(), p)
             results = set()
-            for tb in tie_breaks:
+            for candidates in orders:
                 queried = []
 
                 def recorded(key):
                     queried.append(key)
                     return order_fn(key)
 
-                got = greedy_primary_factors(p, p_order, labels, recorded, tb)
+                got = greedy_primary_factors(p, p_order, candidates, recorded)
                 results.add(tuple(sorted(got)))
                 # pass j queries chains of j picks plus one candidate, so no
                 # query follows the pick that completes the p-part
@@ -745,3 +746,99 @@ class TestOneAudit:
         bundle = _tampered(group, primes, sets, ("a", "b", "c"), (8,))
         with pytest.raises(MalformedBundle, match=r"the torsion of \['a', 'b'\]"):
             reconstruct_all(bundle)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+INVARIANTS_OUTPUTS = sorted(
+    p.stem.removeprefix("invariants_") for p in GOLDEN.glob("invariants_*.out")
+)
+MUTATIONS = ("divisor", "multiple", "count", "trivial", "copy", "drop")
+
+
+@lru_cache(maxsize=None)
+def invariants_output(name):
+    return json.loads((GOLDEN / f"invariants_{name}.out").read_text())
+
+
+@st.composite
+def invariants_mutations(draw):
+    """A golden `invariants` output and one to three mutations of its carried
+    entries, half of them of a set of two or more labels when it has one,
+    each (entry index, kind, value) as `_mutated` applies them."""
+    name = draw(st.sampled_from(INVARIANTS_OUTPUTS))
+    doc = invariants_output(name)
+    carried = [i for i, e in enumerate(doc["entries"]) if e["labels"]]
+    multi = [i for i in carried if len(doc["entries"][i]["labels"]) > 1] or carried
+    values = {
+        "divisor": st.integers(2, 1000),
+        "multiple": st.integers(2, 12),
+        "count": st.sampled_from([d for d in range(1, doc["rank"] + 1) if doc["rank"] % d == 0]),
+        "copy": st.sampled_from(carried),
+    }
+    mutations = []
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(multi) | st.sampled_from(carried))
+        kind = draw(st.sampled_from(MUTATIONS))
+        mutations.append((i, kind, draw(values.get(kind, st.just(0)))))
+    return name, tuple(mutations)
+
+
+def _mutated(name, mutations):
+    """The output `name` with each entry i mutated: its torsion m divided by
+    gcd(m, value) or multiplied by value, its summand count set to value,
+    made trivial, given the factors of entry value, or dropped."""
+    entries = copy.deepcopy(invariants_output(name)["entries"])
+    for i, kind, value in mutations:
+        if entries[i] is None:
+            continue
+        factors = entries[i]["factors"]
+        m, s = int(factors[0]) if factors else 1, max(len(factors), 1)
+        if kind == "divisor":
+            m //= gcd(m, value)
+        elif kind == "multiple":
+            m *= value
+        elif kind == "count":
+            s = value
+        if kind == "drop":
+            entries[i] = None
+        elif kind == "copy":
+            factors = entries[value]["factors"] if entries[value] else []
+        else:
+            factors = [str(m)] * s if kind != "trivial" and m > 1 else []
+        if entries[i]:
+            entries[i]["factors"] = factors
+    return {**invariants_output(name), "entries": [e for e in entries if e]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(invariants_mutations())
+# a triple's summand count that divides its singletons' but not its pair's
+@example(("420", ((6, "count", 4),)))
+@example(("synthetic_sets", ((21, "copy", 17),)))
+def test_chains_read_only_sets_the_audit_has_shaped(case):
+    # `subgroup_order_from_bundle` divides h by the summand count it reads,
+    # and the chain takes every gain as a whole number.  So whenever the
+    # audit before the chains accepts a bundle, every set a chain reads must
+    # be non-trivial, and its summand count must divide that of the chain
+    # set it extends.
+    try:
+        bundle = bundle_from_json(_mutated(*case))
+        h = recover_class_number(bundle)
+        norms = recover_norms(bundle, h)
+        _check_torsion(bundle, norms, h)
+    except MalformedBundle:
+        return
+    order_of = reconstruct.subgroup_order_from_bundle
+
+    def checked(bundle, labels, h):
+        count = len(bundle.entry(labels).factors)
+        assert count, labels
+        if len(labels) > 1:
+            assert len(bundle.entry(labels[:-1]).factors) % count == 0, labels
+        return order_of(bundle, labels, h)
+
+    with pytest.MonkeyPatch.context() as patch, contextlib.suppress(
+        BundleEntryMissing, MalformedBundle, InsufficientGenerators
+    ):
+        patch.setattr(reconstruct, "subgroup_order_from_bundle", checked)
+        reconstruct_class_group(bundle, norms, h)
