@@ -789,7 +789,8 @@ def _mutated(name, mutations):
     made trivial, given the factors of entry value, or dropped."""
     entries = copy.deepcopy(invariants_output(name)["entries"])
     for i, kind, value in mutations:
-        if entries[i] is None:
+        if entries[i] is None or kind == "drop":
+            entries[i] = None
             continue
         factors = entries[i]["factors"]
         m, s = int(factors[0]) if factors else 1, max(len(factors), 1)
@@ -799,14 +800,11 @@ def _mutated(name, mutations):
             m *= value
         elif kind == "count":
             s = value
-        if kind == "drop":
-            entries[i] = None
-        elif kind == "copy":
+        if kind == "copy":
             factors = entries[value]["factors"] if entries[value] else []
         else:
             factors = [str(m)] * s if kind != "trivial" and m > 1 else []
-        if entries[i]:
-            entries[i]["factors"] = factors
+        entries[i]["factors"] = factors
     return {**invariants_output(name), "entries": [e for e in entries if e]}
 
 
