@@ -121,7 +121,7 @@ class FinGenAbGroup(SlotRecord):
     def __init__(self, factors: tuple[int, ...]) -> None:
         if any(not isinstance(x, int) or x < 0 for x in factors):
             raise ValueError("factors must be non-negative integers")
-        if any(x == 1 for x in factors):
+        if 1 in factors:
             raise ValueError("factor 1 is not allowed in canonical form")
         if not (isinstance(factors, tuple) and is_canonical(factors)):
             raise ValueError(f"factors {brief(factors)} are not in canonical form")
@@ -159,7 +159,7 @@ class FinGenAbGroup(SlotRecord):
 
     @property
     def free_rank(self) -> int:
-        return sum(1 for x in self.factors if x == 0)
+        return self.factors.count(0)
 
     @property
     def is_finite(self) -> bool:

@@ -21,9 +21,10 @@ map exceptions to exit codes; the help text, in `usage`, loads only for
 
 So a blind `reconstruct` never loads the producer (`forms`, `fields`,
 `lattice`), and `classgroup -D` loads neither the consumer, the codec,
-the prime ideals in `fields` nor `json`.  The JSON formats live in
-`codec`; synthetic specs are loaded, and every spec error decided, by
-`fields.synthetic_spec_from_json` alone.
+the prime ideals in `fields` nor `json`.  The JSON readers and the report
+writer live in `codec`, and the writers only producers run, of bundles and
+compare results, in `lattice`; synthetic specs are loaded, and every spec
+error decided, by `fields.synthetic_spec_from_json` alone.
 
 `COMMANDS` is the one table of the command line.  `_parse` fills a
 handler's arguments in one walk over argv; `-h`/`--help` prints usage made
@@ -238,7 +239,7 @@ def _error(exc: Exception, code: int) -> int:
 # names' homes and deletes this hook.
 _BENCHMARK_NAMES = {
     "bundle_from_json": "codec",
-    "bundle_to_json": "codec",
+    "bundle_to_json": "lattice",
     "report_to_json": "codec",
     "synthetic_spec_from_json": "fields",
     "reconstruct_all": "reconstruct",

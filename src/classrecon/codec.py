@@ -17,18 +17,21 @@ limit on int/str conversion (4300 digits by default); the codec converts
 them in chunks below that limit, so the interpreter-wide setting is never
 changed.  A bundle repeats few distinct factors many times, so the writer
 converts each distinct factor once per bundle and the loader reads each
-distinct factor string once per file.
+distinct factor string once per file; an entry of s copies of one string
+is read as that one string.
 
 Each input file type has one validating loader (`bundle_from_json` here,
 `fields.synthetic_spec_from_json`) that turns any defect into its one-line
 error.  Input files and stdin are read as UTF-8 whatever the locale (RFC
 8259).  Every output is the text of `json.dumps(doc, indent=2,
 sort_keys=True)`, written as ASCII without the pure-Python encoder
-json.dumps runs when it indents.  Each output has one fixed shape, so
-`bundle_to_json`, `report_text` and `comparison_text` lay it out from fixed
-templates, keys in sorted order: strings go through the C
-`encode_basestring_ascii`, and every integer written as a string through
-`_decimal`.  Property tests hold each to json.dumps of a plain document
+json.dumps runs when it indents.  Each output has one fixed shape, so it
+is laid out from fixed templates, keys in sorted order: strings go through
+the C `encode_basestring_ascii`, and every integer written as a string
+through `_decimal`.  The report's writer, `report_text`, is here; the
+writers that only producers run, `bundle_to_json` and `comparison_text`,
+live in `lattice` beside their commands, so a blind `reconstruct` does not
+compile them.  Property tests hold each to json.dumps of a plain document
 builder kept in the tests.  An output file is written in place and then
 cut to length, not truncated to zero first: ext4, XFS and btrfs flush a
 truncated-and-rewritten file on close, a wait of about a fifth of a
@@ -59,7 +62,6 @@ from .errors import (
 if TYPE_CHECKING:
     from types import SimpleNamespace
 
-    from .lattice import ComparisonResult
     from .reconstruct import InvariantBundle, ReconstructionReport
 
 BUNDLE_VERSION = 1
@@ -93,20 +95,11 @@ def _from_decimal(text: str) -> int:
 
 # Each output file is json.dumps(doc, indent=2, sort_keys=True) of one
 # document shape, so it is laid out from these templates, keys in order.
-_BUNDLE = '{\n  "entries": %s,\n  "labels": %s,\n  "rank": %d,\n  "version": %d\n}'
-_ENTRY = '{\n      "factors": %s,\n      "labels": %s\n    }'
 _REPORT = (
     '{\n  "class_group_factors": %s,\n  "class_number": %d,\n  "norms": %s,\n'
     '  "verdicts": %s,\n  "zeta": {\n    "bound": %d,\n    "coefficients": %s\n  }\n}'
 )
 _VERDICT = '{\n      "message": %s,\n      "name": %s,\n      "pass": %s\n    }'
-_COMPARISON = (
-    '{\n  "bound": %d,\n  "class_group_left": %s,\n  "class_group_right": %s,\n'
-    '  "detail": %s,\n  "equivalent": %s%s\n}'
-)
-_ZETA_DIFFERENCE = (
-    ',\n  "first_zeta_difference": {\n    "left": %d,\n    "n": %d,\n    "right": %d\n  }'
-)
 
 
 def _array(items: str, indent: str, brackets: str = "[]") -> str:
@@ -117,42 +110,6 @@ def _array(items: str, indent: str, brackets: str = "[]") -> str:
 def _factor_array(group: FinGenAbGroup) -> str:
     """A group's invariant factors as a top-level array of decimal strings."""
     return _array(",\n    ".join([f'"{_decimal(x)}"' for x in group.factors]), "\n  ")
-
-
-def bundle_to_json(bundle: InvariantBundle) -> str:
-    """The bundle file's text, with labels replaced by opaque integers.
-
-    A bundle repeats few distinct factors many times (a homogeneous entry
-    is [Cl : H] copies of one, and many entries share it), so each distinct
-    factor tuple is laid out, and each factor converted, once per bundle.
-    A bundle lacking an entry its reader requires raises ValueError instead.
-    """
-    needed = [frozenset(), *(frozenset({label}) for label in bundle.labels)]
-    if not all(key in bundle.entries for key in needed):
-        raise ValueError("bundle lacks the empty-set or a singleton entry; "
-                         "lattice.add_chain_entries adds them")
-    id_of = {label: i for i, label in enumerate(bundle.labels)}.__getitem__
-    text: dict[int, str] = {}  # each distinct factor, quoted
-    blocks: dict[tuple[int, ...], str] = {}
-    rows = []
-    for key, group in bundle.entries.items():
-        factors = group.factors
-        block = blocks.get(factors)
-        if block is None:
-            for x in dict.fromkeys(factors):
-                if x not in text:
-                    text[x] = f'"{_decimal(x)}"'
-            items = ",\n        ".join(map(text.__getitem__, factors))
-            block = blocks[factors] = _array(items, "\n      ")
-        # entry keys are distinct, so the sort never compares the blocks
-        rows.append((len(key), sorted(map(id_of, key)), block))
-    rows.sort()
-    entries = ",\n    ".join([
-        _ENTRY % (block, _array(",\n        ".join(map(repr, ids)), "\n      "))
-        for _, ids, block in rows
-    ])
-    labels = _array(",\n    ".join(map(repr, range(len(bundle.labels)))), "\n  ")
-    return _BUNDLE % (_array(entries, "\n  "), labels, bundle.rank, BUNDLE_VERSION)
 
 
 def report_text(report: ReconstructionReport) -> str:
@@ -180,19 +137,6 @@ def report_to_json(report: ReconstructionReport) -> dict[str, Any]:
     return json.loads(report_text(report))
 
 
-def comparison_text(result: ComparisonResult) -> str:
-    """The compare result's text; `first_zeta_difference` appears only
-    when the two fields' zeta coefficients differ."""
-    difference = ""
-    if result.first_zeta_difference:
-        n, left, right = result.first_zeta_difference
-        difference = _ZETA_DIFFERENCE % (left, n, right)
-    return _COMPARISON % (result.bound, _factor_array(result.group_left),
-                          _factor_array(result.group_right),
-                          encode_basestring_ascii(result.describe()),
-                          "true" if result.equivalent else "false", difference)
-
-
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -206,7 +150,7 @@ def _json_int(value: Any, what: str, error: type[Exception]) -> int:
     if _is_int(value):
         return value
     if isinstance(value, str):
-        digits = value[1:] if value.startswith("-") else value
+        digits = value.removeprefix("-")
         if digits.isascii() and digits.isdigit():
             try:
                 return int(value)
@@ -239,7 +183,7 @@ def _json_list(value: Any, what: str, error: type[Exception]) -> list[Any]:
 
 def _json_label_ids(value: Any, what: str) -> list[int]:
     ids = _json_list(value, what, MalformedBundle)
-    if not all(_is_int(i) for i in ids):
+    if {*map(type, ids)} - {int}:  # json reads an integer as an exact int
         raise MalformedBundle(f"{what} must be integers")
     return ids
 
@@ -247,8 +191,11 @@ def _json_label_ids(value: Any, what: str) -> list[int]:
 def bundle_from_json(doc: Any) -> InvariantBundle:
     """Load a bundle document; every defect raises a one-line MalformedBundle.
 
-    Each distinct factor string is converted once per file, and label ids
-    are named through one table built from `labels`.  An entry whose
+    Each distinct factor string is converted once per file: an entry of s
+    copies of one string converts it at most once, and any other list is
+    read factor by factor through the same table, so its first bad factor
+    is the one refused.  Each list of label ids is type-checked in one pass
+    and named through one table built from `labels`.  An entry whose
     factors pass `is_canonical` becomes a group with no further check;
     only one that fails goes through the `FinGenAbGroup` constructor, whose
     message names the defect.
@@ -265,6 +212,14 @@ def bundle_from_json(doc: Any) -> InvariantBundle:
     labels = tuple(map(str, ids))
     names = dict(zip(ids, labels))
     read: dict[str, int] = {}  # each distinct factor string, converted
+
+    def factor(x: Any) -> int:
+        if isinstance(x, str):
+            if x not in read:
+                read[x] = _json_factor(x)
+            return read[x]
+        return _json_factor(x)
+
     entries: dict[frozenset[str], FinGenAbGroup] = {}
     for item in _json_list(doc.get("entries"), "entries", MalformedBundle):
         if not isinstance(item, dict):
@@ -280,23 +235,19 @@ def bundle_from_json(doc: Any) -> InvariantBundle:
             raise MalformedBundle(f"entry labels {sorted(keys)} repeat a label")
         if key in entries:
             raise MalformedBundle(f"two entries for labels {sorted(key)}")
-        factors = []
-        for x in _json_list(item.get("factors"), "entry factors", MalformedBundle):
-            if isinstance(x, str):
-                if x not in read:
-                    read[x] = _json_factor(x)
-                factors.append(read[x])
-            else:
-                factors.append(_json_factor(x))
-        factors = tuple(factors)
-        if is_canonical(factors):
-            entries[key] = FinGenAbGroup.trusted(factors)
-            continue
+        raw = _json_list(item.get("factors"), "entry factors", MalformedBundle)
+        # s copies of one string, as a producer writes every entry, read once
+        if raw and isinstance(raw[0], str) and raw.count(raw[0]) == len(raw):
+            factors = (factor(raw[0]),) * len(raw)
+        else:
+            factors = tuple(map(factor, raw))
         try:
-            entries[key] = FinGenAbGroup(factors)
+            entries[key] = (
+                FinGenAbGroup.trusted if is_canonical(factors) else FinGenAbGroup
+            )(factors)
         except ValueError as exc:
             raise MalformedBundle(f"entry {sorted(key)}: {exc}") from None
-    bundle = InvariantBundle(rank=rank, labels=labels, entries=entries)
+    bundle = InvariantBundle(rank, labels, entries)
     if frozenset() not in entries:
         raise MalformedBundle("bundle file lacks the empty-set entry")
     for label in labels:

@@ -34,16 +34,21 @@ will read, found by running those chains on the true norms.  The drivers that ho
 a blind reconstruction, `roundtrip` and `compare_fields`, live here too,
 so the consumer never imports the producer.  So do the handlers of the
 commands that produce: `cmd_invariants`, `cmd_roundtrip` and
-`cmd_compare`, which `cli` imports on dispatch.
+`cmd_compare`, which `cli` imports on dispatch, and the writers of the
+files only they write, `bundle_to_json` and `comparison_text`, laid out
+from fixed templates with the codec's helpers as `codec.report_text` is;
+so a blind `reconstruct` compiles neither writer.
 """
 
 from __future__ import annotations
 
 import sys
+from json.encoder import encode_basestring_ascii
 from math import gcd, lcm, log2
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .abgroup import FinGenAbGroup, GroupElement, brief
+from .codec import BUNDLE_VERSION, _array, _decimal, _factor_array, _write_output, report_text
 from .errors import (
     MAX_QUOTIENT_BITS,
     InsufficientGenerators,
@@ -219,9 +224,7 @@ def quotient_from_terms(
             )
         if h % index:
             raise InternalContradiction(f"subgroup index {index} does not divide {h}")
-        m = 0
-        for t in terms:
-            m = gcd(m, t.power)
+        m = gcd(*[t.power for t in terms])
         for k in relations:
             x = 1
             for t, e in zip(terms, k):
@@ -381,13 +384,72 @@ def compare_fields(
     )
 
 
-# -- the producer's commands ------------------------------------------------
+# -- the producer's commands and the files only they write ------------------
+
+# Each file is json.dumps(doc, indent=2, sort_keys=True) of one document
+# shape, so it is laid out from these templates, keys in order.
+_BUNDLE = '{\n  "entries": %s,\n  "labels": %s,\n  "rank": %d,\n  "version": %d\n}'
+_ENTRY = '{\n      "factors": %s,\n      "labels": %s\n    }'
+_COMPARISON = (
+    '{\n  "bound": %d,\n  "class_group_left": %s,\n  "class_group_right": %s,\n'
+    '  "detail": %s,\n  "equivalent": %s%s\n}'
+)
+_ZETA_DIFFERENCE = (
+    ',\n  "first_zeta_difference": {\n    "left": %d,\n    "n": %d,\n    "right": %d\n  }'
+)
+
+
+def bundle_to_json(bundle: InvariantBundle) -> str:
+    """The bundle file's text, with labels replaced by opaque integers.
+
+    A bundle repeats few distinct factors many times (a homogeneous entry
+    is [Cl : H] copies of one, and many entries share it), so each distinct
+    factor tuple is laid out, and each factor converted, once per bundle.
+    A bundle lacking an entry its reader requires raises ValueError instead.
+    """
+    needed = [frozenset(), *(frozenset({label}) for label in bundle.labels)]
+    if not all(key in bundle.entries for key in needed):
+        raise ValueError("bundle lacks the empty-set or a singleton entry; "
+                         "lattice.add_chain_entries adds them")
+    id_of = {label: i for i, label in enumerate(bundle.labels)}.__getitem__
+    text: dict[int, str] = {}  # each distinct factor, quoted
+    blocks: dict[tuple[int, ...], str] = {}
+    rows = []
+    for key, group in bundle.entries.items():
+        factors = group.factors
+        block = blocks.get(factors)
+        if block is None:
+            for x in set(factors):
+                if x not in text:
+                    text[x] = f'"{_decimal(x)}"'
+            items = ",\n        ".join(map(text.__getitem__, factors))
+            block = blocks[factors] = _array(items, "\n      ")
+        # entry keys are distinct, so the sort never compares the blocks
+        rows.append((len(key), sorted(map(id_of, key)), block))
+    rows.sort()
+    entries = ",\n    ".join([
+        _ENTRY % (block, _array(",\n        ".join(map(repr, ids)), "\n      "))
+        for _, ids, block in rows
+    ])
+    labels = _array(",\n    ".join(map(repr, range(len(bundle.labels)))), "\n  ")
+    return _BUNDLE % (_array(entries, "\n  "), labels, bundle.rank, BUNDLE_VERSION)
+
+
+def comparison_text(result: ComparisonResult) -> str:
+    """The compare result's text; `first_zeta_difference` appears only
+    when the two fields' zeta coefficients differ."""
+    difference = ""
+    if result.first_zeta_difference:
+        n, left, right = result.first_zeta_difference
+        difference = _ZETA_DIFFERENCE % (left, n, right)
+    return _COMPARISON % (result.bound, _factor_array(result.group_left),
+                          _factor_array(result.group_right),
+                          encode_basestring_ascii(result.describe()),
+                          "true" if result.equivalent else "false", difference)
 
 
 def cmd_invariants(args: SimpleNamespace) -> None:
     """Write the bundle of a spec's prime ideals up to `--primes`, with the `--set` entries."""
-    from .codec import _write_output, bundle_to_json
-
     spec = _spec_from_args(args)
     group = class_group(spec)
     primes = enumerate_prime_ideals(spec, args.primes)
@@ -415,8 +477,6 @@ def cmd_invariants(args: SimpleNamespace) -> None:
 
 def cmd_roundtrip(args: SimpleNamespace) -> None:
     """Write the round-trip report of a spec; a failed verdict raises once it is written."""
-    from .codec import _write_output, report_text
-
     if args.zeta is not None and args.zeta > args.primes:
         # the true coefficients, like the blind ones, see only these primes
         raise UsageError(f"--zeta {args.zeta} is above the --primes bound {args.primes}")
@@ -433,8 +493,6 @@ def cmd_roundtrip(args: SimpleNamespace) -> None:
 
 def cmd_compare(args: SimpleNamespace) -> None:
     """Write the comparison of two specs; a difference raises once it is written."""
-    from .codec import _write_output, comparison_text
-
     spec_a = _spec_from_args(args)
     spec_b = _spec_from_args(args, suffix="2")
     result = compare_fields(spec_a, spec_b, args.bound)

@@ -21,6 +21,7 @@ round-trip and comparison drivers that hold the ground truth live there.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .abgroup import (
@@ -57,7 +58,7 @@ class InvariantBundle:
         label_set = frozenset(labels)
         if len(label_set) != len(labels):
             raise MalformedBundle("duplicate labels")
-        unknown = set().union(*entries) - label_set if entries else set()
+        unknown = set().union(*entries) - label_set
         if unknown:
             raise MalformedBundle(f"entries mention unknown labels {sorted(unknown)}")
         self.rank, self.labels, self.entries, self.compute = rank, labels, entries, compute
@@ -138,8 +139,20 @@ def recover_norm(bundle: InvariantBundle, label: str, h: int) -> int:
 
 
 def recover_norms(bundle: InvariantBundle, h: int) -> dict[str, int]:
-    """The norm behind every label, each recovered once; `h` as in `recover_norm`."""
-    return {label: recover_norm(bundle, label, h) for label in bundle.labels}
+    """The norm behind every label; `h` as in `recover_norm`.
+
+    A singleton entry decides its norm, so `recover_norm` runs once per
+    distinct entry, at its first label: the two primes above a split prime
+    have inverse classes, hence equal entries, and share one root.
+    """
+    norm_of = {}  # each distinct singleton entry's norm
+    norms = {}
+    for label in bundle.labels:
+        factors = bundle.entry((label,)).factors
+        if factors not in norm_of:
+            norm_of[factors] = recover_norm(bundle, label, h)
+        norms[label] = norm_of[factors]
+    return norms
 
 
 def subgroup_order_from_bundle(
@@ -201,8 +214,8 @@ def greedy_primary_factors(
       * a gain read earlier bounds the current one (Minoux's lazy greedy),
         and an unread one is bounded by the p-part the chain still lacks.
         Each pass queries candidates in descending order of their bounds,
-        ties in candidate order, and stops once the best gain read is at
-        least the next bound.
+        each capped at that p-part, ties in candidate order, and stops once
+        the best gain read is at least the next bound.
 
     Each pass picks the first maximizer it queried; any maximizer gives the
     same factors.  Which sets are queried depends only on the candidate
@@ -218,13 +231,15 @@ def greedy_primary_factors(
     left = p_order  # the p-part the picks have yet to reach
     bound = dict.fromkeys(candidates, p_order)
     while left > 1 and bound:
-        best_val, best = 1, ""
-        orders: dict[str, int] = {}
-        for c in sorted(bound, key=lambda c: -min(bound[c], left)):
-            if best_val >= min(bound[c], left):
+        best_val = 1
+        # the capped bounds, in one table: a stable sort on it keeps ties in
+        # candidate order, and no key function runs per candidate
+        key = {c: b if b < left else left for c, b in bound.items()}
+        for c in sorted(bound, key=key.__getitem__, reverse=True):
+            if best_val >= key[c]:
                 break
-            orders[c] = subgroup_order(tuple(chain) + (c,))
-            val = p_part(orders[c] // chain_order, p)
+            order = subgroup_order(tuple(chain) + (c,))
+            val = p_part(order // chain_order, p)
             if bound[c] % val:
                 raise MalformedBundle(
                     f"the {p}-part {val} of the gain of {c} over {chain} does not "
@@ -235,12 +250,12 @@ def greedy_primary_factors(
                 continue
             bound[c] = val
             if val > best_val:
-                best_val, best = val, c
+                best_val, best, best_order = val, c, order
         if best_val == 1:
             break
         del bound[best]
         chain.append(best)
-        chain_order = orders[best]
+        chain_order = best_order
         out.append(best_val)
         left //= best_val
     return out
@@ -273,8 +288,7 @@ def _check_torsion(bundle: InvariantBundle, norms: Mapping[str, int], h: int) ->
         if len(key) > 2:
             subs += [key - {x} for x in sorted(key) if key - {x} in carried]
         for sub in subs:
-            shape = _shape(carried[sub].factors, sub, h)
-            m_g, s_g = shape or (1, h if len(sub) == 1 else 0)
+            m_g, s_g = _shape(carried[sub].factors, sub, h) or (1, h if len(sub) == 1 else 0)
             name = sorted(sub) if len(sub) > 1 else min(sub)
             if m_g % m:
                 raise MalformedBundle(
@@ -309,18 +323,15 @@ def reconstruct_class_group(
     `reconstruct_without_zeta`.  `norms` are the recovered label norms
     (`recover_norms`), and `h` the class number from `recover_class_number`.
     """
-    odd_labels = [l for l in bundle.labels if norms[l] % 2 == 1]
+    odd_labels = [l for l in bundle.labels if norms[l] % 2]
 
     def subgroup_order(key: tuple[str, ...]) -> int:
         return subgroup_order_from_bundle(bundle, key, h)
 
     cyclic_orders: list[int] = []
-    total = 1
     for p, e in sorted(factorize(h).items()):
-        parts = greedy_primary_factors(p, p**e, odd_labels, subgroup_order)
-        cyclic_orders.extend(parts)
-        for d in parts:
-            total *= d
+        cyclic_orders += greedy_primary_factors(p, p**e, odd_labels, subgroup_order)
+    total = prod(cyclic_orders)
     if total != h:
         raise InsufficientGenerators(
             f"odd-norm labels exhibit a subgroup of order {total}, "
@@ -345,9 +356,7 @@ def zeta_coefficients(norms: Iterable[int], bound: int) -> list[int]:
     for n in norms:
         if n < 2:
             raise ValueError(f"norm {n} is below 2")
-        if n > bound:
-            continue
-        for k in range(n, bound + 1, n):
+        for k in range(n, bound + 1, n):  # none when n > bound
             a[k] += a[k // n]
     return a[1:]
 

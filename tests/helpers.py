@@ -1,19 +1,29 @@
 """Shared builders for the test suite: random groups, primes, synthetic specs,
-and the documents that the output file writers are checked against."""
+the documents that the output file writers are checked against, and
+reference copies of the bundle loader and the greedy chain, written the
+plain way, that the fast ones are checked against."""
 
 from __future__ import annotations
 
 import random
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from sympy import primefactors
 
-from classrecon.abgroup import FinGenAbGroup
-from classrecon.codec import BUNDLE_VERSION, _decimal
+from classrecon.abgroup import FinGenAbGroup, is_canonical
+from classrecon.codec import (
+    BUNDLE_VERSION,
+    _decimal,
+    _is_int,
+    _json_factor,
+    _json_int,
+    _json_list,
+)
+from classrecon.errors import MalformedBundle
 from classrecon.fields import PrimeIdealDatum, SyntheticSpec, synthetic_spec_from_json
 from classrecon.lattice import ComparisonResult, build_bundle, index_and_relations
 from classrecon.oracle import ClassGroupModel, Matrix
-from classrecon.reconstruct import InvariantBundle, ReconstructionReport
+from classrecon.reconstruct import InvariantBundle, ReconstructionReport, p_part
 
 ODD_PRIME_POWERS = [
     3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49,
@@ -165,7 +175,7 @@ def reference_bundle_doc(bundle: InvariantBundle) -> dict[str, Any]:
     """The document a bundle file holds, with labels replaced by opaque integers.
 
     Entries are sorted by label count, then by their sorted label ids;
-    `codec.bundle_to_json(bundle)` must be exactly
+    `lattice.bundle_to_json(bundle)` must be exactly
     `json.dumps(reference_bundle_doc(bundle), indent=2, sort_keys=True)`.
     """
     id_of = {label: i for i, label in enumerate(bundle.labels)}
@@ -203,7 +213,7 @@ def reference_report_doc(report: ReconstructionReport) -> dict[str, Any]:
 def reference_comparison_doc(result: ComparisonResult) -> dict[str, Any]:
     """The document a compare result file holds.
 
-    `codec.comparison_text(result)` must be exactly
+    `lattice.comparison_text(result)` must be exactly
     `json.dumps(reference_comparison_doc(result), indent=2, sort_keys=True)`.
     """
     doc = {
@@ -217,3 +227,109 @@ def reference_comparison_doc(result: ComparisonResult) -> dict[str, Any]:
         n, a, b = result.first_zeta_difference
         doc["first_zeta_difference"] = {"n": n, "left": a, "right": b}
     return doc
+
+
+def _reference_label_ids(value: Any, what: str) -> list[int]:
+    ids = _json_list(value, what, MalformedBundle)
+    if not all(_is_int(i) for i in ids):
+        raise MalformedBundle(f"{what} must be integers")
+    return ids
+
+
+def reference_bundle_from_json(doc: Any) -> InvariantBundle:
+    """`codec.bundle_from_json` as a plain loop: every factor read one by one.
+
+    Each distinct factor string is converted once per file, every factor
+    list goes through the same per-factor loop, and each entry is checked
+    on its own, so every group, message and refusal order of the fast
+    loader must be this one's.
+    """
+    if not isinstance(doc, dict):
+        raise MalformedBundle("a bundle file must hold a JSON object")
+    version = doc.get("version")
+    if not (_is_int(version) and version == BUNDLE_VERSION):
+        raise MalformedBundle(f"unsupported bundle version {version!r:.40}")
+    rank = _json_int(doc.get("rank"), "rank", MalformedBundle)
+    ids = _reference_label_ids(doc.get("labels"), "labels")
+    labels = tuple(map(str, ids))
+    names = dict(zip(ids, labels))
+    read: dict[str, int] = {}
+    entries: dict[frozenset[str], FinGenAbGroup] = {}
+    for item in _json_list(doc.get("entries"), "entries", MalformedBundle):
+        if not isinstance(item, dict):
+            raise MalformedBundle("every entry must be a JSON object")
+        keys = [
+            names.get(i) or str(i)
+            for i in _reference_label_ids(item.get("labels"), "entry labels")
+        ]
+        key = frozenset(keys)
+        if len(key) != len(keys):
+            raise MalformedBundle(f"entry labels {sorted(keys)} repeat a label")
+        if key in entries:
+            raise MalformedBundle(f"two entries for labels {sorted(key)}")
+        factors = []
+        for x in _json_list(item.get("factors"), "entry factors", MalformedBundle):
+            if isinstance(x, str):
+                if x not in read:
+                    read[x] = _json_factor(x)
+                factors.append(read[x])
+            else:
+                factors.append(_json_factor(x))
+        factors = tuple(factors)
+        if is_canonical(factors):
+            entries[key] = FinGenAbGroup.trusted(factors)
+            continue
+        try:
+            entries[key] = FinGenAbGroup(factors)
+        except ValueError as exc:
+            raise MalformedBundle(f"entry {sorted(key)}: {exc}") from None
+    bundle = InvariantBundle(rank=rank, labels=labels, entries=entries)
+    if frozenset() not in entries:
+        raise MalformedBundle("bundle file lacks the empty-set entry")
+    for label in labels:
+        if frozenset({label}) not in entries:
+            raise MalformedBundle(f"bundle file lacks the singleton entry for {label}")
+    return bundle
+
+
+def reference_greedy_primary_factors(
+    p: int,
+    p_order: int,
+    candidates: Sequence[str],
+    subgroup_order: Callable[[tuple[str, ...]], int],
+) -> list[int]:
+    """`reconstruct.greedy_primary_factors` with each pass sorted by a key
+    function, `-min(bound, left)` per candidate: the order the fast chain's
+    passes must query in, and its factors and refusals."""
+    chain: list[str] = []
+    chain_order = 1
+    out: list[int] = []
+    left = p_order
+    bound = dict.fromkeys(candidates, p_order)
+    while left > 1 and bound:
+        best_val, best = 1, ""
+        orders: dict[str, int] = {}
+        for c in sorted(bound, key=lambda c: -min(bound[c], left)):
+            if best_val >= min(bound[c], left):
+                break
+            orders[c] = subgroup_order(tuple(chain) + (c,))
+            val = p_part(orders[c] // chain_order, p)
+            if bound[c] % val:
+                raise MalformedBundle(
+                    f"the {p}-part {val} of the gain of {c} over {chain} does not "
+                    f"divide {bound[c]}, its bound over a shorter chain"
+                )
+            if val == 1:
+                del bound[c]
+                continue
+            bound[c] = val
+            if val > best_val:
+                best_val, best = val, c
+        if best_val == 1:
+            break
+        del bound[best]
+        chain.append(best)
+        chain_order = orders[best]
+        out.append(best_val)
+        left //= best_val
+    return out

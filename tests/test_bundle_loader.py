@@ -5,12 +5,22 @@ its stdout and its one-line stderr exactly, so a faster loader must find
 the same first defect and word it the same way.
 """
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from classrecon import codec
+from classrecon import codec, lattice
 from classrecon.cli import EXIT_FAIL, EXIT_INSUFFICIENT, EXIT_OK, main
+
+from helpers import reference_bundle_from_json
 
 EMPTY = {"labels": [], "factors": ["0", "0"]}
 
@@ -176,7 +186,7 @@ REPEATING_REPORT = (
 def test_factor_strings_repeating_across_entries(tmp_path, capsys):
     code, captured = _run(REPEATING, tmp_path, capsys)
     assert (code, captured.out, captured.err) == (EXIT_OK, REPEATING_REPORT, "")
-    assert json.loads(codec.bundle_to_json(codec.bundle_from_json(REPEATING))) == REPEATING
+    assert json.loads(lattice.bundle_to_json(codec.bundle_from_json(REPEATING))) == REPEATING
 
 
 def test_each_distinct_factor_string_is_converted_once_per_file(monkeypatch):
@@ -185,3 +195,70 @@ def test_each_distinct_factor_string_is_converted_once_per_file(monkeypatch):
     monkeypatch.setattr(codec, "_json_factor", lambda v: read.append(v) or json_factor(v))
     codec.bundle_from_json(REPEATING)
     assert read == ["0", "3", "8", "24", "48", "120"]
+
+
+# Factor values a file may hold: digit strings with and without leading
+# zeros, the strings of the bundle above, other strings, JSON numbers,
+# bools, nested and empty lists, null and an over-long digit string.
+FACTOR = st.one_of(
+    st.from_regex(r"\A0{0,2}[0-9]{1,4}\Z"),
+    st.sampled_from(["0", "3", "8", "24", "120", "1", "-8", " 8", "8.0", "", TOO_LONG]),
+    st.integers(-3, 130),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.lists(st.integers(0, 9), max_size=2),
+    st.none(),
+)
+FACTOR_LISTS = st.one_of(
+    st.builds(lambda x, n: [x] * n, FACTOR, st.integers(1, 6)),  # homogeneous
+    st.builds(lambda x, y, n: [x] * n + [y], FACTOR, FACTOR, st.integers(1, 4)),
+    st.lists(FACTOR, max_size=6),
+)
+LABEL_IDS = st.lists(
+    st.one_of(st.integers(0, 8), st.booleans(), st.floats(0, 8), st.text(max_size=2)),
+    max_size=3,
+)
+ENTRY = st.integers(0, len(REPEATING["entries"]) - 1)
+
+
+def _loaded(load, doc):
+    """What a loader makes of a document: its bundle's contents, or its refusal."""
+    try:
+        bundle = load(doc)
+    except Exception as exc:  # the refusals must match, whatever they are
+        return type(exc), str(exc)
+    return bundle.rank, bundle.labels, bundle.entries
+
+
+def _reconstructed(doc):
+    """Exit code, stdout and stderr of `reconstruct` on the document's file."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bundle.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["reconstruct", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(ENTRY, FACTOR_LISTS), min_size=1, max_size=3),
+    st.lists(st.tuples(ENTRY, LABEL_IDS), max_size=1),
+)
+@example([(2, ["8", 8, "8"])], [])  # one value, one list, two types
+@example([(2, ["8", 8.0])], [])
+@example([(3, [1, True])], [])
+@example([(3, ["24", "024"])], [])
+@example([(1, ["3", TOO_LONG])], [])
+def test_loader_matches_the_reference_decoder(factor_edits, label_edits):
+    doc = copy.deepcopy(REPEATING)
+    for i, factors in factor_edits:
+        doc["entries"][i]["factors"] = factors
+    for i, ids in label_edits:
+        doc["entries"][i]["labels"] = ids
+    assert _loaded(codec.bundle_from_json, doc) == _loaded(reference_bundle_from_json, doc)
+    with mock.patch.object(codec, "bundle_from_json", reference_bundle_from_json):
+        want = _reconstructed(doc)
+    assert _reconstructed(doc) == want

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 import classrecon
 from classrecon import cli, codec, errors, fields, forms, lattice, oracle, reconstruct
 from classrecon.cli import EXIT_FAIL, EXIT_INSUFFICIENT, EXIT_OK, EXIT_USAGE, main
-from classrecon.codec import bundle_from_json, bundle_to_json
+from classrecon.codec import bundle_from_json
 from classrecon.fields import enumerate_prime_ideals, synthetic_spec_from_json
 from classrecon.forms import QuadraticSpec, class_group
 from classrecon.abgroup import FinGenAbGroup
-from classrecon.lattice import build_bundle
+from classrecon.lattice import build_bundle, bundle_to_json
 from classrecon.reconstruct import InvariantBundle
 
 import argparse_reference
@@ -156,8 +156,8 @@ class TestInvariantsCommand:
             },
         )
         written, read = [], []
-        decimal, json_factor = codec._decimal, codec._json_factor
-        monkeypatch.setattr(codec, "_decimal", lambda n: written.append(n) or decimal(n))
+        decimal, json_factor = lattice._decimal, codec._json_factor
+        monkeypatch.setattr(lattice, "_decimal", lambda n: written.append(n) or decimal(n))
         monkeypatch.setattr(
             codec, "_json_factor", lambda v: read.append(v) or json_factor(v)
         )
@@ -180,8 +180,8 @@ class TestInvariantsCommand:
             },
         )
         written = []
-        decimal = codec._decimal
-        monkeypatch.setattr(codec, "_decimal", lambda n: written.append(n) or decimal(n))
+        decimal = lattice._decimal
+        monkeypatch.setattr(lattice, "_decimal", lambda n: written.append(n) or decimal(n))
         doc = json.loads(bundle_to_json(bundle))
         assert [e["labels"] for e in doc["entries"]] == [[], [0], [1], [0, 1]]
         assert sorted(written) == [0, 8, 24]
@@ -1879,7 +1879,7 @@ FIELDS = st.sampled_from([-3, -4, -20, -84, -2408, -3299])
 @given(st.builds(_comparison, FIELDS, FIELDS, st.sampled_from([100, 200])) | built_comparisons())
 def test_comparison_text_is_json_dumps_of_the_reference_doc(result):
     want = json.dumps(reference_comparison_doc(result), indent=2, sort_keys=True)
-    assert codec.comparison_text(result) == want
+    assert lattice.comparison_text(result) == want
 
 
 @settings(max_examples=100, deadline=None)

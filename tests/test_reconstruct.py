@@ -15,17 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classrecon import reconstruct
-from classrecon.codec import (
-    bundle_from_json,
-    bundle_to_json,
-    report_to_json,
-)
+from classrecon.codec import bundle_from_json, report_to_json
 from classrecon.abgroup import FinGenAbGroup, integer_nth_root
 from classrecon.fields import SyntheticSpec, enumerate_prime_ideals, synthetic_spec_from_json
 from classrecon.forms import QuadraticSpec, class_group
 from classrecon.lattice import (
     add_chain_entries,
     build_bundle,
+    bundle_to_json,
     compare_fields,
     index_and_relations,
     roundtrip,
@@ -56,6 +53,7 @@ from helpers import (
     random_finite_group,
     random_generating_family,
     random_synthetic_spec,
+    reference_greedy_primary_factors,
 )
 
 
@@ -235,7 +233,18 @@ class TestSubgroupOrders:
         assert subgroup_order_from_bundle(bundle, ["p_3", "p_7"], h) == 2
 
 
+def first_label_of_each_singleton(bundle):
+    """The first label of each distinct singleton entry, in label order."""
+    first = {}
+    for label in bundle.labels:
+        first.setdefault(bundle.entry((label,)).factors, label)
+    return list(first.values())
+
+
 class TestNormRecoveryCount:
+    """`recover_norm` runs once per distinct singleton entry, at its first
+    label, and every label still gets its norm."""
+
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = []
@@ -248,18 +257,20 @@ class TestNormRecoveryCount:
         return calls
 
     def test_reconstruct_all_recovers_each_norm_once(self, counted):
-        _, _, bundle = bundle_for_disc(-1031, 100)
-        reconstruct_all(bundle)
-        assert sorted(counted) == sorted(bundle.labels)
+        _, primes, bundle = bundle_for_disc(-1031, 100)
+        report = reconstruct_all(bundle)
+        assert counted == first_label_of_each_singleton(bundle)
+        assert len(counted) < len(bundle.labels)
+        assert report.norms == {p.label: p.norm for p in primes}
 
     def test_compare_recovers_each_norm_once(self, counted):
         compare_fields(QuadraticSpec(-3299), QuadraticSpec(-2408), 100)
-        labels = [
-            p.label
+        firsts = [
+            label
             for d in (-3299, -2408)
-            for p in enumerate_prime_ideals(QuadraticSpec(d), 100)
+            for label in first_label_of_each_singleton(bundle_for_disc(d, 100)[2])
         ]
-        assert sorted(counted) == sorted(labels)
+        assert counted == firsts
 
     def test_reconstruct_all_tests_each_norm_once(self, monkeypatch):
         _, primes, bundle = bundle_for_disc(-1031, 100)
@@ -269,7 +280,23 @@ class TestNormRecoveryCount:
             reconstruct, "is_prime_power", lambda n: tested.append(n) or is_prime_power(n)
         )
         reconstruct_all(bundle)
-        assert sorted(tested) == sorted(p.norm for p in primes)
+        norm_of = {p.label: p.norm for p in primes}
+        assert tested == [norm_of[l] for l in first_label_of_each_singleton(bundle)]
+
+    def test_conjugate_labels_share_one_root(self, counted, monkeypatch):
+        # at -1031 the prime 3 splits: p_3 and p_3c have inverse classes,
+        # hence one singleton entry, and one root is taken for both
+        _, primes, bundle = bundle_for_disc(-1031, 100)
+        assert bundle.entry(("p_3",)) == bundle.entry(("p_3c",))
+        roots = []
+        nth_root = reconstruct.integer_nth_root
+        monkeypatch.setattr(
+            reconstruct, "integer_nth_root", lambda x, n: roots.append(x) or nth_root(x, n)
+        )
+        norms = recover_norms(bundle, recover_class_number(bundle))
+        assert norms["p_3"] == norms["p_3c"] == 3
+        assert "p_3" in counted and "p_3c" not in counted
+        assert roots.count(bundle.entry(("p_3",)).factors[0] + 1) == 1
 
 
 class TestGreedyChain:
@@ -335,6 +362,56 @@ class TestGreedyChain:
                     if p_part(gain, p) == 1:
                         exhausted.add(key[-1])
             assert results == {tuple(parts)}
+
+
+def _chain_outcome(chain, p, p_order, candidates, order_fn):
+    """A chain's factors, or the refusal it raises, with the sets it queried."""
+    queried = []
+
+    def recorded(key):
+        queried.append(key)
+        return order_fn(key)
+
+    try:
+        result = chain(p, p_order, candidates, recorded)
+    except (MalformedBundle, ValueError) as exc:
+        result = (type(exc), str(exc))
+    return result, queried
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups_with_generating_families(), st.randoms(use_true_random=False))
+def test_chain_passes_query_in_the_reference_order(case, rng):
+    # Each pass sorts its candidates by a table of min(bound, left); the
+    # reference sorts them by a key function.  Same sets, same order.
+    group, family = case
+    labels, order_fn = TestGreedyChain().direct_order_oracle(group, family)
+    rng.shuffle(labels)
+    h = group.order()
+    for p in primary_decomposition(group):
+        args = (p, p_part(h, p), labels, order_fn)
+        want = _chain_outcome(reference_greedy_primary_factors, *args)
+        assert _chain_outcome(greedy_primary_factors, *args) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.randoms(use_true_random=False),
+)
+def test_chain_refuses_as_the_reference_on_any_orders(p, e, n, rng):
+    # orders no group gives: the gain-divides-bound refusal, a gain read
+    # below the chain's order, or factors past the p-part
+    table = {}
+
+    def order_fn(key):
+        return table.setdefault(frozenset(key), rng.choice([1, p, p * p, 6, 12, 18, 36, 72]))
+
+    labels = [f"c{i}" for i in range(n)]
+    want = _chain_outcome(reference_greedy_primary_factors, p, p**e, labels, order_fn)
+    assert _chain_outcome(greedy_primary_factors, p, p**e, labels, order_fn) == want
 
 
 class TestReconstructClassGroup:
