@@ -2,7 +2,10 @@
 
 Every case runs `reconstruct` on a bundle file and compares its exit code,
 its stdout and its one-line stderr exactly, so a faster loader must find
-the same first defect and word it the same way.
+the same first defect and word it the same way.  A property test holds the
+loader to the plain per-factor reference in `tests/helpers.py` on drawn
+factor lists and label ids: the same groups, or the same refusal, and the
+same `reconstruct` output.
 """
 
 import contextlib

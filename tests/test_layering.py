@@ -27,7 +27,7 @@ And only `codec._write_output` opens a file for writing: it overwrites in
 place, where `open(path, "w")` would truncate to zero and make the
 filesystem flush the file on close.  No runtime module calls `json.dump`
 or `json.dumps`, which run the pure-Python encoder whenever they indent:
-every output is laid out from the codec's fixed templates.
+every output is laid out from fixed templates.
 """
 
 import ast
@@ -686,7 +686,7 @@ EVERY_RUNTIME_MODULE = [
 # call pays about 2 us of compile per node.
 COLD_PATHS = {
     "classgroup-D": (
-        ["classgroup", "-D", "-84"], ["abgroup", "classrecon", "cli", "errors", "forms"], 6721,
+        ["classgroup", "-D", "-84"], ["abgroup", "classrecon", "cli", "errors", "forms"], 6703,
     ),
     "classgroup-synthetic": (
         ["classgroup", "--synthetic", str(GOLDEN / "synthetic_248.json")],
