@@ -1,4 +1,4 @@
-"""Differential sweep of `reconstruct` over bundle files, run by hand.
+"""Differential sweep of `reconstruct` over bundle files.
 
     python tests/sweep_reconstruct.py [--src DIR] [--mutations N] [--seed S]
 
@@ -22,8 +22,11 @@ Every file runs through an in-process `cli.main(["reconstruct", file])` of
 the package under `--src` (by default this checkout's `src`).  The sweep
 prints the exit-code tally and one SHA-256 digest over (file name, exit
 code, stdout, stderr) of every file, the `invariants` outputs included, so
-two trees that give the same digest agree on every file.  Run it once per
-tree and compare the digests.  Importing this module runs nothing.
+two trees that give the same digest agree on every file.
+`tests/test_reconstruct.py::test_blind_sweep_output_is_unchanged` pins the
+digest and tally of the default run; to compare two trees, run the script
+once per tree with `--src` and compare the digests.  Importing this module
+runs nothing.
 """
 
 from __future__ import annotations

@@ -917,3 +917,15 @@ def test_chains_read_only_sets_the_audit_has_shaped(case):
     ):
         patch.setattr(reconstruct, "subgroup_order_from_bundle", checked)
         reconstruct_class_group(bundle, norms, h)
+
+
+def test_blind_sweep_output_is_unchanged():
+    # Every byte `reconstruct` writes, and every exit code, over the 14
+    # `invariants` files of `sweep_reconstruct` and 3000 seeded mutations of
+    # them: a refactor of the blind path that changes any output, refusal
+    # or refusal order changes the digest.
+    from sweep_reconstruct import sweep
+
+    digest, codes = sweep(3000, 20261020)
+    assert digest == "ac2e0f5b169ce298a435d7cc4058fdf5126b3e4137c765e828154114e3e4e782"
+    assert codes == {0: 425, 1: 2389, 3: 200}
