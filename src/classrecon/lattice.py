@@ -281,7 +281,7 @@ def add_chain_entries(
     for p in primes:
         bundle.entry((p.label,))
     norms = {p.label: p.norm for p in primes}
-    reconstruct_class_group(bundle, norms, bundle.rank)
+    reconstruct_class_group(bundle, norms)
 
 
 def roundtrip(
@@ -331,14 +331,24 @@ def _norm_diff(got: Mapping[str, int], want: Mapping[str, int]) -> str:
 
 
 class ComparisonResult(NamedTuple):
-    """Two fields compared through the blind pipeline up to a bound."""
+    """Two fields compared through the blind pipeline up to a bound.
 
-    equivalent: bool
+    The verdicts `groups_isomorphic` and `equivalent` are read off the four
+    fields, so no result can contradict itself.
+    """
+
     bound: int
     first_zeta_difference: tuple[int, int, int] | None  # (n, a_n left, a_n right)
-    groups_isomorphic: bool
     group_left: FinGenAbGroup
     group_right: FinGenAbGroup
+
+    @property
+    def groups_isomorphic(self) -> bool:
+        return self.group_left == self.group_right
+
+    @property
+    def equivalent(self) -> bool:
+        return self.first_zeta_difference is None and self.groups_isomorphic
 
     def describe(self) -> str:
         if self.equivalent:
@@ -373,14 +383,8 @@ def compare_fields(
         if x != y:
             first_diff = (n, x, y)
             break
-    groups_ok = ga == gb
     return ComparisonResult(
-        equivalent=first_diff is None and groups_ok,
-        bound=bound,
-        first_zeta_difference=first_diff,
-        groups_isomorphic=groups_ok,
-        group_left=ga,
-        group_right=gb,
+        bound=bound, first_zeta_difference=first_diff, group_left=ga, group_right=gb
     )
 
 

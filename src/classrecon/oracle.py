@@ -318,8 +318,7 @@ class _EchelonBasis:
                 v = [x - q * y for x, y in zip(v, hit)]
             else:
                 # gcd combine: replace hit by the gcd vector, continue with rest
-                g = gcd(a, c)
-                x, y = _bezout(a, c)
+                g, x, y = xgcd(a, c)
                 new_hit = [x * p + y * q for p, q in zip(hit, v)]
                 v = [(a // g) * q - (c // g) * p for p, q in zip(hit, v)]
                 hit[:] = new_hit
@@ -335,20 +334,6 @@ class _EchelonBasis:
 
     def pivots(self) -> list[tuple[int, int]]:
         return [(self._pivot_row(b), b[self._pivot_row(b)]) for b in self.vectors]
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
 
 
 def naive_member(columns: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
@@ -768,7 +753,7 @@ def dirichlet_compose(f: Triple, g: Triple) -> Triple:
     if gcd(a1, a2) != 1:
         raise ValueError(f"leading coefficients {a1} and {a2} are not coprime")
     # B = b1 + 2*a1*t, and B = b2 (mod 2a2) asks a1*t = (b2 - b1)/2 (mod a2)
-    inverse, _ = _bezout(a1, a2)
+    _, inverse, _ = xgcd(a1, a2)
     big_b = b1 + 2 * a1 * ((b2 - b1) // 2 * inverse % a2)
     a = a1 * a2
     c, rem = divmod(big_b * big_b - d, 4 * a)

@@ -21,6 +21,7 @@ round-trip and comparison drivers that hold the ground truth live there.
 
 from __future__ import annotations
 
+from functools import partial
 from math import prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -112,16 +113,16 @@ def _shape(factors: tuple[int, ...], key: Iterable[str], h: int) -> tuple[int, i
     return factors[0], len(factors)
 
 
-def recover_norm(bundle: InvariantBundle, label: str, h: int) -> int:
-    """Invert the one-prime closed form: read N off the singleton entry.
+def recover_norm(factors: tuple[int, ...], label: str, h: int) -> int:
+    """Invert the one-prime closed form: read N off a singleton entry.
 
-    A singleton entry is s copies of Z/t with s * ord = class number and
-    t + 1 = N**ord; the exact ord-th root gives N, which must be a prime
-    power.  A trivial entry forces N**ord = 2, hence N = 2.  Anything else
-    is not arithmetic data.  `h` is the class number, validated once by
-    `recover_class_number`.
+    `factors` are the invariant factors of the entry of `label`, and `h` is
+    the class number.  A singleton entry is s copies of Z/t with
+    s * ord = class number and t + 1 = N**ord; the exact ord-th root gives
+    N, which must be a prime power.  A trivial entry forces N**ord = 2,
+    hence N = 2.  Anything else is not arithmetic data.
     """
-    shape = _shape(bundle.entry((label,)).factors, (label,), h)
+    shape = _shape(factors, (label,), h)
     if shape is None:
         return 2
     t, s = shape
@@ -138,37 +139,37 @@ def recover_norm(bundle: InvariantBundle, label: str, h: int) -> int:
     return n
 
 
-def recover_norms(bundle: InvariantBundle, h: int) -> dict[str, int]:
-    """The norm behind every label; `h` as in `recover_norm`.
+def recover_norms(bundle: InvariantBundle) -> dict[str, int]:
+    """The norm behind every label, reading each singleton entry once.
 
-    A singleton entry decides its norm, so `recover_norm` runs once per
-    distinct entry, at its first label: the two primes above a split prime
-    have inverse classes, hence equal entries, and share one root.
+    The class number is the bundle's rank, which `recover_class_number`
+    has checked.  A singleton entry decides its norm, so `recover_norm`
+    runs once per distinct entry, at its first label: the two primes above
+    a split prime have inverse classes, hence equal entries, and share one
+    root.
     """
     norm_of = {}  # each distinct singleton entry's norm
     norms = {}
     for label in bundle.labels:
         factors = bundle.entry((label,)).factors
         if factors not in norm_of:
-            norm_of[factors] = recover_norm(bundle, label, h)
+            norm_of[factors] = recover_norm(factors, label, bundle.rank)
         norms[label] = norm_of[factors]
     return norms
 
 
-def subgroup_order_from_bundle(
-    bundle: InvariantBundle, labels: Iterable[str], h: int
-) -> int:
+def subgroup_order_from_bundle(bundle: InvariantBundle, labels: Iterable[str]) -> int:
     """Order of the subgroup generated by the classes behind odd-norm labels.
 
     The entry for F is homogeneous with one summand per coset, so the
-    summand count is the subgroup index; dividing the class number gives
-    the subgroup order.  The labels must be a non-empty set of odd
-    recovered norm, as `reconstruct_class_group` picks them, and `h` is the
-    class number from `recover_class_number`.  The entry is not re-checked:
-    a singleton was shaped by `recover_norm`, and a carried larger set by
-    `_check_torsion`, whose parity rule refuses it when trivial.
+    summand count is the subgroup index; dividing the class number, the
+    bundle's rank, gives the subgroup order.  The labels must be a
+    non-empty set of odd recovered norm, as `reconstruct_class_group` picks
+    them.  The entry is not re-checked: a singleton was shaped by
+    `recover_norm`, and a carried larger set by `_check_torsion`, whose
+    parity rule refuses it when trivial.
     """
-    return h // len(bundle.entry(labels).factors)
+    return bundle.rank // len(bundle.entry(labels).factors)
 
 
 def p_part(n: int, p: int) -> int:
@@ -261,7 +262,7 @@ def greedy_primary_factors(
     return out
 
 
-def _check_torsion(bundle: InvariantBundle, norms: Mapping[str, int], h: int) -> None:
+def _check_torsion(bundle: InvariantBundle, norms: Mapping[str, int]) -> None:
     """Refuse carried multi-label entries that the closed form rules out.
 
     The entry of a label set F is s_F copies of Z/m_F, where s_F is the
@@ -275,10 +276,11 @@ def _check_torsion(bundle: InvariantBundle, norms: Mapping[str, int], h: int) ->
     Every carried F of two or more labels, whatever its parities, is checked
     against its singletons and its carried sets F - {x}.  A trivial entry
     has m = 1 and shows no summand count, except a trivial singleton: its
-    norm is 2, so ord = 1 and s = h.  A bundle read from a file computes no
-    entry, so every entry the chains read from it is carried and checked
-    here.
+    norm is 2, so ord = 1 and s = h, the class number (the bundle's rank).
+    A bundle read from a file computes no entry, so every entry the chains
+    read from it is carried and checked here.
     """
+    h = bundle.rank
     carried = bundle.entries  # every singleton is in it by now
     for key, group in carried.items():
         if len(key) < 2:
@@ -307,7 +309,7 @@ def _check_torsion(bundle: InvariantBundle, norms: Mapping[str, int], h: int) ->
 
 
 def reconstruct_class_group(
-    bundle: InvariantBundle, norms: Mapping[str, int], h: int
+    bundle: InvariantBundle, norms: Mapping[str, int]
 ) -> FinGenAbGroup:
     """Isomorphism type of the class group, from the bundle alone.
 
@@ -321,13 +323,11 @@ def reconstruct_class_group(
     nothing they read but that each gain divides its bound, so the bundle
     must be a producer's or one that `_check_torsion` has accepted, as in
     `reconstruct_without_zeta`.  `norms` are the recovered label norms
-    (`recover_norms`), and `h` the class number from `recover_class_number`.
+    (`recover_norms`), and the class number is the bundle's rank.
     """
+    h = bundle.rank
     odd_labels = [l for l in bundle.labels if norms[l] % 2]
-
-    def subgroup_order(key: tuple[str, ...]) -> int:
-        return subgroup_order_from_bundle(bundle, key, h)
-
+    subgroup_order = partial(subgroup_order_from_bundle, bundle)
     cyclic_orders: list[int] = []
     for p, e in sorted(factorize(h).items()):
         cyclic_orders += greedy_primary_factors(p, p**e, odd_labels, subgroup_order)
@@ -405,12 +405,12 @@ def reconstruct_without_zeta(
     refusal here keeps its precedence.
     """
     h = recover_class_number(bundle)
-    norms = recover_norms(bundle, h)
+    norms = recover_norms(bundle)
     if zeta_bound is None:
         zeta_bound = max(norms.values(), default=1)
     check_bound(zeta_bound, "zeta bound")
-    _check_torsion(bundle, norms, h)
-    group = reconstruct_class_group(bundle, norms, h)
+    _check_torsion(bundle, norms)
+    group = reconstruct_class_group(bundle, norms)
     return ReconstructionReport(h, group, norms, (), ()), zeta_bound
 
 

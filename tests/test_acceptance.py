@@ -315,7 +315,7 @@ def test_criterion_7_zeta_truncation_to_200():
         primes = enumerate_prime_ideals(spec, bound)
         bundle = build_bundle(class_group(spec), primes)
         h = recover_class_number(bundle)
-        recovered = [recover_norm(bundle, p.label, h) for p in primes]
+        recovered = [recover_norm(bundle.entry((p.label,)).factors, p.label, h) for p in primes]
         direct = zeta_coefficients([p.norm for p in primes], bound)
         assert zeta_coefficients(recovered, bound) == direct
         for n in range(1, bound + 1):
@@ -353,7 +353,7 @@ def test_criterion_9_negative_paths():
     bundle = InvariantBundle(rank=built.rank, labels=built.labels, entries=built.entries)
     bundle.entries[frozenset({"p_3"})] = FinGenAbGroup((7,))
     with pytest.raises(MalformedBundle):
-        recover_norm(bundle, "p_3", recover_class_number(bundle))
+        recover_norm(bundle.entry(("p_3",)).factors, "p_3", recover_class_number(bundle))
     with pytest.raises(MalformedBundle):
         reconstruct_all(bundle)
 

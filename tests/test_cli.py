@@ -1860,15 +1860,12 @@ SMALL_GROUPS = st.lists(st.integers(0, 60), max_size=3).map(FinGenAbGroup.from_o
 @st.composite
 def built_comparisons(draw):
     """Comparison results with and without a first zeta difference."""
-    difference = draw(st.none() | st.tuples(*[st.integers(1, 10**6)] * 3))
-    isomorphic = draw(st.booleans())
+    left = draw(SMALL_GROUPS)
     return lattice.ComparisonResult(
-        equivalent=difference is None and isomorphic,
         bound=draw(st.integers(1, 10**7)),
-        first_zeta_difference=difference,
-        groups_isomorphic=isomorphic,
-        group_left=draw(SMALL_GROUPS),
-        group_right=draw(SMALL_GROUPS),
+        first_zeta_difference=draw(st.none() | st.tuples(*[st.integers(1, 10**6)] * 3)),
+        group_left=left,
+        group_right=draw(st.just(left) | SMALL_GROUPS),
     )
 
 

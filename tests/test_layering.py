@@ -696,12 +696,12 @@ COLD_PATHS = {
     "reconstruct": (
         ["reconstruct", str(GOLDEN / "invariants_1031.out")],
         ["abgroup", "classrecon", "cli", "codec", "errors", "reconstruct"],
-        6813,
+        6799,
     ),
-    "invariants": (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14280),
-    "roundtrip": (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14280),
+    "invariants": (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14269),
+    "roundtrip": (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14269),
     "compare": (
-        ["compare", "-D", "-84", "-D2", "-84", "--bound", "30"], EVERY_RUNTIME_MODULE, 14280,
+        ["compare", "-D", "-84", "-D2", "-84", "--bound", "30"], EVERY_RUNTIME_MODULE, 14269,
     ),
     "help": (["--help"], ["classrecon", "cli", "errors", "usage"], 1886),
 }

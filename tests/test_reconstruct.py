@@ -73,9 +73,9 @@ def bundle_for_disc(d, bound=50):
 
 
 def reconstruct_group(bundle):
-    """`reconstruct_class_group` given the class number and norms it needs."""
-    h = recover_class_number(bundle)
-    return reconstruct_class_group(bundle, recover_norms(bundle, h), h)
+    """`reconstruct_class_group` given the checked class number and the norms."""
+    recover_class_number(bundle)
+    return reconstruct_class_group(bundle, recover_norms(bundle))
 
 
 class TestBuildBundle:
@@ -166,24 +166,27 @@ class TestRecoverBasics:
     def test_norm_recovery_examples(self):
         group, primes, bundle = bundle_for_disc(-20, 130)
         for p in primes:
-            assert recover_norm(bundle, p.label, recover_class_number(bundle)) == p.norm
-        assert recover_norm(bundle, "p_11", recover_class_number(bundle)) == 121
+            factors = bundle.entry((p.label,)).factors
+            assert recover_norm(factors, p.label, recover_class_number(bundle)) == p.norm
+        factors = bundle.entry(("p_11",)).factors
+        assert recover_norm(factors, "p_11", recover_class_number(bundle)) == 121
 
     def test_rank_one_norm_recovery(self):
         group = FinGenAbGroup(())
         bundle = build_bundle(group, [datum("p", 5, ())])
         assert bundle.entry(["p"]).factors == (4,)
-        assert recover_norm(bundle, "p", recover_class_number(bundle)) == 5
+        assert recover_norm((4,), "p", recover_class_number(bundle)) == 5
 
     def test_trivial_singleton_entry_means_norm_two(self):
         # ramified prime above 2 when the class group is trivial
         _, primes, bundle = bundle_for_disc(-4, 10)
         assert bundle.entry(["p_2"]).factors == ()
-        assert recover_norm(bundle, "p_2", recover_class_number(bundle)) == 2
+        assert recover_norm((), "p_2", recover_class_number(bundle)) == 2
 
     def test_odd_norm_flags(self):
         _, primes, bundle = bundle_for_disc(-20, 130)
-        norms = recover_norms(bundle, recover_class_number(bundle))
+        recover_class_number(bundle)
+        norms = recover_norms(bundle)
         flags = {l: n % 2 == 1 for l, n in norms.items()}
         assert flags["p_2"] is False
         assert flags["p_3"] is True
@@ -199,7 +202,7 @@ class TestRecoverBasics:
         bundle = InvariantBundle(rank=2, labels=("a", "b", "c"), entries=base)
         for label in "abc":
             with pytest.raises(MalformedBundle):
-                recover_norm(bundle, label, recover_class_number(bundle))
+                recover_norm(bundle.entry((label,)).factors, label, recover_class_number(bundle))
 
 
 @st.composite
@@ -227,10 +230,10 @@ def test_exact_root_agrees_with_newton(case, offset):
 class TestSubgroupOrders:
     def test_disc_minus_20(self):
         _, _, bundle = bundle_for_disc(-20, 30)
-        h = recover_class_number(bundle)
-        assert subgroup_order_from_bundle(bundle, ["p_3"], h) == 2
-        assert subgroup_order_from_bundle(bundle, ["p_29"], h) == 1
-        assert subgroup_order_from_bundle(bundle, ["p_3", "p_7"], h) == 2
+        recover_class_number(bundle)
+        assert subgroup_order_from_bundle(bundle, ["p_3"]) == 2
+        assert subgroup_order_from_bundle(bundle, ["p_29"]) == 1
+        assert subgroup_order_from_bundle(bundle, ["p_3", "p_7"]) == 2
 
 
 def first_label_of_each_singleton(bundle):
@@ -249,9 +252,9 @@ class TestNormRecoveryCount:
     def counted(self, monkeypatch):
         calls = []
 
-        def counting(bundle, label, h):
+        def counting(factors, label, h):
             calls.append(label)
-            return recover_norm(bundle, label, h)
+            return recover_norm(factors, label, h)
 
         monkeypatch.setattr(reconstruct, "recover_norm", counting)
         return calls
@@ -293,10 +296,26 @@ class TestNormRecoveryCount:
         monkeypatch.setattr(
             reconstruct, "integer_nth_root", lambda x, n: roots.append(x) or nth_root(x, n)
         )
-        norms = recover_norms(bundle, recover_class_number(bundle))
+        recover_class_number(bundle)
+        norms = recover_norms(bundle)
         assert norms["p_3"] == norms["p_3c"] == 3
         assert "p_3" in counted and "p_3c" not in counted
         assert roots.count(bundle.entry(("p_3",)).factors[0] + 1) == 1
+
+    def test_each_singleton_entry_is_read_once(self, monkeypatch):
+        # `recover_norm` is handed the entry `recover_norms` read, so a
+        # label whose entry starts a new root costs no second read
+        _, _, bundle = bundle_for_disc(-1031, 100)
+        read = []
+        entry = InvariantBundle.entry
+
+        def counting(self, labels):
+            read.append(labels)
+            return entry(self, labels)
+
+        monkeypatch.setattr(InvariantBundle, "entry", counting)
+        recover_norms(bundle)
+        assert read == [(label,) for label in bundle.labels]
 
 
 class TestGreedyChain:
@@ -487,9 +506,9 @@ class TestReconstructClassGroup:
         read = []
         order_of = reconstruct.subgroup_order_from_bundle
 
-        def recording(bundle, labels, h):
+        def recording(bundle, labels):
             read.append(tuple(labels))
-            return order_of(bundle, labels, h)
+            return order_of(bundle, labels)
 
         monkeypatch.setattr(reconstruct, "subgroup_order_from_bundle", recording)
         assert reconstruct_group(bundle).factors == (2,)
@@ -687,7 +706,8 @@ def test_norm_recovery_inverts_singleton_form_for_all_pairs():
         norm = rng.choice([2, 3, 4, 5, 7, 8, 9, 11, 13])
         p = datum("p", norm, cls)
         bundle = build_bundle(group, [p])
-        assert recover_norm(bundle, "p", recover_class_number(bundle)) == norm
+        factors = bundle.entry(("p",)).factors
+        assert recover_norm(factors, "p", recover_class_number(bundle)) == norm
 
 
 # Genuine bundle files: the ladder fields and -3299 (Cl = Z/3 x Z/9), each
@@ -898,25 +918,25 @@ def test_chains_read_only_sets_the_audit_has_shaped(case):
     # set it extends.
     try:
         bundle = bundle_from_json(_mutated(*case))
-        h = recover_class_number(bundle)
-        norms = recover_norms(bundle, h)
-        _check_torsion(bundle, norms, h)
+        recover_class_number(bundle)
+        norms = recover_norms(bundle)
+        _check_torsion(bundle, norms)
     except MalformedBundle:
         return
     order_of = reconstruct.subgroup_order_from_bundle
 
-    def checked(bundle, labels, h):
+    def checked(bundle, labels):
         count = len(bundle.entry(labels).factors)
         assert count, labels
         if len(labels) > 1:
             assert len(bundle.entry(labels[:-1]).factors) % count == 0, labels
-        return order_of(bundle, labels, h)
+        return order_of(bundle, labels)
 
     with pytest.MonkeyPatch.context() as patch, contextlib.suppress(
         BundleEntryMissing, MalformedBundle, InsufficientGenerators
     ):
         patch.setattr(reconstruct, "subgroup_order_from_bundle", checked)
-        reconstruct_class_group(bundle, norms, h)
+        reconstruct_class_group(bundle, norms)
 
 
 def test_blind_sweep_output_is_unchanged():
