@@ -667,3 +667,16 @@ class TestValueSemantics:
             spec.factors = (5,)
         assert spec == SyntheticSpec(spec.factors, tuple(spec.primes))
         assert hash(spec) == hash(SyntheticSpec(spec.factors, tuple(spec.primes)))
+
+
+def test_quadratic_sweep_output_is_unchanged():
+    # Every byte that `classgroup -D`, `roundtrip` and `invariants --set -o`
+    # write, and every exit code, for the 319 discriminants of
+    # `sweep_quadratic`: a change to the class-group build, the prime
+    # enumeration or the bundle producer that changes any output changes the
+    # digest.
+    from sweep_quadratic import sweep
+
+    digest, codes = sweep(300, 20261021)
+    assert digest == "ff6bf743b03046d3189fdfa17990c08e981b84ae04f23d0d231f21ad92af312b"
+    assert codes == {0: 957}
