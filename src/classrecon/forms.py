@@ -196,16 +196,11 @@ def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
 
 
 def is_fundamental_discriminant(d: int) -> bool:
+    """Whether d < 0 is d = 1 (mod 4) squarefree, or 4m with m = 2, 3 (mod 4) squarefree."""
     if d >= 0 or d % 4 not in (0, 1):
         return False
-    if d % 4 == 1:
-        return _squarefree(d)
-    m = d // 4
-    return _squarefree(m) and m % 4 in (2, 3)
-
-
-def _squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorize(abs(n)).values())
+    m = d if d % 4 == 1 else d // 4
+    return (m == d or m % 4 in (2, 3)) and all(e == 1 for e in factorize(-m).values())
 
 
 @lru_cache(maxsize=None)
@@ -289,46 +284,55 @@ def _reduced_triples(d: int) -> list[Triple]:
     A reduced form (a, b, c) has a <= sqrt(|d|/3), and b lies in (-a, a]
     with b^2 = d (mod 4a); b and b + 2a give the same c, so the candidates
     for each a are the classes mod 2a of the roots of d modulo 4a.  The
-    roots modulo each odd a are built once, in increasing order: modulo its
-    prime power q^k (least prime factor q) directly, otherwise by CRT from
-    the roots modulo q^k and modulo a / q^k, both built before.  For odd a,
-    each root x modulo a lifts to the one class mod 2a of the parity of d,
-    x or x + a.  For a = 2^e * m with e > 0 and m odd, CRT combines the
-    2-adic roots (`_two_adic_roots`) with the roots modulo m.  A prime
-    factor of a at which d is a non-residue leaves no roots, hence no
-    forms.  The conditions c >= a, and b >= 0 when a = c, then pick the
+    roots modulo each odd a are built once and kept in (0, a]: for a prime
+    (and for a = 1) from one square root modulo a, a root 0 kept as a;
+    for a power q^k, k >= 2, of its least prime factor q by Hensel lifting, no
+    root when q divides d, since a fundamental d is divisible by no odd
+    prime square; otherwise by CRT from the roots modulo q^k and modulo
+    a / q^k, both built before.  For odd a, a parity test takes each root
+    x to the b of the parity of d in (-a, a]: x itself, or x - a.  For
+    a = 2^e * m with e > 0 and m odd, CRT combines the 2-adic roots
+    (`_two_adic_roots`) with the roots modulo m, and each class above a
+    becomes b - 2a.  A prime factor of a at which d is a non-residue
+    leaves no roots, hence no forms.  The b of each a are sorted in place,
+    and the conditions c >= a, and b >= 0 when a = c, then pick the
     reduced ones.
     """
     _check_discriminant(d)
     top = isqrt(-d // 3)
     spf = smallest_prime_factors(top)
     two_adic = [_two_adic_roots(d, e) for e in range(top.bit_length())]
-    odd_roots: list[list[int]] = [[], [0]] + [[] for _ in range(top - 1)]
+    odd_roots: list[list[int]] = [[]] * (top + 1)  # each odd a sets its entry before use
     forms = []
     for a in range(1, top + 1):
         if a % 2:
-            if a > 1:  # its roots come from its least prime power and the rest
-                q = prime_power = spf[a]
+            q = prime_power = spf[a]
+            if q == a:  # a prime, or a = 1 with spf[1] = 1; r = 0 when a divides d
+                r = sqrt_mod_prime(d, a)
+                roots = [] if r is None else [r, a - r] if r else [a]
+            else:  # from its least prime power and the rest
                 k = 1
                 while a % (prime_power * q) == 0:
                     prime_power, k = prime_power * q, k + 1
                 rest = a // prime_power
-                odd_roots[a] = (
-                    _odd_prime_power_roots(d, q, k)
-                    if rest == 1
-                    else _crt(odd_roots[prime_power], prime_power, odd_roots[rest], rest)
-                )
-            if not odd_roots[a]:
+                if rest > 1:
+                    roots = _crt(odd_roots[prime_power], prime_power, odd_roots[rest], rest)
+                else:
+                    roots = sqrt_mod_prime_power(d, q, k) if d % q else []
+            odd_roots[a] = roots
+            if not roots:
                 continue
-            roots = [x + a * ((x - d) % 2) for x in odd_roots[a]]
+            bs = [x - a if (x ^ d) & 1 else x for x in roots]
         else:
             e = (a & -a).bit_length() - 1
             m = a >> e
             if not (two_adic[e] and odd_roots[m]):
                 continue
-            roots = _crt(two_adic[e], 2 << e, odd_roots[m], m)
-        for b in sorted([x - 2 * a if x > a else x for x in roots]):
-            c = (b * b - d) // (4 * a)
+            bs = [x - 2 * a if x > a else x for x in _crt(two_adic[e], 2 << e, odd_roots[m], m)]
+        bs.sort()
+        four_a = 4 * a
+        for b in bs:
+            c = (b * b - d) // four_a
             if c > a or (c == a and b >= 0):
                 forms.append((a, b, c))
     return forms
@@ -346,17 +350,6 @@ def _two_adic_roots(d: int, e: int) -> list[int]:
     if e > 1:
         return []
     return [2 * (d // 4 % 2)] if e == 1 else [0]
-
-
-def _odd_prime_power_roots(d: int, q: int, k: int) -> list[int]:
-    """Every b mod q^k with b^2 = d (mod q^k), for an odd prime q, each once.
-
-    A fundamental d is divisible by no odd prime square, so q | d leaves
-    the one root 0 for k = 1 and none above.
-    """
-    if d % q == 0:
-        return [0] if k == 1 else []
-    return sqrt_mod_prime_power(d, q, k)
 
 
 def _crt(r1: list[int], m1: int, r2: list[int], m2: int) -> list[int]:
@@ -395,8 +388,10 @@ def _discriminant_data(d: int) -> _DiscriminantData:
     without inversion.  The relations form a triangular matrix of
     determinant h on at most log2(h) generators; its Smith normal form
     (`_cokernel`, which keeps only the row transform) gives the group and
-    the image of each generator, and each form's class is the sum its
-    coordinates name.  Which coordinates a
+    the image of each generator.  Each form's class is the sum its
+    coordinates name, worked out one invariant factor at a time, one list
+    per factor, and zipped into the class tuples; the trivial group has no
+    factor, and its one form gets the empty class.  Which coordinates a
     class gets depends on the walk; every output of the package depends
     only on the group and the isomorphism types of its quotients.
     """
@@ -440,10 +435,10 @@ def _discriminant_data(d: int) -> _DiscriminantData:
         raise InternalContradiction(
             f"relation lattice of {d} has index {group.order()}, not {h}"
         )
-    weights = list(zip(group.factors, rows))
-    form_class = tuple(
-        [tuple([sum(map(mul, coords[i], w)) % f for f, w in weights]) for i in range(h)]
-    )
+    columns = [
+        [sum(map(mul, coords[i], w)) % f for i in range(h)] for f, w in zip(group.factors, rows)
+    ]
+    form_class = tuple(zip(*columns)) or ((),)  # h = 1 has no factor: the empty class
     if len(set(form_class)) != h:
         raise InternalContradiction(f"form classes of {d} are not a bijection")
     return _DiscriminantData(tuple(triples), index, group, form_class)

@@ -183,6 +183,17 @@ class TestFormEnumeration:
     def test_reduced_forms_match_the_pair_scan(self, d):
         assert _reduced_triples(d) == naive_reduced_forms(d)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-19999, -4).filter(is_fundamental_discriminant))
+    @example(-3)  # class number one, and a = 1 for odd D
+    @example(-4)  # class number one, and a = 1 for even D
+    @example(-8)  # a = 1 for D = 8 (mod 16)
+    @example(-311)  # the forms (9, +-b, c): a root modulo 3^2, lifted to odd b
+    @example(-296)  # the forms (9, +-b, c) of an even D
+    def test_reduced_forms_match_the_pair_scan_on_drawn_discriminants(self, d):
+        # each a's roots are lifted to the parity of D and sorted per a
+        assert _reduced_triples(d) == naive_reduced_forms(d)
+
     def test_sample_reaches_every_root_case(self):
         # leading coefficients with an odd prime square and with 2^3 or
         # more, for odd D, and with 2 for D = 8 and 12 (mod 16)
