@@ -435,10 +435,10 @@ def _discriminant_data(d: int) -> _DiscriminantData:
         raise InternalContradiction(
             f"relation lattice of {d} has index {group.order()}, not {h}"
         )
-    columns = [
+    by_factor = [
         [sum(map(mul, coords[i], w)) % f for i in range(h)] for f, w in zip(group.factors, rows)
     ]
-    form_class = tuple(zip(*columns)) or ((),)  # h = 1 has no factor: the empty class
+    form_class = tuple(zip(*by_factor)) or ((),)  # h = 1 has no factor: the empty class
     if len(set(form_class)) != h:
         raise InternalContradiction(f"form classes of {d} are not a bijection")
     return _DiscriminantData(tuple(triples), index, group, form_class)
