@@ -217,6 +217,28 @@ class TestFormEnumeration:
         for q in primes_up_to(500):
             assert _prime_triple(d, q) == _scanned_prime_form(d, q), (d, q)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-999999, -4).filter(is_fundamental_discriminant))
+    @example(-84)  # q = 2 ramified with b = q, and q = 3 ramified with b = 0
+    @example(-420)  # four ramified primes, q = 2, 3, 5 and 7
+    @example(-3299)  # split primes of a non-cyclic group, Z/3 x Z/9
+    def test_small_prime_forms_are_the_reduced_forms(self, d):
+        # for 4q^2 <= |D| every form (q, b, c) with -q < b <= q has
+        # c >= |D|/4q >= q, so it is reduced: the reduced forms with a = q
+        # decide how q splits, and the prime form is the one with b >= 0
+        triples = _reduced_triples(d)
+        for q in primes_up_to(isqrt(-d // 4)):
+            found = [f for f in triples if f[0] == q]
+            form = _prime_triple(d, q)
+            if form is None:
+                assert found == [], (d, q)
+                continue
+            assert form == max(found) and form[1] >= 0, (d, q)
+            if d % q:
+                assert found == [(q, -form[1], form[2]), form], (d, q)
+            else:
+                assert found == [form] and form[1] in (0, q), (d, q)
+
 
 @st.composite
 def relation_matrices(draw):
