@@ -279,8 +279,8 @@ def factorize(n: int) -> dict[int, int]:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    if n > 1:  # a prime above every d tried
+        out[n] = 1
     return out
 
 

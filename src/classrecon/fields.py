@@ -3,12 +3,15 @@
 A rational prime q splits, ramifies or stays inert in an imaginary
 quadratic field as D has two, one or no square roots modulo 4q, and a root
 gives a form with leading coefficient q, whose class is the ideal class of
-a prime above q.  Prime enumeration takes one square root of D per
-rational prime, which both decides its splitting and gives its prime form,
-and finds a prime's class by that form's reduced triple in the class group
-that `forms` builds.  The conjugate of a split prime has the inverse class,
-that of the inverse form (q, -b, c), which the same table gives, so no
-group arithmetic runs.  Synthetic field specifications carry an arbitrary
+a prime above q.  For 4q^2 <= |D| every such form with -q < b <= q is
+reduced, so prime enumeration reads q's splitting and prime form off the
+reduced forms that the class-group build of `forms` already holds: none
+with leading coefficient q when q is inert, one when q ramifies, a pair
+(q, +-b, c) when q splits.  Each larger prime takes one square root of D,
+which both decides its splitting and gives its prime form.  A prime's class
+is then that of its form's reduced triple in the same build.  The conjugate
+of a split prime has the inverse class, that of the inverse form
+(q, -b, c), which the same table gives, so no group arithmetic runs.  Synthetic field specifications carry an arbitrary
 finite abelian group and a free-form prime stream, so class groups outside
 quadratic reach enter the test matrix.  `synthetic_spec_from_json` is
 their one loader: it reads a spec document's JSON shape, with the codec's
@@ -59,16 +62,18 @@ def _prime_triple(d: int, q: int) -> Triple | None:
     """The form (q, b, c) of discriminant d with the least b in [0, 2q), or None.
 
     The b are the roots of d modulo 4q, one per class mod 2q, as in
-    `_reduced_triples`: for odd q, each root +-r modulo q lifted to the
-    parity of d (for r = 0 the lift of q is q or 2q, never below the lift
-    of 0); for q = 2, the 2-adic roots.  No root means that q is inert, and
-    gives None.  A form found must be primitive.
+    `_reduced_triples`: for q = 2, the 2-adic roots; for odd q, the roots
+    r and q - r modulo q lifted to the parity of d.  Those two have
+    opposite parities, so the least lift is the one of the parity of d,
+    below q, as it is; the other gains q.  For r = 0 that is 0 or q.  No
+    root means that q is inert, and gives None.  A form found must be
+    primitive.  `enumerate_prime_ideals` calls this only for 4q^2 > |d|.
     """
     if q == 2:
         roots = _two_adic_roots(d, 1)
     else:
         r = sqrt_mod_prime(d, q)
-        roots = [] if r is None else [x + q * ((x - d) % 2) for x in (r, q - r)]
+        roots = [] if r is None else [q - r if (r ^ d) & 1 else r]
     if not roots:
         return None
     b = min(roots)
@@ -173,8 +178,13 @@ def synthetic_spec_from_json(doc: Any) -> SyntheticSpec:
 def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]:
     """Every prime ideal of norm <= bound, one datum per ideal.
 
-    The prime form (`_prime_triple`) decides each rational prime q.  With
-    none, q is inert and contributes one principal datum of norm q**2.
+    The prime form decides each rational prime q.  For 4q^2 <= |D| it is
+    reduced, since c >= |D|/4q >= q, so it is read off the build: the
+    reduced form with leading coefficient q and the largest b, which is
+    the one with b >= 0 and the last of them in sorted order; with no
+    reduced form of leading coefficient q, q is inert.  A larger q takes
+    its prime form from one square root (`_prime_triple`).  With no prime
+    form, q is inert and contributes one principal datum of norm q**2.
     Otherwise its class is that of a prime above q: a ramified q (dividing
     D) contributes that one datum, and a split q a second one of the
     inverse class, read from the build's table at the inverse form
@@ -186,18 +196,20 @@ def enumerate_prime_ideals(spec: FieldSpec, bound: int) -> list[PrimeIdealDatum]
     if isinstance(spec, SyntheticSpec):
         return [p for p in spec.primes if p.norm <= bound]
     d = spec.discriminant
-    data = _discriminant_data(d)
+    forms, index, _, form_class = _discriminant_data(d)
+    prime_forms = {f[0]: f for f in forms}  # per leading coefficient, its last form
     out: list[PrimeIdealDatum] = []
     for q in primes_up_to(bound):
-        form = _prime_triple(d, q)
+        form = prime_forms.get(q) if 4 * q * q <= -d else _prime_triple(d, q)
         if form is None:  # q is inert, and (q) is principal: form 0's class
             if q * q <= bound:
-                out.append(PrimeIdealDatum(f"p_{q}", q * q, data.form_class[0], q))
+                out.append(PrimeIdealDatum(f"p_{q}", q * q, form_class[0], q))
             continue
         # a ramified q gives one prime; a split q a second, of the inverse form (q, -b, c)
-        for label, b in (f"p_{q}", form[1]), (f"p_{q}c", -form[1]):
-            cls = data.form_class[data.index[_reduce_triple(q, b, form[2])]]
-            out.append(PrimeIdealDatum(label, q, cls, q))
+        for suffix, b in ("", form[1]), ("c", -form[1]):
+            out.append(PrimeIdealDatum(
+                f"p_{q}{suffix}", q, form_class[index[_reduce_triple(q, b, form[2])]], q
+            ))
             if d % q == 0:
                 break
     return out

@@ -157,8 +157,9 @@ def sqrt_mod_prime(a: int, q: int) -> int | None:
 def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
     """Every root of x*x = a modulo q**e, each once, for a prime q not dividing a.
 
-    For odd q, a root modulo q lifts by Hensel's lemma one exponent at a
-    time, and the roots are r and -r.  Powers of 2 are their own small
+    For odd q, a root modulo q lifts by Newton's iteration modulo q**e, each
+    step at least one exponent further (Hensel's lemma), and the roots are
+    r and -r.  Powers of 2 are their own small
     case: an odd a has the root 1 modulo 2, the roots 1 and 3 modulo 4 when
     a = 1 (mod 4), and four roots +-r, +-r + 2**(e-1) modulo 2**e for e >= 3
     when a = 1 (mod 8); otherwise none.
@@ -185,10 +186,8 @@ def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
     r = sqrt_mod_prime(a, q)
     if r is None:
         return []
-    modulus = q
     for _ in range(1, e):
-        modulus *= q
-        r = (r - (r * r - a) * pow(2 * r, -1, modulus)) % modulus
+        r = (r - (r * r - a) * pow(2 * r, -1, n)) % n
     return [r, n - r]  # distinct, since q does not divide a
 
 
@@ -200,7 +199,7 @@ def is_fundamental_discriminant(d: int) -> bool:
     if d >= 0 or d % 4 not in (0, 1):
         return False
     m = d if d % 4 == 1 else d // 4
-    return (m == d or m % 4 in (2, 3)) and all(e == 1 for e in factorize(-m).values())
+    return (m == d or m % 4 in (2, 3)) and max(factorize(-m).values(), default=1) == 1
 
 
 @lru_cache(maxsize=None)
@@ -373,13 +372,18 @@ class _DiscriminantData(NamedTuple):
 def _discriminant_data(d: int) -> _DiscriminantData:
     """The form class group, built by subgroup extension in (h - 1)/2 compositions for odd h.
 
-    Walks the reduced forms in sorted order, keeping the coordinates of the
-    covered subgroup H over the generators found so far; the principal form
-    (1, b, c) sorts first.  A form x outside H becomes the next generator,
-    of order k modulo H.  For j = 1, 2, ... the coset H + j*x is covered by
-    translating H, and then its inverse coset H - j*x = H + (k - j)*x by
-    inverting each form, (a, b, c) -> (a, -b, c), with the coordinates
-    negated, unless the coset is its own inverse.  The walk stops at the
+    Walks the reduced forms in sorted order, keeping in one list, per form
+    position, the coordinates of each form of the covered subgroup H over
+    the generators found so far, and None for a form not yet covered; the
+    principal form (1, b, c) sorts first.  A form x outside H becomes the
+    next generator, of order k modulo H.  For j = 1, 2, ... the coset
+    H + j*x is covered by translating H, and then its inverse coset
+    H - j*x = H + (k - j)*x by inverting each form, (a, b, c) -> (a, -b, c),
+    with the coordinates negated, unless the coset is its own inverse,
+    that is, unless the inverse of j*x is covered once H + j*x is.  A
+    second list, built once, gives the position of each form's inverse; a
+    form whose (a, -b, c) is not reduced is its own inverse.  Each position
+    is checked to be uncovered before it is set.  The walk stops at the
     first multiple j*x already covered, and j*e_x - coords(j*x) is the
     relation, whose coefficient at x is k.  The principal form translates
     to j*x itself, since reduced forms are unique per class, so each
@@ -398,31 +402,34 @@ def _discriminant_data(d: int) -> _DiscriminantData:
     triples = _reduced_triples(d)
     h = len(triples)
     index = {f: i for i, f in enumerate(triples)}
-    coords: dict[int, tuple[int, ...]] = {0: ()}  # the principal form sorts first
-    relations: list[tuple[int, tuple[int, ...]]] = []  # (k, coords of k*x)
+    # per position: the position of the inverse form, (a, b, c) -> (a, -b, c),
+    # which is the form itself when (a, -b, c) is not reduced (order <= 2)
+    inverse = [index.get((a, -b, c), i) for i, (a, b, c) in enumerate(triples)]
+    coords = [()] + [None] * (h - 1)  # per position; the principal form sorts first
+    relations = []  # (k, coords of k*x) per generator x
     for x, gen in enumerate(triples):
-        if x in coords:
+        if coords[x] is not None:
             continue
-        subgroup = [
-            (i, triples[i], c + (0,) * (len(relations) - len(c))) for i, c in coords.items()
+        subgroup = [  # (position, coordinates) over H
+            (i, c + (0,) * (len(relations) - len(c)))
+            for i, c in enumerate(coords) if c is not None
         ]
         multiple, k = gen, 1
-        while (y := index[multiple]) not in coords:
-            coset = [(_compose_triples(f, multiple) if i else multiple, c + (k,))
-                     for i, f, c in subgroup]
-            a, b, c = multiple
-            if _reduce_triple(a, -b, c) not in dict(coset):
-                # H - k*x holds no class of order 2, so each inverse form is reduced
-                coset += [((a, -b, c), tuple(map(neg, u))) for (a, b, c), u in coset]
-            for f, u in coset:
-                if (z := index[f]) in coords:
-                    raise InternalContradiction(
-                        f"translates of a form subgroup overlap for {d}"
-                    )
-                coords[z] = u
+        while coords[y := index[multiple]] is None:
+            coset = []
+            for i, c in subgroup:
+                if coords[z := index[_compose_triples(triples[i], multiple)] if i else y] is not None:
+                    raise InternalContradiction(f"translates of a form subgroup overlap for {d}")
+                coords[z] = c + (k,)
+                coset.append(z)
+            if coords[inverse[y]] is None:  # H - k*x is not H + k*x
+                for z in coset:
+                    if coords[w := inverse[z]] is not None:
+                        raise InternalContradiction(f"translates of a form subgroup overlap for {d}")
+                    coords[w] = tuple(map(neg, coords[z]))
             multiple, k = _compose_triples(multiple, gen), k + 1
         relations.append((k, coords[y]))
-    if len(coords) != h:
+    if None in coords:
         raise InternalContradiction(f"subgroup extension missed forms of {d}")
     n = len(relations)
     columns = []
@@ -436,7 +443,7 @@ def _discriminant_data(d: int) -> _DiscriminantData:
             f"relation lattice of {d} has index {group.order()}, not {h}"
         )
     by_factor = [
-        [sum(map(mul, coords[i], w)) % f for i in range(h)] for f, w in zip(group.factors, rows)
+        [sum(map(mul, c, w)) % f for c in coords] for f, w in zip(group.factors, rows)
     ]
     form_class = tuple(zip(*by_factor)) or ((),)  # h = 1 has no factor: the empty class
     if len(set(form_class)) != h:

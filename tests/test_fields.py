@@ -373,9 +373,10 @@ class TestComposition:
         assert class_group(QuadraticSpec(d)).factors == factors
 
     def test_model_build_is_linear_in_class_number(self, monkeypatch):
-        # subgroup extension composes each new form into place once, as a
-        # translate or as a power step, and the principal form translates
-        # without a composition: h - 1 in all, no h^2 table
+        # subgroup extension composes each new form into place at most once,
+        # as a translate or as a power step, the principal form translates
+        # without a composition and each inverse coset comes by negation:
+        # (h - 1)/2 in all for odd h, fewer than h for even h, no h^2 table
         calls = 0
         compose = forms._compose_triples
 
@@ -393,20 +394,23 @@ class TestComposition:
         assert _discriminant_data(-202127).forms == tuple(_reduced_triples(-202127))
 
     def test_prime_enumeration_computes_one_symbol_per_prime(self, monkeypatch):
-        # one square root per odd prime decides its splitting and gives its
-        # prime form; q = 2 takes the 2-adic roots instead
-        calls = 0
+        # a prime q with 4q^2 <= |D| is read off the reduced forms, which the
+        # build already holds; above that, one square root per odd prime
+        # decides its splitting and gives its prime form
+        calls = []
         root = fields.sqrt_mod_prime
 
         def counted(a, q):
-            nonlocal calls
-            calls += 1
+            calls.append(q)
             return root(a, q)
 
         _discriminant_data(-100019)
         monkeypatch.setattr(fields, "sqrt_mod_prime", counted)
         enumerate_prime_ideals(QuadraticSpec(-100019), 2000)
-        assert calls == len(primes_up_to(2000)) - 1 == 302
+        assert len(calls) == 266
+        assert calls == [q for q in primes_up_to(2000) if q >= 163]
+        assert len(primes_up_to(162)) - 1 == 36  # the odd primes read off the forms
+        assert 4 * 157**2 <= 100019 < 4 * 163**2
 
     def test_discriminant_above_limit_is_refused(self, monkeypatch):
         def no_enumeration(*args):
