@@ -40,6 +40,7 @@ from classrecon.lattice import index_and_relations, roundtrip
 from classrecon.oracle import (
     QUOTIENT_GUARD,
     class_group_model,
+    class_number_formula,
     cokernel_of_columns,
     dirichlet_compose,
     element_order,
@@ -238,6 +239,33 @@ class TestFormEnumeration:
                 assert found == [(q, -form[1], form[2]), form], (d, q)
             else:
                 assert found == [form] and form[1] in (0, q), (d, q)
+
+
+def _class_number_discriminants() -> list[int]:
+    """The ladder, the six `ladder` benchmark `invariants` fields of seed 1, and
+    200 seeded fundamental discriminants in [-20000, -5]."""
+    rng = random.Random(17)
+    sample: list[int] = []
+    while len(sample) < 200:
+        d = -rng.randrange(5, 20001)
+        if is_fundamental_discriminant(d) and d not in sample:
+            sample.append(d)
+    return [-84, -1031, -10007, -100019, -3023, -33083, -19207, -7927, -32603, -23603] + sample
+
+
+def test_class_number_formula_certifies_the_form_count():
+    # Dirichlet's analytic class number formula, one Kronecker symbol per
+    # a < |D|/2, against the number of reduced forms the build enumerates
+    for d in _class_number_discriminants():
+        assert class_number_formula(d) == len(_reduced_triples(d)), d
+
+
+def test_class_number_formula_refuses_what_it_does_not_cover():
+    for d in (-3, -4):
+        with pytest.raises(ValueError):
+            class_number_formula(d)
+    with pytest.raises(InvalidDiscriminant):
+        class_number_formula(-12)
 
 
 @st.composite

@@ -1,12 +1,14 @@
 """Self-checks for the naive reference implementations."""
 
 import pytest
+from sympy.functions.combinatorial.numbers import kronecker_symbol as sympy_kronecker
 
 from classrecon.abgroup import FinGenAbGroup
 from classrecon.oracle import (
     OracleGuard,
     Representation,
     dirichlet_compose,
+    kronecker_symbol,
     naive_cokernel,
     naive_member,
     naive_order_index,
@@ -131,3 +133,14 @@ class TestDirichletComposition:
             dirichlet_compose((2, 1, 3), (3, 1, 4))
         with pytest.raises(ValueError, match="not positive definite"):
             naive_reduce(1, 3, 1)
+
+
+class TestKroneckerSymbol:
+    def test_matches_sympy(self):
+        for a in range(-60, 61):
+            for n in range(1, 70):
+                assert kronecker_symbol(a, n) == sympy_kronecker(a, n), (a, n)
+
+    def test_refuses_n_below_one(self):
+        with pytest.raises(ValueError):
+            kronecker_symbol(5, 0)
