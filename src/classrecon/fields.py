@@ -11,9 +11,11 @@ with leading coefficient q when q is inert, one when q ramifies, a pair
 which both decides its splitting and gives its prime form.  A prime's class
 is then that of its form's reduced triple in the same build.  The conjugate
 of a split prime has the inverse class, that of the inverse form
-(q, -b, c), which the same table gives, so no group arithmetic runs.  Synthetic field specifications carry an arbitrary
-finite abelian group and a free-form prime stream, so class groups outside
-quadratic reach enter the test matrix.  `synthetic_spec_from_json` is
+(q, -b, c), which the same table gives, so no group arithmetic runs.
+
+Synthetic field specifications carry an arbitrary finite abelian group and
+a free-form prime stream, so class groups outside quadratic reach enter
+the test matrix.  `synthetic_spec_from_json` is
 their one loader: it reads a spec document's JSON shape, with the codec's
 integer and array readers, and decides every rule of a valid spec.
 Either kind of spec yields its primes as `PrimeIdealDatum`s, plain records

@@ -159,10 +159,10 @@ def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
 
     For odd q, a root modulo q lifts by Newton's iteration modulo q**e, each
     step at least one exponent further (Hensel's lemma), and the roots are
-    r and -r.  Powers of 2 are their own small
-    case: an odd a has the root 1 modulo 2, the roots 1 and 3 modulo 4 when
-    a = 1 (mod 4), and four roots +-r, +-r + 2**(e-1) modulo 2**e for e >= 3
-    when a = 1 (mod 8); otherwise none.
+    r and -r.  Powers of 2 are their own small case: an odd a has the root
+    1 modulo 2, the roots 1 and 3 modulo 4 when a = 1 (mod 4), and four
+    roots +-r, +-r + 2**(e-1) modulo 2**e for e >= 3 when a = 1 (mod 8);
+    otherwise none.
 
     >>> sorted(sqrt_mod_prime_power(2, 7, 2))
     [10, 39]
