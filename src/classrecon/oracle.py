@@ -27,8 +27,11 @@ validates; lattice questions, including the multiplier relations a
 quotient prediction asserts, are settled by a plain insertion echelon
 basis and literal enumeration.  The reference values the
 tests compare against live here too: exact determinants, element orders
-and primary decompositions.  As in `forms`, a form is its (a, b, c) int
-triple; a matrix is the tuple of its rows (`Matrix`).
+and primary decompositions.  The class number has an analytic route too:
+Dirichlet's formula over the Kronecker character (`class_number_formula`,
+with its own `kronecker_symbol`), which shares nothing with the reduced
+forms whose count gives h at runtime.  As in `forms`, a form is its
+(a, b, c) int triple; a matrix is the tuple of its rows (`Matrix`).
 """
 
 from __future__ import annotations

@@ -500,6 +500,27 @@ def test_inverse_form_has_the_negated_class(d):
 
 
 class TestSplitting:
+    @pytest.mark.parametrize("d", [-84, -420, -3299, -100019, -3000047])
+    def test_prime_data_match_the_root_route(self, d):
+        # each prime's data as if every q took a square root: p_q gets the
+        # class of its prime form (q, b, c), b the least root, and p_qc that
+        # of (q, -b, c), so the forms read off the build for 4q^2 <= |D|
+        # label the conjugates as the root route does
+        data = _discriminant_data(d)
+        want = []
+        for q in primes_up_to(700):
+            form = _prime_triple(d, q)
+            if form is None:
+                if q * q <= 700:
+                    want.append(datum(f"p_{q}", q * q, data.form_class[0], q))
+                continue
+            for label, b in (f"p_{q}", form[1]), (f"p_{q}c", -form[1]):
+                cls = data.form_class[data.index[_reduce_triple(q, b, form[2])]]
+                want.append(datum(label, q, cls, q))
+                if d % q == 0:
+                    break
+        assert enumerate_prime_ideals(QuadraticSpec(d), 700) == want
+
     def test_pinned_examples(self):
         data = {p.label: p for p in enumerate_prime_ideals(QuadraticSpec(-20), 121)}
         assert [data[k].norm for k in ("p_3", "p_3c", "p_5", "p_11")] == [3, 3, 5, 121]
