@@ -435,10 +435,10 @@ class TestComposition:
         _discriminant_data(-100019)
         monkeypatch.setattr(fields, "sqrt_mod_prime", counted)
         enumerate_prime_ideals(QuadraticSpec(-100019), 2000)
-        assert len(calls) == 266
+        # 4 * 157**2 <= 100019 < 4 * 163**2: the 36 odd primes below 163
+        # take no root, each one above takes one
         assert calls == [q for q in primes_up_to(2000) if q >= 163]
-        assert len(primes_up_to(162)) - 1 == 36  # the odd primes read off the forms
-        assert 4 * 157**2 <= 100019 < 4 * 163**2
+        assert len(calls) == 266
 
     def test_discriminant_above_limit_is_refused(self, monkeypatch):
         def no_enumeration(*args):
