@@ -72,7 +72,7 @@ def _prime_triple(d: int, q: int) -> Triple | None:
     primitive.  `enumerate_prime_ideals` calls this only for 4q^2 > |d|.
     """
     if q == 2:
-        roots = _two_adic_roots(d, 1)
+        roots = _two_adic_roots(d, 2)[1]
     else:
         r = sqrt_mod_prime(d, q)
         roots = [] if r is None else [q - r if (r ^ d) & 1 else r]

@@ -21,16 +21,18 @@ A Smith normal form of the small relation matrix gives the structure and
 each form's class; `_cokernel` computes it with the row transform alone,
 since nothing reads the column transform.
 The reduced forms come from square roots: for each a <= sqrt(|D|/3), the
-b are the roots of b^2 = D (mod 4a), combined by CRT from roots modulo the
-prime powers of 4a, about sqrt(|D|) steps against the |D|/3 of
-`oracle.naive_reduced_forms`.
+b are the roots of b^2 = D (mod 4a), taken from a table of the roots
+modulo smaller a (one square root modulo each prime a, CRT for coprime
+factors, one Hensel step where the least prime divides a twice, and the
+2-adic roots lifted one exponent at a time), about sqrt(|D|) steps
+against the |D|/3 of `oracle.naive_reduced_forms`.
 
-That cokernel, the modular square roots and the least prime factor table
-live here, beside their one runtime user; the general Smith normal form is
-a certifier in `oracle`.  The prime ideals and synthetic specs are in
-`fields`, which imports this module.  This module imports only `abgroup`
-and `errors`, and it holds the `classgroup` command's handler, so
-`classgroup -D` loads only those three modules besides `cli`.
+That cokernel, the square roots modulo a prime and the least prime factor
+table live here, beside their one runtime user; the general Smith normal
+form is a certifier in `oracle`.  The prime ideals and synthetic specs
+are in `fields`, which imports this module.  This module imports only
+`abgroup` and `errors`, and it holds the `classgroup` command's handler,
+so `classgroup -D` loads only those three modules besides `cli`.
 
 Quadratic specs with |D| above `errors.MAX_DISCRIMINANT` are refused
 before any work, since the class group build grows with h, about
@@ -154,43 +156,6 @@ def sqrt_mod_prime(a: int, q: int) -> int | None:
     return x
 
 
-def sqrt_mod_prime_power(a: int, q: int, e: int) -> list[int]:
-    """Every root of x*x = a modulo q**e, each once, for a prime q not dividing a.
-
-    For odd q, a root modulo q lifts by Newton's iteration modulo q**e, each
-    step at least one exponent further (Hensel's lemma), and the roots are
-    r and -r.  Powers of 2 are their own small case: an odd a has the root
-    1 modulo 2, the roots 1 and 3 modulo 4 when a = 1 (mod 4), and four
-    roots +-r, +-r + 2**(e-1) modulo 2**e for e >= 3 when a = 1 (mod 8);
-    otherwise none.
-
-    >>> sorted(sqrt_mod_prime_power(2, 7, 2))
-    [10, 39]
-    >>> sorted(sqrt_mod_prime_power(17, 2, 5))
-    [7, 9, 23, 25]
-    """
-    if e < 1 or a % q == 0:
-        raise ValueError(f"need e >= 1 and {q} not dividing {a}")
-    n = q**e
-    if q == 2:
-        if e <= 2:
-            return [1] if e == 1 else [1, 3] if a % 4 == 1 else []
-        if a % 8 != 1:
-            return []
-        r = 1  # r*r = a (mod 2**k) for k = 3, then lifted to k = e
-        for k in range(3, e):
-            if (r * r - a) % (2 << k):
-                r += 1 << (k - 1)
-        half = n // 2  # r is odd, so the four roots are distinct
-        return [r, n - r, (r + half) % n, (half - r) % n]
-    r = sqrt_mod_prime(a, q)
-    if r is None:
-        return []
-    for _ in range(1, e):
-        r = (r - (r * r - a) * pow(2 * r, -1, n)) % n
-    return [r, n - r]  # distinct, since q does not divide a
-
-
 # -- quadratic forms and their class group ----------------------------------
 
 
@@ -283,41 +248,44 @@ def _reduced_triples(d: int) -> list[Triple]:
     A reduced form (a, b, c) has a <= sqrt(|d|/3), and b lies in (-a, a]
     with b^2 = d (mod 4a); b and b + 2a give the same c, so the candidates
     for each a are the classes mod 2a of the roots of d modulo 4a.  The
-    roots modulo each odd a are built once and kept in (0, a]: for a prime
-    (and for a = 1) from one square root modulo a, a root 0 kept as a;
-    for a power q^k, k >= 2, of its least prime factor q by Hensel lifting, no
-    root when q divides d, since a fundamental d is divisible by no odd
-    prime square; otherwise by CRT from the roots modulo q^k and modulo
-    a / q^k, both built before.  For odd a, a parity test takes each root
-    x to the b of the parity of d in (-a, a]: x itself, or x - a.  For
-    a = 2^e * m with e > 0 and m odd, CRT combines the 2-adic roots
-    (`_two_adic_roots`) with the roots modulo m, and each class above a
-    becomes b - 2a.  A prime factor of a at which d is a non-residue
-    leaves no roots, hence no forms.  The b of each a are sorted in place,
-    and the conditions c >= a, and b >= 0 when a = c, then pick the
-    reduced ones.
+    roots modulo each odd a are kept in (0, a], each built from the roots
+    already in the table, with q the least prime factor of a and
+    rest = a / q: for a prime (and for a = 1) from one square root modulo
+    a, a root 0 kept as a; for q not dividing rest by CRT from the roots
+    modulo q and modulo rest; for q dividing rest, none when q divides d,
+    since a fundamental d is divisible by no odd prime square, and
+    otherwise one Hensel step from each root r modulo rest, to
+    r + rest*t with t = ((d - r^2)/rest) / 2r (mod q), since a divides
+    rest^2.  For odd a, a parity test takes each root x to the b of the
+    parity of d in (-a, a]: x itself, or x - a.  For a = 2^e * m with
+    e > 0 and m odd, CRT combines the 2-adic roots (`_two_adic_roots`)
+    with the roots modulo m, and each class above a becomes b - 2a.  A
+    prime factor of a at which d is a non-residue leaves no roots, hence
+    no forms.  The b of each a are sorted in place, and the conditions
+    c >= a, and b >= 0 when a = c, then pick the reduced ones.
     """
     _check_discriminant(d)
     top = isqrt(-d // 3)
     spf = smallest_prime_factors(top)
-    two_adic = [_two_adic_roots(d, e) for e in range(top.bit_length())]
+    two_adic = _two_adic_roots(d, top.bit_length())
     odd_roots: list[list[int]] = [[]] * (top + 1)  # each odd a sets its entry before use
     forms = []
     for a in range(1, top + 1):
         if a % 2:
-            q = prime_power = spf[a]
+            q = spf[a]
+            rest = a // q
             if q == a:  # a prime, or a = 1 with spf[1] = 1; r = 0 when a divides d
                 r = sqrt_mod_prime(d, a)
                 roots = [] if r is None else [r, a - r] if r else [a]
-            else:  # from its least prime power and the rest
-                k = 1
-                while a % (prime_power * q) == 0:
-                    prime_power, k = prime_power * q, k + 1
-                rest = a // prime_power
-                if rest > 1:
-                    roots = _crt(odd_roots[prime_power], prime_power, odd_roots[rest], rest)
-                else:
-                    roots = sqrt_mod_prime_power(d, q, k) if d % q else []
+            elif rest % q:
+                roots = _crt(odd_roots[q], q, odd_roots[rest], rest)
+            elif d % q:  # q does not divide r, so 2r is invertible modulo q
+                roots = [
+                    r + rest * ((d - r * r) // rest * pow(2 * r, -1, q) % q)
+                    for r in odd_roots[rest]
+                ]
+            else:  # a fundamental d is divisible by no odd prime square
+                roots = []
             odd_roots[a] = roots
             if not roots:
                 continue
@@ -337,18 +305,27 @@ def _reduced_triples(d: int) -> list[Triple]:
     return forms
 
 
-def _two_adic_roots(d: int, e: int) -> list[int]:
-    """Every class b mod 2^(e+1) with b^2 = d (mod 2^(e+2)), each once.
+def _two_adic_roots(d: int, count: int) -> list[list[int]]:
+    """Per e < count, every class b mod 2^(e+1) with b^2 = d (mod 2^(e+2)), each once.
 
-    An odd d takes its roots modulo 2^(e+2).  An even d = 4n has
-    n = 2 or 3 (mod 4), and b = 2b' needs b'^2 = n (mod 2^e): any b' for
-    e = 0, b' = n (mod 2) for e = 1, and none above.
+    An odd d = 1 (mod 4) has the class 1 for e = 0, and for e >= 1 the
+    classes r and -r of a root r of d modulo 2^(e+2) when d = 1 (mod 8),
+    none otherwise.  The root r = 1 modulo 8, for e = 1, lifts one exponent
+    at a time: for e >= 2, a root r modulo 2^(e+1) gives r or r + 2^e
+    modulo 2^(e+2), since (r + 2^e)^2 = r^2 + 2^(e+1) (mod 2^(e+2)) for
+    odd r.  An even d = 4n has n = 2 or 3 (mod 4), and b = 2b' needs
+    b'^2 = n (mod 2^e): any b' for e = 0, b' = n (mod 2) for e = 1, and
+    none above.
     """
     if d % 2:
-        return list({r % (2 << e) for r in sqrt_mod_prime_power(d, 2, e + 2)})
-    if e > 1:
-        return []
-    return [2 * (d // 4 % 2)] if e == 1 else [0]
+        lists, r = [[1]], 1
+        for e in range(1, count if d % 8 == 1 else 1):
+            if (r * r - d) % (4 << e):
+                r += 1 << e
+            lists.append([r, (2 << e) - r])
+    else:
+        lists = [[0], [2 * (d // 4 % 2)]]
+    return (lists + [[]] * count)[:count]
 
 
 def _crt(r1: list[int], m1: int, r2: list[int], m2: int) -> list[int]:

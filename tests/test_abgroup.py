@@ -26,7 +26,7 @@ from classrecon.abgroup import (
     primes_up_to,
 )
 from classrecon.errors import MAX_BOUND
-from classrecon.forms import smallest_prime_factors, sqrt_mod_prime, sqrt_mod_prime_power
+from classrecon.forms import _two_adic_roots, smallest_prime_factors, sqrt_mod_prime
 from classrecon.lattice import index_and_relations, xgcd
 from classrecon.oracle import (
     QUOTIENT_GUARD,
@@ -564,16 +564,14 @@ class TestIntegerHelpers:
                 else:
                     assert r is None, (a, q)
 
-    def test_sqrt_mod_prime_power_against_brute_force(self):
-        for q, top in ((2, 9), (3, 6), (5, 4), (7, 3), (11, 2), (13, 2)):
-            for e in range(1, top + 1):
-                n = q**e
-                for a in range(-60, 60):
-                    if a % q:
-                        want = [x for x in range(n) if (x * x - a) % n == 0]
-                        assert sorted(sqrt_mod_prime_power(a, q, e)) == want, (a, q, e)
-        with pytest.raises(ValueError):
-            sqrt_mod_prime_power(9, 3, 2)
+    def test_two_adic_roots_against_brute_force(self):
+        # every d of fundamental shape: d = 1 (mod 4), or 4n with n = 2, 3 (mod 4)
+        for d in range(-300, -2):
+            if d % 4 == 1 or (d % 4 == 0 and d // 4 % 4 in (2, 3)):
+                want = [
+                    [b for b in range(2 << e) if (b * b - d) % (4 << e) == 0] for e in range(8)
+                ]
+                assert list(map(sorted, _two_adic_roots(d, 8))) == want, d
 
     def test_refuses_above_the_proven_limit(self):
         # 2**31 - 1 is prime, 3163 the least prime beyond the table, and

@@ -1266,7 +1266,10 @@ def test_reconstruct_reads_the_bundle_from_stdin():
 
 
 class TestOutputFile:
-    """The -o file: where it cannot be written, the error is one line and exit 2.
+    """Unwritable output: the error is one line and exit 2.
+
+    That holds for an -o path that is a directory, in a missing directory
+    or on a full device, and for a stdout closed by its reader.
 
     A read-only file cannot stand in for a refused open when the tests run
     as root, so only paths that refuse every user are covered.
@@ -1293,6 +1296,25 @@ class TestOutputFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: " + message.format(path=path) + "\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_stdout_closed_by_its_reader_exits_2(self, unbuffered):
+        # the read end is closed before the call starts, so the write fails
+        # every time: inside the print when stdout is unbuffered, at the
+        # flush before exit otherwise, and nothing is left to flush at exit
+        src = os.path.dirname(os.path.dirname(classrecon.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "classrecon.cli", "classgroup", "-D", "-84"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_USAGE, b"error: [Errno 32] Broken pipe\n")
 
     def test_new_file_mode_follows_the_umask(self, tmp_path):
         out = tmp_path / "report.json"

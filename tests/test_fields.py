@@ -191,24 +191,36 @@ class TestFormEnumeration:
     @example(-8)  # a = 1 for D = 8 (mod 16)
     @example(-311)  # the forms (9, +-b, c): a root modulo 3^2, lifted to odd b
     @example(-296)  # the forms (9, +-b, c) of an even D
+    @example(-2291)  # a = 27 = 3^3, lifted from the roots modulo 3^2
+    @example(-2456)  # a = 27 for an even D
+    @example(-6251)  # a = 45 = 3^2 * 5, lifted from the roots modulo 15
+    @example(-6164)  # a = 45 for an even D
+    @example(-15695)  # a = 72 = 2^3 * 3^2, CRT of 2-adic roots and a lifted root
     def test_reduced_forms_match_the_pair_scan_on_drawn_discriminants(self, d):
         # each a's roots are lifted to the parity of D and sorted per a
         assert _reduced_triples(d) == naive_reduced_forms(d)
 
     def test_sample_reaches_every_root_case(self):
-        # leading coefficients with an odd prime square and with 2^3 or
-        # more, for odd D, and with 2 for D = 8 and 12 (mod 16)
+        # leading coefficients with an odd prime square, also an odd a = q^2 * m
+        # with q its least prime and m > 1 not a power of q (its roots lift
+        # from those modulo the composite a / q), and with 2^3 or more, for
+        # odd D, and with 2 for D = 8 and 12 (mod 16)
         reached = set()
         for d in ENUMERATION_DISCRIMINANTS:
             for a, _, _ in _reduced_triples(d):
                 if any(a % (q * q) == 0 for q in (3, 5, 7)):
                     reached.add(("odd square", d % 2))
+                if a % 2 and a > 1:
+                    exponents = sympy.factorint(a)
+                    if exponents[min(exponents)] >= 2 and len(exponents) > 1:
+                        reached.add(("odd square times m", d % 2))
                 if a % 8 == 0:
                     reached.add(("2^3", d % 2))
                 if a % 2 == 0:
                     reached.add(("even a", d % 16 if d % 2 == 0 else 1))
         assert reached >= {
             ("odd square", 0), ("odd square", 1), ("2^3", 1),
+            ("odd square times m", 0), ("odd square times m", 1),
             ("even a", 1), ("even a", 8), ("even a", 12),
         }
 

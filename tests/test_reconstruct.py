@@ -27,6 +27,7 @@ from classrecon.lattice import (
     index_and_relations,
     roundtrip,
 )
+from classrecon.errors import LimitExceeded
 from classrecon.oracle import ClassGroupModel, primary_decomposition
 from classrecon.reconstruct import (
     BundleEntryMissing,
@@ -910,18 +911,21 @@ def _mutated(name, mutations):
 # a triple's summand count that divides its singletons' but not its pair's
 @example(("420", ((6, "count", 4),)))
 @example(("synthetic_sets", ((21, "copy", 17),)))
+# a singleton entry whose norm is above MAX_BOUND with no small prime factor
+@example(("23603_sets", ((2, "count", 47), (29, "divisor", 2), (2, "multiple", 11))))
 def test_chains_read_only_sets_the_audit_has_shaped(case):
     # `subgroup_order_from_bundle` divides h by the summand count it reads,
     # and the chain takes every gain as a whole number.  So whenever the
     # audit before the chains accepts a bundle, every set a chain reads must
     # be non-trivial, and its summand count must divide that of the chain
-    # set it extends.
+    # set it extends.  A norm whose primality trial division cannot decide
+    # is refused before the chains too, with `LimitExceeded` (exit 3).
     try:
         bundle = bundle_from_json(_mutated(*case))
         recover_class_number(bundle)
         norms = recover_norms(bundle)
         _check_torsion(bundle, norms)
-    except MalformedBundle:
+    except (MalformedBundle, LimitExceeded):
         return
     order_of = reconstruct.subgroup_order_from_bundle
 
