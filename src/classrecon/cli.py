@@ -42,10 +42,10 @@ success/pass, 1 verdict failure, malformed bundle or internal
 contradiction, 2 usage or spec error (including unreadable or non-JSON
 input files, unknown `--set` labels, a `roundtrip --zeta` above
 `--primes`, and a `reconstruct --zeta` that reaches a prime power above
-the largest recovered norm) or unwritable output (a stdout closed by its
-reader, flushed before `main` returns so that the failure is caught there,
-and an `-o` path that is a directory, lies in a missing directory or is on
-a full device), 3 insufficient data or `LimitExceeded`.
+the largest recovered norm) or unwritable output (an `-o` path that is a
+directory, lies in a missing directory or is on a full device, and a
+stdout closed by its reader when the write fails inside `main`, as it does
+for unbuffered stdout), 3 insufficient data or `LimitExceeded`.
 Insufficient data is decided by the blind consumer alone, so `roundtrip`,
 `compare` and `reconstruct` refuse too few odd-norm primes with one
 message.  `LimitExceeded` covers a discriminant above
@@ -220,11 +220,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
         if handler is not None:  # None: help printed
             handler(args)
-        sys.stdout.flush()  # a reader that closed stdout fails here, not at exit
         return EXIT_OK
-    except BrokenPipeError as exc:
-        sys.stdout = None  # so exit flushes no text the closed pipe refused
-        return _error(exc, EXIT_USAGE)
     except (UsageError, InvalidDiscriminant, InvalidSyntheticSpec, UnreadableInput,
             OSError) as exc:
         return _error(exc, EXIT_USAGE)

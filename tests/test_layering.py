@@ -687,24 +687,24 @@ EVERY_RUNTIME_MODULE = [
 # call pays about 2 us of compile per node.
 COLD_PATHS = {
     "classgroup-D": (
-        ["classgroup", "-D", "-84"], ["abgroup", "classrecon", "cli", "errors", "forms"], 6490,
+        ["classgroup", "-D", "-84"], ["abgroup", "classrecon", "cli", "errors", "forms"], 6465,
     ),
     "classgroup-synthetic": (
         ["classgroup", "--synthetic", str(GOLDEN / "synthetic_248.json")],
         ["abgroup", "classrecon", "cli", "codec", "errors", "fields", "forms"],
-        9140,
+        9115,
     ),
     "reconstruct": (
         ["reconstruct", str(GOLDEN / "invariants_1031.out")],
         ["abgroup", "classrecon", "cli", "codec", "errors", "reconstruct"],
-        6814,
+        6789,
     ),
-    "invariants": (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14081),
-    "roundtrip": (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14081),
+    "invariants": (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14056),
+    "roundtrip": (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14056),
     "compare": (
-        ["compare", "-D", "-84", "-D2", "-84", "--bound", "30"], EVERY_RUNTIME_MODULE, 14081,
+        ["compare", "-D", "-84", "-D2", "-84", "--bound", "30"], EVERY_RUNTIME_MODULE, 14056,
     ),
-    "help": (["--help"], ["classrecon", "cli", "errors", "usage"], 1911),
+    "help": (["--help"], ["classrecon", "cli", "errors", "usage"], 1886),
 }
 
 

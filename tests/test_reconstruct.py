@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from classrecon import reconstruct
 from classrecon.codec import bundle_from_json, report_to_json
 from classrecon.abgroup import FinGenAbGroup, integer_nth_root
+from classrecon.errors import LimitExceeded
 from classrecon.fields import SyntheticSpec, enumerate_prime_ideals, synthetic_spec_from_json
 from classrecon.forms import QuadraticSpec, class_group
 from classrecon.lattice import (
@@ -27,7 +28,6 @@ from classrecon.lattice import (
     index_and_relations,
     roundtrip,
 )
-from classrecon.errors import LimitExceeded
 from classrecon.oracle import ClassGroupModel, primary_decomposition
 from classrecon.reconstruct import (
     BundleEntryMissing,
