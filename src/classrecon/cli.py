@@ -44,8 +44,9 @@ input files, unknown `--set` labels, a `roundtrip --zeta` above
 `--primes`, and a `reconstruct --zeta` that reaches a prime power above
 the largest recovered norm) or unwritable output (an `-o` path that is a
 directory, lies in a missing directory or is on a full device, and a
-stdout closed by its reader when the write fails inside `main`, as it does
-for unbuffered stdout), 3 insufficient data or `LimitExceeded`.
+stdout closed by its reader or on a full device, which `main` flushes
+before it returns so that the failure is met there), 3 insufficient data
+or `LimitExceeded`.
 Insufficient data is decided by the blind consumer alone, so `roundtrip`,
 `compare` and `reconstruct` refuse too few odd-norm primes with one
 message.  `LimitExceeded` covers a discriminant above
@@ -154,24 +155,25 @@ def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], None] | None, S
     by_name = dict.fromkeys(_HELP[0], _HELP)
     i = -1
     while (i := i + 1) < len(argv):
-        name, eq, value = argv[i].partition("=")
+        token = argv[i]
+        name, eq, value = token.partition("=")
         option = by_name.get(name)
         if option is None:
-            if not (missing and _is_value(argv[i], by_name)):
-                extras.append(argv[i])
+            if not (missing and _is_value(token, by_name)):
+                extras.append(token)
             elif command is None:
-                if argv[i] not in COMMANDS:
+                if token not in COMMANDS:
                     choices = ", ".join(map(repr, COMMANDS))
                     raise UsageError(
-                        f"argument command: invalid choice: {argv[i]!r} (choose from {choices})")
-                command = argv[i]
+                        f"argument command: invalid choice: {token!r} (choose from {choices})")
+                command = token
                 *_, positionals, pairs, table = COMMANDS[command]
                 options = [_HELP, *(o for pair in pairs for o in pair), *table]
                 by_name = {alias: o for o in options for alias in o[0]}
                 values = {o[1]: o[3] for o in options[1:]}  # all but help
                 missing = [dest for dest, _ in positionals]
             else:
-                values[missing.pop(0)] = argv[i]
+                values[missing.pop(0)] = token
             continue
         label = "argument " + "/".join(option[0])
         dest, kind = option[1:3]
@@ -220,6 +222,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
         if handler is not None:  # None: help printed
             handler(args)
+        try:
+            # a reader that closed stdout fails here, not at exit; print
+            # skips a stdout that is None
+            print(end="", flush=True)
+        except OSError:
+            sys.stdout = None  # so exit does not flush the refused text again
+            raise
         return EXIT_OK
     except (UsageError, InvalidDiscriminant, InvalidSyntheticSpec, UnreadableInput,
             OSError) as exc:

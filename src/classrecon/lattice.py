@@ -26,26 +26,30 @@ brute-force Smith normal form (SNF) of the whole sublattice,
 enumerate group elements.
 
 `build_bundle` computes the terms once per prime and returns an opaque
-`InvariantBundle` for the blind consumer in `reconstruct`; it holds no
-entry until one is asked for.  `add_chain_entries` is the one place that
-decides which entries a blind reconstruction needs a bundle file to carry:
-the empty set, every singleton and the sets the consumer's greedy chains
-will read, found by running those chains on the true norms.  The drivers that hold the ground truth beside
-a blind reconstruction, `roundtrip` and `compare_fields`, live here too,
-so the consumer never imports the producer.  So do the handlers of the
-commands that produce: `cmd_invariants`, `cmd_roundtrip` and
-`cmd_compare`, which `cli` imports on dispatch, and the writers of the
-files only they write, `bundle_to_json` and `comparison_text`, laid out
-from fixed templates with the codec's helpers as `codec.report_text` is;
-so a blind `reconstruct` compiles neither writer.
+`InvariantBundle` for the blind consumer in `reconstruct`.  It holds the
+entries every reader reads, of the empty set and of every singleton, from
+the start, and computes the entry of a larger set when it is first asked
+for.  `add_chain_entries` is the one place that decides which larger sets
+a blind reconstruction needs a bundle file to carry: those the consumer's
+greedy chains will read, found by running those chains on the true norms.
+The drivers that hold the ground truth beside a blind reconstruction,
+`roundtrip` and `compare_fields`, live here too, so the consumer never
+imports the producer.  So do the handlers of the commands that produce:
+`cmd_invariants`, `cmd_roundtrip` and `cmd_compare`, which `cli` imports
+on dispatch, and the writers of the files only they write, `bundle_to_json`
+and `comparison_text`, laid out from fixed templates with the codec's
+helpers as `codec.report_text` is; so a blind `reconstruct` compiles
+neither writer.
 """
 
 from __future__ import annotations
 
 import sys
 from json.encoder import encode_basestring_ascii
-from math import gcd, lcm, log2
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from math import gcd, inf, lcm, log2
+from operator import floordiv
+from types import SimpleNamespace
+from typing import Mapping, NamedTuple, Sequence
 
 from .abgroup import FinGenAbGroup, GroupElement, brief
 from .codec import BUNDLE_VERSION, _array, _decimal, _factor_array, _write_output, report_text
@@ -68,23 +72,16 @@ from .reconstruct import (
     zeta_coefficients,
 )
 
-if TYPE_CHECKING:
-    from types import SimpleNamespace
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
+    old_r, r, old_s, s = a, b, 1, 0
     while r:
         q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
+        old_r, r, old_s, s = r, old_r - q * r, s, old_s - q * s
     if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+        old_r, old_s = -old_r, -old_s
+    # x*a + y*b = g, so x gives y exactly
+    return old_r, old_s, (old_r - old_s * a) // b if b else 0
 
 
 def index_and_relations(
@@ -109,16 +106,16 @@ def index_and_relations(
     """
     r, n = len(factors), len(gens)
     # a column holds its r matrix entries, then its n entries of V
-    cols = [[*g] + [int(i == j) for i in range(n)] for j, g in enumerate(gens)]
-    cols += [[d * (i == j) for i in range(r + n)] for j, d in enumerate(factors)]
+    cols = [[*g, *[0] * n] for g in gens] + [[0] * (r + n) for _ in factors]
+    for j, d in enumerate([*[1] * n, *factors]):  # V's identity, then diag(factors)
+        cols[j][(r + j) % (r + n)] = d
     index, t = 1, 0  # cols[:t] are the pivot columns
     for row in range(r):
-        live = [j for j in range(t, len(cols)) if cols[j][row]]
-        if not live:
+        # the least nonzero entry leads, so most others reduce by one division
+        lead = min(range(t, len(cols)), key=lambda k: abs(cols[k][row]) or inf)
+        if not cols[lead][row]:
             index = 0
             continue
-        # the least entry leads, so most others reduce by one division
-        lead = min(live, key=lambda k: abs(cols[k][row]))
         cols[t], cols[lead] = cols[lead], cols[t]
         for j in range(t + 1, len(cols)):
             b = cols[j][row]
@@ -167,9 +164,10 @@ def prime_terms(
     raises LimitExceeded before any power is taken.
     """
     factors = group.factors
-    # strict: a class of the wrong length raises ValueError
-    orders = [lcm(*[d // gcd(d, x) for d, x in zip(factors, p.cls, strict=True)]) for p in primes]
+    orders = [lcm(*map(floordiv, factors, map(gcd, factors, p.cls))) for p in primes]
     for p, o in zip(primes, orders):
+        if len(p.cls) != len(factors):
+            raise ValueError(f"the class of {p.label} has the wrong length")
         bits = o * log2(p.norm)
         if bits > MAX_QUOTIENT_BITS:
             raise LimitExceeded(
@@ -239,26 +237,30 @@ def quotient_from_terms(
 
 
 def build_bundle(group: FinGenAbGroup, primes: Sequence[PrimeIdealDatum]) -> InvariantBundle:
-    """An opaque bundle over these primes that computes each entry when asked.
+    """An opaque bundle over these primes, with its fixed entries made.
 
     `group` is the class group, and no element of it is enumerated.  Each
     prime's terms are computed here, once, by `prime_terms`, which checks
-    every size before any power is taken; the bundle holds no entry yet.
-    Its supplier closes over the terms and makes the entry of any label set
-    by `quotient_from_terms`, whatever the parities of its norms, and the
-    bundle memoizes each entry the first time it is asked for
-    (`InvariantBundle.entry`).  A set of two or more primes costs one column
+    every size before any power is taken.  The entries every reader reads,
+    of the empty set and of each singleton, are made here from the terms by
+    `quotient_from_terms`.  The supplier closes over the terms and makes
+    the entry of a set of two or more primes the same way, whatever the
+    parities of its norms, the first time that set is asked for; the bundle
+    memoizes it (`InvariantBundle.entry`).  Such a set costs one column
     echelon of its class coordinates, never a Smith normal form.  The
     ground truth stays enclosed in the supplier and is never exposed.
     """
     labels = tuple(p.label for p in primes)
     terms = dict(zip(labels, prime_terms(group, primes)))
     h = group.order()
+    entries = {frozenset(): quotient_from_terms(group, (), h)}
+    for label, t in terms.items():
+        entries[frozenset((label,))] = quotient_from_terms(group, (t,), h)
 
     def quotient_for(key: frozenset[str]) -> FinGenAbGroup:
-        return quotient_from_terms(group, [terms[l] for l in sorted(key)], h)
+        return quotient_from_terms(group, [*map(terms.__getitem__, sorted(key))], h)
 
-    return InvariantBundle(rank=h, labels=labels, compute=quotient_for)
+    return InvariantBundle(rank=h, labels=labels, entries=entries, compute=quotient_for)
 
 
 def add_chain_entries(
@@ -266,10 +268,10 @@ def add_chain_entries(
 ) -> None:
     """Add to a bundle every entry a default blind reconstruction reads.
 
-    This is the one place that decides which entries a bundle file needs.
-    A blind `reconstruct` reads the empty-set and singleton entries, asked for here
-    first, and the entries its greedy chains query.  The chains choose
-    their queries from the label order and the values read
+    This is the one place that decides which entries a bundle file needs
+    beyond the empty-set and singleton entries, which `build_bundle` makes:
+    those that a blind `reconstruct`'s greedy chains query.  The chains
+    choose their queries from the label order and the values read
     (`reconstruct.greedy_primary_factors`), so running them here on the
     true norms asks for exactly the sets the consumer will ask for, and
     the bundle's supplier computes and keeps each one.  No norm is
@@ -277,11 +279,7 @@ def add_chain_entries(
     InsufficientGenerators, after every chain entry is in the bundle, when
     the odd-norm classes do not generate the class group.
     """
-    bundle.entry(())
-    for p in primes:
-        bundle.entry((p.label,))
-    norms = {p.label: p.norm for p in primes}
-    reconstruct_class_group(bundle, norms)
+    reconstruct_class_group(bundle, {p.label: p.norm for p in primes})
 
 
 def roundtrip(
@@ -372,19 +370,16 @@ def compare_fields(
     Both sides get a bundle built from their prime data and a blind
     reconstruction with zeta coefficients up to the bound.
     """
-    sides = []
-    for spec in (spec_left, spec_right):
-        primes = enumerate_prime_ideals(spec, bound)
-        report = reconstruct_all(build_bundle(class_group(spec), primes), bound)
-        sides.append((report.zeta, report.class_group))
-    (za, ga), (zb, gb) = sides
-    first_diff = None
-    for n, (x, y) in enumerate(zip(za, zb), start=1):
-        if x != y:
-            first_diff = (n, x, y)
-            break
+    left, right = [
+        reconstruct_all(build_bundle(class_group(spec), enumerate_prime_ideals(spec, bound)), bound)
+        for spec in (spec_left, spec_right)
+    ]
+    differences = (
+        (n, x, y) for n, (x, y) in enumerate(zip(left.zeta, right.zeta), start=1) if x != y
+    )
     return ComparisonResult(
-        bound=bound, first_zeta_difference=first_diff, group_left=ga, group_right=gb
+        bound=bound, first_zeta_difference=next(differences, None),
+        group_left=left.class_group, group_right=right.class_group,
     )
 
 
@@ -406,36 +401,45 @@ _ZETA_DIFFERENCE = (
 def bundle_to_json(bundle: InvariantBundle) -> str:
     """The bundle file's text, with labels replaced by opaque integers.
 
-    A bundle repeats few distinct factors many times (a homogeneous entry
-    is [Cl : H] copies of one, and many entries share it), so each distinct
-    factor tuple is laid out, and each factor converted, once per bundle.
-    A bundle lacking an entry its reader requires raises ValueError instead.
+    Label i becomes the integer i.  The entries are laid out by size, then
+    by their sorted integers: the empty set, then singleton i as [i] in
+    label order, so only the larger sets are sorted.  A bundle repeats few
+    distinct factors many times (a homogeneous entry is [Cl : H] copies of
+    one, and many entries share it), so each distinct factor tuple is laid
+    out, and each factor converted, once per bundle.  A bundle lacking an
+    entry its reader requires, as one built by hand may, raises ValueError
+    instead.
     """
-    needed = [frozenset(), *(frozenset({label}) for label in bundle.labels)]
-    if not all(key in bundle.entries for key in needed):
+    try:  # the empty set and each singleton, in label order
+        groups = [*map(bundle.entries.__getitem__,
+                       [frozenset(), *map(frozenset, zip(bundle.labels))])]
+    except KeyError:
         raise ValueError("bundle lacks the empty-set or a singleton entry; "
-                         "lattice.add_chain_entries adds them")
-    id_of = {label: i for i, label in enumerate(bundle.labels)}.__getitem__
-    text: dict[int, str] = {}  # each distinct factor, quoted
-    blocks: dict[tuple[int, ...], str] = {}
-    rows = []
-    for key, group in bundle.entries.items():
+                         "lattice.build_bundle makes them") from None
+    numbers = [*map(repr, range(len(bundle.labels)))]
+    id_of = dict(zip(bundle.labels, range(len(numbers)))).__getitem__
+    # each entry's labels as text: the empty set, each singleton in label
+    # order, then the larger sets by size and ids; their ids are distinct,
+    # so the sort never compares groups
+    members = ["", *numbers]
+    for _, ids, group in sorted((len(key), sorted(map(id_of, key)), group)
+                                for key, group in bundle.entries.items() if len(key) > 1):
+        members.append(",\n        ".join(map(numbers.__getitem__, ids)))
+        groups.append(group)
+    # each distinct factor quoted, and each distinct factor tuple laid out
+    text, blocks, entries = {}, {}, []
+    for member_text, group in zip(members, groups):
         factors = group.factors
         block = blocks.get(factors)
         if block is None:
             for x in set(factors):
                 if x not in text:
                     text[x] = f'"{_decimal(x)}"'
-            items = ",\n        ".join(map(text.__getitem__, factors))
-            block = blocks[factors] = _array(items, "\n      ")
-        # entry keys are distinct, so the sort never compares the blocks
-        rows.append((len(key), sorted(map(id_of, key)), block))
-    rows.sort()
-    entries = ",\n    ".join([
-        _ENTRY % (block, _array(",\n        ".join(map(repr, ids)), "\n      "))
-        for _, ids, block in rows
-    ])
-    labels = _array(",\n    ".join(map(repr, range(len(bundle.labels)))), "\n  ")
+            block = blocks[factors] = _array(
+                ",\n        ".join(map(text.__getitem__, factors)), "\n      ")
+        entries.append(_ENTRY % (block, _array(member_text, "\n      ")))
+    entries = ",\n    ".join(entries)
+    labels = _array(",\n    ".join(numbers), "\n  ")
     return _BUNDLE % (_array(entries, "\n  "), labels, bundle.rank, BUNDLE_VERSION)
 
 

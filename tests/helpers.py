@@ -5,11 +5,13 @@ plain way, that the fast ones are checked against."""
 
 from __future__ import annotations
 
+import os
 import random
 from typing import Any, Callable, Sequence
 
 from sympy import primefactors
 
+import classrecon
 from classrecon.abgroup import FinGenAbGroup, is_canonical
 from classrecon.codec import (
     BUNDLE_VERSION,
@@ -24,6 +26,20 @@ from classrecon.fields import PrimeIdealDatum, SyntheticSpec, synthetic_spec_fro
 from classrecon.lattice import ComparisonResult, build_bundle, index_and_relations
 from classrecon.oracle import ClassGroupModel, Matrix
 from classrecon.reconstruct import InvariantBundle, ReconstructionReport, p_part
+
+# the directory that holds the package, for a fresh interpreter's PYTHONPATH
+SRC = os.path.dirname(os.path.dirname(classrecon.__file__))
+
+
+def subprocess_env(**extra: str) -> dict[str, str]:
+    """The environment of a fresh interpreter that runs the package source.
+
+    PYTHONUNBUFFERED is dropped, so the child's stdout is buffered, as a
+    user's is by default; a test of the unbuffered path passes it in `extra`.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": SRC, **extra}
+
 
 ODD_PRIME_POWERS = [
     3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49,

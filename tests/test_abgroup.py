@@ -2,7 +2,6 @@
 
 import doctest
 import operator
-import os
 import random
 import subprocess
 import sys
@@ -42,7 +41,7 @@ from classrecon.oracle import (
 )
 from classrecon.reconstruct import p_part
 
-from helpers import matrix_product, zero
+from helpers import matrix_product, subprocess_env, zero
 
 
 def random_matrix(rng, max_dim=6, lo=-50, hi=50):
@@ -183,16 +182,18 @@ class TestCokernel:
 
 @st.composite
 def groups_and_generators(draw):
-    """A group of rank 1-4 and 0-6 integer columns of its rank."""
-    group = draw(st.lists(st.integers(2, 12), min_size=1, max_size=4).map(
+    """A group of rank 1-4, free summands allowed, and 0-7 integer columns of its rank."""
+    group = draw(st.lists(st.integers(2, 12) | st.just(0), min_size=1, max_size=4).map(
         FinGenAbGroup.from_orders))
-    column = st.tuples(*[st.integers(-30, 30)] * len(group.factors))
-    return group, draw(st.lists(column, max_size=6))
+    column = st.tuples(*[st.integers(-10**6, 10**6)] * len(group.factors))
+    return group, draw(st.lists(column, max_size=7))
 
 
 class TestIndexAndRelations:
     @settings(max_examples=200, deadline=None)
     @given(groups_and_generators())
+    # rank 1 against a group of rank 2: the free row has no pivot
+    @example((FinGenAbGroup((4, 0)), [(2, 0), (-6, 0), (1, 0)]))
     def test_against_smith_normal_form(self, case):
         group, gens = case
         r, n = len(group.factors), len(gens)
@@ -203,13 +204,14 @@ class TestIndexAndRelations:
         for d in diagonal(s):
             snf_index *= d
         assert index == snf_index
-        assert len(relations) == n
+        rank = sum(1 for d in diagonal(s) if d)
+        assert len(relations) == n + r - rank
         for k in relations:
             image = [sum(c * g[i] for c, g in zip(k, gens)) for i in range(r)]
             assert group.element(image) == zero(group)
         # the kernel columns of V, cut to their first n entries, span the
         # same relation lattice
-        kernel = [tuple(row[j] for row in v[:n]) for j in range(r, len(v))]
+        kernel = [tuple(row[j] for row in v[:n]) for j in range(rank, len(v))]
         assert all(naive_member(relations, k) for k in kernel)
         assert all(naive_member(kernel, k) for k in relations)
 
@@ -590,7 +592,6 @@ class TestIntegerHelpers:
         # `classgroup -D` tests no primality, so a fresh call never sieves
         # the table; the first test fills it with the primes up to
         # isqrt(MAX_BOUND), and a refusal still names the last of them
-        src = os.path.dirname(os.path.dirname(classrecon.abgroup.__file__))
         code = (
             "from classrecon import abgroup\n"
             "from classrecon.cli import main\n"
@@ -600,7 +601,7 @@ class TestIntegerHelpers:
             "assert abgroup._SMALL_PRIMES == abgroup.primes_up_to(3162)\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            [sys.executable, "-c", code], env=subprocess_env(),
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr

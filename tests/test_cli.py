@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import classrecon
 from classrecon import cli, codec, errors, fields, forms, lattice, oracle, reconstruct
 from classrecon.cli import EXIT_FAIL, EXIT_INSUFFICIENT, EXIT_OK, EXIT_USAGE, main
 from classrecon.codec import bundle_from_json
@@ -32,6 +31,7 @@ from helpers import (
     reference_bundle_doc,
     reference_comparison_doc,
     reference_report_doc,
+    subprocess_env,
 )
 from test_golden import BUNDLE_1031, GOLDEN, run_case
 
@@ -133,18 +133,21 @@ class TestInvariantsCommand:
         assert json.loads(bundle_to_json(parsed))["entries"] == doc["entries"]
 
     def test_writer_refuses_a_bundle_its_reader_refuses(self):
-        # a lazy bundle holds no entry until one is asked for, and a reader
-        # needs the empty-set and every singleton entry
+        # a reader needs the empty-set and every singleton entry; a built
+        # bundle holds them, and one built by hand may lack either kind
         spec = QuadraticSpec(-20)
         primes = enumerate_prime_ideals(spec, 30)
-        bundle = build_bundle(class_group(spec), primes)
-        with pytest.raises(ValueError, match="lattice.add_chain_entries"):
-            bundle_to_json(bundle)
-        bundle.entry(())
-        with pytest.raises(ValueError, match="lattice.add_chain_entries"):
-            bundle_to_json(bundle)
-        lattice.add_chain_entries(bundle, primes)
-        assert bundle_from_json(json.loads(bundle_to_json(bundle))).rank == bundle.rank
+        built = build_bundle(class_group(spec), primes)
+        message = ("^bundle lacks the empty-set or a singleton entry; "
+                   "lattice.build_bundle makes them$")
+        for missing in [frozenset(), frozenset({primes[-1].label})]:
+            entries = {key: group for key, group in built.entries.items() if key != missing}
+            bundle = InvariantBundle(rank=built.rank, labels=built.labels, entries=entries)
+            with pytest.raises(ValueError, match=message):
+                bundle_to_json(bundle)
+        assert bundle_from_json(json.loads(bundle_to_json(built))).rank == built.rank
+        lattice.add_chain_entries(built, primes)
+        assert bundle_from_json(json.loads(bundle_to_json(built))).rank == built.rank
 
     def test_codec_converts_each_distinct_factor_once_per_entry(self, monkeypatch):
         bundle = InvariantBundle(
@@ -461,7 +464,7 @@ class TestLongIntegers:
         def cold(doc):
             path = tmp_path / "bundle.json"
             path.write_text(json.dumps(doc))
-            env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(classrecon.__file__)))
+            env = subprocess_env()
             times = []
             for _ in range(2):
                 start = time.perf_counter()
@@ -567,8 +570,7 @@ def test_runtime_needs_no_brute_force_quotient(tmp_path):
         "    assert main(argv) == want, argv\n"
         "assert 'classrecon.oracle' not in sys.modules\n"
     )
-    src = os.path.dirname(os.path.dirname(classrecon.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps(calls)],
         env=env, capture_output=True, text=True, timeout=120,
@@ -1191,7 +1193,6 @@ def test_calls_in_one_process_match_fresh_interpreters(tmp_path, capsys):
 
 
 def test_a_call_loads_no_argparse_gettext_or_locale():
-    src = os.path.dirname(os.path.dirname(classrecon.__file__))
     code = (
         "import sys\n"
         "import classrecon.cli\n"
@@ -1199,7 +1200,7 @@ def test_a_call_loads_no_argparse_gettext_or_locale():
         "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
+    env = subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
@@ -1207,13 +1208,12 @@ def test_a_call_loads_no_argparse_gettext_or_locale():
 
 
 def test_cli_import_does_not_load_sympy():
-    src = os.path.dirname(os.path.dirname(classrecon.__file__))
     code = (
         # `cli` imports the rest on demand, so every runtime module is imported
         "import classrecon.cli, classrecon.codec, classrecon.lattice, sys; "
         "assert 'sympy' not in sys.modules; assert 'classrecon.oracle' not in sys.modules"
     )
-    env = dict(os.environ, PYTHONPATH=src)
+    env = subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
@@ -1222,8 +1222,7 @@ def test_cli_import_does_not_load_sympy():
 
 def _run_cli(args, input_bytes=None, env_extra=None):
     """Run `python -m classrecon.cli` in a fresh interpreter; (exit code, stdout, stderr)."""
-    src = os.path.dirname(os.path.dirname(classrecon.__file__))
-    env = dict(os.environ, PYTHONPATH=src, **(env_extra or {}))
+    env = subprocess_env(**(env_extra or {}))
     proc = subprocess.run(
         [sys.executable, "-m", "classrecon.cli", *args],
         input=input_bytes,
@@ -1269,7 +1268,8 @@ class TestOutputFile:
     """Unwritable output: the error is one line and exit 2.
 
     That holds for an -o path that is a directory, in a missing directory
-    or on a full device, and for an unbuffered stdout closed by its reader.
+    or on a full device, and for a stdout closed by its reader or on a full
+    device, buffered or not.
 
     A read-only file cannot stand in for a refused open when the tests run
     as root, so only paths that refuse every user are covered.
@@ -1300,8 +1300,7 @@ class TestOutputFile:
     def test_stdout_closed_by_its_reader_exits_2(self):
         # the read end is closed before the call starts, so the write fails
         # every time, inside the print since stdout is unbuffered
-        src = os.path.dirname(os.path.dirname(classrecon.__file__))
-        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+        env = subprocess_env(PYTHONUNBUFFERED="1")
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -1312,6 +1311,42 @@ class TestOutputFile:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (EXIT_USAGE, b"error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("closed pipe", b"[Errno 32] Broken pipe"),
+            pytest.param(
+                "/dev/full",
+                b"[Errno 28] No space left on device",
+                marks=pytest.mark.skipif(
+                    not os.path.exists("/dev/full"), reason="no /dev/full"
+                ),
+            ),
+        ],
+        ids=["closed-pipe", "device-full"],
+    )
+    def test_buffered_stdout_that_cannot_be_written_exits_2(self, target, message):
+        # stdout is buffered, as by default, so the short text is held until
+        # `main` flushes it, and the write fails there
+        if target == "closed pipe":
+            read_end, out = os.pipe()
+            os.close(read_end)
+        else:
+            out = os.open(target, os.O_WRONLY)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "classrecon.cli", "classgroup", "-D", "-84"],
+                stdout=out, stderr=subprocess.PIPE, env=subprocess_env(), timeout=60,
+            )
+        finally:
+            os.close(out)
+        assert (proc.returncode, proc.stderr) == (EXIT_USAGE, b"error: " + message + b"\n")
+
+    def test_no_stdout_at_all_is_not_an_error(self, monkeypatch):
+        # as under pythonw, or once a failed flush has dropped stdout
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["classgroup", "-D", "-84"]) == EXIT_OK
 
     def test_new_file_mode_follows_the_umask(self, tmp_path):
         out = tmp_path / "report.json"

@@ -32,7 +32,6 @@ every output is laid out from fixed templates.
 
 import ast
 import importlib
-import os
 import re
 import subprocess
 import sys
@@ -42,6 +41,8 @@ import pytest
 
 import classrecon
 from classrecon import cli, oracle
+
+from helpers import subprocess_env
 
 PACKAGE = Path(classrecon.__file__).parent
 RUNTIME = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "oracle"]
@@ -543,14 +544,13 @@ def test_no_source_module_imports_argparse_or_gettext(path):
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    src = os.path.dirname(os.path.dirname(classrecon.__file__))
     code = (
         # `cli` imports the rest on demand, so every runtime module is imported
         "import classrecon.cli, classrecon.codec, classrecon.lattice, sys; "
         "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
         "assert not loaded, loaded"
     )
-    env = dict(os.environ, PYTHONPATH=src)
+    env = subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
@@ -595,9 +595,8 @@ def test_top_level_forwards_the_two_certifiers():
 
 
 def test_package_import_leaves_oracle_unloaded():
-    src = os.path.dirname(os.path.dirname(classrecon.__file__))
     code = "import classrecon, sys; assert 'classrecon.oracle' not in sys.modules"
-    env = dict(os.environ, PYTHONPATH=src)
+    env = subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
@@ -605,7 +604,6 @@ def test_package_import_leaves_oracle_unloaded():
 
 
 GOLDEN = Path(__file__).parent / "golden"
-SRC = os.path.dirname(os.path.dirname(classrecon.__file__))
 CONSUMER = {"abgroup", "errors", "reconstruct"}
 
 
@@ -667,7 +665,7 @@ def _loaded_by(*argv: str) -> tuple[list[str], bool]:
         "names = sorted(m for m in sys.modules if m.split('.')[0] == 'classrecon')\n"
         "print(' '.join(names), 'json' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
     )
@@ -699,10 +697,10 @@ COLD_PATHS = {
         ["abgroup", "classrecon", "cli", "codec", "errors", "reconstruct"],
         6789,
     ),
-    "invariants": (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14056),
-    "roundtrip": (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14056),
+    "invariants": (["invariants", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14055),
+    "roundtrip": (["roundtrip", "-D", "-84", "--primes", "30"], EVERY_RUNTIME_MODULE, 14055),
     "compare": (
-        ["compare", "-D", "-84", "-D2", "-84", "--bound", "30"], EVERY_RUNTIME_MODULE, 14056,
+        ["compare", "-D", "-84", "-D2", "-84", "--bound", "30"], EVERY_RUNTIME_MODULE, 14055,
     ),
     "help": (["--help"], ["classrecon", "cli", "errors", "usage"], 1886),
 }
@@ -759,7 +757,7 @@ def test_readme_ast_table_states_each_budget():
 
 
 def test_run_as_a_module_writes_nothing_to_stderr():
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-m", "classrecon.cli", "classgroup", "-D", "-84"],
         env=env, capture_output=True, text=True, timeout=60,

@@ -26,6 +26,8 @@ from classrecon.lattice import (
     bundle_to_json,
     compare_fields,
     index_and_relations,
+    prime_terms,
+    quotient_from_terms,
     roundtrip,
 )
 from classrecon.oracle import ClassGroupModel, primary_decomposition
@@ -116,12 +118,26 @@ class TestBuildBundle:
             build_bundle(group, [datum("a", 3, (1,)), datum("a", 7, (1,))])
 
     def test_entries_are_computed_when_first_asked_for(self):
+        # the empty set and every singleton are made as the bundle is built,
+        # a larger set once, when it is first asked for
         group = FinGenAbGroup((2,))
-        bundle = build_bundle(group, [datum("a", 3, (1,)), datum("b", 7, (1,))])
-        assert bundle.entries == {}
+        primes = [datum("a", 3, (1,)), datum("b", 7, (1,))]
+        bundle = build_bundle(group, primes)
+        ta, tb = prime_terms(group, primes)
+        fixed = {
+            frozenset(): quotient_from_terms(group, [], 2),
+            frozenset({"a"}): quotient_from_terms(group, [ta], 2),
+            frozenset({"b"}): quotient_from_terms(group, [tb], 2),
+        }
+        assert bundle.entries == fixed
+        asked, compute = [], bundle.compute
+        bundle.compute = lambda key: asked.append(key) or compute(key)
         pair = bundle.entry(["b", "a"])
-        assert bundle.entries == {frozenset({"a", "b"}): pair}
+        assert pair == quotient_from_terms(group, [ta, tb], 2)
+        assert bundle.entries == {**fixed, frozenset({"a", "b"}): pair}
         assert bundle.entry(["a", "b"]) is pair
+        assert bundle.entry(["a"]) == fixed[frozenset({"a"})]
+        assert asked == [frozenset({"a", "b"})]
 
     def test_static_bundle_refuses_unknown_subsets(self):
         group = FinGenAbGroup((2,))
@@ -657,9 +673,9 @@ def test_roundtrip_refuses_exactly_when_odd_classes_do_not_generate(spec):
     st.integers(2, 80),
 )
 def test_blind_reconstruction_reads_exactly_what_a_written_bundle_carries(spec, bound):
-    # `invariants` without --set writes the entries `add_chain_entries` asks
-    # for; a blind reconstruction must ask for those and no others, and a
-    # fresh bundle must hold only the entries it was asked for.
+    # `invariants` without --set writes the fixed entries a bundle is built
+    # with and the multi-label entries `add_chain_entries` asks for; a blind
+    # reconstruction must compute exactly those multi-label entries.
     group = class_group(spec)
     primes = enumerate_prime_ideals(spec, bound)
     read, written = build_bundle(group, primes), build_bundle(group, primes)
@@ -669,7 +685,8 @@ def test_blind_reconstruction_reads_exactly_what_a_written_bundle_carries(spec, 
         reconstruct_all(read)
     with contextlib.suppress(InsufficientGenerators):
         add_chain_entries(written, primes)
-    assert set(read.entries) == asked == set(written.entries)
+    assert asked == {key for key in written.entries if len(key) > 1}
+    assert set(read.entries) == set(written.entries)
 
 
 class TestCompare:
